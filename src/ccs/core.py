@@ -4,7 +4,8 @@ Conventions used across the package: jobs are identified by their position
 0..n-1 in ``processing_times``, machines by 0..m-1, classes by 1..C after
 dense re-indexing. Every quantity that can be fractional is a
 :class:`fractions.Fraction`; nothing in this package touches floats except
-the MILP fallback of the N-fold solver, whose output is re-verified exactly.
+the mixed-integer solve inside ``ccs.nfold``, whose output is re-verified
+exactly.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Block-structured integer programs and a desk-scale feasibility solver.
+"""Block-structured integer programs and their feasibility solver.
 
 A program with N bricks has the constraint matrix
 
@@ -14,13 +14,12 @@ side stacks the r shared entries first, then the s entries of each brick
 in brick order. Variables carry finite integer bounds; the objective is
 stored but ignored (the schemes built on top only need feasibility).
 
-solve_feasible exploits the structure directly: given the running sum of
-the shared rows, bricks decouple, so a dynamic program sweeps brick by
-brick over reachable shared-row sums, enumerating per brick the vectors
-satisfying its private rows. When the enumeration outgrows its caps the
-solver falls back to a mixed-integer solve whose result is re-verified in
-exact integer arithmetic. solve_exhaustive is the independent ground
-truth: plain enumeration of the whole variable box.
+solve_feasible fixes the variables the equalities pin in exact integer
+arithmetic, aggregates columns that are identical in every row, hands the
+rest to the HiGHS mixed-integer solver, and verifies the returned point
+exactly, so float arithmetic never leaks into an answer. solve_exhaustive
+is the independent ground truth: plain enumeration of the whole variable
+box.
 """
 
 from __future__ import annotations
@@ -33,26 +32,17 @@ from .core import CCSError, EnumerationCapError
 # solve_exhaustive refuses boxes with more points than this
 EXHAUSTIVE_CAP = 10**7
 
-# dynamic-program resource caps; beyond them the MILP fallback takes over
-LOCAL_SOLUTION_CAP = 50_000
-FRONTIER_CAP = 200_000
-# the per-brick enumeration recurses once per column, so wide bricks go
-# straight to the fallback instead of risking the recursion limit
-LOCAL_WIDTH_CAP = 200
-
 
 class InvalidProgramError(CCSError):
     """The program's dimensions or bounds are inconsistent."""
 
 
 class SparseRow:
-    """Immutable integer row stored by its nonzero entries.
-
-    Quacks like a length-``width`` tuple of ints (indexing, len, iteration,
-    equality against sequences), while construction, evaluation and the
-    solver paths stay proportional to the nonzero count. The scheme
-    builders produce rows with tens of thousands of columns and a handful
-    of nonzeros; materializing those densely would cost gigabytes.
+    """Immutable integer row of length ``width`` stored by its nonzero
+    entries. The scheme builders produce rows with tens of thousands of
+    columns and a handful of nonzeros; storing those densely would cost
+    gigabytes. Block rows may also be plain tuples of ints; code that
+    accepts both walks the nonzeros through ``_row_items``.
     """
 
     __slots__ = ("width", "entries")
@@ -74,22 +64,6 @@ class SparseRow:
     def __setattr__(self, name, value):
         raise AttributeError("SparseRow is immutable")
 
-    def __len__(self) -> int:
-        return self.width
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[i] for i in range(*j.indices(self.width)))
-        if j < 0:
-            j += self.width
-        if not 0 <= j < self.width:
-            raise IndexError(j)
-        return self.entries.get(j, 0)
-
-    def __iter__(self):
-        for j in range(self.width):
-            yield self.entries.get(j, 0)
-
     def items(self):
         """Sorted (column, coefficient) pairs of the nonzeros."""
         return sorted(self.entries.items())
@@ -97,10 +71,6 @@ class SparseRow:
     def __eq__(self, other) -> bool:
         if isinstance(other, SparseRow):
             return self.width == other.width and self.entries == other.entries
-        if isinstance(other, (tuple, list)):
-            return len(other) == self.width and all(
-                a == b for a, b in zip(self, other)
-            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -117,12 +87,18 @@ def _row_items(row):
     return [(j, v) for j, v in enumerate(row) if v]
 
 
+def _row_width(row) -> int:
+    """Number of columns of a row, any storage."""
+    return row.width if isinstance(row, SparseRow) else len(row)
+
+
 @dataclass(frozen=True)
 class NFoldProgram:
     """Immutable block-structured integer program.
 
     top_blocks[i] and diag_blocks[i] are the blocks of brick i as tuples
-    of row tuples (possibly zero rows). rhs lists the shared rows first,
+    of rows (possibly zero rows), each row a tuple of ints or a SparseRow.
+    rhs lists the shared rows first,
     then each brick's private rows. lower/upper/objective have one entry
     per variable, brick by brick.
     """
@@ -166,11 +142,6 @@ class NFoldProgram:
                 best = max(best, abs(v).bit_length())
         return max(best, self.delta.bit_length())
 
-    def brick_bounds(self, i: int) -> tuple:
-        """(lower, upper) slices of brick i (0-based)."""
-        t = self.brick_width
-        return self.lower[i * t : (i + 1) * t], self.upper[i * t : (i + 1) * t]
-
     def brick_rhs(self, i: int) -> tuple:
         """Private-row right-hand side of brick i (0-based)."""
         r, s = self.top_block_rows, self.diag_block_rows
@@ -206,9 +177,9 @@ def _check_block(block, rows: int, width: int, what: str) -> None:
     if len(block) != rows:
         raise InvalidProgramError(f"{what} has {len(block)} rows, expected {rows}")
     for row in block:
-        if len(row) != width:
+        if _row_width(row) != width:
             raise InvalidProgramError(
-                f"{what} row has {len(row)} entries, expected {width}"
+                f"{what} row has {_row_width(row)} entries, expected {width}"
             )
         if isinstance(row, SparseRow):
             continue  # entries were validated at construction
@@ -310,19 +281,6 @@ def constraint_violations(program: NFoldProgram, x: Sequence) -> list:
     return out
 
 
-def _row_interval(row, lower, upper):
-    """Min/max of row . x over the variable box."""
-    lo = hi = 0
-    for j, a in _row_items(row):
-        if a >= 0:
-            lo += a * lower[j]
-            hi += a * upper[j]
-        else:
-            lo += a * upper[j]
-            hi += a * lower[j]
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
@@ -354,139 +312,7 @@ def solve_exhaustive(program: NFoldProgram) -> Optional[NFoldSolution]:
 
 
 # ---------------------------------------------------------------------------
-# structured solver
-
-
-def _brick_solutions(program: NFoldProgram, i: int) -> list:
-    """All vectors of brick i satisfying its private rows and bounds, in
-    ascending lexicographic order. Raises EnumerationCapError beyond the
-    local cap."""
-    t = program.brick_width
-    if t > LOCAL_WIDTH_CAP:
-        raise EnumerationCapError(f"brick width {t} beyond the structured sweep")
-    s = program.diag_block_rows
-    lower, upper = program.brick_bounds(i)
-    target = program.brick_rhs(i)
-    block = program.diag_blocks[i]
-    # columns no private row touches (slacks of shared rows, mostly) blow up
-    # the solution count multiplicatively; bail before walking them
-    supported = set()
-    for k in range(s):
-        supported.update(j for j, _a in _row_items(block[k]))
-    loose = 1
-    for j in range(t):
-        if j not in supported:
-            loose *= upper[j] - lower[j] + 1
-            if loose > LOCAL_SOLUTION_CAP:
-                raise EnumerationCapError(
-                    "unconstrained brick columns beyond the local cap"
-                )
-    # suffix contribution intervals per private row
-    suffix = [[(0, 0)] * (t + 1) for _ in range(s)]
-    for k in range(s):
-        for j in range(t - 1, -1, -1):
-            a = block[k][j]
-            step = (
-                (a * lower[j], a * upper[j])
-                if a >= 0
-                else (a * upper[j], a * lower[j])
-            )
-            prev = suffix[k][j + 1]
-            suffix[k][j] = (prev[0] + step[0], prev[1] + step[1])
-    out: list = []
-    partial = [0] * s
-    point = [0] * t
-
-    def descend(j: int) -> None:
-        if j == t:
-            if all(partial[k] == target[k] for k in range(s)):
-                if len(out) >= LOCAL_SOLUTION_CAP:
-                    raise EnumerationCapError("too many brick solutions")
-                out.append(tuple(point))
-            return
-        for v in range(lower[j], upper[j] + 1):
-            ok = True
-            for k in range(s):
-                acc = partial[k] + block[k][j] * v
-                lo, hi = suffix[k][j + 1]
-                if not acc + lo <= target[k] <= acc + hi:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            point[j] = v
-            for k in range(s):
-                partial[k] += block[k][j] * v
-            descend(j + 1)
-            for k in range(s):
-                partial[k] -= block[k][j] * v
-        point[j] = 0
-
-    descend(0)
-    return out
-
-
-def _top_contribution(program: NFoldProgram, i: int, point) -> tuple:
-    return tuple(
-        sum(a * point[j] for j, a in _row_items(row))
-        for row in program.top_blocks[i]
-    )
-
-
-def _solve_dynamic(program: NFoldProgram) -> Optional[NFoldSolution]:
-    """Brick-by-brick sweep over reachable shared-row sums. Exact; raises
-    EnumerationCapError when local enumerations or the frontier outgrow
-    their caps."""
-    n, r = program.brick_count, program.top_block_rows
-    top_target = program.rhs[:r]
-    locals_per_brick = [_brick_solutions(program, i) for i in range(n)]
-    # interval of shared-row sums still contributable by bricks > i
-    rest_lo = [[0] * r for _ in range(n + 1)]
-    rest_hi = [[0] * r for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        lower, upper = program.brick_bounds(i)
-        for k in range(r):
-            lo, hi = _row_interval(program.top_blocks[i][k], lower, upper)
-            rest_lo[i][k] = rest_lo[i + 1][k] + lo
-            rest_hi[i][k] = rest_hi[i + 1][k] + hi
-    frontier: dict = {(0,) * r: None}
-    trails: list = []
-    for i in range(n):
-        nxt: dict = {}
-        for reached, _parent in frontier.items():
-            for point in locals_per_brick[i]:
-                summed = tuple(
-                    a + b
-                    for a, b in zip(reached, _top_contribution(program, i, point))
-                )
-                if summed in nxt:
-                    continue
-                ok = True
-                for k in range(r):
-                    need = top_target[k] - summed[k]
-                    if not rest_lo[i + 1][k] <= need <= rest_hi[i + 1][k]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if len(nxt) >= FRONTIER_CAP:
-                    raise EnumerationCapError("shared-row frontier overflow")
-                nxt[summed] = (reached, point)
-        trails.append(nxt)
-        frontier = nxt
-        if not frontier:
-            return None
-    if top_target not in frontier:
-        return None
-    bricks = []
-    cursor = top_target
-    for i in range(n - 1, -1, -1):
-        parent, point = trails[i][cursor]
-        bricks.append(point)
-        cursor = parent
-    bricks.reverse()
-    x = tuple(v for brick in bricks for v in brick)
-    return NFoldSolution(x=x, brick_width=program.brick_width)
+# presolve and the mixed-integer solve
 
 
 def _row_maps(program: NFoldProgram):
@@ -581,14 +407,14 @@ def _presolve_fix(program: NFoldProgram, rows, col_rows):
 
 
 def _solve_milp(program: NFoldProgram) -> Optional[NFoldSolution]:
-    """Mixed-integer fallback; the returned point is rounded and
-    re-verified exactly, so float arithmetic can never leak through.
+    """Exact presolve, column aggregation and one HiGHS solve; the
+    returned point is rounded and verified once in exact integer
+    arithmetic, so float arithmetic can never leak through.
 
-    Before handing off, the program shrinks by exact presolve: variables
-    pinned by equalities are fixed, and columns identical in every row and
-    in the objective are aggregated into one variable with summed bounds
-    (cross-brick duplicates: x- and slack columns have zero coefficients
-    in the private rows, so their copies collapse)."""
+    Presolve fixes the variables pinned by equalities; columns identical
+    in every row and in the objective are aggregated into one variable
+    with summed bounds (cross-brick duplicates: x- and slack columns have
+    zero coefficients in the private rows, so their copies collapse)."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_matrix
@@ -682,29 +508,12 @@ def _solve_milp(program: NFoldProgram) -> Optional[NFoldSolution]:
     return compose(values)
 
 
-def solve_feasible(
-    program: NFoldProgram, *, method: str = "auto"
-) -> Optional[NFoldSolution]:
+def solve_feasible(program: NFoldProgram) -> Optional[NFoldSolution]:
     """Any feasible point, or None. Deterministic: identical programs give
-    identical solutions. method picks the engine: "dynamic" forces the
-    structured sweep, "milp" the mixed-integer fallback, "auto" tries the
-    sweep and falls back when it overflows its caps."""
+    identical solutions. Raises CCSError if the mixed-integer solver fails
+    or returns a point that does not pass the exact check."""
     validate_structure(program)
-    if method == "dynamic":
-        solution = _solve_dynamic(program)
-    elif method == "milp":
-        solution = _solve_milp(program)
-    elif method == "auto":
-        try:
-            solution = _solve_dynamic(program)
-        except EnumerationCapError:
-            solution = _solve_milp(program)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if solution is not None:
-        leftover = constraint_violations(program, solution.x)
-        assert not leftover, leftover
-    return solution
+    return _solve_milp(program)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +599,10 @@ def dump_program(program: NFoldProgram) -> str:
     for blocks in (program.top_blocks, program.diag_blocks):
         for block in blocks:
             for row in block:
-                lines.append(" ".join(str(v) for v in row))
+                tokens = ["0"] * _row_width(row)
+                for j, v in _row_items(row):
+                    tokens[j] = str(v)
+                lines.append(" ".join(tokens))
     for vec in (program.rhs, program.lower, program.upper, program.objective):
         lines.append(" ".join(str(v) for v in vec))
     return "\n".join(lines) + "\n"

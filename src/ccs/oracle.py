@@ -159,9 +159,11 @@ def opt_splittable(instance: Instance) -> Fraction:
     lb, _ = lower_bound(instance, SPLITTABLE)  # raises when C > m*c
     m = instance.machine_count
     cc = instance.class_count
-    if (2**m - 1) ** cc > ORACLE_PATTERN_CAP:
+    # cc >= 1, so m beyond the cap's bit length already exceeds it; testing
+    # that first keeps a huge m from building the power at all
+    if m > ORACLE_PATTERN_CAP.bit_length() or (2**m - 1) ** cc > ORACLE_PATTERN_CAP:
         raise EnumerationCapError(
-            f"({2**m - 1})^{cc} eligibility patterns exceed the cap of {ORACLE_PATTERN_CAP}"
+            f"(2^{m} - 1)^{cc} eligibility patterns exceed the cap of {ORACLE_PATTERN_CAP}"
         )
 
     loads = [cl.total for cl in class_loads(instance)]

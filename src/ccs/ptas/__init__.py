@@ -31,7 +31,6 @@ from .sets import (
     ModuleSet,
     enumerate_sets,
     nonpreemptive_sets,
-    preemptive_sets,
     resolve_enum_cap,
     splittable_sets,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "exponential_m_extension",
     "inflated_bound",
     "nonpreemptive_sets",
-    "preemptive_sets",
     "preprocess",
     "ptas_solve",
     "resolve_enum_cap",

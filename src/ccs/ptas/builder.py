@@ -1,30 +1,28 @@
-"""Assembly of the block-structured feasibility programs.
+"""Assembly of the block-structured feasibility programs of the
+splittable and non-preemptive schemes.
 
 One brick per class. Per-brick variables, in order: one x per
-configuration (machines of this... see below), one y per module, one z per
-(size, hosted-count) pair, and for the preemptive variant one piece
-counter a per (large size, layer). Slack columns for the shared
-inequality rows are appended per brick at the end.
+configuration (machines running it), one y per module, one z per
+(size, hosted-count) pair; slack columns for the shared inequality rows
+are appended per brick at the end.
 
-The x variables of every brick carry the same meaning (machines assigned
-each configuration) and only brick 1's copy is forced by convention-free
-symmetry; summing them over bricks in the shared rows makes the split
-irrelevant, so any distribution across bricks is accepted.
+The x variables of every brick carry the same meaning, and the shared
+rows only ever see their sum over the bricks, so any distribution of the
+machines across bricks is accepted.
 
 Shared rows: machine count, then one linking row per module footprint,
 then per pair the host-capacity row and the host-volume row (both turned
 into equalities by slacks). Private rows per brick: the class's demand
-rows, the preemptive layer-balance rows, and the small-flag row.
+rows and the small-flag row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..core import CCSError, NONPREEMPTIVE, PREEMPTIVE, SPLITTABLE
+from ..core import CCSError, NONPREEMPTIVE, SPLITTABLE
 from ..nfold import NFoldProgram, SparseRow, with_top_row_slacks
-from .rounding import RoundedInstance
+from .rounding import RoundedInstance, require_scheme_variant
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
 
 
@@ -38,7 +36,6 @@ class ProgramLayout:
     link_count: int
     pair_count: int
     piece_sizes: tuple = ()
-    layer_count: int = 0
 
     @property
     def x_offset(self) -> int:
@@ -53,16 +50,8 @@ class ProgramLayout:
         return self.config_count + self.module_count
 
     @property
-    def a_offset(self) -> int:
-        return self.z_offset + self.pair_count
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.piece_sizes) * self.layer_count
-
-    @property
     def base_width(self) -> int:
-        return self.a_offset + self.piece_count
+        return self.z_offset + self.pair_count
 
     @property
     def brick_width(self) -> int:
@@ -72,10 +61,6 @@ class ProgramLayout:
     @property
     def top_rows(self) -> int:
         return 1 + self.link_count + 2 * self.pair_count
-
-    def a_index(self, size_pos: int, layer: int) -> int:
-        """Column of a_(p, layer); layer is 1-based."""
-        return self.a_offset + size_pos * self.layer_count + (layer - 1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,7 @@ def _link_rows(layout, modules, configurations):
                 if vec[g]:
                     entries[i] = vec[g]
             rows.append(SparseRow(width, entries))
-    elif layout.variant == NONPREEMPTIVE:
+    else:
         for vq, q in enumerate(modules.size_values):
             entries = {}
             for i, vec in enumerate(configurations.configs):
@@ -112,18 +97,11 @@ def _link_rows(layout, modules, configurations):
                 if footprint == q:
                     entries[y0 + g] = -1
             rows.append(SparseRow(width, entries))
-    else:
-        for g in range(modules.count):
-            entries = {y0 + g: -1}
-            for i, chosen in enumerate(configurations.configs):
-                if g in chosen:
-                    entries[i] = 1
-            rows.append(SparseRow(width, entries))
     return rows
 
 
 def _brick_rows(layout, modules, rounded, cls):
-    """Private rows of one class: demand, preemptive layer balance, flag."""
+    """Private rows of one class: demand, then the small flag."""
     width = layout.base_width
     y0 = layout.y_offset
     z0 = layout.z_offset
@@ -136,7 +114,7 @@ def _brick_rows(layout, modules, rounded, cls):
         }
         rows.append(SparseRow(width, entries))
         rhs.append(0 if xi else cls.scaled_load)
-    elif layout.variant == NONPREEMPTIVE:
+    else:
         counts = rounded.size_counts(cls.class_id) if not xi else {}
         for p_pos, p in enumerate(layout.piece_sizes):
             entries = {}
@@ -145,27 +123,6 @@ def _brick_rows(layout, modules, rounded, cls):
                     entries[y0 + g] = vec[p_pos]
             rows.append(SparseRow(width, entries))
             rhs.append(counts.get(p, 0))
-    else:
-        counts = rounded.size_counts(cls.class_id) if not xi else {}
-        c = rounded.slot_budget
-        for p_pos, p in enumerate(layout.piece_sizes):
-            entries = {
-                layout.a_index(p_pos, layer): 1
-                for layer in range(1, layout.layer_count + 1)
-            }
-            rows.append(SparseRow(width, entries))
-            rhs.append((p // c) * counts.get(p, 0))
-        for layer in range(1, layout.layer_count + 1):
-            bit = 1 << (layer - 1)
-            entries = {
-                y0 + g: 1
-                for g, mask in enumerate(modules.modules)
-                if mask & bit
-            }
-            for p_pos in range(len(layout.piece_sizes)):
-                entries[layout.a_index(p_pos, layer)] = -1
-            rows.append(SparseRow(width, entries))
-            rhs.append(0)
     entries = {z0 + pos: 1 for pos in range(layout.pair_count)}
     rows.append(SparseRow(width, entries))
     rhs.append(xi)
@@ -178,22 +135,19 @@ def build_program(
     configurations: ConfigurationSet = None,
     cap=None,
 ) -> BuiltProgram:
-    """Assemble the full block program for one rounded instance."""
+    """Assemble the full block program for one rounded instance.
+    Raises ValueError for the preemptive variant, which has no program of
+    its own."""
+    variant = require_scheme_variant(rounded.variant)
     if modules is None or configurations is None:
         modules, configurations = enumerate_sets(rounded, cap)
-    variant = rounded.variant
     c = rounded.slot_budget
     m = rounded.machine_count
     k = rounded.params.grid
     bound = rounded.scaled_inflated
-    if variant == PREEMPTIVE:
-        layer_count = modules.layer_count
-        piece_sizes = rounded.large_sizes
-    else:
-        layer_count = 0
-        piece_sizes = rounded.large_sizes if variant == NONPREEMPTIVE else ()
-        assert Fraction(bound).denominator == 1
-        bound = int(bound)
+    assert bound.denominator == 1
+    bound = int(bound)
+    piece_sizes = rounded.large_sizes if variant == NONPREEMPTIVE else ()
     link_count = (
         len(modules.size_values) if variant == NONPREEMPTIVE else modules.count
     )
@@ -204,10 +158,8 @@ def build_program(
         link_count=link_count,
         pair_count=len(configurations.pairs),
         piece_sizes=piece_sizes,
-        layer_count=layer_count,
     )
     width = layout.base_width
-    denom = Fraction(bound).denominator
 
     machine_row = SparseRow(
         width, {i: 1 for i in range(configurations.count)}
@@ -222,7 +174,7 @@ def build_program(
         for i in members:
             cap_entries[i] = b - c
         capacity_rows.append(SparseRow(width, cap_entries))
-        volume_coeff[pos] = (members, int(denom * (h - bound)))
+        volume_coeff[pos] = (members, h - bound)
 
     top_blocks = []
     diag_blocks = []
@@ -237,7 +189,7 @@ def build_program(
             members, coeff = volume_coeff[pos]
             entries = {}
             if small_load:
-                entries[z0 + pos] = denom * small_load
+                entries[z0 + pos] = small_load
             for i in members:
                 entries[i] = coeff
             volume_rows.append(SparseRow(width, entries))
@@ -250,10 +202,6 @@ def build_program(
         lower.extend([0] * width)
         col_upper = [m] * configurations.count + [y_cap] * modules.count
         col_upper += [1] * layout.pair_count
-        if variant == PREEMPTIVE:
-            counts = rounded.size_counts(cls.class_id) if not cls.small else {}
-            for p in piece_sizes:
-                col_upper += [min(m, counts.get(p, 0))] * layer_count
         upper.extend(col_upper)
 
     rhs = [m] + [0] * (layout.top_rows - 1) + brick_rhs
@@ -271,10 +219,9 @@ def build_program(
     )
     slack_max = {}
     first_capacity = 1 + link_count
-    bound_int = int(denom * bound)
     for pos in range(layout.pair_count):
         slack_max[first_capacity + pos] = c * m
-        slack_max[first_capacity + layout.pair_count + pos] = bound_int * m
+        slack_max[first_capacity + layout.pair_count + pos] = bound * m
     program = with_top_row_slacks(program, slack_max)
     return BuiltProgram(
         program=program,

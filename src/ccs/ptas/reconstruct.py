@@ -24,7 +24,6 @@ from ..core import (
     NonPreemptiveSchedule,
     PreemptiveSchedule,
     SPLITTABLE,
-    NONPREEMPTIVE,
     SplittableSchedule,
 )
 from ..greedy import round_robin
@@ -188,113 +187,6 @@ def _reconstruct_nonpreemptive(
     return NonPreemptiveSchedule(assignment=assignment)
 
 
-def _reconstruct_preemptive(
-    instance: Instance, solution: NFoldSolution, built: BuiltProgram
-) -> PreemptiveSchedule:
-    layout = built.layout
-    rounded = built.rounded
-    machines = _machine_table(solution, built)
-    c = rounded.slot_budget
-    window = Fraction(c) / rounded.scale
-    layer_count = layout.layer_count
-    sizes = layout.piece_sizes
-    module_pool: dict = {g: deque() for g in range(layout.module_count)}
-    for mach_id, cfg in enumerate(machines):
-        for g in built.configurations.configs[cfg]:
-            module_pool[g].append(mach_id)
-    occupied = [0] * len(machines)
-    pieces: list = []
-    for u, cls in enumerate(rounded.classes):
-        if cls.small:
-            continue
-        y = _brick_slice(solution, built, u, layout.y_offset, layout.module_count)
-        layer_slots: dict = {layer: deque() for layer in range(1, layer_count + 1)}
-        for g in range(layout.module_count):
-            mask = built.modules.modules[g]
-            for _ in range(y[g]):
-                mach = module_pool[g].popleft()
-                occupied[mach] |= mask
-                for layer in range(1, layer_count + 1):
-                    if mask & (1 << (layer - 1)):
-                        layer_slots[layer].append(mach)
-        remaining: dict = {}
-        windows: dict = {}
-        pools: dict = {p: [] for p in sizes}
-        for idx, job in enumerate(cls.jobs):
-            pools[job.scaled_size].append(idx)
-            remaining[idx] = job.scaled_size // c
-            windows[idx] = []
-        taken_layers: dict = {idx: set() for idx in remaining}
-        a_vals = _brick_slice(
-            solution, built, u, layout.a_offset, layout.piece_count
-        )
-        for layer in range(1, layer_count + 1):
-            for p_pos, p in enumerate(sizes):
-                need = a_vals[p_pos * layer_count + (layer - 1)]
-                if not need:
-                    continue
-                order = sorted(
-                    (idx for idx in pools[p] if remaining[idx] > 0),
-                    key=lambda idx: (-remaining[idx], cls.jobs[idx].lead_id),
-                )
-                assert len(order) >= need, (
-                    f"class {cls.class_id}: {need} pieces of size {p} "
-                    f"in layer {layer} but only {len(order)} open jobs"
-                )
-                for idx in order[:need]:
-                    mach = layer_slots[layer].popleft()
-                    assert layer not in taken_layers[idx]
-                    taken_layers[idx].add(layer)
-                    remaining[idx] -= 1
-                    windows[idx].append((layer, mach))
-        assert all(v == 0 for v in remaining.values())
-        for idx, job in enumerate(cls.jobs):
-            room = [
-                [window, (mach, (layer - 1) * window)]
-                for layer, mach in sorted(windows[idx])
-            ]
-            cursor: dict = {}
-
-            def emit(j, take, ctx, cursor=cursor):
-                mach, start = ctx
-                used = cursor.get(ctx, Fraction(0))
-                pieces.append(
-                    (j, take / instance.processing_times[j], mach, start + used)
-                )
-                cursor[ctx] = used + take
-
-            _pour(job.job_ids, instance, room, emit)
-    hosts = _host_assignments(solution, built, machines)
-    by_machine: dict = {}
-    for u, cls in enumerate(rounded.classes):
-        if cls.small:
-            by_machine.setdefault(hosts[cls.class_id], []).append(cls)
-    for mach in sorted(by_machine):
-        mask = occupied[mach]
-        free_layers = (
-            layer for layer in range(1, 10**9) if not mask & (1 << (layer - 1))
-        )
-        offset = Fraction(0)
-        layer = next(free_layers)
-        for cls in by_machine[mach]:
-            for j in sorted(cls.jobs[0].job_ids):
-                need = instance.processing_times[j]
-                while need > 0:
-                    room = window - offset
-                    if room == 0:
-                        layer = next(free_layers)
-                        offset = Fraction(0)
-                        room = window
-                    take = min(need, room)
-                    start = (layer - 1) * window + offset
-                    pieces.append(
-                        (j, take / instance.processing_times[j], mach, start)
-                    )
-                    offset += take
-                    need -= take
-    return PreemptiveSchedule(pieces=tuple(pieces))
-
-
 def _augment(rows: list, match_row: list, match_col: dict, root: int) -> None:
     """Extend the matching by one augmenting path from the free row root."""
     parent: dict = {}
@@ -387,9 +279,6 @@ def construct_schedule(
     instance: Instance, solution: NFoldSolution, built: BuiltProgram
 ):
     """Schedule of the original instance from a feasible program point."""
-    variant = built.layout.variant
-    if variant == SPLITTABLE:
+    if built.layout.variant == SPLITTABLE:
         return _reconstruct_splittable(instance, solution, built)
-    if variant == NONPREEMPTIVE:
-        return _reconstruct_nonpreemptive(instance, solution, built)
-    return _reconstruct_preemptive(instance, solution, built)
+    return _reconstruct_nonpreemptive(instance, solution, built)

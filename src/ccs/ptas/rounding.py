@@ -19,20 +19,31 @@ from ..core import (
     PREEMPTIVE,
     Rational,
     SPLITTABLE,
-    VARIANTS,
 )
 
 # end-to-end multiplicative error in units of delta, per variant: the sum of
 # the preprocessing, rounding, inflation and round-robin losses along each
 # chain, valid for delta <= 1/2
-ERROR_BUDGET = {SPLITTABLE: 8, NONPREEMPTIVE: 9, PREEMPTIVE: 8}
+ERROR_BUDGET = {SPLITTABLE: 8, NONPREEMPTIVE: 9}
+
+
+def require_scheme_variant(variant: str) -> str:
+    """The variant itself if it has a program of its own (splittable or
+    non-preemptive); ValueError otherwise."""
+    if variant == PREEMPTIVE:
+        raise ValueError(
+            "the preemptive variant has no program of its own: "
+            "ptas_solve answers it through the splittable scheme"
+        )
+    if variant not in ERROR_BUDGET:
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant
 
 
 def derive_delta(epsilon: Rational, variant: str) -> Fraction:
     """Largest delta = 1/k (integer k >= 2) whose end-to-end error factor
     1 + BUDGET*delta stays within 1 + epsilon."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    require_scheme_variant(variant)
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
@@ -43,13 +54,9 @@ def derive_delta(epsilon: Rational, variant: str) -> Fraction:
 def inflated_bound(guess: Fraction, delta: Fraction, variant: str) -> Fraction:
     """The makespan the scheme may actually use for a guess: the guess
     stretched by the variant's preprocessing and rounding losses."""
-    if variant == SPLITTABLE:
+    if require_scheme_variant(variant) == SPLITTABLE:
         return (1 + 4 * delta) * guess
-    if variant == NONPREEMPTIVE:
-        return (1 + 3 * delta) * (1 + 2 * delta) * guess
-    if variant == PREEMPTIVE:
-        return (1 + 3 * delta) * (1 + delta * delta) * guess
-    raise ValueError(f"unknown variant {variant!r}")
+    return (1 + 3 * delta) * (1 + 2 * delta) * guess
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,7 @@ class PtasParams:
     variant: str
 
     def __post_init__(self) -> None:
+        require_scheme_variant(self.variant)
         delta = Fraction(self.delta)
         if delta.numerator != 1 or delta > Fraction(1, 2):
             raise ValueError(
@@ -170,7 +178,8 @@ class RoundedInstance:
 
     @property
     def scaled_inflated(self) -> Fraction:
-        """Inflated bound in scaled units; integral except preemptive."""
+        """Inflated bound in scaled units (integral for bounds from
+        ``inflated_bound``)."""
         return self.params.inflated * self.scale
 
     @property
@@ -203,7 +212,7 @@ def _scaled_ceil(raw: Fraction, scale: Fraction, unit: int) -> int:
 
 
 def _group_class(jobs: list, slot: Fraction) -> list:
-    """The grouping loop for one class of a non-splittable variant.
+    """The grouping loop for one class of the non-preemptive variant.
 
     jobs: (job_id, size) pairs. Jobs below delta*T are fused into chunks
     of total size in [delta*T, 2*delta*T) while possible (taken largest
@@ -252,7 +261,7 @@ def preprocess(
     """Group, classify, round and scale one instance at one guess.
 
     Splittable: each class fuses into a single job of its total load.
-    Non-preemptive and preemptive: jobs below delta*T fuse into chunks in
+    Non-preemptive: jobs below delta*T fuse into chunks in
     [delta*T, 2*delta*T), the leftover merges as described in
     ``_group_class``; a chunk hosting the leftover stays below 3*delta*T,
     only a merge into an already oversized job exceeds that.
@@ -260,8 +269,7 @@ def preprocess(
     and round on the fine grid delta^2 T/c; everything else is large
     and rounds on the grid delta^2 T.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    require_scheme_variant(variant)
     slot = params.delta * params.guess
     c = instance.slot_budget
     scale = c / (params.delta * params.delta * params.guess)

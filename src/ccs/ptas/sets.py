@@ -9,13 +9,15 @@ per-variant shapes:
   non-preemptive  module = multiplicity vector over the large job sizes,
                   configuration = multiplicity vector over the distinct
                   module sizes
-  preemptive      module = set of unit layers, configuration = a family of
-                  pairwise disjoint modules
+
+The preemptive variant has no sets of its own: ptas_solve answers it
+through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
 slots. Enumeration aborts once the count passes the cap; results are
 memoized because the sets depend only on the accuracy, the slot budget
-and (where applicable) the large sizes, not on the whole instance.
+and (for the non-preemptive variant) the large sizes, not on the whole
+instance.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from ..core import (
     CCSError,
     EnumerationCapError,
     NONPREEMPTIVE,
-    PREEMPTIVE,
     SPLITTABLE,
 )
-from .rounding import RoundedInstance
+from .rounding import RoundedInstance, require_scheme_variant
 
 DEFAULT_ENUM_CAP = 10**6
 ENUM_CAP_ENV = "CCS_ENUM_CAP"
@@ -64,16 +65,14 @@ class ModuleSet:
     """The modules of one variant at one accuracy.
 
     modules: splittable -> scaled piece sizes (ints); non-preemptive ->
-    multiplicity tuples over ``ground`` (the scaled large sizes);
-    preemptive -> layer bitmasks. ``sizes[i]`` is the scaled footprint of
-    ``modules[i]`` on a machine.
+    multiplicity tuples over ``ground`` (the scaled large sizes).
+    ``sizes[i]`` is the scaled footprint of ``modules[i]`` on a machine.
     """
 
     variant: str
     modules: tuple
     sizes: tuple
     ground: tuple = ()
-    layer_count: int = 0
 
     @property
     def count(self) -> int:
@@ -89,9 +88,8 @@ class ModuleSet:
 class ConfigurationSet:
     """The machine configurations over a module set.
 
-    configs: splittable and non-preemptive -> multiplicity tuples (over
-    modules resp. over ``ModuleSet.size_values``); preemptive -> ascending
-    tuples of module indices with pairwise disjoint layers. The pair list
+    configs: multiplicity tuples over the modules (splittable) or over
+    ``ModuleSet.size_values`` (non-preemptive). The pair list
     is the full cross product of the distinct configuration sizes with the
     host counts {0, .., slot_cap - 1}; ``groups`` maps each pair to the
     configurations of exactly that size and slot usage.
@@ -245,92 +243,22 @@ def nonpreemptive_sets(
     return mods, confs
 
 
-def preemptive_sets(
-    layer_count: int, slot_budget: int, cap=None
-) -> "tuple[ModuleSet, ConfigurationSet]":
-    """Modules and configurations of the preemptive scheme.
-
-    Modules are the nonempty subsets of the layer set, encoded as bitmasks
-    in ascending numeric order; configurations are families of pairwise
-    disjoint modules, at most c of them.
-    """
-    cap = resolve_enum_cap(cap)
-    key = (layer_count, slot_budget, cap)
-    hit = _PRE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    c = slot_budget
-    if (1 << layer_count) - 1 > cap:
-        raise EnumerationCapError(
-            f"{CAP_MESSAGE}: 2^{layer_count} - 1 modules exceed {cap}"
-        )
-    masks = tuple(range(1, 1 << layer_count))
-    sizes = tuple(c * mask.bit_count() for mask in masks)
-    mods = ModuleSet(
-        variant=PREEMPTIVE,
-        modules=masks,
-        sizes=sizes,
-        layer_count=layer_count,
-    )
-    slot_cap = min(c, layer_count)
-    found = []
-    chosen: list = []
-
-    def descend(start: int, used_mask: int, used_slots: int, total: int):
-        _cap_check(len(found) + 1, cap, "configurations")
-        found.append((tuple(chosen), total))
-        if used_slots == slot_cap:
-            return
-        for idx in range(start, len(masks)):
-            mask = masks[idx]
-            if mask & used_mask:
-                continue
-            chosen.append(idx)
-            descend(idx + 1, used_mask | mask, used_slots + 1, total + sizes[idx])
-            chosen.pop()
-
-    descend(0, 0, 0, 0)
-    configs = tuple(v for v, _s in found)
-    totals = tuple(s for _v, s in found)
-    slots = tuple(len(v) for v in configs)
-    size_set, pairs, groups = _pairs_and_groups(totals, slots, slot_cap)
-    confs = ConfigurationSet(
-        variant=PREEMPTIVE,
-        configs=configs,
-        sizes=totals,
-        slots=slots,
-        slot_cap=slot_cap,
-        size_set=size_set,
-        pairs=pairs,
-        groups=groups,
-    )
-    _PRE_CACHE[key] = (mods, confs)
-    return mods, confs
-
-
 def enumerate_sets(
     rounded: RoundedInstance, cap=None
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Dispatch to the variant's enumeration for one rounded instance."""
-    variant = rounded.variant
-    if variant == SPLITTABLE:
+    if require_scheme_variant(rounded.variant) == SPLITTABLE:
         return splittable_sets(rounded.params.grid, rounded.slot_budget, cap)
-    if variant == NONPREEMPTIVE:
-        bound = rounded.scaled_inflated
-        assert bound.denominator == 1
-        return nonpreemptive_sets(
-            rounded.large_sizes,
-            int(bound),
-            rounded.slot_budget,
-            rounded.params.grid,
-            cap,
-        )
-    if variant == PREEMPTIVE:
-        layers = int(rounded.scaled_inflated / rounded.slot_budget) + 1
-        return preemptive_sets(layers, rounded.slot_budget, cap)
-    raise ValueError(f"unknown variant {variant!r}")
+    bound = rounded.scaled_inflated
+    assert bound.denominator == 1
+    return nonpreemptive_sets(
+        rounded.large_sizes,
+        int(bound),
+        rounded.slot_budget,
+        rounded.params.grid,
+        cap,
+    )
 
 
 _SPLIT_CACHE: dict = {}
 _NP_CACHE: dict = {}
-_PRE_CACHE: dict = {}

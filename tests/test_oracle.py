@@ -85,6 +85,14 @@ class TestSplittableOracle:
         with pytest.raises(EnumerationCapError):
             opt_splittable(inst)
 
+    def test_huge_machine_count_refuses_at_once(self):
+        # the cap is checked before (2^m - 1)^C is built; the message
+        # names the count symbolically instead of printing it
+        inst = Instance((4, 9), (1, 2), machine_count=10**9, slot_budget=1)
+        with pytest.raises(EnumerationCapError) as err:
+            opt_splittable(inst)
+        assert len(str(err.value)) < 100
+
 
 class TestPreemptiveOracle:
     def test_single_job_cannot_self_parallelize(self):
@@ -100,6 +108,14 @@ class TestPreemptiveOracle:
         # straddles both machines, finishing at 3/2.
         inst = Instance((1, 1, 1), (1, 2, 3), machine_count=2, slot_budget=2)
         assert opt_preemptive(inst) == Fraction(3, 2)
+
+    def test_pattern_cap(self):
+        for inst in (
+            Instance((1,) * 6, (1, 2, 3, 4, 5, 6), machine_count=4, slot_budget=2),
+            Instance((4, 9), (1, 2), machine_count=10**9, slot_budget=1),
+        ):
+            with pytest.raises(EnumerationCapError):
+                opt_preemptive(inst)
 
 
 class TestFlowFeasibility:

@@ -1,6 +1,7 @@
 """Approximation scheme tests: accuracy grid, rounding, enumeration,
 block program shape, reconstruction, and the end-to-end driver."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,6 @@ from ccs.ptas import (
     enumerate_sets,
     exponential_m_extension,
     inflated_bound,
-    preemptive_sets,
     preprocess,
     ptas_solve,
     splittable_sets,
@@ -68,7 +68,9 @@ class TestDeriveDelta:
     def test_frozen_values_at_epsilon_one(self):
         assert derive_delta(1, SPLITTABLE) == Fraction(1, 8)
         assert derive_delta(1, NONPREEMPTIVE) == Fraction(1, 9)
-        assert derive_delta(1, PREEMPTIVE) == Fraction(1, 8)
+        # the preemptive scheme runs at the splittable scheme's accuracy
+        with pytest.raises(ValueError, match="ptas_solve"):
+            derive_delta(1, PREEMPTIVE)
 
     def test_scales_inversely_with_epsilon(self):
         assert derive_delta(HALF, SPLITTABLE) == Fraction(1, 16)
@@ -87,7 +89,8 @@ class TestDeriveDelta:
     def test_inflated_bounds(self):
         assert inflated_bound(Fraction(1), HALF, SPLITTABLE) == 3
         assert inflated_bound(Fraction(1), HALF, NONPREEMPTIVE) == 5
-        assert inflated_bound(Fraction(1), HALF, PREEMPTIVE) == Fraction(25, 8)
+        with pytest.raises(ValueError, match="ptas_solve"):
+            inflated_bound(Fraction(1), HALF, PREEMPTIVE)
 
     def test_params_reject_non_unit_fraction(self):
         with pytest.raises(ValueError):
@@ -217,29 +220,10 @@ class TestSets:
         assert mods.sizes == (0, 4, 8, 12, 16, 20)
         assert confs.count == 7
 
-    def test_preemptive_layer_sets(self):
-        mods, confs = preemptive_sets(3, 2)
-        assert mods.count == 7
-        assert mods.sizes == (2, 2, 4, 2, 4, 4, 6)
-        # empty, 7 singles, 6 disjoint pairs
-        assert confs.count == 14
-        assert confs.slot_cap == 2
-
-    def test_preemptive_layer_count_at_half(self):
-        inst = Instance((2, 2), (1, 1), 2, 1)
-        params = PtasParams.at_guess(2, HALF, PREEMPTIVE)
-        rounded = preprocess(inst, params, PREEMPTIVE)
-        mods, confs = enumerate_sets(rounded)
-        assert mods.layer_count == 13
-        assert mods.count == 2**13 - 1
-        assert confs.count == 2**13
-
     def test_cap_stops_enumeration(self):
         with pytest.raises(EnumerationCapError) as err:
             splittable_sets(8, 3, cap=100)
         assert CAP_MESSAGE in str(err.value)
-        with pytest.raises(EnumerationCapError):
-            preemptive_sets(90, 1)
 
     def test_cap_env_knob(self, monkeypatch):
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
@@ -267,11 +251,8 @@ def shape_identities(built):
     t = confs.count + mods.count + 3 * c_star * value_count
     if layout.variant == SPLITTABLE:
         s = 2
-    elif layout.variant == NONPREEMPTIVE:
-        s = len(layout.piece_sizes) + 1
     else:
-        s = len(layout.piece_sizes) + layout.layer_count + 1
-        t += len(layout.piece_sizes) * layout.layer_count
+        s = len(layout.piece_sizes) + 1
     return r, s, t
 
 
@@ -303,28 +284,21 @@ class TestProgramShape:
         assert built.program.brick_width == t
         validate_structure(built.program)
 
-    def test_preemptive_dimensions(self):
+    def test_preemptive_variant_is_refused(self):
+        # the preemptive scheme has no program of its own; ptas_solve
+        # answers it through the splittable one
         inst = Instance((2, 2), (1, 1), 2, 1)
-        params = PtasParams.at_guess(2, HALF, PREEMPTIVE)
-        rounded = preprocess(inst, params, PREEMPTIVE)
-        built = build_program(rounded)
-        r, s, t = shape_identities(built)
-        assert (r, s, t) == (8220, 15, 16438)
-        assert built.program.top_block_rows == r
-        assert built.program.diag_block_rows == s
-        assert built.program.brick_width == t
-
-    def test_preemptive_piece_bounds_follow_job_counts(self):
-        # a_(p, layer) can never exceed the class's job count of size p
-        inst = Instance((2, 2), (1, 1), 2, 1)
-        params = PtasParams.at_guess(2, HALF, PREEMPTIVE)
-        rounded = preprocess(inst, params, PREEMPTIVE)
-        built = build_program(rounded)
-        layout = built.layout
-        lo, hi = built.program.brick_bounds(0)
-        for layer in range(1, layout.layer_count + 1):
-            col = layout.a_index(0, layer)
-            assert (lo[col], hi[col]) == (0, 2)
+        with pytest.raises(ValueError, match="ptas_solve"):
+            PtasParams(None, HALF, 2, 5, PREEMPTIVE)
+        split = preprocess(inst, PtasParams.at_guess(2, HALF, SPLITTABLE),
+                           SPLITTABLE)
+        with pytest.raises(ValueError, match="ptas_solve"):
+            preprocess(inst, split.params, PREEMPTIVE)
+        relabelled = replace(split, variant=PREEMPTIVE)
+        with pytest.raises(ValueError, match="ptas_solve"):
+            enumerate_sets(relabelled)
+        with pytest.raises(ValueError, match="ptas_solve"):
+            build_program(relabelled)
 
     def test_small_class_program_parks_machines_on_empty_config(self):
         inst = Instance((1,), (1,), 1, 1)
@@ -406,7 +380,7 @@ def brick_conservation(built, solution):
                 size * count for size, count in zip(built.modules.sizes, y)
             )
             assert supplied == (0 if cls.small else cls.scaled_load)
-        elif layout.variant == NONPREEMPTIVE:
+        else:
             counts = rounded.size_counts(cls.class_id) if not cls.small else {}
             for p_pos, p in enumerate(layout.piece_sizes):
                 supplied = sum(
@@ -414,15 +388,6 @@ def brick_conservation(built, solution):
                     for vec, count in zip(built.modules.modules, y)
                 )
                 assert supplied == counts.get(p, 0)
-        else:
-            counts = rounded.size_counts(cls.class_id) if not cls.small else {}
-            c = rounded.slot_budget
-            for p_pos, p in enumerate(layout.piece_sizes):
-                total = sum(
-                    brick[layout.a_index(p_pos, layer)]
-                    for layer in range(1, layout.layer_count + 1)
-                )
-                assert total == (p // c) * counts.get(p, 0)
 
 
 class TestReconstruction:
@@ -448,23 +413,6 @@ class TestReconstruction:
     def test_nonpreemptive_finer_grid(self):
         self.check(Instance((3, 1, 4, 1), (1, 2, 1, 2), 2, 2), THIRD,
                    NONPREEMPTIVE)
-
-    def test_preemptive_schedule_valid(self):
-        self.check(Instance((2, 2), (1, 1), 2, 1), HALF, PREEMPTIVE)
-
-    def test_preemptive_pieces_of_one_job_use_distinct_layers(self):
-        inst = Instance((1, 1), (1, 1), 2, 1)
-        built, solution = accepted(inst, HALF, PREEMPTIVE)
-        schedule = construct_schedule(inst, solution, built)
-        assert validate(schedule, inst) == []
-        window = built.rounded.params.delta**2 * built.rounded.params.guess
-        layers_of: dict = {}
-        for j, _lam, _i, start in schedule.pieces:
-            layer = start / window
-            assert layer.denominator == 1
-            layers_of.setdefault(j, []).append(int(layer))
-        for j, layers in layers_of.items():
-            assert len(layers) == len(set(layers))
 
     def test_feasibility_is_monotone_in_the_guess(self):
         inst = Instance((3, 1, 4, 1), (1, 2, 1, 2), 2, 2)
