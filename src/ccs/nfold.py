@@ -24,13 +24,17 @@ box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .core import CCSError, EnumerationCapError
 
 # solve_exhaustive refuses boxes with more points than this
 EXHAUSTIVE_CAP = 10**7
+# seconds HiGHS may spend on one program; the slowest known solve takes
+# about 11 s, so hitting this means a stalled solve
+MILP_TIME_LIMIT = 300.0
 
 
 class InvalidProgramError(CCSError):
@@ -81,9 +85,10 @@ class SparseRow:
 
 
 def _row_items(row):
-    """(column, coefficient) pairs of a row's nonzeros, any storage."""
+    """(column, coefficient) pairs of a row's nonzeros, any storage, in
+    no particular order."""
     if isinstance(row, SparseRow):
-        return row.items()
+        return row.entries.items()
     return [(j, v) for j, v in enumerate(row) if v]
 
 
@@ -136,11 +141,7 @@ class NFoldProgram:
     @property
     def encoding_length(self) -> int:
         """Bit length of the largest magnitude anywhere in the program."""
-        best = 1
-        for group in (self.rhs, self.lower, self.upper, self.objective):
-            for v in group:
-                best = max(best, abs(v).bit_length())
-        return max(best, self.delta.bit_length())
+        return _encoding_length(self, self.delta)
 
     def brick_rhs(self, i: int) -> tuple:
         """Private-row right-hand side of brick i (0-based)."""
@@ -163,20 +164,43 @@ class NFoldSolution:
         )
 
 
+def _encoding_length(program: NFoldProgram, delta: int) -> int:
+    """encoding_length given the program's largest matrix entry."""
+    best = delta.bit_length()
+    for group in (program.rhs, program.lower, program.upper, program.objective):
+        for v in group:
+            best = max(best, abs(v).bit_length())
+    return best
+
+
 @dataclass(frozen=True)
 class StructureReport:
-    """validate_structure's verdict on a well-formed program."""
+    """validate_structure's verdict on a well-formed program. delta and
+    encoding_length walk the whole program, so they are computed on first
+    read only."""
 
     rows: int
     columns: int
-    delta: int
-    encoding_length: int
+    program: NFoldProgram = field(repr=False, compare=False)
+
+    @cached_property
+    def delta(self) -> int:
+        return self.program.delta
+
+    @cached_property
+    def encoding_length(self) -> int:
+        return _encoding_length(self.program, self.delta)
 
 
-def _check_block(block, rows: int, width: int, what: str) -> None:
+def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
+    """Check one block's shape; rows whose id is in ``seen`` (shared with
+    a block checked before) are skipped, the others are added to it."""
     if len(block) != rows:
         raise InvalidProgramError(f"{what} has {len(block)} rows, expected {rows}")
     for row in block:
+        if id(row) in seen:
+            continue
+        seen.add(id(row))
         if _row_width(row) != width:
             raise InvalidProgramError(
                 f"{what} row has {_row_width(row)} entries, expected {width}"
@@ -189,9 +213,9 @@ def _check_block(block, rows: int, width: int, what: str) -> None:
 
 
 def validate_structure(program: NFoldProgram) -> StructureReport:
-    """Check dimensions and bound finiteness; report the largest matrix
-    entry and the encoding length. Raises InvalidProgramError on any
-    inconsistency."""
+    """Check dimensions and bound finiteness; the report gives the sizes,
+    and the largest matrix entry and the encoding length on demand. Raises
+    InvalidProgramError on any inconsistency."""
     n, r, s, t = (
         program.brick_count,
         program.top_block_rows,
@@ -202,9 +226,12 @@ def validate_structure(program: NFoldProgram) -> StructureReport:
         raise InvalidProgramError("brick_count and brick_width must be positive")
     if len(program.top_blocks) != n or len(program.diag_blocks) != n:
         raise InvalidProgramError("need one top and one diagonal block per brick")
+    # the builders share row objects across bricks; every block row has
+    # width t, so one check per object covers every place it appears
+    seen: set = set()
     for i in range(n):
-        _check_block(program.top_blocks[i], r, t, f"top block {i}")
-        _check_block(program.diag_blocks[i], s, t, f"diagonal block {i}")
+        _check_block(program.top_blocks[i], r, t, f"top block {i}", seen)
+        _check_block(program.diag_blocks[i], s, t, f"diagonal block {i}", seen)
     if len(program.rhs) != r + n * s:
         raise InvalidProgramError(
             f"rhs has length {len(program.rhs)}, expected {r + n * s}"
@@ -234,8 +261,7 @@ def validate_structure(program: NFoldProgram) -> StructureReport:
     return StructureReport(
         rows=program.total_rows,
         columns=program.total_columns,
-        delta=program.delta,
-        encoding_length=program.encoding_length,
+        program=program,
     )
 
 
@@ -489,11 +515,16 @@ def _solve_milp(program: NFoldProgram) -> Optional[NFoldSolution]:
         bounds=Bounds(
             np.zeros(len(ordered)), np.array(span, dtype=float)
         ),
-        options={"presolve": False},
+        options={"presolve": False, "time_limit": MILP_TIME_LIMIT},
     )
     if result.status == 2:  # proven infeasible
         return None
     if result.x is None:
+        if result.status == 1:  # a limit stopped it before any point
+            raise CCSError(
+                "mixed-integer solver found no point within its time limit"
+                f" of {MILP_TIME_LIMIT:g} s: {result.message}"
+            )
         raise CCSError(f"mixed-integer solver failed: {result.message}")
     values: dict = {}
     for gpos, members in enumerate(ordered):
@@ -538,8 +569,18 @@ def with_top_row_slacks(
             raise InvalidProgramError("slack bound must be nonnegative")
     extra = len(rows)
     width = program.brick_width
+    # a row object shared across bricks stays shared: it is widened once
+    # per slack position it occupies
+    widened: dict = {}
 
     def widen(row, slack_at=None):
+        key = (id(row), slack_at)
+        out = widened.get(key)
+        if out is None:
+            out = widened[key] = _widen(row, slack_at)
+        return out
+
+    def _widen(row, slack_at):
         if isinstance(row, SparseRow):
             entries = dict(row.entries)
             if slack_at is not None:

@@ -7,6 +7,15 @@ non-preemptive instances search the integers in that bracket (the optimum
 is a sum of job sizes, hence integral); splittable ones walk a geometric
 (1 + delta) grid, which costs at most a factor (1 + delta) in the guess.
 
+The search probes the bottom of the bracket first. A feasible guess T
+yields a schedule within (1 + epsilon) * T, and the bottom,
+max(lower bound, warm makespan / warm ratio), is at most the optimum (so
+is its ceiling where the optimum is integral). A feasible bottom therefore
+keeps the guarantee whether or not feasibility grows with the guess, and
+most instances stop there after one program. Otherwise the safe guess at
+the top must be feasible, and bisection above the bottom finds the
+smallest feasible guess it meets.
+
 Machine counts beyond what any schedule can use are clamped first: a
 splittable schedule never occupies more than n*c machines, a
 non-preemptive one never more than n. Splittable results for machine
@@ -73,7 +82,8 @@ def _clamp(instance: Instance, variant: str):
 
 
 class _Prober:
-    """Builds and solves the program at a guess, memoized per guess."""
+    """Builds and solves the program at a guess, memoized per guess;
+    ``probes`` lists (guess, feasible) for every program solved, in order."""
 
     def __init__(self, work, delta, variant, cap):
         self.work = work
@@ -81,6 +91,7 @@ class _Prober:
         self.variant = variant
         self.cap = cap
         self.memo: dict = {}
+        self.probes: list = []
 
     def __call__(self, guess: Fraction):
         guess = Fraction(guess)
@@ -92,26 +103,41 @@ class _Prober:
             solution = solve_feasible(built.program)
             hit = (built, solution)
             self.memo[guess] = hit
+            self.probes.append((guess, solution is not None))
         return hit
 
 
-def _search_integers(probe, lo: int, hi: int):
-    """Smallest feasible integer guess in [lo, hi]; hi must be feasible."""
-    built, solution = probe(hi)
+def _search(probe, guess_at, lo: int, hi: int):
+    """Smallest feasible index in [lo, hi] under guess_at, bottom first.
+
+    A feasible lo answers at once. Otherwise hi must be feasible, and
+    bisection over (lo, hi] returns the smallest feasible index it meets.
+    """
+    built, solution = probe(guess_at(lo))
+    if solution is not None:
+        return (lo, built, solution)
+    built, solution = probe(guess_at(hi))
     if solution is None:
         raise CCSError(
-            f"feasibility program rejected the safe guess {hi}"
+            f"feasibility program rejected the safe guess {guess_at(hi)}"
         )
     best = (hi, built, solution)
+    lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
-        built, solution = probe(mid)
+        built, solution = probe(guess_at(mid))
         if solution is None:
             lo = mid + 1
         else:
             best = (mid, built, solution)
             hi = mid
     return best
+
+
+def _search_integers(probe, lo: int, hi: int):
+    """Smallest feasible integer guess in [lo, hi]; hi must be feasible
+    unless lo is."""
+    return _search(probe, lambda g: g, lo, hi)
 
 
 def _search_grid(probe, lo: Fraction, hi: Fraction, delta: Fraction):
@@ -123,22 +149,9 @@ def _search_grid(probe, lo: Fraction, hi: Fraction, delta: Fraction):
         top = math.ceil(math.log(hi / lo) / math.log(step))
         while lo * step**top < hi:
             top += 1
-    built, solution = probe(lo * step**top)
-    if solution is None:
-        raise CCSError(
-            f"feasibility program rejected the safe guess {lo * step ** top}"
-        )
-    best = (top, built, solution)
-    lo_i, hi_i = 0, top
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        built, solution = probe(lo * step**mid)
-        if solution is None:
-            lo_i = mid + 1
-        else:
-            best = (mid, built, solution)
-            hi_i = mid
-    exponent, built, solution = best
+    exponent, built, solution = _search(
+        probe, lambda i: lo * step**i, 0, top
+    )
     return (lo * step**exponent, built, solution)
 
 
@@ -157,12 +170,14 @@ def ptas_solve(
     accuracy with a coarser or finer grid 1/k (mainly for experiments);
     epsilon may then be None. A dict passed as ``report`` receives the
     accepted guess and the program it was solved on ("guess", "built",
-    "solution").
+    "solution"), and under "probes" the (guess, feasible) pair of every
+    program solved, in probe order.
 
     The preemptive variant runs the splittable scheme (delta sets its grid)
     and unfolds the result into time slices; its report describes that
     splittable run. With at least as many machines as jobs it solves no
-    program at all and reports None for all three entries.
+    program at all, reports None for the first three entries and an empty
+    "probes" list.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -180,7 +195,7 @@ def ptas_solve(
         return _scheme(instance, variant, delta, enum_cap, report)
     if instance.machine_count >= instance.job_count:
         if report is not None:
-            report.update(guess=None, built=None, solution=None)
+            report.update(guess=None, built=None, solution=None, probes=[])
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
@@ -210,9 +225,9 @@ def _scheme(instance, variant, delta, enum_cap, report):
     else:
         _guess, built, solution = _search_grid(probe, lo, hi, delta)
     if report is not None:
-        report["guess"] = _guess
-        report["built"] = built
-        report["solution"] = solution
+        report.update(
+            guess=_guess, built=built, solution=solution, probes=probe.probes
+        )
     # The output always comes from the plain program: runs that clamp to
     # the same effective machine count must produce identical schedules,
     # so the bounded-irregular-machines row is exercised by its own tests

@@ -1,6 +1,7 @@
 """Approximation scheme tests: accuracy grid, rounding, enumeration,
 block program shape, reconstruction, and the end-to-end driver."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ccs import (
     makespan,
     validate,
 )
-from ccs.approx import approx_splittable
+from ccs.approx import approx_nonpreemptive, approx_splittable
 from ccs.core import CCSError, expand_compact
 from ccs.nfold import solve_feasible, validate_structure
 from ccs.oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
@@ -39,6 +40,7 @@ from ccs.ptas import (
     splittable_sets,
     unfold_preemptive,
 )
+from ccs.ptas.driver import _search_grid, _search_integers
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -557,6 +559,7 @@ class TestDriver:
         assert makespan(schedule, inst) == 9
         assert {i for _j, _lam, i, _s in schedule.pieces} <= {0, 1}
         assert report["built"] is None
+        assert report["probes"] == []
 
     def test_preemptive_report_describes_the_splittable_run(self):
         inst = Instance((3, 5, 7, 2), (1, 2, 1, 2), 2, 1)
@@ -565,6 +568,51 @@ class TestDriver:
         assert report["built"].layout.variant == SPLITTABLE
         assert report["solution"] is not None
         assert report["guess"] > 0
+
+    def test_feasible_bottom_answers_in_one_probe(self):
+        inst = Instance((5, 3, 4, 2, 6, 1), (1, 2, 1, 2, 1, 2), 3, 2)
+        floor, _ub = lower_bound(inst, NONPREEMPTIVE)
+        warm = makespan(approx_nonpreemptive(inst), inst)
+        lo = math.ceil(max(floor, warm / Fraction(7, 3)))
+        report = {}
+        ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        assert report["probes"] == [(lo, True)]
+        assert report["guess"] == lo
+
+    def test_infeasible_bottom_bisects_to_smallest_feasible_probe(self):
+        # from the benchmark's seeded instances, where the bracket bottom
+        # is infeasible
+        cases = [
+            (Instance((7, 5, 1), (2, 2, 1), 2, 1), NONPREEMPTIVE),
+            (Instance((8, 2, 3), (2, 2, 1), 2, 1), SPLITTABLE),
+        ]
+        for inst, variant in cases:
+            report = {}
+            schedule = ptas_solve(inst, 1, variant, report=report)
+            probes = report["probes"]
+            assert probes[0][1] is False
+            assert len(probes) > 2
+            assert len({g for g, _f in probes}) == len(probes)
+            feasible = [g for g, f in probes if f]
+            assert report["guess"] == min(feasible)
+            assert all(g < report["guess"] for g, f in probes if not f)
+            assert validate(schedule, inst, variant) == []
+            if variant == SPLITTABLE:
+                best = opt_splittable(inst)
+            else:
+                best, _ = opt_nonpreemptive(inst)
+            assert makespan(schedule, inst) <= 2 * best
+
+    def test_rejected_safe_guess_raises(self):
+        def reject(_guess):
+            return None, None
+
+        with pytest.raises(CCSError, match="safe guess 7"):
+            _search_integers(reject, 3, 7)
+        with pytest.raises(CCSError, match="safe guess 4"):
+            _search_integers(reject, 4, 4)
+        with pytest.raises(CCSError, match="safe guess 9/4"):
+            _search_grid(reject, Fraction(1), Fraction(2), HALF)
 
     def test_huge_machine_count_compacts(self):
         inst = Instance((2, 3), (1, 2), 10**9, 2)
