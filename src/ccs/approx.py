@@ -231,18 +231,6 @@ def border_search_splittable(instance: Instance):
 # splittable construction
 
 
-def _ordered_piece_loads(plan: SubClassPlan) -> list:
-    """Loads of all sub-classes in cutting order (class asc, piece asc).
-    Sorting this list non-ascending with index tie-break reproduces the
-    distribution order used everywhere below."""
-    out = []
-    for split in plan.classes:
-        out.extend([plan.threshold] * split.full_count)
-        if split.partial_load:
-            out.append(split.partial_load)
-    return out
-
-
 def _explicit_splittable(plan: SubClassPlan, machine_count: int) -> SplittableSchedule:
     pieces_by_index = []
     for split in plan.classes:

@@ -38,7 +38,7 @@ from .core import (
 )
 from .nfold import dump_program
 from .oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
-from .ptas import ptas_solve
+from .ptas import as_nfold, ptas_solve
 
 CSV_HEADER = (
     "instance,variant,algo,epsilon,makespan,lb,opt,ratio_lb,ratio_opt,"
@@ -280,7 +280,7 @@ def run(
             schedule = ptas_solve(instance, eps, variant, report=trace)
             if dump_nfold and trace["built"] is not None:
                 with open(dump_nfold, "w", encoding="utf-8") as handle:
-                    handle.write(dump_program(trace["built"].program))
+                    handle.write(dump_program(as_nfold(trace["built"])))
         else:
             value, schedule = _oracle(instance, variant)
     except EnumerationCapError:

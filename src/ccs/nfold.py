@@ -1,6 +1,9 @@
-"""Block-structured integer programs and their feasibility solver.
+"""Integer feasibility programs and their solver.
 
-A program with N bricks has the constraint matrix
+A CompactProgram is a sparse integer equality system A x = b,
+lower <= x <= upper, x integral; the schemes' configuration programs are
+built in this form (``ccs.ptas.builder``). An NFoldProgram with N bricks
+has the constraint matrix
 
     [ A_1  A_2 ... A_N ]
     [ B_1              ]
@@ -12,20 +15,21 @@ with r rows shared by all bricks (top blocks A_i, each r x t) and s rows
 private to each brick (diagonal blocks B_i, each s x t). The right-hand
 side stacks the r shared entries first, then the s entries of each brick
 in brick order. Variables carry finite integer bounds; the objective is
-stored but ignored (the schemes built on top only need feasibility).
+stored but ignored (the schemes built on top only need feasibility). It
+is the paper's layout of the configuration programs, built off the solving
+path (``ccs.ptas.builder.as_nfold``).
 
-solve_feasible fixes the variables the equalities pin in exact integer
-arithmetic, aggregates columns that are identical in every row, hands the
-rest to the HiGHS mixed-integer solver, and verifies the returned point
-exactly, so float arithmetic never leaks into an answer. solve_exhaustive
-is the independent ground truth: plain enumeration of the whole variable
-box.
+solve_feasible takes either; a block program is validated and flattened
+into the compact form first. It makes one HiGHS mixed-integer call and
+verifies the rounded point exactly, so float arithmetic never leaks into
+an answer. solve_exhaustive is the independent ground truth: plain
+enumeration of the whole variable box.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -143,11 +147,6 @@ class NFoldProgram:
     def encoding_length(self) -> int:
         """Bit length of the largest magnitude anywhere in the program."""
         return _encoding_length(self, self.delta)
-
-    def brick_rhs(self, i: int) -> tuple:
-        """Private-row right-hand side of brick i (0-based)."""
-        r, s = self.top_block_rows, self.diag_block_rows
-        return self.rhs[r + i * s : r + (i + 1) * s]
 
 
 @dataclass(frozen=True)
@@ -267,45 +266,115 @@ def validate_structure(program: NFoldProgram) -> StructureReport:
 
 
 # ---------------------------------------------------------------------------
+# the compact form
+
+
+@dataclass(frozen=True)
+class CompactProgram:
+    """Immutable sparse integer equality system: A x = rhs,
+    lower <= x <= upper, x integral.
+
+    A is stored column by column (compressed sparse columns): the entries
+    of column j sit at positions col_start[j] .. col_start[j + 1] - 1 of
+    row_index (their rows, no row twice in a column) and values (their
+    coefficients). Every number is a Python int. The sequences are kept
+    as given, without a copy.
+    """
+
+    col_start: Sequence
+    row_index: Sequence
+    values: Sequence
+    rhs: Sequence
+    lower: Sequence
+    upper: Sequence
+
+    def __post_init__(self):
+        if len(self.lower) != len(self.upper):
+            raise InvalidProgramError("lower and upper differ in length")
+        starts = self.col_start
+        if (
+            len(starts) != len(self.lower) + 1
+            or starts[0] != 0
+            or starts[-1] != len(self.row_index)
+            or len(self.row_index) != len(self.values)
+        ):
+            raise InvalidProgramError("column starts do not match the entries")
+
+    @property
+    def total_rows(self) -> int:
+        return len(self.rhs)
+
+    @property
+    def total_columns(self) -> int:
+        return len(self.lower)
+
+    def row_totals(self, x) -> list:
+        """A x in Python ints; zero entries of x cost one test each."""
+        totals = [0] * len(self.rhs)
+        starts, rows, values = self.col_start, self.row_index, self.values
+        for j, v in enumerate(x):
+            if v:
+                for e in range(starts[j], starts[j + 1]):
+                    totals[rows[e]] += values[e] * v
+        return totals
+
+
+def _flatten(program: NFoldProgram) -> CompactProgram:
+    """The compact form of a validated block program: rows are the shared
+    rows, then each brick's private rows; brick i's column j is column
+    i*t + j."""
+    r, s, t = program.top_block_rows, program.diag_block_rows, program.brick_width
+    columns = [[] for _ in range(program.total_columns)]
+    for i in range(program.brick_count):
+        blocks = (program.top_blocks[i], program.diag_blocks[i])
+        for offset, block in zip((0, r + i * s), blocks):
+            for k, row in enumerate(block):
+                for j, v in _row_items(row):
+                    columns[i * t + j].append((offset + k, v))
+    starts = [0]
+    for entries in columns:
+        starts.append(starts[-1] + len(entries))
+    return CompactProgram(
+        col_start=starts,
+        row_index=[k for entries in columns for k, _v in entries],
+        values=[v for entries in columns for _k, v in entries],
+        rhs=program.rhs,
+        lower=program.lower,
+        upper=program.upper,
+    )
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
-def constraint_violations(program: NFoldProgram, x: Sequence) -> list:
+def constraint_violations(program, x: Sequence) -> list:
     """All violated constraints and bounds of the candidate point, as
-    human-readable strings; empty means feasible. Exact arithmetic."""
-    n, r, s, t = (
-        program.brick_count,
-        program.top_block_rows,
-        program.diag_block_rows,
-        program.brick_width,
-    )
+    human-readable strings; empty means feasible. Exact arithmetic in
+    Python ints.
+
+    A block program is checked in its compact form, so its row k is the
+    k-th shared row for k < r, then the private rows brick by brick."""
+    if isinstance(program, NFoldProgram):
+        program = _flatten(program)
+    lower, upper = program.lower, program.upper
+    if len(x) != len(lower):
+        return [f"point has length {len(x)}, expected {len(lower)}"]
     out = []
-    if len(x) != n * t:
-        return [f"point has length {len(x)}, expected {n * t}"]
-    for j, (v, lo, hi) in enumerate(zip(x, program.lower, program.upper)):
+    for j, (v, lo, hi) in enumerate(zip(x, lower, upper)):
         if not isinstance(v, int) or isinstance(v, bool):
             out.append(f"x[{j}] = {v!r} is not an integer")
         elif not lo <= v <= hi:
             out.append(f"x[{j}] = {v} outside [{lo}, {hi}]")
     if out:
         return out
-    for k in range(r):
-        total = sum(
-            sum(a * x[i * t + j] for j, a in _row_items(program.top_blocks[i][k]))
-            for i in range(n)
+    return [
+        f"row {k}: {total} != {target}"
+        for k, (total, target) in enumerate(
+            zip(program.row_totals(x), program.rhs)
         )
-        if total != program.rhs[k]:
-            out.append(f"shared row {k}: {total} != {program.rhs[k]}")
-    for i in range(n):
-        base = i * t
-        target = program.brick_rhs(i)
-        for k in range(s):
-            total = sum(
-                a * x[base + j] for j, a in _row_items(program.diag_blocks[i][k])
-            )
-            if total != target[k]:
-                out.append(f"brick {i} row {k}: {total} != {target[k]}")
-    return out
+        if total != target
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +393,12 @@ def solve_exhaustive(program: NFoldProgram) -> Optional[NFoldSolution]:
             raise EnumerationCapError(
                 f"variable box exceeds {EXHAUSTIVE_CAP} points"
             )
+    flat = _flatten(program)
+    target = list(flat.rhs)
     cols = program.total_columns
     x = list(program.lower)
     while True:
-        if not constraint_violations(program, tuple(x)):
+        if flat.row_totals(x) == target:
             return NFoldSolution(x=tuple(x), brick_width=program.brick_width)
         j = cols - 1
         while j >= 0 and x[j] == program.upper[j]:
@@ -339,191 +410,57 @@ def solve_exhaustive(program: NFoldProgram) -> Optional[NFoldSolution]:
 
 
 # ---------------------------------------------------------------------------
-# presolve and the mixed-integer solve
+# the mixed-integer solve
 
 
-def _row_maps(program: NFoldProgram):
-    """Nonzero maps of the full equality system: per row a {col: coeff}
-    dict and per column the list of rows touching it. Row order matches
-    constraint_violations: shared rows first, then each brick's rows."""
-    n, r, s, t = (
-        program.brick_count,
-        program.top_block_rows,
-        program.diag_block_rows,
-        program.brick_width,
-    )
-    rows: list = [dict() for _ in range(r + n * s)]
-    for i in range(n):
-        base = i * t
-        for k in range(r):
-            row = rows[k]
-            for j, entry in _row_items(program.top_blocks[i][k]):
-                row[base + j] = entry
-        for k in range(s):
-            row = rows[r + i * s + k]
-            for j, entry in _row_items(program.diag_blocks[i][k]):
-                row[base + j] = entry
-    col_rows: dict = {}
-    for ridx, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, []).append(ridx)
-    return rows, col_rows
+def _solve_compact(program: CompactProgram) -> Optional[list]:
+    """One HiGHS solve; the returned point is rounded and checked once in
+    exact integer arithmetic, so float arithmetic can never leak through.
 
-
-_INFEASIBLE = object()
-
-
-def _presolve_fix(program: NFoldProgram, rows, col_rows):
-    """Iterated exact fixing of pinned variables.
-
-    Rules per equality row over its unfixed columns: residual outside the
-    row's interval is infeasible; a single unfixed column is pinned; a
-    residual touching either end of the interval pins every column at the
-    matching bound. Returns (fixed: {col: value}, residual rhs list) or
-    _INFEASIBLE. Pure integer arithmetic throughout.
-    """
-    resid = list(program.rhs)
-    fixed: dict = {}
-    unfixed_in_row = [set(row) for row in rows]
-
-    def fix(col: int, value: int):
-        fixed[col] = value
-        for ridx in col_rows.get(col, ()):
-            if col in unfixed_in_row[ridx]:
-                resid[ridx] -= rows[ridx][col] * value
-                unfixed_in_row[ridx].discard(col)
-                dirty.add(ridx)
-
-    dirty = set(range(len(rows)))
-    for j, (lo, hi) in enumerate(zip(program.lower, program.upper)):
-        if lo == hi:
-            fix(j, lo)
-    while dirty:
-        ridx = dirty.pop()
-        cols_here = unfixed_in_row[ridx]
-        lo_sum = hi_sum = 0
-        for j in cols_here:
-            a = rows[ridx][j]
-            if a > 0:
-                lo_sum += a * program.lower[j]
-                hi_sum += a * program.upper[j]
-            else:
-                lo_sum += a * program.upper[j]
-                hi_sum += a * program.lower[j]
-        target = resid[ridx]
-        if not lo_sum <= target <= hi_sum:
-            return _INFEASIBLE
-        if not cols_here:
-            continue
-        if len(cols_here) == 1:
-            (j,) = cols_here
-            a = rows[ridx][j]
-            value, rem = divmod(target, a)
-            if rem or not program.lower[j] <= value <= program.upper[j]:
-                return _INFEASIBLE
-            fix(j, value)
-        elif target == lo_sum:
-            for j in sorted(cols_here):
-                a = rows[ridx][j]
-                fix(j, program.lower[j] if a > 0 else program.upper[j])
-        elif target == hi_sum:
-            for j in sorted(cols_here):
-                a = rows[ridx][j]
-                fix(j, program.upper[j] if a > 0 else program.lower[j])
-    return fixed, resid
-
-
-def _solve_milp(program: NFoldProgram) -> Optional[NFoldSolution]:
-    """Exact presolve, column aggregation and one HiGHS solve; the
-    returned point is rounded and verified once in exact integer
-    arithmetic, so float arithmetic can never leak through.
-
-    Presolve fixes the variables pinned by equalities; columns identical
-    in every row and in the objective are aggregated into one variable
-    with summed bounds (cross-brick duplicates: x- and slack columns have
-    zero coefficients in the private rows, so their copies collapse)."""
+    The solver is handed variables shifted to start at zero: the bundled
+    engine has been seen returning bound-violating "optimal" points when
+    lower bounds are negative, and the shift is an exact identity."""
+    lower = program.lower
+    if not program.total_rows or not program.total_columns:
+        # nothing for the solver to search: the box's corner decides
+        x = list(lower)
+        return None if constraint_violations(program, x) else x
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csc_array
 
-    rows, col_rows = _row_maps(program)
-    state = _presolve_fix(program, rows, col_rows)
-    if state is _INFEASIBLE:
-        return None
-    fixed, resid = state
-    cols_total = program.total_columns
-
-    def compose(values: dict) -> Optional[NFoldSolution]:
-        x = tuple(
-            fixed[j] if j in fixed else values[j] for j in range(cols_total)
-        )
-        if constraint_violations(program, x):
-            raise CCSError("mixed-integer solver returned an infeasible point")
-        return NFoldSolution(x=x, brick_width=program.brick_width)
-
-    free = [j for j in range(cols_total) if j not in fixed]
-    live_rows = [ridx for ridx, row in enumerate(rows)
-                 if any(j not in fixed for j in row)]
-    if not free:
-        # every variable pinned; the fixing loop already checked each row
-        return compose({})
-
-    # aggregate columns sharing every row coefficient and the objective
-    groups: dict = {}
-    for j in free:
-        signature = (
-            tuple((ridx, rows[ridx][j]) for ridx in col_rows.get(j, ())),
-            program.objective[j],
-        )
-        groups.setdefault(signature, []).append(j)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-
-    # the solver is handed variables shifted to start at zero: the bundled
-    # engine has been seen returning bound-violating "optimal" points when
-    # lower bounds are negative, and the shift is an exact identity
-    row_of = {ridx: pos for pos, ridx in enumerate(live_rows)}
-    row_idx: list = []
-    col_idx: list = []
-    data: list = []
-    base: list = []
-    span: list = []
-    cost: list = []
-    shifted = {ridx: resid[ridx] for ridx in live_rows}
-    for gpos, members in enumerate(ordered):
-        head = members[0]
-        glo = sum(program.lower[j] for j in members)
-        gup = sum(program.upper[j] for j in members)
-        for ridx in col_rows.get(head, ()):
-            if ridx in row_of:
-                row_idx.append(row_of[ridx])
-                col_idx.append(gpos)
-                data.append(float(rows[ridx][head]))
-                shifted[ridx] -= rows[ridx][head] * glo
-        base.append(glo)
-        span.append(gup - glo)
-        cost.append(float(program.objective[head] * len(members)))
-    matrix = coo_matrix(
-        (data, (row_idx, col_idx)), shape=(len(live_rows), len(ordered))
-    ).tocsr()
-    rhs = np.array([float(shifted[ridx]) for ridx in live_rows])
-    # the engine's own presolve has returned bound- and equality-violating
-    # "optimal" points and segfaulted on tiny integer-infeasible systems;
-    # exact fixing and aggregation above already cover its useful work.
-    # The feasibility-jump heuristic costs about 10 ms per call before the
-    # search starts, most of a call on these programs of a few dozen rows.
-    # milp passes options it does not list through to HiGHS verbatim and
-    # warns that it does; that warning alone is silenced.
+    rhs = program.rhs
+    if any(lower):
+        rhs = [b - a for b, a in zip(rhs, program.row_totals(lower))]
+    rhs = np.array(rhs, dtype=float)
+    cols = program.total_columns
+    matrix = csc_array(
+        (
+            np.array(program.values, dtype=float),
+            np.array(program.row_index, dtype=np.int32),
+            np.array(program.col_start, dtype=np.int32),
+        ),
+        shape=(program.total_rows, cols),
+    )
+    span = np.array(
+        [hi - lo for lo, hi in zip(lower, program.upper)], dtype=float
+    )
+    # the engine's own presolve has returned bound- and
+    # equality-violating "optimal" points and segfaulted on tiny
+    # integer-infeasible systems, so it stays off. The feasibility-jump
+    # heuristic costs about 10 ms per call before the search starts,
+    # most of a call on programs of a few dozen rows. milp passes
+    # options it does not list through to HiGHS verbatim and warns
+    # that it does; that warning alone is silenced.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", "Unrecognized options", RuntimeWarning
         )
         result = milp(
-            c=np.array(cost),
+            c=np.zeros(cols),
             constraints=LinearConstraint(matrix, rhs, rhs),
-            integrality=np.ones(len(ordered)),
-            bounds=Bounds(
-                np.zeros(len(ordered)), np.array(span, dtype=float)
-            ),
+            integrality=np.ones(cols),
+            bounds=Bounds(np.zeros(cols), span),
             options={
                 "presolve": False,
                 "time_limit": MILP_TIME_LIMIT,
@@ -539,25 +476,28 @@ def _solve_milp(program: NFoldProgram) -> Optional[NFoldSolution]:
                 f" of {MILP_TIME_LIMIT:g} s: {result.message}"
             )
         raise CCSError(f"mixed-integer solver failed: {result.message}")
-    values: dict = {}
-    for gpos, members in enumerate(ordered):
-        amount = base[gpos] + int(round(result.x[gpos]))
-        amount = max(min(amount, base[gpos] + span[gpos]), base[gpos])
-        rest_lo = base[gpos]
-        for j in members:
-            rest_lo -= program.lower[j]
-            take = max(min(amount - rest_lo, program.upper[j]), program.lower[j])
-            values[j] = take
-            amount -= take
-    return compose(values)
+    x = [lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist())]
+    if constraint_violations(program, x):
+        raise CCSError("mixed-integer solver returned an infeasible point")
+    return x
 
 
-def solve_feasible(program: NFoldProgram) -> Optional[NFoldSolution]:
+def solve_feasible(program):
     """Any feasible point, or None. Deterministic: identical programs give
     identical solutions. Raises CCSError if the mixed-integer solver fails
-    or returns a point that does not pass the exact check."""
+    or returns a point that does not pass the exact check.
+
+    A CompactProgram yields its point as a tuple of ints. A block program
+    is checked by validate_structure, solved in its compact form, and
+    yields an NFoldSolution."""
+    if not isinstance(program, NFoldProgram):
+        x = _solve_compact(program)
+        return None if x is None else tuple(x)
     validate_structure(program)
-    return _solve_milp(program)
+    x = _solve_compact(_flatten(program))
+    if x is None:
+        return None
+    return NFoldSolution(x=tuple(x), brick_width=program.brick_width)
 
 
 # ---------------------------------------------------------------------------
@@ -581,64 +521,47 @@ def with_top_row_slacks(
         if slack_max[k] < 0:
             raise InvalidProgramError("slack bound must be nonnegative")
     extra = len(rows)
-    width = program.brick_width
+    t = program.brick_width
+    slack_of_row = {k: e for e, k in enumerate(rows)}
     # a row object shared across bricks stays shared: it is widened once
     # per slack position it occupies
     widened: dict = {}
 
-    def widen(row, slack_at=None):
-        key = (id(row), slack_at)
-        out = widened.get(key)
-        if out is None:
-            out = widened[key] = _widen(row, slack_at)
-        return out
+    def widen(row, at=None):
+        key = (id(row), at)
+        if key not in widened:
+            if isinstance(row, SparseRow):
+                entries = dict(row.entries)
+                if at is not None:
+                    entries[t + at] = 1
+                widened[key] = SparseRow(t + extra, entries)
+            else:
+                tail = [0] * extra
+                if at is not None:
+                    tail[at] = 1
+                widened[key] = tuple(row) + tuple(tail)
+        return widened[key]
 
-    def _widen(row, slack_at):
-        if isinstance(row, SparseRow):
-            entries = dict(row.entries)
-            if slack_at is not None:
-                entries[width + slack_at] = 1
-            return SparseRow(width + extra, entries)
-        tail = [0] * extra
-        if slack_at is not None:
-            tail[slack_at] = 1
-        return tuple(row) + tuple(tail)
+    def stretch(vec, tail):
+        return tuple(
+            v
+            for i in range(program.brick_count)
+            for v in (*vec[i * t : (i + 1) * t], *tail)
+        )
 
-    slack_of_row = {k: e for e, k in enumerate(rows)}
-    top_blocks = []
-    diag_blocks = []
-    for i in range(program.brick_count):
-        top_blocks.append(
-            tuple(
-                widen(row, slack_of_row.get(k))
-                for k, row in enumerate(program.top_blocks[i])
-            )
-        )
-        diag_blocks.append(
-            tuple(widen(row) for row in program.diag_blocks[i])
-        )
-    lower = []
-    upper = []
-    objective = []
-    t = program.brick_width
-    for i in range(program.brick_count):
-        lower.extend(program.lower[i * t : (i + 1) * t])
-        lower.extend([0] * extra)
-        upper.extend(program.upper[i * t : (i + 1) * t])
-        upper.extend(slack_max[k] for k in rows)
-        objective.extend(program.objective[i * t : (i + 1) * t])
-        objective.extend([0] * extra)
-    return NFoldProgram(
-        brick_count=program.brick_count,
-        top_block_rows=program.top_block_rows,
-        diag_block_rows=program.diag_block_rows,
+    return replace(
+        program,
         brick_width=t + extra,
-        top_blocks=tuple(top_blocks),
-        diag_blocks=tuple(diag_blocks),
-        rhs=program.rhs,
-        lower=tuple(lower),
-        upper=tuple(upper),
-        objective=tuple(objective),
+        top_blocks=tuple(
+            tuple(widen(row, slack_of_row.get(k)) for k, row in enumerate(block))
+            for block in program.top_blocks
+        ),
+        diag_blocks=tuple(
+            tuple(widen(row) for row in block) for block in program.diag_blocks
+        ),
+        lower=stretch(program.lower, [0] * extra),
+        upper=stretch(program.upper, [slack_max[k] for k in rows]),
+        objective=stretch(program.objective, [0] * extra),
     )
 
 

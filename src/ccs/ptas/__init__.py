@@ -8,7 +8,7 @@ decomposition.
 from .builder import (
     BuiltProgram,
     ProgramLayout,
-    build_nfold,
+    as_nfold,
     build_program,
     exponential_m_extension,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "RoundedClass",
     "RoundedInstance",
     "RoundedJob",
-    "build_nfold",
+    "as_nfold",
     "build_program",
     "construct_schedule",
     "derive_delta",

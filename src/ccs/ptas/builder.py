@@ -1,28 +1,34 @@
-"""Assembly of the block-structured feasibility programs of the
-splittable and non-preemptive schemes.
+"""Assembly of the configuration programs of the splittable and
+non-preemptive schemes.
 
-One brick per class. Per-brick variables, in order: one x per
-configuration (machines running it), one y per module, one z per
-(size, hosted-count) pair; slack columns for the shared inequality rows
-are appended per brick at the end.
+``build_program`` emits the compact program (``ccs.nfold.CompactProgram``)
+the solver takes. Columns, in order: one x per configuration (machines
+running it); per large class one y per module it can fill (for the
+non-preemptive variant, no module entry above the class's count of that
+piece size); per small class one z per (size, hosted-count) pair; one
+slack per host-capacity row, then one per host-volume row. Rows: the
+machine row, one link row per module footprint (configurations supply
+slots, y columns consume them), per pair the host-capacity and host-volume
+rows, then each large class's demand rows and each small class's flag
+row, in class order. Host rows and their slacks appear only when some
+class is small: without z columns the slack alone meets them, since
+b <= c and h <= bound. The configuration columns depend on the sets alone
+and are cached with them (``ConfigurationSet.columns``).
 
-The x variables of every brick carry the same meaning, and the shared
-rows only ever see their sum over the bricks, so any distribution of the
-machines across bricks is accepted.
-
-Shared rows: machine count, then one linking row per module footprint,
-then per pair the host-capacity row and the host-volume row (both turned
-into equalities by slacks). Private rows per brick: the class's demand
-rows and the small-flag row.
+``as_nfold`` lays out the same program as the paper's n-fold program, one
+brick per class, off the solving path: every brick has one x per
+configuration, one y per module, one z per pair and one slack per shared
+inequality row, and the shared rows see only the sum of the x columns over
+the bricks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 from ..core import CCSError, NONPREEMPTIVE, SPLITTABLE
-from ..nfold import NFoldProgram, SparseRow, with_top_row_slacks
+from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
 from .rounding import RoundedInstance, require_scheme_variant
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
 
@@ -37,10 +43,6 @@ class ProgramLayout:
     link_count: int
     pair_count: int
     piece_sizes: tuple = ()
-
-    @property
-    def x_offset(self) -> int:
-        return 0
 
     @property
     def y_offset(self) -> int:
@@ -66,57 +68,35 @@ class ProgramLayout:
 
 @dataclass(frozen=True)
 class BuiltProgram:
-    """A program together with everything reconstruction needs."""
+    """The compact program together with everything reconstruction needs.
 
-    program: NFoldProgram
+    ``y_columns[u]`` lists the (module, column) pairs of class u's y
+    columns (empty for a small class); ``z_columns[u]`` is the first of
+    small class u's pair columns (None for a large class). The x column
+    of configuration i is column i.
+    """
+
+    program: CompactProgram
     layout: ProgramLayout
     modules: ModuleSet
     configurations: ConfigurationSet
     rounded: RoundedInstance
+    y_columns: tuple
+    z_columns: tuple
+
+    def module_counts(self, x, u: int) -> list:
+        """Pieces class u places per module in the point x."""
+        counts = [0] * self.layout.module_count
+        for g, col in self.y_columns[u]:
+            counts[g] = x[col]
+        return counts
 
 
-def _link_rows(layout, modules, configurations):
-    """One shared row per module footprint: configurations supply slots,
-    y variables consume them. A configuration counts over the distinct
-    footprints (the splittable modules are themselves distinct and
-    ascending), so row g collects entry g of every configuration."""
-    width = layout.brick_width
-    y0 = layout.y_offset
-    entries = [{} for _ in range(layout.link_count)]
-    for i, vec in enumerate(configurations.configs):
-        for g in compress(range(len(vec)), vec):
-            entries[g][i] = vec[g]
-    position = {q: g for g, q in enumerate(modules.size_values)}
-    for g, footprint in enumerate(modules.sizes):
-        entries[position[footprint]][y0 + g] = -1
-    return [SparseRow(width, e) for e in entries]
-
-
-def _private_rows(layout, modules):
-    """The private rows, demand then the small flag. Only their
-    right-hand side depends on the class (``_private_rhs``), so every
-    brick shares them."""
-    width = layout.brick_width
-    y0 = layout.y_offset
-    z0 = layout.z_offset
-    if layout.variant == SPLITTABLE:
-        demand = [{y0 + g: size for g, size in enumerate(modules.sizes)}]
-    else:
-        demand = [{} for _ in layout.piece_sizes]
-        for g, vec in enumerate(modules.modules):
-            for p_pos in compress(range(len(vec)), vec):
-                demand[p_pos][y0 + g] = vec[p_pos]
-    flag = {z0 + pos: 1 for pos in range(layout.pair_count)}
-    return tuple(SparseRow(width, e) for e in demand + [flag])
-
-
-def _private_rhs(layout, rounded, cls):
-    """Right-hand side of one class's private rows."""
-    xi = cls.xi
-    if layout.variant == SPLITTABLE:
-        return [0 if xi else cls.scaled_load, xi]
-    counts = rounded.size_counts(cls.class_id) if not xi else {}
-    return [counts.get(p, 0) for p in layout.piece_sizes] + [xi]
+def _integral_bound(rounded: RoundedInstance) -> int:
+    bound = rounded.scaled_inflated
+    if bound.denominator != 1:
+        raise CCSError(f"scaled inflated bound {bound} is not an integer")
+    return int(bound)
 
 
 def build_program(
@@ -125,95 +105,99 @@ def build_program(
     configurations: ConfigurationSet = None,
     cap=None,
 ) -> BuiltProgram:
-    """Assemble the full block program for one rounded instance.
-    Raises ValueError for the preemptive variant, which has no program of
-    its own.
-
-    Every row is built at the final brick width: the host-capacity and
-    host-volume rows (inequalities) carry their slack entries from the
-    start. Rows that do not depend on the class are one object shared by
-    every brick."""
+    """Assemble the compact configuration program for one rounded
+    instance. Raises ValueError for the preemptive variant, which has no
+    program of its own."""
     variant = require_scheme_variant(rounded.variant)
     if modules is None or configurations is None:
         modules, configurations = enumerate_sets(rounded, cap)
     c = rounded.slot_budget
     m = rounded.machine_count
-    k = rounded.params.grid
-    bound = rounded.scaled_inflated
-    assert bound.denominator == 1
-    bound = int(bound)
-    pair_count = len(configurations.pairs)
+    bound = _integral_bound(rounded)
     layout = ProgramLayout(
         variant=variant,
         config_count=configurations.count,
         module_count=modules.count,
         link_count=len(modules.size_values),
-        pair_count=pair_count,
+        pair_count=len(configurations.pairs),
         piece_sizes=rounded.large_sizes if variant == NONPREEMPTIVE else (),
     )
-    width = layout.brick_width
-    z0 = layout.z_offset
-    # the slack of capacity row pos sits at slack0 + pos, that of volume
-    # row pos at slack0 + pair_count + pos
-    slack0 = layout.base_width
+    pair_count = layout.pair_count
+    hosted = any(cls.small for cls in rounded.classes)
+    if hosted:
+        starts, rows, values = configurations.hosted_columns
+        next_row = 1 + layout.link_count + 2 * pair_count
+    else:
+        starts, rows, values = configurations.columns
+        next_row = 1 + layout.link_count
+    starts, rows, values = list(starts), list(rows), list(values)
+    rhs = [m] + [0] * (next_row - 1)
+    upper = [m] * configurations.count
+    capacity = 1 + layout.link_count
+    volume = capacity + pair_count
 
-    machine_row = SparseRow(
-        width, {i: 1 for i in range(configurations.count)}
-    )
-    link = _link_rows(layout, modules, configurations)
-    capacity_rows = []
-    for pos, (h, b) in enumerate(configurations.pairs):
-        entries = {z0 + pos: 1}
-        for i in configurations.groups[(h, b)]:
-            entries[i] = b - c
-        entries[slack0 + pos] = 1
-        capacity_rows.append(SparseRow(width, entries))
-    shared_top = [machine_row] + link + capacity_rows
-
-    def volume_rows(small_load):
-        rows = []
-        for pos, (h, b) in enumerate(configurations.pairs):
-            entries = {z0 + pos: small_load} if small_load else {}
-            for i in configurations.groups[(h, b)]:
-                entries[i] = h - bound
-            entries[slack0 + pair_count + pos] = 1
-            rows.append(SparseRow(width, entries))
-        return rows
-
-    private = _private_rows(layout, modules)
-    # top blocks differ only in the small load of the volume rows
-    top_of_load = {}
-    top_blocks = []
-    brick_rhs = []
+    position = {q: g for g, q in enumerate(modules.size_values)}
+    link_of = [1 + position[q] for q in modules.sizes]
+    y_cap = m * (rounded.params.grid + 4) if variant == SPLITTABLE else m
+    y_columns = []
+    z_columns = []
     for cls in rounded.classes:
-        small_load = cls.jobs[0].scaled_size if cls.small else 0
-        if small_load not in top_of_load:
-            top_of_load[small_load] = tuple(
-                shared_top + volume_rows(small_load)
-            )
-        top_blocks.append(top_of_load[small_load])
-        brick_rhs.extend(_private_rhs(layout, rounded, cls))
-
-    classes = len(rounded.classes)
-    y_cap = m * (k + 4) if variant == SPLITTABLE else m
-    col_upper = (
-        [m] * configurations.count
-        + [y_cap] * modules.count
-        + [1] * pair_count
-        + [c * m] * pair_count
-        + [bound * m] * pair_count
-    )
-    program = NFoldProgram(
-        brick_count=classes,
-        top_block_rows=layout.top_rows,
-        diag_block_rows=len(private),
-        brick_width=width,
-        top_blocks=tuple(top_blocks),
-        diag_blocks=(private,) * classes,
-        rhs=tuple([m] + [0] * (layout.top_rows - 1) + brick_rhs),
-        lower=(0,) * (classes * width),
-        upper=tuple(col_upper * classes),
-        objective=(0,) * (classes * width),
+        col = len(upper)
+        if cls.small:
+            for pos in range(pair_count):
+                rows += (capacity + pos, volume + pos, next_row)
+                values += (1, cls.jobs[0].scaled_size, 1)
+                starts.append(len(rows))
+            upper += [1] * pair_count
+            rhs.append(1)
+            next_row += 1
+            y_columns.append(())
+            z_columns.append(col)
+            continue
+        fits = []
+        if variant == SPLITTABLE:
+            for g, size in enumerate(modules.sizes):
+                rows += (link_of[g], next_row)
+                values += (-1, size)
+                starts.append(len(rows))
+                fits.append((g, col + g))
+            rhs.append(cls.scaled_load)
+            next_row += 1
+        else:
+            counts = rounded.size_counts(cls.class_id)
+            have = [counts.get(p, 0) for p in layout.piece_sizes]
+            demand = {}
+            for p_pos, count in enumerate(have):
+                if count:
+                    demand[p_pos] = next_row
+                    rhs.append(count)
+                    next_row += 1
+            for g, vec in enumerate(modules.modules):
+                if any(v > h for v, h in zip(vec, have)):
+                    continue
+                rows.append(link_of[g])
+                values.append(-1)
+                for p_pos in compress(range(len(vec)), vec):
+                    rows.append(demand[p_pos])
+                    values.append(vec[p_pos])
+                starts.append(len(rows))
+                fits.append((g, col + len(fits)))
+        upper += [y_cap] * len(fits)
+        y_columns.append(tuple(fits))
+        z_columns.append(None)
+    if hosted:
+        for row in range(capacity, capacity + 2 * pair_count):
+            rows.append(row)
+            values.append(1)
+            starts.append(len(rows))
+        upper += [c * m] * pair_count + [bound * m] * pair_count
+    program = CompactProgram(
+        col_start=starts,
+        row_index=rows,
+        values=values,
+        rhs=rhs,
+        lower=[0] * len(upper),
+        upper=upper,
     )
     return BuiltProgram(
         program=program,
@@ -221,12 +205,84 @@ def build_program(
         modules=modules,
         configurations=configurations,
         rounded=rounded,
+        y_columns=tuple(y_columns),
+        z_columns=tuple(z_columns),
     )
 
 
-def build_nfold(rounded: RoundedInstance, cap=None) -> NFoldProgram:
-    """The block program alone; ``build_program`` keeps the layout."""
-    return build_program(rounded, cap=cap).program
+def as_nfold(built: BuiltProgram) -> NFoldProgram:
+    """The built program in the paper's n-fold layout, one brick per class,
+    for reading rather than solving.
+
+    Every row is built at the final brick width. Rows that do not depend
+    on the class are one object shared by every brick; the top blocks
+    differ only in the small load of the host-volume rows."""
+    layout, rounded = built.layout, built.rounded
+    modules, configurations = built.modules, built.configurations
+    c, m = rounded.slot_budget, rounded.machine_count
+    pairs = layout.pair_count
+    width = layout.brick_width
+    y0, z0, slack0 = layout.y_offset, layout.z_offset, layout.base_width
+    volume = 1 + layout.link_count + pairs
+    top = [{} for _ in range(layout.top_rows)]
+    starts, rows, values = configurations.hosted_columns
+    for i in range(configurations.count):
+        for e in range(starts[i], starts[i + 1]):
+            top[rows[e]][i] = values[e]
+    position = {q: g for g, q in enumerate(modules.size_values)}
+    for g, q in enumerate(modules.sizes):
+        top[1 + position[q]][y0 + g] = -1
+    for pos in range(pairs):
+        top[volume - pairs + pos].update({z0 + pos: 1, slack0 + pos: 1})
+        top[volume + pos][slack0 + pairs + pos] = 1
+    shared = [SparseRow(width, entries) for entries in top[:volume]]
+    if layout.variant == SPLITTABLE:
+        demand = [{y0 + g: size for g, size in enumerate(modules.sizes)}]
+    else:
+        demand = [{} for _ in layout.piece_sizes]
+        for g, vec in enumerate(modules.modules):
+            for p_pos in compress(range(len(vec)), vec):
+                demand[p_pos][y0 + g] = vec[p_pos]
+    flag = {z0 + pos: 1 for pos in range(pairs)}
+    private = tuple(SparseRow(width, entries) for entries in demand + [flag])
+    top_of_load: dict = {}
+    top_blocks = []
+    rhs = [m] + [0] * (layout.top_rows - 1)
+    for cls in rounded.classes:
+        load = cls.jobs[0].scaled_size if cls.small else 0
+        if load not in top_of_load:
+            top_of_load[load] = tuple(shared) + tuple(
+                SparseRow(width, {**entries, z0 + pos: load})
+                for pos, entries in enumerate(top[volume:])
+            )
+        top_blocks.append(top_of_load[load])
+        if layout.variant == SPLITTABLE:
+            rhs.append(0 if cls.small else cls.scaled_load)
+        else:
+            counts = {} if cls.small else rounded.size_counts(cls.class_id)
+            rhs.extend(counts.get(p, 0) for p in layout.piece_sizes)
+        rhs.append(cls.xi)
+    y_cap = m * (rounded.params.grid + 4) if layout.variant == SPLITTABLE else m
+    upper = (
+        [m] * configurations.count
+        + [y_cap] * modules.count
+        + [1] * pairs
+        + [c * m] * pairs
+        + [_integral_bound(rounded) * m] * pairs
+    )
+    n = len(rounded.classes)
+    return NFoldProgram(
+        brick_count=n,
+        top_block_rows=layout.top_rows,
+        diag_block_rows=len(private),
+        brick_width=width,
+        top_blocks=tuple(top_blocks),
+        diag_blocks=(private,) * n,
+        rhs=tuple(rhs),
+        lower=(0,) * (n * width),
+        upper=tuple(upper * n),
+        objective=(0,) * (n * width),
+    )
 
 
 def exponential_m_extension(
@@ -247,37 +303,18 @@ def exponential_m_extension(
     if layout.variant != SPLITTABLE:
         raise CCSError("the machine-count extension is splittable-only")
     bound = class_count * (class_count + 1) // 2
-    zero = tuple([0] * layout.module_count)
+    zero = (0,) * layout.module_count
     # splittable module sizes ascend, so the largest module sits last
-    largest = layout.module_count - 1
-    single = tuple(
-        1 if g == largest else 0 for g in range(layout.module_count)
-    )
-    plain = {zero, single}
+    plain = {zero, zero[1:] + (1,)}
     nontrivial = [
         i for i, vec in enumerate(configurations.configs) if vec not in plain
     ]
-    width = program.brick_width
-    row = SparseRow(width, {i: 1 for i in nontrivial})
     r = program.top_block_rows
-    top_blocks = tuple(
-        tuple(block) + (row,) for block in program.top_blocks
-    )
-    rhs = (
-        program.rhs[:r]
-        + (bound,)
-        + program.rhs[r:]
-    )
-    extended = NFoldProgram(
-        brick_count=program.brick_count,
+    row = SparseRow(program.brick_width, {i: 1 for i in nontrivial})
+    extended = replace(
+        program,
         top_block_rows=r + 1,
-        diag_block_rows=program.diag_block_rows,
-        brick_width=width,
-        top_blocks=top_blocks,
-        diag_blocks=program.diag_blocks,
-        rhs=rhs,
-        lower=program.lower,
-        upper=program.upper,
-        objective=program.objective,
+        top_blocks=tuple(tuple(block) + (row,) for block in program.top_blocks),
+        rhs=program.rhs[:r] + (bound,) + program.rhs[r:],
     )
     return with_top_row_slacks(extended, {r: bound})

@@ -169,8 +169,9 @@ def ptas_solve(
     epsilon must lie in (0, 1]. The keyword delta overrides the derived
     accuracy with a coarser or finer grid 1/k (mainly for experiments);
     epsilon may then be None. A dict passed as ``report`` receives the
-    accepted guess and the program it was solved on ("guess", "built",
-    "solution"), and under "probes" the (guess, feasible) pair of every
+    accepted guess, the program it was solved on and that program's point
+    ("guess", "built", "solution"; ``as_nfold(built)`` gives the program's
+    n-fold layout), and under "probes" the (guess, feasible) pair of every
     program solved, in probe order.
 
     The preemptive variant runs the splittable scheme (delta sets its grid)

@@ -1,7 +1,9 @@
-"""Turning a feasible block-program point into an actual schedule.
+"""Turning a feasible configuration-program point into an actual schedule.
 
-Machines are materialized from the configuration counts (configuration
-index ascending). Large classes claim module slots in deterministic order
+The point is the compact program's (``build_program``); the built
+program's index maps say where each class's columns sit. Machines are
+materialized from the configuration counts (configuration index
+ascending). Large classes claim module slots in deterministic order
 (classes ascending, module sizes descending, machines ascending); small
 classes spread round-robin over the machines of their hosting cell, which
 keeps both the per-machine host count within the free slots and the
@@ -20,6 +22,7 @@ from collections import deque
 from fractions import Fraction
 
 from ..core import (
+    CCSError,
     Instance,
     NonPreemptiveSchedule,
     PreemptiveSchedule,
@@ -27,32 +30,23 @@ from ..core import (
     SplittableSchedule,
 )
 from ..greedy import round_robin
-from ..nfold import NFoldSolution
 from .builder import BuiltProgram
 
 
-def _machine_table(solution: NFoldSolution, built: BuiltProgram) -> list:
+def _machine_table(x, built: BuiltProgram) -> list:
     """Configuration index per machine id."""
-    layout = built.layout
-    t = built.program.brick_width
-    counts = [0] * layout.config_count
-    for u in range(built.program.brick_count):
-        base = u * t
-        for i in range(layout.config_count):
-            counts[i] += solution.x[base + i]
     machines = []
-    for i, count in enumerate(counts):
-        machines.extend([i] * count)
-    assert len(machines) == built.rounded.machine_count
+    for i in range(built.layout.config_count):
+        machines.extend([i] * x[i])
+    if len(machines) != built.rounded.machine_count:
+        raise CCSError(
+            f"point runs {len(machines)} machines,"
+            f" expected {built.rounded.machine_count}"
+        )
     return machines
 
 
-def _brick_slice(solution, built, u, offset, length):
-    base = u * built.program.brick_width + offset
-    return solution.x[base : base + length]
-
-
-def _host_assignments(solution, built, machines) -> dict:
+def _host_assignments(x, built, machines) -> dict:
     """Small class id -> hosting machine id, via round robin per cell."""
     layout = built.layout
     confs = built.configurations
@@ -69,9 +63,11 @@ def _host_assignments(solution, built, machines) -> dict:
     for u, cls in enumerate(built.rounded.classes):
         if not cls.small:
             continue
-        z = _brick_slice(solution, built, u, layout.z_offset, layout.pair_count)
+        z0 = built.z_columns[u]
+        z = x[z0 : z0 + layout.pair_count]
         chosen = [pos for pos, val in enumerate(z) if val]
-        assert len(chosen) == 1, f"class {cls.class_id} hosted {len(chosen)} times"
+        if len(chosen) != 1:
+            raise CCSError(f"class {cls.class_id} hosted {len(chosen)} times")
         cell_classes.setdefault(chosen[0], []).append(
             (cls.class_id, cls.jobs[0].scaled_size)
         )
@@ -79,7 +75,10 @@ def _host_assignments(solution, built, machines) -> dict:
     for pos in sorted(cell_classes):
         members = cell_classes[pos]
         slots = cell_machines.get(pos, [])
-        assert slots, f"hosting cell {built.configurations.pairs[pos]} is empty"
+        if not slots:
+            raise CCSError(
+                f"hosting cell {built.configurations.pairs[pos]} is empty"
+            )
         bins = round_robin(members, len(slots))
         for bin_idx in range(len(slots)):
             for class_id in bins[bin_idx]:
@@ -107,11 +106,11 @@ def _pour(job_ids, instance, room_list, emit) -> None:
 
 
 def _reconstruct_splittable(
-    instance: Instance, solution: NFoldSolution, built: BuiltProgram
+    instance: Instance, x, built: BuiltProgram
 ) -> SplittableSchedule:
     layout = built.layout
     rounded = built.rounded
-    machines = _machine_table(solution, built)
+    machines = _machine_table(x, built)
     scale = rounded.scale
     slot_pool: dict = {g: deque() for g in range(layout.module_count)}
     for mach_id, cfg in enumerate(machines):
@@ -119,14 +118,14 @@ def _reconstruct_splittable(
         for g, count in enumerate(vec):
             for _ in range(count):
                 slot_pool[g].append(mach_id)
-    hosts = _host_assignments(solution, built, machines)
+    hosts = _host_assignments(x, built, machines)
     pieces: list = []
     for u, cls in enumerate(rounded.classes):
         if cls.small:
             mach = hosts[cls.class_id]
             room = [[cls.jobs[0].raw_size, mach]]
         else:
-            y = _brick_slice(solution, built, u, layout.y_offset, layout.module_count)
+            y = built.module_counts(x, u)
             room = []
             for g in reversed(range(layout.module_count)):
                 size_raw = Fraction(built.modules.sizes[g]) / scale
@@ -145,11 +144,10 @@ def _reconstruct_splittable(
 
 
 def _reconstruct_nonpreemptive(
-    instance: Instance, solution: NFoldSolution, built: BuiltProgram
+    instance: Instance, x, built: BuiltProgram
 ) -> NonPreemptiveSchedule:
-    layout = built.layout
     rounded = built.rounded
-    machines = _machine_table(solution, built)
+    machines = _machine_table(x, built)
     values = built.modules.size_values
     slot_pool: dict = {q: deque() for q in values}
     for mach_id, cfg in enumerate(machines):
@@ -157,7 +155,7 @@ def _reconstruct_nonpreemptive(
         for vq, count in enumerate(vec):
             for _ in range(count):
                 slot_pool[values[vq]].append(mach_id)
-    hosts = _host_assignments(solution, built, machines)
+    hosts = _host_assignments(x, built, machines)
     assignment: dict = {}
     ground = built.modules.ground
     module_order = sorted(
@@ -173,7 +171,7 @@ def _reconstruct_nonpreemptive(
         pools = {p: deque() for p in ground}
         for job in cls.jobs:
             pools[job.scaled_size].append(job)
-        y = _brick_slice(solution, built, u, layout.y_offset, layout.module_count)
+        y = built.module_counts(x, u)
         for g in module_order:
             vec = built.modules.modules[g]
             for _ in range(y[g]):
@@ -183,7 +181,8 @@ def _reconstruct_nonpreemptive(
                         job = pools[ground[p_pos]].popleft()
                         for j in job.job_ids:
                             assignment[j] = mach
-        assert not any(pools.values()), f"class {cls.class_id} jobs left over"
+        if any(pools.values()):
+            raise CCSError(f"class {cls.class_id} jobs left over")
     return NonPreemptiveSchedule(assignment=assignment)
 
 
@@ -275,10 +274,10 @@ def unfold_preemptive(
     )
 
 
-def construct_schedule(
-    instance: Instance, solution: NFoldSolution, built: BuiltProgram
-):
-    """Schedule of the original instance from a feasible program point."""
+def construct_schedule(instance: Instance, x, built: BuiltProgram):
+    """Schedule of the original instance from a feasible point x of the
+    built compact program. Raises CCSError where the point does not fit
+    the program's index maps."""
     if built.layout.variant == SPLITTABLE:
-        return _reconstruct_splittable(instance, solution, built)
-    return _reconstruct_nonpreemptive(instance, solution, built)
+        return _reconstruct_splittable(instance, x, built)
+    return _reconstruct_nonpreemptive(instance, x, built)

@@ -25,6 +25,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Mapping
 
 from ..core import (
@@ -89,16 +91,19 @@ class ConfigurationSet:
     """The machine configurations over a module set.
 
     configs: multiplicity tuples over the modules (splittable) or over
-    ``ModuleSet.size_values`` (non-preemptive). The pair list
-    is the full cross product of the distinct configuration sizes with the
-    host counts {0, .., slot_cap - 1}; ``groups`` maps each pair to the
-    configurations of exactly that size and slot usage.
+    ``ModuleSet.size_values`` (non-preemptive), enumerated for
+    ``slot_budget`` slots and total size at most ``size_bound``. The pair
+    list is the full cross product of the distinct configuration sizes
+    with the host counts {0, .., slot_cap - 1}; ``groups`` maps each pair
+    to the configurations of exactly that size and slot usage.
     """
 
     variant: str
     configs: tuple
     sizes: tuple
     slots: tuple
+    slot_budget: int
+    size_bound: int
     slot_cap: int
     size_set: tuple
     pairs: tuple
@@ -107,6 +112,43 @@ class ConfigurationSet:
     @property
     def count(self) -> int:
         return len(self.configs)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The configuration columns of the configuration program
+        (``ccs.ptas.builder``) without host rows."""
+        return self._columns(hosted=False)
+
+    @cached_property
+    def hosted_columns(self) -> tuple:
+        """The configuration columns with host rows."""
+        return self._columns(hosted=True)
+
+    def _columns(self, hosted: bool) -> tuple:
+        """(col_start, row_index, values) of one column per configuration,
+        in compressed sparse column form: 1 in the machine row 0, the
+        multiplicity of footprint g in link row 1 + g and, when hosted,
+        b - slot_budget in the host-capacity row 1 + L + pos and
+        h - size_bound in the host-volume row 1 + L + P + pos of its pair
+        (h, b) at position pos, with L footprints and P pairs."""
+        capacity = 1 + len(self.configs[0])
+        volume = capacity + len(self.pairs)
+        first_pair = {h: q * self.slot_cap for q, h in enumerate(self.size_set)}
+        starts, rows, values = [0], [], []
+        for vec, h, b in zip(self.configs, self.sizes, self.slots):
+            rows.append(0)
+            values.append(1)
+            for g in compress(range(len(vec)), vec):
+                rows.append(1 + g)
+                values.append(vec[g])
+            if hosted and b < self.slot_cap:
+                rows.append(capacity + first_pair[h] + b)
+                values.append(b - self.slot_budget)
+                if h != self.size_bound:
+                    rows.append(volume + first_pair[h] + b)
+                    values.append(h - self.size_bound)
+            starts.append(len(rows))
+        return starts, rows, values
 
 
 def _pairs_and_groups(sizes, slots, slot_cap):
@@ -183,6 +225,8 @@ def splittable_sets(
         configs=configs,
         sizes=totals,
         slots=slots,
+        slot_budget=c,
+        size_bound=bound,
         slot_cap=slot_cap,
         size_set=size_set,
         pairs=pairs,
@@ -245,6 +289,8 @@ def nonpreemptive_sets(
         configs=configs,
         sizes=totals,
         slots=slots,
+        slot_budget=c,
+        size_bound=scaled_bound,
         slot_cap=slot_cap,
         size_set=size_set,
         pairs=pairs,
@@ -261,7 +307,8 @@ def enumerate_sets(
     if require_scheme_variant(rounded.variant) == SPLITTABLE:
         return splittable_sets(rounded.params.grid, rounded.slot_budget, cap)
     bound = rounded.scaled_inflated
-    assert bound.denominator == 1
+    if bound.denominator != 1:
+        raise CCSError(f"scaled inflated bound {bound} is not an integer")
     return nonpreemptive_sets(
         rounded.large_sizes,
         int(bound),

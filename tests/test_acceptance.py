@@ -35,7 +35,7 @@ from ccs.nfold import (
     solve_feasible,
     validate_structure,
 )
-from ccs.ptas import PtasParams, build_program, preprocess, ptas_solve
+from ccs.ptas import PtasParams, as_nfold, build_program, preprocess, ptas_solve
 
 
 def verdict(tag: str, ok: bool, detail: str = "") -> None:
@@ -379,7 +379,7 @@ def test_criterion_08_program_dimensions_match_closed_forms():
             params = PtasParams.at_guess(guess, delta, variant)
             rounded = preprocess(inst, params, variant)
             built = build_program(rounded)
-            program = built.program
+            program = as_nfold(built)
 
             slot_cap = built.configurations.slot_cap
             values = len(built.configurations.size_set)

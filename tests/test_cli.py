@@ -1,6 +1,11 @@
 """Command line layer: parsing, generators, run reports, exit codes."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from ccs.cli import (
     run,
     sweep,
 )
+import ccs
 from ccs.core import (
     Instance,
     NONPREEMPTIVE,
@@ -289,6 +295,46 @@ class TestSolveCommand:
                      "--epsilon", "1", "--dump-nfold", str(dump), inst])
         assert code == EXIT_OK
         assert not dump.exists()
+
+
+# SHA-256 of the --dump-nfold text of the n-fold program, pinned when the
+# builder still assembled that program itself; every instance has both
+# large and small classes
+DUMP_PINS = [
+    ("split", "4 2 2\n10 1\n9 2\n1 3\n1 4\n",
+     "6f23fa9e96a6dcf879f0674a5c365c1cdef26f5a2cc34bcf8fa668d5c7145903"),
+    ("nonpreempt", "6 2 3\n10 1\n9 2\n1 3\n1 4\n2 1\n8 2\n",
+     "bdea4d5650080f678f8f2c6a57f1e2034653b9050bda0ec1b1aa0a15a8094a42"),
+    ("preempt", "4 2 2\n10 1\n9 2\n1 3\n1 1\n",
+     "a5d14bd73b8d0e7222f5c161cdebc73fa3846c4116a12c8331e73df969cadf4a"),
+]
+
+
+@pytest.mark.parametrize("flag,text,digest", DUMP_PINS,
+                         ids=[pin[0] for pin in DUMP_PINS])
+def test_nfold_dump_bytes_are_pinned(tmp_path, capsys, flag, text, digest):
+    inst = write(tmp_path, "inst.txt", text)
+    dump = tmp_path / "prog.txt"
+    code = main(["solve", "--variant", flag, "--algo", "ptas",
+                 "--epsilon", "1", "--dump-nfold", str(dump), inst])
+    assert code == EXIT_OK
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # numpy alone takes about 0.2 s to import; it is loaded on the first
+    # mixed-integer solve, not by importing the package or its CLI
+    src = str(Path(ccs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, ccs, ccs.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestGenCommand:

@@ -1,5 +1,5 @@
-"""Block-program model, feasibility solver, exhaustive oracle, and the
-inequality-to-equality slack helper."""
+"""Compact and block-program models, feasibility solver, exhaustive
+oracle, and the inequality-to-equality slack helper."""
 
 import random
 import warnings
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ccs import CCSError, EnumerationCapError
 from ccs.nfold import (
     MILP_TIME_LIMIT,
+    CompactProgram,
     InvalidProgramError,
     NFoldProgram,
     NFoldSolution,
@@ -47,7 +48,7 @@ def sparse_rows(program: NFoldProgram, reverse: bool = False) -> NFoldProgram:
 
 
 def free_pair() -> NFoldProgram:
-    """x0 + x1 = 2 over [0, 3]^2: presolve pins nothing, so HiGHS runs."""
+    """x0 + x1 = 2 over [0, 3]^2: a program HiGHS has to search."""
     return NFoldProgram(
         brick_count=1,
         top_block_rows=1,
@@ -256,9 +257,9 @@ class TestSolvers:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_aggregated_columns_match_exhaustive(self, seed):
-        # with one top block shared by every brick, columns that no private
-        # row touches collapse across bricks before the mixed-integer solve,
-        # and the solver has to split their value back over the bricks
+        # one top block shared by every brick: columns that no private row
+        # touches are identical across bricks, the shape of the schemes'
+        # machine-count columns in their n-fold layout
         program = random_nfold_program(random.Random(seed), max_bricks=3)
         program = replace(
             program, top_blocks=(program.top_blocks[0],) * program.brick_count
@@ -268,6 +269,38 @@ class TestSolvers:
         assert (found is None) == (truth is None)
         if found is not None:
             assert constraint_violations(program, found.x) == []
+
+
+class TestCompactProgram:
+    def test_matches_the_flattened_block_program(self):
+        # x0 + x1 = 2 and x1 - x2 = -1 over [0, 3]^2 x [-1, 2], stored by
+        # columns; a negative lower bound exercises the shift to zero
+        program = CompactProgram(
+            col_start=[0, 1, 3, 4],
+            row_index=[0, 0, 1, 1],
+            values=[1, 1, 1, -1],
+            rhs=[2, -1],
+            lower=[0, 0, -1],
+            upper=[3, 3, 2],
+        )
+        x = solve_feasible(program)
+        assert isinstance(x, tuple)
+        assert constraint_violations(program, x) == []
+        assert x[0] + x[1] == 2 and x[1] - x[2] == -1
+        assert constraint_violations(program, (2, 0, 0)) == ["row 1: 0 != -1"]
+        assert constraint_violations(program, (2, 0, 5)) == ["x[2] = 5 outside [-1, 2]"]
+
+    def test_programs_without_rows_or_columns(self):
+        free = CompactProgram([0, 0], [], [], rhs=[], lower=[2], upper=[3])
+        assert solve_feasible(free) == (2,)
+        empty = CompactProgram([0], [], [], rhs=[0, 1], lower=[], upper=[])
+        assert solve_feasible(empty) is None
+
+    def test_inconsistent_columns_rejected(self):
+        with pytest.raises(InvalidProgramError, match="column starts"):
+            CompactProgram([0, 2], [0], [1], rhs=[1], lower=[0], upper=[1])
+        with pytest.raises(InvalidProgramError, match="lower and upper"):
+            CompactProgram([0, 1], [0], [1], rhs=[1], lower=[0], upper=[])
 
 
 class TestSlackHelper:

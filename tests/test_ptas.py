@@ -3,6 +3,7 @@ block program shape, reconstruction, and the end-to-end driver."""
 
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,11 +26,17 @@ from ccs import (
 )
 from ccs.approx import approx_nonpreemptive, approx_splittable
 from ccs.core import CCSError, expand_compact
-from ccs.nfold import solve_feasible, validate_structure
+from ccs.nfold import (
+    constraint_violations,
+    solve_exhaustive,
+    solve_feasible,
+    validate_structure,
+)
 from ccs.oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
 from ccs.ptas import (
     CAP_MESSAGE,
     PtasParams,
+    as_nfold,
     build_program,
     construct_schedule,
     derive_delta,
@@ -289,7 +296,7 @@ class TestProgramShape:
         params = PtasParams.at_guess(8, HALF, SPLITTABLE)
         rounded = preprocess(inst, params, SPLITTABLE)
         built = build_program(rounded)
-        program = built.program
+        program = as_nfold(built)
         r, s, t = shape_identities(built)
         assert (r, s, t) == (36, 2, 59)
         assert program.top_block_rows == r
@@ -306,10 +313,11 @@ class TestProgramShape:
         built = build_program(rounded)
         r, s, t = shape_identities(built)
         assert (r, s, t) == (13, 2, 21)
-        assert built.program.top_block_rows == r
-        assert built.program.diag_block_rows == s
-        assert built.program.brick_width == t
-        validate_structure(built.program)
+        program = as_nfold(built)
+        assert program.top_block_rows == r
+        assert program.diag_block_rows == s
+        assert program.brick_width == t
+        validate_structure(program)
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
     def test_rows_built_at_final_width(self, variant):
@@ -317,7 +325,7 @@ class TestProgramShape:
         params = PtasParams.at_guess(8, HALF, variant)
         rounded = preprocess(inst, params, variant)
         built = build_program(rounded)
-        program, layout = built.program, built.layout
+        program, layout = as_nfold(built), built.layout
         pairs = layout.pair_count
         shared = 1 + layout.link_count + pairs  # machine, link, capacity
         first = program.top_blocks[0]
@@ -363,7 +371,7 @@ class TestProgramShape:
         rounded = preprocess(inst, params, SPLITTABLE)
         assert rounded.classes[0].small
         built = build_program(rounded)
-        solution = solve_feasible(built.program)
+        solution = solve_feasible(as_nfold(built))
         assert solution is not None
         brick = solution.bricks[0]
         confs = built.configurations
@@ -381,7 +389,7 @@ class TestMachineCountExtension:
 
     def extend(self, built):
         return exponential_m_extension(
-            built.program,
+            as_nfold(built),
             built.rounded.class_count,
             configurations=built.configurations,
             layout=built.layout,
@@ -390,12 +398,14 @@ class TestMachineCountExtension:
     def test_bound_grows_quadratically(self):
         built = self.build(Instance((4, 4), (1, 1), 2, 1), 4)
         extended = self.extend(built)
-        assert extended.rhs[built.program.top_block_rows] == 1
-        assert extended.top_block_rows == built.program.top_block_rows + 1
-        assert extended.brick_width == built.program.brick_width + 1
+        program = as_nfold(built)
+        assert extended.rhs[program.top_block_rows] == 1
+        assert extended.top_block_rows == program.top_block_rows + 1
+        assert extended.brick_width == program.brick_width + 1
 
         three = self.build(Instance((4, 4, 4), (1, 2, 3), 3, 1), 4)
-        assert self.extend(three).rhs[three.program.top_block_rows] == 6
+        r = as_nfold(three).top_block_rows
+        assert self.extend(three).rhs[r] == 6
 
     def test_splittable_only(self):
         inst = Instance((2, 2), (1, 1), 1, 1)
@@ -413,7 +423,7 @@ class TestMachineCountExtension:
             ((4, 4, 2, 2), (1, 1, 2, 2), 4),
         ]:
             built = self.build(Instance(sizes, labels, m, 1), 4)
-            assert solve_feasible(built.program) is not None
+            assert solve_feasible(as_nfold(built)) is not None
             assert solve_feasible(self.extend(built)) is not None
 
     def test_bound_refuses_two_partial_machines(self):
@@ -421,7 +431,7 @@ class TestMachineCountExtension:
         # but the row only allows one irregular machine for one class:
         # the extended program wrongly rejects this feasible instance
         built = self.build(Instance((6, 7), (1, 1), 2, 1), 4)
-        assert solve_feasible(built.program) is not None
+        assert solve_feasible(as_nfold(built)) is not None
         assert solve_feasible(self.extend(built)) is None
 
 
@@ -430,8 +440,7 @@ def brick_conservation(built, solution):
     layout = built.layout
     rounded = built.rounded
     for u, cls in enumerate(rounded.classes):
-        brick = solution.bricks[u]
-        y = brick[layout.y_offset:layout.y_offset + layout.module_count]
+        y = built.module_counts(solution, u)
         if layout.variant == SPLITTABLE:
             supplied = sum(
                 size * count for size, count in zip(built.modules.sizes, y)
@@ -445,6 +454,176 @@ def brick_conservation(built, solution):
                     for vec, count in zip(built.modules.modules, y)
                 )
                 assert supplied == counts.get(p, 0)
+
+
+def lift(built, x):
+    """The n-fold point of a compact point: every machine in brick 0,
+    each class's y and z in its own brick, and each shared-row slack in
+    brick 0 at the value that closes its row."""
+    program = as_nfold(built)
+    layout = built.layout
+    t = program.brick_width
+    point = [0] * program.total_columns
+    point[: layout.config_count] = x[: layout.config_count]
+    for u in range(program.brick_count):
+        for g, col in built.y_columns[u]:
+            point[u * t + layout.y_offset + g] = x[col]
+        z0 = built.z_columns[u]
+        if z0 is not None:
+            for pos in range(layout.pair_count):
+                point[u * t + layout.z_offset + pos] = x[z0 + pos]
+    first_host = 1 + layout.link_count
+    for k in range(first_host, program.top_block_rows):
+        total = sum(
+            a * point[u * t + j]
+            for u, block in enumerate(program.top_blocks)
+            for j, a in block[k].entries.items()
+        )
+        point[layout.base_width + k - first_host] = program.rhs[k] - total
+    return program, point
+
+
+def aggregate(built, program, point):
+    """The compact point of an n-fold point whose small classes place no
+    module: x and slack columns summed over the bricks."""
+    layout = built.layout
+    t = program.brick_width
+    n = program.brick_count
+    compact = built.program
+    x = [0] * compact.total_columns
+    for i in range(layout.config_count):
+        x[i] = sum(point[u * t + i] for u in range(n))
+    for u in range(n):
+        for g, col in built.y_columns[u]:
+            x[col] = point[u * t + layout.y_offset + g]
+        z0 = built.z_columns[u]
+        if z0 is not None:
+            for pos in range(layout.pair_count):
+                x[z0 + pos] = point[u * t + layout.z_offset + pos]
+    if any(z0 is not None for z0 in built.z_columns):
+        slacks = 2 * layout.pair_count
+        for e in range(slacks):
+            x[compact.total_columns - slacks + e] = sum(
+                point[u * t + layout.base_width + e] for u in range(n)
+            )
+    return x
+
+
+def small_probes(variant, seed, count):
+    """(instance, guess) pairs for ``count`` seeded instances: guesses far
+    below the lower bound (infeasible at delta 1/2), a third of it, the
+    bound itself and the upper bound."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 2)
+        c = rng.randint(1, 2)
+        k = rng.randint(1, min(n, m * c))
+        labels = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(n - k)]
+        rng.shuffle(labels)
+        inst = Instance(tuple(rng.randint(1, 9) for _ in range(n)),
+                        tuple(labels), m, c)
+        lo, hi = lower_bound(inst, variant)
+        for guess in (lo / 8, lo / 3, lo, hi):
+            out.append((inst, Fraction(guess)))
+    return out
+
+
+class TestCompactMatchesNfold:
+    """The compact program against its n-fold view, on seeded small
+    programs of both variants."""
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    def test_same_verdict_and_lifted_points_are_nfold_feasible(self, variant):
+        feasible = infeasible = hosted = 0
+        for inst, guess in small_probes(variant, 17, 8):
+            params = PtasParams.at_guess(guess, HALF, variant)
+            built = build_program(preprocess(inst, params, variant))
+            x = solve_feasible(built.program)
+            nfold = solve_feasible(as_nfold(built))
+            assert (x is None) == (nfold is None)
+            if x is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            hosted += any(z0 is not None for z0 in built.z_columns)
+            assert constraint_violations(built.program, x) == []
+            program, point = lift(built, x)
+            assert constraint_violations(program, point) == []
+        assert feasible and infeasible and hosted
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    def test_enumerated_nfold_points_aggregate_to_compact_points(self, variant):
+        # the full n-fold box is far beyond enumeration, so the machines of
+        # every configuration the compact point runs are freed in the
+        # first two bricks, with every other column fixed at the lifted
+        # point; the first point of that box spreads the machines over
+        # the bricks in another way than the lift
+        spread = 0
+        for inst, guess in small_probes(variant, 29, 8):
+            params = PtasParams.at_guess(guess, HALF, variant)
+            built = build_program(preprocess(inst, params, variant))
+            x = solve_feasible(built.program)
+            if x is None or built.rounded.class_count < 2:
+                continue
+            program, point = lift(built, x)
+            t = program.brick_width
+            m = built.rounded.machine_count
+            lower, upper = list(point), list(point)
+            for u in (0, 1):
+                for i in range(built.layout.config_count):
+                    if x[i]:
+                        lower[u * t + i], upper[u * t + i] = 0, m
+            sub = replace(program, lower=tuple(lower), upper=tuple(upper))
+            found = solve_exhaustive(sub)
+            assert found is not None
+            assert constraint_violations(program, found.x) == []
+            merged = aggregate(built, program, found.x)
+            assert constraint_violations(built.program, merged) == []
+            spread += found.x != tuple(point)
+        assert spread >= 4
+
+
+class TestReconstructionGuards:
+    def built_point(self):
+        inst = Instance((9, 1, 1), (1, 2, 3), 2, 2)
+        params = PtasParams.at_guess(9, HALF, NONPREEMPTIVE)
+        built = build_program(preprocess(inst, params, NONPREEMPTIVE))
+        x = solve_feasible(built.program)
+        assert x is not None
+        assert any(z0 is not None for z0 in built.z_columns)
+        return inst, built, list(x)
+
+    def test_untampered_point_reconstructs(self):
+        inst, built, x = self.built_point()
+        schedule = construct_schedule(inst, x, built)
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+
+    def test_extra_machine_raises(self):
+        inst, built, x = self.built_point()
+        x[0] += 1
+        with pytest.raises(CCSError, match="machines"):
+            construct_schedule(inst, x, built)
+
+    def test_unhosted_small_class_raises(self):
+        inst, built, x = self.built_point()
+        u = next(u for u, z0 in enumerate(built.z_columns) if z0 is not None)
+        z0 = built.z_columns[u]
+        x[z0 : z0 + built.layout.pair_count] = [0] * built.layout.pair_count
+        with pytest.raises(CCSError, match="hosted 0 times"):
+            construct_schedule(inst, x, built)
+
+    def test_missing_module_raises(self):
+        inst, built, x = self.built_point()
+        for g, col in built.y_columns[0]:
+            if x[col] and any(built.modules.modules[g]):
+                x[col] -= 1
+                break
+        else:
+            pytest.fail("the large class places no module")
+        with pytest.raises(CCSError, match="left over"):
+            construct_schedule(inst, x, built)
 
 
 class TestReconstruction:
