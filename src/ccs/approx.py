@@ -19,8 +19,9 @@ size. The threshold search differs per variant:
 
 Machine counts beyond the job count are profitable only when jobs may run
 self-parallel, i.e. in the splittable variant. There the output switches to
-the compact encoding: machines holding exactly one full-size piece are kept
-as per-class counters and only the irregular machines are listed.
+the compact encoding: the round robin over all m machines is laid out from
+the per-class runs of pieces and stored as counted class-load patterns,
+O(C) of them whatever m is.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
+    CCSError,
     CompactSchedule,
-    EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
     NonPreemptiveSchedule,
@@ -46,14 +47,6 @@ from .core import (
 )
 from .greedy import lpt, round_robin
 
-# Plans larger than this keep only per-class summaries plus the partial
-# piece; full pieces are reconstructed on demand from index arithmetic.
-PLAN_PIECE_CAP = 100_000
-
-# Hard ceiling on explicitly listed machines in a compact schedule. Only
-# reachable when both m and the slot budget are in the millions.
-COMPACT_EXPLICIT_CAP = 1_000_000
-
 
 # ---------------------------------------------------------------------------
 # sub-class plans
@@ -65,10 +58,7 @@ class ClassSplit:
 
     count = ceil(total / T) sub-classes: full_count pieces of size exactly T
     followed by one piece of size partial_load (0 when total is a multiple
-    of T; then count == full_count). partial_parts are the (job_id,
-    fraction) shares making up the partial piece. pieces lists every
-    sub-class as (load, parts) in cutting order, or None when the plan was
-    built in summary-only mode.
+    of T; then count == full_count). ``split_class`` cuts the pieces.
     """
 
     class_id: int
@@ -76,8 +66,6 @@ class ClassSplit:
     count: int
     full_count: int
     partial_load: Fraction
-    partial_parts: tuple
-    pieces: Optional[tuple]
 
 
 @dataclass(frozen=True)
@@ -133,39 +121,20 @@ def _class_job_lists(instance: Instance) -> list:
     return by_class
 
 
-def _tail_parts(jobs: Sequence, tail_load: Fraction) -> tuple:
-    """(job_id, fraction) shares forming the last tail_load units of the
-    class, walking jobs from the back."""
-    parts = []
-    need = tail_load
-    for job_id, size in reversed(jobs):
-        if need <= 0:
-            break
-        take = min(size, need)
-        parts.append((job_id, take / size))
-        need -= take
-    return tuple(reversed(parts))
-
-
-def _build_plan(instance: Instance, threshold: Fraction, materialize: bool) -> SubClassPlan:
+def _build_plan(instance: Instance, threshold: Fraction) -> SubClassPlan:
     splits = []
-    for u, jobs in enumerate(_class_job_lists(instance), start=1):
-        total = sum((p for _j, p in jobs), Fraction(0))
-        count = max(1, math.ceil(total / threshold))
-        full = math.floor(total / threshold)
-        partial = total - full * threshold
+    for cl in class_loads(instance):
+        full = math.floor(cl.total / threshold)
+        partial = cl.total - full * threshold
         if partial == 0 and full == 0:  # empty classes cannot occur
-            raise AssertionError("class without load")
-        pieces = tuple(split_class(jobs, threshold)) if materialize else None
+            raise CCSError(f"class {cl.class_id} has no load")
         splits.append(
             ClassSplit(
-                class_id=u,
-                total=total,
-                count=count,
+                class_id=cl.class_id,
+                total=cl.total,
+                count=max(1, math.ceil(cl.total / threshold)),
                 full_count=full,
                 partial_load=partial,
-                partial_parts=_tail_parts(jobs, partial) if partial else (),
-                pieces=pieces,
             )
         )
     return SubClassPlan(threshold=threshold, classes=tuple(splits))
@@ -220,156 +189,77 @@ def border_search_splittable(instance: Instance):
         loads, m, instance.slot_budget * m, floor=None, average=lb
     )
     if t_star is None:  # k=1 on the largest class always fits: count C <= c*m
-        raise AssertionError("no feasible threshold")
-    materialize = (
-        m <= instance.job_count or _piece_count(loads, t_star) <= PLAN_PIECE_CAP
-    )
-    return t_star, _build_plan(instance, t_star, materialize)
+        raise CCSError("no feasible splittable threshold")
+    return t_star, _build_plan(instance, t_star)
 
 
 # ---------------------------------------------------------------------------
 # splittable construction
 
 
-def _explicit_splittable(plan: SubClassPlan, machine_count: int) -> SplittableSchedule:
-    pieces_by_index = []
-    for split in plan.classes:
-        assert split.pieces is not None
-        pieces_by_index.extend(split.pieces)
-    loads = [load for load, _parts in pieces_by_index]
-    layout = round_robin(list(enumerate(loads)), machine_count)
-    out = []
-    for machine, indices in layout.items():
-        for k in indices:
-            for job_id, frac in pieces_by_index[k][1]:
-                out.append((job_id, frac, machine))
-    return SplittableSchedule(pieces=tuple(out))
+def _deal(instance: Instance, threshold: Fraction, machine_count: int):
+    """(pieces, layout): every class cut at the threshold by split_class,
+    as (load, parts) class by class in cutting order, and their round robin
+    over machine_count machines (machine -> piece indices)."""
+    pieces = [
+        piece
+        for jobs in _class_job_lists(instance)
+        for piece in split_class(jobs, threshold)
+    ]
+    layout = round_robin(
+        list(enumerate(load for load, _parts in pieces)), machine_count
+    )
+    return pieces, layout
 
 
-def _full_piece_parts(jobs, prefix, piece_idx, threshold) -> tuple:
-    """Shares of the piece covering [piece_idx*T, (piece_idx+1)*T) of a
-    class's concatenated job loads. prefix[i] = load before job i."""
-    lo = piece_idx * threshold
-    hi = lo + threshold
-    # first job ending strictly after lo
-    a, b = 0, len(jobs) - 1
-    while a < b:
-        mid = (a + b) // 2
-        if prefix[mid] + jobs[mid][1] > lo:
-            b = mid
-        else:
-            a = mid + 1
-    parts = []
-    pos = lo
-    idx = a
-    while pos < hi:
-        job_id, size = jobs[idx]
-        end = prefix[idx] + size
-        take = min(hi, end) - pos
-        parts.append((job_id, take / size))
-        pos += take
-        if pos == end:
-            idx += 1
-    return tuple(parts)
+def _explicit_splittable(instance: Instance, threshold: Fraction) -> SplittableSchedule:
+    pieces, layout = _deal(instance, threshold, instance.machine_count)
+    return SplittableSchedule(
+        pieces=tuple(
+            (job_id, frac, machine)
+            for machine, indices in layout.items()
+            for k in indices
+            for job_id, frac in pieces[k][1]
+        )
+    )
 
 
-def _compact_splittable(
-    instance: Instance, plan: SubClassPlan, job_lists
-) -> CompactSchedule:
-    """Round-robin layout over the true machine count, stored compressed.
+def _compact_splittable(plan: SubClassPlan, machine_count: int) -> CompactSchedule:
+    """The round robin of ``_explicit_splittable`` over the true machine
+    count, stored as counted class-load patterns.
 
-    Virtual order: all full pieces (class asc, piece asc; they share size
-    T*) followed by the partial pieces sorted by size descending. Piece j
-    goes to machine j mod m. Machines carrying a single full piece are
-    folded into per-class counters; the rest are listed explicitly.
+    Dealing order: every full piece (class ascending; all of size T*),
+    then the partial pieces by (-load, class). Piece k goes to machine
+    k mod m. The order is a list of runs, one per class's full pieces and
+    one per partial piece, and machine i meets a new run in some layer only
+    where i = b mod m for a run boundary b. The machines between those cut
+    points share one pattern, so there are O(C) patterns whatever m is.
     """
-    m = instance.machine_count
-    t_star = plan.threshold
-    full_total = sum(split.full_count for split in plan.classes)
-    # global index ranges of each class's full pieces
-    full_range = {}
-    cursor = 0
+    m = machine_count
+    runs = []  # (first piece index, class_id, piece load) in dealing order
+    dealt = 0
     for split in plan.classes:
-        full_range[split.class_id] = (cursor, cursor + split.full_count)
-        cursor += split.full_count
-    partials = sorted(
+        if split.full_count:
+            runs.append((dealt, split.class_id, plan.threshold))
+            dealt += split.full_count
+    for split in sorted(
         (s for s in plan.classes if s.partial_load),
         key=lambda s: (-s.partial_load, s.class_id),
-    )
-    g = full_total + len(partials)
-    assert g == plan.total_sub_classes
-
-    prefixes: dict = {}
-
-    def class_prefix(class_id):
-        if class_id not in prefixes:
-            acc = [Fraction(0)]
-            for _jid, size in job_lists[class_id - 1]:
-                acc.append(acc[-1] + size)
-            prefixes[class_id] = acc
-        return prefixes[class_id]
-
-    range_starts = [full_range[s.class_id][0] for s in plan.classes]
-
-    def piece(j):
-        """(load, parts) of virtual piece j."""
-        if j < full_total:
-            pos = bisect.bisect_right(range_starts, j) - 1
-            split = plan.classes[pos]
-            lo, _hi = full_range[split.class_id]
-            jobs = job_lists[split.class_id - 1]
-            return t_star, _full_piece_parts(
-                jobs, class_prefix(split.class_id), j - lo, t_star
-            )
-        split = partials[j - full_total]
-        return split.partial_load, split.partial_parts
-
-    explicit_pieces = []
-    trivial: dict = {}
-    next_machine = 0
-
-    def emit(piece_indices):
-        nonlocal next_machine
-        for j in piece_indices:
-            _load, parts = piece(j)
-            for job_id, frac in parts:
-                explicit_pieces.append((job_id, frac, next_machine))
-        next_machine += 1
-
-    if g <= m:
-        # one piece per machine: fulls are all trivial, partials explicit
-        for split in plan.classes:
-            if split.full_count:
-                trivial[split.class_id] = split.full_count
-        for rank in range(len(partials)):
-            emit([full_total + rank])
-    else:
-        overflow = g - m
-        if overflow > COMPACT_EXPLICIT_CAP:
-            raise EnumerationCapError(
-                f"compact splittable layout needs {overflow} explicitly "
-                f"listed machines, cap is {COMPACT_EXPLICIT_CAP}"
-            )
-        multi = min(m, overflow)  # machines 0..multi-1 hold >= 2 pieces
-        for i in range(multi):
-            emit(range(i, g, m))
-        # single-piece machines are i in [g-m, m) carrying piece i
-        single_lo = g - m
-        # fulls among them become counters
-        for split in plan.classes:
-            lo, hi = full_range[split.class_id]
-            kept = min(hi, m) - max(lo, single_lo)
-            if kept > 0:
-                trivial[split.class_id] = kept
-        # partial singles stay explicit
-        for j in range(max(single_lo, full_total), min(g, m)):
-            emit([j])
-
-    return CompactSchedule(
-        explicit_machines=SplittableSchedule(pieces=tuple(explicit_pieces)),
-        trivial_machine_counts=trivial,
-        piece_size=t_star,
-    )
+    ):
+        runs.append((dealt, split.class_id, split.partial_load))
+        dealt += 1
+    starts = [first for first, _u, _load in runs]
+    cuts = sorted({0, m} | {b % m for b in starts + [dealt]})
+    counts: dict = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        loads: dict = {}
+        for k in range(lo, dealt, m):  # machine lo's piece in each layer
+            _first, u, load = runs[bisect.bisect_right(starts, k) - 1]
+            loads[u] = loads.get(u, 0) + load
+        if loads:
+            pattern = tuple(sorted(loads.items()))
+            counts[pattern] = counts.get(pattern, 0) + hi - lo
+    return CompactSchedule(patterns=tuple(counts.items()))
 
 
 def approx_splittable(instance: Instance):
@@ -380,8 +270,8 @@ def approx_splittable(instance: Instance):
     m exceeds the job count."""
     t_star, plan = border_search_splittable(instance)
     if instance.machine_count <= instance.job_count:
-        return _explicit_splittable(plan, instance.machine_count)
-    return _compact_splittable(instance, plan, _class_job_lists(instance))
+        return _explicit_splittable(instance, t_star)
+    return _compact_splittable(plan, instance.machine_count)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +312,8 @@ def _preemptive_guess(instance: Instance):
     )
     # always solvable: every class load <= c * m_used slots suffice at LB
     # or at the smallest admissible border
-    assert t_star is not None
+    if t_star is None:
+        raise CCSError("no feasible preemptive threshold")
     return t_star, m_used, lb
 
 
@@ -433,20 +324,15 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
     split class land on adjacent machines whose layers are synchronized, so
     the two halves of a straddling job never overlap in time."""
     t_star, m_used, _lb = _preemptive_guess(instance)
-    plan = _build_plan(instance, t_star, materialize=True)
-    pieces_by_index = []
-    for split in plan.classes:
-        assert split.pieces is not None
-        pieces_by_index.extend(split.pieces)
-    loads = [load for load, _parts in pieces_by_index]
-    layout = round_robin(list(enumerate(loads)), m_used)
+    pieces, layout = _deal(instance, t_star, m_used)
+    loads = [load for load, _parts in pieces]
     stacks = [[loads[k] for k in layout[i]] for i in range(m_used)]
     starts = repack_stacks(stacks, t_star)
     out = []
     for machine in range(m_used):
         for slot, k in enumerate(layout[machine]):
             offset = starts[machine][slot]
-            for job_id, frac in pieces_by_index[k][1]:
+            for job_id, frac in pieces[k][1]:
                 duration = frac * instance.processing_times[job_id]
                 out.append((job_id, frac, machine, offset))
                 offset += duration
@@ -539,7 +425,8 @@ def nonpreemptive_threshold(instance: Instance):
             hi = mid
         else:
             lo = mid
-    assert fits(hi)
+    if not fits(hi):
+        raise CCSError(f"non-preemptive threshold {hi} does not fit")
     return hi, m_used, lb
 
 

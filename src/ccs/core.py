@@ -192,29 +192,27 @@ class NonPreemptiveSchedule:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompactSchedule:
-    """Splittable schedule in compressed form for huge machine counts: an
-    explicit part over the machines that carry anything irregular, plus, per
-    class, a count of machines filled with exactly one piece of size
-    ``piece_size``. Only the explicit machines are materialized."""
+    """Splittable schedule stored as counted machine patterns, for machine
+    counts far beyond the job count.
 
-    explicit_machines: SplittableSchedule
-    trivial_machine_counts: Mapping
-    piece_size: Fraction
+    ``patterns`` holds (pattern, count) pairs: ``count`` machines each run
+    ``pattern``, one machine's load per class as ``((class_id, load),
+    ...)`` in class order. Jobs of a class may be cut anywhere and run in
+    parallel, so the per-machine class loads fix the schedule up to how
+    each class is carved into job pieces; ``expand_compact`` carves one."""
+
+    patterns: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "trivial_machine_counts", dict(self.trivial_machine_counts)
-        )
-        object.__setattr__(self, "piece_size", Fraction(self.piece_size))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CompactSchedule)
-            and self.explicit_machines == other.explicit_machines
-            and self.trivial_machine_counts == other.trivial_machine_counts
-            and self.piece_size == other.piece_size
+            self,
+            "patterns",
+            tuple(
+                (tuple((u, Fraction(load)) for u, load in pattern), count)
+                for pattern, count in self.patterns
+            ),
         )
 
 
@@ -247,7 +245,9 @@ def machine_loads(schedule: Schedule, instance: Instance) -> dict:
         for j, i in schedule.assignment.items():
             loads[i] = loads.get(i, Fraction(0)) + instance.processing_times[j]
     elif isinstance(schedule, CompactSchedule):
-        loads = machine_loads(schedule.explicit_machines, instance)
+        raise TypeError(
+            "a CompactSchedule has no machine ids; use expand_compact first"
+        )
     else:
         raise TypeError(f"not a schedule: {schedule!r}")
     return loads
@@ -264,10 +264,11 @@ def makespan(schedule: Schedule, instance: Instance) -> Fraction:
         ]
         return max(ends, default=Fraction(0))
     if isinstance(schedule, CompactSchedule):
-        explicit = makespan(schedule.explicit_machines, instance)
-        if any(count > 0 for count in schedule.trivial_machine_counts.values()):
-            return max(explicit, schedule.piece_size)
-        return explicit
+        return max(
+            (sum((load for _u, load in pattern), Fraction(0))
+             for pattern, _count in schedule.patterns),
+            default=Fraction(0),
+        )
     loads = machine_loads(schedule, instance)
     return max(loads.values(), default=Fraction(0))
 
@@ -382,54 +383,39 @@ def _validate_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance)
 
 def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
     violations = []
-    explicit = schedule.explicit_machines
-    fraction_sums = [Fraction(0)] * instance.job_count
-    explicit_class_load: dict = {}
-    machine_classes: dict = {}
-    explicit_ids = set()
-    for j, lam, i in explicit.pieces:
-        if not 0 <= j < instance.job_count:
-            violations.append(f"unknown job id {j}")
+    carried = [Fraction(0)] * instance.class_count
+    machines = 0
+    for pattern, count in schedule.patterns:
+        # bool is an int subclass; a count must be a whole number of machines
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            violations.append(f"pattern count {count!r} is not a positive integer")
             continue
-        if not 0 <= i < instance.machine_count:
-            violations.append(f"unknown machine id {i}")
-            continue
-        if not 0 < lam <= 1:
-            violations.append(f"fraction {lam} of job {j} outside (0, 1]")
-        fraction_sums[j] += lam
-        explicit_ids.add(i)
-        u = instance.class_labels[j]
-        explicit_class_load[u] = (
-            explicit_class_load.get(u, Fraction(0)) + lam * instance.processing_times[j]
-        )
-        machine_classes.setdefault(i, set()).add(u)
-    for j, total in enumerate(fraction_sums):
-        if total > 1:
-            violations.append(f"fractions of job {j} sum to {total} > 1")
-    violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    trivial_total = 0
-    for u, count in sorted(schedule.trivial_machine_counts.items()):
-        if not 1 <= u <= instance.class_count:
-            violations.append(f"unknown class id {u} in trivial machine counts")
-            continue
-        if count < 0:
-            violations.append(f"negative trivial machine count for class {u}")
-            continue
-        trivial_total += count
-    if len(explicit_ids) + trivial_total > instance.machine_count:
-        violations.append(
-            f"machine budget exceeded: {len(explicit_ids)} explicit + "
-            f"{trivial_total} trivial > m={instance.machine_count}"
-        )
-    # Per-class conservation: the explicit part plus the folded size-T pieces
-    # must carry the class's entire load exactly.
-    totals = {cl.class_id: cl.total for cl in class_loads(instance)}
-    for u, total in sorted(totals.items()):
-        carried = explicit_class_load.get(u, Fraction(0))
-        carried += schedule.trivial_machine_counts.get(u, 0) * schedule.piece_size
-        if carried != total:
+        machines += count
+        classes = [u for u, _load in pattern]
+        if len(set(classes)) != len(classes):
+            violations.append(f"pattern {classes} lists a class twice")
+        if len(classes) > instance.slot_budget:
             violations.append(
-                f"class {u} carries {carried}, expected {total}"
+                f"slot budget exceeded on {count} machines: "
+                f"{len(classes)} classes > c={instance.slot_budget}"
+            )
+        for u, load in pattern:
+            if u not in range(1, instance.class_count + 1):
+                violations.append(f"unknown class id {u!r}")
+            elif load <= 0:
+                violations.append(f"class {u} has non-positive load {load}")
+            else:
+                carried[u - 1] += count * load
+    if machines > instance.machine_count:
+        violations.append(
+            f"machine budget exceeded: {machines} machines > "
+            f"m={instance.machine_count}"
+        )
+    for cl in class_loads(instance):
+        if carried[cl.class_id - 1] != cl.total:
+            violations.append(
+                f"class {cl.class_id} carries {carried[cl.class_id - 1]}, "
+                f"expected {cl.total}"
             )
     return violations
 
@@ -479,38 +465,35 @@ def lower_bound(instance: Instance, variant: str):
 
 
 def expand_compact(schedule: CompactSchedule, instance: Instance) -> SplittableSchedule:
-    """Materialize a CompactSchedule as an explicit SplittableSchedule.
+    """Materialize a valid CompactSchedule as an explicit SplittableSchedule.
 
-    Trivial machines get fresh machine ids after the explicit ones. Each
-    class's leftover job fractions (whatever the explicit part did not use)
-    are carved into pieces of exactly ``piece_size`` in job-id order; exact
-    conservation makes the carving come out even.
+    Machines get fresh ids 0, 1, ... in pattern order. Each class's jobs
+    are carved in job-id order into the loads its patterns ask for; exact
+    conservation makes the carving come out even. The cost is O(m*c + n):
+    one piece per machine and class slot, plus one per job cut in two.
+    Raises InvalidScheduleError when ``validate`` rejects the schedule.
     """
-    pieces = list(schedule.explicit_machines.pieces)
-    used = {i for (_j, _lam, i) in pieces}
-    next_machine = max(used) + 1 if used else 0
-    remaining = [Fraction(1)] * instance.job_count
-    for j, lam, _i in pieces:
-        remaining[j] -= lam
-    for u in sorted(schedule.trivial_machine_counts):
-        count = schedule.trivial_machine_counts[u]
-        pool = [j for j in instance.jobs_of_class(u) if remaining[j] > 0]
-        cursor = 0
+    violations = _validate_compact(schedule, instance)
+    if violations:
+        raise InvalidScheduleError(violations[0])
+    jobs = [[] for _ in range(instance.class_count)]
+    for j, lab in enumerate(instance.class_labels):
+        jobs[lab - 1].append(j)
+    cursor = [0] * instance.class_count  # next job of the class to carve
+    left = [Fraction(1)] * instance.job_count  # fraction not yet carved
+    pieces = []
+    machine = 0
+    for pattern, count in schedule.patterns:
         for _ in range(count):
-            space = schedule.piece_size
-            while space > 0:
-                if cursor >= len(pool):
-                    raise InvalidScheduleError(
-                        f"class {u} lacks load for its trivial machines"
-                    )
-                j = pool[cursor]
-                available = remaining[j] * instance.processing_times[j]
-                take = min(space, available)
-                lam = take / instance.processing_times[j]
-                pieces.append((j, lam, next_machine))
-                remaining[j] -= lam
-                space -= take
-                if remaining[j] == 0:
-                    cursor += 1
-            next_machine += 1
+            for u, load in pattern:
+                while load > 0:
+                    j = jobs[u - 1][cursor[u - 1]]
+                    size = instance.processing_times[j]
+                    lam = min(left[j], load / size)
+                    pieces.append((j, lam, machine))
+                    left[j] -= lam
+                    load -= lam * size
+                    if left[j] == 0:
+                        cursor[u - 1] += 1
+            machine += 1
     return SplittableSchedule(tuple(pieces))

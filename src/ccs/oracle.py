@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
+    CCSError,
     EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
@@ -134,7 +135,8 @@ def opt_nonpreemptive(instance: Instance) -> tuple[Fraction, NonPreemptiveSchedu
                     hosted_any[u] -= 1
 
     rec(0, 0)
-    assert best_val is not None and best_assign is not None  # C <= m*c ensures one
+    if best_val is None or best_assign is None:  # C <= m*c ensures one
+        raise CCSError("no feasible assignment")
     return best_val, NonPreemptiveSchedule(dict(enumerate(best_assign)))
 
 
@@ -197,7 +199,8 @@ def opt_splittable(instance: Instance) -> Fraction:
                 class_masks[u] &= ~bit
 
     rec(0, 0, 0)
-    assert best is not None  # C <= m*c guarantees a covering pattern
+    if best is None:  # C <= m*c guarantees a covering pattern
+        raise CCSError("no class pattern covers every class")
     return best
 
 
@@ -291,7 +294,8 @@ def preemptive_feasible(
             edge_cap = cap[(p, v)]
             bottleneck = edge_cap if bottleneck is None else min(bottleneck, edge_cap)
             v = p
-        assert bottleneck is not None and bottleneck > 0
+        if bottleneck is None or bottleneck <= 0:
+            raise CCSError("augmenting path without residual capacity")
         v = sink
         while v != source:
             p = parent[v]

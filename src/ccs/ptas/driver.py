@@ -16,10 +16,13 @@ most instances stop there after one program. Otherwise the safe guess at
 the top must be feasible, and bisection above the bottom finds the
 smallest feasible guess it meets.
 
-Machine counts beyond what any schedule can use are clamped first: a
-splittable schedule never occupies more than n*c machines, a
-non-preemptive one never more than n. Splittable results for machine
-counts beyond the job count are wrapped compactly.
+Machine counts are clamped first. A non-preemptive schedule never uses
+more than n machines, so min(m, n) loses nothing. The splittable scheme
+solves at min(m, n*c) machines, so that runs with a huge m stay
+reproducible and equal to the saturated run; its schedule lists at most
+n*c machines. This clamp is a choice, not a bound: pieces of one job may
+run in parallel on any number of machines, so the (1 + epsilon) guarantee
+of the splittable scheme holds for m <= n*c only.
 
 The preemptive variant reduces to the splittable one, since the preemptive
 optimum is max(p_max, splittable optimum): with m >= n every job gets a
@@ -36,14 +39,12 @@ from typing import Optional
 from ..approx import approx_nonpreemptive, approx_splittable
 from ..core import (
     CCSError,
-    CompactSchedule,
     Instance,
     NONPREEMPTIVE,
     PREEMPTIVE,
     PreemptiveSchedule,
     Rational,
     SPLITTABLE,
-    SplittableSchedule,
     VARIANTS,
     lower_bound,
     makespan,
@@ -166,7 +167,9 @@ def ptas_solve(
 ):
     """A schedule within a factor 1 + epsilon of the variant's optimum.
 
-    epsilon must lie in (0, 1]. The keyword delta overrides the derived
+    The splittable variant keeps that guarantee for m <= n*c only: beyond,
+    it solves at n*c machines and returns a SplittableSchedule over at most
+    n*c of them (see the module docstring). epsilon must lie in (0, 1]. The keyword delta overrides the derived
     accuracy with a coarser or finer grid 1/k (mainly for experiments);
     epsilon may then be None. A dict passed as ``report`` receives the
     accepted guess, the program it was solved on and that program's point
@@ -212,7 +215,8 @@ def _scheme(instance, variant, delta, enum_cap, report):
     floor, _ub = lower_bound(work, variant)
     warm = _WARM_ALGO[variant](work)
     reach = makespan(warm, work)
-    assert reach > 0
+    if reach <= 0:
+        raise CCSError(f"warm start has makespan {reach}")
     lo = max(floor, reach / _WARM_RATIO[variant])
     hi = reach
     probe = _Prober(work, delta, variant, enum_cap)
@@ -233,12 +237,4 @@ def _scheme(instance, variant, delta, enum_cap, report):
     # the same effective machine count must produce identical schedules,
     # so the bounded-irregular-machines row is exercised by its own tests
     # rather than rerouted through here.
-    schedule = construct_schedule(instance, solution, built)
-    if variant == SPLITTABLE and instance.machine_count > instance.job_count:
-        if isinstance(schedule, SplittableSchedule):
-            schedule = CompactSchedule(
-                explicit_machines=schedule,
-                trivial_machine_counts={},
-                piece_size=Fraction(0),
-            )
-    return schedule
+    return construct_schedule(instance, solution, built)

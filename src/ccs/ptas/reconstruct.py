@@ -203,7 +203,7 @@ def _augment(rows: list, match_row: list, match_col: dict, root: int) -> None:
                     match_col[match_row[r]] = r
                 return
             queue.append(match_col[col])
-    raise AssertionError("no perfect matching in a matrix of equal line sums")
+    raise CCSError("no perfect matching in a matrix of equal line sums")
 
 
 def unfold_preemptive(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..core import (
+    CCSError,
     Instance,
     NONPREEMPTIVE,
     PREEMPTIVE,
@@ -234,7 +235,8 @@ def _group_class(jobs: list, slot: Fraction) -> list:
             j, p = tiny.pop(0)
             taken.append(j)
             total += p
-        assert slot <= total < 2 * slot
+        if not slot <= total < 2 * slot:
+            raise CCSError(f"chunk load {total} outside [{slot}, {2 * slot})")
         chunks.append((tuple(sorted(taken)), total))
     hosts = keep + chunks
     if tiny:
@@ -290,7 +292,8 @@ def preprocess(
             if small:
                 scaled = _scaled_ceil(raw, scale, 1)
             else:
-                assert raw >= slot, "large class with an undersized job"
+                if raw < slot:
+                    raise CCSError(f"large class {u} with an undersized job")
                 scaled = _scaled_ceil(raw, scale, c)
             jobs.append(RoundedJob(ids, raw, scaled))
         jobs.sort(key=lambda job: (-job.scaled_size, job.lead_id))

@@ -2,10 +2,12 @@
 algorithms: frozen small cases plus property tests against the oracles."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccs import (
     CompactSchedule,
@@ -33,7 +35,7 @@ from ccs import (
     PREEMPTIVE,
     SPLITTABLE,
 )
-from ccs.approx import _preemptive_guess
+from ccs.approx import _explicit_splittable, _preemptive_guess
 
 from conftest import instances, oracle_instances
 
@@ -42,6 +44,27 @@ def inst(sizes, labels, m, c) -> Instance:
     return Instance(
         tuple(Fraction(p) for p in sizes), tuple(labels), machine_count=m, slot_budget=c
     )
+
+
+@st.composite
+def many_machine_instances(draw):
+    """n < m <= 60, where approx_splittable answers with patterns."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(n + 1, 60))
+    c = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    return Instance(tuple(sizes), tuple(labels), m, c)
+
+
+def class_profile(schedule: SplittableSchedule, instance: Instance) -> list:
+    """Sorted per-machine class loads, ((class_id, load), ...) per machine."""
+    per_machine: dict = {}
+    for j, lam, i in schedule.pieces:
+        loads = per_machine.setdefault(i, {})
+        u = instance.class_labels[j]
+        loads[u] = loads.get(u, 0) + lam * instance.processing_times[j]
+    return sorted(tuple(sorted(loads.items())) for loads in per_machine.values())
 
 
 class TestSplitClass:
@@ -68,7 +91,8 @@ class TestBorderSearch:
         t_star, plan = border_search_splittable(inst([12], [1], 3, 1))
         assert t_star == 4
         assert plan.classes[0].count == 3
-        assert [load for load, _ in plan.classes[0].pieces] == [4, 4, 4]
+        assert plan.classes[0].full_count == 3
+        assert plan.classes[0].partial_load == 0
 
     def test_two_singleton_classes_one_slot_each(self):
         # both classes need a machine of their own, the big one sets T*
@@ -93,11 +117,19 @@ class TestBorderSearch:
         assert plan.total_sub_classes <= budget
         for split in plan.classes:
             assert split.count == max(1, math.ceil(split.total / t_star))
-            loads = [load for load, _ in split.pieces]
-            assert loads[:-1] == [t_star] * (len(loads) - 1)
-            assert 0 < loads[-1] <= t_star
+            assert split.count == split.full_count + (split.partial_load > 0)
+            assert 0 <= split.partial_load < t_star
+            jobs = [
+                (j, instance.processing_times[j])
+                for j in instance.jobs_of_class(split.class_id)
+            ]
+            pieces = split_class(jobs, t_star)
+            loads = [load for load, _ in pieces]
+            assert loads == [t_star] * split.full_count + (
+                [split.partial_load] if split.partial_load else []
+            )
             assert sum(loads) == totals[split.class_id]
-            for load, parts in split.pieces:
+            for load, parts in pieces:
                 shares = sum(
                     frac * instance.processing_times[j] for j, frac in parts
                 )
@@ -114,10 +146,7 @@ class TestApproxSplittable:
     def test_self_parallel_pieces_use_every_machine(self):
         instance = inst([6], [1], 3, 1)
         schedule = approx_splittable(instance)
-        assert isinstance(schedule, CompactSchedule)
-        assert dict(schedule.trivial_machine_counts) == {1: 3}
-        assert schedule.piece_size == 2
-        assert schedule.explicit_machines.pieces == ()
+        assert schedule == CompactSchedule(patterns=((((1, 2),), 3),))
         assert makespan(schedule, instance) == 2
         assert validate(schedule, instance) == []
 
@@ -133,22 +162,21 @@ class TestApproxSplittable:
         ]
         assert validate(schedule, instance) == []
 
-    def test_partial_piece_stays_explicit(self):
+    def test_partial_piece_gets_a_machine_of_its_own(self):
         instance = inst([9, 2], [1, 2], 3, 1)
         schedule = approx_splittable(instance)
-        assert dict(schedule.trivial_machine_counts) == {1: 2}
-        assert schedule.explicit_machines.pieces == ((1, Fraction(1), 0),)
+        assert schedule == CompactSchedule(
+            patterns=((((1, Fraction(9, 2)),), 2), (((2, 2),), 1))
+        )
         assert makespan(schedule, instance) == Fraction(9, 2)
         assert validate(schedule, instance) == []
 
-    def test_doubled_up_machines_are_listed(self):
+    def test_doubled_up_machines_share_one_pattern(self):
         # 8 quarter-pieces on 4 machines: every machine carries two classes
         instance = inst([6, 6], [1, 2], 4, 2)
         schedule = approx_splittable(instance)
-        assert isinstance(schedule, CompactSchedule)
-        assert dict(schedule.trivial_machine_counts) == {}
-        explicit = {mach for _j, _f, mach in schedule.explicit_machines.pieces}
-        assert len(explicit) == 4
+        half = Fraction(3, 2)
+        assert schedule == CompactSchedule(patterns=((((1, half), (2, half)), 4),))
         assert makespan(schedule, instance) == 3
         assert validate(schedule, instance) == []
 
@@ -184,6 +212,28 @@ class TestApproxSplittable:
     def test_within_twice_the_optimum(self, instance):
         schedule = approx_splittable(instance)
         assert makespan(schedule, instance) <= 2 * opt_splittable(instance)
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_a_billion_machines(self, c):
+        instance = inst(range(1, 21), [j % 5 + 1 for j in range(20)], 10**9, c)
+        start = time.perf_counter()
+        t_star, _plan = border_search_splittable(instance)
+        schedule = approx_splittable(instance)
+        assert time.perf_counter() - start < 1
+        assert isinstance(schedule, CompactSchedule)
+        assert validate(schedule, instance) == []
+        lb, _ub = lower_bound(instance, SPLITTABLE)
+        assert makespan(schedule, instance) <= lb + t_star
+        # one pattern per stretch between run boundaries: O(C), not O(m)
+        assert len(schedule.patterns) <= 2 * instance.class_count + 1
+
+    @given(many_machine_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_patterns_match_the_explicit_round_robin(self, instance):
+        t_star, _plan = border_search_splittable(instance)
+        compact = expand_compact(approx_splittable(instance), instance)
+        explicit = _explicit_splittable(instance, t_star)
+        assert class_profile(compact, instance) == class_profile(explicit, instance)
 
 
 class TestRepackStacks:

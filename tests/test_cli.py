@@ -240,6 +240,13 @@ class TestSolveCommand:
         assert out[0] == CSV_HEADER
         assert out[1].split(",")[4] == "2"
 
+    def test_split_approx_at_a_billion_machines(self, tmp_path, capsys):
+        code = self.solve(tmp_path, "3 1000000000 2\n4 1\n5 2\n6 3\n",
+                          "--variant", "split", "--algo", "approx")
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[-1] == "yes"
+
     def test_infeasible_instance_exits_two(self, tmp_path):
         code = self.solve(tmp_path, "2 1 1\n2 1\n2 2\n",
                           "--variant", "preempt", "--algo", "approx")

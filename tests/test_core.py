@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccs
 from ccs import (
     CompactSchedule,
     Instance,
@@ -199,27 +202,50 @@ class TestValidate:
 
 class TestCompactSchedule:
     def _compact(self):
-        # One class of total 12; one explicit machine carrying 4, two folded
-        # machines of 4 each.
-        inst = Instance((6, 6), (1, 1), 5, 1)
-        explicit = SplittableSchedule(((0, F("2/3"), 0),))
-        return inst, CompactSchedule(explicit, {1: 2}, F(4))
+        # Class 1 (total 12) on three machines of 4, one of which also
+        # carries all of class 2 (total 3).
+        inst = Instance((6, 6, 3), (1, 1, 2), 5, 2)
+        return inst, CompactSchedule(
+            ((((1, 4),), 2), (((1, 4), (2, 3)), 1))
+        )
 
     def test_validates_and_measures(self):
         inst, compact = self._compact()
         assert validate(compact, inst) == []
-        assert makespan(compact, inst) == 4
+        assert makespan(compact, inst) == 7
+        assert makespan(CompactSchedule(()), inst) == 0
 
     def test_conservation_violation_detected(self):
         inst, compact = self._compact()
-        broken = CompactSchedule(compact.explicit_machines, {1: 1}, F(4))
-        assert any("carries" in v for v in validate(broken, inst))
+        broken = CompactSchedule(((compact.patterns[0][0], 1), compact.patterns[1]))
+        assert any("class 1 carries 8" in v for v in validate(broken, inst))
 
     def test_machine_budget_checked(self):
-        inst = Instance((6, 6), (1, 1), 2, 1)
-        explicit = SplittableSchedule(((0, F("2/3"), 0),))
-        compact = CompactSchedule(explicit, {1: 2}, F(4))
+        inst = Instance((6, 6, 3), (1, 1, 2), 2, 2)
+        _inst, compact = self._compact()
         assert any("machine budget" in v for v in validate(compact, inst))
+
+    @pytest.mark.parametrize("patterns, message", [
+        (((((1, 12),), 0), (((2, 3),), 1)), "not a positive integer"),
+        (((((1, 12),), True), (((2, 3),), 1)), "not a positive integer"),
+        (((((1, 12),), 1.0), (((2, 3),), 1)), "not a positive integer"),
+        (((((1, 12), (3, 1)), 1), (((2, 3),), 1)), "unknown class id 3"),
+        (((((1, 6), (1, 6)), 1), (((2, 3),), 1)), "lists a class twice"),
+        (((((1, 12), (2, 0)), 1), (((2, 3),), 1)), "non-positive load"),
+        (((((1, 12), (2, 3)), 1),), None),
+    ])
+    def test_pattern_checks(self, patterns, message):
+        inst = Instance((6, 6, 3), (1, 1, 2), 5, 2)
+        violations = validate(CompactSchedule(patterns), inst)
+        if message is None:
+            assert violations == []
+        else:
+            assert any(message in v for v in violations)
+
+    def test_slot_budget_checked_per_pattern(self):
+        inst = Instance((6, 6, 3), (1, 1, 2), 5, 1)
+        compact = CompactSchedule(((((1, 12), (2, 3)), 1),))
+        assert any("slot budget" in v for v in validate(compact, inst))
 
     def test_expansion_preserves_makespan_and_loads(self):
         inst, compact = self._compact()
@@ -227,7 +253,30 @@ class TestCompactSchedule:
         assert validate(expanded, inst) == []
         assert makespan(expanded, inst) == makespan(compact, inst)
         per_machine = machine_loads(expanded, inst)
-        assert sorted(per_machine.values()) == [4, 4, 4]
+        assert sorted(per_machine.values()) == [4, 4, 7]
+
+    def test_expansion_refuses_an_invalid_schedule(self):
+        inst, _compact = self._compact()
+        with pytest.raises(InvalidScheduleError, match="carries"):
+            expand_compact(CompactSchedule(((((1, 4),), 2),)), inst)
+
+    def test_machine_loads_refuses_compact(self):
+        inst, compact = self._compact()
+        with pytest.raises(TypeError, match="expand_compact"):
+            machine_loads(compact, inst)
+
+
+def test_library_raises_no_assertion():
+    """Guarantees fail with a typed CCSError: ``python -O`` strips assert
+    statements, and AssertionError is no CCSError."""
+    found = []
+    for path in sorted(Path(ccs.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Name) and node.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno} AssertionError")
+    assert found == []
 
 
 class TestRationalText:

@@ -848,12 +848,14 @@ class TestDriver:
         with pytest.raises(CCSError, match="safe guess 9/4"):
             _search_grid(reject, Fraction(1), Fraction(2), HALF)
 
-    def test_huge_machine_count_compacts(self):
+    def test_huge_machine_count_matches_saturated_run(self):
         inst = Instance((2, 3), (1, 2), 10**9, 2)
         clamped = Instance((2, 3), (1, 2), 4, 2)
         big = ptas_solve(inst, 1, SPLITTABLE)
         small = ptas_solve(clamped, 1, SPLITTABLE)
-        assert isinstance(big, CompactSchedule)
+        # the scheme solves at n*c machines and lists each of them
+        assert isinstance(big, SplittableSchedule)
+        assert {i for _j, _lam, i in big.pieces} <= set(range(4))
         assert validate(big, inst) == []
         assert validate(small, clamped) == []
         assert makespan(big, inst) == makespan(small, clamped)
