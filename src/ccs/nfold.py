@@ -1,9 +1,14 @@
 """Integer feasibility programs and their solver.
 
 A CompactProgram is a sparse integer equality system A x = b,
-lower <= x <= upper, x integral; the schemes' configuration programs are
-built in this form (``ccs.ptas.builder``). An NFoldProgram with N bricks
-has the constraint matrix
+lower <= x <= upper, x integral. It is the one form this module solves,
+checks and enumerates; the schemes' configuration programs are built in
+it (``ccs.ptas.builder``).
+
+An NFoldProgram is the paper's layout of the same kind of program, built
+off the solving path (``ccs.ptas.builder.as_nfold``) to be read: by the
+dimension checks and the ``--dump-nfold`` text format. With N bricks its
+constraint matrix is
 
     [ A_1  A_2 ... A_N ]
     [ B_1              ]
@@ -15,22 +20,19 @@ with r rows shared by all bricks (top blocks A_i, each r x t) and s rows
 private to each brick (diagonal blocks B_i, each s x t). The right-hand
 side stacks the r shared entries first, then the s entries of each brick
 in brick order. Variables carry finite integer bounds; the objective is
-stored but ignored (the schemes built on top only need feasibility). It
-is the paper's layout of the configuration programs, built off the solving
-path (``ccs.ptas.builder.as_nfold``).
+stored but ignored (the schemes built on top only need feasibility).
+``flatten`` validates one and turns it into the compact form.
 
-solve_feasible takes either; a block program is validated and flattened
-into the compact form first. It makes one HiGHS mixed-integer call and
-verifies the rounded point exactly, so float arithmetic never leaks into
-an answer. solve_exhaustive is the independent ground truth: plain
-enumeration of the whole variable box.
+solve_feasible makes one HiGHS mixed-integer call and verifies the rounded
+point exactly, so float arithmetic never leaks into an answer.
+solve_exhaustive is the independent ground truth: plain enumeration of the
+whole variable box.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .core import CCSError, EnumerationCapError
@@ -50,8 +52,7 @@ class SparseRow:
     """Immutable integer row of length ``width`` stored by its nonzero
     entries. The scheme builders produce rows with tens of thousands of
     columns and a handful of nonzeros; storing those densely would cost
-    gigabytes. Block rows may also be plain tuples of ints; code that
-    accepts both walks the nonzeros through ``_row_items``.
+    gigabytes.
     """
 
     __slots__ = ("width", "entries")
@@ -89,26 +90,13 @@ class SparseRow:
         return f"SparseRow({self.width}, {dict(self.items())!r})"
 
 
-def _row_items(row):
-    """(column, coefficient) pairs of a row's nonzeros, any storage, in
-    no particular order."""
-    if isinstance(row, SparseRow):
-        return row.entries.items()
-    return [(j, v) for j, v in enumerate(row) if v]
-
-
-def _row_width(row) -> int:
-    """Number of columns of a row, any storage."""
-    return row.width if isinstance(row, SparseRow) else len(row)
-
-
 @dataclass(frozen=True)
 class NFoldProgram:
-    """Immutable block-structured integer program.
+    """Immutable block-structured integer program, for reading; it is
+    solved as ``flatten(program)``.
 
     top_blocks[i] and diag_blocks[i] are the blocks of brick i as tuples
-    of rows (possibly zero rows), each row a tuple of ints or a SparseRow.
-    rhs lists the shared rows first,
+    of SparseRows (possibly zero rows). rhs lists the shared rows first,
     then each brick's private rows. lower/upper/objective have one entry
     per variable, brick by brick.
     """
@@ -132,65 +120,6 @@ class NFoldProgram:
     def total_columns(self) -> int:
         return self.brick_count * self.brick_width
 
-    @property
-    def delta(self) -> int:
-        """Largest absolute matrix entry (at least 1 by convention)."""
-        best = 1
-        for blocks in (self.top_blocks, self.diag_blocks):
-            for block in blocks:
-                for row in block:
-                    for _j, v in _row_items(row):
-                        best = max(best, abs(v))
-        return best
-
-    @property
-    def encoding_length(self) -> int:
-        """Bit length of the largest magnitude anywhere in the program."""
-        return _encoding_length(self, self.delta)
-
-
-@dataclass(frozen=True)
-class NFoldSolution:
-    """A feasible point, partitioned into bricks."""
-
-    x: tuple
-    brick_width: int
-
-    @property
-    def bricks(self) -> tuple:
-        t = self.brick_width
-        return tuple(
-            self.x[i : i + t] for i in range(0, len(self.x), t)
-        )
-
-
-def _encoding_length(program: NFoldProgram, delta: int) -> int:
-    """encoding_length given the program's largest matrix entry."""
-    best = delta.bit_length()
-    for group in (program.rhs, program.lower, program.upper, program.objective):
-        for v in group:
-            best = max(best, abs(v).bit_length())
-    return best
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """validate_structure's verdict on a well-formed program. delta and
-    encoding_length walk the whole program, so they are computed on first
-    read only."""
-
-    rows: int
-    columns: int
-    program: NFoldProgram = field(repr=False, compare=False)
-
-    @cached_property
-    def delta(self) -> int:
-        return self.program.delta
-
-    @cached_property
-    def encoding_length(self) -> int:
-        return _encoding_length(self.program, self.delta)
-
 
 def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
     """Check one block's shape; rows whose id is in ``seen`` (shared with
@@ -201,21 +130,18 @@ def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
         if id(row) in seen:
             continue
         seen.add(id(row))
-        if _row_width(row) != width:
+        if not isinstance(row, SparseRow):
+            raise InvalidProgramError(f"{what} row {row!r} is not a SparseRow")
+        # its entries were validated when the row was built
+        if row.width != width:
             raise InvalidProgramError(
-                f"{what} row has {_row_width(row)} entries, expected {width}"
+                f"{what} row has {row.width} entries, expected {width}"
             )
-        if isinstance(row, SparseRow):
-            continue  # entries were validated at construction
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidProgramError(f"{what} entry {v!r} is not an integer")
 
 
-def validate_structure(program: NFoldProgram) -> StructureReport:
-    """Check dimensions and bound finiteness; the report gives the sizes,
-    and the largest matrix entry and the encoding length on demand. Raises
-    InvalidProgramError on any inconsistency."""
+def validate_structure(program: NFoldProgram) -> None:
+    """Check dimensions and bound finiteness. Raises InvalidProgramError
+    on any inconsistency."""
     n, r, s, t = (
         program.brick_count,
         program.top_block_rows,
@@ -258,11 +184,6 @@ def validate_structure(program: NFoldProgram) -> StructureReport:
     for lo, hi in zip(program.lower, program.upper):
         if lo > hi:
             raise InvalidProgramError(f"empty variable range [{lo}, {hi}]")
-    return StructureReport(
-        rows=program.total_rows,
-        columns=program.total_columns,
-        program=program,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +230,36 @@ class CompactProgram:
         return len(self.lower)
 
     def row_totals(self, x) -> list:
-        """A x in Python ints; zero entries of x cost one test each."""
-        totals = [0] * len(self.rhs)
+        """A x in Python ints; zero entries of x cost one test each.
+        Raises InvalidProgramError for a row index outside the program
+        among the columns it walks."""
+        size = len(self.rhs)
+        totals = [0] * size
         starts, rows, values = self.col_start, self.row_index, self.values
         for j, v in enumerate(x):
             if v:
                 for e in range(starts[j], starts[j + 1]):
-                    totals[rows[e]] += values[e] * v
+                    k = rows[e]
+                    if not 0 <= k < size:
+                        raise InvalidProgramError(
+                            f"row index {k} outside [0, {size})"
+                        )
+                    totals[k] += values[e] * v
         return totals
 
 
-def _flatten(program: NFoldProgram) -> CompactProgram:
-    """The compact form of a validated block program: rows are the shared
-    rows, then each brick's private rows; brick i's column j is column
-    i*t + j."""
+def flatten(program: NFoldProgram) -> CompactProgram:
+    """The compact form of a block program, after validate_structure:
+    rows are the shared rows, then each brick's private rows; brick i's
+    column j is column i*t + j."""
+    validate_structure(program)
     r, s, t = program.top_block_rows, program.diag_block_rows, program.brick_width
     columns = [[] for _ in range(program.total_columns)]
     for i in range(program.brick_count):
         blocks = (program.top_blocks[i], program.diag_blocks[i])
         for offset, block in zip((0, r + i * s), blocks):
             for k, row in enumerate(block):
-                for j, v in _row_items(row):
+                for j, v in row.entries.items():
                     columns[i * t + j].append((offset + k, v))
     starts = [0]
     for entries in columns:
@@ -348,15 +278,10 @@ def _flatten(program: NFoldProgram) -> CompactProgram:
 # evaluation
 
 
-def constraint_violations(program, x: Sequence) -> list:
+def constraint_violations(program: CompactProgram, x: Sequence) -> list:
     """All violated constraints and bounds of the candidate point, as
     human-readable strings; empty means feasible. Exact arithmetic in
-    Python ints.
-
-    A block program is checked in its compact form, so its row k is the
-    k-th shared row for k < r, then the private rows brick by brick."""
-    if isinstance(program, NFoldProgram):
-        program = _flatten(program)
+    Python ints."""
     lower, upper = program.lower, program.upper
     if len(x) != len(lower):
         return [f"point has length {len(x)}, expected {len(lower)}"]
@@ -381,25 +306,25 @@ def constraint_violations(program, x: Sequence) -> list:
 # exhaustive oracle
 
 
-def solve_exhaustive(program: NFoldProgram) -> Optional[NFoldSolution]:
+def solve_exhaustive(program: CompactProgram) -> Optional[tuple]:
     """Ground truth by full enumeration of the variable box, in ascending
-    lexicographic order. None means infeasible. Raises EnumerationCapError
-    when the box holds more than 10^7 points."""
-    validate_structure(program)
+    lexicographic order: the first feasible point, or None. Raises
+    EnumerationCapError when the box holds more than 10^7 points."""
     size = 1
     for lo, hi in zip(program.lower, program.upper):
+        if hi < lo:
+            return None  # an empty box holds no point
         size *= hi - lo + 1
         if size > EXHAUSTIVE_CAP:
             raise EnumerationCapError(
                 f"variable box exceeds {EXHAUSTIVE_CAP} points"
             )
-    flat = _flatten(program)
-    target = list(flat.rhs)
+    target = list(program.rhs)
     cols = program.total_columns
     x = list(program.lower)
     while True:
-        if flat.row_totals(x) == target:
-            return NFoldSolution(x=tuple(x), brick_width=program.brick_width)
+        if program.row_totals(x) == target:
+            return tuple(x)
         j = cols - 1
         while j >= 0 and x[j] == program.upper[j]:
             x[j] = program.lower[j]
@@ -413,34 +338,46 @@ def solve_exhaustive(program: NFoldProgram) -> Optional[NFoldSolution]:
 # the mixed-integer solve
 
 
-def _solve_compact(program: CompactProgram) -> Optional[list]:
-    """One HiGHS solve; the returned point is rounded and checked once in
-    exact integer arithmetic, so float arithmetic can never leak through.
+def solve_feasible(program: CompactProgram) -> Optional[tuple]:
+    """Any feasible point as a tuple of ints, or None. Deterministic:
+    identical programs give identical solutions. Raises CCSError if the
+    mixed-integer solver fails or returns a point that does not pass the
+    exact check. A block program is solved as ``flatten(program)``.
 
+    One HiGHS solve; the returned point is rounded and checked once in
+    exact integer arithmetic, so float arithmetic can never leak through.
     The solver is handed variables shifted to start at zero: the bundled
     engine has been seen returning bound-violating "optimal" points when
     lower bounds are negative, and the shift is an exact identity."""
     lower = program.lower
     if not program.total_rows or not program.total_columns:
         # nothing for the solver to search: the box's corner decides
-        x = list(lower)
+        x = tuple(lower)
         return None if constraint_violations(program, x) else x
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
+    rows, cols = program.total_rows, program.total_columns
+    index = np.array(program.row_index, dtype=np.int32)
+    # the solver would read an index outside [0, rows) as a different
+    # matrix, without a word
+    if index.size and (index.min() < 0 or index.max() >= rows):
+        raise InvalidProgramError(
+            f"row indices span [{index.min()}, {index.max()}],"
+            f" outside [0, {rows})"
+        )
     rhs = program.rhs
     if any(lower):
         rhs = [b - a for b, a in zip(rhs, program.row_totals(lower))]
     rhs = np.array(rhs, dtype=float)
-    cols = program.total_columns
     matrix = csc_array(
         (
             np.array(program.values, dtype=float),
-            np.array(program.row_index, dtype=np.int32),
+            index,
             np.array(program.col_start, dtype=np.int32),
         ),
-        shape=(program.total_rows, cols),
+        shape=(rows, cols),
     )
     span = np.array(
         [hi - lo for lo, hi in zip(lower, program.upper)], dtype=float
@@ -476,28 +413,10 @@ def _solve_compact(program: CompactProgram) -> Optional[list]:
                 f" of {MILP_TIME_LIMIT:g} s: {result.message}"
             )
         raise CCSError(f"mixed-integer solver failed: {result.message}")
-    x = [lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist())]
+    x = tuple(lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist()))
     if constraint_violations(program, x):
         raise CCSError("mixed-integer solver returned an infeasible point")
     return x
-
-
-def solve_feasible(program):
-    """Any feasible point, or None. Deterministic: identical programs give
-    identical solutions. Raises CCSError if the mixed-integer solver fails
-    or returns a point that does not pass the exact check.
-
-    A CompactProgram yields its point as a tuple of ints. A block program
-    is checked by validate_structure, solved in its compact form, and
-    yields an NFoldSolution."""
-    if not isinstance(program, NFoldProgram):
-        x = _solve_compact(program)
-        return None if x is None else tuple(x)
-    validate_structure(program)
-    x = _solve_compact(_flatten(program))
-    if x is None:
-        return None
-    return NFoldSolution(x=tuple(x), brick_width=program.brick_width)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +449,10 @@ def with_top_row_slacks(
     def widen(row, at=None):
         key = (id(row), at)
         if key not in widened:
-            if isinstance(row, SparseRow):
-                entries = dict(row.entries)
-                if at is not None:
-                    entries[t + at] = 1
-                widened[key] = SparseRow(t + extra, entries)
-            else:
-                tail = [0] * extra
-                if at is not None:
-                    tail[at] = 1
-                widened[key] = tuple(row) + tuple(tail)
+            entries = dict(row.entries)
+            if at is not None:
+                entries[t + at] = 1
+            widened[key] = SparseRow(t + extra, entries)
         return widened[key]
 
     def stretch(vec, tail):
@@ -576,8 +489,8 @@ def dump_program(program: NFoldProgram) -> str:
     for blocks in (program.top_blocks, program.diag_blocks):
         for block in blocks:
             for row in block:
-                tokens = ["0"] * _row_width(row)
-                for j, v in _row_items(row):
+                tokens = ["0"] * row.width
+                for j, v in row.entries.items():
                     tokens[j] = str(v)
                 lines.append(" ".join(tokens))
     for vec in (program.rhs, program.lower, program.upper, program.objective):

@@ -16,10 +16,12 @@ b <= c and h <= bound. The configuration columns depend on the sets alone
 and are cached with them (``ConfigurationSet.columns``).
 
 ``as_nfold`` lays out the same program as the paper's n-fold program, one
-brick per class, off the solving path: every brick has one x per
+brick per class, as a view that is read and never solved (by the
+dimension checks and ``--dump-nfold``): every brick has one x per
 configuration, one y per module, one z per pair and one slack per shared
 inequality row, and the shared rows see only the sum of the x columns over
-the bricks.
+the bricks. Its rows are ``SparseRow``s, since a brick is as wide as the
+configuration set.
 """
 
 from __future__ import annotations

@@ -83,29 +83,25 @@ def _clamp(instance: Instance, variant: str):
 
 
 class _Prober:
-    """Builds and solves the program at a guess, memoized per guess;
-    ``probes`` lists (guess, feasible) for every program solved, in order."""
+    """Builds and solves the program at a guess; ``probes`` lists
+    (guess, feasible) for every program solved, in order. ``_search``
+    never asks for a guess twice, so nothing is kept between calls."""
 
     def __init__(self, work, delta, variant, cap):
         self.work = work
         self.delta = delta
         self.variant = variant
         self.cap = cap
-        self.memo: dict = {}
         self.probes: list = []
 
     def __call__(self, guess: Fraction):
         guess = Fraction(guess)
-        hit = self.memo.get(guess)
-        if hit is None:
-            params = PtasParams.at_guess(guess, self.delta, self.variant)
-            rounded = preprocess(self.work, params, self.variant)
-            built = build_program(rounded, cap=self.cap)
-            solution = solve_feasible(built.program)
-            hit = (built, solution)
-            self.memo[guess] = hit
-            self.probes.append((guess, solution is not None))
-        return hit
+        params = PtasParams.at_guess(guess, self.delta, self.variant)
+        rounded = preprocess(self.work, params, self.variant)
+        built = build_program(rounded, cap=self.cap)
+        solution = solve_feasible(built.program)
+        self.probes.append((guess, solution is not None))
+        return built, solution
 
 
 def _search(probe, guess_at, lo: int, hi: int):
@@ -113,6 +109,9 @@ def _search(probe, guess_at, lo: int, hi: int):
 
     A feasible lo answers at once. Otherwise hi must be feasible, and
     bisection over (lo, hi] returns the smallest feasible index it meets.
+    Every index is probed at most once: each midpoint lies strictly
+    between an infeasible and a feasible index probed before it. Only
+    lo == hi probes one index twice, and an infeasible one raises.
     """
     built, solution = probe(guess_at(lo))
     if solution is not None:
@@ -169,13 +168,14 @@ def ptas_solve(
 
     The splittable variant keeps that guarantee for m <= n*c only: beyond,
     it solves at n*c machines and returns a SplittableSchedule over at most
-    n*c of them (see the module docstring). epsilon must lie in (0, 1]. The keyword delta overrides the derived
-    accuracy with a coarser or finer grid 1/k (mainly for experiments);
-    epsilon may then be None. A dict passed as ``report`` receives the
-    accepted guess, the program it was solved on and that program's point
-    ("guess", "built", "solution"; ``as_nfold(built)`` gives the program's
-    n-fold layout), and under "probes" the (guess, feasible) pair of every
-    program solved, in probe order.
+    n*c of them (see the module docstring). epsilon must lie in (0, 1].
+    The keyword delta overrides the derived accuracy with a coarser or
+    finer grid 1/k (mainly for experiments); epsilon may then be None. A
+    dict passed as ``report`` receives the accepted guess, the program it
+    was solved on and that program's point ("guess", "built", "solution";
+    ``as_nfold(built)`` gives the program's n-fold layout), and under
+    "probes" the (guess, feasible) pair of every program solved, in probe
+    order.
 
     The preemptive variant runs the splittable scheme (delta sets its grid)
     and unfolds the result into time slices; its report describes that

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from ccs import Instance
-from ccs.nfold import NFoldProgram
+from ccs.nfold import NFoldProgram, SparseRow
 
 
 @st.composite
@@ -67,7 +67,8 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
     [-3, 3], bounds within [-4, 4], and a variable box kept under 10^4
     points so the exhaustive oracle stays cheap. Half the programs get a
     right-hand side planted from a random in-box point, so feasible and
-    infeasible cases both appear often."""
+    infeasible cases both appear often. Rows are drawn densely and stored
+    as SparseRows with their entries in ascending column order."""
     n = rng.randint(1, max_bricks)
     t = rng.randint(1, max_width)
     r = rng.randint(1, 2)
@@ -111,13 +112,20 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
                 )
     else:
         rhs = [rng.randint(-6, 6) for _ in range(r + n * s)]
+
+    def sparse(blocks):
+        return tuple(
+            tuple(SparseRow(t, dict(enumerate(row))) for row in block)
+            for block in blocks
+        )
+
     return NFoldProgram(
         brick_count=n,
         top_block_rows=r,
         diag_block_rows=s,
         brick_width=t,
-        top_blocks=top,
-        diag_blocks=diag,
+        top_blocks=sparse(top),
+        diag_blocks=sparse(diag),
         rhs=tuple(rhs),
         lower=tuple(lower),
         upper=tuple(upper),

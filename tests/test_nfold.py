@@ -1,5 +1,6 @@
 """Compact and block-program models, feasibility solver, exhaustive
-oracle, and the inequality-to-equality slack helper."""
+oracle, and the inequality-to-equality slack helper. Block programs are
+solved and checked in their compact form, ``flatten(program)``."""
 
 import random
 import warnings
@@ -16,10 +17,10 @@ from ccs.nfold import (
     CompactProgram,
     InvalidProgramError,
     NFoldProgram,
-    NFoldSolution,
     SparseRow,
     constraint_violations,
     dump_program,
+    flatten,
     solve_exhaustive,
     solve_feasible,
     validate_structure,
@@ -30,13 +31,13 @@ from conftest import random_nfold_program
 
 
 def sparse_rows(program: NFoldProgram, reverse: bool = False) -> NFoldProgram:
-    """The same program with every row stored as a SparseRow whose entries
-    were inserted in ascending (or, with reverse, descending) column order."""
+    """The same program with every row's entries inserted in ascending (or,
+    with reverse, descending) column order."""
     t = program.brick_width
 
     def convert(block):
         return tuple(
-            SparseRow(t, dict(sorted(enumerate(row), reverse=reverse)))
+            SparseRow(t, dict(sorted(row.entries.items(), reverse=reverse)))
             for row in block
         )
 
@@ -54,13 +55,16 @@ def free_pair() -> NFoldProgram:
         top_block_rows=1,
         diag_block_rows=0,
         brick_width=2,
-        top_blocks=(((1, 1),),),
+        top_blocks=((SparseRow(2, {0: 1, 1: 1}),),),
         diag_blocks=((),),
         rhs=(2,),
         lower=(0, 0),
         upper=(3, 3),
         objective=(0, 0),
     )
+
+
+ONE = SparseRow(1, {0: 1})
 
 
 def one_brick(rhs, lower=0, upper=3) -> NFoldProgram:
@@ -70,8 +74,8 @@ def one_brick(rhs, lower=0, upper=3) -> NFoldProgram:
         top_block_rows=1,
         diag_block_rows=1,
         brick_width=1,
-        top_blocks=(((1,),),),
-        diag_blocks=(((1,),),),
+        top_blocks=((ONE,),),
+        diag_blocks=((ONE,),),
         rhs=rhs,
         lower=(lower,),
         upper=(upper,),
@@ -81,15 +85,16 @@ def one_brick(rhs, lower=0, upper=3) -> NFoldProgram:
 
 class TestValidateStructure:
     def test_tiny_program_is_valid(self):
-        report = validate_structure(one_brick((2, 1)))
-        assert report.rows == 2
-        assert report.columns == 1
-        assert report.delta == 1
-        assert report.encoding_length == 2
+        program = one_brick((2, 1))
+        assert validate_structure(program) is None
+        assert program.total_rows == 2
+        assert program.total_columns == 1
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(InvalidProgramError, match="rhs"):
             validate_structure(one_brick((2, 1, 7)))
+        with pytest.raises(InvalidProgramError, match="rhs"):
+            flatten(one_brick((2, 1, 7)))
 
     def test_crossed_bounds(self):
         with pytest.raises(InvalidProgramError, match="range"):
@@ -99,23 +104,18 @@ class TestValidateStructure:
         with pytest.raises(InvalidProgramError, match="integer"):
             validate_structure(one_brick((2.0, 1)))
 
-    def test_report_reads_delta_and_encoding_length_on_demand(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            program = random_nfold_program(rng)
-            for variant in (program, sparse_rows(program)):
-                report = validate_structure(variant)
-                assert "delta" not in vars(report)
-                assert report.delta == variant.delta
-                assert report.encoding_length == variant.encoding_length
+    def test_dense_row_rejected(self):
+        program = replace(one_brick((2, 1)), top_blocks=(((1,),),))
+        with pytest.raises(InvalidProgramError, match="not a SparseRow"):
+            validate_structure(program)
 
     def test_row_of_wrong_width_in_a_later_brick(self):
         row = SparseRow(3, {0: 1})
         program = replace(
             one_brick((1, 1)),
             brick_count=2,
-            top_blocks=(((1,),), (row,)),
-            diag_blocks=(((1,),), ((1,),)),
+            top_blocks=((ONE,), (row,)),
+            diag_blocks=((ONE,), (ONE,)),
             rhs=(1, 1, 1),
             lower=(0, 0),
             upper=(3, 3),
@@ -130,8 +130,8 @@ class TestValidateStructure:
             top_block_rows=2,
             diag_block_rows=1,
             brick_width=1,
-            top_blocks=(((1,),),),
-            diag_blocks=(((1,),),),
+            top_blocks=((ONE,),),
+            diag_blocks=((ONE,),),
             rhs=(2, 2, 1),
             lower=(0,),
             upper=(3,),
@@ -143,48 +143,35 @@ class TestValidateStructure:
 
 class TestSolvers:
     def test_consistent_rows_pin_the_variable(self):
-        solution = solve_feasible(one_brick((2, 2)))
-        assert solution is not None
-        assert solution.x == (2,)
+        assert solve_feasible(flatten(one_brick((2, 2)))) == (2,)
 
     def test_contradicting_rows_are_infeasible(self):
         # the private row forces x = 1, the shared row wants 5
-        assert solve_feasible(one_brick((5, 1))) is None
+        assert solve_feasible(flatten(one_brick((5, 1)))) is None
 
     def test_exhaustive_matches_on_the_frozen_pair(self):
-        found = solve_exhaustive(one_brick((2, 2)))
-        assert found is not None and found.x == (2,)
-        assert solve_exhaustive(one_brick((5, 1))) is None
+        assert solve_exhaustive(flatten(one_brick((2, 2)))) == (2,)
+        assert solve_exhaustive(flatten(one_brick((5, 1)))) is None
 
     def test_exhaustive_refuses_huge_boxes(self):
         with pytest.raises(EnumerationCapError):
-            solve_exhaustive(one_brick((2, 2), lower=0, upper=10**8))
-
-    def test_solutions_partition_into_bricks(self):
-        solution = NFoldSolution(x=(1, 2, 3, 4), brick_width=2)
-        assert solution.bricks == ((1, 2), (3, 4))
+            solve_exhaustive(flatten(one_brick((2, 2), lower=0, upper=10**8)))
 
     def test_determinism(self):
         rng = random.Random(7)
         for _ in range(25):
-            program = random_nfold_program(rng)
-            first = solve_feasible(program)
-            second = solve_feasible(program)
-            if first is None:
-                assert second is None
-            else:
-                assert second is not None and first.x == second.x
+            program = flatten(random_nfold_program(rng))
+            assert solve_feasible(program) == solve_feasible(program)
 
     def test_entry_order_does_not_change_the_point(self):
         rng = random.Random(13)
         for _ in range(25):
             program = random_nfold_program(rng)
-            ascending = solve_feasible(sparse_rows(program))
-            descending = solve_feasible(sparse_rows(program, reverse=True))
-            if ascending is None:
-                assert descending is None
-            else:
-                assert descending is not None and ascending.x == descending.x
+            ascending = solve_feasible(flatten(sparse_rows(program)))
+            descending = solve_feasible(
+                flatten(sparse_rows(program, reverse=True))
+            )
+            assert ascending == descending
 
     def test_time_limit_without_a_point_raises(self, monkeypatch):
         seen = {}
@@ -197,7 +184,7 @@ class TestSolvers:
 
         monkeypatch.setattr(scipy.optimize, "milp", stalled)
         with pytest.raises(CCSError, match=f"time limit of {MILP_TIME_LIMIT:g} s"):
-            solve_feasible(free_pair())
+            solve_feasible(flatten(free_pair()))
         assert seen["time_limit"] == MILP_TIME_LIMIT
 
     def test_highs_settings(self, monkeypatch):
@@ -209,7 +196,7 @@ class TestSolvers:
             return real(**kwargs)
 
         monkeypatch.setattr(scipy.optimize, "milp", spy)
-        assert solve_feasible(free_pair()) is not None
+        assert solve_feasible(flatten(free_pair())) is not None
         assert seen == {
             "presolve": False,
             "time_limit": MILP_TIME_LIMIT,
@@ -221,10 +208,10 @@ class TestSolvers:
         # verbatim, and milp's warning about that is silenced
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert solve_feasible(free_pair()) is not None
+            assert solve_feasible(flatten(free_pair())) is not None
 
     def test_time_limit_with_a_point_is_checked_exactly(self, monkeypatch):
-        expected = solve_feasible(free_pair())
+        expected = solve_feasible(flatten(free_pair()))
         real = scipy.optimize.milp
 
         def limited(**kwargs):
@@ -233,7 +220,7 @@ class TestSolvers:
             return result
 
         monkeypatch.setattr(scipy.optimize, "milp", limited)
-        assert solve_feasible(free_pair()) == expected
+        assert solve_feasible(flatten(free_pair())) == expected
 
         def limited_wrong(**kwargs):
             result = limited(**kwargs)
@@ -242,33 +229,33 @@ class TestSolvers:
 
         monkeypatch.setattr(scipy.optimize, "milp", limited_wrong)
         with pytest.raises(CCSError, match="infeasible point"):
-            solve_feasible(free_pair())
+            solve_feasible(flatten(free_pair()))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_solver_matches_exhaustive(self, seed):
-        program = random_nfold_program(random.Random(seed))
+        program = flatten(random_nfold_program(random.Random(seed)))
         truth = solve_exhaustive(program)
         found = solve_feasible(program)
         assert (found is None) == (truth is None)
         if found is not None:
-            assert constraint_violations(program, found.x) == []
+            assert constraint_violations(program, found) == []
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_aggregated_columns_match_exhaustive(self, seed):
+    def test_shared_top_blocks_match_exhaustive(self, seed):
         # one top block shared by every brick: columns that no private row
         # touches are identical across bricks, the shape of the schemes'
         # machine-count columns in their n-fold layout
         program = random_nfold_program(random.Random(seed), max_bricks=3)
-        program = replace(
+        program = flatten(replace(
             program, top_blocks=(program.top_blocks[0],) * program.brick_count
-        )
+        ))
         truth = solve_exhaustive(program)
         found = solve_feasible(program)
         assert (found is None) == (truth is None)
         if found is not None:
-            assert constraint_violations(program, found.x) == []
+            assert constraint_violations(program, found) == []
 
 
 class TestCompactProgram:
@@ -296,11 +283,28 @@ class TestCompactProgram:
         empty = CompactProgram([0], [], [], rhs=[0, 1], lower=[], upper=[])
         assert solve_feasible(empty) is None
 
+    def test_empty_box_is_infeasible(self):
+        crossed = CompactProgram([0, 0], [], [], rhs=[], lower=[2], upper=[1])
+        assert solve_exhaustive(crossed) is None
+        assert solve_feasible(crossed) is None
+
     def test_inconsistent_columns_rejected(self):
         with pytest.raises(InvalidProgramError, match="column starts"):
             CompactProgram([0, 2], [0], [1], rhs=[1], lower=[0], upper=[1])
         with pytest.raises(InvalidProgramError, match="lower and upper"):
             CompactProgram([0, 1], [0], [1], rhs=[1], lower=[0], upper=[])
+
+    @pytest.mark.parametrize("row", [5, -1])
+    def test_row_index_outside_the_program_rejected(self, row):
+        # x0 = 1 over [0, 1], with the entry's row index out of range
+        program = CompactProgram([0, 1], [row], [1], rhs=[1], lower=[0], upper=[1])
+        with pytest.raises(InvalidProgramError, match="outside"):
+            solve_feasible(program)
+        with pytest.raises(InvalidProgramError, match="outside"):
+            constraint_violations(program, (1,))
+        rowless = CompactProgram([0, 1], [row], [1], rhs=[], lower=[1], upper=[1])
+        with pytest.raises(InvalidProgramError, match="outside"):
+            solve_feasible(rowless)
 
 
 class TestSlackHelper:
@@ -311,7 +315,7 @@ class TestSlackHelper:
             top_block_rows=1,
             diag_block_rows=0,
             brick_width=1,
-            top_blocks=(((2,),),),
+            top_blocks=((SparseRow(1, {0: 2}),),),
             diag_blocks=((),),
             rhs=(3,),
             lower=(0,),
@@ -320,10 +324,10 @@ class TestSlackHelper:
         )
         widened = with_top_row_slacks(program, {0: 3})
         assert widened.brick_width == 2
-        assert widened.top_blocks == (((2, 1),),)
-        solution = solve_feasible(widened)
+        assert widened.top_blocks == ((SparseRow(2, {0: 2, 1: 1}),),)
+        solution = solve_feasible(flatten(widened))
         assert solution is not None
-        assert 2 * solution.x[0] <= 3
+        assert 2 * solution[0] <= 3
 
     def test_unknown_row_rejected(self):
         with pytest.raises(InvalidProgramError):
@@ -358,8 +362,8 @@ class TestSlackHelper:
         rng = random.Random(11)
         program = random_nfold_program(rng, max_bricks=3, max_width=2)
         widened = with_top_row_slacks(program, {0: 4})
-        report = validate_structure(widened)
-        assert report.columns == widened.brick_count * widened.brick_width
+        validate_structure(widened)
+        assert widened.total_columns == widened.brick_count * widened.brick_width
 
 
 class TestDump:

@@ -28,6 +28,7 @@ from ccs.approx import approx_nonpreemptive, approx_splittable
 from ccs.core import CCSError, expand_compact
 from ccs.nfold import (
     constraint_violations,
+    flatten,
     solve_exhaustive,
     solve_feasible,
     validate_structure,
@@ -302,9 +303,9 @@ class TestProgramShape:
         assert program.top_block_rows == r
         assert program.diag_block_rows == s
         assert program.brick_width == t
-        report = validate_structure(program)
-        assert report.rows == r + rounded.class_count * s
-        assert report.columns == rounded.class_count * t
+        validate_structure(program)
+        assert program.total_rows == r + rounded.class_count * s
+        assert program.total_columns == rounded.class_count * t
 
     def test_nonpreemptive_dimensions(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
@@ -371,9 +372,10 @@ class TestProgramShape:
         rounded = preprocess(inst, params, SPLITTABLE)
         assert rounded.classes[0].small
         built = build_program(rounded)
-        solution = solve_feasible(as_nfold(built))
+        program = as_nfold(built)
+        solution = solve_feasible(flatten(program))
         assert solution is not None
-        brick = solution.bricks[0]
+        brick = solution[: program.brick_width]
         confs = built.configurations
         zero = confs.configs.index(tuple([0] * built.modules.count))
         assert brick[zero] == 1
@@ -423,16 +425,16 @@ class TestMachineCountExtension:
             ((4, 4, 2, 2), (1, 1, 2, 2), 4),
         ]:
             built = self.build(Instance(sizes, labels, m, 1), 4)
-            assert solve_feasible(as_nfold(built)) is not None
-            assert solve_feasible(self.extend(built)) is not None
+            assert solve_feasible(flatten(as_nfold(built))) is not None
+            assert solve_feasible(flatten(self.extend(built))) is not None
 
     def test_bound_refuses_two_partial_machines(self):
         # load 13 against machine capacity 12 needs two non-full pieces,
         # but the row only allows one irregular machine for one class:
         # the extended program wrongly rejects this feasible instance
         built = self.build(Instance((6, 7), (1, 1), 2, 1), 4)
-        assert solve_feasible(as_nfold(built)) is not None
-        assert solve_feasible(self.extend(built)) is None
+        assert solve_feasible(flatten(as_nfold(built))) is not None
+        assert solve_feasible(flatten(self.extend(built))) is None
 
 
 def brick_conservation(built, solution):
@@ -541,7 +543,7 @@ class TestCompactMatchesNfold:
             params = PtasParams.at_guess(guess, HALF, variant)
             built = build_program(preprocess(inst, params, variant))
             x = solve_feasible(built.program)
-            nfold = solve_feasible(as_nfold(built))
+            nfold = solve_feasible(flatten(as_nfold(built)))
             assert (x is None) == (nfold is None)
             if x is None:
                 infeasible += 1
@@ -550,7 +552,7 @@ class TestCompactMatchesNfold:
             hosted += any(z0 is not None for z0 in built.z_columns)
             assert constraint_violations(built.program, x) == []
             program, point = lift(built, x)
-            assert constraint_violations(program, point) == []
+            assert constraint_violations(flatten(program), point) == []
         assert feasible and infeasible and hosted
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
@@ -576,12 +578,12 @@ class TestCompactMatchesNfold:
                     if x[i]:
                         lower[u * t + i], upper[u * t + i] = 0, m
             sub = replace(program, lower=tuple(lower), upper=tuple(upper))
-            found = solve_exhaustive(sub)
+            found = solve_exhaustive(flatten(sub))
             assert found is not None
-            assert constraint_violations(program, found.x) == []
-            merged = aggregate(built, program, found.x)
+            assert constraint_violations(flatten(program), found) == []
+            merged = aggregate(built, program, found)
             assert constraint_violations(built.program, merged) == []
-            spread += found.x != tuple(point)
+            spread += found != tuple(point)
         assert spread >= 4
 
 
@@ -836,6 +838,27 @@ class TestDriver:
             else:
                 best, _ = opt_nonpreemptive(inst)
             assert makespan(schedule, inst) <= 2 * best
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    def test_no_guess_is_probed_twice(self, variant):
+        # the prober keeps nothing between calls, so a repeated guess
+        # would be a second program built and solved
+        rng = random.Random(41)
+        bisected = 0
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, 3)
+            c = rng.randint(1, 2)
+            palette = min(n, m * c)
+            inst = Instance(tuple(rng.randint(1, 9) for _ in range(n)),
+                            tuple(rng.randint(1, palette) for _ in range(n)),
+                            m, c)
+            report = {}
+            ptas_solve(inst, 1, variant, report=report)
+            guesses = [g for g, _f in report["probes"]]
+            assert len(set(guesses)) == len(guesses)
+            bisected += len(guesses) > 2
+        assert bisected
 
     def test_rejected_safe_guess_raises(self):
         def reject(_guess):
