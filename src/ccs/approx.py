@@ -6,9 +6,11 @@ except possibly the last), and distribute the sub-classes round robin by
 size. The threshold search differs per variant:
 
 * splittable: smallest T among the class-load borders {P/k} and the load
-  average at which the total piece count fits the slot budget c*m. Because
-  the piece count is monotone in T, the best border is found per class by a
-  binary search on k, so huge machine counts cost only O(C log m).
+  average at which the total piece count fits the slot budget c*m. Equal
+  class loads are grouped once, and the piece count is a sum of integer
+  ceilings over the D distinct loads. It is monotone in T, so the best
+  border is found per distinct load by a binary search on k: O(D^2 log m)
+  integer operations, so huge machine counts cost only a log factor.
 * preemptive: same borders restricted to k <= min(m, n) and values >= the
   preemptive lower bound; pieces are stacked in arrival order and, when any
   piece has size exactly T, the second layer of every machine is lifted to
@@ -16,6 +18,9 @@ size. The threshold search differs per variant:
 * non-preemptive: jobs cannot be cut, so the per-class piece count comes
   from a size-classification (compute_cu_nonpreemptive) and T is found by
   binary search over integers (or a geometric search for fractional sizes).
+  Classes of equal sizes are grouped and sorted once; a probe then costs
+  O(log n) bisections per distinct class shape plus the pairing of its
+  medium jobs, in integers when every size is one.
 
 Machine counts beyond the job count are profitable only when jobs may run
 self-parallel, i.e. in the splittable variant. There the output switches to
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -144,34 +150,43 @@ def _build_plan(instance: Instance, threshold: Fraction) -> SubClassPlan:
 # threshold search
 
 
-def _piece_count(loads: Sequence, threshold: Fraction) -> int:
-    return sum(math.ceil(p / threshold) for p in loads)
+def _piece_count(groups, num: int, den: int) -> int:
+    """Pieces the grouped class loads cut into at threshold num/den: the
+    sum of k * ceil((a/b) / (num/den)) over the (a, b, k) groups, in
+    integers."""
+    return sum(k * -(-a * den // (b * num)) for a, b, k in groups)
 
 
 def _smallest_guess(loads, machine_limit, slot_budget, floor, average):
     """Smallest threshold among class-load borders {P/k : k <= limit} (only
     values >= floor when a floor is given) and the average candidate whose
-    piece count fits the slot budget. The piece count grows as the
-    threshold shrinks, so per class the largest admissible k is found by
-    binary search."""
+    piece count fits the slot budget. Equal loads are grouped once, so with
+    D distinct loads a piece count costs O(D) integer divisions. The piece
+    count grows as the threshold shrinks, so per distinct load the largest
+    admissible k is found by binary search: O(D^2 log m) in all, whatever
+    the number of classes."""
+    groups = [(p.numerator, p.denominator, k) for p, k in Counter(loads).items()]
     best = None
-    for load in set(loads):
+    for a, b, _k in groups:
         hi = machine_limit
-        if floor is not None:
-            hi = min(hi, load // floor)  # borders below the floor are out
-        if hi < 1 or _piece_count(loads, load) > slot_budget:
+        if floor is not None:  # borders below the floor are out
+            hi = min(hi, a * floor.denominator // (b * floor.numerator))
+        if hi < 1 or _piece_count(groups, a, b) > slot_budget:
             continue
         lo = 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _piece_count(loads, load / mid) <= slot_budget:
+            if _piece_count(groups, a, b * mid) <= slot_budget:
                 lo = mid
             else:
                 hi = mid - 1
-        candidate = load / lo
+        candidate = Fraction(a, b * lo)
         if best is None or candidate < best:
             best = candidate
-    if _piece_count(loads, average) <= slot_budget and (best is None or average < best):
+    fits_average = (
+        _piece_count(groups, average.numerator, average.denominator) <= slot_budget
+    )
+    if fits_average and (best is None or average < best):
         best = average
     return best
 
@@ -343,6 +358,26 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
 # non-preemptive
 
 
+def _cu_sorted(sizes: Sequence, total, threshold) -> tuple:
+    """``compute_cu_nonpreemptive`` on one class's sizes, sorted ascending,
+    with their sum. The heavy jobs (p > T/2) and the mediums (T/3 < p <=
+    T/2) are found by bisection; each medium, largest first, takes the
+    smallest heavy slack T - p that still holds it."""
+    heavy_at = bisect.bisect_right(sizes, threshold, key=lambda p: 2 * p)
+    medium_at = bisect.bisect_right(sizes, threshold, 0, heavy_at, key=lambda p: 3 * p)
+    heavy = len(sizes) - heavy_at
+    loose = heavy_at - medium_at
+    if loose and heavy:
+        slack = [threshold - p for p in reversed(sizes[heavy_at:])]  # ascending
+        for p in reversed(sizes[medium_at:heavy_at]):
+            host = bisect.bisect_left(slack, p)
+            if host < len(slack):
+                del slack[host]
+                loose -= 1
+    by_volume = -(-total // threshold) if total > 0 else 0
+    return max(by_volume, heavy + (loose + 1) // 2), heavy, loose
+
+
 def compute_cu_nonpreemptive(class_jobs: Sequence, threshold) -> tuple:
     """(C_u, heavy, loose) piece-count data for one class at threshold T.
 
@@ -353,29 +388,8 @@ def compute_cu_nonpreemptive(class_jobs: Sequence, threshold) -> tuple:
     unpaired mediums fit two per piece, and no piece can hold more than
     two jobs above T/3 next to a heavy one.
     """
-    threshold = Fraction(threshold)
-    sizes = [Fraction(p) for p in class_jobs]
-    heavy = [(i, p) for i, p in enumerate(sizes) if p > threshold / 2]
-    medium = [
-        (i, p)
-        for i, p in enumerate(sizes)
-        if threshold / 3 < p <= threshold / 2
-    ]
-    medium.sort(key=lambda ip: (-ip[1], ip[0]))
-    # remaining capacity of each heavy piece, pair at most one medium onto it
-    free = {i: threshold - p for i, p in heavy}
-    loose = 0
-    for _i, p in medium:
-        hosts = [(cap, hid) for hid, cap in free.items() if cap >= p]
-        if hosts:
-            _cap, hid = min(hosts)
-            del free[hid]
-        else:
-            loose += 1
-    by_pairing = len(heavy) + (loose + 1) // 2
-    total = sum(sizes, Fraction(0))
-    by_volume = math.ceil(total / threshold) if total > 0 else 0
-    return max(by_volume, by_pairing), len(heavy), loose
+    sizes = sorted(Fraction(p) for p in class_jobs)
+    return _cu_sorted(sizes, sum(sizes, Fraction(0)), Fraction(threshold))
 
 
 def nonpreemptive_threshold(instance: Instance):
@@ -388,20 +402,24 @@ def nonpreemptive_threshold(instance: Instance):
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
     budget = instance.slot_budget * m_used
-    job_lists = _class_job_lists(instance)
-    size_lists = [[p for _j, p in jobs] for jobs in job_lists]
+    integral = all(p.denominator == 1 for p in instance.processing_times)
+    shapes = Counter(
+        tuple(sorted(p.numerator if integral else p for _j, p in jobs))
+        for jobs in _class_job_lists(instance)
+    )
+    groups = [(sizes, sum(sizes), k) for sizes, k in shapes.items()]
 
     def fits(threshold) -> bool:
         return (
             sum(
-                compute_cu_nonpreemptive(sizes, threshold)[0]
-                for sizes in size_lists
+                k * _cu_sorted(sizes, total, threshold)[0]
+                for sizes, total, k in groups
             )
             <= budget
         )
 
     hi_end = instance.job_count * instance.max_processing_time  # always fits
-    if all(p.denominator == 1 for p in instance.processing_times):
+    if integral:
         lo, hi = math.ceil(lb), int(hi_end)
         while lo < hi:
             mid = (lo + hi) // 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -112,11 +113,13 @@ class Instance:
     def class_count(self) -> int:
         return len(self.original_labels)
 
-    @property
+    # computed once, on first use: an instance that is only built or
+    # stored never pays for it
+    @cached_property
     def total_load(self) -> Fraction:
         return sum(self.processing_times, Fraction(0))
 
-    @property
+    @cached_property
     def max_processing_time(self) -> Fraction:
         return max(self.processing_times)
 

@@ -8,6 +8,7 @@ them appear in the result, possibly empty.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -30,13 +31,15 @@ def round_robin(loads, bin_count: int) -> dict:
 
 def lpt(weights, bin_count: int) -> dict:
     """Longest processing time first: items in non-increasing weight order
-    each go to the currently least-loaded bin."""
+    each go to the currently least-loaded bin, the lowest-numbered one on
+    ties. The bins sit in a heap of (total, bin), so an item costs
+    O(log bin_count)."""
     if bin_count < 1:
         raise ValueError("bin_count must be positive")
     bins = {i: [] for i in range(bin_count)}
-    totals = [Fraction(0)] * bin_count
+    heap = [(Fraction(0), i) for i in range(bin_count)]  # sorted, so a heap
     for item_id, weight in _sorted_items(weights):
-        target = min(range(bin_count), key=lambda i: (totals[i], i))
+        total, target = heap[0]
         bins[target].append(item_id)
-        totals[target] += Fraction(weight)
+        heapq.heapreplace(heap, (total + Fraction(weight), target))
     return bins

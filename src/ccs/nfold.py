@@ -197,9 +197,9 @@ class CompactProgram:
 
     A is stored column by column (compressed sparse columns): the entries
     of column j sit at positions col_start[j] .. col_start[j + 1] - 1 of
-    row_index (their rows, no row twice in a column) and values (their
-    coefficients). Every number is a Python int. The sequences are kept
-    as given, without a copy.
+    row_index (their rows) and values (their coefficients); entries of one
+    row in a column add up. Every number is a Python int. The sequences
+    are kept as given, without a copy.
     """
 
     col_start: Sequence
@@ -379,6 +379,9 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
         ),
         shape=(rows, cols),
     )
+    # a column may list one row twice; row_totals adds such entries up,
+    # so the solver must see their sum too (a no-op check on canonical input)
+    matrix.sum_duplicates()
     span = np.array(
         [hi - lo for lo, hi in zip(lower, program.upper)], dtype=float
     )

@@ -16,6 +16,7 @@ from ccs.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    GENERATOR_FAMILIES,
     InstanceFormatError,
     RunReport,
     format_instance,
@@ -441,6 +442,38 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 100
         assert all(row.split(",")[-1] == "yes" for row in rows)
+
+
+# SHA-256 of the sweep CSV, without its ms column, of the approximation
+# rows of every generator family and variant at n = 300, two class slots
+# per machine and sizes up to 100 (m = n/10, or 0.55 n for
+# many-singletons); pinned when the threshold searches still counted
+# pieces in Fraction arithmetic
+PINNED_APPROX_SWEEP = (
+    "be54e17e48987c0477d63fd07b25f728328da1bc2dafe09f469d06c3d857bdc7"
+)
+
+
+def test_approx_sweep_rows_are_pinned(tmp_path):
+    lines = [
+        f"gen:{family}:{seed}:300:{165 if family == 'many-singletons' else 30}"
+        f":2:100 {variant} approx\n"
+        for seed, family in enumerate(GENERATOR_FAMILIES, start=11)
+        for variant in ("split", "preempt", "nonpreempt")
+    ]
+    man = write(tmp_path, "man.txt", "".join(lines))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--manifest", man, "--out", str(out)]) == EXIT_OK
+    ms_column = CSV_HEADER.split(",").index("ms")
+    rows = []
+    for line in out.read_text().splitlines():
+        cells = line.split(",")
+        del cells[ms_column]
+        rows.append(",".join(cells) + "\n")
+    assert len(rows) == 10
+    assert all(row.rstrip().endswith(",yes") for row in rows[1:])
+    digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+    assert digest == PINNED_APPROX_SWEEP
 
 
 class TestReportShape:

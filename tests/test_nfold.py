@@ -294,6 +294,13 @@ class TestCompactProgram:
         with pytest.raises(InvalidProgramError, match="lower and upper"):
             CompactProgram([0, 1], [0], [1], rhs=[1], lower=[0], upper=[])
 
+    def test_entries_of_one_row_in_a_column_add_up(self):
+        # column 0 lists row 0 twice: 1*x0 + 1*x0 = 2 over [0, 3]
+        program = CompactProgram([0, 2], [0, 0], [1, 1], rhs=[2], lower=[0], upper=[3])
+        assert solve_exhaustive(program) == (1,)
+        assert constraint_violations(program, (1,)) == []
+        assert solve_feasible(program) == (1,)
+
     @pytest.mark.parametrize("row", [5, -1])
     def test_row_index_outside_the_program_rejected(self, row):
         # x0 = 1 over [0, 1], with the entry's row index out of range
