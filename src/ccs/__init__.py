@@ -18,6 +18,7 @@ from ccs.approx import (
     nonpreemptive_threshold,
     repack_stacks,
     split_class,
+    splittable_threshold,
 )
 from ccs.core import (
     CCSError,
@@ -65,6 +66,7 @@ __all__ = [
     "nonpreemptive_threshold",
     "repack_stacks",
     "split_class",
+    "splittable_threshold",
     "lpt",
     "round_robin",
     "opt_nonpreemptive",

@@ -48,7 +48,6 @@ from .core import (
     PreemptiveSchedule,
     SPLITTABLE,
     SplittableSchedule,
-    class_loads,
     lower_bound,
 )
 from .greedy import lpt, round_robin
@@ -129,16 +128,16 @@ def _class_job_lists(instance: Instance) -> list:
 
 def _build_plan(instance: Instance, threshold: Fraction) -> SubClassPlan:
     splits = []
-    for cl in class_loads(instance):
-        full = math.floor(cl.total / threshold)
-        partial = cl.total - full * threshold
+    for class_id, total in enumerate(instance.class_totals, start=1):
+        full = math.floor(total / threshold)
+        partial = total - full * threshold
         if partial == 0 and full == 0:  # empty classes cannot occur
-            raise CCSError(f"class {cl.class_id} has no load")
+            raise CCSError(f"class {class_id} has no load")
         splits.append(
             ClassSplit(
-                class_id=cl.class_id,
-                total=cl.total,
-                count=max(1, math.ceil(cl.total / threshold)),
+                class_id=class_id,
+                total=total,
+                count=max(1, math.ceil(total / threshold)),
                 full_count=full,
                 partial_load=partial,
             )
@@ -191,20 +190,25 @@ def _smallest_guess(loads, machine_limit, slot_budget, floor, average):
     return best
 
 
-def border_search_splittable(instance: Instance):
-    """(T*, plan): the smallest threshold from the border set at which the
-    classes cut into at most c*m sub-classes, plus the cutting plan. T*
-    never exceeds the splittable optimum: any schedule with makespan T uses
-    at least ceil(P/T) slots for a class of load P, and only c*m slots
-    exist."""
+def splittable_threshold(instance: Instance) -> Fraction:
+    """T*: the smallest threshold from the border set at which the classes
+    cut into at most c*m sub-classes. T* never exceeds the splittable
+    optimum: any schedule with makespan T uses at least ceil(P/T) slots for
+    a class of load P, and only c*m slots exist."""
     lb, _ub = lower_bound(instance, SPLITTABLE)
     m = instance.machine_count
-    loads = [cl.total for cl in class_loads(instance)]
     t_star = _smallest_guess(
-        loads, m, instance.slot_budget * m, floor=None, average=lb
+        instance.class_totals, m, instance.slot_budget * m,
+        floor=None, average=lb,
     )
     if t_star is None:  # k=1 on the largest class always fits: count C <= c*m
         raise CCSError("no feasible splittable threshold")
+    return t_star
+
+
+def border_search_splittable(instance: Instance):
+    """(T*, plan): ``splittable_threshold`` and the cutting plan at it."""
+    t_star = splittable_threshold(instance)
     return t_star, _build_plan(instance, t_star)
 
 
@@ -277,13 +281,17 @@ def _compact_splittable(plan: SubClassPlan, machine_count: int) -> CompactSchedu
     return CompactSchedule(patterns=tuple(counts.items()))
 
 
-def approx_splittable(instance: Instance):
+def approx_splittable(instance: Instance, border=None):
     """2-approximation for the splittable variant: cut at the border-search
     threshold T*, distribute sub-classes round robin. Makespan is at most
     total/m + T*, and T* is a lower bound on the optimum, so the ratio is
     at most 2. Returns a SplittableSchedule, or a CompactSchedule when
-    m exceeds the job count."""
-    t_star, plan = border_search_splittable(instance)
+    m exceeds the job count. A caller that already holds
+    ``border_search_splittable(instance)`` passes it as ``border``, and the
+    schedule is laid out from it without searching again."""
+    if border is None:
+        border = border_search_splittable(instance)
+    t_star, plan = border
     if instance.machine_count <= instance.job_count:
         return _explicit_splittable(instance, t_star)
     return _compact_splittable(plan, instance.machine_count)
@@ -321,9 +329,9 @@ def _preemptive_guess(instance: Instance):
     lower_bound(instance, PREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
-    loads = [cl.total for cl in class_loads(instance)]
     t_star = _smallest_guess(
-        loads, m_used, instance.slot_budget * m_used, floor=lb, average=lb
+        instance.class_totals, m_used, instance.slot_budget * m_used,
+        floor=lb, average=lb,
     )
     # always solvable: every class load <= c * m_used slots suffice at LB
     # or at the smallest admissible border

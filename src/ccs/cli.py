@@ -222,6 +222,13 @@ def _oracle(instance: Instance, variant: str):
     return opt_preemptive(instance), None
 
 
+def _no_program(instance: Instance, variant: str) -> str:
+    """Why ``ptas_solve`` answered without solving a program."""
+    if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
+        return "m >= n, so every job runs alone and no program was solved"
+    return "the warm start met a lower bound, so no program was solved"
+
+
 def run(
     instance: Instance,
     algo: str,
@@ -281,6 +288,9 @@ def run(
             if dump_nfold and trace["built"] is not None:
                 with open(dump_nfold, "w", encoding="utf-8") as handle:
                     handle.write(dump_program(as_nfold(trace["built"])))
+            elif dump_nfold:
+                why = _no_program(instance, variant)
+                print(f"{dump_nfold} not written: {why}", file=sys.stderr)
         else:
             value, schedule = _oracle(instance, variant)
     except EnumerationCapError:

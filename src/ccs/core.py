@@ -123,6 +123,14 @@ class Instance:
     def max_processing_time(self) -> Fraction:
         return max(self.processing_times)
 
+    @cached_property
+    def class_totals(self) -> tuple:
+        """Total processing time per class, class 1 first."""
+        totals = [Fraction(0)] * self.class_count
+        for p, lab in zip(self.processing_times, self.class_labels):
+            totals[lab - 1] += p
+        return tuple(totals)
+
     def jobs_of_class(self, class_id: int) -> tuple:
         return tuple(
             j for j, lab in enumerate(self.class_labels) if lab == class_id
@@ -139,10 +147,7 @@ class ClassLoad:
 
 def class_loads(instance: Instance) -> list:
     """Per-class totals, ordered by class id. Exact."""
-    totals = [Fraction(0)] * instance.class_count
-    for p, lab in zip(instance.processing_times, instance.class_labels):
-        totals[lab - 1] += p
-    return [ClassLoad(u + 1, t) for u, t in enumerate(totals)]
+    return [ClassLoad(u + 1, t) for u, t in enumerate(instance.class_totals)]
 
 
 @dataclass(frozen=True)
@@ -414,11 +419,10 @@ def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
             f"machine budget exceeded: {machines} machines > "
             f"m={instance.machine_count}"
         )
-    for cl in class_loads(instance):
-        if carried[cl.class_id - 1] != cl.total:
+    for u, total in enumerate(instance.class_totals, start=1):
+        if carried[u - 1] != total:
             violations.append(
-                f"class {cl.class_id} carries {carried[cl.class_id - 1]}, "
-                f"expected {cl.total}"
+                f"class {u} carries {carried[u - 1]}, expected {total}"
             )
     return violations
 
@@ -461,7 +465,7 @@ def lower_bound(instance: Instance, variant: str):
         )
     average = instance.total_load / m
     if variant == SPLITTABLE:
-        heaviest = max(cl.total for cl in class_loads(instance))
+        heaviest = max(instance.class_totals)
         return average, c * heaviest
     peak = instance.max_processing_time
     return max(peak, average), instance.job_count * peak

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _sorted_items(items):
-    # Non-ascending weight, ascending id on ties.
-    return sorted(items, key=lambda pair: (-Fraction(pair[1]), pair[0]))
+    # Non-ascending weight, ascending id on ties: two stable sorts, so no
+    # key builds a number (a reversed sort keeps the order of ties).
+    by_id = sorted(items, key=itemgetter(0))
+    return sorted(by_id, key=itemgetter(1), reverse=True)
 
 
 def round_robin(loads, bin_count: int) -> dict:

@@ -41,7 +41,6 @@ from .core import (
     NONPREEMPTIVE,
     NonPreemptiveSchedule,
     SPLITTABLE,
-    class_loads,
     lower_bound,
 )
 
@@ -168,7 +167,7 @@ def opt_splittable(instance: Instance) -> Fraction:
             f"(2^{m} - 1)^{cc} eligibility patterns exceed the cap of {ORACLE_PATTERN_CAP}"
         )
 
-    loads = [cl.total for cl in class_loads(instance)]
+    loads = instance.class_totals
     k = min(instance.slot_budget, cc)
     machine_choices = list(itertools.combinations(range(cc), k))
     all_classes = (1 << cc) - 1

@@ -1,6 +1,17 @@
 """Guess search and the public entry point of the approximation schemes.
 
-The makespan guess is searched over a bracket warmed up by the
+The warm start may already be optimal. A lower-bound certificate tests
+that first: max(load bound, T*) on the instance the scheme solves, where
+T* is the splittable border threshold of ``ccs.approx``. T* never exceeds
+the splittable optimum, which is at most the preemptive and the
+non-preemptive one; with integral sizes the non-preemptive optimum is an
+integer, so its certificate is rounded up. A warm start whose makespan
+meets the certificate is returned as it is, and no program is built or
+solved. The certificate is taken at the clamped machine count below, so
+for a splittable m > n*c it proves the warm start optimal for n*c
+machines only.
+
+Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
 a fraction of their makespan and the makespan itself. Integral
 non-preemptive instances search the integers in that bracket (the optimum
@@ -36,9 +47,15 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from ..approx import approx_nonpreemptive, approx_splittable
+from ..approx import (
+    approx_nonpreemptive,
+    approx_splittable,
+    border_search_splittable,
+    splittable_threshold,
+)
 from ..core import (
     CCSError,
+    CompactSchedule,
     Instance,
     NONPREEMPTIVE,
     PREEMPTIVE,
@@ -46,6 +63,7 @@ from ..core import (
     Rational,
     SPLITTABLE,
     VARIANTS,
+    expand_compact,
     lower_bound,
     makespan,
 )
@@ -177,11 +195,16 @@ def ptas_solve(
     "probes" the (guess, feasible) pair of every program solved, in probe
     order.
 
+    When the warm start meets the lower-bound certificate (see the module
+    docstring), the scheme returns it and solves no program: the report
+    then holds None for the first three entries and an empty "probes"
+    list. For m <= n*c that schedule is optimal; beyond, it is optimal at
+    n*c machines.
+
     The preemptive variant runs the splittable scheme (delta sets its grid)
     and unfolds the result into time slices; its report describes that
     splittable run. With at least as many machines as jobs it solves no
-    program at all, reports None for the first three entries and an empty
-    "probes" list.
+    program at all, and reports as a certified warm start does.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -209,21 +232,41 @@ def ptas_solve(
     return unfold_preemptive(instance, split)
 
 
+def _warm_start(work, variant):
+    """(warm schedule, T*): the constant-factor schedule on ``work`` and
+    its splittable border threshold, each searched once. The splittable
+    warm start is laid out from the border search that yields T*."""
+    if variant == SPLITTABLE:
+        border = border_search_splittable(work)
+        return _WARM_ALGO[variant](work, border), border[0]
+    return _WARM_ALGO[variant](work), splittable_threshold(work)
+
+
 def _scheme(instance, variant, delta, enum_cap, report):
     """The splittable or non-preemptive scheme at grid delta."""
     work = _clamp(instance, variant)
     floor, _ub = lower_bound(work, variant)
-    warm = _WARM_ALGO[variant](work)
+    warm, t_star = _warm_start(work, variant)
     reach = makespan(warm, work)
     if reach <= 0:
         raise CCSError(f"warm start has makespan {reach}")
+    whole = variant != SPLITTABLE and all(
+        p.denominator == 1 for p in work.processing_times
+    )
+    # the lower-bound certificate of the module docstring
+    certificate = max(floor, t_star)
+    if whole:
+        certificate = math.ceil(certificate)
+    if reach <= certificate:
+        if report is not None:
+            report.update(guess=None, built=None, solution=None, probes=[])
+        if isinstance(warm, CompactSchedule):
+            return expand_compact(warm, work)
+        return warm
     lo = max(floor, reach / _WARM_RATIO[variant])
     hi = reach
     probe = _Prober(work, delta, variant, enum_cap)
-    integral = all(
-        p.denominator == 1 for p in work.processing_times
-    )
-    if variant != SPLITTABLE and integral:
+    if whole:
         _guess, built, solution = _search_integers(
             probe, math.ceil(lo), math.ceil(hi)
         )

@@ -30,6 +30,7 @@ from ccs import (
     opt_splittable,
     repack_stacks,
     split_class,
+    splittable_threshold,
     validate,
     NONPREEMPTIVE,
     PREEMPTIVE,
@@ -138,8 +139,14 @@ class TestBorderSearch:
     @given(oracle_instances())
     @settings(max_examples=40, deadline=None)
     def test_threshold_is_an_optimum_lower_bound(self, instance):
+        # the scheme's lower-bound certificate rests on this chain; the
+        # sizes are integers, so the non-preemptive optimum is one too
         t_star, _plan = border_search_splittable(instance)
-        assert t_star <= opt_splittable(instance)
+        assert splittable_threshold(instance) == t_star
+        split = opt_splittable(instance)
+        whole, _schedule = opt_nonpreemptive(instance)
+        assert t_star <= split <= opt_preemptive(instance) <= whole
+        assert math.ceil(t_star) <= whole
 
 
 class TestApproxSplittable:

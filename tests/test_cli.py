@@ -27,6 +27,7 @@ from ccs.cli import (
     sweep,
 )
 import ccs
+from ccs.ptas import ptas_solve
 from ccs.core import (
     Instance,
     NONPREEMPTIVE,
@@ -34,6 +35,19 @@ from ccs.core import (
     SPLITTABLE,
 )
 from conftest import instances
+
+
+# The scheme skips its program when the warm start meets a lower bound.
+# This instance's warm start does not, so the scheme reaches the program.
+UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
+UNCERTIFIED_TEXT = "3 2 2\n1 1\n1 1\n1 2\n"
+
+
+def probes(instance, variant):
+    """The (guess, feasible) probes of ptas_solve at accuracy 1."""
+    report = {}
+    ptas_solve(instance, 1, variant, report=report)
+    return report["probes"]
 
 
 def write(tmp_path, name, text):
@@ -181,7 +195,8 @@ class TestRun:
         assert row.lb is not None
 
     def test_ptas_preemptive_accuracy_beyond_budget(self, monkeypatch):
-        inst = Instance((2, 2), (1, 1), 2, 1)
+        inst = UNCERTIFIED
+        assert probes(inst, PREEMPTIVE)
         row = run(inst, "ptas", PREEMPTIVE, epsilon=1)
         assert row.feasible == "yes"
         assert row.epsilon == 1
@@ -254,8 +269,9 @@ class TestSolveCommand:
         assert code == EXIT_INFEASIBLE
 
     def test_cap_exits_three(self, tmp_path, monkeypatch):
+        assert probes(UNCERTIFIED, SPLITTABLE)
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
-        code = self.solve(tmp_path, "2 2 1\n2 1\n2 1\n",
+        code = self.solve(tmp_path, UNCERTIFIED_TEXT,
                           "--variant", "split", "--algo", "ptas",
                           "--epsilon", "1")
         assert code == EXIT_CAP
@@ -278,7 +294,8 @@ class TestSolveCommand:
         assert code == EXIT_PARSE
 
     def test_nfold_dump_is_written(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.txt", "2 2 1\n3 1\n3 2\n")
+        inst = write(tmp_path, "inst.txt", "3 2 2\n1 1\n1 2\n1 3\n")
+        assert probes(parse_instance(inst), SPLITTABLE)
         dump = tmp_path / "prog.txt"
         code = main(["solve", "--variant", "split", "--algo", "ptas",
                      "--epsilon", "1", "--dump-nfold", str(dump), inst])
@@ -289,20 +306,41 @@ class TestSolveCommand:
         assert bricks >= 1 and top_rows >= 1 and width >= 1
 
     def test_preemptive_nfold_dump_is_the_splittable_program(self, tmp_path):
-        inst = write(tmp_path, "inst.txt", "3 2 1\n3 1\n5 2\n7 1\n")
+        inst = write(tmp_path, "inst.txt", "3 2 2\n1 1\n1 1\n3 2\n")
+        assert probes(parse_instance(inst), PREEMPTIVE)
         dump = tmp_path / "prog.txt"
         code = main(["solve", "--variant", "preempt", "--algo", "ptas",
                      "--epsilon", "1", "--dump-nfold", str(dump), inst])
         assert code == EXIT_OK
         assert len(dump.read_text().splitlines()[0].split()) == 4
 
-    def test_preemptive_dump_skipped_without_a_program(self, tmp_path):
+    def test_preemptive_dump_skipped_without_a_program(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", "2 3 1\n4 1\n9 2\n")
         dump = tmp_path / "prog.txt"
         code = main(["solve", "--variant", "preempt", "--algo", "ptas",
                      "--epsilon", "1", "--dump-nfold", str(dump), inst])
         assert code == EXIT_OK
         assert not dump.exists()
+        assert capsys.readouterr().err == (
+            f"{dump} not written: m >= n, so every job runs alone and no "
+            "program was solved\n"
+        )
+
+    def test_dump_skipped_for_a_certified_warm_start(self, tmp_path, capsys):
+        # T* = 2 meets the warm start: no program is solved
+        inst = write(tmp_path, "inst.txt", "3 2 1\n1 1\n1 1\n1 2\n")
+        assert probes(parse_instance(inst), SPLITTABLE) == []
+        dump = tmp_path / "prog.txt"
+        code = main(["solve", "--variant", "split", "--algo", "ptas",
+                     "--epsilon", "1", "--dump-nfold", str(dump), inst])
+        assert code == EXIT_OK
+        assert not dump.exists()
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{dump} not written: the warm start met a lower bound, so no "
+            "program was solved\n"
+        )
+        assert captured.out.splitlines()[1].split(",")[4] == "2"
 
 
 # SHA-256 of the --dump-nfold text of the n-fold program, pinned when the

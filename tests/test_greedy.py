@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccs.greedy import lpt, round_robin
+from ccs.greedy import _sorted_items, lpt, round_robin
 
 
 def weighted(values):
@@ -116,3 +116,23 @@ def test_both_deterministic_partitions(items, bins):
         assert one == two
         placed = sorted(i for its in one.values() for i in its)
         assert placed == sorted(i for i, _w in items)
+
+
+@given(
+    items=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3)),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_sort_order_matches_the_fraction_key(items):
+    """Ids and weights repeat, ints mix with Fractions: the order is the
+    stable sort on (-Fraction(weight), id)."""
+    reference = sorted(items, key=lambda pair: (-Fraction(pair[1]), pair[0]))
+    ordered = _sorted_items(items)
+    # equal pairs such as (0, 1) and (0, Fraction(1)) must not swap either
+    assert len(ordered) == len(reference)
+    assert all(a is b for a, b in zip(ordered, reference))

@@ -717,6 +717,27 @@ class TestUnfoldPreemptive:
         assert makespan(schedule, inst) == 8
 
 
+# The scheme returns its warm start without a program when the warm start
+# meets the lower-bound certificate. These instances are not certified, so
+# they reach the program. UNCERTIFIED is one of the smallest such with
+# m < n. The BISECTING ones come from a seeded search of instances with two
+# class slots per machine and about one job per slot; their bracket
+# bottoms are infeasible, so the search bisects.
+UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
+BISECTING = {
+    SPLITTABLE: [
+        Instance((10, 2, 3, 2, 9), (1, 2, 3, 4, 1), 2, 2),
+        Instance((10, 3, 2, 4, 10), (1, 2, 3, 4, 1), 2, 2),
+        Instance((2, 1, 2, 3, 3, 3, 9), (1, 2, 3, 4, 5, 6, 2), 3, 2),
+    ],
+    NONPREEMPTIVE: [
+        Instance((10, 2, 3, 2, 9), (1, 2, 3, 4, 1), 2, 2),
+        Instance((2, 10, 5, 1, 1, 7, 10), (1, 2, 3, 4, 5, 6, 2), 3, 2),
+        Instance((1, 3, 1, 4, 4, 10, 7), (1, 2, 3, 4, 5, 6, 6), 3, 2),
+    ],
+}
+
+
 class TestDriver:
     def test_three_classes_three_machines(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
@@ -761,8 +782,10 @@ class TestDriver:
     def test_preemptive_default_accuracy_overflows_the_cap(self):
         # the preemptive scheme answers at accuracy 1; the cap still
         # surfaces through ptas_solve with its message
-        inst = Instance((2, 2), (1, 1), 2, 1)
-        schedule = ptas_solve(inst, 1, PREEMPTIVE)
+        inst = UNCERTIFIED
+        report = {}
+        schedule = ptas_solve(inst, 1, PREEMPTIVE, report=report)
+        assert report["probes"]
         assert validate(schedule, inst, PREEMPTIVE) == []
         assert makespan(schedule, inst) <= 2 * opt_preemptive(inst)
         with pytest.raises(EnumerationCapError) as err:
@@ -798,9 +821,10 @@ class TestDriver:
         assert report["probes"] == []
 
     def test_preemptive_report_describes_the_splittable_run(self):
-        inst = Instance((3, 5, 7, 2), (1, 2, 1, 2), 2, 1)
+        inst = Instance((1, 1, 3), (1, 1, 2), 2, 2)
         report = {}
         ptas_solve(inst, 1, PREEMPTIVE, report=report)
+        assert report["probes"]
         assert report["built"].layout.variant == SPLITTABLE
         assert report["solution"] is not None
         assert report["guess"] > 0
@@ -816,16 +840,14 @@ class TestDriver:
         assert report["guess"] == lo
 
     def test_infeasible_bottom_bisects_to_smallest_feasible_probe(self):
-        # from the benchmark's seeded instances, where the bracket bottom
-        # is infeasible
-        cases = [
-            (Instance((7, 5, 1), (2, 2, 1), 2, 1), NONPREEMPTIVE),
-            (Instance((8, 2, 3), (2, 2, 1), 2, 1), SPLITTABLE),
-        ]
-        for inst, variant in cases:
+        # the bracket bottom of this instance is infeasible in both variants
+        inst = BISECTING[SPLITTABLE][0]
+        assert inst in BISECTING[NONPREEMPTIVE]
+        for variant in (NONPREEMPTIVE, SPLITTABLE):
             report = {}
             schedule = ptas_solve(inst, 1, variant, report=report)
             probes = report["probes"]
+            assert probes
             assert probes[0][1] is False
             assert len(probes) > 2
             assert len({g for g, _f in probes}) == len(probes)
@@ -843,22 +865,54 @@ class TestDriver:
     def test_no_guess_is_probed_twice(self, variant):
         # the prober keeps nothing between calls, so a repeated guess
         # would be a second program built and solved
-        rng = random.Random(41)
         bisected = 0
-        for _ in range(40):
-            n = rng.randint(2, 6)
-            m = rng.randint(1, 3)
-            c = rng.randint(1, 2)
-            palette = min(n, m * c)
-            inst = Instance(tuple(rng.randint(1, 9) for _ in range(n)),
-                            tuple(rng.randint(1, palette) for _ in range(n)),
-                            m, c)
+        for inst in BISECTING[variant]:
             report = {}
             ptas_solve(inst, 1, variant, report=report)
             guesses = [g for g, _f in report["probes"]]
+            assert guesses
             assert len(set(guesses)) == len(guesses)
             bisected += len(guesses) > 2
         assert bisected
+
+    @pytest.mark.parametrize("variant,inst", [
+        # T* = 2 is above the load bound 3/2
+        (SPLITTABLE, Instance((1, 1, 1), (1, 1, 2), 2, 1)),
+        (PREEMPTIVE, Instance((1, 1, 1), (1, 1, 2), 2, 1)),
+        # m > n: the warm start is compact and comes back expanded
+        (SPLITTABLE, Instance((1, 1), (1, 2), 3, 2)),
+        # T* = 3/2 is above the load bound 4/3; only its ceiling, 2,
+        # meets the warm start
+        (NONPREEMPTIVE, Instance((1, 1, 1, 1), (1, 1, 1, 2), 3, 1)),
+    ])
+    def test_certified_warm_start_is_the_optimum(self, variant, inst):
+        assert inst.machine_count <= inst.job_count * inst.slot_budget
+        report = {}
+        schedule = ptas_solve(inst, 1, variant, report=report)
+        assert report == {
+            "guess": None, "built": None, "solution": None, "probes": [],
+        }
+        assert not isinstance(schedule, CompactSchedule)
+        assert validate(schedule, inst, variant) == []
+        best = {
+            SPLITTABLE: opt_splittable,
+            PREEMPTIVE: opt_preemptive,
+            NONPREEMPTIVE: lambda i: opt_nonpreemptive(i)[0],
+        }[variant](inst)
+        assert makespan(schedule, inst) == best
+
+    @pytest.mark.parametrize("variant,inst", [
+        # with two slots, T* = 1 is below the load bound 3/2, and the warm
+        # start has makespan 2
+        (SPLITTABLE, UNCERTIFIED),
+        (NONPREEMPTIVE, Instance((1, 1, 3), (1, 2, 3), 2, 2)),
+    ])
+    def test_uncertified_warm_start_reaches_the_program(self, variant, inst):
+        report = {}
+        schedule = ptas_solve(inst, 1, variant, report=report)
+        assert report["probes"]
+        assert report["built"] is not None
+        assert validate(schedule, inst, variant) == []
 
     def test_rejected_safe_guess_raises(self):
         def reject(_guess):
