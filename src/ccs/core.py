@@ -203,7 +203,9 @@ class NonPreemptiveSchedule:
 @dataclass(frozen=True)
 class CompactSchedule:
     """Splittable schedule stored as counted machine patterns, for machine
-    counts far beyond the job count.
+    counts far beyond the job count: ``approx_splittable`` returns one
+    beyond m = n, and the splittable scheme (``ptas_solve``) beyond
+    m = n*c.
 
     ``patterns`` holds (pattern, count) pairs: ``count`` machines each run
     ``pattern``, one machine's load per class as ``((class_id, load),

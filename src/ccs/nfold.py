@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .core import CCSError, EnumerationCapError
@@ -342,7 +343,9 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
     """Any feasible point as a tuple of ints, or None. Deterministic:
     identical programs give identical solutions. Raises CCSError if the
     mixed-integer solver fails or returns a point that does not pass the
-    exact check. A block program is solved as ``flatten(program)``.
+    exact check, and EnumerationCapError, before the solver runs, if a
+    bound or right-hand side exceeds 2**53. A block program is solved as
+    ``flatten(program)``.
 
     One HiGHS solve; the returned point is rounded and checked once in
     exact integer arithmetic, so float arithmetic can never leak through.
@@ -354,6 +357,11 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
         # nothing for the solver to search: the box's corner decides
         x = tuple(lower)
         return None if constraint_violations(program, x) else x
+    # doubles hold every integer only up to 2**53: past it, the solver
+    # would search another program than the one the exact check verifies
+    if max(map(abs, chain(lower, program.upper, program.rhs))) > 2**53:
+        raise EnumerationCapError("a program bound exceeds 2**53, which the"
+                                  " solver's doubles cannot hold exactly")
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array

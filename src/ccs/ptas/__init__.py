@@ -10,7 +10,6 @@ from .builder import (
     ProgramLayout,
     as_nfold,
     build_program,
-    exponential_m_extension,
 )
 from .driver import ptas_solve
 from .reconstruct import construct_schedule, unfold_preemptive
@@ -52,7 +51,6 @@ __all__ = [
     "construct_schedule",
     "derive_delta",
     "enumerate_sets",
-    "exponential_m_extension",
     "inflated_bound",
     "nonpreemptive_sets",
     "preprocess",

@@ -26,10 +26,12 @@ configuration set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from ..core import CCSError, NONPREEMPTIVE, SPLITTABLE
+# with_top_row_slacks has no caller here; the benchmark's layer trace
+# wraps it under this module's name
 from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
 from .rounding import RoundedInstance, require_scheme_variant
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
@@ -286,37 +288,3 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         objective=(0,) * (n * width),
     )
 
-
-def exponential_m_extension(
-    program: NFoldProgram,
-    class_count: int,
-    *,
-    configurations: ConfigurationSet,
-    layout: ProgramLayout,
-) -> NFoldProgram:
-    """Append the row that bounds the machines on non-plain configurations.
-
-    With many machines only few of them need a configuration other than
-    empty or a single copy of the largest module: at most
-    class_count*(class_count + 1)/2 in the splittable variant. The row sums
-    the x columns of every other configuration across bricks and caps them
-    by that number, then gains its own slack column.
-    """
-    if layout.variant != SPLITTABLE:
-        raise CCSError("the machine-count extension is splittable-only")
-    bound = class_count * (class_count + 1) // 2
-    zero = (0,) * layout.module_count
-    # splittable module sizes ascend, so the largest module sits last
-    plain = {zero, zero[1:] + (1,)}
-    nontrivial = [
-        i for i, vec in enumerate(configurations.configs) if vec not in plain
-    ]
-    r = program.top_block_rows
-    row = SparseRow(program.brick_width, {i: 1 for i in nontrivial})
-    extended = replace(
-        program,
-        top_block_rows=r + 1,
-        top_blocks=tuple(tuple(block) + (row,) for block in program.top_blocks),
-        rhs=program.rhs[:r] + (bound,) + program.rhs[r:],
-    )
-    return with_top_row_slacks(extended, {r: bound})

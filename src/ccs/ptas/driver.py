@@ -7,9 +7,7 @@ the splittable optimum, which is at most the preemptive and the
 non-preemptive one; with integral sizes the non-preemptive optimum is an
 integer, so its certificate is rounded up. A warm start whose makespan
 meets the certificate is returned as it is, and no program is built or
-solved. The certificate is taken at the clamped machine count below, so
-for a splittable m > n*c it proves the warm start optimal for n*c
-machines only.
+solved.
 
 Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
@@ -27,13 +25,13 @@ most instances stop there after one program. Otherwise the safe guess at
 the top must be feasible, and bisection above the bottom finds the
 smallest feasible guess it meets.
 
-Machine counts are clamped first. A non-preemptive schedule never uses
-more than n machines, so min(m, n) loses nothing. The splittable scheme
-solves at min(m, n*c) machines, so that runs with a huge m stay
-reproducible and equal to the saturated run; its schedule lists at most
-n*c machines. This clamp is a choice, not a bound: pieces of one job may
-run in parallel on any number of machines, so the (1 + epsilon) guarantee
-of the splittable scheme holds for m <= n*c only.
+A non-preemptive schedule never uses more than n machines, so that scheme
+solves at min(m, n) machines and loses nothing. The splittable scheme
+solves at the true m, since pieces of one job may run in parallel on any
+number of machines. Its schedule is a SplittableSchedule for m <= n*c and
+a CompactSchedule of counted patterns beyond. Of the two schedules a
+scheme holds, the warm start and the program's, it returns the one with
+the smaller makespan, so the program can only improve on the warm start.
 
 The preemptive variant reduces to the splittable one, since the preemptive
 optimum is max(p_max, splittable optimum): with m >= n every job gets a
@@ -44,6 +42,7 @@ scheme's schedule is unfolded into time slices by ``unfold_preemptive``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -86,18 +85,11 @@ _WARM_ALGO = {
 
 
 def _clamp(instance: Instance, variant: str):
-    """Machine count actually worth modelling."""
-    n = instance.job_count
-    ceiling = n * instance.slot_budget if variant == SPLITTABLE else n
-    m_eff = min(instance.machine_count, ceiling)
-    if m_eff == instance.machine_count:
+    """A non-preemptive instance at min(m, n) machines, which loses
+    nothing; a splittable one as it is."""
+    if variant == SPLITTABLE or instance.machine_count <= instance.job_count:
         return instance
-    return Instance(
-        processing_times=instance.processing_times,
-        class_labels=instance.class_labels,
-        machine_count=m_eff,
-        slot_budget=instance.slot_budget,
-    )
+    return replace(instance, machine_count=instance.job_count)
 
 
 class _Prober:
@@ -184,9 +176,10 @@ def ptas_solve(
 ):
     """A schedule within a factor 1 + epsilon of the variant's optimum.
 
-    The splittable variant keeps that guarantee for m <= n*c only: beyond,
-    it solves at n*c machines and returns a SplittableSchedule over at most
-    n*c of them (see the module docstring). epsilon must lie in (0, 1].
+    The splittable variant returns a SplittableSchedule for m <= n*c and a
+    CompactSchedule beyond. Either variant returns the warm start where it
+    beats the program's schedule (see the module docstring). epsilon must
+    lie in (0, 1].
     The keyword delta overrides the derived accuracy with a coarser or
     finer grid 1/k (mainly for experiments); epsilon may then be None. A
     dict passed as ``report`` receives the accepted guess, the program it
@@ -198,8 +191,8 @@ def ptas_solve(
     When the warm start meets the lower-bound certificate (see the module
     docstring), the scheme returns it and solves no program: the report
     then holds None for the first three entries and an empty "probes"
-    list. For m <= n*c that schedule is optimal; beyond, it is optimal at
-    n*c machines.
+    list, and that schedule is optimal. Where the warm start beats the
+    program's schedule, the report still describes the program solved.
 
     The preemptive variant runs the splittable scheme (delta sets its grid)
     and unfolds the result into time slices; its report describes that
@@ -226,7 +219,7 @@ def ptas_solve(
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
-    # m < n <= n*c: the splittable guarantee holds, and
+    # m < n <= n*c, so the splittable schedule is explicit, and
     # max(p_max, its makespan) <= (1 + epsilon) * opt_preemptive
     split = _scheme(instance, SPLITTABLE, delta, enum_cap, report)
     return unfold_preemptive(instance, split)
@@ -260,9 +253,7 @@ def _scheme(instance, variant, delta, enum_cap, report):
     if reach <= certificate:
         if report is not None:
             report.update(guess=None, built=None, solution=None, probes=[])
-        if isinstance(warm, CompactSchedule):
-            return expand_compact(warm, work)
-        return warm
+        return _shaped(warm, instance)
     lo = max(floor, reach / _WARM_RATIO[variant])
     hi = reach
     probe = _Prober(work, delta, variant, enum_cap)
@@ -276,8 +267,16 @@ def _scheme(instance, variant, delta, enum_cap, report):
         report.update(
             guess=_guess, built=built, solution=solution, probes=probe.probes
         )
-    # The output always comes from the plain program: runs that clamp to
-    # the same effective machine count must produce identical schedules,
-    # so the bounded-irregular-machines row is exercised by its own tests
-    # rather than rerouted through here.
-    return construct_schedule(instance, solution, built)
+    schedule = construct_schedule(instance, solution, built)
+    if reach < makespan(schedule, instance):
+        schedule = warm
+    return _shaped(schedule, instance)
+
+
+def _shaped(schedule, instance):
+    """A compact schedule expanded where m <= n*c; any other as it is."""
+    if isinstance(schedule, CompactSchedule) and (
+        instance.machine_count <= instance.job_count * instance.slot_budget
+    ):
+        return expand_compact(schedule, instance)
+    return schedule

@@ -2,14 +2,16 @@
 
 The point is the compact program's (``build_program``); the built
 program's index maps say where each class's columns sit. Machines are
-materialized from the configuration counts (configuration index
-ascending). Large classes claim module slots in deterministic order
-(classes ascending, module sizes descending, machines ascending); small
-classes spread round-robin over the machines of their hosting cell, which
-keeps both the per-machine host count within the free slots and the
-per-machine hosted volume within leftover plus one small class. The
-original jobs then pour back into the space their rounded carriers
-reserved, in job id order.
+runs of configurations (configuration index ascending, x_C machines
+each). Large classes claim module slots in deterministic order (classes
+ascending, module sizes descending, machines ascending); small classes
+spread round-robin over the machines of their hosting cell, which keeps
+both the per-machine host count within the free slots and the
+per-machine hosted volume within leftover plus one small class. A
+splittable point is read as counted class-load patterns (a
+``CompactSchedule``), at a cost independent of the machine count. A
+non-preemptive point places its original jobs into the space their
+rounded carriers reserved.
 
 A splittable schedule also unfolds into a preemptive one by slice
 decomposition (``unfold_preemptive``), which is how the preemptive scheme
@@ -18,11 +20,14 @@ answers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
+from itertools import compress
 
 from ..core import (
     CCSError,
+    CompactSchedule,
     Instance,
     NonPreemptiveSchedule,
     PreemptiveSchedule,
@@ -33,32 +38,34 @@ from ..greedy import round_robin
 from .builder import BuiltProgram
 
 
-def _machine_table(x, built: BuiltProgram) -> list:
-    """Configuration index per machine id."""
-    machines = []
+def _runs(x, built: BuiltProgram) -> list:
+    """(configuration, first machine id, machine count) for every
+    configuration the point runs, configuration index ascending."""
+    runs = []
+    first = 0
     for i in range(built.layout.config_count):
-        machines.extend([i] * x[i])
-    if len(machines) != built.rounded.machine_count:
+        if x[i]:
+            runs.append((i, first, x[i]))
+            first += x[i]
+    if first != built.rounded.machine_count:
         raise CCSError(
-            f"point runs {len(machines)} machines,"
+            f"point runs {first} machines,"
             f" expected {built.rounded.machine_count}"
         )
-    return machines
+    return runs
 
 
-def _host_assignments(x, built, machines) -> dict:
-    """Small class id -> hosting machine id, via round robin per cell."""
+def _host_assignments(x, built, runs) -> dict:
+    """Small class id -> hosting machine id, via round robin per cell.
+
+    round_robin deals the k-th class to bin k mod bins, so a cell hosting
+    h classes deals them over its first min(cell size, h) machines only."""
     layout = built.layout
     confs = built.configurations
     cell_of_config = {}
     for pos, pair in enumerate(confs.pairs):
         for i in confs.groups[pair]:
             cell_of_config[i] = pos
-    cell_machines: dict = {}
-    for mach_id, cfg in enumerate(machines):
-        pos = cell_of_config.get(cfg)
-        if pos is not None:
-            cell_machines.setdefault(pos, []).append(mach_id)
     cell_classes: dict = {}
     for u, cls in enumerate(built.rounded.classes):
         if not cls.small:
@@ -71,83 +78,111 @@ def _host_assignments(x, built, machines) -> dict:
         cell_classes.setdefault(chosen[0], []).append(
             (cls.class_id, cls.jobs[0].scaled_size)
         )
+    cell_machines: dict = {}
+    for i, first, count in runs:
+        pos = cell_of_config.get(i)
+        if pos in cell_classes:
+            slots = cell_machines.setdefault(pos, [])
+            need = len(cell_classes[pos]) - len(slots)
+            slots.extend(range(first, first + min(count, need)))
     hosts: dict = {}
     for pos in sorted(cell_classes):
-        members = cell_classes[pos]
-        slots = cell_machines.get(pos, [])
+        slots = cell_machines.get(pos)
         if not slots:
             raise CCSError(
                 f"hosting cell {built.configurations.pairs[pos]} is empty"
             )
-        bins = round_robin(members, len(slots))
-        for bin_idx in range(len(slots)):
+        bins = round_robin(cell_classes[pos], len(slots))
+        for bin_idx, machine in enumerate(slots):
             for class_id in bins[bin_idx]:
-                hosts[class_id] = slots[bin_idx]
+                hosts[class_id] = machine
     return hosts
 
 
-def _pour(job_ids, instance, room_list, emit) -> None:
-    """Pour the given original jobs (id ascending) into the capacity list.
+def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
+    """The point's per-machine class loads as counted patterns.
 
-    room_list holds mutable [capacity, context] cells; emit(job, take,
-    context) receives each nonzero piece. Advances through cells in order.
+    The slots of module g form a pool: machines in id order, each holding
+    as many slots as its configuration has copies of g. Large classes, in
+    class order, claim their slots from the pools largest module first
+    and fill them in that order: full slots, at most one partly filled
+    slot, then empty ones. Machines are swept in id order, a stretch at a
+    time: every machine up to the next claim boundary, run end or
+    small-class host takes its slots from the same claims, so the sweep's
+    steps follow the point's support and the class count, not m.
     """
-    idx = 0
-    for j in sorted(job_ids):
-        need = instance.processing_times[j]
-        while need > 0:
-            while room_list[idx][0] == 0:
-                idx += 1
-            cell = room_list[idx]
-            take = min(need, cell[0])
-            emit(j, take, cell[1])
-            cell[0] -= take
-            need -= take
-
-
-def _reconstruct_splittable(
-    instance: Instance, x, built: BuiltProgram
-) -> SplittableSchedule:
-    layout = built.layout
     rounded = built.rounded
-    machines = _machine_table(x, built)
-    scale = rounded.scale
-    slot_pool: dict = {g: deque() for g in range(layout.module_count)}
-    for mach_id, cfg in enumerate(machines):
-        vec = built.configurations.configs[cfg]
-        for g, count in enumerate(vec):
-            for _ in range(count):
-                slot_pool[g].append(mach_id)
-    hosts = _host_assignments(x, built, machines)
-    pieces: list = []
+    configs = built.configurations.configs
+    runs = _runs(x, built)
+    # per module, the claims on its slots in claim order, as [owner, slot
+    # count]; the owner is (class id, load per slot), or None
+    claims = [deque() for _ in range(built.layout.module_count)]
     for u, cls in enumerate(rounded.classes):
         if cls.small:
-            mach = hosts[cls.class_id]
-            room = [[cls.jobs[0].raw_size, mach]]
-        else:
-            y = built.module_counts(x, u)
-            room = []
-            for g in reversed(range(layout.module_count)):
-                size_raw = Fraction(built.modules.sizes[g]) / scale
-                for _ in range(y[g]):
-                    room.append([size_raw, slot_pool[g].popleft()])
-        job_ids = [j for job in cls.jobs for j in job.job_ids]
-        _pour(
-            job_ids,
-            instance,
-            room,
-            lambda j, take, mach: pieces.append(
-                (j, take / instance.processing_times[j], mach)
-            ),
-        )
-    return SplittableSchedule(pieces=tuple(pieces))
+            continue
+        left = cls.jobs[0].raw_size
+        y = built.module_counts(x, u)
+        for g in reversed(range(built.layout.module_count)):
+            size = Fraction(built.modules.sizes[g]) / rounded.scale
+            full = min(y[g], left // size)
+            part = left - full * size if full < y[g] else 0
+            left -= full * size + part
+            for claim in ([(cls.class_id, size), full],
+                          [(cls.class_id, part), int(part > 0)],
+                          [None, y[g] - full - (part > 0)]):
+                if claim[1]:
+                    claims[g].append(claim)
+        if left:
+            raise CCSError(f"class {cls.class_id} jobs left over")
+    for g, pool in enumerate(claims):
+        supply = sum(configs[i][g] * count for i, _first, count in runs)
+        claimed = sum(count for _owner, count in pool)
+        if claimed != supply:
+            raise CCSError(f"module {g}: {claimed} slots claimed of {supply}")
+    hosted: dict = {}
+    for class_id, machine in _host_assignments(x, built, runs).items():
+        raw = rounded.classes[class_id - 1].jobs[0].raw_size
+        hosted.setdefault(machine, []).append((class_id, raw))
+    stops = sorted(hosted)
+    counts: dict = {}
+    for i, machine, count in runs:
+        vec = configs[i]
+        used = list(compress(range(len(vec)), vec))
+        end = machine + count
+        while machine < end:
+            h = bisect_left(stops, machine)
+            step = max(1, min(
+                [claims[g][0][1] // vec[g] for g in used]
+                + [end - machine] + [s - machine for s in stops[h : h + 1]]
+            ))
+            loads = dict(hosted.get(machine, ()))
+            for g in used:
+                need = vec[g]
+                while need:
+                    head = claims[g][0]
+                    take = min(need, head[1])
+                    if head[0]:
+                        u, load = head[0]
+                        loads[u] = loads.get(u, 0) + take * load
+                    # a step of several machines is taken only where each
+                    # of them finds all its slots in the head claim
+                    head[1] -= take * step
+                    need -= take
+                    if not head[1]:
+                        claims[g].popleft()
+            if loads:
+                pattern = tuple(sorted(loads.items()))
+                counts[pattern] = counts.get(pattern, 0) + step
+            machine += step
+    return CompactSchedule(patterns=tuple(counts.items()))
 
 
 def _reconstruct_nonpreemptive(
     instance: Instance, x, built: BuiltProgram
 ) -> NonPreemptiveSchedule:
     rounded = built.rounded
-    machines = _machine_table(x, built)
+    runs = _runs(x, built)
+    machines = [i for i, _first, count in runs for _ in range(count)]
     values = built.modules.size_values
     slot_pool: dict = {q: deque() for q in values}
     for mach_id, cfg in enumerate(machines):
@@ -155,7 +190,7 @@ def _reconstruct_nonpreemptive(
         for vq, count in enumerate(vec):
             for _ in range(count):
                 slot_pool[values[vq]].append(mach_id)
-    hosts = _host_assignments(x, built, machines)
+    hosts = _host_assignments(x, built, runs)
     assignment: dict = {}
     ground = built.modules.ground
     module_order = sorted(
@@ -279,5 +314,5 @@ def construct_schedule(instance: Instance, x, built: BuiltProgram):
     built compact program. Raises CCSError where the point does not fit
     the program's index maps."""
     if built.layout.variant == SPLITTABLE:
-        return _reconstruct_splittable(instance, x, built)
+        return _reconstruct_splittable(x, built)
     return _reconstruct_nonpreemptive(instance, x, built)

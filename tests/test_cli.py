@@ -263,6 +263,19 @@ class TestSolveCommand:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[-1] == "yes"
 
+    def test_split_ptas_at_a_billion_machines(self, tmp_path, capsys):
+        # the warm start is not certified, so the program runs at m = 10^9
+        text = "3 1000000000 2\n5 1\n9 2\n7 2\n"
+        assert probes(parse_instance(write(tmp_path, "i.txt", text)),
+                      SPLITTABLE)
+        code = self.solve(tmp_path, text,
+                          "--variant", "split", "--algo", "ptas")
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[-1] == "yes"
+        # solved at the true m: 21 units of work over 10^9 machines
+        assert Fraction(row[4]) < 1
+
     def test_infeasible_instance_exits_two(self, tmp_path):
         code = self.solve(tmp_path, "2 1 1\n2 1\n2 2\n",
                           "--variant", "preempt", "--algo", "approx")

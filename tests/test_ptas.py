@@ -4,11 +4,12 @@ block program shape, reconstruction, and the end-to-end driver."""
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import instances
 from ccs import (
@@ -26,6 +27,7 @@ from ccs import (
 )
 from ccs.approx import approx_nonpreemptive, approx_splittable
 from ccs.core import CCSError, expand_compact
+from ccs.greedy import round_robin
 from ccs.nfold import (
     constraint_violations,
     flatten,
@@ -42,7 +44,6 @@ from ccs.ptas import (
     construct_schedule,
     derive_delta,
     enumerate_sets,
-    exponential_m_extension,
     inflated_bound,
     preprocess,
     ptas_solve,
@@ -383,60 +384,6 @@ class TestProgramShape:
         assert brick[built.layout.z_offset + pair_pos] == 1
 
 
-class TestMachineCountExtension:
-    def build(self, inst, guess):
-        params = PtasParams.at_guess(guess, HALF, SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
-        return build_program(rounded)
-
-    def extend(self, built):
-        return exponential_m_extension(
-            as_nfold(built),
-            built.rounded.class_count,
-            configurations=built.configurations,
-            layout=built.layout,
-        )
-
-    def test_bound_grows_quadratically(self):
-        built = self.build(Instance((4, 4), (1, 1), 2, 1), 4)
-        extended = self.extend(built)
-        program = as_nfold(built)
-        assert extended.rhs[program.top_block_rows] == 1
-        assert extended.top_block_rows == program.top_block_rows + 1
-        assert extended.brick_width == program.brick_width + 1
-
-        three = self.build(Instance((4, 4, 4), (1, 2, 3), 3, 1), 4)
-        r = as_nfold(three).top_block_rows
-        assert self.extend(three).rhs[r] == 6
-
-    def test_splittable_only(self):
-        inst = Instance((2, 2), (1, 1), 1, 1)
-        params = PtasParams.at_guess(4, HALF, NONPREEMPTIVE)
-        built = build_program(preprocess(inst, params, NONPREEMPTIVE))
-        with pytest.raises(CCSError):
-            self.extend(built)
-
-    def test_preserves_feasibility_on_round_loads(self):
-        # class loads that fit a single module keep one machine irregular,
-        # within the budget of the extra row
-        for sizes, labels, m in [
-            ((4, 4), (1, 1), 2),
-            ((2, 2), (1, 1), 2),
-            ((4, 4, 2, 2), (1, 1, 2, 2), 4),
-        ]:
-            built = self.build(Instance(sizes, labels, m, 1), 4)
-            assert solve_feasible(flatten(as_nfold(built))) is not None
-            assert solve_feasible(flatten(self.extend(built))) is not None
-
-    def test_bound_refuses_two_partial_machines(self):
-        # load 13 against machine capacity 12 needs two non-full pieces,
-        # but the row only allows one irregular machine for one class:
-        # the extended program wrongly rejects this feasible instance
-        built = self.build(Instance((6, 7), (1, 1), 2, 1), 4)
-        assert solve_feasible(flatten(as_nfold(built))) is not None
-        assert solve_feasible(flatten(self.extend(built))) is None
-
-
 def brick_conservation(built, solution):
     """Re-add the demand rows from the raw solution vector."""
     layout = built.layout
@@ -628,6 +575,56 @@ class TestReconstructionGuards:
             construct_schedule(inst, x, built)
 
 
+def explicit_machine_loads(x, built):
+    """Sorted per-machine class loads of a splittable point, read slot by
+    slot as the reference for the pattern reader: every machine is
+    listed, each class pours its load into its module slots in claim
+    order, and small classes are dealt over every machine of their
+    cell."""
+    rounded, confs = built.rounded, built.configurations
+    machines = [
+        i for i in range(built.layout.config_count) for _ in range(x[i])
+    ]
+    pool = [deque() for _ in range(built.layout.module_count)]
+    for machine, cfg in enumerate(machines):
+        for g, count in enumerate(confs.configs[cfg]):
+            pool[g].extend([machine] * count)
+    loads = [{} for _ in machines]
+    cell_of = {
+        i: pos for pos, pair in enumerate(confs.pairs) for i in confs.groups[pair]
+    }
+    cells = {}
+    for u, cls in enumerate(rounded.classes):
+        if cls.small:
+            z0 = built.z_columns[u]
+            pos = list(x[z0 : z0 + built.layout.pair_count]).index(1)
+            cells.setdefault(pos, []).append(
+                (cls.class_id, cls.jobs[0].scaled_size)
+            )
+    for pos, members in cells.items():
+        cell = [mach for mach, cfg in enumerate(machines) if cell_of.get(cfg) == pos]
+        bins = round_robin(members, len(cell))
+        for b, machine in enumerate(cell):
+            for class_id in bins[b]:
+                raw = rounded.classes[class_id - 1].jobs[0].raw_size
+                loads[machine][class_id] = raw
+    for u, cls in enumerate(rounded.classes):
+        if cls.small:
+            continue
+        left = cls.jobs[0].raw_size
+        y = built.module_counts(x, u)
+        for g in reversed(range(built.layout.module_count)):
+            size = Fraction(built.modules.sizes[g]) / rounded.scale
+            for _ in range(y[g]):
+                machine = pool[g].popleft()
+                take = min(left, size)
+                if take:
+                    here = loads[machine]
+                    here[cls.class_id] = here.get(cls.class_id, 0) + take
+                left -= take
+    return sorted(tuple(sorted(d.items())) for d in loads if d)
+
+
 class TestReconstruction:
     def check(self, inst, delta, variant, cap=None):
         built, solution = accepted(inst, delta, variant, cap)
@@ -647,6 +644,21 @@ class TestReconstruction:
     @settings(max_examples=10, deadline=None)
     def test_nonpreemptive_schedules_stay_under_inflated_bound(self, inst):
         self.check(inst, HALF, NONPREEMPTIVE)
+
+    # machines running one configuration in bulk, with two slots of one
+    # module each, and small classes hosted inside such a run
+    @example(Instance((6, 4, 4, 2, 9), (1, 2, 2, 2, 1), 4, 2))
+    @example(Instance((40, 1, 1, 1), (1, 2, 3, 4), 10, 2))
+    @example(Instance((30, 20, 1, 2, 1), (1, 2, 3, 4, 5), 12, 2))
+    @given(instances(max_jobs=5, max_machines=24, max_budget=3, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_splittable_patterns_match_the_explicit_reading(self, inst):
+        built, solution = accepted(inst, HALF, SPLITTABLE)
+        schedule = construct_schedule(inst, solution, built)
+        assert isinstance(schedule, CompactSchedule)
+        assert sorted(
+            pattern for pattern, count in schedule.patterns for _ in range(count)
+        ) == explicit_machine_loads(solution, built)
 
     def test_nonpreemptive_finer_grid(self):
         self.check(Instance((3, 1, 4, 1), (1, 2, 1, 2), 2, 2), THIRD,
@@ -926,16 +938,77 @@ class TestDriver:
             _search_grid(reject, Fraction(1), Fraction(2), HALF)
 
     def test_huge_machine_count_matches_saturated_run(self):
+        # the scheme solves at the true m, where the saturated run's
+        # schedule is still available, so the huge run is no worse
         inst = Instance((2, 3), (1, 2), 10**9, 2)
-        clamped = Instance((2, 3), (1, 2), 4, 2)
+        saturated = Instance((2, 3), (1, 2), 4, 2)
         big = ptas_solve(inst, 1, SPLITTABLE)
-        small = ptas_solve(clamped, 1, SPLITTABLE)
-        # the scheme solves at n*c machines and lists each of them
-        assert isinstance(big, SplittableSchedule)
-        assert {i for _j, _lam, i in big.pieces} <= set(range(4))
+        small = ptas_solve(saturated, 1, SPLITTABLE)
+        assert isinstance(big, CompactSchedule)
         assert validate(big, inst) == []
-        assert validate(small, clamped) == []
-        assert makespan(big, inst) == makespan(small, clamped)
+        assert validate(small, saturated) == []
+        assert makespan(big, inst) <= makespan(small, saturated)
+
+    @pytest.mark.parametrize("inst,best", [
+        (Instance((6,), (1,), 6, 1), 1),
+        (Instance((6, 4), (1, 2), 5, 1), 2),
+    ])
+    def test_certified_beyond_n_times_c_is_optimal(self, inst, best):
+        assert inst.machine_count > inst.job_count * inst.slot_budget
+        assert opt_splittable(inst) == best
+        report = {}
+        schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
+        assert report["probes"] == []
+        assert isinstance(schedule, CompactSchedule)
+        assert validate(schedule, inst) == []
+        assert makespan(schedule, inst) == best
+
+    @pytest.mark.parametrize("inst", [
+        Instance((5, 9), (1, 2), 6, 2),
+        Instance((2, 3), (2, 1), 6, 2),
+    ])
+    def test_program_beyond_n_times_c_keeps_the_ratio(self, inst):
+        assert inst.machine_count > inst.job_count * inst.slot_budget
+        report = {}
+        schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
+        assert report["probes"]
+        assert isinstance(schedule, CompactSchedule)
+        assert validate(schedule, inst) == []
+        assert makespan(schedule, inst) <= 2 * opt_splittable(inst)
+
+    def test_program_at_a_billion_machines_stays_compact(self):
+        inst = Instance((5, 9, 7), (1, 2, 2), 10**9, 2)
+        report = {}
+        schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
+        assert report["probes"]
+        assert isinstance(schedule, CompactSchedule)
+        assert len(schedule.patterns) <= 2 * inst.class_count + 1
+        assert validate(schedule, inst) == []
+
+    def test_bound_past_double_precision_is_refused(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        monkeypatch.setattr(
+            scipy.optimize, "milp", lambda *a, **k: calls.append(a)
+        )
+        inst = Instance((5, 9, 7), (1, 2, 2), 10**15, 2)
+        with pytest.raises(EnumerationCapError, match="2\\*\\*53"):
+            ptas_solve(inst, 1, SPLITTABLE)
+        assert calls == []
+
+    @pytest.mark.parametrize("variant,inst,warm", [
+        (NONPREEMPTIVE, Instance((6, 4, 2, 3, 2), (4, 2, 3, 4, 1), 3, 2), 8),
+        (SPLITTABLE, Instance((9, 3, 3, 6), (2, 3, 1, 1), 3, 2), 9),
+    ])
+    def test_warm_start_beats_a_worse_program_schedule(self, variant, inst,
+                                                       warm):
+        report = {}
+        schedule = ptas_solve(inst, 1, variant, report=report)
+        assert report["probes"]
+        assert report["built"] is not None
+        assert validate(schedule, inst, variant) == []
+        assert makespan(schedule, inst) <= warm
 
     def test_splittable_makespan_scales_exactly(self):
         base = Instance((5, 3, 4, 2), (1, 2, 1, 2), 2, 2)
