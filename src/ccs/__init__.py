@@ -8,8 +8,6 @@ programs.
 """
 
 from ccs.approx import (
-    ClassSplit,
-    SubClassPlan,
     approx_nonpreemptive,
     approx_preemptive,
     approx_splittable,
@@ -18,11 +16,9 @@ from ccs.approx import (
     nonpreemptive_threshold,
     repack_stacks,
     split_class,
-    splittable_threshold,
 )
 from ccs.core import (
     CCSError,
-    ClassLoad,
     CompactSchedule,
     EnumerationCapError,
     Instance,
@@ -36,7 +32,6 @@ from ccs.core import (
     SplittableSchedule,
     StructuralInfeasibleError,
     VARIANTS,
-    class_loads,
     expand_compact,
     format_rational,
     lower_bound,
@@ -55,9 +50,6 @@ from ccs.oracle import (
 
 __all__ = [
     "CCSError",
-    "ClassLoad",
-    "ClassSplit",
-    "SubClassPlan",
     "approx_nonpreemptive",
     "approx_preemptive",
     "approx_splittable",
@@ -66,7 +58,6 @@ __all__ = [
     "nonpreemptive_threshold",
     "repack_stacks",
     "split_class",
-    "splittable_threshold",
     "lpt",
     "round_robin",
     "opt_nonpreemptive",
@@ -86,7 +77,6 @@ __all__ = [
     "SplittableSchedule",
     "StructuralInfeasibleError",
     "VARIANTS",
-    "class_loads",
     "expand_compact",
     "format_rational",
     "lower_bound",

@@ -22,11 +22,12 @@ size. The threshold search differs per variant:
   O(log n) bisections per distinct class shape plus the pairing of its
   medium jobs, in integers when every size is one.
 
-Machine counts beyond the job count are profitable only when jobs may run
-self-parallel, i.e. in the splittable variant. There the output switches to
-the compact encoding: the round robin over all m machines is laid out from
-the per-class runs of pieces and stored as counted class-load patterns,
-O(C) of them whatever m is.
+The splittable variant needs no job-level cutting at all: machine ids
+are interchangeable and jobs of a class may run in parallel, so its round
+robin is laid out from the class totals alone and stored as counted
+class-load patterns (a CompactSchedule), O(C) of them whatever m is;
+``expand_compact`` carves it into job pieces on demand. The preemptive
+variant cuts jobs with ``split_class`` and deals them with ``_deal``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -47,42 +48,13 @@ from .core import (
     PREEMPTIVE,
     PreemptiveSchedule,
     SPLITTABLE,
-    SplittableSchedule,
     lower_bound,
 )
 from .greedy import lpt, round_robin
 
 
 # ---------------------------------------------------------------------------
-# sub-class plans
-
-
-@dataclass(frozen=True)
-class ClassSplit:
-    """How one class is cut at a threshold T.
-
-    count = ceil(total / T) sub-classes: full_count pieces of size exactly T
-    followed by one piece of size partial_load (0 when total is a multiple
-    of T; then count == full_count). ``split_class`` cuts the pieces.
-    """
-
-    class_id: int
-    total: Fraction
-    count: int
-    full_count: int
-    partial_load: Fraction
-
-
-@dataclass(frozen=True)
-class SubClassPlan:
-    """Cutting plan for a whole instance at one threshold."""
-
-    threshold: Fraction
-    classes: tuple
-
-    @property
-    def total_sub_classes(self) -> int:
-        return sum(split.count for split in self.classes)
+# cutting classes
 
 
 def split_class(jobs: Sequence, threshold: Fraction) -> list:
@@ -126,23 +98,19 @@ def _class_job_lists(instance: Instance) -> list:
     return by_class
 
 
-def _build_plan(instance: Instance, threshold: Fraction) -> SubClassPlan:
-    splits = []
-    for class_id, total in enumerate(instance.class_totals, start=1):
-        full = math.floor(total / threshold)
-        partial = total - full * threshold
-        if partial == 0 and full == 0:  # empty classes cannot occur
-            raise CCSError(f"class {class_id} has no load")
-        splits.append(
-            ClassSplit(
-                class_id=class_id,
-                total=total,
-                count=max(1, math.ceil(total / threshold)),
-                full_count=full,
-                partial_load=partial,
-            )
-        )
-    return SubClassPlan(threshold=threshold, classes=tuple(splits))
+def _deal(instance: Instance, threshold: Fraction, machine_count: int):
+    """(pieces, layout): every class cut at the threshold by split_class,
+    as (load, parts) class by class in cutting order, and their round robin
+    over machine_count machines (machine -> piece indices)."""
+    pieces = [
+        piece
+        for jobs in _class_job_lists(instance)
+        for piece in split_class(jobs, threshold)
+    ]
+    layout = round_robin(
+        list(enumerate(load for load, _parts in pieces)), machine_count
+    )
+    return pieces, layout
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +158,7 @@ def _smallest_guess(loads, machine_limit, slot_budget, floor, average):
     return best
 
 
-def splittable_threshold(instance: Instance) -> Fraction:
+def border_search_splittable(instance: Instance) -> Fraction:
     """T*: the smallest threshold from the border set at which the classes
     cut into at most c*m sub-classes. T* never exceeds the splittable
     optimum: any schedule with makespan T uses at least ceil(P/T) slots for
@@ -206,66 +174,44 @@ def splittable_threshold(instance: Instance) -> Fraction:
     return t_star
 
 
-def border_search_splittable(instance: Instance):
-    """(T*, plan): ``splittable_threshold`` and the cutting plan at it."""
-    t_star = splittable_threshold(instance)
-    return t_star, _build_plan(instance, t_star)
-
-
 # ---------------------------------------------------------------------------
 # splittable construction
 
 
-def _deal(instance: Instance, threshold: Fraction, machine_count: int):
-    """(pieces, layout): every class cut at the threshold by split_class,
-    as (load, parts) class by class in cutting order, and their round robin
-    over machine_count machines (machine -> piece indices)."""
-    pieces = [
-        piece
-        for jobs in _class_job_lists(instance)
-        for piece in split_class(jobs, threshold)
-    ]
-    layout = round_robin(
-        list(enumerate(load for load, _parts in pieces)), machine_count
-    )
-    return pieces, layout
+def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
+    """2-approximation for the splittable variant: cut every class at the
+    border-search threshold T* and deal the pieces round robin by size.
+    Makespan is at most total/m + T*, and T* is a lower bound on the
+    optimum, so the ratio is at most 2. A caller that already holds
+    ``border_search_splittable(instance)`` passes it as ``t_star``.
 
-
-def _explicit_splittable(instance: Instance, threshold: Fraction) -> SplittableSchedule:
-    pieces, layout = _deal(instance, threshold, instance.machine_count)
-    return SplittableSchedule(
-        pieces=tuple(
-            (job_id, frac, machine)
-            for machine, indices in layout.items()
-            for k in indices
-            for job_id, frac in pieces[k][1]
-        )
-    )
-
-
-def _compact_splittable(plan: SubClassPlan, machine_count: int) -> CompactSchedule:
-    """The round robin of ``_explicit_splittable`` over the true machine
-    count, stored as counted class-load patterns.
-
-    Dealing order: every full piece (class ascending; all of size T*),
-    then the partial pieces by (-load, class). Piece k goes to machine
-    k mod m. The order is a list of runs, one per class's full pieces and
-    one per partial piece, and machine i meets a new run in some layer only
-    where i = b mod m for a run boundary b. The machines between those cut
-    points share one pattern, so there are O(C) patterns whatever m is.
+    The round robin is stored as counted class-load patterns. Class u of
+    load P cuts into floor(P/T*) full pieces and one partial piece of
+    P mod T* when that is positive. Dealing order: every full piece (class
+    ascending), then the partial pieces by (-load, class); piece k goes to
+    machine k mod m. The order is a list of runs, one per class's full
+    pieces and one per partial piece, and machine i meets a new run in
+    some layer only where i = b mod m for a run boundary b. The machines
+    between those cut points share one pattern, so there are O(C) patterns
+    whatever m is. At most c*m pieces exist, so a machine takes at most c
+    of them.
     """
-    m = machine_count
+    if t_star is None:
+        t_star = border_search_splittable(instance)
+    m = instance.machine_count
     runs = []  # (first piece index, class_id, piece load) in dealing order
+    partials = []
     dealt = 0
-    for split in plan.classes:
-        if split.full_count:
-            runs.append((dealt, split.class_id, plan.threshold))
-            dealt += split.full_count
-    for split in sorted(
-        (s for s in plan.classes if s.partial_load),
-        key=lambda s: (-s.partial_load, s.class_id),
-    ):
-        runs.append((dealt, split.class_id, split.partial_load))
+    for u, total in enumerate(instance.class_totals, start=1):
+        full, rest = divmod(total, t_star)
+        if full:
+            runs.append((dealt, u, t_star))
+            dealt += full
+        if rest:
+            partials.append((u, rest))
+    # load descending, class ascending on ties: a reversed sort is stable
+    for u, rest in sorted(partials, key=itemgetter(1), reverse=True):
+        runs.append((dealt, u, rest))
         dealt += 1
     starts = [first for first, _u, _load in runs]
     cuts = sorted({0, m} | {b % m for b in starts + [dealt]})
@@ -279,22 +225,6 @@ def _compact_splittable(plan: SubClassPlan, machine_count: int) -> CompactSchedu
             pattern = tuple(sorted(loads.items()))
             counts[pattern] = counts.get(pattern, 0) + hi - lo
     return CompactSchedule(patterns=tuple(counts.items()))
-
-
-def approx_splittable(instance: Instance, border=None):
-    """2-approximation for the splittable variant: cut at the border-search
-    threshold T*, distribute sub-classes round robin. Makespan is at most
-    total/m + T*, and T* is a lower bound on the optimum, so the ratio is
-    at most 2. Returns a SplittableSchedule, or a CompactSchedule when
-    m exceeds the job count. A caller that already holds
-    ``border_search_splittable(instance)`` passes it as ``border``, and the
-    schedule is laid out from it without searching again."""
-    if border is None:
-        border = border_search_splittable(instance)
-    t_star, plan = border
-    if instance.machine_count <= instance.job_count:
-        return _explicit_splittable(instance, t_star)
-    return _compact_splittable(plan, instance.machine_count)
 
 
 # ---------------------------------------------------------------------------

@@ -138,19 +138,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class ClassLoad:
-    """Accumulated processing time of one class."""
-
-    class_id: int
-    total: Fraction
-
-
-def class_loads(instance: Instance) -> list:
-    """Per-class totals, ordered by class id. Exact."""
-    return [ClassLoad(u + 1, t) for u, t in enumerate(instance.class_totals)]
-
-
-@dataclass(frozen=True)
 class SplittableSchedule:
     """Fractions of jobs on machines; a job may run on several machines
     simultaneously. Pieces are (job_id, fraction, machine_id) with the
@@ -202,10 +189,9 @@ class NonPreemptiveSchedule:
 
 @dataclass(frozen=True)
 class CompactSchedule:
-    """Splittable schedule stored as counted machine patterns, for machine
-    counts far beyond the job count: ``approx_splittable`` returns one
-    beyond m = n, and the splittable scheme (``ptas_solve``) beyond
-    m = n*c.
+    """Splittable schedule stored as counted machine patterns, whatever
+    the machine count: ``approx_splittable`` and the splittable scheme
+    (``ptas_solve``) answer in this form.
 
     ``patterns`` holds (pattern, count) pairs: ``count`` machines each run
     ``pattern``, one machine's load per class as ``((class_id, load),

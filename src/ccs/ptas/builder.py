@@ -103,18 +103,12 @@ def _integral_bound(rounded: RoundedInstance) -> int:
     return int(bound)
 
 
-def build_program(
-    rounded: RoundedInstance,
-    modules: ModuleSet = None,
-    configurations: ConfigurationSet = None,
-    cap=None,
-) -> BuiltProgram:
+def build_program(rounded: RoundedInstance, cap=None) -> BuiltProgram:
     """Assemble the compact configuration program for one rounded
     instance. Raises ValueError for the preemptive variant, which has no
     program of its own."""
     variant = require_scheme_variant(rounded.variant)
-    if modules is None or configurations is None:
-        modules, configurations = enumerate_sets(rounded, cap)
+    modules, configurations = enumerate_sets(rounded, cap)
     c = rounded.slot_budget
     m = rounded.machine_count
     bound = _integral_bound(rounded)

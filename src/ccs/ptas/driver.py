@@ -28,15 +28,17 @@ smallest feasible guess it meets.
 A non-preemptive schedule never uses more than n machines, so that scheme
 solves at min(m, n) machines and loses nothing. The splittable scheme
 solves at the true m, since pieces of one job may run in parallel on any
-number of machines. Its schedule is a SplittableSchedule for m <= n*c and
-a CompactSchedule of counted patterns beyond. Of the two schedules a
-scheme holds, the warm start and the program's, it returns the one with
-the smaller makespan, so the program can only improve on the warm start.
+number of machines. Its schedule, the warm start's as well as the
+program's, is a CompactSchedule of counted patterns at every m. Of the
+two schedules a scheme holds, the warm start and the program's, it
+returns the one with the smaller makespan, so the program can only
+improve on the warm start.
 
 The preemptive variant reduces to the splittable one, since the preemptive
 optimum is max(p_max, splittable optimum): with m >= n every job gets a
 machine of its own (makespan p_max, optimal); otherwise the splittable
-scheme's schedule is unfolded into time slices by ``unfold_preemptive``.
+scheme's schedule is expanded (m < n, so cheaply) and unfolded into time
+slices by ``unfold_preemptive``.
 """
 
 from __future__ import annotations
@@ -50,11 +52,9 @@ from ..approx import (
     approx_nonpreemptive,
     approx_splittable,
     border_search_splittable,
-    splittable_threshold,
 )
 from ..core import (
     CCSError,
-    CompactSchedule,
     Instance,
     NONPREEMPTIVE,
     PREEMPTIVE,
@@ -97,18 +97,17 @@ class _Prober:
     (guess, feasible) for every program solved, in order. ``_search``
     never asks for a guess twice, so nothing is kept between calls."""
 
-    def __init__(self, work, delta, variant, cap):
+    def __init__(self, work, delta, variant):
         self.work = work
         self.delta = delta
         self.variant = variant
-        self.cap = cap
         self.probes: list = []
 
     def __call__(self, guess: Fraction):
         guess = Fraction(guess)
         params = PtasParams.at_guess(guess, self.delta, self.variant)
         rounded = preprocess(self.work, params, self.variant)
-        built = build_program(rounded, cap=self.cap)
+        built = build_program(rounded)
         solution = solve_feasible(built.program)
         self.probes.append((guess, solution is not None))
         return built, solution
@@ -167,26 +166,21 @@ def _search_grid(probe, lo: Fraction, hi: Fraction, delta: Fraction):
 
 def ptas_solve(
     instance: Instance,
-    epsilon: Optional[Rational],
+    epsilon: Rational,
     variant: str,
     *,
-    delta: Optional[Rational] = None,
-    enum_cap=None,
     report: Optional[dict] = None,
 ):
     """A schedule within a factor 1 + epsilon of the variant's optimum.
 
-    The splittable variant returns a SplittableSchedule for m <= n*c and a
-    CompactSchedule beyond. Either variant returns the warm start where it
+    The splittable variant returns a CompactSchedule (``expand_compact``
+    gives machine ids). Either variant returns the warm start where it
     beats the program's schedule (see the module docstring). epsilon must
-    lie in (0, 1].
-    The keyword delta overrides the derived accuracy with a coarser or
-    finer grid 1/k (mainly for experiments); epsilon may then be None. A
-    dict passed as ``report`` receives the accepted guess, the program it
-    was solved on and that program's point ("guess", "built", "solution";
-    ``as_nfold(built)`` gives the program's n-fold layout), and under
-    "probes" the (guess, feasible) pair of every program solved, in probe
-    order.
+    lie in (0, 1]. A dict passed as ``report`` receives the accepted
+    guess, the program it was solved on and that program's point ("guess",
+    "built", "solution"; ``as_nfold(built)`` gives the program's n-fold
+    layout), and under "probes" the (guess, feasible) pair of every
+    program solved, in probe order.
 
     When the warm start meets the lower-bound certificate (see the module
     docstring), the scheme returns it and solves no program: the report
@@ -194,48 +188,42 @@ def ptas_solve(
     list, and that schedule is optimal. Where the warm start beats the
     program's schedule, the report still describes the program solved.
 
-    The preemptive variant runs the splittable scheme (delta sets its grid)
+    The preemptive variant runs the splittable scheme at the same epsilon
     and unfolds the result into time slices; its report describes that
     splittable run. With at least as many machines as jobs it solves no
     program at all, and reports as a certified warm start does.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if epsilon is None:
+        raise ValueError("epsilon is required")
     scheme = SPLITTABLE if variant == PREEMPTIVE else variant
-    if delta is None:
-        if epsilon is None:
-            raise ValueError("either epsilon or delta is required")
-        delta = derive_delta(epsilon, scheme)
-    else:
-        delta = Fraction(delta)
-        if delta.numerator != 1 or delta > Fraction(1, 2):
-            raise ValueError(f"delta must be 1/k with k >= 2, got {delta}")
+    delta = derive_delta(epsilon, scheme)
     lower_bound(instance, variant)
     if variant != PREEMPTIVE:
-        return _scheme(instance, variant, delta, enum_cap, report)
+        return _scheme(instance, variant, delta, report)
     if instance.machine_count >= instance.job_count:
         if report is not None:
             report.update(guess=None, built=None, solution=None, probes=[])
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
-    # m < n <= n*c, so the splittable schedule is explicit, and
-    # max(p_max, its makespan) <= (1 + epsilon) * opt_preemptive
-    split = _scheme(instance, SPLITTABLE, delta, enum_cap, report)
-    return unfold_preemptive(instance, split)
+    # max(p_max, the splittable makespan) <= (1 + epsilon) * opt_preemptive
+    split = _scheme(instance, SPLITTABLE, delta, report)
+    return unfold_preemptive(instance, expand_compact(split, instance))
 
 
 def _warm_start(work, variant):
     """(warm schedule, T*): the constant-factor schedule on ``work`` and
     its splittable border threshold, each searched once. The splittable
-    warm start is laid out from the border search that yields T*."""
+    warm start is laid out at that T*."""
+    t_star = border_search_splittable(work)
     if variant == SPLITTABLE:
-        border = border_search_splittable(work)
-        return _WARM_ALGO[variant](work, border), border[0]
-    return _WARM_ALGO[variant](work), splittable_threshold(work)
+        return _WARM_ALGO[variant](work, t_star), t_star
+    return _WARM_ALGO[variant](work), t_star
 
 
-def _scheme(instance, variant, delta, enum_cap, report):
+def _scheme(instance, variant, delta, report):
     """The splittable or non-preemptive scheme at grid delta."""
     work = _clamp(instance, variant)
     floor, _ub = lower_bound(work, variant)
@@ -253,10 +241,10 @@ def _scheme(instance, variant, delta, enum_cap, report):
     if reach <= certificate:
         if report is not None:
             report.update(guess=None, built=None, solution=None, probes=[])
-        return _shaped(warm, instance)
+        return warm
     lo = max(floor, reach / _WARM_RATIO[variant])
     hi = reach
-    probe = _Prober(work, delta, variant, enum_cap)
+    probe = _Prober(work, delta, variant)
     if whole:
         _guess, built, solution = _search_integers(
             probe, math.ceil(lo), math.ceil(hi)
@@ -269,14 +257,5 @@ def _scheme(instance, variant, delta, enum_cap, report):
         )
     schedule = construct_schedule(instance, solution, built)
     if reach < makespan(schedule, instance):
-        schedule = warm
-    return _shaped(schedule, instance)
-
-
-def _shaped(schedule, instance):
-    """A compact schedule expanded where m <= n*c; any other as it is."""
-    if isinstance(schedule, CompactSchedule) and (
-        instance.machine_count <= instance.job_count * instance.slot_budget
-    ):
-        return expand_compact(schedule, instance)
+        return warm
     return schedule

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..core import (
     CCSError,
@@ -62,9 +61,8 @@ def inflated_bound(guess: Fraction, delta: Fraction, variant: str) -> Fraction:
 
 @dataclass(frozen=True)
 class PtasParams:
-    """Accuracy bundle: target ratio, grid size, guess and inflated bound."""
+    """Accuracy bundle: grid size, guess and inflated bound."""
 
-    epsilon: Optional[Fraction]
     delta: Fraction
     guess: Fraction
     inflated: Fraction
@@ -83,8 +81,6 @@ class PtasParams:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "guess", guess)
         object.__setattr__(self, "inflated", Fraction(self.inflated))
-        if self.epsilon is not None:
-            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
 
     @classmethod
     def at_guess(
@@ -92,12 +88,10 @@ class PtasParams:
         guess: Rational,
         delta: Rational,
         variant: str,
-        epsilon: Optional[Rational] = None,
     ) -> "PtasParams":
         guess = Fraction(guess)
         delta = Fraction(delta)
         return cls(
-            epsilon=epsilon,
             delta=delta,
             guess=guess,
             inflated=inflated_bound(guess, delta, variant),

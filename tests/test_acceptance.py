@@ -165,7 +165,7 @@ def test_criterion_04_nonpreemptive_seven_thirds_approx():
 def test_criterion_05_threshold_search_never_exceeds_optimum():
     high = 0
     for idx, inst in enumerate(SUITE):
-        t_star, _plan = border_search_splittable(inst)
+        t_star = border_search_splittable(inst)
         if t_star > opt(idx, SPLITTABLE):
             high += 1
     verdict(

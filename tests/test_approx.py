@@ -1,4 +1,4 @@
-"""Threshold searches, cutting plans, and the three approximation
+"""Threshold searches, class cutting, and the three approximation
 algorithms: frozen small cases plus property tests against the oracles."""
 
 import math
@@ -13,12 +13,10 @@ from ccs import (
     CompactSchedule,
     Instance,
     PreemptiveSchedule,
-    SplittableSchedule,
     approx_nonpreemptive,
     approx_preemptive,
     approx_splittable,
     border_search_splittable,
-    class_loads,
     compute_cu_nonpreemptive,
     expand_compact,
     lower_bound,
@@ -30,13 +28,12 @@ from ccs import (
     opt_splittable,
     repack_stacks,
     split_class,
-    splittable_threshold,
     validate,
     NONPREEMPTIVE,
     PREEMPTIVE,
     SPLITTABLE,
 )
-from ccs.approx import _explicit_splittable, _preemptive_guess
+from ccs.approx import _preemptive_guess
 
 from conftest import instances, oracle_instances
 
@@ -45,27 +42,6 @@ def inst(sizes, labels, m, c) -> Instance:
     return Instance(
         tuple(Fraction(p) for p in sizes), tuple(labels), machine_count=m, slot_budget=c
     )
-
-
-@st.composite
-def many_machine_instances(draw):
-    """n < m <= 60, where approx_splittable answers with patterns."""
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(n + 1, 60))
-    c = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
-    return Instance(tuple(sizes), tuple(labels), m, c)
-
-
-def class_profile(schedule: SplittableSchedule, instance: Instance) -> list:
-    """Sorted per-machine class loads, ((class_id, load), ...) per machine."""
-    per_machine: dict = {}
-    for j, lam, i in schedule.pieces:
-        loads = per_machine.setdefault(i, {})
-        u = instance.class_labels[j]
-        loads[u] = loads.get(u, 0) + lam * instance.processing_times[j]
-    return sorted(tuple(sorted(loads.items())) for loads in per_machine.values())
 
 
 class TestSplitClass:
@@ -89,60 +65,54 @@ class TestSplitClass:
 
 class TestBorderSearch:
     def test_single_class_three_machines(self):
-        t_star, plan = border_search_splittable(inst([12], [1], 3, 1))
+        instance = inst([12], [1], 3, 1)
+        t_star = border_search_splittable(instance)
         assert t_star == 4
-        assert plan.classes[0].count == 3
-        assert plan.classes[0].full_count == 3
-        assert plan.classes[0].partial_load == 0
+        assert approx_splittable(instance, t_star) == CompactSchedule(
+            patterns=((((1, 4),), 3),)
+        )
 
     def test_two_singleton_classes_one_slot_each(self):
         # both classes need a machine of their own, the big one sets T*
-        t_star, _plan = border_search_splittable(inst([8, 2], [1, 2], 2, 1))
-        assert t_star == 8
+        assert border_search_splittable(inst([8, 2], [1, 2], 2, 1)) == 8
 
     def test_threshold_may_undercut_the_load_average(self):
         # 8 slots allow quarter pieces; the average (1/2) is not binding
-        t_star, _plan = border_search_splittable(inst([1, 1], [1, 2], 4, 2))
+        t_star = border_search_splittable(inst([1, 1], [1, 2], 4, 2))
         assert t_star == Fraction(1, 4)
 
     def test_example_with_ample_slots_takes_a_deep_cut(self):
-        t_star, _plan = border_search_splittable(inst([6], [1], 3, 1))
-        assert t_star == 2
+        assert border_search_splittable(inst([6], [1], 3, 1)) == 2
 
     @given(instances(max_machines=6))
     @settings(max_examples=120, deadline=None)
-    def test_plan_shape_and_conservation(self, instance):
-        t_star, plan = border_search_splittable(instance)
-        totals = {cl.class_id: cl.total for cl in class_loads(instance)}
+    def test_cut_shape_and_conservation(self, instance):
+        t_star = border_search_splittable(instance)
         budget = instance.slot_budget * instance.machine_count
-        assert plan.total_sub_classes <= budget
-        for split in plan.classes:
-            assert split.count == max(1, math.ceil(split.total / t_star))
-            assert split.count == split.full_count + (split.partial_load > 0)
-            assert 0 <= split.partial_load < t_star
+        count = 0
+        for u, total in enumerate(instance.class_totals, start=1):
             jobs = [
-                (j, instance.processing_times[j])
-                for j in instance.jobs_of_class(split.class_id)
+                (j, instance.processing_times[j]) for j in instance.jobs_of_class(u)
             ]
             pieces = split_class(jobs, t_star)
+            count += len(pieces)
+            assert len(pieces) == max(1, math.ceil(total / t_star))
+            full, rest = divmod(total, t_star)
             loads = [load for load, _ in pieces]
-            assert loads == [t_star] * split.full_count + (
-                [split.partial_load] if split.partial_load else []
-            )
-            assert sum(loads) == totals[split.class_id]
+            assert loads == [t_star] * full + ([rest] if rest else [])
             for load, parts in pieces:
                 shares = sum(
                     frac * instance.processing_times[j] for j, frac in parts
                 )
                 assert shares == load
+        assert count <= budget
 
     @given(oracle_instances())
     @settings(max_examples=40, deadline=None)
     def test_threshold_is_an_optimum_lower_bound(self, instance):
         # the scheme's lower-bound certificate rests on this chain; the
         # sizes are integers, so the non-preemptive optimum is one too
-        t_star, _plan = border_search_splittable(instance)
-        assert splittable_threshold(instance) == t_star
+        t_star = border_search_splittable(instance)
         split = opt_splittable(instance)
         whole, _schedule = opt_nonpreemptive(instance)
         assert t_star <= split <= opt_preemptive(instance) <= whole
@@ -160,8 +130,9 @@ class TestApproxSplittable:
     def test_ten_singleton_classes_round_robin(self):
         instance = inst([5, 5, 4, 3, 3, 2, 2, 1, 1, 1], range(1, 11), 4, 3)
         schedule = approx_splittable(instance)
-        assert isinstance(schedule, SplittableSchedule)
-        assert sorted(machine_loads(schedule, instance).values(), reverse=True) == [
+        assert isinstance(schedule, CompactSchedule)
+        explicit = expand_compact(schedule, instance)
+        assert sorted(machine_loads(explicit, instance).values(), reverse=True) == [
             8,
             7,
             7,
@@ -193,6 +164,7 @@ class TestApproxSplittable:
             ([9, 2], [1, 2], 3, 1),
             ([6, 6], [1, 2], 4, 2),
             ([1, 1], [1, 2], 4, 2),
+            ([5, 5, 4, 3, 3, 2], [1, 1, 2, 3, 3, 4], 2, 3),
         ]:
             instance = inst(sizes, labels, m, c)
             schedule = approx_splittable(instance)
@@ -204,15 +176,14 @@ class TestApproxSplittable:
     @given(instances(max_machines=6))
     @settings(max_examples=150, deadline=None)
     def test_feasible_and_within_additive_bound(self, instance):
-        t_star, _plan = border_search_splittable(instance)
+        t_star = border_search_splittable(instance)
         schedule = approx_splittable(instance)
-        compact = instance.machine_count > instance.job_count
-        assert isinstance(
-            schedule, CompactSchedule if compact else SplittableSchedule
-        )
+        assert isinstance(schedule, CompactSchedule)
         assert validate(schedule, instance) == []
+        assert validate(expand_compact(schedule, instance), instance) == []
         lb, _ub = lower_bound(instance, SPLITTABLE)
         assert makespan(schedule, instance) <= lb + t_star
+        assert approx_splittable(instance, t_star) == schedule
 
     @given(oracle_instances())
     @settings(max_examples=30, deadline=None)
@@ -224,7 +195,7 @@ class TestApproxSplittable:
     def test_a_billion_machines(self, c):
         instance = inst(range(1, 21), [j % 5 + 1 for j in range(20)], 10**9, c)
         start = time.perf_counter()
-        t_star, _plan = border_search_splittable(instance)
+        t_star = border_search_splittable(instance)
         schedule = approx_splittable(instance)
         assert time.perf_counter() - start < 1
         assert isinstance(schedule, CompactSchedule)
@@ -233,14 +204,6 @@ class TestApproxSplittable:
         assert makespan(schedule, instance) <= lb + t_star
         # one pattern per stretch between run boundaries: O(C), not O(m)
         assert len(schedule.patterns) <= 2 * instance.class_count + 1
-
-    @given(many_machine_instances())
-    @settings(max_examples=150, deadline=None)
-    def test_patterns_match_the_explicit_round_robin(self, instance):
-        t_star, _plan = border_search_splittable(instance)
-        compact = expand_compact(approx_splittable(instance), instance)
-        explicit = _explicit_splittable(instance, t_star)
-        assert class_profile(compact, instance) == class_profile(explicit, instance)
 
 
 class TestRepackStacks:

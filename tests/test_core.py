@@ -16,7 +16,6 @@ from ccs import (
     PreemptiveSchedule,
     SplittableSchedule,
     StructuralInfeasibleError,
-    class_loads,
     expand_compact,
     format_rational,
     lower_bound,
@@ -126,15 +125,14 @@ class TestMakespan:
 class TestClassLoads:
     def test_two_classes(self):
         inst = Instance((3, 4, 1), (1, 1, 2), 2, 2)
-        loads = class_loads(inst)
-        assert [(cl.class_id, cl.total) for cl in loads] == [(1, 7), (2, 1)]
+        assert inst.class_totals == (7, 1)
 
     def test_single_job(self):
-        assert class_loads(Instance((5,), (1,), 1, 1))[0].total == 5
+        assert Instance((5,), (1,), 1, 1).class_totals == (5,)
 
     def test_everything_one_class(self):
         inst = Instance((2, 3, 4), (7, 7, 7), 2, 1)
-        assert class_loads(inst) == [type(class_loads(inst)[0])(1, 9)]
+        assert inst.class_totals == (9,)
 
 
 class TestLowerBound:

@@ -12,7 +12,6 @@ from ccs import (
     NONPREEMPTIVE,
     SPLITTABLE,
     StructuralInfeasibleError,
-    class_loads,
     lower_bound,
     makespan,
     validate,
@@ -230,7 +229,7 @@ def test_preemptive_identity_agrees_with_flow_search(inst):
     m, c, cc = inst.machine_count, inst.slot_budget, inst.class_count
     expected = opt_preemptive(inst)
 
-    loads = [cl.total for cl in class_loads(inst)]
+    loads = inst.class_totals
     candidates = {inst.max_processing_time}
     for subset in range(1, 1 << cc):
         total = sum(

@@ -356,7 +356,7 @@ class TestProgramShape:
         # answers it through the splittable one
         inst = Instance((2, 2), (1, 1), 2, 1)
         with pytest.raises(ValueError, match="ptas_solve"):
-            PtasParams(None, HALF, 2, 5, PREEMPTIVE)
+            PtasParams(HALF, 2, 5, PREEMPTIVE)
         split = preprocess(inst, PtasParams.at_guess(2, HALF, SPLITTABLE),
                            SPLITTABLE)
         with pytest.raises(ValueError, match="ptas_solve"):
@@ -703,9 +703,7 @@ class TestUnfoldPreemptive:
     @given(instances(max_jobs=7, max_machines=4, max_budget=2, max_size=9))
     @settings(max_examples=40, deadline=None)
     def test_keeps_loads_and_stays_within_the_horizon(self, inst):
-        split = approx_splittable(inst)
-        if isinstance(split, CompactSchedule):
-            split = expand_compact(split, inst)
+        split = expand_compact(approx_splittable(inst), inst)
         schedule = unfold_preemptive(inst, split)
         assert validate(schedule, inst, PREEMPTIVE) == []
         horizon = max(inst.max_processing_time, makespan(split, inst))
@@ -785,13 +783,13 @@ class TestDriver:
             assert makespan(schedule, inst) <= 2 * value
 
     def test_preemptive_coarse_grid(self):
+        # m >= n, so every job runs alone and no program is solved
         inst = Instance((2, 2), (1, 1), 2, 1)
-        schedule = ptas_solve(inst, None, PREEMPTIVE, delta=HALF)
+        schedule = ptas_solve(inst, 1, PREEMPTIVE)
         assert validate(schedule, inst, PREEMPTIVE) == []
-        # guaranteed factor at delta = 1/2 is 1 + 8*delta = 5
-        assert makespan(schedule, inst) <= 5 * 2
+        assert makespan(schedule, inst) <= 2 * 2
 
-    def test_preemptive_default_accuracy_overflows_the_cap(self):
+    def test_preemptive_default_accuracy_overflows_the_cap(self, monkeypatch):
         # the preemptive scheme answers at accuracy 1; the cap still
         # surfaces through ptas_solve with its message
         inst = UNCERTIFIED
@@ -800,8 +798,9 @@ class TestDriver:
         assert report["probes"]
         assert validate(schedule, inst, PREEMPTIVE) == []
         assert makespan(schedule, inst) <= 2 * opt_preemptive(inst)
+        monkeypatch.setenv("CCS_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapError) as err:
-            ptas_solve(inst, 1, SPLITTABLE, enum_cap=10)
+            ptas_solve(inst, 1, SPLITTABLE)
         assert CAP_MESSAGE in str(err.value)
 
     def test_preemptive_ratio_against_oracle(self):
@@ -891,7 +890,7 @@ class TestDriver:
         # T* = 2 is above the load bound 3/2
         (SPLITTABLE, Instance((1, 1, 1), (1, 1, 2), 2, 1)),
         (PREEMPTIVE, Instance((1, 1, 1), (1, 1, 2), 2, 1)),
-        # m > n: the warm start is compact and comes back expanded
+        # m > n
         (SPLITTABLE, Instance((1, 1), (1, 2), 3, 2)),
         # T* = 3/2 is above the load bound 4/3; only its ceiling, 2,
         # meets the warm start
@@ -904,7 +903,9 @@ class TestDriver:
         assert report == {
             "guess": None, "built": None, "solution": None, "probes": [],
         }
-        assert not isinstance(schedule, CompactSchedule)
+        assert isinstance(schedule, CompactSchedule) == (variant == SPLITTABLE)
+        if variant == SPLITTABLE:
+            assert validate(expand_compact(schedule, inst), inst) == []
         assert validate(schedule, inst, variant) == []
         best = {
             SPLITTABLE: opt_splittable,
@@ -1031,12 +1032,4 @@ class TestDriver:
         with pytest.raises(ValueError):
             ptas_solve(inst, None, SPLITTABLE)
         with pytest.raises(ValueError):
-            ptas_solve(inst, None, SPLITTABLE, delta=Fraction(2, 3))
-        with pytest.raises(ValueError):
             ptas_solve(inst, 1, "fractional")
-
-    def test_delta_override_without_epsilon(self):
-        inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
-        schedule = ptas_solve(inst, None, NONPREEMPTIVE, delta=THIRD)
-        assert validate(schedule, inst, NONPREEMPTIVE) == []
-        assert makespan(schedule, inst) == 2

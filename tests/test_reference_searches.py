@@ -1,7 +1,8 @@
-"""The approximation path's threshold searches and LPT against plain
-reference versions: Fraction piece counts, the O(k^2) best-fit pairing
-and a min-scan LPT. The library runs integer and heap versions of the
-same rules; these tests hold them to identical results."""
+"""The approximation path's threshold searches, LPT and splittable layout
+against plain reference versions: Fraction piece counts, the O(k^2)
+best-fit pairing, a min-scan LPT and the job-level round robin. The
+library runs integer, heap and counted-pattern versions of the same rules;
+these tests hold them to identical results."""
 
 import math
 from fractions import Fraction
@@ -11,8 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccs.approx
-from ccs import Instance, compute_cu_nonpreemptive, lpt
+from ccs import (
+    Instance,
+    approx_splittable,
+    compute_cu_nonpreemptive,
+    expand_compact,
+    lpt,
+    round_robin,
+    split_class,
+)
 from ccs.approx import (
+    _class_job_lists,
     _cu_sorted,
     _piece_count,
     _preemptive_guess,
@@ -121,6 +131,37 @@ def reference_lpt(weights, bin_count):
     return bins
 
 
+def reference_splittable_layout(instance, threshold):
+    """Every class cut into job pieces at the threshold by split_class,
+    dealt round robin over all m machines: (job_id, fraction, machine)
+    triples."""
+    pieces = [
+        piece
+        for jobs in _class_job_lists(instance)
+        for piece in split_class(jobs, threshold)
+    ]
+    layout = round_robin(
+        list(enumerate(load for load, _parts in pieces)), instance.machine_count
+    )
+    return [
+        (job_id, frac, machine)
+        for machine, indices in layout.items()
+        for k in indices
+        for job_id, frac in pieces[k][1]
+    ]
+
+
+def class_profile(pieces, instance):
+    """Sorted per-machine class loads, ((class_id, load), ...) per machine
+    that carries any."""
+    per_machine = {}
+    for j, lam, i in pieces:
+        loads = per_machine.setdefault(i, {})
+        u = instance.class_labels[j]
+        loads[u] = loads.get(u, 0) + lam * instance.processing_times[j]
+    return sorted(tuple(sorted(loads.items())) for loads in per_machine.values())
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -191,6 +232,17 @@ def test_border_searches_match_reference(instance):
     with mock.patch.object(ccs.approx, "_smallest_guess", reference_smallest_guess):
         assert border_search_splittable(instance) == split
         assert _preemptive_guess(instance) == preempt
+
+
+@given(instance=mixed_instances())
+@settings(max_examples=300, deadline=None)
+def test_patterns_match_the_explicit_round_robin(instance):
+    """Machine counts below, at and above the job count."""
+    t_star = border_search_splittable(instance)
+    schedule = approx_splittable(instance)
+    reference = reference_splittable_layout(instance, t_star)
+    compact = expand_compact(schedule, instance).pieces
+    assert class_profile(compact, instance) == class_profile(reference, instance)
 
 
 # ---------------------------------------------------------------------------
