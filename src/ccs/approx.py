@@ -27,7 +27,12 @@ are interchangeable and jobs of a class may run in parallel, so its round
 robin is laid out from the class totals alone and stored as counted
 class-load patterns (a CompactSchedule), O(C) of them whatever m is;
 ``expand_compact`` carves it into job pieces on demand. The preemptive
-variant cuts jobs with ``split_class`` and deals them with ``_deal``.
+variant cuts jobs at the threshold and stacks the pieces.
+
+Thresholds and schedules are Fractions at the API. After each threshold
+search, the sizes and the threshold are scaled to one common denominator,
+and the layouts cut, sort, stack and pack in Python ints; Fractions are
+built only for the schedule the call returns.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .core import (
     PREEMPTIVE,
     PreemptiveSchedule,
     SPLITTABLE,
+    _over_common_denominator,
     lower_bound,
 )
 from .greedy import lpt, round_robin
@@ -55,6 +61,29 @@ from .greedy import lpt, round_robin
 
 # ---------------------------------------------------------------------------
 # cutting classes
+
+
+def _cut(jobs: Sequence, threshold: int) -> list:
+    """``split_class`` in ints: sizes and threshold over one common
+    denominator. Returns [(load, parts), ...] with parts = ((job_id, take,
+    size), ...), the job running take of its size in the piece."""
+    pieces = []
+    parts: list = []
+    space = threshold
+    for job_id, size in jobs:
+        remaining = size
+        while remaining > 0:
+            take = min(space, remaining)
+            parts.append((job_id, take, size))
+            remaining -= take
+            space -= take
+            if space == 0:
+                pieces.append((threshold, tuple(parts)))
+                parts = []
+                space = threshold
+    if parts:
+        pieces.append((threshold - space, tuple(parts)))
+    return pieces
 
 
 def split_class(jobs: Sequence, threshold: Fraction) -> list:
@@ -65,52 +94,33 @@ def split_class(jobs: Sequence, threshold: Fraction) -> list:
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    pieces = []
-    parts: list = []
-    space = threshold
-    filled = Fraction(0)
-    for job_id, size in jobs:
-        size = Fraction(size)
-        remaining = size
-        while remaining > 0:
-            take = min(space, remaining)
-            parts.append((job_id, take / size))
-            remaining -= take
-            space -= take
-            filled += take
-            if space == 0:
-                pieces.append((filled, tuple(parts)))
-                parts = []
-                space = threshold
-                filled = Fraction(0)
-    if parts:
-        pieces.append((filled, tuple(parts)))
-    return pieces
+    scale, (theta, *sizes) = _over_common_denominator(
+        [threshold] + [Fraction(size) for _j, size in jobs]
+    )
+    cut = _cut([(job_id, size) for (job_id, _p), size in zip(jobs, sizes)], theta)
+    return [
+        (
+            Fraction(load, scale),
+            tuple((job_id, Fraction(take, size)) for job_id, take, size in parts),
+        )
+        for load, parts in cut
+    ]
 
 
-def _class_job_lists(instance: Instance) -> list:
-    """Per class (1..C): list of (job_id, size) in job id order."""
+def _class_job_lists(instance: Instance, sizes: Sequence) -> list:
+    """Per class (1..C): list of (job_id, sizes[job_id]) in job id order."""
     by_class: list = [[] for _ in range(instance.class_count)]
-    for job_id, (p, lab) in enumerate(
-        zip(instance.processing_times, instance.class_labels)
-    ):
-        by_class[lab - 1].append((job_id, p))
+    for job_id, (size, lab) in enumerate(zip(sizes, instance.class_labels)):
+        by_class[lab - 1].append((job_id, size))
     return by_class
 
 
-def _deal(instance: Instance, threshold: Fraction, machine_count: int):
-    """(pieces, layout): every class cut at the threshold by split_class,
-    as (load, parts) class by class in cutting order, and their round robin
-    over machine_count machines (machine -> piece indices)."""
-    pieces = [
-        piece
-        for jobs in _class_job_lists(instance)
-        for piece in split_class(jobs, threshold)
-    ]
-    layout = round_robin(
-        list(enumerate(load for load, _parts in pieces)), machine_count
-    )
-    return pieces, layout
+def _common_scale(den: int, threshold: Fraction) -> tuple:
+    """(L, up, theta): L is the least common denominator of den and the
+    threshold; an int over den times up is that value over L, and theta is
+    the threshold over L."""
+    scale = math.lcm(den, threshold.denominator)
+    return scale, scale // den, threshold.numerator * (scale // threshold.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +142,10 @@ def _smallest_guess(loads, machine_limit, slot_budget, floor, average):
     count grows as the threshold shrinks, so per distinct load the largest
     admissible k is found by binary search: O(D^2 log m) in all, whatever
     the number of classes."""
-    groups = [(p.numerator, p.denominator, k) for p, k in Counter(loads).items()]
+    groups = [
+        (a, b, k)
+        for (a, b), k in Counter((p.numerator, p.denominator) for p in loads).items()
+    ]
     best = None
     for a, b, _k in groups:
         hi = machine_limit
@@ -199,13 +212,15 @@ def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
     if t_star is None:
         t_star = border_search_splittable(instance)
     m = instance.machine_count
+    den, _sizes, sums = instance._scaled
+    scale, up, theta = _common_scale(den, Fraction(t_star))
     runs = []  # (first piece index, class_id, piece load) in dealing order
     partials = []
     dealt = 0
-    for u, total in enumerate(instance.class_totals, start=1):
-        full, rest = divmod(total, t_star)
+    for u, total in enumerate(sums, start=1):
+        full, rest = divmod(total * up, theta)
         if full:
-            runs.append((dealt, u, t_star))
+            runs.append((dealt, u, theta))
             dealt += full
         if rest:
             partials.append((u, rest))
@@ -224,11 +239,31 @@ def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
         if loads:
             pattern = tuple(sorted(loads.items()))
             counts[pattern] = counts.get(pattern, 0) + hi - lo
-    return CompactSchedule(patterns=tuple(counts.items()))
+    return CompactSchedule(patterns=tuple(
+        (tuple((u, Fraction(load, scale)) for u, load in pattern), count)
+        for pattern, count in counts.items()
+    ))
 
 
 # ---------------------------------------------------------------------------
 # preemptive
+
+
+def _stack_starts(stacks: Sequence, threshold: int) -> list:
+    """``repack_stacks`` in ints: loads and threshold over one common
+    denominator."""
+    lift = any(load == threshold for stack in stacks for load in stack)
+    starts = []
+    for stack in stacks:
+        row = []
+        cursor = 0
+        for idx, load in enumerate(stack):
+            if idx == 1 and lift:
+                cursor = max(cursor, threshold)
+            row.append(cursor)
+            cursor += load
+        starts.append(row)
+    return starts
 
 
 def repack_stacks(stacks: Sequence, threshold) -> list:
@@ -237,18 +272,16 @@ def repack_stacks(stacks: Sequence, threshold) -> list:
     threshold: then, on every machine, the second piece is lifted to start
     at the threshold, leaving a gap above a smaller bottom piece."""
     threshold = Fraction(threshold)
-    shift = any(Fraction(load) == threshold for stack in stacks for load in stack)
-    starts = []
-    for stack in stacks:
-        row = []
-        cursor = Fraction(0)
-        for idx, load in enumerate(stack):
-            if idx == 1 and shift:
-                cursor = max(cursor, threshold)
-            row.append(cursor)
-            cursor += Fraction(load)
-        starts.append(row)
-    return starts
+    stacks = [[Fraction(load) for load in stack] for stack in stacks]
+    scale = math.lcm(
+        threshold.denominator, *(load.denominator for stack in stacks for load in stack)
+    )
+    starts = _stack_starts(
+        [[load.numerator * (scale // load.denominator) for load in stack]
+         for stack in stacks],
+        threshold.numerator * (scale // threshold.denominator),
+    )
+    return [[Fraction(start, scale) for start in row] for row in starts]
 
 
 def _preemptive_guess(instance: Instance):
@@ -277,18 +310,27 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
     split class land on adjacent machines whose layers are synchronized, so
     the two halves of a straddling job never overlap in time."""
     t_star, m_used, _lb = _preemptive_guess(instance)
-    pieces, layout = _deal(instance, t_star, m_used)
-    loads = [load for load, _parts in pieces]
-    stacks = [[loads[k] for k in layout[i]] for i in range(m_used)]
-    starts = repack_stacks(stacks, t_star)
+    den, sizes, _sums = instance._scaled
+    scale, up, theta = _common_scale(den, t_star)
+    pieces = [
+        piece
+        for jobs in _class_job_lists(instance, [size * up for size in sizes])
+        for piece in _cut(jobs, theta)
+    ]
+    layout = round_robin(
+        list(enumerate(load for load, _parts in pieces)), m_used
+    )
+    stacks = [[pieces[k][0] for k in layout[i]] for i in range(m_used)]
+    starts = _stack_starts(stacks, theta)
     out = []
     for machine in range(m_used):
         for slot, k in enumerate(layout[machine]):
             offset = starts[machine][slot]
-            for job_id, frac in pieces[k][1]:
-                duration = frac * instance.processing_times[job_id]
-                out.append((job_id, frac, machine, offset))
-                offset += duration
+            for job_id, take, size in pieces[k][1]:
+                out.append(
+                    (job_id, Fraction(take, size), machine, Fraction(offset, scale))
+                )
+                offset += take
     return PreemptiveSchedule(pieces=tuple(out))
 
 
@@ -340,10 +382,13 @@ def nonpreemptive_threshold(instance: Instance):
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
     budget = instance.slot_budget * m_used
-    integral = all(p.denominator == 1 for p in instance.processing_times)
+    den, scaled_sizes, _sums = instance._scaled
+    integral = den == 1
     shapes = Counter(
-        tuple(sorted(p.numerator if integral else p for _j, p in jobs))
-        for jobs in _class_job_lists(instance)
+        tuple(sorted(p for _j, p in jobs))
+        for jobs in _class_job_lists(
+            instance, scaled_sizes if integral else instance.processing_times
+        )
     )
     groups = [(sizes, sum(sizes), k) for sizes, k in shapes.items()]
 
@@ -392,14 +437,17 @@ def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
     stay within (4/3)*T), then distribute the pieces round robin by load.
     Makespan is at most LB + (4/3)*T."""
     threshold, m_used, _lb = nonpreemptive_threshold(instance)
-    job_lists = _class_job_lists(instance)
+    den, sizes, _sums = instance._scaled
+    _scale, up, theta = _common_scale(den, threshold)
     groups = []  # (load, job_ids) per piece, class asc then bin asc
-    for jobs in job_lists:
-        count = compute_cu_nonpreemptive([p for _j, p in jobs], threshold)[0]
-        bins = lpt(list(enumerate(p for _j, p in jobs)), count)
+    for jobs in _class_job_lists(instance, [size * up for size in sizes]):
+        weights = [w for _j, w in jobs]
+        ordered = sorted(weights)
+        count = _cu_sorted(ordered, sum(ordered), theta)[0]
+        bins = lpt(list(enumerate(weights)), count)
         for b in range(count):
             members = [jobs[k][0] for k in bins[b]]
-            load = sum((jobs[k][1] for k in bins[b]), Fraction(0))
+            load = sum(weights[k] for k in bins[b])
             groups.append((load, members))
     layout = round_robin(list(enumerate(load for load, _ in groups)), m_used)
     assignment = {}

@@ -2,8 +2,12 @@
 
 Conventions used across the package: jobs are identified by their position
 0..n-1 in ``processing_times``, machines by 0..m-1, classes by 1..C after
-dense re-indexing. Every quantity that can be fractional is a
-:class:`fractions.Fraction`; nothing in this package touches floats except
+dense re-indexing; ids are plain ints (not bool). Every quantity that can
+be fractional is a :class:`fractions.Fraction` where the API takes or
+returns it. Inner loops run in Python ints instead: an instance keeps its
+sizes over their least common denominator, and the schedule checks scale
+a schedule's fractions, starts and loads to one common denominator before
+they add, sort and compare. Nothing in this package touches floats except
 the mixed-integer solve inside ``ccs.nfold``, whose output is re-verified
 exactly.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -85,7 +90,7 @@ class Instance:
             raise InvalidInstanceError(
                 f"{len(times)} processing times but {len(raw_labels)} class labels"
             )
-        if any(p <= 0 for p in times):
+        if any(p.numerator <= 0 for p in times):
             raise InvalidInstanceError("all processing times must be positive")
         for name, value in (
             ("machine count", self.machine_count),
@@ -116,25 +121,43 @@ class Instance:
     # computed once, on first use: an instance that is only built or
     # stored never pays for it
     @cached_property
+    def _scaled(self) -> tuple:
+        """(D, sizes, class_sums): D is the least common denominator of
+        the processing times; sizes holds each time times D, and
+        class_sums each class's total times D (class 1 first), as ints."""
+        times = self.processing_times
+        den = lcm(*{p.denominator for p in times})
+        sizes = tuple(p.numerator * (den // p.denominator) for p in times)
+        sums = [0] * self.class_count
+        for size, lab in zip(sizes, self.class_labels):
+            sums[lab - 1] += size
+        return den, sizes, tuple(sums)
+
+    @cached_property
     def total_load(self) -> Fraction:
-        return sum(self.processing_times, Fraction(0))
+        den, sizes, _sums = self._scaled
+        return Fraction(sum(sizes), den)
 
     @cached_property
     def max_processing_time(self) -> Fraction:
-        return max(self.processing_times)
+        den, sizes, _sums = self._scaled
+        return Fraction(max(sizes), den)
 
     @cached_property
     def class_totals(self) -> tuple:
         """Total processing time per class, class 1 first."""
-        totals = [Fraction(0)] * self.class_count
-        for p, lab in zip(self.processing_times, self.class_labels):
-            totals[lab - 1] += p
-        return tuple(totals)
+        den, _sizes, sums = self._scaled
+        return tuple(Fraction(total, den) for total in sums)
 
     def jobs_of_class(self, class_id: int) -> tuple:
         return tuple(
             j for j, lab in enumerate(self.class_labels) if lab == class_id
         )
+
+
+def _fraction(value) -> Fraction:
+    # a Fraction is immutable, so one the caller built is kept as it is
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -149,7 +172,7 @@ class SplittableSchedule:
         object.__setattr__(
             self,
             "pieces",
-            tuple((j, Fraction(lam), i) for (j, lam, i) in self.pieces),
+            tuple((j, _fraction(lam), i) for (j, lam, i) in self.pieces),
         )
 
 
@@ -165,7 +188,7 @@ class PreemptiveSchedule:
             self,
             "pieces",
             tuple(
-                (j, Fraction(lam), i, Fraction(start))
+                (j, _fraction(lam), i, _fraction(start))
                 for (j, lam, i, start) in self.pieces
             ),
         )
@@ -206,7 +229,7 @@ class CompactSchedule:
             self,
             "patterns",
             tuple(
-                (tuple((u, Fraction(load)) for u, load in pattern), count)
+                (tuple((u, _fraction(load)) for u, load in pattern), count)
                 for pattern, count in self.patterns
             ),
         )
@@ -217,36 +240,89 @@ Schedule = Union[
 ]
 
 
+def _is_int(value) -> bool:
+    # ids and counts are plain ints: bool is an int subclass, and 1.0 or
+    # Fraction(1) compare equal to 1 but are no ids
+    return type(value) is int or (
+        isinstance(value, int) and not isinstance(value, bool)
+    )
+
+
 def _check_ids(pairs, instance: Instance) -> None:
     for job_id, machine_id in pairs:
-        if not 0 <= job_id < instance.job_count:
-            raise InvalidScheduleError(f"unknown job id {job_id}")
-        if not 0 <= machine_id < instance.machine_count:
-            raise InvalidScheduleError(f"unknown machine id {machine_id}")
+        if not (_is_int(job_id) and 0 <= job_id < instance.job_count):
+            raise InvalidScheduleError(f"unknown job id {job_id!r}")
+        if not (_is_int(machine_id) and 0 <= machine_id < instance.machine_count):
+            raise InvalidScheduleError(f"unknown machine id {machine_id!r}")
 
 
-def machine_loads(schedule: Schedule, instance: Instance) -> dict:
-    """Total assigned processing time per machine (machines with pieces only)."""
-    loads: dict = {}
-    if isinstance(schedule, SplittableSchedule):
-        _check_ids(((j, i) for (j, _lam, i) in schedule.pieces), instance)
-        for j, lam, i in schedule.pieces:
-            loads[i] = loads.get(i, Fraction(0)) + lam * instance.processing_times[j]
-    elif isinstance(schedule, PreemptiveSchedule):
-        _check_ids(((j, i) for (j, _lam, i, _s) in schedule.pieces), instance)
-        for j, lam, i, _start in schedule.pieces:
-            loads[i] = loads.get(i, Fraction(0)) + lam * instance.processing_times[j]
+def _check_classes(schedule: CompactSchedule, instance: Instance) -> None:
+    for pattern, _count in schedule.patterns:
+        for u, _load in pattern:
+            if not (_is_int(u) and 1 <= u <= instance.class_count):
+                raise InvalidScheduleError(f"unknown class id {u!r}")
+
+
+def _over_common_denominator(values: list) -> tuple:
+    """(L, ints): the Fractions as ints over their least common
+    denominator L, in the given order."""
+    scale = lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _amounts(pieces: list, instance: Instance) -> tuple:
+    """(L, ints): the processing time fraction * p_j of each (job_id,
+    fraction, ...) piece, as ints over one common denominator L."""
+    den, sizes, _sums = instance._scaled
+    scale, fractions = _over_common_denominator([piece[1] for piece in pieces])
+    return scale * den, [
+        lam * sizes[piece[0]] for piece, lam in zip(pieces, fractions)
+    ]
+
+
+def _spans(pieces: list, instance: Instance) -> tuple:
+    """(L, [(start, end), ...]): each preemptive piece's time span, as ints
+    over one common denominator L."""
+    amount_scale, amounts = _amounts(pieces, instance)
+    start_scale, starts = _over_common_denominator([piece[3] for piece in pieces])
+    scale = lcm(amount_scale, start_scale)
+    up_amount, up_start = scale // amount_scale, scale // start_scale
+    spans = []
+    for start, amount in zip(starts, amounts):
+        start *= up_start
+        spans.append((start, start + amount * up_amount))
+    return scale, spans
+
+
+def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
+    """(L, {machine: load}): machine loads as ints over one common
+    denominator L, machines in order of first appearance."""
+    if isinstance(schedule, (SplittableSchedule, PreemptiveSchedule)):
+        pieces = schedule.pieces
+        _check_ids(((piece[0], piece[2]) for piece in pieces), instance)
+        scale, amounts = _amounts(pieces, instance)
+        machines = [piece[2] for piece in pieces]
     elif isinstance(schedule, NonPreemptiveSchedule):
         _check_ids(schedule.assignment.items(), instance)
-        for j, i in schedule.assignment.items():
-            loads[i] = loads.get(i, Fraction(0)) + instance.processing_times[j]
+        scale, sizes, _sums = instance._scaled
+        machines = list(schedule.assignment.values())
+        amounts = [sizes[j] for j in schedule.assignment]
     elif isinstance(schedule, CompactSchedule):
         raise TypeError(
             "a CompactSchedule has no machine ids; use expand_compact first"
         )
     else:
         raise TypeError(f"not a schedule: {schedule!r}")
-    return loads
+    totals: dict = {}
+    for machine, amount in zip(machines, amounts):
+        totals[machine] = totals.get(machine, 0) + amount
+    return scale, totals
+
+
+def machine_loads(schedule: Schedule, instance: Instance) -> dict:
+    """Total assigned processing time per machine (machines with pieces only)."""
+    scale, totals = _machine_totals(schedule, instance)
+    return {machine: Fraction(total, scale) for machine, total in totals.items()}
 
 
 def makespan(schedule: Schedule, instance: Instance) -> Fraction:
@@ -254,19 +330,23 @@ def makespan(schedule: Schedule, instance: Instance) -> Fraction:
     makespan 0. For preemptive schedules this is the latest piece end."""
     if isinstance(schedule, PreemptiveSchedule):
         _check_ids(((j, i) for (j, _lam, i, _s) in schedule.pieces), instance)
-        ends = [
-            start + lam * instance.processing_times[j]
-            for (j, lam, _i, start) in schedule.pieces
-        ]
-        return max(ends, default=Fraction(0))
+        scale, spans = _spans(schedule.pieces, instance)
+        return Fraction(max((end for _start, end in spans), default=0), scale)
     if isinstance(schedule, CompactSchedule):
-        return max(
-            (sum((load for _u, load in pattern), Fraction(0))
+        _check_classes(schedule, instance)
+        scale = lcm(*{
+            load.denominator
+            for pattern, _count in schedule.patterns
+            for _u, load in pattern
+        })
+        peak = max(
+            (sum(load.numerator * (scale // load.denominator) for _u, load in pattern)
              for pattern, _count in schedule.patterns),
-            default=Fraction(0),
+            default=0,
         )
-    loads = machine_loads(schedule, instance)
-    return max(loads.values(), default=Fraction(0))
+        return Fraction(peak, scale)
+    scale, totals = _machine_totals(schedule, instance)
+    return Fraction(max(totals.values(), default=0), scale)
 
 
 def _variant_of(schedule: Schedule) -> str:
@@ -291,53 +371,63 @@ def _slot_violations(machine_classes: Mapping, budget: int) -> list:
     return out
 
 
+def _known_pieces(pieces, instance: Instance, violations: list) -> tuple:
+    """(pieces, machine classes): the pieces whose job and machine ids
+    exist, and the classes each machine runs. Reports unknown ids and
+    fractions outside (0, 1] into violations, in piece order."""
+    known = []
+    machine_classes: dict = {}
+    for piece in pieces:
+        j, lam, i = piece[:3]
+        if not (_is_int(j) and 0 <= j < instance.job_count):
+            violations.append(f"unknown job id {j!r}")
+            continue
+        if not (_is_int(i) and 0 <= i < instance.machine_count):
+            violations.append(f"unknown machine id {i!r}")
+            continue
+        if not 0 < lam.numerator <= lam.denominator:
+            violations.append(f"fraction {lam} of job {j} outside (0, 1]")
+        if len(piece) == 4 and piece[3].numerator < 0:  # a preemptive start
+            violations.append(f"piece of job {j} starts at {piece[3]} < 0")
+        known.append(piece)
+        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
+    return known, machine_classes
+
+
+def _fraction_sum_violations(pieces: list, instance: Instance) -> list:
+    scale, fractions = _over_common_denominator([piece[1] for piece in pieces])
+    sums = [0] * instance.job_count
+    for piece, lam in zip(pieces, fractions):
+        sums[piece[0]] += lam
+    return [
+        f"fractions of job {j} sum to {Fraction(total, scale)}, not 1"
+        for j, total in enumerate(sums)
+        if total != scale
+    ]
+
+
 def _validate_splittable(schedule: SplittableSchedule, instance: Instance) -> list:
     violations = []
-    fraction_sums = [Fraction(0)] * instance.job_count
-    machine_classes: dict = {}
-    for j, lam, i in schedule.pieces:
-        if not 0 <= j < instance.job_count:
-            violations.append(f"unknown job id {j}")
-            continue
-        if not 0 <= i < instance.machine_count:
-            violations.append(f"unknown machine id {i}")
-            continue
-        if not 0 < lam <= 1:
-            violations.append(f"fraction {lam} of job {j} outside (0, 1]")
-        fraction_sums[j] += lam
-        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
-    for j, total in enumerate(fraction_sums):
-        if total != 1:
-            violations.append(f"fractions of job {j} sum to {total}, not 1")
+    known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
+    violations.extend(_fraction_sum_violations(known, instance))
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
     return violations
 
 
 def _validate_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> list:
     violations = []
-    fraction_sums = [Fraction(0)] * instance.job_count
-    machine_classes: dict = {}
+    known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
+    violations.extend(_fraction_sum_violations(known, instance))
+    scale, spans = _spans(known, instance)
     by_machine: dict = {}
     by_job: dict = {}
-    for j, lam, i, start in schedule.pieces:
-        if not 0 <= j < instance.job_count:
-            violations.append(f"unknown job id {j}")
-            continue
-        if not 0 <= i < instance.machine_count:
-            violations.append(f"unknown machine id {i}")
-            continue
-        if not 0 < lam <= 1:
-            violations.append(f"fraction {lam} of job {j} outside (0, 1]")
-        if start < 0:
-            violations.append(f"piece of job {j} starts at {start} < 0")
-        end = start + lam * instance.processing_times[j]
-        fraction_sums[j] += lam
-        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
+    for (j, _lam, i, _start), (start, end) in zip(known, spans):
         by_machine.setdefault(i, []).append((start, end, j))
         by_job.setdefault(j, []).append((start, end, i))
-    for j, total in enumerate(fraction_sums):
-        if total != 1:
-            violations.append(f"fractions of job {j} sum to {total}, not 1")
+
+    def span(start, end) -> str:
+        return f"[{Fraction(start, scale)}, {Fraction(end, scale)})"
+
     # Adjacent-pair checks after sorting; touching intervals (end == start) are fine.
     for i in sorted(by_machine):
         ordered = sorted(by_machine[i])
@@ -345,15 +435,15 @@ def _validate_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> li
             if s2 < e1:
                 violations.append(
                     f"machine {i} runs jobs {j1} and {j2} at once: "
-                    f"[{s1}, {e1}) overlaps [{s2}, {e2})"
+                    f"{span(s1, e1)} overlaps {span(s2, e2)}"
                 )
     for j in sorted(by_job):
         ordered = sorted(by_job[j])
         for (s1, e1, i1), (s2, e2, i2) in zip(ordered, ordered[1:]):
             if s2 < e1:
                 violations.append(
-                    f"parallel execution of job {j}: [{s1}, {e1}) on machine {i1} "
-                    f"overlaps [{s2}, {e2}) on machine {i2}"
+                    f"parallel execution of job {j}: {span(s1, e1)} on machine {i1} "
+                    f"overlaps {span(s2, e2)} on machine {i2}"
                 )
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
     return violations
@@ -365,12 +455,16 @@ def _validate_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance)
     for j in range(instance.job_count):
         if j not in schedule.assignment:
             violations.append(f"job {j} is unassigned")
-    for j, i in sorted(schedule.assignment.items()):
-        if not 0 <= j < instance.job_count:
-            violations.append(f"unknown job id {j}")
+
+    def order(item) -> tuple:  # int job ids ascending, then the rest as given
+        return (0, item[0]) if _is_int(item[0]) else (1, 0)
+
+    for j, i in sorted(schedule.assignment.items(), key=order):
+        if not (_is_int(j) and 0 <= j < instance.job_count):
+            violations.append(f"unknown job id {j!r}")
             continue
-        if not 0 <= i < instance.machine_count:
-            violations.append(f"unknown machine id {i}")
+        if not (_is_int(i) and 0 <= i < instance.machine_count):
+            violations.append(f"unknown machine id {i!r}")
             continue
         machine_classes.setdefault(i, set()).add(instance.class_labels[j])
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
@@ -379,16 +473,16 @@ def _validate_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance)
 
 def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
     violations = []
-    carried = [Fraction(0)] * instance.class_count
+    carried = []  # (class_id, count, load) of every well-formed entry
     machines = 0
     for pattern, count in schedule.patterns:
-        # bool is an int subclass; a count must be a whole number of machines
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if not _is_int(count) or count < 1:
             violations.append(f"pattern count {count!r} is not a positive integer")
             continue
         machines += count
         classes = [u for u, _load in pattern]
-        if len(set(classes)) != len(classes):
+        ids = [u for u in classes if _is_int(u)]
+        if len(set(ids)) != len(ids):
             violations.append(f"pattern {classes} lists a class twice")
         if len(classes) > instance.slot_budget:
             violations.append(
@@ -396,21 +490,28 @@ def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
                 f"{len(classes)} classes > c={instance.slot_budget}"
             )
         for u, load in pattern:
-            if u not in range(1, instance.class_count + 1):
+            if not (_is_int(u) and 1 <= u <= instance.class_count):
                 violations.append(f"unknown class id {u!r}")
-            elif load <= 0:
+            elif load.numerator <= 0:
                 violations.append(f"class {u} has non-positive load {load}")
             else:
-                carried[u - 1] += count * load
+                carried.append((u, count, load))
     if machines > instance.machine_count:
         violations.append(
             f"machine budget exceeded: {machines} machines > "
             f"m={instance.machine_count}"
         )
-    for u, total in enumerate(instance.class_totals, start=1):
-        if carried[u - 1] != total:
+    den, _sizes, sums = instance._scaled
+    scale, loads = _over_common_denominator([load for _u, _count, load in carried])
+    totals = [0] * instance.class_count
+    for (u, count, _load), load in zip(carried, loads):
+        totals[u - 1] += count * load
+    common = lcm(scale, den)
+    for u, (total, expected) in enumerate(zip(totals, sums), start=1):
+        if total * (common // scale) != expected * (common // den):
             violations.append(
-                f"class {u} carries {carried[u - 1]}, expected {total}"
+                f"class {u} carries {Fraction(total, scale)}, "
+                f"expected {Fraction(expected, den)}"
             )
     return violations
 
@@ -453,8 +554,8 @@ def lower_bound(instance: Instance, variant: str):
         )
     average = instance.total_load / m
     if variant == SPLITTABLE:
-        heaviest = max(instance.class_totals)
-        return average, c * heaviest
+        den, _sizes, sums = instance._scaled
+        return average, c * Fraction(max(sums), den)
     peak = instance.max_processing_time
     return max(peak, average), instance.job_count * peak
 

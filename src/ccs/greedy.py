@@ -9,7 +9,6 @@ them appear in the result, possibly empty.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from operator import itemgetter
 
 
@@ -36,13 +35,14 @@ def lpt(weights, bin_count: int) -> dict:
     """Longest processing time first: items in non-increasing weight order
     each go to the currently least-loaded bin, the lowest-numbered one on
     ties. The bins sit in a heap of (total, bin), so an item costs
-    O(log bin_count)."""
+    O(log bin_count). Totals add the weights as given, so ints and
+    Fractions compare exactly."""
     if bin_count < 1:
         raise ValueError("bin_count must be positive")
     bins = {i: [] for i in range(bin_count)}
-    heap = [(Fraction(0), i) for i in range(bin_count)]  # sorted, so a heap
+    heap = [(0, i) for i in range(bin_count)]  # sorted, so a heap
     for item_id, weight in _sorted_items(weights):
         total, target = heap[0]
         bins[target].append(item_id)
-        heapq.heapreplace(heap, (total + Fraction(weight), target))
+        heapq.heapreplace(heap, (total + weight, target))
     return bins

@@ -505,9 +505,13 @@ PINNED_APPROX_SWEEP = (
 )
 
 
-def test_approx_sweep_rows_are_pinned(tmp_path):
+def _approx_sweep_digest(tmp_path, n):
+    """SHA-256 of the sweep CSV, ms column dropped, of one approx row per
+    generator family and variant at n jobs: two class slots per machine,
+    sizes up to 100, m = n/10 (0.55 n for many-singletons)."""
     lines = [
-        f"gen:{family}:{seed}:300:{165 if family == 'many-singletons' else 30}"
+        f"gen:{family}:{seed}:{n}:"
+        f"{n * 11 // 20 if family == 'many-singletons' else n // 10}"
         f":2:100 {variant} approx\n"
         for seed, family in enumerate(GENERATOR_FAMILIES, start=11)
         for variant in ("split", "preempt", "nonpreempt")
@@ -523,8 +527,25 @@ def test_approx_sweep_rows_are_pinned(tmp_path):
         rows.append(",".join(cells) + "\n")
     assert len(rows) == 10
     assert all(row.rstrip().endswith(",yes") for row in rows[1:])
-    digest = hashlib.sha256("".join(rows).encode()).hexdigest()
-    assert digest == PINNED_APPROX_SWEEP
+    return hashlib.sha256("".join(rows).encode()).hexdigest()
+
+
+def test_approx_sweep_rows_are_pinned(tmp_path):
+    assert _approx_sweep_digest(tmp_path, 300) == PINNED_APPROX_SWEEP
+
+
+# the same digest at the job counts of the benchmark's larger sweep rows,
+# pinned when the layouts and the schedule checks still ran in Fraction
+# arithmetic
+PINNED_LARGE_APPROX_SWEEPS = {
+    800: "a616f9c4b29db7715cb817235219894e6816c256cd8b43aeba8ee294c0dd0fba",
+    1500: "46e0708b7f31d7de4494549fe0fff131bd3221bcb3ebbf1256ff2bc6c6a0f727",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_LARGE_APPROX_SWEEPS))
+def test_large_approx_sweep_rows_are_pinned(tmp_path, n):
+    assert _approx_sweep_digest(tmp_path, n) == PINNED_LARGE_APPROX_SWEEPS[n]
 
 
 class TestReportShape:

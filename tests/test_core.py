@@ -264,6 +264,73 @@ class TestCompactSchedule:
             machine_loads(compact, inst)
 
 
+# equal to a valid id but no plain int: 1.0 and Fraction(1) compare equal
+# to 1, and True is an int subclass
+NOT_IDS = [1.0, Fraction(1), True]
+
+
+class TestIdsArePlainInts:
+    inst = Instance((4, 2), (1, 2), 2, 2)
+
+    def refused(self, schedule, message):
+        assert message in validate(schedule, self.inst)
+        with pytest.raises(InvalidScheduleError):
+            makespan(schedule, self.inst)
+
+    @pytest.mark.parametrize("bad", NOT_IDS)
+    def test_splittable(self, bad):
+        for pieces, message in (
+            (((0, F(1), 0), (bad, F(1), 1)), f"unknown job id {bad!r}"),
+            (((0, F(1), bad), (1, F(1), 0)), f"unknown machine id {bad!r}"),
+        ):
+            schedule = SplittableSchedule(pieces)
+            self.refused(schedule, message)
+            with pytest.raises(InvalidScheduleError):
+                machine_loads(schedule, self.inst)
+
+    @pytest.mark.parametrize("bad", NOT_IDS)
+    def test_preemptive(self, bad):
+        for pieces, message in (
+            (((0, F(1), 0, F(0)), (bad, F(1), 1, F(0))), f"unknown job id {bad!r}"),
+            (((0, F(1), bad, F(0)), (1, F(1), 0, F(0))),
+             f"unknown machine id {bad!r}"),
+        ):
+            schedule = PreemptiveSchedule(pieces)
+            self.refused(schedule, message)
+            with pytest.raises(InvalidScheduleError):
+                machine_loads(schedule, self.inst)
+
+    @pytest.mark.parametrize("bad", NOT_IDS)
+    def test_nonpreemptive(self, bad):
+        for assignment, message in (
+            ({0: 0, bad: 1}, f"unknown job id {bad!r}"),
+            ({0: bad, 1: 0}, f"unknown machine id {bad!r}"),
+        ):
+            schedule = NonPreemptiveSchedule(assignment)
+            self.refused(schedule, message)
+            with pytest.raises(InvalidScheduleError):
+                machine_loads(schedule, self.inst)
+
+    @pytest.mark.parametrize("bad", NOT_IDS)
+    def test_compact(self, bad):
+        schedule = CompactSchedule(((((bad, 4),), 1), (((2, 2),), 1)))
+        self.refused(schedule, f"unknown class id {bad!r}")
+        with pytest.raises(InvalidScheduleError):
+            expand_compact(schedule, self.inst)
+
+    def test_mixed_job_ids_are_reported_not_sorted(self):
+        schedule = NonPreemptiveSchedule({0: 0, "1": 1, 1: 1})
+        assert validate(schedule, self.inst) == ["unknown job id '1'"]
+
+    def test_int_subclass_ids_are_ids(self):
+        class Id(int):
+            pass
+
+        schedule = NonPreemptiveSchedule({Id(0): Id(0), Id(1): Id(1)})
+        assert validate(schedule, self.inst) == []
+        assert makespan(schedule, self.inst) == 4
+
+
 def test_library_raises_no_assertion():
     """Guarantees fail with a typed CCSError: ``python -O`` strips assert
     statements, and AssertionError is no CCSError."""

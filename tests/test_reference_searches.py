@@ -1,28 +1,37 @@
-"""The approximation path's threshold searches, LPT and splittable layout
-against plain reference versions: Fraction piece counts, the O(k^2)
-best-fit pairing, a min-scan LPT and the job-level round robin. The
-library runs integer, heap and counted-pattern versions of the same rules;
-these tests hold them to identical results."""
+"""The approximation path's threshold searches, layouts and schedule
+checks against plain reference versions: Fraction piece counts, the
+O(k^2) best-fit pairing, a min-scan LPT, the job-level round robin, and
+the Fraction cutters, stackers, validators and makespans. The library runs
+integer, heap and counted-pattern versions of the same rules; these tests
+hold them to identical results, violation messages included."""
 
+import bisect
 import math
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccs.approx
 from ccs import (
+    CompactSchedule,
     Instance,
+    PreemptiveSchedule,
+    approx_nonpreemptive,
+    approx_preemptive,
     approx_splittable,
     compute_cu_nonpreemptive,
     expand_compact,
     lpt,
+    makespan,
+    repack_stacks,
     round_robin,
     split_class,
+    validate,
 )
+from ccs.core import _slot_violations
 from ccs.approx import (
-    _class_job_lists,
     _cu_sorted,
     _piece_count,
     _preemptive_guess,
@@ -131,14 +140,242 @@ def reference_lpt(weights, bin_count):
     return bins
 
 
+def reference_class_job_lists(instance):
+    by_class = [[] for _ in range(instance.class_count)]
+    for job_id, (p, lab) in enumerate(
+        zip(instance.processing_times, instance.class_labels)
+    ):
+        by_class[lab - 1].append((job_id, p))
+    return by_class
+
+
+def reference_split_class(jobs, threshold):
+    threshold = Fraction(threshold)
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    pieces = []
+    parts = []
+    space = threshold
+    filled = Fraction(0)
+    for job_id, size in jobs:
+        size = Fraction(size)
+        remaining = size
+        while remaining > 0:
+            take = min(space, remaining)
+            parts.append((job_id, take / size))
+            remaining -= take
+            space -= take
+            filled += take
+            if space == 0:
+                pieces.append((filled, tuple(parts)))
+                parts = []
+                space = threshold
+                filled = Fraction(0)
+    if parts:
+        pieces.append((filled, tuple(parts)))
+    return pieces
+
+
+def reference_repack_stacks(stacks, threshold):
+    threshold = Fraction(threshold)
+    shift = any(Fraction(load) == threshold for stack in stacks for load in stack)
+    starts = []
+    for stack in stacks:
+        row = []
+        cursor = Fraction(0)
+        for idx, load in enumerate(stack):
+            if idx == 1 and shift:
+                cursor = max(cursor, threshold)
+            row.append(cursor)
+            cursor += Fraction(load)
+        starts.append(row)
+    return starts
+
+
+def reference_approx_splittable(instance):
+    """The counted-pattern round robin with Fraction loads and a
+    Fraction-keyed partial sort."""
+    t_star = border_search_splittable(instance)
+    m = instance.machine_count
+    runs = []
+    partials = []
+    dealt = 0
+    for u, total in enumerate(instance.class_totals, start=1):
+        full, rest = divmod(total, t_star)
+        if full:
+            runs.append((dealt, u, t_star))
+            dealt += full
+        if rest:
+            partials.append((u, rest))
+    for u, rest in sorted(partials, key=lambda pair: pair[1], reverse=True):
+        runs.append((dealt, u, rest))
+        dealt += 1
+    starts = [first for first, _u, _load in runs]
+    cuts = sorted({0, m} | {b % m for b in starts + [dealt]})
+    counts = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        loads = {}
+        for k in range(lo, dealt, m):
+            _first, u, load = runs[bisect.bisect_right(starts, k) - 1]
+            loads[u] = loads.get(u, 0) + load
+        if loads:
+            pattern = tuple(sorted(loads.items()))
+            counts[pattern] = counts.get(pattern, 0) + hi - lo
+    return CompactSchedule(patterns=tuple(counts.items()))
+
+
+def reference_approx_preemptive(instance):
+    t_star, m_used, _lb = _preemptive_guess(instance)
+    pieces = [
+        piece
+        for jobs in reference_class_job_lists(instance)
+        for piece in reference_split_class(jobs, t_star)
+    ]
+    layout = round_robin(
+        list(enumerate(load for load, _parts in pieces)), m_used
+    )
+    loads = [load for load, _parts in pieces]
+    stacks = [[loads[k] for k in layout[i]] for i in range(m_used)]
+    starts = reference_repack_stacks(stacks, t_star)
+    out = []
+    for machine in range(m_used):
+        for slot, k in enumerate(layout[machine]):
+            offset = starts[machine][slot]
+            for job_id, frac in pieces[k][1]:
+                duration = frac * instance.processing_times[job_id]
+                out.append((job_id, frac, machine, offset))
+                offset += duration
+    return PreemptiveSchedule(pieces=tuple(out))
+
+
+def reference_nonpreemptive_layout(instance):
+    """C_u pieces per class by the best-fit reference, filled by the
+    min-scan LPT in Fraction totals, dealt round robin by Fraction load:
+    the job -> machine assignment."""
+    threshold, m_used, _lb = reference_nonpreemptive_threshold(instance)
+    groups = []
+    for jobs in reference_class_job_lists(instance):
+        count = reference_cu([p for _j, p in jobs], threshold)[0]
+        bins = reference_lpt(list(enumerate(p for _j, p in jobs)), count)
+        for b in range(count):
+            members = [jobs[k][0] for k in bins[b]]
+            load = sum((jobs[k][1] for k in bins[b]), Fraction(0))
+            groups.append((load, members))
+    layout = round_robin(list(enumerate(load for load, _ in groups)), m_used)
+    assignment = {}
+    for machine, indices in layout.items():
+        for k in indices:
+            for job_id in groups[k][1]:
+                assignment[job_id] = machine
+    return assignment
+
+
+def reference_makespan_preemptive(schedule, instance):
+    ends = [
+        start + lam * instance.processing_times[j]
+        for (j, lam, _i, start) in schedule.pieces
+    ]
+    return max(ends, default=Fraction(0))
+
+
+def reference_makespan_compact(schedule):
+    return max(
+        (sum((load for _u, load in pattern), Fraction(0))
+         for pattern, _count in schedule.patterns),
+        default=Fraction(0),
+    )
+
+
+def reference_validate_preemptive(schedule, instance):
+    violations = []
+    fraction_sums = [Fraction(0)] * instance.job_count
+    machine_classes = {}
+    by_machine = {}
+    by_job = {}
+    for j, lam, i, start in schedule.pieces:
+        if not 0 <= j < instance.job_count:
+            violations.append(f"unknown job id {j}")
+            continue
+        if not 0 <= i < instance.machine_count:
+            violations.append(f"unknown machine id {i}")
+            continue
+        if not 0 < lam <= 1:
+            violations.append(f"fraction {lam} of job {j} outside (0, 1]")
+        if start < 0:
+            violations.append(f"piece of job {j} starts at {start} < 0")
+        end = start + lam * instance.processing_times[j]
+        fraction_sums[j] += lam
+        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
+        by_machine.setdefault(i, []).append((start, end, j))
+        by_job.setdefault(j, []).append((start, end, i))
+    for j, total in enumerate(fraction_sums):
+        if total != 1:
+            violations.append(f"fractions of job {j} sum to {total}, not 1")
+    for i in sorted(by_machine):
+        ordered = sorted(by_machine[i])
+        for (s1, e1, j1), (s2, e2, j2) in zip(ordered, ordered[1:]):
+            if s2 < e1:
+                violations.append(
+                    f"machine {i} runs jobs {j1} and {j2} at once: "
+                    f"[{s1}, {e1}) overlaps [{s2}, {e2})"
+                )
+    for j in sorted(by_job):
+        ordered = sorted(by_job[j])
+        for (s1, e1, i1), (s2, e2, i2) in zip(ordered, ordered[1:]):
+            if s2 < e1:
+                violations.append(
+                    f"parallel execution of job {j}: [{s1}, {e1}) on machine {i1} "
+                    f"overlaps [{s2}, {e2}) on machine {i2}"
+                )
+    violations.extend(_slot_violations(machine_classes, instance.slot_budget))
+    return violations
+
+
+def reference_validate_compact(schedule, instance):
+    violations = []
+    carried = [Fraction(0)] * instance.class_count
+    machines = 0
+    for pattern, count in schedule.patterns:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            violations.append(f"pattern count {count!r} is not a positive integer")
+            continue
+        machines += count
+        classes = [u for u, _load in pattern]
+        if len(set(classes)) != len(classes):
+            violations.append(f"pattern {classes} lists a class twice")
+        if len(classes) > instance.slot_budget:
+            violations.append(
+                f"slot budget exceeded on {count} machines: "
+                f"{len(classes)} classes > c={instance.slot_budget}"
+            )
+        for u, load in pattern:
+            if u not in range(1, instance.class_count + 1):
+                violations.append(f"unknown class id {u!r}")
+            elif load <= 0:
+                violations.append(f"class {u} has non-positive load {load}")
+            else:
+                carried[u - 1] += count * load
+    if machines > instance.machine_count:
+        violations.append(
+            f"machine budget exceeded: {machines} machines > "
+            f"m={instance.machine_count}"
+        )
+    for u, total in enumerate(instance.class_totals, start=1):
+        if carried[u - 1] != total:
+            violations.append(
+                f"class {u} carries {carried[u - 1]}, expected {total}"
+            )
+    return violations
+
+
 def reference_splittable_layout(instance, threshold):
     """Every class cut into job pieces at the threshold by split_class,
     dealt round robin over all m machines: (job_id, fraction, machine)
     triples."""
     pieces = [
         piece
-        for jobs in _class_job_lists(instance)
-        for piece in split_class(jobs, threshold)
+        for jobs in reference_class_job_lists(instance)
+        for piece in reference_split_class(jobs, threshold)
     ]
     layout = round_robin(
         list(enumerate(load for load, _parts in pieces)), instance.machine_count
@@ -296,3 +533,142 @@ def test_lpt_matches_min_scan_reference(weights, bins):
     frequent."""
     items = list(enumerate(weights))
     assert lpt(items, bins) == reference_lpt(items, bins)
+
+
+# ---------------------------------------------------------------------------
+# layouts
+
+# sizes over the coprime denominators 2, 3, 5, 7 and 11
+COPRIME = Instance(
+    (Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(4, 7), Fraction(5, 11)),
+    (1, 1, 2, 2, 3),
+    3,
+    2,
+)
+
+
+@given(jobs=st.lists(values, max_size=8), threshold=values)
+@settings(max_examples=400, deadline=None)
+def test_split_class_matches_reference(jobs, threshold):
+    """Thresholds below, between and above the sizes; repr also holds the
+    types of loads and fractions to the reference's."""
+    listed = list(enumerate(jobs))
+    assert repr(split_class(listed, threshold)) == repr(
+        reference_split_class(listed, threshold)
+    )
+
+
+@given(
+    stacks=st.lists(st.lists(values, max_size=4), max_size=5),
+    threshold=st.one_of(st.none(), values),
+)
+@settings(max_examples=400, deadline=None)
+def test_repack_stacks_matches_reference(stacks, threshold):
+    """No threshold drawn means the largest load, so a second layer is
+    lifted."""
+    if threshold is None:
+        threshold = max((load for stack in stacks for load in stack), default=1)
+    assert repr(repack_stacks(stacks, threshold)) == repr(
+        reference_repack_stacks(stacks, threshold)
+    )
+
+
+@given(instance=mixed_instances())
+@example(instance=COPRIME)
+@settings(max_examples=300, deadline=None)
+def test_layouts_match_reference(instance):
+    """Schedules equal the Fraction layouts, down to repr and to the
+    assignment's order."""
+    assert repr(approx_splittable(instance)) == repr(
+        reference_approx_splittable(instance)
+    )
+    assert repr(approx_preemptive(instance)) == repr(
+        reference_approx_preemptive(instance)
+    )
+    assignment = approx_nonpreemptive(instance).assignment
+    assert list(assignment.items()) == list(
+        reference_nonpreemptive_layout(instance).items()
+    )
+
+
+# ---------------------------------------------------------------------------
+# schedule checks
+
+PIECE_MUTATIONS = ("none", "shift", "fraction", "machine", "drop", "extra")
+
+
+@given(
+    instance=mixed_instances(),
+    mutation=st.sampled_from(PIECE_MUTATIONS),
+    pick=st.integers(0, 10**6),
+    delta=values,
+    sign=st.sampled_from((1, -1)),
+)
+@example(instance=COPRIME, mutation="shift", pick=1, delta=Fraction(1, 3), sign=-1)
+@example(instance=COPRIME, mutation="fraction", pick=2, delta=Fraction(2, 7), sign=1)
+@settings(max_examples=400, deadline=None)
+def test_preemptive_checks_match_reference(instance, mutation, pick, delta, sign):
+    """Valid schedules and ones with a shifted start, a perturbed or
+    out-of-range fraction, a piece moved to the next machine, a piece
+    dropped, or an extra piece of some job (an extra class on a machine):
+    the same violations, message text included, and the same makespan."""
+    pieces = list(approx_preemptive(instance).pieces)
+    k = pick % len(pieces)
+    j, lam, i, start = pieces[k]
+    if mutation == "shift":
+        pieces[k] = (j, lam, i, start + sign * delta)
+    elif mutation == "fraction":
+        pieces[k] = (j, lam + sign * delta / 8, i, start)
+    elif mutation == "machine":
+        pieces[k] = (j, lam, (i + 1) % instance.machine_count, start)
+    elif mutation == "drop":
+        del pieces[k]
+    elif mutation == "extra":
+        pieces.append((pick % instance.job_count, lam, i, start + delta))
+    schedule = PreemptiveSchedule(tuple(pieces))
+    assert validate(schedule, instance) == reference_validate_preemptive(
+        schedule, instance
+    )
+    assert repr(makespan(schedule, instance)) == repr(
+        reference_makespan_preemptive(schedule, instance)
+    )
+
+
+PATTERN_MUTATIONS = ("none", "load", "count", "extra", "drop")
+
+
+@given(
+    instance=mixed_instances(),
+    mutation=st.sampled_from(PATTERN_MUTATIONS),
+    pick=st.integers(0, 10**6),
+    delta=values,
+    sign=st.sampled_from((1, -1)),
+)
+@example(instance=COPRIME, mutation="load", pick=0, delta=Fraction(1, 5), sign=1)
+@example(instance=COPRIME, mutation="extra", pick=4, delta=Fraction(3, 7), sign=1)
+@settings(max_examples=400, deadline=None)
+def test_compact_checks_match_reference(instance, mutation, pick, delta, sign):
+    """Valid pattern lists and ones with a perturbed or non-positive load,
+    a count off by one, an extra class in a pattern (a repeat, a slot too
+    many or a load no class needs), or a pattern dropped."""
+    patterns = list(approx_splittable(instance).patterns)
+    k = pick % len(patterns)
+    pattern, count = patterns[k]
+    e = pick % len(pattern)
+    if mutation == "load":
+        u, load = pattern[e]
+        pattern = pattern[:e] + ((u, load + sign * delta),) + pattern[e + 1:]
+    elif mutation == "count":
+        count += sign
+    elif mutation == "extra":
+        pattern += ((pick % instance.class_count + 1, delta),)
+    patterns[k] = (pattern, count)
+    if mutation == "drop":
+        del patterns[k]
+    schedule = CompactSchedule(tuple(patterns))
+    assert validate(schedule, instance) == reference_validate_compact(
+        schedule, instance
+    )
+    assert repr(makespan(schedule, instance)) == repr(
+        reference_makespan_compact(schedule)
+    )
