@@ -226,7 +226,10 @@ def _no_program(instance: Instance, variant: str) -> str:
     """Why ``ptas_solve`` answered without solving a program."""
     if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         return "m >= n, so every job runs alone and no program was solved"
-    return "the warm start met a lower bound, so no program was solved"
+    return (
+        "the warm start is within 1 + epsilon of a lower bound, so no "
+        "program was solved"
+    )
 
 
 def run(

@@ -1,13 +1,15 @@
 """Guess search and the public entry point of the approximation schemes.
 
-The warm start may already be optimal. A lower-bound certificate tests
-that first: max(load bound, T*) on the instance the scheme solves, where
-T* is the splittable border threshold of ``ccs.approx``. T* never exceeds
-the splittable optimum, which is at most the preemptive and the
-non-preemptive one; with integral sizes the non-preemptive optimum is an
-integer, so its certificate is rounded up. A warm start whose makespan
-meets the certificate is returned as it is, and no program is built or
-solved.
+Each scheme first runs its constant-factor algorithm (the warm start) and
+tests it against a lower-bound certificate: max(load bound, T*) on the
+instance the scheme solves, where T* is the splittable border threshold of
+``ccs.approx``. T* never exceeds the splittable optimum, which is at most
+the preemptive and the non-preemptive one; with integral sizes the
+non-preemptive optimum is an integer, so its certificate is rounded up.
+The certificate is at most the optimum, so a warm start whose makespan is
+at most (1 + epsilon) times it already keeps the scheme's guarantee: it is
+returned as it is, and no program is built or solved. It is optimal only
+where its makespan meets the certificate.
 
 Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
@@ -30,8 +32,8 @@ solves at min(m, n) machines and loses nothing. The splittable scheme
 solves at the true m, since pieces of one job may run in parallel on any
 number of machines. Its schedule, the warm start's as well as the
 program's, is a CompactSchedule of counted patterns at every m. Of the
-two schedules a scheme holds, the warm start and the program's, it
-returns the one with the smaller makespan, so the program can only
+two schedules a searched scheme holds, the warm start and the program's,
+it returns the one with the smaller makespan, so the program can only
 improve on the warm start.
 
 The preemptive variant reduces to the splittable one, since the preemptive
@@ -174,24 +176,27 @@ def ptas_solve(
     """A schedule within a factor 1 + epsilon of the variant's optimum.
 
     The splittable variant returns a CompactSchedule (``expand_compact``
-    gives machine ids). Either variant returns the warm start where it
-    beats the program's schedule (see the module docstring). epsilon must
-    lie in (0, 1]. A dict passed as ``report`` receives the accepted
-    guess, the program it was solved on and that program's point ("guess",
-    "built", "solution"; ``as_nfold(built)`` gives the program's n-fold
-    layout), and under "probes" the (guess, feasible) pair of every
-    program solved, in probe order.
+    gives machine ids). epsilon must lie in (0, 1]. A dict passed as
+    ``report`` receives under "bound" the lower-bound certificate of the
+    module docstring, so makespan / bound is a proved gap to the optimum.
+    It also receives the accepted guess, the program it was solved on and
+    that program's point ("guess", "built", "solution"; ``as_nfold(built)``
+    gives the program's n-fold layout), and under "probes" the
+    (guess, feasible) pair of every program solved, in probe order.
 
-    When the warm start meets the lower-bound certificate (see the module
-    docstring), the scheme returns it and solves no program: the report
-    then holds None for the first three entries and an empty "probes"
-    list, and that schedule is optimal. Where the warm start beats the
-    program's schedule, the report still describes the program solved.
+    When the warm start's makespan is within 1 + epsilon of the bound, the
+    scheme returns it and solves no program: the report then holds None
+    for guess, built and solution and an empty "probes" list. That
+    schedule is optimal only where its makespan equals the bound.
+    Otherwise the scheme searches the program and returns the warm start
+    where it beats the program's schedule; the report still describes the
+    program solved.
 
     The preemptive variant runs the splittable scheme at the same epsilon
     and unfolds the result into time slices; its report describes that
     splittable run. With at least as many machines as jobs it solves no
-    program at all, and reports as a certified warm start does.
+    program at all, and reports as a certified warm start does, with the
+    bound p_max.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -199,63 +204,93 @@ def ptas_solve(
         raise ValueError("epsilon is required")
     scheme = SPLITTABLE if variant == PREEMPTIVE else variant
     delta = derive_delta(epsilon, scheme)
-    lower_bound(instance, variant)
-    if variant != PREEMPTIVE:
-        return _scheme(instance, variant, delta, report)
-    if instance.machine_count >= instance.job_count:
+    floor, _ub = lower_bound(instance, variant)
+    if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         if report is not None:
-            report.update(guess=None, built=None, solution=None, probes=[])
+            report.update(_unsearched(), bound=floor)
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
+    work = _clamp(instance, scheme)
+    warm, bound, certified = _certify(work, scheme, epsilon)
+    if certified:
+        schedule, record = warm, _unsearched()
+    else:
+        lo, hi = _bracket(work, scheme, warm)
+        schedule, record = _search_program(work, scheme, delta, lo, hi)
+        if hi < makespan(schedule, work):
+            schedule = warm
+    if report is not None:
+        report.update(record, bound=bound)
+    if variant != PREEMPTIVE:
+        return schedule
     # max(p_max, the splittable makespan) <= (1 + epsilon) * opt_preemptive
-    split = _scheme(instance, SPLITTABLE, delta, report)
-    return unfold_preemptive(instance, expand_compact(split, instance))
+    return unfold_preemptive(instance, expand_compact(schedule, instance))
 
 
-def _warm_start(work, variant):
-    """(warm schedule, T*): the constant-factor schedule on ``work`` and
-    its splittable border threshold, each searched once. The splittable
-    warm start is laid out at that T*."""
+def _unsearched() -> dict:
+    """The report entries of a run that solved no program."""
+    return dict(guess=None, built=None, solution=None, probes=[])
+
+
+def _whole(work, variant) -> bool:
+    """Whether the optimum of ``work`` is an integer the scheme may use:
+    non-preemptive with integral sizes."""
+    return variant != SPLITTABLE and all(
+        p.denominator == 1 for p in work.processing_times
+    )
+
+
+def _certify(work, variant, epsilon):
+    """(warm start, bound, certified): the constant-factor schedule on
+    ``work``, the lower-bound certificate of the module docstring, and
+    whether the warm start's makespan is within 1 + epsilon of it. T* is
+    searched once; the splittable warm start is laid out at it."""
     t_star = border_search_splittable(work)
     if variant == SPLITTABLE:
-        return _WARM_ALGO[variant](work, t_star), t_star
-    return _WARM_ALGO[variant](work), t_star
-
-
-def _scheme(instance, variant, delta, report):
-    """The splittable or non-preemptive scheme at grid delta."""
-    work = _clamp(instance, variant)
-    floor, _ub = lower_bound(work, variant)
-    warm, t_star = _warm_start(work, variant)
+        warm = _WARM_ALGO[variant](work, t_star)
+    else:
+        warm = _WARM_ALGO[variant](work)
     reach = makespan(warm, work)
     if reach <= 0:
         raise CCSError(f"warm start has makespan {reach}")
-    whole = variant != SPLITTABLE and all(
-        p.denominator == 1 for p in work.processing_times
+    floor, _ub = lower_bound(work, variant)
+    bound = max(floor, t_star)
+    if _whole(work, variant):
+        bound = math.ceil(bound)
+    # reach <= (1 + epsilon) * bound over common denominators: in Fraction
+    # arithmetic this one test costs about a tenth of a certified run
+    eps = Fraction(epsilon)
+    certified = (
+        reach.numerator * bound.denominator * eps.denominator
+        <= (eps.denominator + eps.numerator) * bound.numerator
+        * reach.denominator
     )
-    # the lower-bound certificate of the module docstring
-    certificate = max(floor, t_star)
-    if whole:
-        certificate = math.ceil(certificate)
-    if reach <= certificate:
-        if report is not None:
-            report.update(guess=None, built=None, solution=None, probes=[])
-        return warm
-    lo = max(floor, reach / _WARM_RATIO[variant])
-    hi = reach
+    return warm, bound, certified
+
+
+def _bracket(work, variant, warm):
+    """(lo, hi) around the optimum from the warm start's ratio guarantee:
+    hi is the warm makespan, lo the larger of the load bound and hi over
+    the warm ratio."""
+    hi = makespan(warm, work)
+    floor, _ub = lower_bound(work, variant)
+    return max(floor, hi / _WARM_RATIO[variant]), hi
+
+
+def _search_program(work, variant, delta, lo, hi):
+    """(schedule, record): the guess search over the program at grid
+    delta within the bracket [lo, hi], and the schedule read from the
+    accepted program's point. ``record`` holds the report entries "guess",
+    "built", "solution" and "probes" (see ``ptas_solve``)."""
     probe = _Prober(work, delta, variant)
-    if whole:
-        _guess, built, solution = _search_integers(
+    if _whole(work, variant):
+        guess, built, solution = _search_integers(
             probe, math.ceil(lo), math.ceil(hi)
         )
     else:
-        _guess, built, solution = _search_grid(probe, lo, hi, delta)
-    if report is not None:
-        report.update(
-            guess=_guess, built=built, solution=solution, probes=probe.probes
-        )
-    schedule = construct_schedule(instance, solution, built)
-    if reach < makespan(schedule, instance):
-        return warm
-    return schedule
+        guess, built, solution = _search_grid(probe, lo, hi, delta)
+    record = dict(
+        guess=guess, built=built, solution=solution, probes=probe.probes
+    )
+    return construct_schedule(work, solution, built), record

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ccs import Instance
 from ccs.nfold import NFoldProgram, SparseRow
+from ccs.ptas import derive_delta, driver
 
 
 @st.composite
@@ -130,4 +131,33 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
         lower=tuple(lower),
         upper=tuple(upper),
         objective=(0,) * (n * t),
+    )
+
+
+def certified(instance, variant, epsilon):
+    """Whether the scheme's certificate answers ``instance`` at epsilon
+    without a program."""
+    work = driver._clamp(instance, variant)
+    return driver._certify(work, variant, epsilon)[2]
+
+
+def search(instance, variant, epsilon=1):
+    """(schedule, record) of the scheme's program search on ``instance``
+    at epsilon's delta, over the bracket ``ptas_solve`` would search,
+    whether or not its certificate answers there. ``record`` holds the
+    report entries "guess", "built", "solution" and "probes"."""
+    work = driver._clamp(instance, variant)
+    warm, _bound, _certified = driver._certify(work, variant, epsilon)
+    lo, hi = driver._bracket(work, variant, warm)
+    delta = derive_delta(epsilon, variant)
+    return driver._search_program(work, variant, delta, lo, hi)
+
+
+def never_certify(monkeypatch):
+    """Make ``ptas_solve`` search the program on every instance: its
+    certificate still returns the warm start and the bound, but never
+    answers."""
+    certify = driver._certify
+    monkeypatch.setattr(
+        driver, "_certify", lambda *args: (*certify(*args)[:2], False)
     )

@@ -34,19 +34,23 @@ from ccs.core import (
     PREEMPTIVE,
     SPLITTABLE,
 )
-from conftest import instances
+from conftest import certified, instances, never_certify
 
 
-# The scheme skips its program when the warm start meets a lower bound.
-# This instance's warm start does not, so the scheme reaches the program.
+# The scheme skips its program when the warm start is within 1 + epsilon
+# of a lower bound. This instance's warm start is within 2 of it but not
+# within 5/4, so at accuracy 1/4 the scheme reaches the program.
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
 UNCERTIFIED_TEXT = "3 2 2\n1 1\n1 1\n1 2\n"
+QUARTER = Fraction(1, 4)
+# a non-preemptive instance whose program is reached at accuracy 1/2
+SEARCHED_TEXT = "4 3 2\n5 1\n7 2\n4 2\n4 1\n"
 
 
-def probes(instance, variant):
-    """The (guess, feasible) probes of ptas_solve at accuracy 1."""
+def probes(instance, variant, epsilon=1):
+    """The (guess, feasible) probes of ptas_solve at epsilon."""
     report = {}
-    ptas_solve(instance, 1, variant, report=report)
+    ptas_solve(instance, epsilon, variant, report=report)
     return report["probes"]
 
 
@@ -196,15 +200,18 @@ class TestRun:
 
     def test_ptas_preemptive_accuracy_beyond_budget(self, monkeypatch):
         inst = UNCERTIFIED
-        assert probes(inst, PREEMPTIVE)
-        row = run(inst, "ptas", PREEMPTIVE, epsilon=1)
+        with monkeypatch.context() as patch:
+            never_certify(patch)
+            assert probes(inst, PREEMPTIVE)
+            row = run(inst, "ptas", PREEMPTIVE, epsilon=1)
         assert row.feasible == "yes"
         assert row.epsilon == 1
         assert row.ratio_opt <= 2
+        assert not certified(inst, SPLITTABLE, QUARTER)
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
-        row = run(inst, "ptas", SPLITTABLE, epsilon=1)
+        row = run(inst, "ptas", SPLITTABLE, epsilon=QUARTER)
         assert row.feasible == "enum-cap"
-        assert row.epsilon == 1
+        assert row.epsilon == QUARTER
 
     def test_more_classes_than_slots_is_infeasible(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 2, 1)
@@ -264,10 +271,8 @@ class TestSolveCommand:
         assert row[-1] == "yes"
 
     def test_split_ptas_at_a_billion_machines(self, tmp_path, capsys):
-        # the warm start is not certified, so the program runs at m = 10^9
+        # the warm start answers at m = 10^9 without expanding m machines
         text = "3 1000000000 2\n5 1\n9 2\n7 2\n"
-        assert probes(parse_instance(write(tmp_path, "i.txt", text)),
-                      SPLITTABLE)
         code = self.solve(tmp_path, text,
                           "--variant", "split", "--algo", "ptas")
         assert code == EXIT_OK
@@ -282,11 +287,11 @@ class TestSolveCommand:
         assert code == EXIT_INFEASIBLE
 
     def test_cap_exits_three(self, tmp_path, monkeypatch):
-        assert probes(UNCERTIFIED, SPLITTABLE)
+        assert not certified(UNCERTIFIED, SPLITTABLE, QUARTER)
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
         code = self.solve(tmp_path, UNCERTIFIED_TEXT,
                           "--variant", "split", "--algo", "ptas",
-                          "--epsilon", "1")
+                          "--epsilon", "1/4")
         assert code == EXIT_CAP
 
     def test_parse_error_exits_four(self, tmp_path):
@@ -307,18 +312,20 @@ class TestSolveCommand:
         assert code == EXIT_PARSE
 
     def test_nfold_dump_is_written(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.txt", "3 2 2\n1 1\n1 2\n1 3\n")
-        assert probes(parse_instance(inst), SPLITTABLE)
+        inst = write(tmp_path, "inst.txt", SEARCHED_TEXT)
+        assert probes(parse_instance(inst), NONPREEMPTIVE, Fraction(1, 2))
         dump = tmp_path / "prog.txt"
-        code = main(["solve", "--variant", "split", "--algo", "ptas",
-                     "--epsilon", "1", "--dump-nfold", str(dump), inst])
+        code = main(["solve", "--variant", "nonpreempt", "--algo", "ptas",
+                     "--epsilon", "1/2", "--dump-nfold", str(dump), inst])
         assert code == EXIT_OK
         head = dump.read_text().splitlines()[0].split()
         assert len(head) == 4
         bricks, top_rows, diag_rows, width = map(int, head)
         assert bricks >= 1 and top_rows >= 1 and width >= 1
 
-    def test_preemptive_nfold_dump_is_the_splittable_program(self, tmp_path):
+    def test_preemptive_nfold_dump_is_the_splittable_program(self, tmp_path,
+                                                              monkeypatch):
+        never_certify(monkeypatch)
         inst = write(tmp_path, "inst.txt", "3 2 2\n1 1\n1 1\n3 2\n")
         assert probes(parse_instance(inst), PREEMPTIVE)
         dump = tmp_path / "prog.txt"
@@ -340,7 +347,8 @@ class TestSolveCommand:
         )
 
     def test_dump_skipped_for_a_certified_warm_start(self, tmp_path, capsys):
-        # T* = 2 meets the warm start: no program is solved
+        # T* = 2 meets the warm start, so it is within 1 + epsilon: no
+        # program is solved
         inst = write(tmp_path, "inst.txt", "3 2 1\n1 1\n1 1\n1 2\n")
         assert probes(parse_instance(inst), SPLITTABLE) == []
         dump = tmp_path / "prog.txt"
@@ -350,15 +358,16 @@ class TestSolveCommand:
         assert not dump.exists()
         captured = capsys.readouterr()
         assert captured.err == (
-            f"{dump} not written: the warm start met a lower bound, so no "
-            "program was solved\n"
+            f"{dump} not written: the warm start is within 1 + epsilon of a "
+            "lower bound, so no program was solved\n"
         )
         assert captured.out.splitlines()[1].split(",")[4] == "2"
 
 
 # SHA-256 of the --dump-nfold text of the n-fold program, pinned when the
 # builder still assembled that program itself; every instance has both
-# large and small classes
+# large and small classes. The certificate answers all three at accuracy
+# 1, so the test makes the scheme search its program, as it did then.
 DUMP_PINS = [
     ("split", "4 2 2\n10 1\n9 2\n1 3\n1 4\n",
      "6f23fa9e96a6dcf879f0674a5c365c1cdef26f5a2cc34bcf8fa668d5c7145903"),
@@ -371,7 +380,9 @@ DUMP_PINS = [
 
 @pytest.mark.parametrize("flag,text,digest", DUMP_PINS,
                          ids=[pin[0] for pin in DUMP_PINS])
-def test_nfold_dump_bytes_are_pinned(tmp_path, capsys, flag, text, digest):
+def test_nfold_dump_bytes_are_pinned(tmp_path, capsys, monkeypatch, flag, text,
+                                     digest):
+    never_certify(monkeypatch)
     inst = write(tmp_path, "inst.txt", text)
     dump = tmp_path / "prog.txt"
     code = main(["solve", "--variant", flag, "--algo", "ptas",

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import instances
+from conftest import certified, instances, never_certify, search
 from ccs import (
     CompactSchedule,
     EnumerationCapError,
@@ -55,6 +55,7 @@ from ccs.ptas.sets import _multiplicity_configs
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+QUARTER = Fraction(1, 4)
 
 
 def probe(instance, guess, delta, variant, cap=None):
@@ -728,11 +729,14 @@ class TestUnfoldPreemptive:
 
 
 # The scheme returns its warm start without a program when the warm start
-# meets the lower-bound certificate. These instances are not certified, so
-# they reach the program. UNCERTIFIED is one of the smallest such with
-# m < n. The BISECTING ones come from a seeded search of instances with two
-# class slots per machine and about one job per slot; their bracket
-# bottoms are infeasible, so the search bisects.
+# is within 1 + epsilon of the lower-bound certificate, which at accuracy 1
+# every splittable warm start is. The probe-logic tests therefore run the
+# program search itself (conftest.search) at accuracy 1's grid and
+# bracket. UNCERTIFIED is one of the smallest instances with m < n whose
+# warm start misses the certificate itself; the certificate answers it at
+# accuracy 1, but not at 1/4. The BISECTING ones come from a seeded search
+# of instances with two class slots per machine and about one job per
+# slot; their bracket bottoms are infeasible, so the search bisects.
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
 BISECTING = {
     SPLITTABLE: [
@@ -790,17 +794,20 @@ class TestDriver:
         assert makespan(schedule, inst) <= 2 * 2
 
     def test_preemptive_default_accuracy_overflows_the_cap(self, monkeypatch):
-        # the preemptive scheme answers at accuracy 1; the cap still
-        # surfaces through ptas_solve with its message
+        # the preemptive scheme answers at accuracy 1, also through its
+        # program; the cap still surfaces through ptas_solve with its
+        # message at an accuracy the certificate leaves to the program
         inst = UNCERTIFIED
-        report = {}
-        schedule = ptas_solve(inst, 1, PREEMPTIVE, report=report)
+        with monkeypatch.context() as patch:
+            never_certify(patch)
+            report = {}
+            schedule = ptas_solve(inst, 1, PREEMPTIVE, report=report)
         assert report["probes"]
         assert validate(schedule, inst, PREEMPTIVE) == []
         assert makespan(schedule, inst) <= 2 * opt_preemptive(inst)
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapError) as err:
-            ptas_solve(inst, 1, SPLITTABLE)
+            ptas_solve(inst, Fraction(1, 4), SPLITTABLE)
         assert CAP_MESSAGE in str(err.value)
 
     def test_preemptive_ratio_against_oracle(self):
@@ -831,7 +838,8 @@ class TestDriver:
         assert report["built"] is None
         assert report["probes"] == []
 
-    def test_preemptive_report_describes_the_splittable_run(self):
+    def test_preemptive_report_describes_the_splittable_run(self, monkeypatch):
+        never_certify(monkeypatch)
         inst = Instance((1, 1, 3), (1, 1, 2), 2, 2)
         report = {}
         ptas_solve(inst, 1, PREEMPTIVE, report=report)
@@ -845,8 +853,7 @@ class TestDriver:
         floor, _ub = lower_bound(inst, NONPREEMPTIVE)
         warm = makespan(approx_nonpreemptive(inst), inst)
         lo = math.ceil(max(floor, warm / Fraction(7, 3)))
-        report = {}
-        ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        _schedule, report = search(inst, NONPREEMPTIVE)
         assert report["probes"] == [(lo, True)]
         assert report["guess"] == lo
 
@@ -855,8 +862,7 @@ class TestDriver:
         inst = BISECTING[SPLITTABLE][0]
         assert inst in BISECTING[NONPREEMPTIVE]
         for variant in (NONPREEMPTIVE, SPLITTABLE):
-            report = {}
-            schedule = ptas_solve(inst, 1, variant, report=report)
+            schedule, report = search(inst, variant)
             probes = report["probes"]
             assert probes
             assert probes[0][1] is False
@@ -878,8 +884,7 @@ class TestDriver:
         # would be a second program built and solved
         bisected = 0
         for inst in BISECTING[variant]:
-            report = {}
-            ptas_solve(inst, 1, variant, report=report)
+            _schedule, report = search(inst, variant)
             guesses = [g for g, _f in report["probes"]]
             assert guesses
             assert len(set(guesses)) == len(guesses)
@@ -898,20 +903,22 @@ class TestDriver:
     ])
     def test_certified_warm_start_is_the_optimum(self, variant, inst):
         assert inst.machine_count <= inst.job_count * inst.slot_budget
-        report = {}
-        schedule = ptas_solve(inst, 1, variant, report=report)
-        assert report == {
-            "guess": None, "built": None, "solution": None, "probes": [],
-        }
-        assert isinstance(schedule, CompactSchedule) == (variant == SPLITTABLE)
-        if variant == SPLITTABLE:
-            assert validate(expand_compact(schedule, inst), inst) == []
-        assert validate(schedule, inst, variant) == []
         best = {
             SPLITTABLE: opt_splittable,
             PREEMPTIVE: opt_preemptive,
             NONPREEMPTIVE: lambda i: opt_nonpreemptive(i)[0],
         }[variant](inst)
+        report = {}
+        schedule = ptas_solve(inst, 1, variant, report=report)
+        # the warm start meets the bound, which proves it optimal
+        assert report == {
+            "guess": None, "built": None, "solution": None, "probes": [],
+            "bound": best,
+        }
+        assert isinstance(schedule, CompactSchedule) == (variant == SPLITTABLE)
+        if variant == SPLITTABLE:
+            assert validate(expand_compact(schedule, inst), inst) == []
+        assert validate(schedule, inst, variant) == []
         assert makespan(schedule, inst) == best
 
     @pytest.mark.parametrize("variant,inst", [
@@ -921,8 +928,10 @@ class TestDriver:
         (NONPREEMPTIVE, Instance((1, 1, 3), (1, 2, 3), 2, 2)),
     ])
     def test_uncertified_warm_start_reaches_the_program(self, variant, inst):
-        report = {}
-        schedule = ptas_solve(inst, 1, variant, report=report)
+        # the warm start misses the bound itself, so a finer accuracy
+        # searches the program; its search at accuracy 1 schedules
+        assert not certified(inst, variant, QUARTER)
+        schedule, report = search(inst, variant)
         assert report["probes"]
         assert report["built"] is not None
         assert validate(schedule, inst, variant) == []
@@ -970,14 +979,14 @@ class TestDriver:
     ])
     def test_program_beyond_n_times_c_keeps_the_ratio(self, inst):
         assert inst.machine_count > inst.job_count * inst.slot_budget
-        report = {}
-        schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
+        schedule, report = search(inst, SPLITTABLE)
         assert report["probes"]
         assert isinstance(schedule, CompactSchedule)
         assert validate(schedule, inst) == []
         assert makespan(schedule, inst) <= 2 * opt_splittable(inst)
 
-    def test_program_at_a_billion_machines_stays_compact(self):
+    def test_program_at_a_billion_machines_stays_compact(self, monkeypatch):
+        never_certify(monkeypatch)
         inst = Instance((5, 9, 7), (1, 2, 2), 10**9, 2)
         report = {}
         schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
@@ -995,7 +1004,7 @@ class TestDriver:
         )
         inst = Instance((5, 9, 7), (1, 2, 2), 10**15, 2)
         with pytest.raises(EnumerationCapError, match="2\\*\\*53"):
-            ptas_solve(inst, 1, SPLITTABLE)
+            search(inst, SPLITTABLE)
         assert calls == []
 
     @pytest.mark.parametrize("variant,inst,warm", [
@@ -1003,7 +1012,10 @@ class TestDriver:
         (SPLITTABLE, Instance((9, 3, 3, 6), (2, 3, 1, 1), 3, 2), 9),
     ])
     def test_warm_start_beats_a_worse_program_schedule(self, variant, inst,
-                                                       warm):
+                                                       warm, monkeypatch):
+        program, _record = search(inst, variant)
+        assert makespan(program, inst) > warm
+        never_certify(monkeypatch)
         report = {}
         schedule = ptas_solve(inst, 1, variant, report=report)
         assert report["probes"]
@@ -1033,3 +1045,61 @@ class TestDriver:
             ptas_solve(inst, None, SPLITTABLE)
         with pytest.raises(ValueError):
             ptas_solve(inst, 1, "fractional")
+
+
+@st.composite
+def oracle_sized_instances(draw):
+    """Instances every oracle answers, with fractional sizes and machine
+    counts up to past n * c."""
+    n = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 6))
+    classes = min(n, m * c, 3)
+    labels = draw(st.lists(st.integers(1, classes), min_size=n, max_size=n))
+    size = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3)))
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
+    return Instance(tuple(sizes), tuple(labels), m, c)
+
+
+class TestSlackCertificate:
+    @pytest.mark.parametrize("epsilon", [1, HALF])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inst=oracle_sized_instances())
+    @example(inst=Instance((Fraction(5, 2),), (1,), 4, 1))
+    @example(inst=Instance((5, Fraction(9, 2), 7), (1, 2, 2), 6, 1))
+    @example(inst=UNCERTIFIED)
+    # its non-preemptive warm start is 14/9 of the optimum, so accuracy
+    # 1/2 must search the program
+    @example(inst=Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2))
+    def test_within_one_plus_epsilon_of_the_oracles(self, epsilon, inst):
+        optima = {
+            SPLITTABLE: opt_splittable(inst),
+            PREEMPTIVE: opt_preemptive(inst),
+            NONPREEMPTIVE: opt_nonpreemptive(inst)[0],
+        }
+        for variant, best in optima.items():
+            report = {}
+            schedule = ptas_solve(inst, epsilon, variant, report=report)
+            assert validate(schedule, inst, variant) == []
+            assert report["bound"] <= best
+            assert makespan(schedule, inst) <= (1 + epsilon) * best
+            if variant != NONPREEMPTIVE and epsilon == 1:
+                # approx_splittable stays within lb + T* <= 2 * bound
+                assert report["probes"] == []
+
+    @pytest.mark.parametrize("machines,warm", [
+        (12, 2),
+        (40, Fraction(10, 19)),
+        (10**6, Fraction(1, 47619)),
+        (10**9, Fraction(5, 238095238)),
+    ])
+    def test_beyond_n_times_c_answers_without_a_program(self, machines, warm):
+        # the program's schedule is no better here: the search returns
+        # this same warm start as the better of the two
+        inst = Instance((5, 9, 7), (1, 2, 2), machines, 2)
+        report = {}
+        schedule = ptas_solve(inst, 1, SPLITTABLE, report=report)
+        assert report["probes"] == []
+        assert validate(schedule, inst) == []
+        assert makespan(schedule, inst) == warm
+        assert warm <= 2 * report["bound"]
