@@ -7,9 +7,13 @@ instance the scheme solves, where T* is the splittable border threshold of
 the preemptive and the non-preemptive one; with integral sizes the
 non-preemptive optimum is an integer, so its certificate is rounded up.
 The certificate is at most the optimum, so a warm start whose makespan is
-at most (1 + epsilon) times it already keeps the scheme's guarantee: it is
-returned as it is, and no program is built or solved. It is optimal only
-where its makespan meets the certificate.
+at most (1 + epsilon) times it already keeps the scheme's guarantee. The
+splittable scheme returns such a warm start as it is, and builds and
+solves no program; it is optimal only where its makespan meets the
+certificate. The non-preemptive scheme returns its warm start only where
+it meets the certificate, and so is optimal: its programs are small
+integer programs, milliseconds each on instances of a few jobs, and they
+improve on about a quarter of the warm starts that miss the certificate.
 
 Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
@@ -184,13 +188,13 @@ def ptas_solve(
     gives the program's n-fold layout), and under "probes" the
     (guess, feasible) pair of every program solved, in probe order.
 
-    When the warm start's makespan is within 1 + epsilon of the bound, the
-    scheme returns it and solves no program: the report then holds None
-    for guess, built and solution and an empty "probes" list. That
-    schedule is optimal only where its makespan equals the bound.
-    Otherwise the scheme searches the program and returns the warm start
-    where it beats the program's schedule; the report still describes the
-    program solved.
+    When the warm start's makespan is within 1 + epsilon of the bound
+    (splittable and preemptive) or equals it (non-preemptive), the scheme
+    returns it and solves no program: the report then holds None for
+    guess, built and solution and an empty "probes" list. That schedule
+    is optimal only where its makespan equals the bound. Otherwise the
+    scheme searches the program and returns the warm start where it beats
+    the program's schedule; the report still describes the program solved.
 
     The preemptive variant runs the splittable scheme at the same epsilon
     and unfolds the result into time slices; its report describes that
@@ -244,7 +248,8 @@ def _whole(work, variant) -> bool:
 def _certify(work, variant, epsilon):
     """(warm start, bound, certified): the constant-factor schedule on
     ``work``, the lower-bound certificate of the module docstring, and
-    whether the warm start's makespan is within 1 + epsilon of it. T* is
+    whether the warm start answers: within 1 + epsilon of the bound for
+    the splittable scheme, at the bound for the non-preemptive one. T* is
     searched once; the splittable warm start is laid out at it."""
     t_star = border_search_splittable(work)
     if variant == SPLITTABLE:
@@ -258,12 +263,12 @@ def _certify(work, variant, epsilon):
     bound = max(floor, t_star)
     if _whole(work, variant):
         bound = math.ceil(bound)
-    # reach <= (1 + epsilon) * bound over common denominators: in Fraction
+    # reach <= (1 + slack) * bound over common denominators: in Fraction
     # arithmetic this one test costs about a tenth of a certified run
-    eps = Fraction(epsilon)
+    slack = Fraction(epsilon) if variant == SPLITTABLE else Fraction(0)
     certified = (
-        reach.numerator * bound.denominator * eps.denominator
-        <= (eps.denominator + eps.numerator) * bound.numerator
+        reach.numerator * bound.denominator * slack.denominator
+        <= (slack.denominator + slack.numerator) * bound.numerator
         * reach.denominator
     )
     return warm, bound, certified

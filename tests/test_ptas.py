@@ -1087,6 +1087,19 @@ class TestSlackCertificate:
                 # approx_splittable stays within lb + T* <= 2 * bound
                 assert report["probes"] == []
 
+    def test_nonpreemptive_searches_a_warm_start_off_the_bound(self):
+        # the warm start, 14, is within 1 + epsilon of the bound 9 but
+        # misses it, so the non-preemptive scheme still solves the program,
+        # whose schedule is shorter
+        inst = Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2)
+        assert makespan(approx_nonpreemptive(inst), inst) == 14
+        report = {}
+        schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        assert report["bound"] == 9
+        assert report["probes"] == [(9, True)]
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) == 12
+
     @pytest.mark.parametrize("machines,warm", [
         (12, 2),
         (40, Fraction(10, 19)),
