@@ -40,8 +40,9 @@ from .core import CCSError, EnumerationCapError
 
 # solve_exhaustive refuses boxes with more points than this
 EXHAUSTIVE_CAP = 10**7
-# seconds HiGHS may spend on one program; the slowest known solve takes
-# about 11 s, so hitting this means a stalled solve
+# seconds HiGHS may spend on one program. The slowest solve known to
+# finish took 18.3 s (a splittable probe at epsilon 1/2); some splittable
+# programs at epsilon 1/4 still run into this limit and raise CCSError
 MILP_TIME_LIMIT = 300.0
 
 

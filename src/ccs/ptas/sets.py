@@ -6,9 +6,9 @@ per-variant shapes:
 
   splittable      module = a piece size c*l (integer l >= k), configuration
                   = multiplicity vector over the module sizes
-  non-preemptive  module = multiplicity vector over the large job sizes,
-                  configuration = multiplicity vector over the distinct
-                  module sizes
+  non-preemptive  module = multiplicity vector over the large job sizes
+                  that some large class can fill, configuration =
+                  multiplicity vector over the distinct module sizes
 
 The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
@@ -16,8 +16,8 @@ through the splittable scheme.
 Every configuration K obeys size(K) <= inflated bound and uses at most c
 slots. Enumeration aborts once the count passes the cap; results are
 memoized because the sets depend only on the accuracy, the slot budget
-and (for the non-preemptive variant) the large sizes, not on the whole
-instance.
+and (for the non-preemptive variant) the large sizes and the large
+classes' count vectors over them, not on the whole instance.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ class ModuleSet:
     """The modules of one variant at one accuracy.
 
     modules: splittable -> scaled piece sizes (ints); non-preemptive ->
-    multiplicity tuples over ``ground`` (the scaled large sizes).
-    ``sizes[i]`` is the scaled footprint of ``modules[i]`` on a machine.
+    multiplicity tuples over ``ground`` (the scaled large sizes), each at
+    most some large class's count vector, so the set depends on those
+    vectors as well as on ``ground``. ``sizes[i]`` is the scaled footprint
+    of ``modules[i]`` on a machine.
     """
 
     variant: str
@@ -236,55 +238,81 @@ def splittable_sets(
     return mods, confs
 
 
-def _nonpreemptive_modules(ground, bound, cap):
-    """Multiplicity vectors over the large sizes with footprint <= bound,
-    the all-zero footprint included."""
-    found = []
+def _fillable_modules(ground, counts, bound, cap):
+    """Multiplicity vectors over the large sizes with footprint <= bound
+    that some class can fill, i.e. no entry above that class's count
+    vector in ``counts``, in lexicographic order. The all-zero vector is
+    among them whenever ``counts`` is not empty."""
+    found: dict = {}
     vec = [0] * len(ground)
 
-    def descend(idx: int, size_left) -> None:
+    def descend(have, idx: int, size_left) -> None:
         if idx == len(ground):
-            _cap_check(len(found) + 1, cap, "modules")
-            found.append((tuple(vec), bound - size_left))
+            module = tuple(vec)
+            if module not in found:
+                _cap_check(len(found) + 1, cap, "modules")
+                found[module] = bound - size_left
             return
         step = ground[idx]
-        for count in range(int(size_left // step) + 1):
+        for count in range(min(have[idx], size_left // step) + 1):
             vec[idx] = count
-            descend(idx + 1, size_left - count * step)
+            descend(have, idx + 1, size_left - count * step)
         vec[idx] = 0
 
-    descend(0, bound)
-    return tuple(v for v, _s in found), tuple(int(s) for _v, s in found)
+    for have in counts:
+        descend(have, 0, bound)
+    modules = tuple(sorted(found))
+    return modules, tuple(found[v] for v in modules)
 
 
 def nonpreemptive_sets(
-    ground: tuple, scaled_bound: int, slot_budget: int, grid: int, cap=None
+    ground: tuple,
+    counts: tuple,
+    scaled_bound: int,
+    slot_budget: int,
+    grid: int,
+    cap=None,
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Modules and configurations of the non-preemptive scheme.
 
-    ``ground`` holds the scaled large sizes, ``scaled_bound`` the integral
-    scaled inflated bound c(k+2)(k+3).
+    ``ground`` holds the scaled large sizes, ``counts`` the large classes'
+    count vectors over ``ground`` (sorted, without repeats), and
+    ``scaled_bound`` the integral scaled inflated bound c(k+2)(k+3). Only
+    modules some class can fill are enumerated, and configurations range
+    over their footprints alone: a configuration using any other
+    footprint has a link row without y columns, so it is 0 in every
+    feasible point of the program.
     """
     cap = resolve_enum_cap(cap)
-    key = (tuple(ground), scaled_bound, slot_budget, cap)
+    key = (tuple(ground), tuple(counts), scaled_bound, slot_budget, cap)
     hit = _NP_CACHE.get(key)
     if hit is not None:
         return hit
-    c = slot_budget
-    modules, footprints = _nonpreemptive_modules(ground, scaled_bound, cap)
+    modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
     mods = ModuleSet(
         variant=NONPREEMPTIVE,
         modules=modules,
         sizes=footprints,
         ground=tuple(ground),
     )
+    confs = _nonpreemptive_configurations(mods, scaled_bound, slot_budget,
+                                          grid, cap)
+    _NP_CACHE[key] = (mods, confs)
+    return mods, confs
+
+
+def _nonpreemptive_configurations(
+    mods: ModuleSet, scaled_bound: int, slot_budget: int, grid: int, cap: int
+) -> ConfigurationSet:
+    """The configurations over the distinct footprints of ``mods``."""
+    c = slot_budget
     values = mods.size_values
     configs, totals = _multiplicity_configs(values, c, scaled_bound, cap)
     # floor of (inflated bound)/(delta T) = (k+2)(k+3)/k caps the slots
     slot_cap = min(c, (grid + 2) * (grid + 3) // grid)
     slots = tuple(sum(v) for v in configs)
     size_set, pairs, groups = _pairs_and_groups(totals, slots, slot_cap)
-    confs = ConfigurationSet(
+    return ConfigurationSet(
         variant=NONPREEMPTIVE,
         configs=configs,
         sizes=totals,
@@ -296,8 +324,6 @@ def nonpreemptive_sets(
         pairs=pairs,
         groups=groups,
     )
-    _NP_CACHE[key] = (mods, confs)
-    return mods, confs
 
 
 def enumerate_sets(
@@ -309,8 +335,15 @@ def enumerate_sets(
     bound = rounded.scaled_inflated
     if bound.denominator != 1:
         raise CCSError(f"scaled inflated bound {bound} is not an integer")
+    ground = rounded.large_sizes
+    counts = set()
+    for cls in rounded.classes:
+        if not cls.small:
+            have = rounded.size_counts(cls.class_id)
+            counts.add(tuple(have.get(p, 0) for p in ground))
     return nonpreemptive_sets(
-        rounded.large_sizes,
+        ground,
+        tuple(sorted(counts)),
         int(bound),
         rounded.slot_budget,
         rounded.params.grid,

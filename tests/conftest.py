@@ -1,10 +1,13 @@
 """Shared hypothesis strategies, random generators, and fixtures."""
 
+import math
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
-from ccs import Instance
+from ccs import NONPREEMPTIVE, Instance
 from ccs.nfold import NFoldProgram, SparseRow
-from ccs.ptas import derive_delta, driver
+from ccs.ptas import PtasParams, derive_delta, driver, preprocess
 
 
 @st.composite
@@ -40,6 +43,30 @@ def oracle_instances(draw, max_size: int = 20):
     palette = min(n, m * c, max_classes)
     labels = draw(st.lists(st.integers(1, palette), min_size=n, max_size=n))
     return Instance(tuple(sizes), tuple(labels), m, c)
+
+
+@st.composite
+def nonpreemptive_probes(draw):
+    """The rounded instance of one non-preemptive probe: an instance of
+    at most 6 jobs and 3 classes per machine, epsilon 1 or 1/2, and an
+    integral guess in the bracket the driver searches."""
+    inst = draw(instances(max_jobs=6, max_machines=3, max_size=10))
+    epsilon = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
+    work = driver._clamp(inst, NONPREEMPTIVE)
+    warm, _bound, _certified = driver._certify(work, NONPREEMPTIVE, epsilon)
+    lo, hi = driver._bracket(work, NONPREEMPTIVE, warm)
+    # the bottom, which the driver probes first, or any guess above it
+    lo, hi = math.ceil(lo), math.ceil(hi)
+    guess = draw(st.one_of(st.just(lo), st.integers(lo, hi)))
+    return nonpreemptive_probe(work, epsilon, guess)
+
+
+def nonpreemptive_probe(instance, epsilon, guess):
+    """The rounded instance the non-preemptive scheme at epsilon builds
+    its program from at ``guess``."""
+    delta = derive_delta(epsilon, NONPREEMPTIVE)
+    params = PtasParams.at_guess(guess, delta, NONPREEMPTIVE)
+    return preprocess(instance, params, NONPREEMPTIVE)
 
 
 @st.composite

@@ -372,7 +372,7 @@ DUMP_PINS = [
     ("split", "4 2 2\n10 1\n9 2\n1 3\n1 4\n",
      "6f23fa9e96a6dcf879f0674a5c365c1cdef26f5a2cc34bcf8fa668d5c7145903"),
     ("nonpreempt", "6 2 3\n10 1\n9 2\n1 3\n1 4\n2 1\n8 2\n",
-     "bdea4d5650080f678f8f2c6a57f1e2034653b9050bda0ec1b1aa0a15a8094a42"),
+     "fbf911494cd8ec8c69b60c3cf446fe22b224b544bf73dfb9d6226a0a1fdd75b9"),
     ("preempt", "4 2 2\n10 1\n9 2\n1 3\n1 1\n",
      "a5d14bd73b8d0e7222f5c161cdebc73fa3846c4116a12c8331e73df969cadf4a"),
 ]

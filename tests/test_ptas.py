@@ -11,7 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import certified, instances, never_certify, search
+from conftest import (
+    certified,
+    instances,
+    never_certify,
+    nonpreemptive_probes,
+    search,
+)
 from ccs import (
     CompactSchedule,
     EnumerationCapError,
@@ -229,10 +235,11 @@ class TestSets:
                              NONPREEMPTIVE)
         assert rounded.large_sizes == (4,)
         mods, confs = enumerate_sets(rounded)
-        # multiples of the single size 4 up to the bound 20, zero included
-        assert mods.modules == ((0,), (1,), (2,), (3,), (4,), (5,))
-        assert mods.sizes == (0, 4, 8, 12, 16, 20)
-        assert confs.count == 7
+        # the multiples of the single size 4 that the class's two jobs
+        # fill, zero included; the bound 20 would allow five
+        assert mods.modules == ((0,), (1,), (2,))
+        assert mods.sizes == (0, 4, 8)
+        assert confs.count == 4
 
     def test_cap_stops_enumeration(self):
         with pytest.raises(EnumerationCapError) as err:
@@ -315,12 +322,28 @@ class TestProgramShape:
         rounded = preprocess(inst, params, NONPREEMPTIVE)
         built = build_program(rounded)
         r, s, t = shape_identities(built)
-        assert (r, s, t) == (13, 2, 21)
+        assert (r, s, t) == (7, 2, 11)
         program = as_nfold(built)
         assert program.top_block_rows == r
         assert program.diag_block_rows == s
         assert program.brick_width == t
         validate_structure(program)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rounded=nonpreemptive_probes())
+    def test_every_link_row_has_a_y_column(self, rounded):
+        # a link row without y columns would hold every configuration
+        # using its footprint at 0: the sets hold only fillable modules
+        built = build_program(rounded)
+        program = built.program
+        linked = {
+            program.row_index[e]
+            for fits in built.y_columns
+            for _g, col in fits
+            for e in range(program.col_start[col], program.col_start[col + 1])
+        }
+        links = range(1, 1 + built.layout.link_count)
+        assert all(row in linked for row in links)
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
     def test_rows_built_at_final_width(self, variant):
