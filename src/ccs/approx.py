@@ -8,9 +8,11 @@ size. The threshold search differs per variant:
 * splittable: smallest T among the class-load borders {P/k} and the load
   average at which the total piece count fits the slot budget c*m. Equal
   class loads are grouped once, and the piece count is a sum of integer
-  ceilings over the D distinct loads. It is monotone in T, so the best
-  border is found per distinct load by a binary search on k: O(D^2 log m)
-  integer operations, so huge machine counts cost only a log factor.
+  ceilings over the D distinct loads. It is monotone in T, and the
+  smallest fitting border lies in a window of at most C + 2D borders
+  (C classes) fixed by the total load and the budget; sorting and
+  bisecting that window costs O(C log C) integer operations, whatever m
+  is.
 * preemptive: same borders restricted to k <= min(m, n) and values >= the
   preemptive lower bound; pieces are stacked in arrival order and, when any
   piece has size exactly T, the second layer of every machine is lifted to
@@ -115,6 +117,19 @@ def _class_job_lists(instance: Instance, sizes: Sequence) -> list:
     return by_class
 
 
+class _OverScale(dict):
+    """Fraction(num, scale) for ints num over one fixed scale, built once
+    per distinct num on first lookup."""
+
+    def __init__(self, scale: int) -> None:
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.scale)
+        return value
+
+
 def _common_scale(den: int, threshold: Fraction) -> tuple:
     """(L, up, theta): L is the least common denominator of den and the
     threshold; an int over den times up is that value over L, and theta is
@@ -134,41 +149,62 @@ def _piece_count(groups, num: int, den: int) -> int:
     return sum(k * -(-a * den // (b * num)) for a, b, k in groups)
 
 
-def _smallest_guess(loads, machine_limit, slot_budget, floor, average):
-    """Smallest threshold among class-load borders {P/k : k <= limit} (only
-    values >= floor when a floor is given) and the average candidate whose
-    piece count fits the slot budget. Equal loads are grouped once, so with
-    D distinct loads a piece count costs O(D) integer divisions. The piece
-    count grows as the threshold shrinks, so per distinct load the largest
-    admissible k is found by binary search: O(D^2 log m) in all, whatever
-    the number of classes."""
-    groups = [
-        (a, b, k)
-        for (a, b), k in Counter((p.numerator, p.denominator) for p in loads).items()
-    ]
-    best = None
-    for a, b, _k in groups:
-        hi = machine_limit
-        if floor is not None:  # borders below the floor are out
-            hi = min(hi, a * floor.denominator // (b * floor.numerator))
-        if hi < 1 or _piece_count(groups, a, b) > slot_budget:
-            continue
-        lo = 1
+def _smallest_guess(sums, den, machine_limit, budget, floor, average):
+    """Smallest threshold among the class-load borders {P/k : k <= limit}
+    (only values >= floor when a floor is given) and the average candidate
+    whose piece count fits the slot budget, or None. The class loads are
+    the ints ``sums`` over ``den``.
+
+    The piece count f(T) = sum ceil(P/T) only grows as T shrinks, so the
+    thresholds that fit are those >= the smallest border x/k (any k) that
+    fits. T0 is that border, or the floor when the floor fits, and the
+    answer's k for a load x is min(limit, x // T0). With X the total load,
+    B the budget and C the class count, X/T <= f(T) < X/T + C: every
+    fitting T is >= X/B, and X/(B - C) fits. So the smallest fitting
+    border is among the x/k with x(B - C)/X <= k <= xB/X, at most C + 2D
+    of them over the D distinct loads. Sorted by the int key xB^2 // k
+    (exact, as k <= B) and bisected with the exact piece count, they give
+    it in O(C log C) integer operations, whatever the machine count."""
+    if budget < len(sums):  # every class is at least one piece
+        return None
+    loads = Counter(sums)
+    groups = [(x, 1, k) for x, k in loads.items()]
+
+    def fits(num: int, dnm: int) -> bool:
+        return _piece_count(groups, num, dnm) <= budget
+
+    if floor is not None and fits(floor.numerator * den, floor.denominator):
+        t_num, t_den = floor.numerator * den, floor.denominator
+    elif budget == len(sums):  # one piece per class
+        t_num, t_den = max(loads), 1
+    else:
+        total = sum(sums)
+        spare = budget - len(sums)
+        square = budget * budget
+        window = sorted(
+            (x * square // k, x, k)
+            for x in loads
+            for k in range(max(1, x * spare // total), x * budget // total + 1)
+        )
+        lo, hi = 0, len(window) - 1  # the last border, >= T0, fits
         while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _piece_count(groups, a, b * mid) <= slot_budget:
-                lo = mid
+            mid = (lo + hi) // 2
+            if fits(window[mid][1], window[mid][2]):
+                hi = mid
             else:
-                hi = mid - 1
-        candidate = Fraction(a, b * lo)
-        if best is None or candidate < best:
-            best = candidate
-    fits_average = (
-        _piece_count(groups, average.numerator, average.denominator) <= slot_budget
-    )
-    if fits_average and (best is None or average < best):
-        best = average
-    return best
+                lo = mid + 1
+        _key, t_num, t_den = window[lo]
+    best = None  # (x, k) of the smallest candidate border x/k
+    for x in loads:
+        k = min(machine_limit, x * t_den // t_num)
+        if k >= 1 and (best is None or x * best[1] < best[0] * k):
+            best = (x, k)
+    candidate = None if best is None else Fraction(best[0], den * best[1])
+    if fits(average.numerator * den, average.denominator) and (
+        candidate is None or average < candidate
+    ):
+        return average
+    return candidate
 
 
 def border_search_splittable(instance: Instance) -> Fraction:
@@ -178,9 +214,9 @@ def border_search_splittable(instance: Instance) -> Fraction:
     a class of load P, and only c*m slots exist."""
     lb, _ub = lower_bound(instance, SPLITTABLE)
     m = instance.machine_count
+    den, _sizes, sums = instance._scaled
     t_star = _smallest_guess(
-        instance.class_totals, m, instance.slot_budget * m,
-        floor=None, average=lb,
+        sums, den, m, instance.slot_budget * m, floor=None, average=lb
     )
     if t_star is None:  # k=1 on the largest class always fits: count C <= c*m
         raise CCSError("no feasible splittable threshold")
@@ -239,8 +275,9 @@ def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
         if loads:
             pattern = tuple(sorted(loads.items()))
             counts[pattern] = counts.get(pattern, 0) + hi - lo
+    exact = _OverScale(scale)
     return CompactSchedule(patterns=tuple(
-        (tuple((u, Fraction(load, scale)) for u, load in pattern), count)
+        (tuple((u, exact[load]) for u, load in pattern), count)
         for pattern, count in counts.items()
     ))
 
@@ -292,9 +329,9 @@ def _preemptive_guess(instance: Instance):
     lower_bound(instance, PREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
+    den, _sizes, sums = instance._scaled
     t_star = _smallest_guess(
-        instance.class_totals, m_used, instance.slot_budget * m_used,
-        floor=lb, average=lb,
+        sums, den, m_used, instance.slot_budget * m_used, floor=lb, average=lb
     )
     # always solvable: every class load <= c * m_used slots suffice at LB
     # or at the smallest admissible border
@@ -322,14 +359,15 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
     )
     stacks = [[pieces[k][0] for k in layout[i]] for i in range(m_used)]
     starts = _stack_starts(stacks, theta)
+    whole = Fraction(1)
+    exact = _OverScale(scale)
     out = []
     for machine in range(m_used):
         for slot, k in enumerate(layout[machine]):
             offset = starts[machine][slot]
             for job_id, take, size in pieces[k][1]:
-                out.append(
-                    (job_id, Fraction(take, size), machine, Fraction(offset, scale))
-                )
+                lam = whole if take == size else Fraction(take, size)
+                out.append((job_id, lam, machine, exact[offset]))
                 offset += take
     return PreemptiveSchedule(pieces=tuple(out))
 
@@ -340,11 +378,16 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
 
 def _cu_sorted(sizes: Sequence, total, threshold) -> tuple:
     """``compute_cu_nonpreemptive`` on one class's sizes, sorted ascending,
-    with their sum. The heavy jobs (p > T/2) and the mediums (T/3 < p <=
-    T/2) are found by bisection; each medium, largest first, takes the
-    smallest heavy slack T - p that still holds it."""
-    heavy_at = bisect.bisect_right(sizes, threshold, key=lambda p: 2 * p)
-    medium_at = bisect.bisect_right(sizes, threshold, 0, heavy_at, key=lambda p: 3 * p)
+    with their sum: ints at an int threshold, or Fractions. The heavy
+    jobs (p > T/2) and the mediums (T/3 < p <= T/2) are found by
+    bisection; each medium, largest first, takes the smallest heavy slack
+    T - p that still holds it."""
+    if isinstance(threshold, int):  # an int p has 2p <= T iff p <= T // 2
+        half, third = threshold // 2, threshold // 3
+    else:
+        half, third = threshold / 2, threshold / 3
+    heavy_at = bisect.bisect_right(sizes, half)
+    medium_at = bisect.bisect_right(sizes, third, 0, heavy_at)
     heavy = len(sizes) - heavy_at
     loose = heavy_at - medium_at
     if loose and heavy:
@@ -375,14 +418,15 @@ def compute_cu_nonpreemptive(class_jobs: Sequence, threshold) -> tuple:
 def nonpreemptive_threshold(instance: Instance):
     """(T_final, m_used, LB): smallest threshold found by binary search at
     which the per-class piece counts fit the slot budget. Integer sizes
-    admit an exact integer search on [ceil(LB), n*p_max]; fractional sizes
-    use a geometric search to relative precision 2^-20 and return the last
-    verified-feasible guess."""
+    admit an exact integer search on [ceil(LB), max(ceil(LB), largest
+    class load)]; fractional sizes use a geometric search on [LB, n*p_max]
+    to relative precision 2^-20 and return the last verified-feasible
+    guess."""
     lower_bound(instance, NONPREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
     budget = instance.slot_budget * m_used
-    den, scaled_sizes, _sums = instance._scaled
+    den, scaled_sizes, sums = instance._scaled
     integral = den == 1
     shapes = Counter(
         tuple(sorted(p for _j, p in jobs))
@@ -401,9 +445,12 @@ def nonpreemptive_threshold(instance: Instance):
             <= budget
         )
 
-    hi_end = instance.job_count * instance.max_processing_time  # always fits
     if integral:
-        lo, hi = math.ceil(lb), int(hi_end)
+        # at a threshold >= its load a class is one piece: it has at most
+        # one job above T/2 and two above T/3, and a medium fits beside the
+        # heavy job. C <= c*min(m, n) one-piece classes fit the budget.
+        lo = math.ceil(lb)
+        hi = max(lo, max(sums))
         while lo < hi:
             mid = (lo + hi) // 2
             if fits(mid):
@@ -412,7 +459,7 @@ def nonpreemptive_threshold(instance: Instance):
                 lo = mid + 1
         return Fraction(lo), m_used, lb
 
-    lo, hi = lb, hi_end
+    lo, hi = lb, instance.job_count * instance.max_processing_time  # fits
     if fits(lo):
         return lo, m_used, lb
     while hi - lo > lo * Fraction(1, 2**20):
@@ -439,16 +486,22 @@ def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
     threshold, m_used, _lb = nonpreemptive_threshold(instance)
     den, sizes, _sums = instance._scaled
     _scale, up, theta = _common_scale(den, threshold)
+    if up != 1:
+        sizes = [size * up for size in sizes]
+    cuts: dict = {}  # class weights in id order -> [(load, positions), ...]
     groups = []  # (load, job_ids) per piece, class asc then bin asc
-    for jobs in _class_job_lists(instance, [size * up for size in sizes]):
-        weights = [w for _j, w in jobs]
-        ordered = sorted(weights)
-        count = _cu_sorted(ordered, sum(ordered), theta)[0]
-        bins = lpt(list(enumerate(weights)), count)
-        for b in range(count):
-            members = [jobs[k][0] for k in bins[b]]
-            load = sum(weights[k] for k in bins[b])
-            groups.append((load, members))
+    for jobs in _class_job_lists(instance, sizes):
+        weights = tuple(w for _j, w in jobs)
+        cut = cuts.get(weights)
+        if cut is None:  # classes of equal weights cut alike
+            ordered = sorted(weights)
+            count = _cu_sorted(ordered, sum(ordered), theta)[0]
+            bins = lpt(list(enumerate(weights)), count)
+            cut = cuts[weights] = [
+                (sum(weights[k] for k in bins[b]), bins[b]) for b in range(count)
+            ]
+        for load, positions in cut:
+            groups.append((load, [jobs[k][0] for k in positions]))
     layout = round_robin(list(enumerate(load for load, _ in groups)), m_used)
     assignment = {}
     for machine, indices in layout.items():

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
+from operator import add, and_, eq, lt
 from typing import Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -61,6 +63,28 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# equal values of these types are one rational, so one Fraction serves
+# every job of that size
+_KEYED_SIZES = frozenset({int, float, str})
+
+
+def _exact_sizes(raw: tuple) -> tuple:
+    """(times, D, sizes): the processing times as Fractions, their least
+    common denominator D, and each time times D as an int. One Fraction is
+    built per distinct size (a Fraction given is kept as it is), and plain
+    ints are their own sizes over D = 1."""
+    kinds = set(map(type, raw))
+    if kinds <= _KEYED_SIZES:
+        exact = {p: Fraction(p) for p in dict.fromkeys(raw)}
+        times = tuple(map(exact.__getitem__, raw))
+        if kinds <= {int}:
+            return times, 1, raw
+    else:
+        times = tuple(map(_fraction, raw))
+    den = lcm(*{p.denominator for p in times})
+    return times, den, tuple(p.numerator * (den // p.denominator) for p in times)
+
+
 @dataclass(frozen=True)
 class Instance:
     """n jobs with sizes and class labels, m machines, slot budget c.
@@ -77,10 +101,14 @@ class Instance:
     machine_count: int
     slot_budget: int
     original_labels: tuple = field(init=False, compare=False, repr=False)
+    # (D, sizes, class_sums): D is the least common denominator of the
+    # processing times; sizes holds each time times D, and class_sums each
+    # class's total times D (class 1 first), as ints
+    _scaled: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
-            times = tuple(Fraction(p) for p in self.processing_times)
+            times, den, sizes = _exact_sizes(tuple(self.processing_times))
         except (TypeError, ValueError) as exc:
             raise InvalidInstanceError(f"bad processing time: {exc}") from exc
         raw_labels = tuple(self.class_labels)
@@ -90,7 +118,7 @@ class Instance:
             raise InvalidInstanceError(
                 f"{len(times)} processing times but {len(raw_labels)} class labels"
             )
-        if any(p.numerator <= 0 for p in times):
+        if min(sizes) <= 0:
             raise InvalidInstanceError("all processing times must be positive")
         for name, value in (
             ("machine count", self.machine_count),
@@ -105,10 +133,15 @@ class Instance:
                 raise InvalidInstanceError(f"{name} must be positive")
         originals = tuple(sorted(set(raw_labels)))
         remap = {orig: u for u, orig in enumerate(originals, start=1)}
+        labels = tuple(map(remap.__getitem__, raw_labels))
+        sums = [0] * len(originals)
+        for size, lab in zip(sizes, labels):
+            sums[lab - 1] += size
         object.__setattr__(self, "processing_times", times)
-        object.__setattr__(self, "class_labels", tuple(remap[l] for l in raw_labels))
+        object.__setattr__(self, "class_labels", labels)
         object.__setattr__(self, "slot_budget", min(self.slot_budget, len(originals)))
         object.__setattr__(self, "original_labels", originals)
+        object.__setattr__(self, "_scaled", (den, sizes, tuple(sums)))
 
     @property
     def job_count(self) -> int:
@@ -117,21 +150,6 @@ class Instance:
     @property
     def class_count(self) -> int:
         return len(self.original_labels)
-
-    # computed once, on first use: an instance that is only built or
-    # stored never pays for it
-    @cached_property
-    def _scaled(self) -> tuple:
-        """(D, sizes, class_sums): D is the least common denominator of
-        the processing times; sizes holds each time times D, and
-        class_sums each class's total times D (class 1 first), as ints."""
-        times = self.processing_times
-        den = lcm(*{p.denominator for p in times})
-        sizes = tuple(p.numerator * (den // p.denominator) for p in times)
-        sums = [0] * self.class_count
-        for size, lab in zip(sizes, self.class_labels):
-            sums[lab - 1] += size
-        return den, sizes, tuple(sums)
 
     @cached_property
     def total_load(self) -> Fraction:
@@ -266,32 +284,46 @@ def _check_classes(schedule: CompactSchedule, instance: Instance) -> None:
 def _over_common_denominator(values: list) -> tuple:
     """(L, ints): the Fractions as ints over their least common
     denominator L, in the given order."""
-    scale = lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    dens = [v.denominator for v in values]
+    scale = lcm(*set(dens))
+    if scale == 1:
+        return 1, [v.numerator for v in values]
+    return scale, [v.numerator * (scale // d) for v, d in zip(values, dens)]
 
 
-def _amounts(pieces: list, instance: Instance) -> tuple:
-    """(L, ints): the processing time fraction * p_j of each (job_id,
-    fraction, ...) piece, as ints over one common denominator L."""
+def _fractions(pieces: list) -> tuple:
+    """(L, ints): the fractions of the (job_id, fraction, ...) pieces as
+    ints over their least common denominator L."""
+    return _over_common_denominator([piece[1] for piece in pieces])
+
+
+def _amounts(pieces: list, instance: Instance, fractions: tuple) -> tuple:
+    """(L, ints): the processing time fraction * p_j of each piece, as ints
+    over one common denominator L, from the pieces' ``_fractions``."""
     den, sizes, _sums = instance._scaled
-    scale, fractions = _over_common_denominator([piece[1] for piece in pieces])
-    return scale * den, [
-        lam * sizes[piece[0]] for piece, lam in zip(pieces, fractions)
-    ]
+    scale, lams = fractions
+    return scale * den, [lam * sizes[piece[0]] for piece, lam in zip(pieces, lams)]
 
 
-def _spans(pieces: list, instance: Instance) -> tuple:
-    """(L, [(start, end), ...]): each preemptive piece's time span, as ints
-    over one common denominator L."""
-    amount_scale, amounts = _amounts(pieces, instance)
+def _spans(pieces: list, amounts: tuple) -> tuple:
+    """(L, starts, ends): each preemptive piece's start and end, as ints
+    over one common denominator L, from the pieces' ``_amounts``."""
+    amount_scale, amounts = amounts
     start_scale, starts = _over_common_denominator([piece[3] for piece in pieces])
     scale = lcm(amount_scale, start_scale)
-    up_amount, up_start = scale // amount_scale, scale // start_scale
-    spans = []
-    for start, amount in zip(starts, amounts):
-        start *= up_start
-        spans.append((start, start + amount * up_amount))
-    return scale, spans
+    if scale != start_scale:
+        starts = [start * (scale // start_scale) for start in starts]
+    if scale != amount_scale:
+        amounts = [amount * (scale // amount_scale) for amount in amounts]
+    return scale, starts, list(map(add, starts, amounts))
+
+
+def _totals(machines, amounts) -> dict:
+    """{machine: summed amount}, machines in order of first appearance."""
+    totals: dict = {}
+    for machine, amount in zip(machines, amounts):
+        totals[machine] = totals.get(machine, 0) + amount
+    return totals
 
 
 def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
@@ -300,7 +332,7 @@ def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
     if isinstance(schedule, (SplittableSchedule, PreemptiveSchedule)):
         pieces = schedule.pieces
         _check_ids(((piece[0], piece[2]) for piece in pieces), instance)
-        scale, amounts = _amounts(pieces, instance)
+        scale, amounts = _amounts(pieces, instance, _fractions(pieces))
         machines = [piece[2] for piece in pieces]
     elif isinstance(schedule, NonPreemptiveSchedule):
         _check_ids(schedule.assignment.items(), instance)
@@ -313,10 +345,7 @@ def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
         )
     else:
         raise TypeError(f"not a schedule: {schedule!r}")
-    totals: dict = {}
-    for machine, amount in zip(machines, amounts):
-        totals[machine] = totals.get(machine, 0) + amount
-    return scale, totals
+    return scale, _totals(machines, amounts)
 
 
 def machine_loads(schedule: Schedule, instance: Instance) -> dict:
@@ -329,9 +358,12 @@ def makespan(schedule: Schedule, instance: Instance) -> Fraction:
     """Maximum total processing time over machines; empty schedules have
     makespan 0. For preemptive schedules this is the latest piece end."""
     if isinstance(schedule, PreemptiveSchedule):
-        _check_ids(((j, i) for (j, _lam, i, _s) in schedule.pieces), instance)
-        scale, spans = _spans(schedule.pieces, instance)
-        return Fraction(max((end for _start, end in spans), default=0), scale)
+        pieces = schedule.pieces
+        _check_ids(((j, i) for (j, _lam, i, _s) in pieces), instance)
+        scale, _starts, ends = _spans(
+            pieces, _amounts(pieces, instance, _fractions(pieces))
+        )
+        return Fraction(max(ends, default=0), scale)
     if isinstance(schedule, CompactSchedule):
         _check_classes(schedule, instance)
         scale = lcm(*{
@@ -371,12 +403,26 @@ def _slot_violations(machine_classes: Mapping, budget: int) -> list:
     return out
 
 
+def _plain_ids(ids: list, count: int) -> bool:
+    """Whether every id is a plain int in range(count), checked in bulk."""
+    return not ids or (
+        set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < count
+    )
+
+
+def _classes_by_machine(machines, jobs, instance: Instance) -> dict:
+    """{machine: set of the classes it runs} for jobs running on machines."""
+    machine_classes: dict = {}
+    for i, u in set(zip(machines, map(instance.class_labels.__getitem__, jobs))):
+        machine_classes.setdefault(i, set()).add(u)
+    return machine_classes
+
+
 def _known_pieces(pieces, instance: Instance, violations: list) -> tuple:
     """(pieces, machine classes): the pieces whose job and machine ids
     exist, and the classes each machine runs. Reports unknown ids and
     fractions outside (0, 1] into violations, in piece order."""
     known = []
-    machine_classes: dict = {}
     for piece in pieces:
         j, lam, i = piece[:3]
         if not (_is_int(j) and 0 <= j < instance.job_count):
@@ -390,14 +436,15 @@ def _known_pieces(pieces, instance: Instance, violations: list) -> tuple:
         if len(piece) == 4 and piece[3].numerator < 0:  # a preemptive start
             violations.append(f"piece of job {j} starts at {piece[3]} < 0")
         known.append(piece)
-        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
-    return known, machine_classes
+    return known, _classes_by_machine(
+        [piece[2] for piece in known], [piece[0] for piece in known], instance
+    )
 
 
-def _fraction_sum_violations(pieces: list, instance: Instance) -> list:
-    scale, fractions = _over_common_denominator([piece[1] for piece in pieces])
-    sums = [0] * instance.job_count
-    for piece, lam in zip(pieces, fractions):
+def _fraction_sum_violations(pieces: list, fractions: tuple, job_count: int) -> list:
+    scale, lams = fractions
+    sums = [0] * job_count
+    for piece, lam in zip(pieces, lams):
         sums[piece[0]] += lam
     return [
         f"fractions of job {j} sum to {Fraction(total, scale)}, not 1"
@@ -406,76 +453,120 @@ def _fraction_sum_violations(pieces: list, instance: Instance) -> list:
     ]
 
 
-def _validate_splittable(schedule: SplittableSchedule, instance: Instance) -> list:
+# Each _check_* returns (violations, makespan) for a schedule of its type
+# under its own variant's rules, from one pass: the makespan comes from
+# the integer loads and spans the checks compute. It is None when the
+# schedule names an unknown id, on which ``makespan`` raises.
+
+
+def _check_splittable(schedule: SplittableSchedule, instance: Instance) -> tuple:
     violations = []
     known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
-    violations.extend(_fraction_sum_violations(known, instance))
+    fractions = _fractions(known)
+    violations.extend(_fraction_sum_violations(known, fractions, instance.job_count))
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    return violations
+    if len(known) < len(schedule.pieces):
+        return violations, None
+    scale, amounts = _amounts(known, instance, fractions)
+    totals = _totals((piece[2] for piece in known), amounts)
+    return violations, Fraction(max(totals.values(), default=0), scale)
 
 
-def _validate_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> list:
+def _clashes(rows: list) -> list:
+    """Indices k at which rows k and k + 1 of the sorted (group, start,
+    end, other) rows share a group and overlap in time; touching
+    intervals (end == start) are fine."""
+    if not rows:
+        return []
+    groups, starts, ends, _others = zip(*rows)
+    clash = map(and_, map(eq, groups, groups[1:]), map(lt, starts[1:], ends))
+    return list(compress(range(len(rows) - 1), clash))
+
+
+def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
     violations = []
     known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
-    violations.extend(_fraction_sum_violations(known, instance))
-    scale, spans = _spans(known, instance)
-    by_machine: dict = {}
-    by_job: dict = {}
-    for (j, _lam, i, _start), (start, end) in zip(known, spans):
-        by_machine.setdefault(i, []).append((start, end, j))
-        by_job.setdefault(j, []).append((start, end, i))
+    fractions = _fractions(known)
+    violations.extend(_fraction_sum_violations(known, fractions, instance.job_count))
+    scale, starts, ends = _spans(known, _amounts(known, instance, fractions))
+    jobs = [piece[0] for piece in known]
+    machines = [piece[2] for piece in known]
 
     def span(start, end) -> str:
         return f"[{Fraction(start, scale)}, {Fraction(end, scale)})"
 
-    # Adjacent-pair checks after sorting; touching intervals (end == start) are fine.
-    for i in sorted(by_machine):
-        ordered = sorted(by_machine[i])
-        for (s1, e1, j1), (s2, e2, j2) in zip(ordered, ordered[1:]):
-            if s2 < e1:
-                violations.append(
-                    f"machine {i} runs jobs {j1} and {j2} at once: "
-                    f"{span(s1, e1)} overlaps {span(s2, e2)}"
-                )
-    for j in sorted(by_job):
-        ordered = sorted(by_job[j])
-        for (s1, e1, i1), (s2, e2, i2) in zip(ordered, ordered[1:]):
-            if s2 < e1:
-                violations.append(
-                    f"parallel execution of job {j}: {span(s1, e1)} on machine {i1} "
-                    f"overlaps {span(s2, e2)} on machine {i2}"
-                )
+    # adjacent pairs of each machine's and each job's pieces, sorted
+    rows = sorted(zip(machines, starts, ends, jobs))
+    for k in _clashes(rows):
+        (i, s1, e1, j1), (_i, s2, e2, j2) = rows[k], rows[k + 1]
+        violations.append(
+            f"machine {i} runs jobs {j1} and {j2} at once: "
+            f"{span(s1, e1)} overlaps {span(s2, e2)}"
+        )
+    rows = sorted(zip(jobs, starts, ends, machines))
+    for k in _clashes(rows):
+        (j, s1, e1, i1), (_j, s2, e2, i2) = rows[k], rows[k + 1]
+        violations.append(
+            f"parallel execution of job {j}: {span(s1, e1)} on machine {i1} "
+            f"overlaps {span(s2, e2)} on machine {i2}"
+        )
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    return violations
+    if len(known) < len(schedule.pieces):
+        return violations, None
+    return violations, Fraction(max(ends, default=0), scale)
 
 
-def _validate_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) -> list:
+def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) -> tuple:
     violations = []
-    machine_classes: dict = {}
-    for j in range(instance.job_count):
-        if j not in schedule.assignment:
-            violations.append(f"job {j} is unassigned")
+    assignment = schedule.assignment
+    den, sizes, _sums = instance._scaled
+    # checked in bulk first: n distinct job ids that all exist assign
+    # every job, and with every machine id existing no job checks its own
+    every_job = _plain_ids(list(assignment), instance.job_count)
+    if len(assignment) < instance.job_count or not every_job:
+        for j in range(instance.job_count):
+            if j not in assignment:
+                violations.append(f"job {j} is unassigned")
 
     def order(item) -> tuple:  # int job ids ascending, then the rest as given
         return (0, item[0]) if _is_int(item[0]) else (1, 0)
 
-    for j, i in sorted(schedule.assignment.items(), key=order):
-        if not (_is_int(j) and 0 <= j < instance.job_count):
-            violations.append(f"unknown job id {j!r}")
-            continue
-        if not (_is_int(i) and 0 <= i < instance.machine_count):
-            violations.append(f"unknown machine id {i!r}")
-            continue
-        machine_classes.setdefault(i, set()).add(instance.class_labels[j])
+    known = {}
+    if every_job and _plain_ids(list(assignment.values()), instance.machine_count):
+        known = assignment
+    else:
+        for j, i in sorted(assignment.items(), key=order):
+            if not (_is_int(j) and 0 <= j < instance.job_count):
+                violations.append(f"unknown job id {j!r}")
+            elif not (_is_int(i) and 0 <= i < instance.machine_count):
+                violations.append(f"unknown machine id {i!r}")
+            else:
+                known[j] = i
+    machine_classes = _classes_by_machine(known.values(), known, instance)
     violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    return violations
+    if len(known) < len(assignment):
+        return violations, None
+    totals = _totals(assignment.values(), map(sizes.__getitem__, assignment))
+    return violations, Fraction(max(totals.values(), default=0), den)
 
 
-def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
+def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
     violations = []
-    carried = []  # (class_id, count, load) of every well-formed entry
+    den, _sizes, sums = instance._scaled
+    scale, scaled = _over_common_denominator(
+        [load for pattern, _count in schedule.patterns for _u, load in pattern]
+    )
+    totals = [0] * instance.class_count
+    pattern_loads = []
+    known = True
     machines = 0
+    at = 0
     for pattern, count in schedule.patterns:
+        loads = scaled[at:at + len(pattern)]
+        at += len(pattern)
+        pattern_loads.append(sum(loads))
+        fits = [_is_int(u) and 1 <= u <= instance.class_count for u, _load in pattern]
+        known = known and all(fits)
         if not _is_int(count) or count < 1:
             violations.append(f"pattern count {count!r} is not a positive integer")
             continue
@@ -489,23 +580,18 @@ def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
                 f"slot budget exceeded on {count} machines: "
                 f"{len(classes)} classes > c={instance.slot_budget}"
             )
-        for u, load in pattern:
-            if not (_is_int(u) and 1 <= u <= instance.class_count):
+        for (u, load), value, known_class in zip(pattern, loads, fits):
+            if not known_class:
                 violations.append(f"unknown class id {u!r}")
             elif load.numerator <= 0:
                 violations.append(f"class {u} has non-positive load {load}")
             else:
-                carried.append((u, count, load))
+                totals[u - 1] += count * value
     if machines > instance.machine_count:
         violations.append(
             f"machine budget exceeded: {machines} machines > "
             f"m={instance.machine_count}"
         )
-    den, _sizes, sums = instance._scaled
-    scale, loads = _over_common_denominator([load for _u, _count, load in carried])
-    totals = [0] * instance.class_count
-    for (u, count, _load), load in zip(carried, loads):
-        totals[u - 1] += count * load
     common = lcm(scale, den)
     for u, (total, expected) in enumerate(zip(totals, sums), start=1):
         if total * (common // scale) != expected * (common // den):
@@ -513,27 +599,54 @@ def _validate_compact(schedule: CompactSchedule, instance: Instance) -> list:
                 f"class {u} carries {Fraction(total, scale)}, "
                 f"expected {Fraction(expected, den)}"
             )
-    return violations
+    if not known:
+        return violations, None
+    return violations, Fraction(max(pattern_loads, default=0), scale)
+
+
+def _checked(schedule: Schedule, instance: Instance) -> tuple:
+    if isinstance(schedule, SplittableSchedule):
+        return _check_splittable(schedule, instance)
+    if isinstance(schedule, PreemptiveSchedule):
+        return _check_preemptive(schedule, instance)
+    if isinstance(schedule, NonPreemptiveSchedule):
+        return _check_nonpreemptive(schedule, instance)
+    if isinstance(schedule, CompactSchedule):
+        return _check_compact(schedule, instance)
+    raise TypeError(f"not a schedule: {schedule!r}")
+
+
+def _variant_mismatch(schedule: Schedule, variant) -> list:
+    """[] when the schedule belongs to the variant (its own by default),
+    else the one violation saying it does not."""
+    own = _variant_of(schedule)
+    if variant is None:
+        return []
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant != own:
+        return [f"{type(schedule).__name__} is not a {variant} schedule"]
+    return []
 
 
 def validate(schedule: Schedule, instance: Instance, variant: str = None) -> list:
     """All feasibility violations of the schedule under the given variant's
     rules (empty list means feasible). The variant defaults to the one the
     schedule type belongs to; a mismatch is itself a violation."""
-    own = _variant_of(schedule)
-    if variant is None:
-        variant = own
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant != own:
-        return [f"{type(schedule).__name__} is not a {variant} schedule"]
-    if isinstance(schedule, SplittableSchedule):
-        return _validate_splittable(schedule, instance)
-    if isinstance(schedule, PreemptiveSchedule):
-        return _validate_preemptive(schedule, instance)
-    if isinstance(schedule, NonPreemptiveSchedule):
-        return _validate_nonpreemptive(schedule, instance)
-    return _validate_compact(schedule, instance)
+    return _variant_mismatch(schedule, variant) or _checked(schedule, instance)[0]
+
+
+def makespan_and_violations(
+    schedule: Schedule, instance: Instance, variant: str = None
+) -> tuple:
+    """``(makespan(schedule, instance), validate(schedule, instance,
+    variant))`` from one pass over the schedule: the makespan comes from
+    the integer loads and spans the checks compute. Raises
+    InvalidScheduleError on an unknown id, as ``makespan`` does."""
+    violations, peak = _checked(schedule, instance)
+    if peak is None:  # an unknown id, on which makespan raises
+        peak = makespan(schedule, instance)
+    return peak, _variant_mismatch(schedule, variant) or violations
 
 
 def lower_bound(instance: Instance, variant: str):
@@ -569,7 +682,7 @@ def expand_compact(schedule: CompactSchedule, instance: Instance) -> SplittableS
     one piece per machine and class slot, plus one per job cut in two.
     Raises InvalidScheduleError when ``validate`` rejects the schedule.
     """
-    violations = _validate_compact(schedule, instance)
+    violations = _check_compact(schedule, instance)[0]
     if violations:
         raise InvalidScheduleError(violations[0])
     jobs = [[] for _ in range(instance.class_count)]

@@ -14,10 +14,11 @@ The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
-slots. Enumeration aborts once the count passes the cap; results are
-memoized because the sets depend only on the accuracy, the slot budget
-and (for the non-preemptive variant) the large sizes and the large
-classes' count vectors over them, not on the whole instance.
+slots. Enumeration aborts once the count passes the cap. The splittable
+sets are memoized, since they depend only on the accuracy, the slot
+budget and the cap; the non-preemptive sets also depend on the large
+sizes and the large classes' count vectors over them, so few calls
+repeat one, and they are built afresh each time.
 """
 
 from __future__ import annotations
@@ -284,10 +285,6 @@ def nonpreemptive_sets(
     feasible point of the program.
     """
     cap = resolve_enum_cap(cap)
-    key = (tuple(ground), tuple(counts), scaled_bound, slot_budget, cap)
-    hit = _NP_CACHE.get(key)
-    if hit is not None:
-        return hit
     modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
     mods = ModuleSet(
         variant=NONPREEMPTIVE,
@@ -295,10 +292,9 @@ def nonpreemptive_sets(
         sizes=footprints,
         ground=tuple(ground),
     )
-    confs = _nonpreemptive_configurations(mods, scaled_bound, slot_budget,
-                                          grid, cap)
-    _NP_CACHE[key] = (mods, confs)
-    return mods, confs
+    return mods, _nonpreemptive_configurations(
+        mods, scaled_bound, slot_budget, grid, cap
+    )
 
 
 def _nonpreemptive_configurations(
@@ -352,4 +348,3 @@ def enumerate_sets(
 
 
 _SPLIT_CACHE: dict = {}
-_NP_CACHE: dict = {}

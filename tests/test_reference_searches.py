@@ -23,9 +23,13 @@ import ccs.ptas.builder
 from conftest import nonpreemptive_probe, nonpreemptive_probes
 from ccs import (
     NONPREEMPTIVE,
+    VARIANTS,
     CompactSchedule,
     Instance,
+    InvalidScheduleError,
+    NonPreemptiveSchedule,
     PreemptiveSchedule,
+    SplittableSchedule,
     approx_nonpreemptive,
     approx_preemptive,
     approx_splittable,
@@ -38,7 +42,7 @@ from ccs import (
     split_class,
     validate,
 )
-from ccs.core import _slot_violations
+from ccs.core import _slot_violations, makespan_and_violations
 from ccs.nfold import solve_exhaustive, solve_feasible
 from ccs.ptas import ModuleSet, build_program
 from ccs.ptas.sets import (
@@ -460,20 +464,41 @@ def test_piece_count_matches_fraction_count(loads, threshold):
     assert count == reference_piece_count(loads, threshold)
 
 
+def on_one_denominator(loads):
+    """(sums, D): the loads as ints over their least common denominator."""
+    den = math.lcm(*(p.denominator for p in loads))
+    return [p.numerator * (den // p.denominator) for p in loads], den
+
+
+def reference_on_scaled(sums, den, *args, **kwargs):
+    """``reference_smallest_guess`` called as ``_smallest_guess`` is."""
+    return reference_smallest_guess([Fraction(x, den) for x in sums], *args, **kwargs)
+
+
 @given(
-    loads=st.lists(values, min_size=1, max_size=10),
-    machine_limit=st.integers(1, 200),
-    budget_share=st.integers(0, 12),
-    floor=st.one_of(st.none(), values),
+    loads=st.lists(values, min_size=1, max_size=60),
+    machine_limit=st.one_of(st.integers(1, 200), st.integers(1, 10**9)),
+    budget_share=st.one_of(st.just(0), st.integers(0, 12)),
+    floor=st.one_of(st.none(), values, st.integers(4, 12)),
     average=values,
 )
 @settings(max_examples=400, deadline=None)
 def test_smallest_guess_matches_reference(
     loads, machine_limit, budget_share, floor, average
 ):
+    """Up to 60 classes and 10^9 machines, budgets from one slot per class
+    (B = C) up, and floors drawn freely or at k/8 of T0, the smallest
+    border that fits (an int k in 4..12 is drawn), so below, at and
+    above it."""
     budget = len(loads) + budget_share * machine_limit // 4
-    args = (loads, machine_limit, budget, floor, average)
-    assert _smallest_guess(*args) == reference_smallest_guess(*args)
+    if isinstance(floor, int):
+        t0 = reference_smallest_guess(loads, budget, budget, None, max(loads))
+        floor = t0 * Fraction(floor, 8)
+    args = (machine_limit, budget, floor, average)
+    sums, den = on_one_denominator(loads)
+    assert _smallest_guess(sums, den, *args) == reference_smallest_guess(
+        loads, *args
+    )
 
 
 @given(instance=mixed_instances())
@@ -481,7 +506,7 @@ def test_smallest_guess_matches_reference(
 def test_border_searches_match_reference(instance):
     split = border_search_splittable(instance)
     preempt = _preemptive_guess(instance)
-    with mock.patch.object(ccs.approx, "_smallest_guess", reference_smallest_guess):
+    with mock.patch.object(ccs.approx, "_smallest_guess", reference_on_scaled):
         assert border_search_splittable(instance) == split
         assert _preemptive_guess(instance) == preempt
 
@@ -612,6 +637,31 @@ def test_layouts_match_reference(instance):
 PIECE_MUTATIONS = ("none", "shift", "fraction", "machine", "drop", "extra")
 
 
+def mutate_pieces(pieces, instance, mutation, pick, delta, sign):
+    """The pieces (timed or not) with one mutation of PIECE_MUTATIONS or
+    an unknown job or machine id: out of range, negative, or no int."""
+    pieces = list(pieces)
+    k = pick % len(pieces)
+    j, lam, i = pieces[k][:3]
+    start = pieces[k][3:]  # (start,) for a timed piece, else ()
+    if mutation == "shift" and start:
+        pieces[k] = (j, lam, i, start[0] + sign * delta)
+    elif mutation == "fraction":
+        pieces[k] = (j, lam + sign * delta / 8, i) + start
+    elif mutation == "machine":
+        pieces[k] = (j, lam, (i + 1) % instance.machine_count) + start
+    elif mutation == "drop":
+        del pieces[k]
+    elif mutation == "extra":
+        extra = tuple(t + delta for t in start)
+        pieces.append((pick % instance.job_count, lam, i) + extra)
+    elif mutation == "unknown job":
+        pieces[k] = ((instance.job_count, -1, True)[pick % 3], lam, i) + start
+    elif mutation == "unknown machine":
+        pieces[k] = (j, lam, (instance.machine_count, -1, 1.0)[pick % 3]) + start
+    return tuple(pieces)
+
+
 @given(
     instance=mixed_instances(),
     mutation=st.sampled_from(PIECE_MUTATIONS),
@@ -627,20 +677,9 @@ def test_preemptive_checks_match_reference(instance, mutation, pick, delta, sign
     out-of-range fraction, a piece moved to the next machine, a piece
     dropped, or an extra piece of some job (an extra class on a machine):
     the same violations, message text included, and the same makespan."""
-    pieces = list(approx_preemptive(instance).pieces)
-    k = pick % len(pieces)
-    j, lam, i, start = pieces[k]
-    if mutation == "shift":
-        pieces[k] = (j, lam, i, start + sign * delta)
-    elif mutation == "fraction":
-        pieces[k] = (j, lam + sign * delta / 8, i, start)
-    elif mutation == "machine":
-        pieces[k] = (j, lam, (i + 1) % instance.machine_count, start)
-    elif mutation == "drop":
-        del pieces[k]
-    elif mutation == "extra":
-        pieces.append((pick % instance.job_count, lam, i, start + delta))
-    schedule = PreemptiveSchedule(tuple(pieces))
+    schedule = PreemptiveSchedule(mutate_pieces(
+        approx_preemptive(instance).pieces, instance, mutation, pick, delta, sign
+    ))
     assert validate(schedule, instance) == reference_validate_preemptive(
         schedule, instance
     )
@@ -650,6 +689,30 @@ def test_preemptive_checks_match_reference(instance, mutation, pick, delta, sign
 
 
 PATTERN_MUTATIONS = ("none", "load", "count", "extra", "drop")
+
+
+def mutate_patterns(patterns, instance, mutation, pick, delta, sign):
+    """The patterns with one mutation of PATTERN_MUTATIONS or an unknown
+    class id, on a pattern whose count drops to 0 when sign is -1."""
+    patterns = list(patterns)
+    k = pick % len(patterns)
+    pattern, count = patterns[k]
+    e = pick % len(pattern)
+    u, load = pattern[e]
+    if mutation == "load":
+        pattern = pattern[:e] + ((u, load + sign * delta),) + pattern[e + 1:]
+    elif mutation == "count":
+        count += sign
+    elif mutation == "extra":
+        pattern += ((pick % instance.class_count + 1, delta),)
+    elif mutation == "unknown class":
+        unknown = (instance.class_count + 1, 0, True)[pick % 3]
+        pattern = pattern[:e] + ((unknown, load),) + pattern[e + 1:]
+        count = count if sign == 1 else 0
+    patterns[k] = (pattern, count)
+    if mutation == "drop":
+        del patterns[k]
+    return tuple(patterns)
 
 
 @given(
@@ -666,27 +729,133 @@ def test_compact_checks_match_reference(instance, mutation, pick, delta, sign):
     """Valid pattern lists and ones with a perturbed or non-positive load,
     a count off by one, an extra class in a pattern (a repeat, a slot too
     many or a load no class needs), or a pattern dropped."""
-    patterns = list(approx_splittable(instance).patterns)
-    k = pick % len(patterns)
-    pattern, count = patterns[k]
-    e = pick % len(pattern)
-    if mutation == "load":
-        u, load = pattern[e]
-        pattern = pattern[:e] + ((u, load + sign * delta),) + pattern[e + 1:]
-    elif mutation == "count":
-        count += sign
-    elif mutation == "extra":
-        pattern += ((pick % instance.class_count + 1, delta),)
-    patterns[k] = (pattern, count)
-    if mutation == "drop":
-        del patterns[k]
-    schedule = CompactSchedule(tuple(patterns))
+    schedule = CompactSchedule(mutate_patterns(
+        approx_splittable(instance).patterns, instance, mutation, pick, delta, sign
+    ))
     assert validate(schedule, instance) == reference_validate_compact(
         schedule, instance
     )
     assert repr(makespan(schedule, instance)) == repr(
         reference_makespan_compact(schedule)
     )
+
+
+def mutate_assignment(assignment, instance, mutation, pick):
+    """The assignment with one job moved to the next machine, dropped, or
+    sent to an unknown machine, or an unknown job added."""
+    assignment = dict(assignment)
+    j = pick % instance.job_count
+    if mutation == "machine":
+        assignment[j] = (assignment[j] + 1) % instance.machine_count
+    elif mutation == "drop":
+        del assignment[j]
+    elif mutation == "unknown machine":
+        assignment[j] = (instance.machine_count, -1, 1.0)[pick % 3]
+    elif mutation in ("unknown job", "extra"):
+        assignment[(instance.job_count, -1, "0")[pick % 3]] = 0
+    return assignment
+
+
+def outcome(check):
+    """repr of what the check returns, or the InvalidScheduleError it
+    raises."""
+    try:
+        return repr(check())
+    except InvalidScheduleError as exc:
+        return f"raises {exc}"
+
+
+@given(
+    instance=mixed_instances(),
+    kind=st.sampled_from(("split", "compact", "preempt", "whole")),
+    mutation=st.sampled_from(
+        PIECE_MUTATIONS + PATTERN_MUTATIONS[1:]
+        + ("unknown job", "unknown machine", "unknown class")
+    ),
+    pick=st.integers(0, 10**6),
+    delta=values,
+    sign=st.sampled_from((1, -1)),
+    variant=st.sampled_from((None,) + VARIANTS),
+)
+@example(instance=COPRIME, kind="compact", mutation="unknown class", pick=0,
+         delta=Fraction(1), sign=-1, variant=None)
+@example(instance=COPRIME, kind="compact", mutation="count", pick=0,
+         delta=Fraction(1), sign=-1, variant=None)  # the peak pattern at count 0
+@settings(max_examples=600, deadline=None)
+def test_one_pass_check_matches_makespan_and_validate(
+    instance, kind, mutation, pick, delta, sign, variant
+):
+    """All four schedule types, valid and with the corruptions above
+    (unknown ids included, on which makespan raises), checked under their
+    own variant, under none and under another: ``makespan_and_violations``
+    returns what ``makespan`` and ``validate`` do, or raises what
+    ``makespan`` raises."""
+    if kind == "split":
+        pieces = expand_compact(approx_splittable(instance), instance).pieces
+        schedule = SplittableSchedule(
+            mutate_pieces(pieces, instance, mutation, pick, delta, sign)
+        )
+    elif kind == "compact":
+        schedule = CompactSchedule(mutate_patterns(
+            approx_splittable(instance).patterns, instance, mutation, pick, delta,
+            sign,
+        ))
+    elif kind == "preempt":
+        schedule = PreemptiveSchedule(mutate_pieces(
+            approx_preemptive(instance).pieces, instance, mutation, pick, delta, sign
+        ))
+    else:
+        schedule = NonPreemptiveSchedule(mutate_assignment(
+            approx_nonpreemptive(instance).assignment, instance, mutation, pick
+        ))
+    assert outcome(
+        lambda: makespan_and_violations(schedule, instance, variant)
+    ) == outcome(
+        lambda: (makespan(schedule, instance), validate(schedule, instance, variant))
+    )
+
+
+# ---------------------------------------------------------------------------
+# instances: one Fraction per distinct size
+
+
+# sizes of every accepted kind; small ints, quarters and small fractions
+# make equal sizes of different types common (2, 2.0, "2", Fraction(2))
+any_sizes = st.one_of(
+    st.integers(1, 12),
+    values,
+    values.map(str),
+    st.integers(1, 48).map(lambda k: k / 4),
+    st.floats(min_value=0.001, max_value=100.0),
+)
+
+
+@given(
+    sizes=st.one_of(
+        st.lists(st.integers(1, 30), min_size=1, max_size=12),
+        st.lists(any_sizes, min_size=1, max_size=12),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_instance_sizes_match_one_fraction_per_job(sizes, data):
+    """Plain ints, Fractions, strings, floats and mixes of them: the
+    processing times, the scaled sizes and class sums, equality and hash
+    are those of an instance built from one Fraction per job."""
+    n = len(sizes)
+    labels = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    instance = Instance(tuple(sizes), tuple(labels), 2, 2)
+    times = tuple(Fraction(p) for p in sizes)
+    assert instance.processing_times == times
+    assert all(type(p) is Fraction for p in instance.processing_times)
+    den = math.lcm(*(p.denominator for p in times))
+    scaled = tuple(p.numerator * (den // p.denominator) for p in times)
+    sums = [0] * instance.class_count
+    for size, u in zip(scaled, instance.class_labels):
+        sums[u - 1] += size
+    assert instance._scaled == (den, scaled, tuple(sums))
+    twin = Instance(times, tuple(labels), 2, 2)
+    assert instance == twin and hash(instance) == hash(twin)
 
 
 # ---------------------------------------------------------------------------
