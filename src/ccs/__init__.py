@@ -12,10 +12,7 @@ from ccs.approx import (
     approx_preemptive,
     approx_splittable,
     border_search_splittable,
-    compute_cu_nonpreemptive,
     nonpreemptive_threshold,
-    repack_stacks,
-    split_class,
 )
 from ccs.core import (
     CCSError,
@@ -41,12 +38,7 @@ from ccs.core import (
     validate,
 )
 from ccs.greedy import lpt, round_robin
-from ccs.oracle import (
-    opt_nonpreemptive,
-    opt_preemptive,
-    opt_splittable,
-    preemptive_feasible,
-)
+from ccs.oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
 
 __all__ = [
     "CCSError",
@@ -54,16 +46,12 @@ __all__ = [
     "approx_preemptive",
     "approx_splittable",
     "border_search_splittable",
-    "compute_cu_nonpreemptive",
     "nonpreemptive_threshold",
-    "repack_stacks",
-    "split_class",
     "lpt",
     "round_robin",
     "opt_nonpreemptive",
     "opt_preemptive",
     "opt_splittable",
-    "preemptive_feasible",
     "CompactSchedule",
     "EnumerationCapError",
     "Instance",

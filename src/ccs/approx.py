@@ -18,11 +18,11 @@ size. The threshold search differs per variant:
   piece has size exactly T, the second layer of every machine is lifted to
   start at T so that consecutive pieces of one job never overlap in time.
 * non-preemptive: jobs cannot be cut, so the per-class piece count comes
-  from a size-classification (compute_cu_nonpreemptive) and T is found by
-  binary search over integers (or a geometric search for fractional sizes).
-  Classes of equal sizes are grouped and sorted once; a probe then costs
-  O(log n) bisections per distinct class shape plus the pairing of its
-  medium jobs, in integers when every size is one.
+  from a size-classification (``_cu_sorted``) and T is found by binary
+  search over the multiples of 1/D, D the sizes' common denominator: the
+  optimum is one of them, so T never exceeds it. Classes of equal sizes
+  are grouped and sorted once; a probe then costs O(log n) bisections per
+  distinct class shape plus the pairing of its medium jobs, in integers.
 
 The splittable variant needs no job-level cutting at all: machine ids
 are interchangeable and jobs of a class may run in parallel, so its round
@@ -31,10 +31,11 @@ class-load patterns (a CompactSchedule), O(C) of them whatever m is;
 ``expand_compact`` carves it into job pieces on demand. The preemptive
 variant cuts jobs at the threshold and stacks the pieces.
 
-Thresholds and schedules are Fractions at the API. After each threshold
-search, the sizes and the threshold are scaled to one common denominator,
-and the layouts cut, sort, stack and pack in Python ints; Fractions are
-built only for the schedule the call returns.
+Thresholds and schedules are Fractions at the API. The searches run in
+Python ints over the sizes' common denominator; after each, the sizes and
+the threshold are scaled to one common denominator, and the layouts cut,
+sort, stack and pack in ints. Fractions are built only for the threshold
+and the schedule the call returns.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .core import (
     PREEMPTIVE,
     PreemptiveSchedule,
     SPLITTABLE,
-    _over_common_denominator,
     lower_bound,
 )
 from .greedy import lpt, round_robin
@@ -66,8 +66,9 @@ from .greedy import lpt, round_robin
 
 
 def _cut(jobs: Sequence, threshold: int) -> list:
-    """``split_class`` in ints: sizes and threshold over one common
-    denominator. Returns [(load, parts), ...] with parts = ((job_id, take,
+    """Cut a class, (job_id, size) in id order, at multiples of the
+    threshold, all ints over one denominator: [(load, parts), ...], every
+    load the threshold but possibly the last, with parts = ((job_id, take,
     size), ...), the job running take of its size in the piece."""
     pieces = []
     parts: list = []
@@ -86,27 +87,6 @@ def _cut(jobs: Sequence, threshold: int) -> list:
     if parts:
         pieces.append((threshold - space, tuple(parts)))
     return pieces
-
-
-def split_class(jobs: Sequence, threshold: Fraction) -> list:
-    """Cut a class (list of (job_id, size), in id order) at multiples of
-    the threshold. Returns [(load, parts), ...] with parts = ((job_id,
-    fraction), ...); every load equals the threshold except possibly the
-    last."""
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    scale, (theta, *sizes) = _over_common_denominator(
-        [threshold] + [Fraction(size) for _j, size in jobs]
-    )
-    cut = _cut([(job_id, size) for (job_id, _p), size in zip(jobs, sizes)], theta)
-    return [
-        (
-            Fraction(load, scale),
-            tuple((job_id, Fraction(take, size)) for job_id, take, size in parts),
-        )
-        for load, parts in cut
-    ]
 
 
 def _class_job_lists(instance: Instance, sizes: Sequence) -> list:
@@ -287,8 +267,9 @@ def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
 
 
 def _stack_starts(stacks: Sequence, threshold: int) -> list:
-    """``repack_stacks`` in ints: loads and threshold over one common
-    denominator."""
+    """Start times for stacked pieces, loads and threshold as ints over one
+    denominator: plain stacking, except that when some load equals the
+    threshold, every machine's second piece starts at the threshold."""
     lift = any(load == threshold for stack in stacks for load in stack)
     starts = []
     for stack in stacks:
@@ -301,24 +282,6 @@ def _stack_starts(stacks: Sequence, threshold: int) -> list:
             cursor += load
         starts.append(row)
     return starts
-
-
-def repack_stacks(stacks: Sequence, threshold) -> list:
-    """Start times for stacked pieces. Plain stacking (each piece starts
-    where the previous ended) unless some piece's load equals the
-    threshold: then, on every machine, the second piece is lifted to start
-    at the threshold, leaving a gap above a smaller bottom piece."""
-    threshold = Fraction(threshold)
-    stacks = [[Fraction(load) for load in stack] for stack in stacks]
-    scale = math.lcm(
-        threshold.denominator, *(load.denominator for stack in stacks for load in stack)
-    )
-    starts = _stack_starts(
-        [[load.numerator * (scale // load.denominator) for load in stack]
-         for stack in stacks],
-        threshold.numerator * (scale // threshold.denominator),
-    )
-    return [[Fraction(start, scale) for start in row] for row in starts]
 
 
 def _preemptive_guess(instance: Instance):
@@ -376,18 +339,18 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
 # non-preemptive
 
 
-def _cu_sorted(sizes: Sequence, total, threshold) -> tuple:
-    """``compute_cu_nonpreemptive`` on one class's sizes, sorted ascending,
-    with their sum: ints at an int threshold, or Fractions. The heavy
-    jobs (p > T/2) and the mediums (T/3 < p <= T/2) are found by
-    bisection; each medium, largest first, takes the smallest heavy slack
-    T - p that still holds it."""
-    if isinstance(threshold, int):  # an int p has 2p <= T iff p <= T // 2
-        half, third = threshold // 2, threshold // 3
-    else:
-        half, third = threshold / 2, threshold / 3
-    heavy_at = bisect.bisect_right(sizes, half)
-    medium_at = bisect.bisect_right(sizes, third, 0, heavy_at)
+def _cu_sorted(sizes: Sequence, total: int, threshold: int) -> tuple:
+    """(C_u, heavy, loose) for one class at threshold T, from its sizes
+    sorted ascending and their sum, all ints over one denominator.
+
+    heavy = jobs above T/2, each in a piece of its own. The mediums in
+    (T/3, T/2], largest first, each take the smallest heavy slack T - p
+    that holds them; loose = those left over, two to a piece. C_u =
+    max(ceil(load/T), heavy + ceil(loose/2)).
+    """
+    # an int p has 2p <= T iff p <= T // 2, and 3p <= T iff p <= T // 3
+    heavy_at = bisect.bisect_right(sizes, threshold // 2)
+    medium_at = bisect.bisect_right(sizes, threshold // 3, 0, heavy_at)
     heavy = len(sizes) - heavy_at
     loose = heavy_at - medium_at
     if loose and heavy:
@@ -397,46 +360,29 @@ def _cu_sorted(sizes: Sequence, total, threshold) -> tuple:
             if host < len(slack):
                 del slack[host]
                 loose -= 1
-    by_volume = -(-total // threshold) if total > 0 else 0
-    return max(by_volume, heavy + (loose + 1) // 2), heavy, loose
-
-
-def compute_cu_nonpreemptive(class_jobs: Sequence, threshold) -> tuple:
-    """(C_u, heavy, loose) piece-count data for one class at threshold T.
-
-    heavy = jobs larger than T/2 (each needs its own piece). Jobs in
-    (T/3, T/2] are paired greedily, largest first, onto the heavy piece
-    with the least remaining capacity that still fits; loose = how many of
-    them stay unpaired. C_u = max(ceil(load/T), heavy + ceil(loose/2)):
-    unpaired mediums fit two per piece, and no piece can hold more than
-    two jobs above T/3 next to a heavy one.
-    """
-    sizes = sorted(Fraction(p) for p in class_jobs)
-    return _cu_sorted(sizes, sum(sizes, Fraction(0)), Fraction(threshold))
+    return max(-(-total // threshold), heavy + (loose + 1) // 2), heavy, loose
 
 
 def nonpreemptive_threshold(instance: Instance):
-    """(T_final, m_used, LB): smallest threshold found by binary search at
-    which the per-class piece counts fit the slot budget. Integer sizes
-    admit an exact integer search on [ceil(LB), max(ceil(LB), largest
-    class load)]; fractional sizes use a geometric search on [LB, n*p_max]
-    to relative precision 2^-20 and return the last verified-feasible
-    guess."""
+    """(T_final, m_used, LB): the smallest threshold, by binary search, at
+    which the per-class piece counts fit the slot budget c*min(m, n).
+
+    The optimum is a sum of job sizes, so a multiple of 1/D over the
+    sizes' common denominator D, and at least LB. The search bisects the
+    ints over D on [ceil(LB*D), max(ceil(LB*D), largest class load)],
+    with integral sizes (D = 1) the integers themselves."""
     lower_bound(instance, NONPREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
     lb = max(instance.max_processing_time, instance.total_load / m_used)
     budget = instance.slot_budget * m_used
     den, scaled_sizes, sums = instance._scaled
-    integral = den == 1
     shapes = Counter(
         tuple(sorted(p for _j, p in jobs))
-        for jobs in _class_job_lists(
-            instance, scaled_sizes if integral else instance.processing_times
-        )
+        for jobs in _class_job_lists(instance, scaled_sizes)
     )
     groups = [(sizes, sum(sizes), k) for sizes, k in shapes.items()]
 
-    def fits(threshold) -> bool:
+    def fits(threshold: int) -> bool:
         return (
             sum(
                 k * _cu_sorted(sizes, total, threshold)[0]
@@ -445,37 +391,18 @@ def nonpreemptive_threshold(instance: Instance):
             <= budget
         )
 
-    if integral:
-        # at a threshold >= its load a class is one piece: it has at most
-        # one job above T/2 and two above T/3, and a medium fits beside the
-        # heavy job. C <= c*min(m, n) one-piece classes fit the budget.
-        lo = math.ceil(lb)
-        hi = max(lo, max(sums))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return Fraction(lo), m_used, lb
-
-    lo, hi = lb, instance.job_count * instance.max_processing_time  # fits
-    if fits(lo):
-        return lo, m_used, lb
-    while hi - lo > lo * Fraction(1, 2**20):
-        try:
-            mid = Fraction(math.sqrt(float(lo) * float(hi)))
-        except (OverflowError, ValueError):
-            mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            mid = (lo + hi) / 2
+    # at a threshold >= its load a class is one piece: it has at most one
+    # job above T/2 and two above T/3, and a medium fits beside the heavy
+    # job. C <= c*min(m, n) one-piece classes fit the budget.
+    lo = math.ceil(lb * den)
+    hi = max(lo, max(sums))
+    while lo < hi:
+        mid = (lo + hi) // 2
         if fits(mid):
             hi = mid
         else:
-            lo = mid
-    if not fits(hi):
-        raise CCSError(f"non-preemptive threshold {hi} does not fit")
-    return hi, m_used, lb
+            lo = mid + 1
+    return Fraction(lo, den), m_used, lb
 
 
 def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
@@ -485,9 +412,7 @@ def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
     Makespan is at most LB + (4/3)*T."""
     threshold, m_used, _lb = nonpreemptive_threshold(instance)
     den, sizes, _sums = instance._scaled
-    _scale, up, theta = _common_scale(den, threshold)
-    if up != 1:
-        sizes = [size * up for size in sizes]
+    theta = threshold.numerator * (den // threshold.denominator)
     cuts: dict = {}  # class weights in id order -> [(load, positions), ...]
     groups = []  # (load, job_ids) per piece, class asc then bin asc
     for jobs in _class_job_lists(instance, sizes):

@@ -7,7 +7,7 @@ be fractional is a :class:`fractions.Fraction` where the API takes or
 returns it. Inner loops run in Python ints instead: an instance keeps its
 sizes over their least common denominator, and the schedule checks scale
 a schedule's fractions, starts and loads to one common denominator before
-they add, sort and compare. Nothing in this package touches floats except
+they add, sort and compare. Nothing in this package computes in floats except
 the mixed-integer solve inside ``ccs.nfold``, whose output is re-verified
 exactly.
 """

@@ -158,12 +158,10 @@ def _search_integers(probe, lo: int, hi: int):
 def _search_grid(probe, lo: Fraction, hi: Fraction, delta: Fraction):
     """Smallest feasible guess on the grid lo*(1+delta)^i covering hi."""
     step = 1 + delta
-    if hi <= lo:
-        top = 0
-    else:
-        top = math.ceil(math.log(hi / lo) / math.log(step))
-        while lo * step**top < hi:
-            top += 1
+    top, reach = 0, lo
+    while reach < hi:
+        top += 1
+        reach *= step
     exponent, built, solution = _search(
         probe, lambda i: lo * step**i, 0, top
     )
@@ -216,11 +214,11 @@ def ptas_solve(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
     work = _clamp(instance, scheme)
-    warm, bound, certified = _certify(work, scheme, epsilon)
+    warm, reach, floor, bound, certified = _certify(work, scheme, epsilon)
     if certified:
         schedule, record = warm, _unsearched()
     else:
-        lo, hi = _bracket(work, scheme, warm)
+        lo, hi = _bracket(scheme, reach, floor)
         schedule, record = _search_program(work, scheme, delta, lo, hi)
         if hi < makespan(schedule, work):
             schedule = warm
@@ -246,11 +244,13 @@ def _whole(work, variant) -> bool:
 
 
 def _certify(work, variant, epsilon):
-    """(warm start, bound, certified): the constant-factor schedule on
-    ``work``, the lower-bound certificate of the module docstring, and
-    whether the warm start answers: within 1 + epsilon of the bound for
-    the splittable scheme, at the bound for the non-preemptive one. T* is
-    searched once; the splittable warm start is laid out at it."""
+    """(warm start, its makespan, load bound, bound, certified): the
+    constant-factor schedule on ``work``, its makespan, the variant's load
+    bound on ``work``, the lower-bound certificate of the module
+    docstring, and whether the warm start answers: within 1 + epsilon of
+    the bound for the splittable scheme, at the bound for the
+    non-preemptive one. T* is searched once; the splittable warm start is
+    laid out at it."""
     t_star = border_search_splittable(work)
     if variant == SPLITTABLE:
         warm = _WARM_ALGO[variant](work, t_star)
@@ -271,16 +271,14 @@ def _certify(work, variant, epsilon):
         <= (slack.denominator + slack.numerator) * bound.numerator
         * reach.denominator
     )
-    return warm, bound, certified
+    return warm, reach, floor, bound, certified
 
 
-def _bracket(work, variant, warm):
+def _bracket(variant, reach, floor):
     """(lo, hi) around the optimum from the warm start's ratio guarantee:
-    hi is the warm makespan, lo the larger of the load bound and hi over
-    the warm ratio."""
-    hi = makespan(warm, work)
-    floor, _ub = lower_bound(work, variant)
-    return max(floor, hi / _WARM_RATIO[variant]), hi
+    hi is the warm makespan ``reach``, lo the larger of the load bound
+    ``floor`` and hi over the warm ratio."""
+    return max(floor, reach / _WARM_RATIO[variant]), reach
 
 
 def _search_program(work, variant, delta, lo, hi):

@@ -32,14 +32,18 @@ def instances(
 
 
 @st.composite
-def oracle_instances(draw, max_size: int = 20):
+def oracle_instances(draw, max_size: int = 20, max_denominator: int = 1):
     """Instances small enough for every exact oracle: class->machine
-    eligibility patterns (2^m - 1)^C stay under 10^6 and m^n under 10^7."""
+    eligibility patterns (2^m - 1)^C stay under 10^6 and m^n under 10^7.
+    Sizes are a/b with a <= max_size and b <= max_denominator."""
     m = draw(st.integers(1, 4))
     max_classes = {1: 8, 2: 8, 3: 7, 4: 5}[m]
     c = draw(st.integers(1, 3))
     n = draw(st.integers(max(1, -(-m // c)), 8))
-    sizes = draw(st.lists(st.integers(1, max_size), min_size=n, max_size=n))
+    size = st.integers(1, max_size)
+    if max_denominator > 1:
+        size = st.builds(Fraction, size, st.integers(1, max_denominator))
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
     palette = min(n, m * c, max_classes)
     labels = draw(st.lists(st.integers(1, palette), min_size=n, max_size=n))
     return Instance(tuple(sizes), tuple(labels), m, c)
@@ -53,8 +57,10 @@ def nonpreemptive_probes(draw):
     inst = draw(instances(max_jobs=6, max_machines=3, max_size=10))
     epsilon = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
     work = driver._clamp(inst, NONPREEMPTIVE)
-    warm, _bound, _certified = driver._certify(work, NONPREEMPTIVE, epsilon)
-    lo, hi = driver._bracket(work, NONPREEMPTIVE, warm)
+    _warm, reach, floor, _bound, _certified = driver._certify(
+        work, NONPREEMPTIVE, epsilon
+    )
+    lo, hi = driver._bracket(NONPREEMPTIVE, reach, floor)
     # the bottom, which the driver probes first, or any guess above it
     lo, hi = math.ceil(lo), math.ceil(hi)
     guess = draw(st.one_of(st.just(lo), st.integers(lo, hi)))
@@ -165,7 +171,7 @@ def certified(instance, variant, epsilon):
     """Whether the scheme's certificate answers ``instance`` at epsilon
     without a program."""
     work = driver._clamp(instance, variant)
-    return driver._certify(work, variant, epsilon)[2]
+    return driver._certify(work, variant, epsilon)[-1]
 
 
 def search(instance, variant, epsilon=1):
@@ -174,8 +180,10 @@ def search(instance, variant, epsilon=1):
     whether or not its certificate answers there. ``record`` holds the
     report entries "guess", "built", "solution" and "probes"."""
     work = driver._clamp(instance, variant)
-    warm, _bound, _certified = driver._certify(work, variant, epsilon)
-    lo, hi = driver._bracket(work, variant, warm)
+    _warm, reach, floor, _bound, _certified = driver._certify(
+        work, variant, epsilon
+    )
+    lo, hi = driver._bracket(variant, reach, floor)
     delta = derive_delta(epsilon, variant)
     return driver._search_program(work, variant, delta, lo, hi)
 
@@ -186,5 +194,5 @@ def never_certify(monkeypatch):
     answers."""
     certify = driver._certify
     monkeypatch.setattr(
-        driver, "_certify", lambda *args: (*certify(*args)[:2], False)
+        driver, "_certify", lambda *args: (*certify(*args)[:-1], False)
     )

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccs import (
@@ -17,7 +17,6 @@ from ccs import (
     approx_preemptive,
     approx_splittable,
     border_search_splittable,
-    compute_cu_nonpreemptive,
     expand_compact,
     lower_bound,
     machine_loads,
@@ -26,14 +25,18 @@ from ccs import (
     opt_nonpreemptive,
     opt_preemptive,
     opt_splittable,
-    repack_stacks,
-    split_class,
     validate,
     NONPREEMPTIVE,
     PREEMPTIVE,
     SPLITTABLE,
 )
-from ccs.approx import _preemptive_guess
+from ccs.approx import (
+    _common_scale,
+    _cu_sorted,
+    _cut,
+    _preemptive_guess,
+    _stack_starts,
+)
 
 from conftest import instances, oracle_instances
 
@@ -46,21 +49,17 @@ def inst(sizes, labels, m, c) -> Instance:
 
 class TestSplitClass:
     def test_cuts_at_threshold_multiples(self):
-        pieces = split_class([(0, Fraction(10))], Fraction(4))
+        pieces = _cut([(0, 10)], 4)
         assert [load for load, _ in pieces] == [4, 4, 2]
-        assert pieces[0][1] == ((0, Fraction(2, 5)),)
-        assert pieces[2][1] == ((0, Fraction(1, 5)),)
+        assert pieces[0][1] == ((0, 4, 10),)
+        assert pieces[2][1] == ((0, 2, 10),)
 
     def test_straddling_job_is_shared(self):
         # second job is cut 3/1 across the first and second piece
-        pieces = split_class([(0, Fraction(2)), (1, Fraction(4))], Fraction(5))
+        pieces = _cut([(0, 2), (1, 4)], 5)
         assert [load for load, _ in pieces] == [5, 1]
-        assert pieces[0][1] == ((0, Fraction(1)), (1, Fraction(3, 4)))
-        assert pieces[1][1] == ((1, Fraction(1, 4)),)
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            split_class([(0, Fraction(1))], Fraction(0))
+        assert pieces[0][1] == ((0, 2, 2), (1, 3, 4))
+        assert pieces[1][1] == ((1, 1, 4),)
 
 
 class TestBorderSearch:
@@ -89,22 +88,23 @@ class TestBorderSearch:
     def test_cut_shape_and_conservation(self, instance):
         t_star = border_search_splittable(instance)
         budget = instance.slot_budget * instance.machine_count
+        den, sizes, sums = instance._scaled
+        _scale, up, theta = _common_scale(den, t_star)
         count = 0
-        for u, total in enumerate(instance.class_totals, start=1):
-            jobs = [
-                (j, instance.processing_times[j]) for j in instance.jobs_of_class(u)
-            ]
-            pieces = split_class(jobs, t_star)
+        for u, total in enumerate(sums, start=1):
+            jobs = [(j, sizes[j] * up) for j in instance.jobs_of_class(u)]
+            pieces = _cut(jobs, theta)
             count += len(pieces)
-            assert len(pieces) == max(1, math.ceil(total / t_star))
-            full, rest = divmod(total, t_star)
+            full, rest = divmod(total * up, theta)
             loads = [load for load, _ in pieces]
-            assert loads == [t_star] * full + ([rest] if rest else [])
+            assert loads == [theta] * full + ([rest] if rest else [])
+            taken = {j: 0 for j, _size in jobs}
             for load, parts in pieces:
-                shares = sum(
-                    frac * instance.processing_times[j] for j, frac in parts
-                )
-                assert shares == load
+                assert sum(take for _j, take, _size in parts) == load
+                for j, take, size in parts:
+                    assert 0 < take <= size == sizes[j] * up
+                    taken[j] += take
+            assert taken == dict(jobs)
         assert count <= budget
 
     @given(oracle_instances())
@@ -208,15 +208,15 @@ class TestApproxSplittable:
 
 class TestRepackStacks:
     def test_second_layer_lifted_to_threshold(self):
-        starts = repack_stacks([[5, 3, 1], [5, 2, 1], [4, 2], [3, 1]], 5)
+        starts = _stack_starts([[5, 3, 1], [5, 2, 1], [4, 2], [3, 1]], 5)
         assert starts == [[0, 5, 8], [0, 5, 7], [0, 5], [0, 5]]
 
     def test_plain_stacking_without_full_pieces(self):
-        starts = repack_stacks([[5, 3, 1], [4, 2]], 7)
+        starts = _stack_starts([[5, 3, 1], [4, 2]], 7)
         assert starts == [[0, 5, 8], [0, 4]]
 
     def test_empty_stacks(self):
-        assert repack_stacks([[], []], 3) == [[], []]
+        assert _stack_starts([[], []], 3) == [[], []]
 
 
 class TestApproxPreemptive:
@@ -267,24 +267,30 @@ class TestApproxPreemptive:
         assert makespan(schedule, instance) <= 2 * opt_preemptive(instance)
 
 
+def compute_cu(sizes, threshold):
+    """``_cu_sorted`` on an unsorted list of int sizes."""
+    ordered = sorted(sizes)
+    return _cu_sorted(ordered, sum(ordered), threshold)
+
+
 class TestComputeCu:
     def test_pairing_saves_a_piece(self):
         # 7 hosts one 5; the two leftover 5s share a piece
-        assert compute_cu_nonpreemptive([7, 5, 5, 5], 12) == (2, 1, 2)
+        assert compute_cu([7, 5, 5, 5], 12) == (2, 1, 2)
 
     def test_two_heavies_cannot_pair(self):
-        assert compute_cu_nonpreemptive([7, 7], 12) == (2, 2, 0)
+        assert compute_cu([7, 7], 12) == (2, 2, 0)
 
     def test_small_jobs_need_one_piece(self):
-        assert compute_cu_nonpreemptive([1, 1], 12) == (1, 0, 0)
+        assert compute_cu([1, 1], 12) == (1, 0, 0)
 
     def test_volume_bound_can_dominate(self):
         # no job above T/3, still two pieces by volume
-        assert compute_cu_nonpreemptive([2, 2, 2, 2], 7) == (2, 0, 0)
+        assert compute_cu([2, 2, 2, 2], 7) == (2, 0, 0)
 
     def test_medium_too_big_for_its_host_stays_loose(self):
         # 6 does not fit next to the 7 (slack 5); the 5 does
-        count, heavy, loose = compute_cu_nonpreemptive([7, 6, 5], 12)
+        count, heavy, loose = compute_cu([7, 6, 5], 12)
         assert (count, heavy, loose) == (2, 1, 1)
 
 
@@ -306,7 +312,7 @@ class TestApproxNonPreemptive:
         ]
         assert validate(schedule, instance) == []
 
-    def test_fractional_sizes_use_geometric_search(self):
+    def test_fractional_sizes_search_multiples_of_their_denominator(self):
         instance = inst([Fraction(5, 2), Fraction(3, 2)], [1, 1], 2, 1)
         threshold, _m, lb = nonpreemptive_threshold(instance)
         assert threshold == Fraction(5, 2) == lb
@@ -333,14 +339,27 @@ class TestApproxNonPreemptive:
         def total_pieces(guess):
             by_class = {}
             for p, lab in zip(instance.processing_times, instance.class_labels):
-                by_class.setdefault(lab, []).append(p)
+                by_class.setdefault(lab, []).append(p.numerator)
             return sum(
-                compute_cu_nonpreemptive(sizes, guess)[0]
-                for sizes in by_class.values()
+                compute_cu(sizes, guess)[0] for sizes in by_class.values()
             )
 
         assert total_pieces(threshold) <= budget
         assert threshold == math.ceil(lb) or total_pieces(threshold - 1) > budget
+
+    @given(oracle_instances(max_denominator=12))
+    # a float geometric search stopped above this optimum, 3/2
+    @example(instance=inst([1, 1, Fraction(1, 2)], [1, 1, 1], 2, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_threshold_never_exceeds_the_optimum(self, instance):
+        # the optimum is a sum of sizes, a multiple of 1/D over their
+        # common denominator D, and the search bisects those multiples
+        threshold, _m, _lb = nonpreemptive_threshold(instance)
+        value, _schedule = opt_nonpreemptive(instance)
+        assert threshold <= value
+        assert makespan(approx_nonpreemptive(instance), instance) <= (
+            Fraction(7, 3) * value
+        )
 
     @given(oracle_instances())
     @settings(max_examples=30, deadline=None)

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from itertools import product
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccs import (
+    CCSError,
     EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
@@ -16,12 +18,7 @@ from ccs import (
     makespan,
     validate,
 )
-from ccs.oracle import (
-    opt_nonpreemptive,
-    opt_preemptive,
-    opt_splittable,
-    preemptive_feasible,
-)
+from ccs.oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
 
 from conftest import oracle_instances
 
@@ -115,6 +112,99 @@ class TestPreemptiveOracle:
         ):
             with pytest.raises(EnumerationCapError):
                 opt_preemptive(inst)
+
+
+def preemptive_feasible(
+    instance: Instance,
+    eligibility: Mapping[int, Iterable[int]],
+    deadline: Fraction,
+) -> bool:
+    """Can the instance finish by `deadline` when each class may only use the
+    machines listed in `eligibility`?  Exact max-flow check, in Fractions
+    and augmenting paths: the reference the closed form of
+    ``opt_preemptive`` is checked against.
+
+    Network: source -> job (capacity p_j), job -> eligible machine (capacity
+    `deadline`, forbidding self-parallelism together with the p_max floor),
+    machine -> sink (capacity `deadline`).  Feasible iff the flow saturates
+    every job edge and no job exceeds the deadline on its own.
+    """
+    if deadline < instance.max_processing_time:
+        return False
+    if deadline < 0:
+        return False
+    n = instance.job_count
+    m = instance.machine_count
+    eligible_masks = {u: 0 for u in range(1, instance.class_count + 1)}
+    for u, machines in eligibility.items():
+        mask = 0
+        for i in machines:
+            if not 0 <= i < m:
+                raise ValueError(f"machine {i} out of range for class {u}")
+            mask |= 1 << i
+        if u not in eligible_masks:
+            raise ValueError(f"unknown class {u} in eligibility map")
+        eligible_masks[u] = mask
+    if any(mask == 0 for mask in eligible_masks.values()):
+        return False
+
+    # Node ids: 0 = source, 1..n = jobs, n+1..n+m = machines, n+m+1 = sink.
+    source = 0
+    sink = n + m + 1
+    cap: dict[tuple[int, int], Fraction] = {}
+    adj: dict[int, list[int]] = {v: [] for v in range(sink + 1)}
+
+    def add_edge(a: int, b: int, capacity: Fraction) -> None:
+        if (a, b) not in cap:
+            adj[a].append(b)
+            adj[b].append(a)
+            cap[(a, b)] = Fraction(0)
+            cap[(b, a)] = Fraction(0)
+        cap[(a, b)] += capacity
+
+    total = Fraction(0)
+    for j in range(n):
+        add_edge(source, 1 + j, instance.processing_times[j])
+        total += instance.processing_times[j]
+        mask = eligible_masks[instance.class_labels[j]]
+        for i in range(m):
+            if mask & (1 << i):
+                add_edge(1 + j, n + 1 + i, deadline)
+    for i in range(m):
+        add_edge(n + 1 + i, sink, deadline)
+
+    flow = Fraction(0)
+    while True:
+        # BFS for a shortest augmenting path
+        parent: dict[int, int] = {source: source}
+        queue = [source]
+        while queue and sink not in parent:
+            nxt: list[int] = []
+            for v in queue:
+                for w in adj[v]:
+                    if w not in parent and cap[(v, w)] > 0:
+                        parent[w] = v
+                        nxt.append(w)
+            queue = nxt
+        if sink not in parent:
+            break
+        bottleneck = None
+        v = sink
+        while v != source:
+            p = parent[v]
+            edge_cap = cap[(p, v)]
+            bottleneck = edge_cap if bottleneck is None else min(bottleneck, edge_cap)
+            v = p
+        if bottleneck is None or bottleneck <= 0:
+            raise CCSError("augmenting path without residual capacity")
+        v = sink
+        while v != source:
+            p = parent[v]
+            cap[(p, v)] -= bottleneck
+            cap[(v, p)] += bottleneck
+            v = p
+        flow += bottleneck
+    return flow == total
 
 
 class TestFlowFeasibility:

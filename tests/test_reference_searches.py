@@ -33,13 +33,10 @@ from ccs import (
     approx_nonpreemptive,
     approx_preemptive,
     approx_splittable,
-    compute_cu_nonpreemptive,
     expand_compact,
     lpt,
     makespan,
-    repack_stacks,
     round_robin,
-    split_class,
     validate,
 )
 from ccs.core import _slot_violations, makespan_and_violations
@@ -52,9 +49,11 @@ from ccs.ptas.sets import (
 )
 from ccs.approx import (
     _cu_sorted,
+    _cut,
     _piece_count,
     _preemptive_guess,
     _smallest_guess,
+    _stack_starts,
     border_search_splittable,
     nonpreemptive_threshold,
 )
@@ -135,18 +134,16 @@ def reference_nonpreemptive_threshold(instance):
             else:
                 lo = mid + 1
         return Fraction(lo), m_used, lb
-    lo, hi = lb, hi_end
-    if fits(lo):
-        return lo, m_used, lb
-    while hi - lo > lo * Fraction(1, 2**20):
-        mid = Fraction(math.sqrt(float(lo) * float(hi)))
-        if not lo < mid < hi:
-            mid = (lo + hi) / 2
-        if fits(mid):
+    # the optimum is a multiple of 1/D over the sizes' common denominator
+    den = math.lcm(*(p.denominator for p in instance.processing_times))
+    lo, hi = math.ceil(lb * den), int(hi_end * den)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(Fraction(mid, den)):
             hi = mid
         else:
-            lo = mid
-    return hi, m_used, lb
+            lo = mid + 1
+    return Fraction(lo, den), m_used, lb
 
 
 def reference_lpt(weights, bin_count):
@@ -531,11 +528,9 @@ def test_patterns_match_the_explicit_round_robin(instance):
 def test_cu_matches_best_fit_reference(sizes, threshold):
     """Thresholds below the largest size make every job heavy or medium;
     one-job lists are drawn too."""
-    expected = reference_cu(sizes, threshold)
-    assert compute_cu_nonpreemptive(sizes, threshold) == expected
-    if all(p.denominator == 1 for p in sizes) and threshold.denominator == 1:
-        ints = sorted(p.numerator for p in sizes)
-        assert _cu_sorted(ints, sum(ints), threshold.numerator) == expected
+    (theta, *ints), _den = on_one_denominator([threshold] + sizes)
+    ints.sort()
+    assert _cu_sorted(ints, sum(ints), theta) == reference_cu(sizes, threshold)
 
 
 @given(
@@ -548,7 +543,8 @@ def test_cu_pairing_matches_best_fit_reference(heavy, medium, small):
     """At T = 12 every heavy job (> 6) leaves a slack of 0 to 5 and every
     medium (5 or 6) competes for the few that hold it."""
     sizes = heavy + medium + small
-    assert compute_cu_nonpreemptive(sizes, 12) == reference_cu(sizes, 12)
+    ordered = sorted(sizes)
+    assert _cu_sorted(ordered, sum(ordered), 12) == reference_cu(sizes, 12)
 
 
 @given(instance=mixed_instances())
@@ -590,12 +586,15 @@ COPRIME = Instance(
 @given(jobs=st.lists(values, max_size=8), threshold=values)
 @settings(max_examples=400, deadline=None)
 def test_split_class_matches_reference(jobs, threshold):
-    """Thresholds below, between and above the sizes; repr also holds the
-    types of loads and fractions to the reference's."""
-    listed = list(enumerate(jobs))
-    assert repr(split_class(listed, threshold)) == repr(
-        reference_split_class(listed, threshold)
-    )
+    """``_cut`` over the ints of one common denominator: thresholds
+    below, between and above the sizes."""
+    (theta, *sizes), den = on_one_denominator([threshold] + jobs)
+    cut = [
+        (Fraction(load, den),
+         tuple((j, Fraction(take, size)) for j, take, size in parts))
+        for load, parts in _cut(list(enumerate(sizes)), theta)
+    ]
+    assert cut == reference_split_class(list(enumerate(jobs)), threshold)
 
 
 @given(
@@ -608,9 +607,15 @@ def test_repack_stacks_matches_reference(stacks, threshold):
     lifted."""
     if threshold is None:
         threshold = max((load for stack in stacks for load in stack), default=1)
-    assert repr(repack_stacks(stacks, threshold)) == repr(
-        reference_repack_stacks(stacks, threshold)
+    (theta, *loads), den = on_one_denominator(
+        [Fraction(threshold)] + [load for stack in stacks for load in stack]
     )
+    scaled = []
+    for stack in stacks:
+        scaled.append(loads[:len(stack)])
+        del loads[:len(stack)]
+    starts = [[Fraction(t, den) for t in row] for row in _stack_starts(scaled, theta)]
+    assert starts == reference_repack_stacks(stacks, threshold)
 
 
 @given(instance=mixed_instances())
