@@ -288,10 +288,9 @@ def _preemptive_guess(instance: Instance):
     """(T*, m_used, LB) for the preemptive variant. Machines beyond the job
     count are useless without self-parallelism, so m is clamped to
     min(m, n); candidate thresholds are the class-load borders at or above
-    LB = max(p_max, total/m_used), plus LB itself."""
-    lower_bound(instance, PREEMPTIVE)
+    LB = max(p_max, total/m) = max(p_max, total/m_used), plus LB itself."""
+    lb, _ub = lower_bound(instance, PREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
-    lb = max(instance.max_processing_time, instance.total_load / m_used)
     den, _sizes, sums = instance._scaled
     t_star = _smallest_guess(
         sums, den, m_used, instance.slot_budget * m_used, floor=lb, average=lb
@@ -371,9 +370,8 @@ def nonpreemptive_threshold(instance: Instance):
     sizes' common denominator D, and at least LB. The search bisects the
     ints over D on [ceil(LB*D), max(ceil(LB*D), largest class load)],
     with integral sizes (D = 1) the integers themselves."""
-    lower_bound(instance, NONPREEMPTIVE)
+    lb, _ub = lower_bound(instance, NONPREEMPTIVE)
     m_used = min(instance.machine_count, instance.job_count)
-    lb = max(instance.max_processing_time, instance.total_load / m_used)
     budget = instance.slot_budget * m_used
     den, scaled_sizes, sums = instance._scaled
     shapes = Counter(

@@ -25,6 +25,7 @@ from .core import (
     CCSError,
     EnumerationCapError,
     Instance,
+    InvalidInstanceError,
     NONPREEMPTIVE,
     PREEMPTIVE,
     SPLITTABLE,
@@ -346,7 +347,10 @@ def _parse_source(token: str) -> tuple:
         raise InstanceFormatError(f"bad generator spec {token!r}") from exc
     if family not in GENERATOR_FAMILIES:
         raise InstanceFormatError(f"unknown family in {token!r}")
-    return generate(seed, family, n, m, c, (1, pmax)), token
+    try:
+        return generate(seed, family, n, m, c, (1, pmax)), token
+    except InvalidInstanceError as exc:
+        raise InstanceFormatError(f"bad generator spec {token!r}: {exc}") from exc
 
 
 def sweep(manifest_path, out_handle) -> int:
@@ -444,6 +448,10 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        # the one file a run writes is the --dump-nfold program
+        print(f"cannot write {args.dump_nfold}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(CSV_HEADER)
     print(row.csv())
     return _STATUS_EXIT.get(row.feasible, EXIT_INTERNAL)
@@ -454,23 +462,30 @@ def _cmd_gen(args) -> int:
         instance = generate(
             args.seed, args.family, args.n, args.m, args.c, (1, args.pmax)
         )
-    except ValueError as exc:
+    except (ValueError, InvalidInstanceError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     text = format_instance(instance)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return EXIT_OK
+    return _to_output(args.out, lambda handle: handle.write(text) and EXIT_OK)
 
 
 def _cmd_sweep(args) -> int:
-    if args.out == "-":
-        return sweep(args.manifest, sys.stdout)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        return sweep(args.manifest, handle)
+    return _to_output(args.out, lambda handle: sweep(args.manifest, handle))
+
+
+def _to_output(path, write) -> int:
+    """``write(handle)`` on stdout for ``-``, else on ``path`` opened for
+    writing; a path that cannot be opened exits 4 with one line on
+    stderr."""
+    if path == "-":
+        return write(sys.stdout)
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with handle:
+        return write(handle)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from ..core import CCSError, NONPREEMPTIVE, SPLITTABLE
+from ..core import NONPREEMPTIVE, SPLITTABLE
 # with_top_row_slacks has no caller here; the benchmark's layer trace
 # wraps it under this module's name
 from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
@@ -96,22 +96,14 @@ class BuiltProgram:
         return counts
 
 
-def _integral_bound(rounded: RoundedInstance) -> int:
-    bound = rounded.scaled_inflated
-    if bound.denominator != 1:
-        raise CCSError(f"scaled inflated bound {bound} is not an integer")
-    return int(bound)
-
-
-def build_program(rounded: RoundedInstance, cap=None) -> BuiltProgram:
+def build_program(rounded: RoundedInstance) -> BuiltProgram:
     """Assemble the compact configuration program for one rounded
     instance. Raises ValueError for the preemptive variant, which has no
     program of its own."""
     variant = require_scheme_variant(rounded.variant)
-    modules, configurations = enumerate_sets(rounded, cap)
+    modules, configurations = enumerate_sets(rounded)
     c = rounded.slot_budget
     m = rounded.machine_count
-    bound = _integral_bound(rounded)
     layout = ProgramLayout(
         variant=variant,
         config_count=configurations.count,
@@ -188,7 +180,7 @@ def build_program(rounded: RoundedInstance, cap=None) -> BuiltProgram:
             rows.append(row)
             values.append(1)
             starts.append(len(rows))
-        upper += [c * m] * pair_count + [bound * m] * pair_count
+        upper += [c * m] * pair_count + [rounded.scaled_inflated * m] * pair_count
     program = CompactProgram(
         col_start=starts,
         row_index=rows,
@@ -266,7 +258,7 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         + [y_cap] * modules.count
         + [1] * pairs
         + [c * m] * pairs
-        + [_integral_bound(rounded) * m] * pairs
+        + [rounded.scaled_inflated * m] * pairs
     )
     n = len(rounded.classes)
     return NFoldProgram(

@@ -98,29 +98,9 @@ def _clamp(instance: Instance, variant: str):
     return replace(instance, machine_count=instance.job_count)
 
 
-class _Prober:
-    """Builds and solves the program at a guess; ``probes`` lists
-    (guess, feasible) for every program solved, in order. ``_search``
-    never asks for a guess twice, so nothing is kept between calls."""
-
-    def __init__(self, work, delta, variant):
-        self.work = work
-        self.delta = delta
-        self.variant = variant
-        self.probes: list = []
-
-    def __call__(self, guess: Fraction):
-        guess = Fraction(guess)
-        params = PtasParams.at_guess(guess, self.delta, self.variant)
-        rounded = preprocess(self.work, params, self.variant)
-        built = build_program(rounded)
-        solution = solve_feasible(built.program)
-        self.probes.append((guess, solution is not None))
-        return built, solution
-
-
 def _search(probe, guess_at, lo: int, hi: int):
-    """Smallest feasible index in [lo, hi] under guess_at, bottom first.
+    """(guess, built, solution) at the smallest feasible index in
+    [lo, hi] under guess_at, bottom first.
 
     A feasible lo answers at once. Otherwise hi must be feasible, and
     bisection over (lo, hi] returns the smallest feasible index it meets.
@@ -130,13 +110,13 @@ def _search(probe, guess_at, lo: int, hi: int):
     """
     built, solution = probe(guess_at(lo))
     if solution is not None:
-        return (lo, built, solution)
+        return (guess_at(lo), built, solution)
     built, solution = probe(guess_at(hi))
     if solution is None:
         raise CCSError(
             f"feasibility program rejected the safe guess {guess_at(hi)}"
         )
-    best = (hi, built, solution)
+    best = (guess_at(hi), built, solution)
     lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -144,28 +124,9 @@ def _search(probe, guess_at, lo: int, hi: int):
         if solution is None:
             lo = mid + 1
         else:
-            best = (mid, built, solution)
+            best = (guess_at(mid), built, solution)
             hi = mid
     return best
-
-
-def _search_integers(probe, lo: int, hi: int):
-    """Smallest feasible integer guess in [lo, hi]; hi must be feasible
-    unless lo is."""
-    return _search(probe, lambda g: g, lo, hi)
-
-
-def _search_grid(probe, lo: Fraction, hi: Fraction, delta: Fraction):
-    """Smallest feasible guess on the grid lo*(1+delta)^i covering hi."""
-    step = 1 + delta
-    top, reach = 0, lo
-    while reach < hi:
-        top += 1
-        reach *= step
-    exponent, built, solution = _search(
-        probe, lambda i: lo * step**i, 0, top
-    )
-    return (lo * step**exponent, built, solution)
 
 
 def ptas_solve(
@@ -238,9 +199,7 @@ def _unsearched() -> dict:
 def _whole(work, variant) -> bool:
     """Whether the optimum of ``work`` is an integer the scheme may use:
     non-preemptive with integral sizes."""
-    return variant != SPLITTABLE and all(
-        p.denominator == 1 for p in work.processing_times
-    )
+    return variant != SPLITTABLE and work._scaled[0] == 1
 
 
 def _certify(work, variant, epsilon):
@@ -286,14 +245,27 @@ def _search_program(work, variant, delta, lo, hi):
     delta within the bracket [lo, hi], and the schedule read from the
     accepted program's point. ``record`` holds the report entries "guess",
     "built", "solution" and "probes" (see ``ptas_solve``)."""
-    probe = _Prober(work, delta, variant)
+    probes = []
+
+    def probe(guess):
+        params = PtasParams.at_guess(guess, delta, variant)
+        built = build_program(preprocess(work, params, variant))
+        solution = solve_feasible(built.program)
+        probes.append((params.guess, solution is not None))
+        return built, solution
+
     if _whole(work, variant):
-        guess, built, solution = _search_integers(
-            probe, math.ceil(lo), math.ceil(hi)
+        # the guesses are the indices: the bracket may hold more than
+        # 2**63 integers, too many for a range to report its length
+        guess, built, solution = _search(
+            probe, lambda i: i, math.ceil(lo), math.ceil(hi)
         )
     else:
-        guess, built, solution = _search_grid(probe, lo, hi, delta)
-    record = dict(
-        guess=guess, built=built, solution=solution, probes=probe.probes
-    )
+        grid = [Fraction(lo)]
+        while grid[-1] < hi:
+            grid.append(grid[-1] * (1 + delta))
+        guess, built, solution = _search(
+            probe, grid.__getitem__, 0, len(grid) - 1
+        )
+    record = dict(guess=guess, built=built, solution=solution, probes=probes)
     return construct_schedule(work, solution, built), record

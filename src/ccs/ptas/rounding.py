@@ -162,20 +162,12 @@ class RoundedInstance:
         return self.slot_budget / (p.delta * p.delta * p.guess)
 
     @property
-    def scaled_guess(self) -> int:
-        """T in scaled units: c * k^2."""
-        return self.slot_budget * self.params.grid**2
-
-    @property
-    def scaled_slot(self) -> int:
-        """delta*T in scaled units: c * k (the small/large threshold)."""
-        return self.slot_budget * self.params.grid
-
-    @property
-    def scaled_inflated(self) -> Fraction:
-        """Inflated bound in scaled units (integral for bounds from
-        ``inflated_bound``)."""
-        return self.params.inflated * self.scale
+    def scaled_inflated(self) -> int:
+        """Inflated bound in scaled units; CCSError unless it is integral."""
+        bound = self.params.inflated * self.scale
+        if bound.denominator != 1:
+            raise CCSError(f"scaled inflated bound {bound} is not an integer")
+        return bound.numerator
 
     @property
     def large_sizes(self) -> tuple:

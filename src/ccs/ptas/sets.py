@@ -14,7 +14,9 @@ The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
-slots. Enumeration aborts once the count passes the cap. The splittable
+slots; one builder, ``_configurations``, enumerates them for both
+variants. Enumeration aborts once a count passes the cap, which the
+CCS_ENUM_CAP environment variable sets (10^6 when unset). The splittable
 sets are memoized, since they depend only on the accuracy, the slot
 budget and the cap; the non-preemptive sets also depend on the large
 sizes and the large classes' count vectors over them, so few calls
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from typing import Mapping
@@ -43,10 +44,8 @@ ENUM_CAP_ENV = "CCS_ENUM_CAP"
 CAP_MESSAGE = "accuracy too fine for desk scale"
 
 
-def resolve_enum_cap(cap=None) -> int:
-    """Explicit cap, else the CCS_ENUM_CAP environment knob, else 10^6."""
-    if cap is not None:
-        return int(cap)
+def resolve_enum_cap() -> int:
+    """The enumeration cap: the CCS_ENUM_CAP environment variable, else 10^6."""
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw:
         try:
@@ -154,17 +153,6 @@ class ConfigurationSet:
         return starts, rows, values
 
 
-def _pairs_and_groups(sizes, slots, slot_cap):
-    size_set = tuple(sorted(set(sizes)))
-    pairs = tuple((h, b) for h in size_set for b in range(slot_cap))
-    groups = {pair: [] for pair in pairs}
-    for idx, (h, b) in enumerate(zip(sizes, slots)):
-        if b < slot_cap:
-            groups[(h, b)].append(idx)
-    frozen = {pair: tuple(members) for pair, members in groups.items()}
-    return size_set, pairs, frozen
-
-
 def _multiplicity_configs(sizes, c, budget, cap):
     """Multiplicity vectors over ``sizes`` with at most c entries and
     total size at most ``budget``, in lexicographic order.
@@ -200,31 +188,20 @@ def _multiplicity_configs(sizes, c, budget, cap):
     )
 
 
-def splittable_sets(
-    grid: int, slot_budget: int, cap=None
-) -> "tuple[ModuleSet, ConfigurationSet]":
-    """Modules and configurations of the splittable scheme at delta = 1/grid.
-
-    Module sizes are c*l for l in {k, .., k(k+4)} (the inflated bound is
-    c*k*(k+4) scaled, so l tops out there).
-    """
-    cap = resolve_enum_cap(cap)
-    key = (grid, slot_budget, cap)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = grid
-    c = slot_budget
-    bound = c * k * (k + 4)
-    sizes = tuple(c * level for level in range(k, k * (k + 4) + 1))
-    _cap_check(len(sizes), cap, "modules")
-    mods = ModuleSet(variant=SPLITTABLE, modules=sizes, sizes=sizes)
+def _configurations(variant, sizes, c, bound, slot_cap, cap):
+    """The configurations over the distinct module sizes ``sizes``: at
+    most c slots and total size at most ``bound``, grouped by (size,
+    slots) pairs for slot counts below ``slot_cap``."""
     configs, totals = _multiplicity_configs(sizes, c, bound, cap)
-    slot_cap = min(c, k + 4)
     slots = tuple(sum(v) for v in configs)
-    size_set, pairs, groups = _pairs_and_groups(totals, slots, slot_cap)
-    confs = ConfigurationSet(
-        variant=SPLITTABLE,
+    size_set = tuple(sorted(set(totals)))
+    pairs = tuple((h, b) for h in size_set for b in range(slot_cap))
+    groups = {pair: [] for pair in pairs}
+    for idx, (h, b) in enumerate(zip(totals, slots)):
+        if b < slot_cap:
+            groups[(h, b)].append(idx)
+    return ConfigurationSet(
+        variant=variant,
         configs=configs,
         sizes=totals,
         slots=slots,
@@ -233,7 +210,29 @@ def splittable_sets(
         slot_cap=slot_cap,
         size_set=size_set,
         pairs=pairs,
-        groups=groups,
+        groups={pair: tuple(members) for pair, members in groups.items()},
+    )
+
+
+def splittable_sets(
+    grid: int, slot_budget: int
+) -> "tuple[ModuleSet, ConfigurationSet]":
+    """Modules and configurations of the splittable scheme at delta = 1/grid.
+
+    Module sizes are c*l for l in {k, .., k(k+4)} (the inflated bound is
+    c*k*(k+4) scaled, so l tops out there).
+    """
+    cap = resolve_enum_cap()
+    key = (grid, slot_budget, cap)
+    hit = _SPLIT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    k, c = grid, slot_budget
+    sizes = tuple(c * level for level in range(k, k * (k + 4) + 1))
+    _cap_check(len(sizes), cap, "modules")
+    mods = ModuleSet(variant=SPLITTABLE, modules=sizes, sizes=sizes)
+    confs = _configurations(
+        SPLITTABLE, sizes, c, c * k * (k + 4), min(c, k + 4), cap
     )
     _SPLIT_CACHE[key] = (mods, confs)
     return mods, confs
@@ -272,7 +271,6 @@ def nonpreemptive_sets(
     scaled_bound: int,
     slot_budget: int,
     grid: int,
-    cap=None,
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Modules and configurations of the non-preemptive scheme.
 
@@ -280,11 +278,11 @@ def nonpreemptive_sets(
     count vectors over ``ground`` (sorted, without repeats), and
     ``scaled_bound`` the integral scaled inflated bound c(k+2)(k+3). Only
     modules some class can fill are enumerated, and configurations range
-    over their footprints alone: a configuration using any other
+    over their distinct footprints alone: a configuration using any other
     footprint has a link row without y columns, so it is 0 in every
     feasible point of the program.
     """
-    cap = resolve_enum_cap(cap)
+    cap = resolve_enum_cap()
     modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
     mods = ModuleSet(
         variant=NONPREEMPTIVE,
@@ -292,45 +290,19 @@ def nonpreemptive_sets(
         sizes=footprints,
         ground=tuple(ground),
     )
-    return mods, _nonpreemptive_configurations(
-        mods, scaled_bound, slot_budget, grid, cap
-    )
-
-
-def _nonpreemptive_configurations(
-    mods: ModuleSet, scaled_bound: int, slot_budget: int, grid: int, cap: int
-) -> ConfigurationSet:
-    """The configurations over the distinct footprints of ``mods``."""
-    c = slot_budget
-    values = mods.size_values
-    configs, totals = _multiplicity_configs(values, c, scaled_bound, cap)
     # floor of (inflated bound)/(delta T) = (k+2)(k+3)/k caps the slots
-    slot_cap = min(c, (grid + 2) * (grid + 3) // grid)
-    slots = tuple(sum(v) for v in configs)
-    size_set, pairs, groups = _pairs_and_groups(totals, slots, slot_cap)
-    return ConfigurationSet(
-        variant=NONPREEMPTIVE,
-        configs=configs,
-        sizes=totals,
-        slots=slots,
-        slot_budget=c,
-        size_bound=scaled_bound,
-        slot_cap=slot_cap,
-        size_set=size_set,
-        pairs=pairs,
-        groups=groups,
+    slot_cap = min(slot_budget, (grid + 2) * (grid + 3) // grid)
+    return mods, _configurations(
+        NONPREEMPTIVE, mods.size_values, slot_budget, scaled_bound, slot_cap, cap
     )
 
 
 def enumerate_sets(
-    rounded: RoundedInstance, cap=None
+    rounded: RoundedInstance,
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Dispatch to the variant's enumeration for one rounded instance."""
     if require_scheme_variant(rounded.variant) == SPLITTABLE:
-        return splittable_sets(rounded.params.grid, rounded.slot_budget, cap)
-    bound = rounded.scaled_inflated
-    if bound.denominator != 1:
-        raise CCSError(f"scaled inflated bound {bound} is not an integer")
+        return splittable_sets(rounded.params.grid, rounded.slot_budget)
     ground = rounded.large_sizes
     counts = set()
     for cls in rounded.classes:
@@ -340,10 +312,9 @@ def enumerate_sets(
     return nonpreemptive_sets(
         ground,
         tuple(sorted(counts)),
-        int(bound),
+        rounded.scaled_inflated,
         rounded.slot_budget,
         rounded.params.grid,
-        cap,
     )
 
 

@@ -323,6 +323,15 @@ class TestSolveCommand:
         bricks, top_rows, diag_rows, width = map(int, head)
         assert bricks >= 1 and top_rows >= 1 and width >= 1
 
+    def test_unwritable_dump_exits_four(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.txt", SEARCHED_TEXT)
+        dump = str(tmp_path / "missing" / "prog.txt")
+        code = main(["solve", "--variant", "nonpreempt", "--algo", "ptas",
+                     "--epsilon", "1/2", "--dump-nfold", dump, inst])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {dump}: ")
+
     def test_preemptive_nfold_dump_is_the_splittable_program(self, tmp_path,
                                                               monkeypatch):
         never_certify(monkeypatch)
@@ -425,6 +434,26 @@ class TestGenCommand:
         assert lines[0] == "3 3 1"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("flag,why", [
+        ("--m", "machine count must be positive"),
+        ("--n", "instance needs at least one job"),
+        ("--c", "slot budget must be positive"),
+    ])
+    def test_gen_nonpositive_count_exits_four(self, capsys, flag, why):
+        counts = {"--n": "3", "--m": "2", "--c": "2", flag: "0"}
+        args = [token for pair in counts.items() for token in pair]
+        code = main(["gen", "--family", "uniform", "--seed", "1", *args, "-"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.strip() == why
+
+    def test_gen_unwritable_output_exits_four(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "g.txt")
+        code = main(["gen", "--family", "uniform", "--seed", "1",
+                     "--n", "3", "--m", "2", "--c", "2", out])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {out}: ")
+
 
 class TestSweepCommand:
     MANIFEST = (
@@ -488,6 +517,25 @@ class TestSweepCommand:
     def test_manifest_bad_generator_spec_exits_four(self, tmp_path):
         man = write(tmp_path, "man.txt", "gen:uniform:1:3 split approx\n")
         assert main(["sweep", "--manifest", man, "--out", "-"]) == EXIT_PARSE
+
+    def test_manifest_nonpositive_generator_count_exits_four(self, tmp_path,
+                                                             capsys):
+        man = write(tmp_path, "man.txt",
+                    "gen:uniform:1:3:1:1:5 split approx\n"
+                    "gen:uniform:1:4:0:2:9 split approx\n")
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--manifest", man, "--out", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "man.txt:2" in err and "machine count must be positive" in err
+
+    def test_unwritable_sweep_output_exits_four(self, tmp_path, capsys):
+        man = self.manifest(tmp_path)
+        out = str(tmp_path / "missing" / "rows.csv")
+        code = main(["sweep", "--manifest", man, "--out", out])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {out}: ")
 
     def test_missing_manifest_exits_four(self, tmp_path):
         absent = str(tmp_path / "nope.txt")

@@ -56,7 +56,7 @@ from ccs.ptas import (
     splittable_sets,
     unfold_preemptive,
 )
-from ccs.ptas.driver import _search_grid, _search_integers
+from ccs.ptas import driver
 from ccs.ptas.sets import _multiplicity_configs
 
 HALF = Fraction(1, 2)
@@ -64,20 +64,20 @@ THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
 
 
-def probe(instance, guess, delta, variant, cap=None):
+def probe(instance, guess, delta, variant):
     """Build and solve the feasibility program at one guess."""
     params = PtasParams.at_guess(guess, delta, variant)
     rounded = preprocess(instance, params, variant)
-    built = build_program(rounded, cap=cap)
+    built = build_program(rounded)
     return built, solve_feasible(built.program)
 
 
-def accepted(instance, delta, variant, cap=None):
+def accepted(instance, delta, variant):
     """First feasible guess on the geometric grid above the lower bound."""
     lo, _hi = lower_bound(instance, variant)
     guess = Fraction(lo)
     for _ in range(64):
-        built, solution = probe(instance, guess, delta, variant, cap)
+        built, solution = probe(instance, guess, delta, variant)
         if solution is not None:
             return built, solution
         guess *= 1 + delta
@@ -135,9 +135,15 @@ class TestPreprocess:
         assert job.job_ids == (0, 1) and job.raw_size == 7
         assert job.scaled_size == 6
         assert rounded.scale == Fraction(4, 5)
-        assert rounded.scaled_guess == 8
-        assert rounded.scaled_slot == 4
         assert rounded.scaled_inflated == 24
+
+    def test_non_integral_scaled_bound_is_refused(self):
+        # an inflated bound not from inflated_bound: 7/2 * 4/5 = 14/5
+        inst = Instance((3, 4, 6), (1, 1, 2), 2, 2)
+        params = PtasParams(HALF, Fraction(10), Fraction(7, 2), SPLITTABLE)
+        rounded = preprocess(inst, params, SPLITTABLE)
+        with pytest.raises(CCSError, match="not an integer"):
+            rounded.scaled_inflated
 
     def test_splittable_light_class_is_small(self):
         inst = Instance((1, 1, 1, 9), (1, 1, 1, 2), 1, 2)
@@ -241,9 +247,10 @@ class TestSets:
         assert mods.sizes == (0, 4, 8)
         assert confs.count == 4
 
-    def test_cap_stops_enumeration(self):
+    def test_cap_stops_enumeration(self, monkeypatch):
+        monkeypatch.setenv("CCS_ENUM_CAP", "100")
         with pytest.raises(EnumerationCapError) as err:
-            splittable_sets(8, 3, cap=100)
+            splittable_sets(8, 3)
         assert CAP_MESSAGE in str(err.value)
 
     @settings(max_examples=150, deadline=None)
@@ -361,7 +368,7 @@ class TestProgramShape:
             assert block is program.diag_blocks[0]
         # one slack column per inequality row, bounded as c*m and bound*m
         c, m = rounded.slot_budget, rounded.machine_count
-        bound = int(rounded.scaled_inflated)
+        bound = rounded.scaled_inflated
         t = program.brick_width
         assert t == layout.base_width + 2 * pairs
         for i in range(program.brick_count):
@@ -650,8 +657,8 @@ def explicit_machine_loads(x, built):
 
 
 class TestReconstruction:
-    def check(self, inst, delta, variant, cap=None):
-        built, solution = accepted(inst, delta, variant, cap)
+    def check(self, inst, delta, variant):
+        built, solution = accepted(inst, delta, variant)
         brick_conservation(built, solution)
         schedule = construct_schedule(inst, solution, built)
         assert validate(schedule, inst, variant) == []
@@ -959,16 +966,43 @@ class TestDriver:
         assert report["built"] is not None
         assert validate(schedule, inst, variant) == []
 
-    def test_rejected_safe_guess_raises(self):
+    def test_rejected_safe_guess_raises(self, monkeypatch):
         def reject(_guess):
             return None, None
 
         with pytest.raises(CCSError, match="safe guess 7"):
-            _search_integers(reject, 3, 7)
+            driver._search(reject, lambda i: i, 3, 7)
         with pytest.raises(CCSError, match="safe guess 4"):
-            _search_integers(reject, 4, 4)
-        with pytest.raises(CCSError, match="safe guess 9/4"):
-            _search_grid(reject, Fraction(1), Fraction(2), HALF)
+            driver._search(reject, lambda i: i, 4, 4)
+        # the grid from 1 covering 2 at delta 1/2 is 1, 3/2, 9/4
+        monkeypatch.setattr(driver, "solve_feasible", lambda program: None)
+        inst = Instance((1, 1), (1, 2), 1, 2)
+        with pytest.raises(CCSError, match="safe guess 9/4$"):
+            driver._search_program(
+                inst, SPLITTABLE, HALF, Fraction(1), Fraction(2)
+            )
+
+    def test_grid_stops_at_a_top_on_the_grid(self, monkeypatch):
+        # 9/4 = (1 + 1/2)^2 is itself a grid point, so the grid ends there
+        monkeypatch.setattr(driver, "solve_feasible", lambda program: None)
+        inst = Instance((1, 1), (1, 2), 1, 2)
+        with pytest.raises(CCSError, match="safe guess 9/4$"):
+            driver._search_program(
+                inst, SPLITTABLE, HALF, Fraction(1), Fraction(9, 4)
+            )
+
+    def test_integer_bracket_wider_than_a_machine_word(self):
+        # the warm start's makespan is 4 * 10**20, so the integer bracket
+        # [3 * 10**20, 4 * 10**20] holds more than 2**63 guesses; the
+        # search answers at its bottom
+        top = 3 * 10**20
+        inst = Instance((10**20, 10**20, top), (1, 2, 3), 2, 2)
+        report = {}
+        schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        assert report["probes"] == [(top, True)]
+        assert report["guess"] == top and type(report["guess"]) is int
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) == top
 
     def test_huge_machine_count_matches_saturated_run(self):
         # the scheme solves at the true m, where the saturated run's

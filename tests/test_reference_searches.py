@@ -42,11 +42,7 @@ from ccs import (
 from ccs.core import _slot_violations, makespan_and_violations
 from ccs.nfold import solve_exhaustive, solve_feasible
 from ccs.ptas import ModuleSet, build_program
-from ccs.ptas.sets import (
-    _fillable_modules,
-    _nonpreemptive_configurations,
-    resolve_enum_cap,
-)
+from ccs.ptas.sets import _fillable_modules, nonpreemptive_sets
 from ccs.approx import (
     _cu_sorted,
     _cut,
@@ -887,17 +883,18 @@ def reference_nonpreemptive_modules(ground, bound):
     return tuple(v for v, _s in found), tuple(s for _v, s in found)
 
 
-def reference_enumerate_sets(rounded, cap=None):
+def reference_enumerate_sets(rounded):
     """The non-preemptive sets over the full box of modules."""
     ground = rounded.large_sizes
-    bound = int(rounded.scaled_inflated)
+    bound = rounded.scaled_inflated
     modules, sizes = reference_nonpreemptive_modules(ground, bound)
     mods = ModuleSet(
         variant=NONPREEMPTIVE, modules=modules, sizes=sizes, ground=ground
     )
-    confs = _nonpreemptive_configurations(
-        mods, bound, rounded.slot_budget, rounded.params.grid,
-        resolve_enum_cap(cap),
+    # a class with bound // p pieces of every size p fills the whole box
+    _mods, confs = nonpreemptive_sets(
+        ground, (tuple(bound // p for p in ground),), bound,
+        rounded.slot_budget, rounded.params.grid,
     )
     return mods, confs
 
