@@ -39,7 +39,7 @@ from .core import (
 )
 from .nfold import dump_program
 from .oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
-from .ptas import as_nfold, ptas_solve
+from .ptas import as_nfold, ptas_solve, resolve_enum_cap
 
 CSV_HEADER = (
     "instance,variant,algo,epsilon,makespan,lb,opt,ratio_lb,ratio_opt,"
@@ -491,6 +491,13 @@ def _to_output(path, write) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"solve": _cmd_solve, "gen": _cmd_gen, "sweep": _cmd_sweep}
+    if args.command != "gen":
+        # a bad CCS_ENUM_CAP is outside input: refuse it before any run
+        try:
+            resolve_enum_cap()
+        except CCSError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_PARSE
     try:
         return handler[args.command](args)
     except CCSError as exc:

@@ -64,7 +64,14 @@ def opt_nonpreemptive(instance: Instance) -> tuple[Fraction, NonPreemptiveSchedu
     n = instance.job_count
     m = instance.machine_count
     c = instance.slot_budget
-    if m**n > ORACLE_ASSIGNMENT_CAP:
+    if m == 1:
+        # one assignment, which the search below would reach one recursive
+        # call per job deep
+        schedule = NonPreemptiveSchedule(dict.fromkeys(range(n), 0))
+        return instance.total_load, schedule
+    # m >= 2 makes m^n at least 2^n, so n past the cap's bit length already
+    # exceeds it; testing that first keeps a large n from building the power
+    if n >= ORACLE_ASSIGNMENT_CAP.bit_length() or m**n > ORACLE_ASSIGNMENT_CAP:
         raise EnumerationCapError(
             f"{m}^{n} assignments exceed the cap of {ORACLE_ASSIGNMENT_CAP}"
         )

@@ -7,7 +7,6 @@ decomposition.
 
 from .builder import (
     BuiltProgram,
-    ProgramLayout,
     as_nfold,
     build_program,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "EnumerationCapError",
     "ModuleSet",
-    "ProgramLayout",
     "PtasParams",
     "RoundedClass",
     "RoundedInstance",

@@ -15,6 +15,10 @@ class is small: without z columns the slack alone meets them, since
 b <= c and h <= bound. The configuration columns depend on the sets alone
 and are cached with them (``ConfigurationSet.columns``).
 
+The variant, the accuracy and the inflated bound are read off the rounded
+instance's ``PtasParams`` (``ccs.ptas.rounding``); every count of the
+program is read off the module and configuration sets.
+
 ``as_nfold`` lays out the same program as the paper's n-fold program, one
 brick per class, as a view that is read and never solved (by the
 dimension checks and ``--dump-nfold``): every brick has one x per
@@ -29,45 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from ..core import NONPREEMPTIVE, SPLITTABLE
+from ..core import SPLITTABLE
 # with_top_row_slacks has no caller here; the benchmark's layer trace
 # wraps it under this module's name
 from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
-from .rounding import RoundedInstance, require_scheme_variant
+from .rounding import RoundedInstance
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
-
-
-@dataclass(frozen=True)
-class ProgramLayout:
-    """Column and row offsets of one brick, before and after slacks."""
-
-    variant: str
-    config_count: int
-    module_count: int
-    link_count: int
-    pair_count: int
-    piece_sizes: tuple = ()
-
-    @property
-    def y_offset(self) -> int:
-        return self.config_count
-
-    @property
-    def z_offset(self) -> int:
-        return self.config_count + self.module_count
-
-    @property
-    def base_width(self) -> int:
-        return self.z_offset + self.pair_count
-
-    @property
-    def brick_width(self) -> int:
-        """Final width: base variables plus one slack per inequality row."""
-        return self.base_width + 2 * self.pair_count
-
-    @property
-    def top_rows(self) -> int:
-        return 1 + self.link_count + 2 * self.pair_count
 
 
 @dataclass(frozen=True)
@@ -81,7 +52,6 @@ class BuiltProgram:
     """
 
     program: CompactProgram
-    layout: ProgramLayout
     modules: ModuleSet
     configurations: ConfigurationSet
     rounded: RoundedInstance
@@ -90,48 +60,51 @@ class BuiltProgram:
 
     def module_counts(self, x, u: int) -> list:
         """Pieces class u places per module in the point x."""
-        counts = [0] * self.layout.module_count
+        counts = [0] * self.modules.count
         for g, col in self.y_columns[u]:
             counts[g] = x[col]
         return counts
 
 
+def _y_cap(rounded: RoundedInstance) -> int:
+    """Upper bound of every y column: m for a non-preemptive module, and
+    m times floor(bound / (delta T)) for a splittable piece, since each
+    piece is at least delta T."""
+    m = rounded.machine_count
+    if rounded.params.variant != SPLITTABLE:
+        return m
+    slot = rounded.slot_budget * rounded.params.grid
+    return m * (rounded.scaled_inflated // slot)
+
+
 def build_program(rounded: RoundedInstance) -> BuiltProgram:
     """Assemble the compact configuration program for one rounded
-    instance. Raises ValueError for the preemptive variant, which has no
-    program of its own."""
-    variant = require_scheme_variant(rounded.variant)
+    instance."""
     modules, configurations = enumerate_sets(rounded)
     c = rounded.slot_budget
     m = rounded.machine_count
-    layout = ProgramLayout(
-        variant=variant,
-        config_count=configurations.count,
-        module_count=modules.count,
-        link_count=len(modules.size_values),
-        pair_count=len(configurations.pairs),
-        piece_sizes=rounded.large_sizes if variant == NONPREEMPTIVE else (),
-    )
-    pair_count = layout.pair_count
+    link_count = len(modules.size_values)
+    pair_count = len(configurations.pairs)
     hosted = any(cls.small for cls in rounded.classes)
     if hosted:
         starts, rows, values = configurations.hosted_columns
-        next_row = 1 + layout.link_count + 2 * pair_count
+        next_row = 1 + link_count + 2 * pair_count
     else:
         starts, rows, values = configurations.columns
-        next_row = 1 + layout.link_count
+        next_row = 1 + link_count
     starts, rows, values = list(starts), list(rows), list(values)
     rhs = [m] + [0] * (next_row - 1)
     upper = [m] * configurations.count
-    capacity = 1 + layout.link_count
+    capacity = 1 + link_count
     volume = capacity + pair_count
 
     position = {q: g for g, q in enumerate(modules.size_values)}
     link_of = [1 + position[q] for q in modules.sizes]
-    y_cap = m * (rounded.params.grid + 4) if variant == SPLITTABLE else m
+    splittable = rounded.params.variant == SPLITTABLE
+    y_cap = _y_cap(rounded)
     y_columns = []
     z_columns = []
-    for cls in rounded.classes:
+    for u, cls in enumerate(rounded.classes):
         col = len(upper)
         if cls.small:
             for pos in range(pair_count):
@@ -145,7 +118,7 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
             z_columns.append(col)
             continue
         fits = []
-        if variant == SPLITTABLE:
+        if splittable:
             for g, size in enumerate(modules.sizes):
                 rows += (link_of[g], next_row)
                 values += (-1, size)
@@ -154,8 +127,7 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
             rhs.append(cls.scaled_load)
             next_row += 1
         else:
-            counts = rounded.size_counts(cls.class_id)
-            have = [counts.get(p, 0) for p in layout.piece_sizes]
+            have = rounded.count_vectors[u]
             demand = {}
             for p_pos, count in enumerate(have):
                 if count:
@@ -191,7 +163,6 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
     )
     return BuiltProgram(
         program=program,
-        layout=layout,
         modules=modules,
         configurations=configurations,
         rounded=rounded,
@@ -207,14 +178,19 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
     Every row is built at the final brick width. Rows that do not depend
     on the class are one object shared by every brick; the top blocks
     differ only in the small load of the host-volume rows."""
-    layout, rounded = built.layout, built.rounded
+    rounded = built.rounded
     modules, configurations = built.modules, built.configurations
     c, m = rounded.slot_budget, rounded.machine_count
-    pairs = layout.pair_count
-    width = layout.brick_width
-    y0, z0, slack0 = layout.y_offset, layout.z_offset, layout.base_width
-    volume = 1 + layout.link_count + pairs
-    top = [{} for _ in range(layout.top_rows)]
+    splittable = rounded.params.variant == SPLITTABLE
+    pairs = len(configurations.pairs)
+    # brick columns: x per configuration, y per module, z per pair, then
+    # one slack per host-capacity row and one per host-volume row
+    y0 = configurations.count
+    z0 = y0 + modules.count
+    slack0 = z0 + pairs
+    width = slack0 + 2 * pairs
+    volume = 1 + len(modules.size_values) + pairs
+    top = [{} for _ in range(volume + pairs)]
     starts, rows, values = configurations.hosted_columns
     for i in range(configurations.count):
         for e in range(starts[i], starts[i + 1]):
@@ -226,10 +202,10 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         top[volume - pairs + pos].update({z0 + pos: 1, slack0 + pos: 1})
         top[volume + pos][slack0 + pairs + pos] = 1
     shared = [SparseRow(width, entries) for entries in top[:volume]]
-    if layout.variant == SPLITTABLE:
+    if splittable:
         demand = [{y0 + g: size for g, size in enumerate(modules.sizes)}]
     else:
-        demand = [{} for _ in layout.piece_sizes]
+        demand = [{} for _ in rounded.large_sizes]
         for g, vec in enumerate(modules.modules):
             for p_pos in compress(range(len(vec)), vec):
                 demand[p_pos][y0 + g] = vec[p_pos]
@@ -237,8 +213,8 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
     private = tuple(SparseRow(width, entries) for entries in demand + [flag])
     top_of_load: dict = {}
     top_blocks = []
-    rhs = [m] + [0] * (layout.top_rows - 1)
-    for cls in rounded.classes:
+    rhs = [m] + [0] * (len(top) - 1)
+    for u, cls in enumerate(rounded.classes):
         load = cls.jobs[0].scaled_size if cls.small else 0
         if load not in top_of_load:
             top_of_load[load] = tuple(shared) + tuple(
@@ -246,16 +222,14 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
                 for pos, entries in enumerate(top[volume:])
             )
         top_blocks.append(top_of_load[load])
-        if layout.variant == SPLITTABLE:
+        if splittable:
             rhs.append(0 if cls.small else cls.scaled_load)
         else:
-            counts = {} if cls.small else rounded.size_counts(cls.class_id)
-            rhs.extend(counts.get(p, 0) for p in layout.piece_sizes)
+            rhs.extend(rounded.count_vectors[u])
         rhs.append(cls.xi)
-    y_cap = m * (rounded.params.grid + 4) if layout.variant == SPLITTABLE else m
     upper = (
         [m] * configurations.count
-        + [y_cap] * modules.count
+        + [_y_cap(rounded)] * modules.count
         + [1] * pairs
         + [c * m] * pairs
         + [rounded.scaled_inflated * m] * pairs
@@ -263,7 +237,7 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
     n = len(rounded.classes)
     return NFoldProgram(
         brick_count=n,
-        top_block_rows=layout.top_rows,
+        top_block_rows=len(top),
         diag_block_rows=len(private),
         brick_width=width,
         top_blocks=tuple(top_blocks),
@@ -273,4 +247,3 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         upper=tuple(upper * n),
         objective=(0,) * (n * width),
     )
-

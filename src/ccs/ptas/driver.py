@@ -248,8 +248,8 @@ def _search_program(work, variant, delta, lo, hi):
     probes = []
 
     def probe(guess):
-        params = PtasParams.at_guess(guess, delta, variant)
-        built = build_program(preprocess(work, params, variant))
+        params = PtasParams(delta, guess, variant)
+        built = build_program(preprocess(work, params))
         solution = solve_feasible(built.program)
         probes.append((params.guess, solution is not None))
         return built, solution

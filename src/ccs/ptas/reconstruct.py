@@ -43,7 +43,7 @@ def _runs(x, built: BuiltProgram) -> list:
     configuration the point runs, configuration index ascending."""
     runs = []
     first = 0
-    for i in range(built.layout.config_count):
+    for i in range(built.configurations.count):
         if x[i]:
             runs.append((i, first, x[i]))
             first += x[i]
@@ -60,7 +60,6 @@ def _host_assignments(x, built, runs) -> dict:
 
     round_robin deals the k-th class to bin k mod bins, so a cell hosting
     h classes deals them over its first min(cell size, h) machines only."""
-    layout = built.layout
     confs = built.configurations
     cell_of_config = {}
     for pos, pair in enumerate(confs.pairs):
@@ -71,7 +70,7 @@ def _host_assignments(x, built, runs) -> dict:
         if not cls.small:
             continue
         z0 = built.z_columns[u]
-        z = x[z0 : z0 + layout.pair_count]
+        z = x[z0 : z0 + len(confs.pairs)]
         chosen = [pos for pos, val in enumerate(z) if val]
         if len(chosen) != 1:
             raise CCSError(f"class {cls.class_id} hosted {len(chosen)} times")
@@ -116,13 +115,13 @@ def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
     runs = _runs(x, built)
     # per module, the claims on its slots in claim order, as [owner, slot
     # count]; the owner is (class id, load per slot), or None
-    claims = [deque() for _ in range(built.layout.module_count)]
+    claims = [deque() for _ in range(built.modules.count)]
     for u, cls in enumerate(rounded.classes):
         if cls.small:
             continue
         left = cls.jobs[0].raw_size
         y = built.module_counts(x, u)
-        for g in reversed(range(built.layout.module_count)):
+        for g in reversed(range(built.modules.count)):
             size = Fraction(built.modules.sizes[g]) / rounded.scale
             full = min(y[g], left // size)
             part = left - full * size if full < y[g] else 0
@@ -192,7 +191,7 @@ def _reconstruct_nonpreemptive(
                 slot_pool[values[vq]].append(mach_id)
     hosts = _host_assignments(x, built, runs)
     assignment: dict = {}
-    ground = built.modules.ground
+    ground = rounded.large_sizes
     module_order = sorted(
         range(built.modules.count),
         key=lambda g: (-built.modules.sizes[g], g),
@@ -313,6 +312,6 @@ def construct_schedule(instance: Instance, x, built: BuiltProgram):
     """Schedule of the original instance from a feasible point x of the
     built compact program. Raises CCSError where the point does not fit
     the program's index maps."""
-    if built.layout.variant == SPLITTABLE:
+    if built.rounded.params.variant == SPLITTABLE:
         return _reconstruct_splittable(x, built)
     return _reconstruct_nonpreemptive(instance, x, built)

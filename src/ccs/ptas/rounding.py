@@ -4,6 +4,10 @@ Everything downstream of ``preprocess`` works in scaled integer units: sizes
 are multiplied by c/(delta^2 T), which turns the rounding grain delta^2 T/c
 into 1 and delta^2 T into c. The original jobs stay attached to their
 rounded carriers so reconstruction can reinsert them exactly.
+
+The variant is stored once, on ``PtasParams``. ``inflation`` is the one
+formula for the inflated bound; the scaled bound, the splittable module
+range and the slot caps (``ccs.ptas.sets``) all follow from it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ..core import (
     CCSError,
@@ -51,21 +56,28 @@ def derive_delta(epsilon: Rational, variant: str) -> Fraction:
     return Fraction(1, k)
 
 
-def inflated_bound(guess: Fraction, delta: Fraction, variant: str) -> Fraction:
+def inflation(grid: int, variant: str) -> int:
+    """The inflated bound in units of delta^2 T at delta = 1/grid: the
+    paper's (1 + 4 delta) T (splittable) or (1 + 3 delta)(1 + 2 delta) T
+    (non-preemptive), times k^2."""
+    k = grid
+    if variant == SPLITTABLE:
+        return k * (k + 4)
+    return (k + 2) * (k + 3)
+
+
+def inflated_bound(guess: Rational, delta: Rational, variant: str) -> Fraction:
     """The makespan the scheme may actually use for a guess: the guess
     stretched by the variant's preprocessing and rounding losses."""
-    if require_scheme_variant(variant) == SPLITTABLE:
-        return (1 + 4 * delta) * guess
-    return (1 + 3 * delta) * (1 + 2 * delta) * guess
+    return PtasParams(delta, guess, variant).inflated
 
 
 @dataclass(frozen=True)
 class PtasParams:
-    """Accuracy bundle: grid size, guess and inflated bound."""
+    """Accuracy bundle: grid size delta = 1/k, guess and variant."""
 
     delta: Fraction
     guess: Fraction
-    inflated: Fraction
     variant: str
 
     def __post_init__(self) -> None:
@@ -80,28 +92,16 @@ class PtasParams:
             raise ValueError("guess must be positive")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "guess", guess)
-        object.__setattr__(self, "inflated", Fraction(self.inflated))
-
-    @classmethod
-    def at_guess(
-        cls,
-        guess: Rational,
-        delta: Rational,
-        variant: str,
-    ) -> "PtasParams":
-        guess = Fraction(guess)
-        delta = Fraction(delta)
-        return cls(
-            delta=delta,
-            guess=guess,
-            inflated=inflated_bound(guess, delta, variant),
-            variant=variant,
-        )
 
     @property
     def grid(self) -> int:
         """k = 1/delta."""
         return self.delta.denominator
+
+    @property
+    def inflated(self) -> Fraction:
+        """The inflated bound ``inflated_bound`` names."""
+        return inflation(self.grid, self.variant) * self.delta**2 * self.guess
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ class RoundedClass:
 class RoundedInstance:
     """Scaled, grouped, rounded view of an instance at one guess."""
 
-    variant: str
     params: PtasParams
     machine_count: int
     slot_budget: int
@@ -163,13 +162,10 @@ class RoundedInstance:
 
     @property
     def scaled_inflated(self) -> int:
-        """Inflated bound in scaled units; CCSError unless it is integral."""
-        bound = self.params.inflated * self.scale
-        if bound.denominator != 1:
-            raise CCSError(f"scaled inflated bound {bound} is not an integer")
-        return bound.numerator
+        """The inflated bound in scaled units: c times ``inflation``."""
+        return self.slot_budget * inflation(self.params.grid, self.params.variant)
 
-    @property
+    @cached_property
     def large_sizes(self) -> tuple:
         """Sorted distinct scaled sizes over the large classes."""
         sizes = {
@@ -180,12 +176,19 @@ class RoundedInstance:
         }
         return tuple(sorted(sizes))
 
-    def size_counts(self, class_id: int) -> dict:
-        """Scaled size -> job count for one (large) class."""
-        counts: dict = {}
-        for job in self.classes[class_id - 1].jobs:
-            counts[job.scaled_size] = counts.get(job.scaled_size, 0) + 1
-        return counts
+    @cached_property
+    def count_vectors(self) -> tuple:
+        """Per class, in class order, its job count at each of
+        ``large_sizes``; all zero for a small class."""
+        position = {p: g for g, p in enumerate(self.large_sizes)}
+        vectors = []
+        for cls in self.classes:
+            have = [0] * len(position)
+            if not cls.small:
+                for job in cls.jobs:
+                    have[position[job.scaled_size]] += 1
+            vectors.append(tuple(have))
+        return tuple(vectors)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -243,9 +246,7 @@ def _group_class(jobs: list, slot: Fraction) -> list:
     return hosts
 
 
-def preprocess(
-    instance: Instance, params: PtasParams, variant: str
-) -> RoundedInstance:
+def preprocess(instance: Instance, params: PtasParams) -> RoundedInstance:
     """Group, classify, round and scale one instance at one guess.
 
     Splittable: each class fuses into a single job of its total load.
@@ -257,7 +258,6 @@ def preprocess(
     and round on the fine grid delta^2 T/c; everything else is large
     and rounds on the grid delta^2 T.
     """
-    require_scheme_variant(variant)
     slot = params.delta * params.guess
     c = instance.slot_budget
     scale = c / (params.delta * params.delta * params.guess)
@@ -266,7 +266,7 @@ def preprocess(
         members = [
             (j, instance.processing_times[j]) for j in instance.jobs_of_class(u)
         ]
-        if variant == SPLITTABLE:
+        if params.variant == SPLITTABLE:
             ids = tuple(j for j, _p in members)
             load = sum(p for _j, p in members)
             grouped = [(ids, load)]
@@ -285,7 +285,6 @@ def preprocess(
         jobs.sort(key=lambda job: (-job.scaled_size, job.lead_id))
         classes.append(RoundedClass(class_id=u, small=small, jobs=tuple(jobs)))
     return RoundedInstance(
-        variant=variant,
         params=params,
         machine_count=instance.machine_count,
         slot_budget=c,

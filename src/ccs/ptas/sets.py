@@ -15,8 +15,13 @@ through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
 slots; one builder, ``_configurations``, enumerates them for both
-variants. Enumeration aborts once a count passes the cap, which the
-CCS_ENUM_CAP environment variable sets (10^6 when unset). The splittable
+variants and caps the host counts of its pairs at min(c, floor(bound /
+(c k))), the most pieces of at least delta T that fit within the bound.
+The scaled bound and the splittable module range both come from
+``ccs.ptas.rounding.inflation``, and the sets store no variant: the
+rounded instance's ``PtasParams`` holds it. Enumeration aborts once a
+count passes the cap, which the CCS_ENUM_CAP environment variable sets
+(10^6 when unset; anything but an integer >= 1 is refused). The splittable
 sets are memoized, since they depend only on the accuracy, the slot
 budget and the cap; the non-preemptive sets also depend on the large
 sizes and the large classes' count vectors over them, so few calls
@@ -31,13 +36,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Mapping
 
-from ..core import (
-    CCSError,
-    EnumerationCapError,
-    NONPREEMPTIVE,
-    SPLITTABLE,
-)
-from .rounding import RoundedInstance, require_scheme_variant
+from ..core import CCSError, EnumerationCapError, SPLITTABLE
+from .rounding import RoundedInstance, inflation
 
 DEFAULT_ENUM_CAP = 10**6
 ENUM_CAP_ENV = "CCS_ENUM_CAP"
@@ -45,14 +45,18 @@ CAP_MESSAGE = "accuracy too fine for desk scale"
 
 
 def resolve_enum_cap() -> int:
-    """The enumeration cap: the CCS_ENUM_CAP environment variable, else 10^6."""
+    """The enumeration cap: the CCS_ENUM_CAP environment variable, else 10^6.
+    CCSError unless the variable is an integer of at least 1."""
     raw = os.environ.get(ENUM_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise CCSError(f"bad {ENUM_CAP_ENV} value {raw!r}") from exc
-    return DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CCSError(f"bad {ENUM_CAP_ENV} value {raw!r}: want an integer >= 1")
+    return cap
 
 
 def _cap_check(count: int, cap: int, what: str) -> None:
@@ -64,19 +68,17 @@ def _cap_check(count: int, cap: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class ModuleSet:
-    """The modules of one variant at one accuracy.
+    """The modules of one scheme at one accuracy.
 
     modules: splittable -> scaled piece sizes (ints); non-preemptive ->
-    multiplicity tuples over ``ground`` (the scaled large sizes), each at
-    most some large class's count vector, so the set depends on those
-    vectors as well as on ``ground``. ``sizes[i]`` is the scaled footprint
+    multiplicity tuples over the rounded instance's ``large_sizes``, each
+    at most some large class's count vector, so the set depends on those
+    vectors as well as on the sizes. ``sizes[i]`` is the scaled footprint
     of ``modules[i]`` on a machine.
     """
 
-    variant: str
     modules: tuple
     sizes: tuple
-    ground: tuple = ()
 
     @property
     def count(self) -> int:
@@ -100,7 +102,6 @@ class ConfigurationSet:
     to the configurations of exactly that size and slot usage.
     """
 
-    variant: str
     configs: tuple
     sizes: tuple
     slots: tuple
@@ -188,11 +189,13 @@ def _multiplicity_configs(sizes, c, budget, cap):
     )
 
 
-def _configurations(variant, sizes, c, bound, slot_cap, cap):
+def _configurations(sizes, c, bound, grid, cap):
     """The configurations over the distinct module sizes ``sizes``: at
     most c slots and total size at most ``bound``, grouped by (size,
-    slots) pairs for slot counts below ``slot_cap``."""
+    slots) pairs for slot counts below the slot cap min(c, floor(bound /
+    (c k))) at delta = 1/grid."""
     configs, totals = _multiplicity_configs(sizes, c, bound, cap)
+    slot_cap = min(c, bound // (c * grid))
     slots = tuple(sum(v) for v in configs)
     size_set = tuple(sorted(set(totals)))
     pairs = tuple((h, b) for h in size_set for b in range(slot_cap))
@@ -201,7 +204,6 @@ def _configurations(variant, sizes, c, bound, slot_cap, cap):
         if b < slot_cap:
             groups[(h, b)].append(idx)
     return ConfigurationSet(
-        variant=variant,
         configs=configs,
         sizes=totals,
         slots=slots,
@@ -219,8 +221,8 @@ def splittable_sets(
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Modules and configurations of the splittable scheme at delta = 1/grid.
 
-    Module sizes are c*l for l in {k, .., k(k+4)} (the inflated bound is
-    c*k*(k+4) scaled, so l tops out there).
+    Module sizes are c*l for l from k up to ``inflation(k)``, where c*l
+    meets the scaled inflated bound.
     """
     cap = resolve_enum_cap()
     key = (grid, slot_budget, cap)
@@ -228,12 +230,11 @@ def splittable_sets(
     if hit is not None:
         return hit
     k, c = grid, slot_budget
-    sizes = tuple(c * level for level in range(k, k * (k + 4) + 1))
+    top = inflation(k, SPLITTABLE)
+    sizes = tuple(c * level for level in range(k, top + 1))
     _cap_check(len(sizes), cap, "modules")
-    mods = ModuleSet(variant=SPLITTABLE, modules=sizes, sizes=sizes)
-    confs = _configurations(
-        SPLITTABLE, sizes, c, c * k * (k + 4), min(c, k + 4), cap
-    )
+    mods = ModuleSet(modules=sizes, sizes=sizes)
+    confs = _configurations(sizes, c, c * top, k, cap)
     _SPLIT_CACHE[key] = (mods, confs)
     return mods, confs
 
@@ -276,7 +277,7 @@ def nonpreemptive_sets(
 
     ``ground`` holds the scaled large sizes, ``counts`` the large classes'
     count vectors over ``ground`` (sorted, without repeats), and
-    ``scaled_bound`` the integral scaled inflated bound c(k+2)(k+3). Only
+    ``scaled_bound`` the scaled inflated bound. Only
     modules some class can fill are enumerated, and configurations range
     over their distinct footprints alone: a configuration using any other
     footprint has a link row without y columns, so it is 0 in every
@@ -284,16 +285,9 @@ def nonpreemptive_sets(
     """
     cap = resolve_enum_cap()
     modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
-    mods = ModuleSet(
-        variant=NONPREEMPTIVE,
-        modules=modules,
-        sizes=footprints,
-        ground=tuple(ground),
-    )
-    # floor of (inflated bound)/(delta T) = (k+2)(k+3)/k caps the slots
-    slot_cap = min(slot_budget, (grid + 2) * (grid + 3) // grid)
+    mods = ModuleSet(modules=modules, sizes=footprints)
     return mods, _configurations(
-        NONPREEMPTIVE, mods.size_values, slot_budget, scaled_bound, slot_cap, cap
+        mods.size_values, slot_budget, scaled_bound, grid, cap
     )
 
 
@@ -301,16 +295,15 @@ def enumerate_sets(
     rounded: RoundedInstance,
 ) -> "tuple[ModuleSet, ConfigurationSet]":
     """Dispatch to the variant's enumeration for one rounded instance."""
-    if require_scheme_variant(rounded.variant) == SPLITTABLE:
+    if rounded.params.variant == SPLITTABLE:
         return splittable_sets(rounded.params.grid, rounded.slot_budget)
-    ground = rounded.large_sizes
-    counts = set()
-    for cls in rounded.classes:
-        if not cls.small:
-            have = rounded.size_counts(cls.class_id)
-            counts.add(tuple(have.get(p, 0) for p in ground))
+    counts = {
+        have
+        for cls, have in zip(rounded.classes, rounded.count_vectors)
+        if not cls.small
+    }
     return nonpreemptive_sets(
-        ground,
+        rounded.large_sizes,
         tuple(sorted(counts)),
         rounded.scaled_inflated,
         rounded.slot_budget,

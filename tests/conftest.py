@@ -71,8 +71,7 @@ def nonpreemptive_probe(instance, epsilon, guess):
     """The rounded instance the non-preemptive scheme at epsilon builds
     its program from at ``guess``."""
     delta = derive_delta(epsilon, NONPREEMPTIVE)
-    params = PtasParams.at_guess(guess, delta, NONPREEMPTIVE)
-    return preprocess(instance, params, NONPREEMPTIVE)
+    return preprocess(instance, PtasParams(delta, guess, NONPREEMPTIVE))
 
 
 @st.composite

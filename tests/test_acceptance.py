@@ -383,23 +383,23 @@ def test_criterion_08_program_dimensions_match_closed_forms():
                 c,
             )
             guess = max(sum(inst.processing_times), 1)
-            params = PtasParams.at_guess(guess, delta, variant)
-            rounded = preprocess(inst, params, variant)
+            params = PtasParams(delta, guess, variant)
+            rounded = preprocess(inst, params)
             built = build_program(rounded)
             program = as_nfold(built)
 
             slot_cap = built.configurations.slot_cap
             values = len(built.configurations.size_set)
-            rows = 1 + built.layout.link_count + 2 * slot_cap * values
+            rows = 1 + len(built.modules.size_values) + 2 * slot_cap * values
             width = (
                 built.configurations.count
                 + built.modules.count
                 + 3 * slot_cap * values
             )
-            if built.layout.variant == SPLITTABLE:
+            if variant == SPLITTABLE:
                 private = 2
             else:
-                private = len(built.layout.piece_sizes) + 1
+                private = len(rounded.large_sizes) + 1
             checked += 1
             validate_structure(program)
             if (

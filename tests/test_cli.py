@@ -19,6 +19,7 @@ from ccs.cli import (
     GENERATOR_FAMILIES,
     InstanceFormatError,
     RunReport,
+    VARIANT_FLAGS,
     format_instance,
     generate,
     main,
@@ -294,6 +295,20 @@ class TestSolveCommand:
                           "--epsilon", "1/4")
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_cap_exits_four(self, tmp_path, monkeypatch, capsys, value):
+        # the splittable scheme at accuracy 1 answers without a program,
+        # so the cap is read before the run, not where a program needs it
+        monkeypatch.setenv("CCS_ENUM_CAP", value)
+        code = self.solve(tmp_path, "3 1 2\n3 1\n4 1\n6 2\n",
+                          "--variant", "split", "--algo", "ptas")
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"bad CCS_ENUM_CAP value {value!r}: want an integer >= 1"
+        ]
+
     def test_parse_error_exits_four(self, tmp_path):
         code = self.solve(tmp_path, "0 1 1\n",
                           "--variant", "split", "--algo", "approx")
@@ -400,6 +415,35 @@ def test_nfold_dump_bytes_are_pinned(tmp_path, capsys, monkeypatch, flag, text,
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the compact program (``CompactProgram``) the scheme accepts
+# on each DUMP_PINS instance, over the repr of its six arrays as tuples.
+# The dump above is built by ``as_nfold`` from the sets, so it does not
+# see a change to ``build_program`` alone; these pins do.
+COMPACT_PINS = {
+    "split": "95c38c595699fb935b21d95e23eb0de0ebc18067aae72156e454dfebce3523be",
+    "nonpreempt":
+        "1dde14ffe90ecd338de1542548f315debfc367d18444c8dc0b7b169fe4558889",
+    "preempt": "d29ef90932eb1533ef72b26b5ed370cdf9333ee5fb2c23d0047082d70629b0bb",
+}
+
+
+@pytest.mark.parametrize("flag,text,_dump", DUMP_PINS,
+                         ids=[pin[0] for pin in DUMP_PINS])
+def test_compact_program_bytes_are_pinned(tmp_path, monkeypatch, flag, text,
+                                          _dump):
+    never_certify(monkeypatch)
+    report = {}
+    ptas_solve(parse_instance(write(tmp_path, "inst.txt", text)), 1,
+               VARIANT_FLAGS[flag], report=report)
+    program = report["built"].program
+    arrays = tuple(
+        tuple(getattr(program, name))
+        for name in ("col_start", "row_index", "values", "rhs", "lower", "upper")
+    )
+    digest = hashlib.sha256(repr(arrays).encode()).hexdigest()
+    assert digest == COMPACT_PINS[flag]
+
+
 def test_import_loads_neither_numpy_nor_scipy():
     # numpy alone takes about 0.2 s to import; it is loaded on the first
     # mixed-integer solve, not by importing the package or its CLI
@@ -479,6 +523,17 @@ class TestSweepCommand:
         assert len(lines) == 5
         statuses = [line.split(",")[-1] for line in lines[1:]]
         assert statuses == ["yes", "yes", "yes", "value-only"]
+
+    def test_bad_cap_exits_four(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CCS_ENUM_CAP", "abc")
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--manifest", self.manifest(tmp_path),
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bad CCS_ENUM_CAP value 'abc': want an integer >= 1"
+        ]
 
     def test_sweep_reproducible_up_to_timing(self, tmp_path):
         man = self.manifest(tmp_path)

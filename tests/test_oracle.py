@@ -1,5 +1,6 @@
 """Ground-truth solvers: frozen values, bounds, and cross-validation."""
 
+import time
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -53,6 +54,28 @@ class TestNonPreemptiveOracle:
         inst = Instance((1,) * 30, (1,) * 30, machine_count=2, slot_budget=1)
         with pytest.raises(EnumerationCapError):
             opt_nonpreemptive(inst)
+
+    def test_huge_machine_count_refuses_at_once(self):
+        # the cap is decided without building m^n, which alone took about
+        # a second here; the message names the count symbolically
+        n = 300_000
+        inst = Instance((1,) * n, (1,) * n, machine_count=10**9, slot_budget=1)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as err:
+            opt_nonpreemptive(inst)
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value).startswith("1000000000^300000 assignments")
+
+    def test_one_machine_answers_for_many_jobs(self):
+        # a single machine has one assignment, however many jobs there are
+        inst = Instance((2,) * 5000, (1, 2) * 2500, machine_count=1, slot_budget=2)
+        value, schedule = opt_nonpreemptive(inst)
+        assert value == 10_000
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        value, schedule = opt_nonpreemptive(
+            Instance((3, 1, 2), (1, 2, 1), machine_count=1, slot_budget=2)
+        )
+        assert value == 6 and schedule.assignment == {0: 0, 1: 0, 2: 0}
 
 
 class TestSplittableOracle:

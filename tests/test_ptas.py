@@ -51,6 +51,7 @@ from ccs.ptas import (
     derive_delta,
     enumerate_sets,
     inflated_bound,
+    nonpreemptive_sets,
     preprocess,
     ptas_solve,
     splittable_sets,
@@ -66,8 +67,8 @@ QUARTER = Fraction(1, 4)
 
 def probe(instance, guess, delta, variant):
     """Build and solve the feasibility program at one guess."""
-    params = PtasParams.at_guess(guess, delta, variant)
-    rounded = preprocess(instance, params, variant)
+    params = PtasParams(delta, guess, variant)
+    rounded = preprocess(instance, params)
     built = build_program(rounded)
     return built, solve_feasible(built.program)
 
@@ -111,13 +112,40 @@ class TestDeriveDelta:
         assert inflated_bound(Fraction(1), HALF, NONPREEMPTIVE) == 5
         with pytest.raises(ValueError, match="ptas_solve"):
             inflated_bound(Fraction(1), HALF, PREEMPTIVE)
+        # the bound is derived from the variant, never passed in
+        assert PtasParams(HALF, 10, SPLITTABLE).inflated == 30
+        with pytest.raises(TypeError):
+            PtasParams(HALF, 10, 999, SPLITTABLE)
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    def test_integer_bounds_match_the_paper(self, variant):
+        # (1 + 4 delta) T and (1 + 3 delta)(1 + 2 delta) T, scaled by
+        # c / (delta^2 T), and the slot cap min(c, floor(bound / (delta T)))
+        guess = Fraction(7, 3)
+        for k in range(2, 65):
+            delta = Fraction(1, k)
+            paper = ((1 + 4 * delta) if variant == SPLITTABLE
+                     else (1 + 3 * delta) * (1 + 2 * delta)) * guess
+            assert inflated_bound(guess, delta, variant) == paper
+            for c in (1, 2, 3, 7):
+                inst = Instance((1,) * c, tuple(range(1, c + 1)), 1, c)
+                rounded = preprocess(inst, PtasParams(delta, guess, variant))
+                assert rounded.scaled_inflated == paper * rounded.scale
+                cap = min(c, math.floor(paper / (delta * guess)))
+                if variant == SPLITTABLE and k <= 8 and c <= 2:
+                    assert splittable_sets(k, c)[1].slot_cap == cap
+                if variant == NONPREEMPTIVE:
+                    _mods, confs = nonpreemptive_sets(
+                        (), ((),), rounded.scaled_inflated, c, k
+                    )
+                    assert confs.slot_cap == cap
 
     def test_params_reject_non_unit_fraction(self):
         with pytest.raises(ValueError):
-            PtasParams.at_guess(1, Fraction(2, 5), SPLITTABLE)
+            PtasParams(Fraction(2, 5), 1, SPLITTABLE)
         with pytest.raises(ValueError):
-            PtasParams.at_guess(1, 1, SPLITTABLE)
-        assert PtasParams.at_guess(1, THIRD, SPLITTABLE).grid == 3
+            PtasParams(1, 1, SPLITTABLE)
+        assert PtasParams(THIRD, 1, SPLITTABLE).grid == 3
 
 
 class TestPreprocess:
@@ -125,8 +153,8 @@ class TestPreprocess:
         # a second class keeps the slot budget at 2 (Instance clamps
         # c down to the class count)
         inst = Instance((3, 4, 6), (1, 1, 2), 2, 2)
-        params = PtasParams.at_guess(10, HALF, SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
+        params = PtasParams(HALF, 10, SPLITTABLE)
+        rounded = preprocess(inst, params)
         cls = rounded.classes[0]
         assert not cls.small
         (job,) = cls.jobs
@@ -137,18 +165,10 @@ class TestPreprocess:
         assert rounded.scale == Fraction(4, 5)
         assert rounded.scaled_inflated == 24
 
-    def test_non_integral_scaled_bound_is_refused(self):
-        # an inflated bound not from inflated_bound: 7/2 * 4/5 = 14/5
-        inst = Instance((3, 4, 6), (1, 1, 2), 2, 2)
-        params = PtasParams(HALF, Fraction(10), Fraction(7, 2), SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
-        with pytest.raises(CCSError, match="not an integer"):
-            rounded.scaled_inflated
-
     def test_splittable_light_class_is_small(self):
         inst = Instance((1, 1, 1, 9), (1, 1, 1, 2), 1, 2)
-        params = PtasParams.at_guess(10, HALF, SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
+        params = PtasParams(HALF, 10, SPLITTABLE)
+        rounded = preprocess(inst, params)
         cls = rounded.classes[0]
         assert cls.small and cls.xi == 1
         # fine grid: ceil(3 * 4/5) = 3
@@ -156,8 +176,8 @@ class TestPreprocess:
 
     def test_grouping_fills_chunks_then_merges_leftover(self):
         inst = Instance((1, 1, 1, 1, 1), (1,) * 5, 1, 1)
-        params = PtasParams.at_guess(4, HALF, NONPREEMPTIVE)
-        rounded = preprocess(inst, params, NONPREEMPTIVE)
+        params = PtasParams(HALF, 4, NONPREEMPTIVE)
+        rounded = preprocess(inst, params)
         (cls,) = rounded.classes
         assert not cls.small
         descriptors = [(j.job_ids, j.raw_size, j.scaled_size) for j in cls.jobs]
@@ -165,12 +185,12 @@ class TestPreprocess:
         # joins the first chunk (tie on size, lower lead id wins)
         assert descriptors == [((0, 1, 4), 3, 3), ((2, 3), 2, 2)]
         assert rounded.large_sizes == (2, 3)
-        assert rounded.size_counts(1) == {3: 1, 2: 1}
+        assert rounded.count_vectors == ((1, 1),)
 
     def test_leftover_joins_oversized_job_when_nothing_fits(self):
         inst = Instance((9, 1), (1, 1), 1, 1)
-        params = PtasParams.at_guess(4, HALF, NONPREEMPTIVE)
-        rounded = preprocess(inst, params, NONPREEMPTIVE)
+        params = PtasParams(HALF, 4, NONPREEMPTIVE)
+        rounded = preprocess(inst, params)
         (cls,) = rounded.classes
         (job,) = cls.jobs
         assert job.job_ids == (0, 1) and job.raw_size == 10
@@ -178,22 +198,22 @@ class TestPreprocess:
 
     def test_single_job_at_slot_boundary_is_small(self):
         inst = Instance((2,), (1,), 1, 1)
-        params = PtasParams.at_guess(4, HALF, NONPREEMPTIVE)
-        rounded = preprocess(inst, params, NONPREEMPTIVE)
+        params = PtasParams(HALF, 4, NONPREEMPTIVE)
+        rounded = preprocess(inst, params)
         assert rounded.classes[0].small
 
     def test_rejects_unknown_variant(self):
         inst = Instance((1,), (1,), 1, 1)
-        params = PtasParams.at_guess(1, HALF, SPLITTABLE)
-        with pytest.raises(ValueError):
-            preprocess(inst, params, "fluid")
+        # preprocess reads the variant off its parameters, which refuse
+        # an unknown one
+        with pytest.raises(ValueError, match="unknown variant"):
+            preprocess(inst, PtasParams(HALF, 1, "fluid"))
 
     @given(instances(max_jobs=6, max_machines=3, max_budget=2, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_grouping_conserves_jobs(self, inst):
-        params = PtasParams.at_guess(max(inst.processing_times), HALF,
-                                     NONPREEMPTIVE)
-        rounded = preprocess(inst, params, NONPREEMPTIVE)
+        params = PtasParams(HALF, max(inst.processing_times), NONPREEMPTIVE)
+        rounded = preprocess(inst, params)
         seen = []
         for cls in rounded.classes:
             for job in cls.jobs:
@@ -232,13 +252,10 @@ class TestSets:
 
     def test_nonpreemptive_single_size_ladder(self):
         inst = Instance((2,), (1,), 1, 1)
-        small = preprocess(
-            inst, PtasParams.at_guess(4, HALF, NONPREEMPTIVE), NONPREEMPTIVE
-        )
+        small = preprocess(inst, PtasParams(HALF, 4, NONPREEMPTIVE))
         assert small.large_sizes == ()
-        params = PtasParams.at_guess(2, HALF, NONPREEMPTIVE)
-        rounded = preprocess(Instance((2, 2), (1, 1), 1, 1), params,
-                             NONPREEMPTIVE)
+        params = PtasParams(HALF, 2, NONPREEMPTIVE)
+        rounded = preprocess(Instance((2, 2), (1, 1), 1, 1), params)
         assert rounded.large_sizes == (4,)
         mods, confs = enumerate_sets(rounded)
         # the multiples of the single size 4 that the class's two jobs
@@ -280,9 +297,10 @@ class TestSets:
         monkeypatch.setenv("CCS_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapError):
             splittable_sets(2, 1)
-        monkeypatch.setenv("CCS_ENUM_CAP", "ten")
-        with pytest.raises(CCSError):
-            splittable_sets(2, 1)
+        for bad in ("ten", "0", "-3"):
+            monkeypatch.setenv("CCS_ENUM_CAP", bad)
+            with pytest.raises(CCSError, match="bad CCS_ENUM_CAP value"):
+                splittable_sets(2, 1)
 
     def test_results_are_cached(self):
         first = splittable_sets(2, 1)
@@ -293,25 +311,34 @@ class TestSets:
 def shape_identities(built):
     """The row and column counts the construction promises, computed
     from the enumerated sets alone."""
-    layout = built.layout
     mods = built.modules
     confs = built.configurations
     c_star = confs.slot_cap
     value_count = len(confs.size_set)
-    r = 1 + layout.link_count + 2 * c_star * value_count
+    r = 1 + len(mods.size_values) + 2 * c_star * value_count
     t = confs.count + mods.count + 3 * c_star * value_count
-    if layout.variant == SPLITTABLE:
+    if built.rounded.params.variant == SPLITTABLE:
         s = 2
     else:
-        s = len(layout.piece_sizes) + 1
+        s = len(built.rounded.large_sizes) + 1
     return r, s, t
+
+
+def brick_offsets(built):
+    """(first y, first z, first slack, pair count) of one n-fold brick:
+    an x per configuration, a y per module, a z per pair, then two
+    slacks per pair."""
+    pairs = len(built.configurations.pairs)
+    y0 = built.configurations.count
+    z0 = y0 + built.modules.count
+    return y0, z0, z0 + pairs, pairs
 
 
 class TestProgramShape:
     def test_splittable_dimensions(self):
         inst = Instance((3, 4), (1, 1), 2, 1)
-        params = PtasParams.at_guess(8, HALF, SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
+        params = PtasParams(HALF, 8, SPLITTABLE)
+        rounded = preprocess(inst, params)
         built = build_program(rounded)
         program = as_nfold(built)
         r, s, t = shape_identities(built)
@@ -325,8 +352,8 @@ class TestProgramShape:
 
     def test_nonpreemptive_dimensions(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
-        params = PtasParams.at_guess(2, THIRD, NONPREEMPTIVE)
-        rounded = preprocess(inst, params, NONPREEMPTIVE)
+        params = PtasParams(THIRD, 2, NONPREEMPTIVE)
+        rounded = preprocess(inst, params)
         built = build_program(rounded)
         r, s, t = shape_identities(built)
         assert (r, s, t) == (7, 2, 11)
@@ -349,18 +376,19 @@ class TestProgramShape:
             for _g, col in fits
             for e in range(program.col_start[col], program.col_start[col + 1])
         }
-        links = range(1, 1 + built.layout.link_count)
+        links = range(1, 1 + len(built.modules.size_values))
         assert all(row in linked for row in links)
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
     def test_rows_built_at_final_width(self, variant):
         inst = Instance((3, 4, 5, 1), (1, 2, 3, 3), 2, 2)
-        params = PtasParams.at_guess(8, HALF, variant)
-        rounded = preprocess(inst, params, variant)
+        params = PtasParams(HALF, 8, variant)
+        rounded = preprocess(inst, params)
         built = build_program(rounded)
-        program, layout = as_nfold(built), built.layout
-        pairs = layout.pair_count
-        shared = 1 + layout.link_count + pairs  # machine, link, capacity
+        program = as_nfold(built)
+        _y0, _z0, slack0, pairs = brick_offsets(built)
+        links = len(built.modules.size_values)
+        shared = 1 + links + pairs  # machine, link, capacity
         first = program.top_blocks[0]
         for block in program.top_blocks:
             assert all(block[k] is first[k] for k in range(shared))
@@ -370,38 +398,32 @@ class TestProgramShape:
         c, m = rounded.slot_budget, rounded.machine_count
         bound = rounded.scaled_inflated
         t = program.brick_width
-        assert t == layout.base_width + 2 * pairs
+        assert t == slack0 + 2 * pairs
         for i in range(program.brick_count):
-            slacks = slice(i * t + layout.base_width, (i + 1) * t)
+            slacks = slice(i * t + slack0, (i + 1) * t)
             assert program.upper[slacks] == (c * m,) * pairs + (bound * m,) * pairs
             assert program.lower[slacks] == (0,) * (2 * pairs)
         for pos in range(pairs):
-            capacity = first[1 + layout.link_count + pos]
+            capacity = first[1 + links + pos]
             volume = program.top_blocks[-1][shared + pos]
-            assert capacity.entries[layout.base_width + pos] == 1
-            assert volume.entries[layout.base_width + pairs + pos] == 1
+            assert capacity.entries[slack0 + pos] == 1
+            assert volume.entries[slack0 + pairs + pos] == 1
         validate_structure(program)
 
     def test_preemptive_variant_is_refused(self):
         # the preemptive scheme has no program of its own; ptas_solve
-        # answers it through the splittable one
-        inst = Instance((2, 2), (1, 1), 2, 1)
+        # answers it through the splittable one. The variant lives on the
+        # parameters alone, so they are the one place that refuses it.
         with pytest.raises(ValueError, match="ptas_solve"):
-            PtasParams(HALF, 2, 5, PREEMPTIVE)
-        split = preprocess(inst, PtasParams.at_guess(2, HALF, SPLITTABLE),
-                           SPLITTABLE)
+            PtasParams(HALF, 2, PREEMPTIVE)
+        split = PtasParams(HALF, 2, SPLITTABLE)
         with pytest.raises(ValueError, match="ptas_solve"):
-            preprocess(inst, split.params, PREEMPTIVE)
-        relabelled = replace(split, variant=PREEMPTIVE)
-        with pytest.raises(ValueError, match="ptas_solve"):
-            enumerate_sets(relabelled)
-        with pytest.raises(ValueError, match="ptas_solve"):
-            build_program(relabelled)
+            replace(split, variant=PREEMPTIVE)
 
     def test_small_class_program_parks_machines_on_empty_config(self):
         inst = Instance((1,), (1,), 1, 1)
-        params = PtasParams.at_guess(2, HALF, SPLITTABLE)
-        rounded = preprocess(inst, params, SPLITTABLE)
+        params = PtasParams(HALF, 2, SPLITTABLE)
+        rounded = preprocess(inst, params)
         assert rounded.classes[0].small
         built = build_program(rounded)
         program = as_nfold(built)
@@ -412,28 +434,27 @@ class TestProgramShape:
         zero = confs.configs.index(tuple([0] * built.modules.count))
         assert brick[zero] == 1
         pair_pos = confs.pairs.index((0, 0))
-        assert brick[built.layout.z_offset + pair_pos] == 1
+        _y0, z0, _slack0, _pairs = brick_offsets(built)
+        assert brick[z0 + pair_pos] == 1
 
 
 def brick_conservation(built, solution):
     """Re-add the demand rows from the raw solution vector."""
-    layout = built.layout
     rounded = built.rounded
     for u, cls in enumerate(rounded.classes):
         y = built.module_counts(solution, u)
-        if layout.variant == SPLITTABLE:
+        if rounded.params.variant == SPLITTABLE:
             supplied = sum(
                 size * count for size, count in zip(built.modules.sizes, y)
             )
             assert supplied == (0 if cls.small else cls.scaled_load)
         else:
-            counts = rounded.size_counts(cls.class_id) if not cls.small else {}
-            for p_pos, p in enumerate(layout.piece_sizes):
+            for p_pos, have in enumerate(rounded.count_vectors[u]):
                 supplied = sum(
                     vec[p_pos] * count
                     for vec, count in zip(built.modules.modules, y)
                 )
-                assert supplied == counts.get(p, 0)
+                assert supplied == have
 
 
 def lift(built, x):
@@ -441,50 +462,50 @@ def lift(built, x):
     each class's y and z in its own brick, and each shared-row slack in
     brick 0 at the value that closes its row."""
     program = as_nfold(built)
-    layout = built.layout
+    y0, z0, slack0, pairs = brick_offsets(built)
     t = program.brick_width
     point = [0] * program.total_columns
-    point[: layout.config_count] = x[: layout.config_count]
+    point[:y0] = x[:y0]
     for u in range(program.brick_count):
         for g, col in built.y_columns[u]:
-            point[u * t + layout.y_offset + g] = x[col]
-        z0 = built.z_columns[u]
-        if z0 is not None:
-            for pos in range(layout.pair_count):
-                point[u * t + layout.z_offset + pos] = x[z0 + pos]
-    first_host = 1 + layout.link_count
+            point[u * t + y0 + g] = x[col]
+        first = built.z_columns[u]
+        if first is not None:
+            for pos in range(pairs):
+                point[u * t + z0 + pos] = x[first + pos]
+    first_host = 1 + len(built.modules.size_values)
     for k in range(first_host, program.top_block_rows):
         total = sum(
             a * point[u * t + j]
             for u, block in enumerate(program.top_blocks)
             for j, a in block[k].entries.items()
         )
-        point[layout.base_width + k - first_host] = program.rhs[k] - total
+        point[slack0 + k - first_host] = program.rhs[k] - total
     return program, point
 
 
 def aggregate(built, program, point):
     """The compact point of an n-fold point whose small classes place no
     module: x and slack columns summed over the bricks."""
-    layout = built.layout
+    y0, z0, slack0, pairs = brick_offsets(built)
     t = program.brick_width
     n = program.brick_count
     compact = built.program
     x = [0] * compact.total_columns
-    for i in range(layout.config_count):
+    for i in range(y0):
         x[i] = sum(point[u * t + i] for u in range(n))
     for u in range(n):
         for g, col in built.y_columns[u]:
-            x[col] = point[u * t + layout.y_offset + g]
-        z0 = built.z_columns[u]
-        if z0 is not None:
-            for pos in range(layout.pair_count):
-                x[z0 + pos] = point[u * t + layout.z_offset + pos]
-    if any(z0 is not None for z0 in built.z_columns):
-        slacks = 2 * layout.pair_count
+            x[col] = point[u * t + y0 + g]
+        first = built.z_columns[u]
+        if first is not None:
+            for pos in range(pairs):
+                x[first + pos] = point[u * t + z0 + pos]
+    if any(first is not None for first in built.z_columns):
+        slacks = 2 * pairs
         for e in range(slacks):
             x[compact.total_columns - slacks + e] = sum(
-                point[u * t + layout.base_width + e] for u in range(n)
+                point[u * t + slack0 + e] for u in range(n)
             )
     return x
 
@@ -518,8 +539,8 @@ class TestCompactMatchesNfold:
     def test_same_verdict_and_lifted_points_are_nfold_feasible(self, variant):
         feasible = infeasible = hosted = 0
         for inst, guess in small_probes(variant, 17, 8):
-            params = PtasParams.at_guess(guess, HALF, variant)
-            built = build_program(preprocess(inst, params, variant))
+            params = PtasParams(HALF, guess, variant)
+            built = build_program(preprocess(inst, params))
             x = solve_feasible(built.program)
             nfold = solve_feasible(flatten(as_nfold(built)))
             assert (x is None) == (nfold is None)
@@ -542,8 +563,8 @@ class TestCompactMatchesNfold:
         # the bricks in another way than the lift
         spread = 0
         for inst, guess in small_probes(variant, 29, 8):
-            params = PtasParams.at_guess(guess, HALF, variant)
-            built = build_program(preprocess(inst, params, variant))
+            params = PtasParams(HALF, guess, variant)
+            built = build_program(preprocess(inst, params))
             x = solve_feasible(built.program)
             if x is None or built.rounded.class_count < 2:
                 continue
@@ -552,7 +573,7 @@ class TestCompactMatchesNfold:
             m = built.rounded.machine_count
             lower, upper = list(point), list(point)
             for u in (0, 1):
-                for i in range(built.layout.config_count):
+                for i in range(built.configurations.count):
                     if x[i]:
                         lower[u * t + i], upper[u * t + i] = 0, m
             sub = replace(program, lower=tuple(lower), upper=tuple(upper))
@@ -568,8 +589,8 @@ class TestCompactMatchesNfold:
 class TestReconstructionGuards:
     def built_point(self):
         inst = Instance((9, 1, 1), (1, 2, 3), 2, 2)
-        params = PtasParams.at_guess(9, HALF, NONPREEMPTIVE)
-        built = build_program(preprocess(inst, params, NONPREEMPTIVE))
+        params = PtasParams(HALF, 9, NONPREEMPTIVE)
+        built = build_program(preprocess(inst, params))
         x = solve_feasible(built.program)
         assert x is not None
         assert any(z0 is not None for z0 in built.z_columns)
@@ -590,7 +611,8 @@ class TestReconstructionGuards:
         inst, built, x = self.built_point()
         u = next(u for u, z0 in enumerate(built.z_columns) if z0 is not None)
         z0 = built.z_columns[u]
-        x[z0 : z0 + built.layout.pair_count] = [0] * built.layout.pair_count
+        pairs = len(built.configurations.pairs)
+        x[z0 : z0 + pairs] = [0] * pairs
         with pytest.raises(CCSError, match="hosted 0 times"):
             construct_schedule(inst, x, built)
 
@@ -614,9 +636,9 @@ def explicit_machine_loads(x, built):
     cell."""
     rounded, confs = built.rounded, built.configurations
     machines = [
-        i for i in range(built.layout.config_count) for _ in range(x[i])
+        i for i in range(confs.count) for _ in range(x[i])
     ]
-    pool = [deque() for _ in range(built.layout.module_count)]
+    pool = [deque() for _ in range(built.modules.count)]
     for machine, cfg in enumerate(machines):
         for g, count in enumerate(confs.configs[cfg]):
             pool[g].extend([machine] * count)
@@ -628,7 +650,7 @@ def explicit_machine_loads(x, built):
     for u, cls in enumerate(rounded.classes):
         if cls.small:
             z0 = built.z_columns[u]
-            pos = list(x[z0 : z0 + built.layout.pair_count]).index(1)
+            pos = list(x[z0 : z0 + len(confs.pairs)]).index(1)
             cells.setdefault(pos, []).append(
                 (cls.class_id, cls.jobs[0].scaled_size)
             )
@@ -644,7 +666,7 @@ def explicit_machine_loads(x, built):
             continue
         left = cls.jobs[0].raw_size
         y = built.module_counts(x, u)
-        for g in reversed(range(built.layout.module_count)):
+        for g in reversed(range(built.modules.count)):
             size = Fraction(built.modules.sizes[g]) / rounded.scale
             for _ in range(y[g]):
                 machine = pool[g].popleft()
@@ -712,10 +734,10 @@ class TestReconstruction:
         base = Instance((2, 3, 2), (1, 2, 1), 2, 2)
         lifted = Instance((10, 15, 10), (1, 2, 1), 2, 2)
         for variant, guess in ((NONPREEMPTIVE, 3), (SPLITTABLE, 3)):
-            params = PtasParams.at_guess(guess, HALF, variant)
-            lifted_params = PtasParams.at_guess(5 * guess, HALF, variant)
-            a = preprocess(base, params, variant)
-            b = preprocess(lifted, lifted_params, variant)
+            params = PtasParams(HALF, guess, variant)
+            lifted_params = PtasParams(HALF, 5 * guess, variant)
+            a = preprocess(base, params)
+            b = preprocess(lifted, lifted_params)
             assert a.scaled_inflated == b.scaled_inflated
             assert a.large_sizes == b.large_sizes
             for ca, cb in zip(a.classes, b.classes):
@@ -874,7 +896,7 @@ class TestDriver:
         report = {}
         ptas_solve(inst, 1, PREEMPTIVE, report=report)
         assert report["probes"]
-        assert report["built"].layout.variant == SPLITTABLE
+        assert report["built"].rounded.params.variant == SPLITTABLE
         assert report["solution"] is not None
         assert report["guess"] > 0
 

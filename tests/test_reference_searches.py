@@ -22,7 +22,6 @@ import ccs.approx
 import ccs.ptas.builder
 from conftest import nonpreemptive_probe, nonpreemptive_probes
 from ccs import (
-    NONPREEMPTIVE,
     VARIANTS,
     CompactSchedule,
     Instance,
@@ -888,9 +887,7 @@ def reference_enumerate_sets(rounded):
     ground = rounded.large_sizes
     bound = rounded.scaled_inflated
     modules, sizes = reference_nonpreemptive_modules(ground, bound)
-    mods = ModuleSet(
-        variant=NONPREEMPTIVE, modules=modules, sizes=sizes, ground=ground
-    )
+    mods = ModuleSet(modules=modules, sizes=sizes)
     # a class with bound // p pieces of every size p fills the whole box
     _mods, confs = nonpreemptive_sets(
         ground, (tuple(bound // p for p in ground),), bound,
