@@ -18,7 +18,6 @@ from .rounding import (
     RoundedInstance,
     RoundedJob,
     derive_delta,
-    inflated_bound,
     preprocess,
 )
 from .sets import (
@@ -49,7 +48,6 @@ __all__ = [
     "construct_schedule",
     "derive_delta",
     "enumerate_sets",
-    "inflated_bound",
     "nonpreemptive_sets",
     "preprocess",
     "ptas_solve",

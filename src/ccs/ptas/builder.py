@@ -37,7 +37,7 @@ from ..core import SPLITTABLE
 # with_top_row_slacks has no caller here; the benchmark's layer trace
 # wraps it under this module's name
 from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
-from .rounding import RoundedInstance
+from .rounding import RoundedInstance, piece_cap
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
 
 
@@ -68,13 +68,12 @@ class BuiltProgram:
 
 def _y_cap(rounded: RoundedInstance) -> int:
     """Upper bound of every y column: m for a non-preemptive module, and
-    m times floor(bound / (delta T)) for a splittable piece, since each
-    piece is at least delta T."""
+    m times ``piece_cap`` for a splittable piece, since each piece is at
+    least delta T."""
     m = rounded.machine_count
     if rounded.params.variant != SPLITTABLE:
         return m
-    slot = rounded.slot_budget * rounded.params.grid
-    return m * (rounded.scaled_inflated // slot)
+    return m * piece_cap(rounded.params.grid, SPLITTABLE)
 
 
 def build_program(rounded: RoundedInstance) -> BuiltProgram:

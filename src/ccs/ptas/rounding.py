@@ -7,7 +7,8 @@ rounded carriers so reconstruction can reinsert them exactly.
 
 The variant is stored once, on ``PtasParams``. ``inflation`` is the one
 formula for the inflated bound; the scaled bound, the splittable module
-range and the slot caps (``ccs.ptas.sets``) all follow from it.
+range and ``piece_cap`` (the slot caps in ``ccs.ptas.sets`` and the
+splittable y bound in ``ccs.ptas.builder``) all follow from it.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def inflation(grid: int, variant: str) -> int:
     return (k + 2) * (k + 3)
 
 
-def inflated_bound(guess: Rational, delta: Rational, variant: str) -> Fraction:
-    """The makespan the scheme may actually use for a guess: the guess
-    stretched by the variant's preprocessing and rounding losses."""
-    return PtasParams(delta, guess, variant).inflated
+def piece_cap(grid: int, variant: str) -> int:
+    """floor(inflated bound / (delta T)) at delta = 1/grid: the most
+    pieces of at least delta T that fit on one machine."""
+    return inflation(grid, variant) // grid
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,9 @@ class PtasParams:
 
     @property
     def inflated(self) -> Fraction:
-        """The inflated bound ``inflated_bound`` names."""
+        """The makespan the scheme may actually use for the guess: the
+        guess stretched by the variant's preprocessing and rounding
+        losses."""
         return inflation(self.grid, self.variant) * self.delta**2 * self.guess
 
 

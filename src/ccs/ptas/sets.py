@@ -15,10 +15,11 @@ through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
 slots; one builder, ``_configurations``, enumerates them for both
-variants and caps the host counts of its pairs at min(c, floor(bound /
-(c k))), the most pieces of at least delta T that fit within the bound.
-The scaled bound and the splittable module range both come from
-``ccs.ptas.rounding.inflation``, and the sets store no variant: the
+variants and caps the host counts of its pairs at min(c, piece cap), where
+the piece cap is the most pieces of at least delta T that fit within the
+bound. The scaled bound, the splittable module range and the piece cap
+all come from ``ccs.ptas.rounding.inflation``, and the sets store no
+variant: the
 rounded instance's ``PtasParams`` holds it. Enumeration aborts once a
 count passes the cap, which the CCS_ENUM_CAP environment variable sets
 (10^6 when unset; anything but an integer >= 1 is refused). The splittable
@@ -36,8 +37,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Mapping
 
-from ..core import CCSError, EnumerationCapError, SPLITTABLE
-from .rounding import RoundedInstance, inflation
+from ..core import CCSError, EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
+from .rounding import RoundedInstance, inflation, piece_cap
 
 DEFAULT_ENUM_CAP = 10**6
 ENUM_CAP_ENV = "CCS_ENUM_CAP"
@@ -189,13 +190,13 @@ def _multiplicity_configs(sizes, c, budget, cap):
     )
 
 
-def _configurations(sizes, c, bound, grid, cap):
+def _configurations(sizes, c, bound, pieces, cap):
     """The configurations over the distinct module sizes ``sizes``: at
     most c slots and total size at most ``bound``, grouped by (size,
-    slots) pairs for slot counts below the slot cap min(c, floor(bound /
-    (c k))) at delta = 1/grid."""
+    slots) pairs for slot counts below the slot cap min(c, pieces), with
+    ``pieces`` from ``piece_cap``."""
     configs, totals = _multiplicity_configs(sizes, c, bound, cap)
-    slot_cap = min(c, bound // (c * grid))
+    slot_cap = min(c, pieces)
     slots = tuple(sum(v) for v in configs)
     size_set = tuple(sorted(set(totals)))
     pairs = tuple((h, b) for h in size_set for b in range(slot_cap))
@@ -234,7 +235,7 @@ def splittable_sets(
     sizes = tuple(c * level for level in range(k, top + 1))
     _cap_check(len(sizes), cap, "modules")
     mods = ModuleSet(modules=sizes, sizes=sizes)
-    confs = _configurations(sizes, c, c * top, k, cap)
+    confs = _configurations(sizes, c, c * top, piece_cap(k, SPLITTABLE), cap)
     _SPLIT_CACHE[key] = (mods, confs)
     return mods, confs
 
@@ -287,7 +288,11 @@ def nonpreemptive_sets(
     modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
     mods = ModuleSet(modules=modules, sizes=footprints)
     return mods, _configurations(
-        mods.size_values, slot_budget, scaled_bound, grid, cap
+        mods.size_values,
+        slot_budget,
+        scaled_bound,
+        piece_cap(grid, NONPREEMPTIVE),
+        cap,
     )
 
 

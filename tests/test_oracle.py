@@ -1,6 +1,5 @@
 """Ground-truth solvers: frozen values, bounds, and cross-validation."""
 
-import time
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -56,14 +55,17 @@ class TestNonPreemptiveOracle:
             opt_nonpreemptive(inst)
 
     def test_huge_machine_count_refuses_at_once(self):
-        # the cap is decided without building m^n, which alone took about
-        # a second here; the message names the count symbolically
+        # n past the cap's bit length decides the cap alone: m^n is never
+        # built (at m = 10^9 and n = 300,000 building it took about a
+        # second); the message names the count symbolically
+        class Machines(int):
+            def __pow__(self, other):
+                raise AssertionError("m^n was built")
+
         n = 300_000
-        inst = Instance((1,) * n, (1,) * n, machine_count=10**9, slot_budget=1)
-        start = time.perf_counter()
+        inst = Instance((1,) * n, (1,) * n, Machines(10**9), slot_budget=1)
         with pytest.raises(EnumerationCapError) as err:
             opt_nonpreemptive(inst)
-        assert time.perf_counter() - start < 0.5
         assert str(err.value).startswith("1000000000^300000 assignments")
 
     def test_one_machine_answers_for_many_jobs(self):

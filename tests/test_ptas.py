@@ -50,7 +50,6 @@ from ccs.ptas import (
     construct_schedule,
     derive_delta,
     enumerate_sets,
-    inflated_bound,
     nonpreemptive_sets,
     preprocess,
     ptas_solve,
@@ -58,6 +57,7 @@ from ccs.ptas import (
     unfold_preemptive,
 )
 from ccs.ptas import driver
+from ccs.ptas.rounding import piece_cap
 from ccs.ptas.sets import _multiplicity_configs
 
 HALF = Fraction(1, 2)
@@ -108,10 +108,10 @@ class TestDeriveDelta:
             derive_delta(1, "elastic")
 
     def test_inflated_bounds(self):
-        assert inflated_bound(Fraction(1), HALF, SPLITTABLE) == 3
-        assert inflated_bound(Fraction(1), HALF, NONPREEMPTIVE) == 5
+        assert PtasParams(HALF, 1, SPLITTABLE).inflated == 3
+        assert PtasParams(HALF, 1, NONPREEMPTIVE).inflated == 5
         with pytest.raises(ValueError, match="ptas_solve"):
-            inflated_bound(Fraction(1), HALF, PREEMPTIVE)
+            PtasParams(HALF, 1, PREEMPTIVE)
         # the bound is derived from the variant, never passed in
         assert PtasParams(HALF, 10, SPLITTABLE).inflated == 30
         with pytest.raises(TypeError):
@@ -126,7 +126,8 @@ class TestDeriveDelta:
             delta = Fraction(1, k)
             paper = ((1 + 4 * delta) if variant == SPLITTABLE
                      else (1 + 3 * delta) * (1 + 2 * delta)) * guess
-            assert inflated_bound(guess, delta, variant) == paper
+            assert PtasParams(delta, guess, variant).inflated == paper
+            assert piece_cap(k, variant) == math.floor(paper / (delta * guess))
             for c in (1, 2, 3, 7):
                 inst = Instance((1,) * c, tuple(range(1, c + 1)), 1, c)
                 rounded = preprocess(inst, PtasParams(delta, guess, variant))
