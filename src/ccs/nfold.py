@@ -24,14 +24,18 @@ stored but ignored (the schemes built on top only need feasibility).
 ``flatten`` validates one and turns it into the compact form.
 
 solve_feasible makes one HiGHS mixed-integer call and verifies the rounded
-point exactly, so float arithmetic never leaks into an answer.
+point exactly, so float arithmetic never leaks into an answer. It hands the
+program to the HiGHS binding scipy ships, ``scipy.optimize._highspy._core``,
+the one ``scipy.optimize.milp`` calls: on programs of a few dozen columns,
+milp's input checks and result wrapping took longer than HiGHS's solve.
+The binding is private to scipy, so no other module imports it. An option
+HiGHS rejects raises CCSError instead of leaving HiGHS at its default.
 solve_exhaustive is the independent ground truth: plain enumeration of the
 whole variable box.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Mapping, Optional, Sequence
@@ -342,17 +346,21 @@ def solve_exhaustive(program: CompactProgram) -> Optional[tuple]:
 
 def solve_feasible(program: CompactProgram) -> Optional[tuple]:
     """Any feasible point as a tuple of ints, or None. Deterministic:
-    identical programs give identical solutions. Raises CCSError if the
-    mixed-integer solver fails or returns a point that does not pass the
-    exact check, and EnumerationCapError, before the solver runs, if a
-    bound or right-hand side exceeds 2**53. A block program is solved as
-    ``flatten(program)``.
+    identical programs give identical solutions. Raises CCSError if HiGHS
+    rejects an option or the program, fails, or returns a point that does
+    not pass the exact check, and EnumerationCapError, before the solver
+    runs, if a bound or right-hand side exceeds 2**53. A block program is
+    solved as ``flatten(program)``.
 
-    One HiGHS solve; the returned point is rounded and checked once in
-    exact integer arithmetic, so float arithmetic can never leak through.
-    The solver is handed variables shifted to start at zero: the bundled
-    engine has been seen returning bound-violating "optimal" points when
-    lower bounds are negative, and the shift is an exact identity."""
+    One HiGHS solve through the binding scipy ships
+    (``scipy.optimize._highspy._core``), which ``scipy.optimize.milp``
+    also calls: milp's input checks and result wrapping cost more than
+    HiGHS itself on programs of a few dozen columns. The returned point is
+    rounded and checked once in exact integer arithmetic, so float
+    arithmetic can never leak through. The solver is handed variables
+    shifted to start at zero: the bundled engine has been seen returning
+    bound-violating "optimal" points when lower bounds are negative, and
+    the shift is an exact identity."""
     lower = program.lower
     if not program.total_rows or not program.total_columns:
         # nothing for the solver to search: the box's corner decides
@@ -364,71 +372,100 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
         raise EnumerationCapError("a program bound exceeds 2**53, which the"
                                   " solver's doubles cannot hold exactly")
     import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core as highs
     from scipy.sparse import csc_array
 
     rows, cols = program.total_rows, program.total_columns
     index = np.array(program.row_index, dtype=np.int32)
-    # the solver would read an index outside [0, rows) as a different
-    # matrix, without a word
+    starts = np.array(program.col_start, dtype=np.int32)
+    # the solver would read an index outside [0, rows), or column starts
+    # that decrease, as a different matrix, without a word
     if index.size and (index.min() < 0 or index.max() >= rows):
         raise InvalidProgramError(
             f"row indices span [{index.min()}, {index.max()}],"
             f" outside [0, {rows})"
         )
+    if np.diff(starts).min() < 0:
+        raise InvalidProgramError("column starts decrease")
     rhs = program.rhs
     if any(lower):
         rhs = [b - a for b, a in zip(rhs, program.row_totals(lower))]
     rhs = np.array(rhs, dtype=float)
     matrix = csc_array(
-        (
-            np.array(program.values, dtype=float),
-            index,
-            np.array(program.col_start, dtype=np.int32),
-        ),
+        (np.array(program.values, dtype=float), index, starts),
         shape=(rows, cols),
     )
     # a column may list one row twice; row_totals adds such entries up,
     # so the solver must see their sum too (a no-op check on canonical input)
     matrix.sum_duplicates()
-    span = np.array(
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_ = np.zeros(cols)
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.array(
         [hi - lo for lo, hi in zip(lower, program.upper)], dtype=float
     )
+    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.integrality_ = [highs.HighsVarType.kInteger] * cols
     # the engine's own presolve has returned bound- and
     # equality-violating "optimal" points and segfaulted on tiny
     # integer-infeasible systems, so it stays off. The feasibility-jump
     # heuristic costs about 10 ms per call before the search starts,
-    # most of a call on programs of a few dozen rows. milp passes
-    # options it does not list through to HiGHS verbatim and warns
-    # that it does; that warning alone is silenced.
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", "Unrecognized options", RuntimeWarning
-        )
-        result = milp(
-            c=np.zeros(cols),
-            constraints=LinearConstraint(matrix, rhs, rhs),
-            integrality=np.ones(cols),
-            bounds=Bounds(np.zeros(cols), span),
-            options={
-                "presolve": False,
-                "time_limit": MILP_TIME_LIMIT,
-                "mip_heuristic_run_feasibility_jump": False,
-            },
-        )
-    if result.status == 2:  # proven infeasible
+    # most of a call on programs of a few dozen rows. HiGHS logs to the
+    # console unless told not to.
+    status, point = _run_highs(lp, {
+        "log_to_console": False,
+        "presolve": "off",
+        "time_limit": MILP_TIME_LIMIT,
+        "mip_heuristic_run_feasibility_jump": False,
+    })
+    statuses = highs.HighsModelStatus
+    if status == statuses.kInfeasible:
         return None
-    if result.x is None:
-        if result.status == 1:  # a limit stopped it before any point
+    if point is None:
+        if status == statuses.kTimeLimit:
             raise CCSError(
                 "mixed-integer solver found no point within its time limit"
-                f" of {MILP_TIME_LIMIT:g} s: {result.message}"
+                f" of {MILP_TIME_LIMIT:g} s"
             )
-        raise CCSError(f"mixed-integer solver failed: {result.message}")
-    x = tuple(lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist()))
+        raise CCSError(f"mixed-integer solver failed with status {status.name}")
+    x = tuple(lo + int(v) for lo, v in zip(lower, np.rint(point).tolist()))
     if constraint_violations(program, x):
         raise CCSError("mixed-integer solver returned an infeasible point")
     return x
+
+
+def _run_highs(lp, options: Mapping) -> tuple:
+    """Solve ``lp`` in a fresh HiGHS instance, so that no solver state
+    carries from one probe to the next, with ``options``:
+    (model status, column values), the values None when HiGHS holds no
+    point. A point is held when the program is solved, or when a time,
+    iteration or solution limit stopped the search after one was found.
+    Raises CCSError when HiGHS rejects an option or the program."""
+    from scipy.optimize._highspy import _core as highs
+
+    solver = highs._Highs()
+    ok = highs.HighsStatus.kOk
+    for name, value in options.items():
+        if solver.setOptionValue(name, value) != ok:
+            raise CCSError(f"HiGHS rejected the option {name} = {value!r}")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise CCSError("HiGHS rejected the program")
+    statuses = highs.HighsModelStatus
+    if solver.run() == highs.HighsStatus.kError:
+        return solver.getModelStatus(), None
+    status = solver.getModelStatus()
+    held = status == statuses.kOptimal or (
+        status in (statuses.kTimeLimit, statuses.kIterationLimit,
+                   statuses.kSolutionLimit)
+        and solver.getInfo().objective_function_value != highs.kHighsInf
+    )
+    return status, solver.getSolution().col_value if held else None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ a preemptive schedule (classical slice decomposition), so
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,6 +62,11 @@ def opt_nonpreemptive(instance: Instance) -> tuple[Fraction, NonPreemptiveSchedu
     (machines are numbered by first use, so the vector is canonical).
     """
     lb, _ = lower_bound(instance, NONPREEMPTIVE)  # raises when C > m*c
+    # a makespan is a sum of sizes, so a multiple of 1/D (D the sizes'
+    # common denominator): no assignment beats lb rounded up to that grid,
+    # and the search stops at the first one that reaches it
+    den = instance._scaled[0]
+    lb = Fraction(math.ceil(lb * den), den)
     n = instance.job_count
     m = instance.machine_count
     c = instance.slot_budget
@@ -101,7 +107,7 @@ def opt_nonpreemptive(instance: Instance) -> tuple[Fraction, NonPreemptiveSchedu
     def rec(j: int, used: int) -> None:
         nonlocal best_val, best_assign
         if best_val == lb:
-            return  # nothing can beat the lower bound
+            return  # nothing can beat the rounded lower bound
         if j == n:
             top = max(loads)
             if best_val is None or top < best_val:

@@ -14,7 +14,7 @@ splittable y bound in ``ccs.ptas.builder``) all follow from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -263,7 +263,8 @@ def preprocess(instance: Instance, params: PtasParams) -> RoundedInstance:
     """
     slot = params.delta * params.guess
     c = instance.slot_budget
-    scale = c / (params.delta * params.delta * params.guess)
+    rounded = RoundedInstance(params, instance.machine_count, c, classes=())
+    scale = rounded.scale
     classes = []
     for u in range(1, instance.class_count + 1):
         members = [
@@ -287,9 +288,4 @@ def preprocess(instance: Instance, params: PtasParams) -> RoundedInstance:
             jobs.append(RoundedJob(ids, raw, scaled))
         jobs.sort(key=lambda job: (-job.scaled_size, job.lead_id))
         classes.append(RoundedClass(class_id=u, small=small, jobs=tuple(jobs)))
-    return RoundedInstance(
-        params=params,
-        machine_count=instance.machine_count,
-        slot_budget=c,
-        classes=tuple(classes),
-    )
+    return replace(rounded, classes=tuple(classes))

@@ -9,9 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
+from scipy.optimize._highspy._core import HighsModelStatus as STATUS
 
-from ccs import CCSError, EnumerationCapError
+from ccs import CCSError, EnumerationCapError, nfold
 from ccs.nfold import (
     MILP_TIME_LIMIT,
     CompactProgram,
@@ -62,6 +64,70 @@ def free_pair() -> NFoldProgram:
         upper=(3, 3),
         objective=(0, 0),
     )
+
+
+def scrambled(program: CompactProgram, rng, shapes: dict) -> CompactProgram:
+    """The same program with some columns' entries shuffled, split into
+    two entries of one row, or joined by an explicit zero; ``shapes``
+    counts the columns changed in each way."""
+    starts, rows, values = [0], [], []
+    for j in range(program.total_columns):
+        lo, hi = program.col_start[j], program.col_start[j + 1]
+        entries = list(zip(program.row_index[lo:hi], program.values[lo:hi]))
+        if entries and rng.random() < 0.3:
+            k, v = entries.pop(rng.randrange(len(entries)))
+            part = rng.randint(-3, 3)
+            entries += [(k, part), (k, v - part)]
+            shapes["split"] += 1
+        if rng.random() < 0.2:
+            entries.append((rng.randrange(program.total_rows), 0))
+            shapes["zero"] += 1
+        if len(entries) > 1 and rng.random() < 0.5:
+            rng.shuffle(entries)
+            shapes["shuffled"] += 1
+        rows += [k for k, _v in entries]
+        values += [v for _k, v in entries]
+        starts.append(len(rows))
+    return CompactProgram(
+        starts, rows, values, program.rhs, program.lower, program.upper
+    )
+
+
+def milp_point(program: CompactProgram):
+    """The point scipy.optimize.milp returns for the program, handed the
+    matrix, shift and options solve_feasible hands HiGHS: the reference
+    for the direct call. None when milp proves it infeasible."""
+    lower, cols = program.lower, program.total_columns
+    rhs = [b - a for b, a in zip(program.rhs, program.row_totals(lower))]
+    matrix = scipy.sparse.csc_array(
+        (
+            np.array(program.values, dtype=float),
+            np.array(program.row_index, dtype=np.int32),
+            np.array(program.col_start, dtype=np.int32),
+        ),
+        shape=(program.total_rows, cols),
+    )
+    matrix.sum_duplicates()
+    span = [hi - lo for lo, hi in zip(lower, program.upper)]
+    with warnings.catch_warnings():
+        # milp passes the options it does not list to HiGHS verbatim,
+        # and warns that it does
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        result = scipy.optimize.milp(
+            c=np.zeros(cols),
+            constraints=scipy.optimize.LinearConstraint(matrix, rhs, rhs),
+            integrality=np.ones(cols),
+            bounds=scipy.optimize.Bounds(np.zeros(cols), span),
+            options={
+                "presolve": False,
+                "time_limit": MILP_TIME_LIMIT,
+                "mip_heuristic_run_feasibility_jump": False,
+            },
+        )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return tuple(lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist()))
 
 
 ONE = SparseRow(1, {0: 1})
@@ -176,60 +242,85 @@ class TestSolvers:
     def test_time_limit_without_a_point_raises(self, monkeypatch):
         seen = {}
 
-        def stalled(**kwargs):
-            seen.update(kwargs["options"])
-            return scipy.optimize.OptimizeResult(
-                status=1, x=None, success=False, message="Time limit reached."
-            )
+        def stalled(lp, options):
+            seen.update(options)
+            return STATUS.kTimeLimit, None
 
-        monkeypatch.setattr(scipy.optimize, "milp", stalled)
+        monkeypatch.setattr(nfold, "_run_highs", stalled)
         with pytest.raises(CCSError, match=f"time limit of {MILP_TIME_LIMIT:g} s"):
             solve_feasible(flatten(free_pair()))
         assert seen["time_limit"] == MILP_TIME_LIMIT
 
     def test_highs_settings(self, monkeypatch):
         seen = {}
-        real = scipy.optimize.milp
+        real = nfold._run_highs
 
-        def spy(**kwargs):
-            seen.update(kwargs["options"])
-            return real(**kwargs)
+        def spy(lp, options):
+            seen.update(options)
+            return real(lp, options)
 
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        monkeypatch.setattr(nfold, "_run_highs", spy)
         assert solve_feasible(flatten(free_pair())) is not None
         assert seen == {
-            "presolve": False,
+            "log_to_console": False,
+            "presolve": "off",
             "time_limit": MILP_TIME_LIMIT,
             "mip_heuristic_run_feasibility_jump": False,
         }
 
-    def test_highs_call_emits_no_warning(self):
-        # the feasibility-jump switch is passed through to HiGHS
-        # verbatim, and milp's warning about that is silenced
+    def test_highs_call_emits_no_warning(self, capfd):
+        # HiGHS logs to the console unless told not to, and a Python
+        # warning would reach every caller
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve_feasible(flatten(free_pair())) is not None
+        assert capfd.readouterr() == ("", "")
+
+    def test_rejected_option_raises(self, monkeypatch):
+        # HiGHS refuses a negative time limit; solving on with its
+        # defaults would drop the limit without a word
+        monkeypatch.setattr(nfold, "MILP_TIME_LIMIT", -1.0)
+        with pytest.raises(CCSError, match="rejected the option time_limit"):
+            solve_feasible(flatten(free_pair()))
 
     def test_time_limit_with_a_point_is_checked_exactly(self, monkeypatch):
         expected = solve_feasible(flatten(free_pair()))
-        real = scipy.optimize.milp
+        real = nfold._run_highs
 
-        def limited(**kwargs):
-            result = real(**kwargs)
-            result.status = 1
-            return result
+        def limited(lp, options):
+            return STATUS.kTimeLimit, real(lp, options)[1]
 
-        monkeypatch.setattr(scipy.optimize, "milp", limited)
+        monkeypatch.setattr(nfold, "_run_highs", limited)
         assert solve_feasible(flatten(free_pair())) == expected
 
-        def limited_wrong(**kwargs):
-            result = limited(**kwargs)
-            result.x = np.zeros_like(result.x)
-            return result
+        def limited_wrong(lp, options):
+            status, x = limited(lp, options)
+            return status, [0.0] * len(x)
 
-        monkeypatch.setattr(scipy.optimize, "milp", limited_wrong)
+        monkeypatch.setattr(nfold, "_run_highs", limited_wrong)
         with pytest.raises(CCSError, match="infeasible point"):
             solve_feasible(flatten(free_pair()))
+
+    def test_point_matches_scipy_milp(self):
+        # the direct HiGHS call solves what scipy.optimize.milp solved
+        # with the same options, entry for entry: columns whose entries
+        # are shuffled, split into two of one row, or padded with an
+        # explicit zero give the same point on both paths
+        rng = random.Random(17)
+        shapes = {"shuffled": 0, "split": 0, "zero": 0}
+        for _ in range(240):
+            program = scrambled(flatten(random_nfold_program(rng)), rng, shapes)
+            assert solve_feasible(program) == milp_point(program)
+        assert min(shapes.values()) >= 50
+
+    def test_decreasing_column_starts_rejected(self):
+        # the exact check walks columns by their starts, so decreasing
+        # starts would have HiGHS search another matrix than it checks
+        program = CompactProgram(
+            [0, 2, 1, 2], [0, 0], [1, 1], rhs=[1], lower=[0] * 3, upper=[1] * 3
+        )
+        with pytest.raises(InvalidProgramError, match="decrease"):
+            solve_feasible(program)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Ground-truth solvers: frozen values, bounds, and cross-validation."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -18,6 +19,7 @@ from ccs import (
     makespan,
     validate,
 )
+from ccs import oracle
 from ccs.oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
 
 from conftest import oracle_instances
@@ -48,6 +50,31 @@ class TestNonPreemptiveOracle:
         inst = Instance((1, 1, 1), (1, 2, 3), machine_count=2, slot_budget=1)
         with pytest.raises(StructuralInfeasibleError):
             opt_nonpreemptive(inst)
+
+    @pytest.mark.parametrize("size", [1, Fraction(1, 3)])
+    def test_search_stops_at_the_bound_on_the_sizes_grid(self, size):
+        # 23 equal jobs on two machines: the bound 23/2 sizes rounds up to
+        # 12 sizes, which the first 12/11 split reaches. Unrounded, the
+        # bound is never met and the search walked the rest of the 2^23
+        # assignments
+        calls = []
+
+        def count(frame, event, _arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name == "rec"
+                    and code.co_filename == oracle.__file__):
+                calls.append(1)
+                # raising here ends an overrunning search at once
+                assert len(calls) <= 200, "the search did not stop at its bound"
+
+        inst = Instance((size,) * 23, (1,) * 23, machine_count=2, slot_budget=1)
+        sys.setprofile(count)
+        try:
+            value, schedule = opt_nonpreemptive(inst)
+        finally:
+            sys.setprofile(None)
+        assert value == 12 * size
+        assert [schedule.assignment[j] for j in range(23)] == [0] * 12 + [1] * 11
 
     def test_assignment_cap(self):
         inst = Instance((1,) * 30, (1,) * 30, machine_count=2, slot_budget=1)

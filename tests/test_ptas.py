@@ -1076,11 +1076,11 @@ class TestDriver:
         assert validate(schedule, inst) == []
 
     def test_bound_past_double_precision_is_refused(self, monkeypatch):
-        import scipy.optimize
+        import ccs.nfold
 
         calls = []
         monkeypatch.setattr(
-            scipy.optimize, "milp", lambda *a, **k: calls.append(a)
+            ccs.nfold, "_run_highs", lambda *a, **k: calls.append(a)
         )
         inst = Instance((5, 9, 7), (1, 2, 2), 10**15, 2)
         with pytest.raises(EnumerationCapError, match="2\\*\\*53"):
