@@ -21,7 +21,9 @@ private to each brick (diagonal blocks B_i, each s x t). The right-hand
 side stacks the r shared entries first, then the s entries of each brick
 in brick order. Variables carry finite integer bounds; the objective is
 stored but ignored (the schemes built on top only need feasibility).
-``flatten`` validates one and turns it into the compact form.
+A block's rows are dicts {column: int} of their entries, read-only by
+convention. Building an NFoldProgram checks it (``validate_structure``);
+``flatten`` turns one into the compact form.
 
 solve_feasible makes one HiGHS mixed-integer call and verifies the rounded
 point exactly, so float arithmetic never leaks into an answer. It hands the
@@ -37,7 +39,8 @@ whole variable box.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
+from operator import gt
 from typing import Mapping, Optional, Sequence
 
 from .core import CCSError, EnumerationCapError
@@ -54,57 +57,18 @@ class InvalidProgramError(CCSError):
     """The program's dimensions or bounds are inconsistent."""
 
 
-class SparseRow:
-    """Immutable integer row of length ``width`` stored by its nonzero
-    entries. The scheme builders produce rows with tens of thousands of
-    columns and a handful of nonzeros; storing those densely would cost
-    gigabytes.
-    """
-
-    __slots__ = ("width", "entries")
-
-    def __init__(self, width: int, entries: Mapping):
-        if not isinstance(width, int) or isinstance(width, bool) or width < 0:
-            raise InvalidProgramError(f"bad row width {width!r}")
-        cleaned = {}
-        for j, v in entries.items():
-            if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < width:
-                raise InvalidProgramError(f"column {j!r} outside row of width {width}")
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidProgramError(f"row entry {v!r} is not an integer")
-            if v:
-                cleaned[j] = v
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "entries", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseRow is immutable")
-
-    def items(self):
-        """Sorted (column, coefficient) pairs of the nonzeros."""
-        return sorted(self.entries.items())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SparseRow):
-            return self.width == other.width and self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.width, tuple(self.items())))
-
-    def __repr__(self) -> str:
-        return f"SparseRow({self.width}, {dict(self.items())!r})"
-
-
 @dataclass(frozen=True)
 class NFoldProgram:
     """Immutable block-structured integer program, for reading; it is
-    solved as ``flatten(program)``.
+    solved as ``flatten(program)``. Building one runs validate_structure.
 
     top_blocks[i] and diag_blocks[i] are the blocks of brick i as tuples
-    of SparseRows (possibly zero rows). rhs lists the shared rows first,
-    then each brick's private rows. lower/upper/objective have one entry
-    per variable, brick by brick.
+    of rows (possibly zero rows). A row is a dict {column: int} of its
+    entries, columns in [0, brick_width), which callers treat as
+    read-only: the scheme builders' rows have tens of thousands of columns
+    and a handful of nonzeros, and one row object may sit in many blocks.
+    rhs lists the shared rows first, then each brick's private rows.
+    lower/upper/objective have one entry per variable, brick by brick.
     """
 
     brick_count: int
@@ -118,6 +82,11 @@ class NFoldProgram:
     upper: tuple
     objective: tuple
 
+    def __post_init__(self):
+        # looked up as a module global on every call, where the
+        # benchmark's layer trace wraps it
+        validate_structure(self)
+
     @property
     def total_rows(self) -> int:
         return self.top_block_rows + self.brick_count * self.diag_block_rows
@@ -127,27 +96,37 @@ class NFoldProgram:
         return self.brick_count * self.brick_width
 
 
+def _plain_int(v) -> bool:
+    # bool is an int subclass; floats (inf, nan) are not ints
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
-    """Check one block's shape; rows whose id is in ``seen`` (shared with
-    a block checked before) are skipped, the others are added to it."""
+    """Check one block's shape and its rows' entries; rows whose id is in
+    ``seen`` (shared with a block checked before) are skipped, the others
+    are added to it."""
     if len(block) != rows:
         raise InvalidProgramError(f"{what} has {len(block)} rows, expected {rows}")
     for row in block:
         if id(row) in seen:
             continue
         seen.add(id(row))
-        if not isinstance(row, SparseRow):
-            raise InvalidProgramError(f"{what} row {row!r} is not a SparseRow")
-        # its entries were validated when the row was built
-        if row.width != width:
-            raise InvalidProgramError(
-                f"{what} row has {row.width} entries, expected {width}"
-            )
+        if not isinstance(row, dict):
+            raise InvalidProgramError(f"{what} row {row!r} is not a dict")
+        for j, v in row.items():
+            if not _plain_int(j) or not 0 <= j < width:
+                raise InvalidProgramError(f"{what} column {j!r} outside [0, {width})")
+            if not _plain_int(v):
+                raise InvalidProgramError(f"{what} entry {v!r} is not an integer")
 
 
 def validate_structure(program: NFoldProgram) -> None:
-    """Check dimensions and bound finiteness. Raises InvalidProgramError
-    on any inconsistency."""
+    """Check dimensions, row entries and bound finiteness. Raises
+    InvalidProgramError on any inconsistency."""
+    for name in ("brick_count", "top_block_rows", "diag_block_rows", "brick_width"):
+        value = getattr(program, name)
+        if not _plain_int(value):
+            raise InvalidProgramError(f"{name} {value!r} is not an integer")
     n, r, s, t = (
         program.brick_count,
         program.top_block_rows,
@@ -175,8 +154,7 @@ def validate_structure(program: NFoldProgram) -> None:
         ("objective", program.objective),
     ):
         for v in vec:
-            # bool is an int subclass; floats (inf, nan) are rejected here
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _plain_int(v):
                 raise InvalidProgramError(f"{name} entry {v!r} is not a finite integer")
     for name, vec in (
         ("lower", program.lower),
@@ -226,6 +204,10 @@ class CompactProgram:
             or len(self.row_index) != len(self.values)
         ):
             raise InvalidProgramError("column starts do not match the entries")
+        # the exact check walks columns by their starts, so starts that
+        # decrease would read as another matrix than the solver's
+        if any(map(gt, starts, islice(starts, 1, None))):
+            raise InvalidProgramError("column starts decrease")
 
     @property
     def total_rows(self) -> int:
@@ -255,18 +237,18 @@ class CompactProgram:
 
 
 def flatten(program: NFoldProgram) -> CompactProgram:
-    """The compact form of a block program, after validate_structure:
-    rows are the shared rows, then each brick's private rows; brick i's
-    column j is column i*t + j."""
-    validate_structure(program)
+    """The compact form of a block program: rows are the shared rows, then
+    each brick's private rows; brick i's column j is column i*t + j. Zero
+    entries are left out."""
     r, s, t = program.top_block_rows, program.diag_block_rows, program.brick_width
     columns = [[] for _ in range(program.total_columns)]
     for i in range(program.brick_count):
         blocks = (program.top_blocks[i], program.diag_blocks[i])
         for offset, block in zip((0, r + i * s), blocks):
             for k, row in enumerate(block):
-                for j, v in row.entries.items():
-                    columns[i * t + j].append((offset + k, v))
+                for j, v in row.items():
+                    if v:
+                        columns[i * t + j].append((offset + k, v))
     starts = [0]
     for entries in columns:
         starts.append(starts[-1] + len(entries))
@@ -378,15 +360,13 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
     rows, cols = program.total_rows, program.total_columns
     index = np.array(program.row_index, dtype=np.int32)
     starts = np.array(program.col_start, dtype=np.int32)
-    # the solver would read an index outside [0, rows), or column starts
-    # that decrease, as a different matrix, without a word
+    # the solver would read an index outside [0, rows) as a different
+    # matrix, without a word
     if index.size and (index.min() < 0 or index.max() >= rows):
         raise InvalidProgramError(
             f"row indices span [{index.min()}, {index.max()}],"
             f" outside [0, {rows})"
         )
-    if np.diff(starts).min() < 0:
-        raise InvalidProgramError("column starts decrease")
     rhs = program.rhs
     if any(lower):
         rhs = [b - a for b, a in zip(rhs, program.row_totals(lower))]
@@ -491,17 +471,17 @@ def with_top_row_slacks(
     extra = len(rows)
     t = program.brick_width
     slack_of_row = {k: e for e, k in enumerate(rows)}
-    # a row object shared across bricks stays shared: it is widened once
-    # per slack position it occupies
+    # a row object shared across bricks stays shared: a row without a
+    # slack is kept, and one with a slack is copied once per slack
+    # position it occupies
     widened: dict = {}
 
-    def widen(row, at=None):
+    def widen(row, at):
+        if at is None:
+            return row
         key = (id(row), at)
         if key not in widened:
-            entries = dict(row.entries)
-            if at is not None:
-                entries[t + at] = 1
-            widened[key] = SparseRow(t + extra, entries)
+            widened[key] = {**row, t + at: 1}
         return widened[key]
 
     def stretch(vec, tail):
@@ -517,9 +497,6 @@ def with_top_row_slacks(
         top_blocks=tuple(
             tuple(widen(row, slack_of_row.get(k)) for k, row in enumerate(block))
             for block in program.top_blocks
-        ),
-        diag_blocks=tuple(
-            tuple(widen(row) for row in block) for block in program.diag_blocks
         ),
         lower=stretch(program.lower, [0] * extra),
         upper=stretch(program.upper, [slack_max[k] for k in rows]),
@@ -538,8 +515,8 @@ def dump_program(program: NFoldProgram) -> str:
     for blocks in (program.top_blocks, program.diag_blocks):
         for block in blocks:
             for row in block:
-                tokens = ["0"] * row.width
-                for j, v in row.entries.items():
+                tokens = ["0"] * program.brick_width
+                for j, v in row.items():
                     tokens[j] = str(v)
                 lines.append(" ".join(tokens))
     for vec in (program.rhs, program.lower, program.upper, program.objective):

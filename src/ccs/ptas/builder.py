@@ -24,8 +24,8 @@ brick per class, as a view that is read and never solved (by the
 dimension checks and ``--dump-nfold``): every brick has one x per
 configuration, one y per module, one z per pair and one slack per shared
 inequality row, and the shared rows see only the sum of the x columns over
-the bricks. Its rows are ``SparseRow``s, since a brick is as wide as the
-configuration set.
+the bricks. Its rows are sparse, dicts {column: int} of their entries,
+since a brick is as wide as the configuration set.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import compress
 from ..core import SPLITTABLE
 # with_top_row_slacks has no caller here; the benchmark's layer trace
 # wraps it under this module's name
-from ..nfold import CompactProgram, NFoldProgram, SparseRow, with_top_row_slacks
+from ..nfold import CompactProgram, NFoldProgram, with_top_row_slacks
 from .rounding import RoundedInstance, piece_cap
 from .sets import ConfigurationSet, ModuleSet, enumerate_sets
 
@@ -200,7 +200,6 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
     for pos in range(pairs):
         top[volume - pairs + pos].update({z0 + pos: 1, slack0 + pos: 1})
         top[volume + pos][slack0 + pairs + pos] = 1
-    shared = [SparseRow(width, entries) for entries in top[:volume]]
     if splittable:
         demand = [{y0 + g: size for g, size in enumerate(modules.sizes)}]
     else:
@@ -209,15 +208,15 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
             for p_pos in compress(range(len(vec)), vec):
                 demand[p_pos][y0 + g] = vec[p_pos]
     flag = {z0 + pos: 1 for pos in range(pairs)}
-    private = tuple(SparseRow(width, entries) for entries in demand + [flag])
+    private = tuple(demand + [flag])
     top_of_load: dict = {}
     top_blocks = []
     rhs = [m] + [0] * (len(top) - 1)
     for u, cls in enumerate(rounded.classes):
         load = cls.jobs[0].scaled_size if cls.small else 0
         if load not in top_of_load:
-            top_of_load[load] = tuple(shared) + tuple(
-                SparseRow(width, {**entries, z0 + pos: load})
+            top_of_load[load] = tuple(top[:volume]) + tuple(
+                {**entries, z0 + pos: load}
                 for pos, entries in enumerate(top[volume:])
             )
         top_blocks.append(top_of_load[load])

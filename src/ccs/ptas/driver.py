@@ -167,9 +167,9 @@ def ptas_solve(
         raise ValueError("epsilon is required")
     scheme = SPLITTABLE if variant == PREEMPTIVE else variant
     delta = derive_delta(epsilon, scheme)
-    floor, _ub = lower_bound(instance, variant)
     if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         if report is not None:
+            floor, _ub = lower_bound(instance, variant)
             report.update(_unsearched(), bound=floor)
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ccs import NONPREEMPTIVE, Instance
-from ccs.nfold import NFoldProgram, SparseRow
+from ccs.nfold import NFoldProgram
 from ccs.ptas import PtasParams, derive_delta, driver, preprocess
 
 
@@ -101,7 +101,7 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
     points so the exhaustive oracle stays cheap. Half the programs get a
     right-hand side planted from a random in-box point, so feasible and
     infeasible cases both appear often. Rows are drawn densely and stored
-    as SparseRows with their entries in ascending column order."""
+    as dicts of their nonzero entries in ascending column order."""
     n = rng.randint(1, max_bricks)
     t = rng.randint(1, max_width)
     r = rng.randint(1, 2)
@@ -148,7 +148,7 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
 
     def sparse(blocks):
         return tuple(
-            tuple(SparseRow(t, dict(enumerate(row))) for row in block)
+            tuple({j: v for j, v in enumerate(row) if v} for row in block)
             for block in blocks
         )
 

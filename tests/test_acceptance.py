@@ -31,7 +31,6 @@ from ccs import (
 from ccs.core import EnumerationCapError
 from ccs.nfold import (
     NFoldProgram,
-    SparseRow,
     constraint_violations,
     flatten,
     solve_exhaustive,
@@ -184,7 +183,7 @@ def _random_program(rng: random.Random) -> NFoldProgram:
 
     def block(rows):
         return tuple(
-            SparseRow(t, dict(enumerate(rng.randint(-3, 3) for _ in range(t))))
+            dict(enumerate(rng.randint(-3, 3) for _ in range(t)))
             for _ in range(rows)
         )
 
@@ -211,7 +210,7 @@ def _random_program(rng: random.Random) -> NFoldProgram:
                 sum(
                     v * point[b * t + j]
                     for b in range(bricks)
-                    for j, v in top[b][i].entries.items()
+                    for j, v in top[b][i].items()
                 )
             )
         for b in range(bricks):
@@ -219,7 +218,7 @@ def _random_program(rng: random.Random) -> NFoldProgram:
                 rhs.append(
                     sum(
                         v * point[b * t + j]
-                        for j, v in diag[b][i].entries.items()
+                        for j, v in diag[b][i].items()
                     )
                 )
     else:

@@ -19,7 +19,6 @@ from ccs.nfold import (
     CompactProgram,
     InvalidProgramError,
     NFoldProgram,
-    SparseRow,
     constraint_violations,
     dump_program,
     flatten,
@@ -39,8 +38,7 @@ def sparse_rows(program: NFoldProgram, reverse: bool = False) -> NFoldProgram:
 
     def convert(block):
         return tuple(
-            SparseRow(t, dict(sorted(row.entries.items(), reverse=reverse)))
-            for row in block
+            dict(sorted(row.items(), reverse=reverse)) for row in block
         )
 
     return replace(
@@ -57,7 +55,7 @@ def free_pair() -> NFoldProgram:
         top_block_rows=1,
         diag_block_rows=0,
         brick_width=2,
-        top_blocks=((SparseRow(2, {0: 1, 1: 1}),),),
+        top_blocks=(({0: 1, 1: 1},),),
         diag_blocks=((),),
         rhs=(2,),
         lower=(0, 0),
@@ -130,7 +128,7 @@ def milp_point(program: CompactProgram):
     return tuple(lo + int(v) for lo, v in zip(lower, np.rint(result.x).tolist()))
 
 
-ONE = SparseRow(1, {0: 1})
+ONE = {0: 1}
 
 
 def one_brick(rhs, lower=0, upper=3) -> NFoldProgram:
@@ -150,61 +148,88 @@ def one_brick(rhs, lower=0, upper=3) -> NFoldProgram:
 
 
 class TestValidateStructure:
+    """Building an NFoldProgram runs validate_structure, so an invalid
+    program is refused where it is built."""
+
     def test_tiny_program_is_valid(self):
         program = one_brick((2, 1))
         assert validate_structure(program) is None
         assert program.total_rows == 2
         assert program.total_columns == 1
 
+    def test_construction_runs_the_check(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(nfold, "validate_structure", seen.append)
+        program = one_brick((2, 1))
+        replace(program, rhs=(3, 1))
+        assert len(seen) == 2 and seen[0] is program
+
     def test_rhs_length_mismatch(self):
         with pytest.raises(InvalidProgramError, match="rhs"):
-            validate_structure(one_brick((2, 1, 7)))
-        with pytest.raises(InvalidProgramError, match="rhs"):
-            flatten(one_brick((2, 1, 7)))
+            one_brick((2, 1, 7))
 
     def test_crossed_bounds(self):
         with pytest.raises(InvalidProgramError, match="range"):
-            validate_structure(one_brick((2, 1), lower=4, upper=3))
+            one_brick((2, 1), lower=4, upper=3)
 
     def test_non_integer_entry(self):
         with pytest.raises(InvalidProgramError, match="integer"):
-            validate_structure(one_brick((2.0, 1)))
+            one_brick((2.0, 1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("brick_count", 1.0),
+        ("top_block_rows", 1.0),
+        ("diag_block_rows", True),
+        ("brick_width", True),
+    ])
+    def test_dimension_must_be_an_int(self, field, value):
+        with pytest.raises(InvalidProgramError, match=f"{field} .* not an integer"):
+            replace(one_brick((2, 1)), **{field: value})
 
     def test_dense_row_rejected(self):
-        program = replace(one_brick((2, 1)), top_blocks=(((1,),),))
-        with pytest.raises(InvalidProgramError, match="not a SparseRow"):
-            validate_structure(program)
+        with pytest.raises(InvalidProgramError, match="not a dict"):
+            replace(one_brick((2, 1)), top_blocks=(((1,),),))
+
+    @pytest.mark.parametrize("row,message", [
+        ({1: 1}, "column 1 outside"),
+        ({-1: 1}, "column -1 outside"),
+        ({True: 1}, "column True outside"),
+        ({0: True}, "entry True is not an integer"),
+        ({0: 1.0}, "entry 1.0 is not an integer"),
+    ])
+    def test_bad_row_entry_rejected(self, row, message):
+        with pytest.raises(InvalidProgramError, match=f"diagonal block 0 {message}"):
+            replace(one_brick((2, 1)), diag_blocks=((row,),))
 
     def test_row_of_wrong_width_in_a_later_brick(self):
-        row = SparseRow(3, {0: 1})
-        program = replace(
-            one_brick((1, 1)),
-            brick_count=2,
-            top_blocks=((ONE,), (row,)),
-            diag_blocks=((ONE,), (ONE,)),
-            rhs=(1, 1, 1),
-            lower=(0, 0),
-            upper=(3, 3),
-            objective=(0, 0),
-        )
+        # column 2 lies past a brick of width 1
+        row = {2: 1}
         with pytest.raises(InvalidProgramError, match="top block 1"):
-            validate_structure(program)
+            replace(
+                one_brick((1, 1)),
+                brick_count=2,
+                top_blocks=((ONE,), (row,)),
+                diag_blocks=((ONE,), (ONE,)),
+                rhs=(1, 1, 1),
+                lower=(0, 0),
+                upper=(3, 3),
+                objective=(0, 0),
+            )
 
     def test_block_row_count_mismatch(self):
-        program = NFoldProgram(
-            brick_count=1,
-            top_block_rows=2,
-            diag_block_rows=1,
-            brick_width=1,
-            top_blocks=((ONE,),),
-            diag_blocks=((ONE,),),
-            rhs=(2, 2, 1),
-            lower=(0,),
-            upper=(3,),
-            objective=(0,),
-        )
         with pytest.raises(InvalidProgramError, match="rows"):
-            validate_structure(program)
+            NFoldProgram(
+                brick_count=1,
+                top_block_rows=2,
+                diag_block_rows=1,
+                brick_width=1,
+                top_blocks=((ONE,),),
+                diag_blocks=((ONE,),),
+                rhs=(2, 2, 1),
+                lower=(0,),
+                upper=(3,),
+                objective=(0,),
+            )
 
 
 class TestSolvers:
@@ -315,12 +340,18 @@ class TestSolvers:
 
     def test_decreasing_column_starts_rejected(self):
         # the exact check walks columns by their starts, so decreasing
-        # starts would have HiGHS search another matrix than it checks
-        program = CompactProgram(
-            [0, 2, 1, 2], [0, 0], [1, 1], rhs=[1], lower=[0] * 3, upper=[1] * 3
-        )
+        # starts would have HiGHS search another matrix than the one
+        # checked; the second program's exact check would accept both
+        # (1, 0, 0) and (0, 0, 1). Both are refused when built.
         with pytest.raises(InvalidProgramError, match="decrease"):
-            solve_feasible(program)
+            CompactProgram(
+                [0, 2, 1, 2], [0, 0], [1, 1], rhs=[1], lower=[0] * 3, upper=[1] * 3
+            )
+        with pytest.raises(InvalidProgramError, match="decrease"):
+            CompactProgram(
+                [0, 2, 1, 3], [0, 1, 0], [1, 1, 1], rhs=[1, 1],
+                lower=[0] * 3, upper=[1] * 3,
+            )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -413,7 +444,7 @@ class TestSlackHelper:
             top_block_rows=1,
             diag_block_rows=0,
             brick_width=1,
-            top_blocks=((SparseRow(1, {0: 2}),),),
+            top_blocks=(({0: 2},),),
             diag_blocks=((),),
             rhs=(3,),
             lower=(0,),
@@ -422,7 +453,7 @@ class TestSlackHelper:
         )
         widened = with_top_row_slacks(program, {0: 3})
         assert widened.brick_width == 2
-        assert widened.top_blocks == ((SparseRow(2, {0: 2, 1: 1}),),)
+        assert widened.top_blocks == (({0: 2, 1: 1},),)
         solution = solve_feasible(flatten(widened))
         assert solution is not None
         assert 2 * solution[0] <= 3
@@ -432,8 +463,8 @@ class TestSlackHelper:
             with_top_row_slacks(one_brick((2, 2)), {5: 1})
 
     def test_shared_rows_stay_shared(self):
-        shared = SparseRow(2, {0: 1, 1: 2})
-        private = SparseRow(2, {1: 1})
+        shared = {0: 1, 1: 2}
+        private = {1: 1}
         program = NFoldProgram(
             brick_count=3,
             top_block_rows=2,
@@ -452,9 +483,9 @@ class TestSlackHelper:
             assert tops[i][0] is tops[0][0]
             assert tops[i][1] is tops[0][1]
             assert diags[i][0] is diags[0][0]
-        assert tops[0][0] == SparseRow(3, {0: 1, 1: 2})
-        assert tops[0][1] == SparseRow(3, {0: 1, 1: 2, 2: 1})
-        assert diags[0][0] == SparseRow(3, {1: 1})
+        assert tops[0][0] == {0: 1, 1: 2}
+        assert tops[0][1] == {0: 1, 1: 2, 2: 1}
+        assert diags[0][0] == {1: 1}
 
     def test_slacks_keep_bricks_uniform(self):
         rng = random.Random(11)

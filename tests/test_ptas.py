@@ -407,8 +407,8 @@ class TestProgramShape:
         for pos in range(pairs):
             capacity = first[1 + links + pos]
             volume = program.top_blocks[-1][shared + pos]
-            assert capacity.entries[slack0 + pos] == 1
-            assert volume.entries[slack0 + pairs + pos] == 1
+            assert capacity[slack0 + pos] == 1
+            assert volume[slack0 + pairs + pos] == 1
         validate_structure(program)
 
     def test_preemptive_variant_is_refused(self):
@@ -479,7 +479,7 @@ def lift(built, x):
         total = sum(
             a * point[u * t + j]
             for u, block in enumerate(program.top_blocks)
-            for j, a in block[k].entries.items()
+            for j, a in block[k].items()
         )
         point[slack0 + k - first_host] = program.rhs[k] - total
     return program, point
@@ -1111,9 +1111,14 @@ class TestDriver:
         assert makespan(b, lifted) == 3 * makespan(a, base)
 
     def test_structural_infeasibility_raises(self):
+        # three classes, one machine with two slots (m < n): every scheme
+        # refuses before it builds a program
         inst = Instance((1, 1, 1), (1, 2, 3), 1, 2)
-        with pytest.raises(StructuralInfeasibleError):
-            ptas_solve(inst, 1, SPLITTABLE)
+        for variant in (SPLITTABLE, NONPREEMPTIVE, PREEMPTIVE):
+            with pytest.raises(
+                StructuralInfeasibleError, match="more than m\\*c = 2 class slots"
+            ):
+                ptas_solve(inst, 1, variant)
 
     def test_argument_validation(self):
         inst = Instance((1,), (1,), 1, 1)
