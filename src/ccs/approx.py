@@ -403,12 +403,18 @@ def nonpreemptive_threshold(instance: Instance):
     return Fraction(lo, den), m_used, lb
 
 
-def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
+def approx_nonpreemptive(
+    instance: Instance, threshold=None
+) -> NonPreemptiveSchedule:
     """7/3-approximation for the non-preemptive variant. At the searched
     threshold T, split each class into its C_u pieces by LPT (piece loads
-    stay within (4/3)*T), then distribute the pieces round robin by load.
-    Makespan is at most LB + (4/3)*T."""
-    threshold, m_used, _lb = nonpreemptive_threshold(instance)
+    stay within (4/3)*T), then distribute the pieces round robin by load
+    over min(m, n) machines. Makespan is at most LB + (4/3)*T. A caller
+    that already holds ``nonpreemptive_threshold(instance)[0]`` passes it
+    as ``threshold``."""
+    if threshold is None:
+        threshold = nonpreemptive_threshold(instance)[0]
+    m_used = min(instance.machine_count, instance.job_count)
     den, sizes, _sums = instance._scaled
     theta = threshold.numerator * (den // threshold.denominator)
     cuts: dict = {}  # class weights in id order -> [(load, positions), ...]

@@ -23,6 +23,7 @@ from ccs import (
     EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
+    NonPreemptiveSchedule,
     PREEMPTIVE,
     SPLITTABLE,
     SplittableSchedule,
@@ -32,6 +33,7 @@ from ccs import (
     validate,
 )
 from ccs.approx import approx_nonpreemptive, approx_splittable
+from ccs.cli import generate
 from ccs.core import CCSError, expand_compact
 from ccs.greedy import round_robin
 from ccs.nfold import (
@@ -978,7 +980,8 @@ class TestDriver:
         # with two slots, T* = 1 is below the load bound 3/2, and the warm
         # start has makespan 2
         (SPLITTABLE, UNCERTIFIED),
-        (NONPREEMPTIVE, Instance((1, 1, 3), (1, 2, 3), 2, 2)),
+        # the bound is 5 and the polished warm start 6, the optimum
+        (NONPREEMPTIVE, Instance((3, 3, 4), (1, 2, 3), 2, 2)),
     ])
     def test_uncertified_warm_start_reaches_the_program(self, variant, inst):
         # the warm start misses the bound itself, so a finer accuracy
@@ -1015,11 +1018,16 @@ class TestDriver:
             )
 
     def test_integer_bracket_wider_than_a_machine_word(self):
-        # the warm start's makespan is 4 * 10**20, so the integer bracket
-        # [3 * 10**20, 4 * 10**20] holds more than 2**63 guesses; the
-        # search answers at its bottom
-        top = 3 * 10**20
-        inst = Instance((10**20, 10**20, top), (1, 2, 3), 2, 2)
+        # the polished warm start's makespan is 20 * 10**20 and the load
+        # bound 18 * 10**20, so the integer bracket between them holds
+        # more than 2**63 guesses; the search answers at its bottom
+        top = 18 * 10**20
+        inst = Instance(
+            tuple(p * 10**20 for p in (9, 4, 5, 7, 2, 9)),
+            (1, 2, 2, 4, 1, 2),
+            2,
+            2,
+        )
         report = {}
         schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
         assert report["probes"] == [(top, True)]
@@ -1153,9 +1161,11 @@ class TestSlackCertificate:
     @example(inst=Instance((Fraction(5, 2),), (1,), 4, 1))
     @example(inst=Instance((5, Fraction(9, 2), 7), (1, 2, 2), 6, 1))
     @example(inst=UNCERTIFIED)
-    # its non-preemptive warm start is 14/9 of the optimum, so accuracy
-    # 1/2 must search the program
+    # its 7/3 schedule is 14/9 of the optimum, which the polish reaches
     @example(inst=Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2))
+    # its polished warm start misses the bound, so every accuracy
+    # searches the program
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
     def test_within_one_plus_epsilon_of_the_oracles(self, epsilon, inst):
         optima = {
             SPLITTABLE: opt_splittable(inst),
@@ -1173,17 +1183,18 @@ class TestSlackCertificate:
                 assert report["probes"] == []
 
     def test_nonpreemptive_searches_a_warm_start_off_the_bound(self):
-        # the warm start, 14, is within 1 + epsilon of the bound 9 but
-        # misses it, so the non-preemptive scheme still solves the program,
-        # whose schedule is shorter
-        inst = Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2)
-        assert makespan(approx_nonpreemptive(inst), inst) == 14
+        # the 7/3 schedule, 25, polishes to 20, which is within 1 + epsilon
+        # of the bound 18 but misses it, so the non-preemptive scheme still
+        # solves the program, whose schedule is shorter
+        inst = Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2)
+        assert makespan(approx_nonpreemptive(inst), inst) == 25
+        assert driver._certify(inst, NONPREEMPTIVE, 1)[1] == 20
         report = {}
         schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
-        assert report["bound"] == 9
-        assert report["probes"] == [(9, True)]
+        assert report["bound"] == 18
+        assert report["probes"] == [(18, True)]
         assert validate(schedule, inst, NONPREEMPTIVE) == []
-        assert makespan(schedule, inst) == 12
+        assert makespan(schedule, inst) == 18
 
     @pytest.mark.parametrize("machines,warm", [
         (12, 2),
@@ -1201,3 +1212,62 @@ class TestSlackCertificate:
         assert validate(schedule, inst) == []
         assert makespan(schedule, inst) == warm
         assert warm <= 2 * report["bound"]
+
+
+def polished(instance):
+    """(7/3 schedule, its polish, improving steps) on ``instance`` at
+    min(m, n) machines, as the non-preemptive scheme polishes it."""
+    work = driver._clamp(instance, NONPREEMPTIVE)
+    warm = approx_nonpreemptive(work)
+    assignment = dict(warm.assignment)
+    steps = driver._descend(work, assignment)
+    return warm, NonPreemptiveSchedule(assignment=assignment), steps
+
+
+class TestPolish:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inst=oracle_sized_instances())
+    def test_polish_is_valid_no_longer_and_repeatable(self, inst):
+        warm, schedule, _steps = polished(inst)
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) <= makespan(warm, inst)
+        assert polished(inst)[1] == schedule
+        report = {}
+        answer = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        if not report["probes"]:
+            best, _ = opt_nonpreemptive(inst)
+            assert makespan(answer, inst) == report["bound"] == best
+
+    def test_descent_certifies_a_warm_start_off_the_bound(self):
+        # the 7/3 schedule, 14, misses the bound 9; the polish meets it
+        inst = Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2)
+        warm, schedule, steps = polished(inst)
+        assert makespan(warm, inst) == 14
+        assert steps
+        assert makespan(schedule, inst) == 9
+        report = {}
+        answer = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        assert report["probes"] == []
+        assert report["bound"] == 9
+        assert validate(answer, inst, NONPREEMPTIVE) == []
+        assert makespan(answer, inst) == opt_nonpreemptive(inst)[0] == 9
+
+    @pytest.mark.parametrize("family,machines,budget,at_cap", [
+        # still improving after n steps: the cap stops it
+        ("uniform", 750, 2, True),
+        # a local optimum after fewer than n steps
+        ("few-large-classes", 40, 1, False),
+    ])
+    def test_descent_stops_within_n_steps(self, family, machines, budget,
+                                          at_cap):
+        inst = generate(1, family, 1500, machines, budget, (1, 100))
+        warm, schedule, steps = polished(inst)
+        assert 0 < steps <= inst.job_count
+        assert (steps == inst.job_count) == at_cap
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) < makespan(warm, inst)
+        if not at_cap:
+            # no improving step is left
+            assignment = dict(schedule.assignment)
+            assert driver._descend(inst, assignment) == 0
+            assert assignment == schedule.assignment
