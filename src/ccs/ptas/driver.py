@@ -9,15 +9,11 @@ also takes the 7/3 algorithm's threshold T_np, which never exceeds the
 non-preemptive optimum; with integral sizes that optimum is an integer,
 so its certificate is rounded up. The certificate is at most the optimum,
 so a warm start whose makespan is at most (1 + epsilon) times it already
-keeps the scheme's guarantee. The splittable scheme returns such a warm
-start as it is, and builds and solves no program; it is optimal only
-where its makespan meets the certificate. The non-preemptive scheme
-returns its warm start only where it meets the certificate, and so is
-optimal. Before that test it polishes a warm start that misses the
-certificate by a move and swap descent (Finn and Horowitz, 1979), which
-never raises the makespan; on the seeded benchmark stream this meets the
-certificate on more than half of the warm starts that missed it, and the
-programs solved for the rest shorten fewer than one in a hundred of them.
+keeps the scheme's guarantee. Both schemes return such a warm start as it
+is, and build and solve no program; it is optimal only where its makespan
+equals the certificate. Before that test the non-preemptive scheme
+polishes a warm start that misses the certificate by a move and swap
+descent (Finn and Horowitz, 1979), which never raises the makespan.
 
 Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
@@ -82,7 +78,7 @@ from ..core import (
 from ..nfold import solve_feasible
 from .builder import build_program
 from .reconstruct import construct_schedule, unfold_preemptive
-from .rounding import PtasParams, derive_delta, preprocess
+from .rounding import PtasParams, derive_delta, preprocess, require_epsilon
 
 # constant-factor guarantees of the warm-start algorithms: OPT is at least
 # makespan/ratio
@@ -155,8 +151,8 @@ def ptas_solve(
     (guess, feasible) pair of every program solved, in probe order.
 
     When the warm start's makespan is within 1 + epsilon of the bound
-    (splittable and preemptive) or equals it (non-preemptive, after the
-    descent of ``_descend`` has polished it), the scheme returns it and
+    (for the non-preemptive scheme, after the descent of ``_descend`` has
+    polished a warm start that misses the bound), the scheme returns it and
     solves no program: the report then holds None for guess, built and
     solution and an empty "probes" list. That schedule is optimal only
     where its makespan equals the bound. Otherwise the scheme searches the
@@ -173,8 +169,8 @@ def ptas_solve(
         raise ValueError(f"unknown variant {variant!r}")
     if epsilon is None:
         raise ValueError("epsilon is required")
+    epsilon = require_epsilon(epsilon)
     scheme = SPLITTABLE if variant == PREEMPTIVE else variant
-    delta = derive_delta(epsilon, scheme)
     if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         if report is not None:
             floor, _ub = lower_bound(instance, variant)
@@ -188,6 +184,7 @@ def ptas_solve(
         schedule, record = warm, _unsearched()
     else:
         lo, hi = _bracket(scheme, reach, floor)
+        delta = derive_delta(epsilon, scheme)
         schedule, record = _search_program(work, scheme, delta, lo, hi)
         if hi < makespan(schedule, work):
             schedule = warm
@@ -214,17 +211,17 @@ def _certify(work, variant, epsilon):
     """(warm start, its makespan, load bound, bound, certified): the
     constant-factor schedule on ``work``, its makespan, the variant's load
     bound on ``work``, the lower-bound certificate of the module
-    docstring, and whether the warm start answers: within 1 + epsilon of
-    the bound for the splittable scheme, at the bound for the
-    non-preemptive one. T* is searched once; the splittable warm start is
-    laid out at it, the non-preemptive one at T_np, and a non-preemptive
-    warm start that misses the bound is polished by ``_descend``."""
+    docstring, and whether the warm start answers, that is, has a makespan
+    within 1 + epsilon (an int or Fraction) of the bound. T* is searched
+    once; the splittable warm start is laid out at it, the non-preemptive
+    one at T_np, and a non-preemptive warm start that misses the bound is
+    polished by ``_descend`` before the test. The answer is optimal only
+    where its makespan equals the bound."""
     t_star = border_search_splittable(work)
     if variant == SPLITTABLE:
         warm = _WARM_ALGO[variant](work, t_star)
         floor, _ub = lower_bound(work, variant)
         bound = max(floor, t_star)
-        slack = Fraction(epsilon)
     else:
         # looked up in its module, where a layer trace can wrap it
         threshold, _m_used, floor = approx.nonpreemptive_threshold(work)
@@ -232,7 +229,6 @@ def _certify(work, variant, epsilon):
         bound = max(floor, t_star, threshold)
         if _whole(work, variant):
             bound = math.ceil(bound)
-        slack = Fraction(0)
     reach = makespan(warm, work)
     if reach <= 0:
         raise CCSError(f"warm start has makespan {reach}")
@@ -241,11 +237,11 @@ def _certify(work, variant, epsilon):
         _descend(work, assignment)
         warm = NonPreemptiveSchedule(assignment=assignment)
         reach = makespan(warm, work)
-    # reach <= (1 + slack) * bound over common denominators: in Fraction
+    # reach <= (1 + epsilon) * bound over common denominators: in Fraction
     # arithmetic this one test costs about a tenth of a certified run
     certified = (
-        reach.numerator * bound.denominator * slack.denominator
-        <= (slack.denominator + slack.numerator) * bound.numerator
+        reach.numerator * bound.denominator * epsilon.denominator
+        <= (epsilon.denominator + epsilon.numerator) * bound.numerator
         * reach.denominator
     )
     return warm, reach, floor, bound, certified

@@ -46,13 +46,19 @@ def require_scheme_variant(variant: str) -> str:
     return variant
 
 
+def require_epsilon(epsilon: Rational) -> Fraction:
+    """epsilon as a Fraction if it lies in (0, 1]; ValueError otherwise."""
+    eps = Fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
+    return eps
+
+
 def derive_delta(epsilon: Rational, variant: str) -> Fraction:
     """Largest delta = 1/k (integer k >= 2) whose end-to-end error factor
     1 + BUDGET*delta stays within 1 + epsilon."""
     require_scheme_variant(variant)
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
+    eps = require_epsilon(epsilon)
     k = max(2, math.ceil(Fraction(ERROR_BUDGET[variant]) / eps))
     return Fraction(1, k)
 

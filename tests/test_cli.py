@@ -44,7 +44,9 @@ from conftest import certified, instances, never_certify
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
 UNCERTIFIED_TEXT = "3 2 2\n1 1\n1 1\n1 2\n"
 QUARTER = Fraction(1, 4)
-# a non-preemptive instance whose program is reached at accuracy 1/2
+# a non-preemptive instance whose program is reached at accuracy 1/8: its
+# polished warm start, 8, is within 1 + 1/2 of the bound 7 but not within
+# 1 + 1/8
 SEARCHED_TEXT = "4 3 2\n5 1\n7 2\n4 2\n4 1\n"
 
 
@@ -328,10 +330,10 @@ class TestSolveCommand:
 
     def test_nfold_dump_is_written(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", SEARCHED_TEXT)
-        assert probes(parse_instance(inst), NONPREEMPTIVE, Fraction(1, 2))
+        assert probes(parse_instance(inst), NONPREEMPTIVE, Fraction(1, 8))
         dump = tmp_path / "prog.txt"
         code = main(["solve", "--variant", "nonpreempt", "--algo", "ptas",
-                     "--epsilon", "1/2", "--dump-nfold", str(dump), inst])
+                     "--epsilon", "1/8", "--dump-nfold", str(dump), inst])
         assert code == EXIT_OK
         head = dump.read_text().splitlines()[0].split()
         assert len(head) == 4
@@ -342,7 +344,7 @@ class TestSolveCommand:
         inst = write(tmp_path, "inst.txt", SEARCHED_TEXT)
         dump = str(tmp_path / "missing" / "prog.txt")
         code = main(["solve", "--variant", "nonpreempt", "--algo", "ptas",
-                     "--epsilon", "1/2", "--dump-nfold", dump, inst])
+                     "--epsilon", "1/8", "--dump-nfold", dump, inst])
         assert code == EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"cannot write {dump}: ")

@@ -34,7 +34,7 @@ from ccs import (
 )
 from ccs.approx import approx_nonpreemptive, approx_splittable
 from ccs.cli import generate
-from ccs.core import CCSError, expand_compact
+from ccs.core import CCSError, VARIANTS, expand_compact
 from ccs.greedy import round_robin
 from ccs.nfold import (
     constraint_violations,
@@ -65,6 +65,7 @@ from ccs.ptas.sets import _multiplicity_configs
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
+EIGHTH = Fraction(1, 8)
 
 
 def probe(instance, guess, delta, variant):
@@ -980,13 +981,14 @@ class TestDriver:
         # with two slots, T* = 1 is below the load bound 3/2, and the warm
         # start has makespan 2
         (SPLITTABLE, UNCERTIFIED),
-        # the bound is 5 and the polished warm start 6, the optimum
+        # the bound is 5 and the polished warm start 6, the optimum: within
+        # 1 + 1/4 of the bound, but not within 1 + 1/8
         (NONPREEMPTIVE, Instance((3, 3, 4), (1, 2, 3), 2, 2)),
     ])
     def test_uncertified_warm_start_reaches_the_program(self, variant, inst):
         # the warm start misses the bound itself, so a finer accuracy
         # searches the program; its search at accuracy 1 schedules
-        assert not certified(inst, variant, QUARTER)
+        assert not certified(inst, variant, EIGHTH)
         schedule, report = search(inst, variant)
         assert report["probes"]
         assert report["built"] is not None
@@ -1017,10 +1019,13 @@ class TestDriver:
                 inst, SPLITTABLE, HALF, Fraction(1), Fraction(9, 4)
             )
 
-    def test_integer_bracket_wider_than_a_machine_word(self):
+    def test_integer_bracket_wider_than_a_machine_word(self, monkeypatch):
         # the polished warm start's makespan is 20 * 10**20 and the load
         # bound 18 * 10**20, so the integer bracket between them holds
-        # more than 2**63 guesses; the search answers at its bottom
+        # more than 2**63 guesses; the search answers at its bottom. The
+        # warm start is within 1 + 1 of the bound, so only a run that
+        # never certifies searches at accuracy 1
+        never_certify(monkeypatch)
         top = 18 * 10**20
         inst = Instance(
             tuple(p * 10**20 for p in (9, 4, 5, 7, 2, 9)),
@@ -1139,6 +1144,21 @@ class TestDriver:
         with pytest.raises(ValueError):
             ptas_solve(inst, 1, "fractional")
 
+    @pytest.mark.parametrize("epsilon", [0, -1, 2, Fraction(3, 2)])
+    def test_epsilon_is_checked_where_the_certificate_answers(self, epsilon):
+        # every variant answers at accuracy 1 without a program (the
+        # preemptive one as m >= n), yet an accuracy outside (0, 1] is
+        # refused before the certificate or the shortcut is reached
+        inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
+        for variant in VARIANTS:
+            report = {}
+            ptas_solve(inst, 1, variant, report=report)
+            assert report["probes"] == []
+            with pytest.raises(
+                ValueError, match=r"^epsilon must be in \(0, 1\], got "
+            ):
+                ptas_solve(inst, epsilon, variant)
+
 
 @st.composite
 def oracle_sized_instances(draw):
@@ -1163,8 +1183,8 @@ class TestSlackCertificate:
     @example(inst=UNCERTIFIED)
     # its 7/3 schedule is 14/9 of the optimum, which the polish reaches
     @example(inst=Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2))
-    # its polished warm start misses the bound, so every accuracy
-    # searches the program
+    # its polished warm start, 20, misses the bound 18 but is within
+    # 1 + 1/2 of it, so both accuracies answer without a program
     @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
     def test_within_one_plus_epsilon_of_the_oracles(self, epsilon, inst):
         optima = {
@@ -1182,19 +1202,56 @@ class TestSlackCertificate:
                 # approx_splittable stays within lb + T* <= 2 * bound
                 assert report["probes"] == []
 
-    def test_nonpreemptive_searches_a_warm_start_off_the_bound(self):
-        # the 7/3 schedule, 25, polishes to 20, which is within 1 + epsilon
-        # of the bound 18 but misses it, so the non-preemptive scheme still
-        # solves the program, whose schedule is shorter
+    def test_nonpreemptive_searches_a_warm_start_off_the_bound(self,
+                                                               monkeypatch):
+        # the 7/3 schedule, 25, polishes to 20, which is within 1 + 1 of
+        # the bound 18 but misses it: accuracy 1 returns the polished warm
+        # start, and a run that never certifies solves the program, whose
+        # schedule is shorter
         inst = Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2)
         assert makespan(approx_nonpreemptive(inst), inst) == 25
-        assert driver._certify(inst, NONPREEMPTIVE, 1)[1] == 20
+        polish = driver._certify(inst, NONPREEMPTIVE, 1)
+        assert polish[1] == 20
+        report = {}
+        schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
+        assert report["bound"] == 18
+        assert report["probes"] == []
+        assert schedule == polish[0]
+        assert makespan(schedule, inst) == 20 <= 2 * 18
+        never_certify(monkeypatch)
         report = {}
         schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
         assert report["bound"] == 18
         assert report["probes"] == [(18, True)]
         assert validate(schedule, inst, NONPREEMPTIVE) == []
         assert makespan(schedule, inst) == 18
+
+    @pytest.mark.parametrize("epsilon", [1, HALF, QUARTER])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inst=oracle_sized_instances())
+    # polished warm starts 20, 6 and 8 off the bounds 18, 5 and 7
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
+    @example(inst=Instance((3, 3, 4), (1, 2, 3), 2, 2))
+    @example(inst=Instance((5, 7, 4, 4), (1, 2, 2, 1), 3, 2))
+    def test_unsearched_nonpreemptive_answer_is_the_polished_warm_start(
+        self, epsilon, inst
+    ):
+        report = {}
+        schedule = ptas_solve(inst, epsilon, NONPREEMPTIVE, report=report)
+        work = driver._clamp(inst, NONPREEMPTIVE)
+        warm, reach, _floor, bound, _answers = driver._certify(
+            work, NONPREEMPTIVE, epsilon
+        )
+        # the splittable rule: no program exactly where the polished warm
+        # start is within 1 + epsilon of the bound
+        assert (report["probes"] == []) == (reach <= (1 + epsilon) * bound)
+        if report["probes"]:
+            return
+        best, _ = opt_nonpreemptive(inst)
+        assert schedule == warm
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) <= (1 + epsilon) * report["bound"]
+        assert report["bound"] <= best
 
     @pytest.mark.parametrize("machines,warm", [
         (12, 2),
@@ -1232,11 +1289,22 @@ class TestPolish:
         assert validate(schedule, inst, NONPREEMPTIVE) == []
         assert makespan(schedule, inst) <= makespan(warm, inst)
         assert polished(inst)[1] == schedule
-        report = {}
-        answer = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
-        if not report["probes"]:
+        # at an accuracy below 1 / (bound * D), D the sizes' common
+        # denominator, a certified makespan lies less than 1/D above the
+        # bound, so it is the optimum, a multiple of 1/D; with integral
+        # sizes the bound is an integer, so it is the bound as well
+        work = driver._clamp(inst, NONPREEMPTIVE)
+        bound = driver._certify(work, NONPREEMPTIVE, 1)[3]
+        den = work._scaled[0]
+        fine = Fraction(1, math.ceil(bound * den) + 1)
+        _warm, reach, _floor, _bound, answers = driver._certify(
+            work, NONPREEMPTIVE, fine
+        )
+        if answers:
             best, _ = opt_nonpreemptive(inst)
-            assert makespan(answer, inst) == report["bound"] == best
+            assert reach == best
+            if den == 1:
+                assert reach == bound
 
     def test_descent_certifies_a_warm_start_off_the_bound(self):
         # the 7/3 schedule, 14, misses the bound 9; the polish meets it
