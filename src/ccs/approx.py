@@ -207,29 +207,31 @@ def border_search_splittable(instance: Instance) -> Fraction:
 # splittable construction
 
 
-def approx_splittable(instance: Instance, t_star=None) -> CompactSchedule:
+def approx_splittable(instance: Instance) -> CompactSchedule:
     """2-approximation for the splittable variant: cut every class at the
     border-search threshold T* and deal the pieces round robin by size.
     Makespan is at most total/m + T*, and T* is a lower bound on the
-    optimum, so the ratio is at most 2. A caller that already holds
-    ``border_search_splittable(instance)`` passes it as ``t_star``.
+    optimum, so the ratio is at most 2."""
+    return _deal_splittable(instance, border_search_splittable(instance))
 
-    The round robin is stored as counted class-load patterns. Class u of
-    load P cuts into floor(P/T*) full pieces and one partial piece of
-    P mod T* when that is positive. Dealing order: every full piece (class
-    ascending), then the partial pieces by (-load, class); piece k goes to
-    machine k mod m. The order is a list of runs, one per class's full
-    pieces and one per partial piece, and machine i meets a new run in
-    some layer only where i = b mod m for a run boundary b. The machines
-    between those cut points share one pattern, so there are O(C) patterns
-    whatever m is. At most c*m pieces exist, so a machine takes at most c
-    of them.
+
+def _deal_splittable(instance: Instance, t_star: Fraction) -> CompactSchedule:
+    """``approx_splittable``'s round robin at its T*, stored as counted
+    class-load patterns.
+
+    Class u of load P cuts into floor(P/T*) full pieces and one partial
+    piece of P mod T* when that is positive. Dealing order: every full
+    piece (class ascending), then the partial pieces by (-load, class);
+    piece k goes to machine k mod m. The order is a list of runs, one per
+    class's full pieces and one per partial piece, and machine i meets a
+    new run in some layer only where i = b mod m for a run boundary b. The
+    machines between those cut points share one pattern, so there are O(C)
+    patterns whatever m is. At most c*m pieces exist, so a machine takes
+    at most c of them.
     """
-    if t_star is None:
-        t_star = border_search_splittable(instance)
     m = instance.machine_count
     den, _sizes, sums = instance._scaled
-    scale, up, theta = _common_scale(den, Fraction(t_star))
+    scale, up, theta = _common_scale(den, t_star)
     runs = []  # (first piece index, class_id, piece load) in dealing order
     partials = []
     dealt = 0
@@ -403,17 +405,19 @@ def nonpreemptive_threshold(instance: Instance):
     return Fraction(lo, den), m_used, lb
 
 
-def approx_nonpreemptive(
-    instance: Instance, threshold=None
-) -> NonPreemptiveSchedule:
+def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
     """7/3-approximation for the non-preemptive variant. At the searched
     threshold T, split each class into its C_u pieces by LPT (piece loads
     stay within (4/3)*T), then distribute the pieces round robin by load
-    over min(m, n) machines. Makespan is at most LB + (4/3)*T. A caller
-    that already holds ``nonpreemptive_threshold(instance)[0]`` passes it
-    as ``threshold``."""
-    if threshold is None:
-        threshold = nonpreemptive_threshold(instance)[0]
+    over min(m, n) machines. Makespan is at most LB + (4/3)*T."""
+    return _deal_nonpreemptive(instance, nonpreemptive_threshold(instance)[0])
+
+
+def _deal_nonpreemptive(
+    instance: Instance, threshold: Fraction
+) -> NonPreemptiveSchedule:
+    """The pieces and round robin of ``approx_nonpreemptive`` at T =
+    ``nonpreemptive_threshold(instance)[0]``."""
     m_used = min(instance.machine_count, instance.job_count)
     den, sizes, _sums = instance._scaled
     theta = threshold.numerator * (den // threshold.denominator)

@@ -1,19 +1,21 @@
 """Guess search and the public entry point of the approximation schemes.
 
 Each scheme first runs its constant-factor algorithm (the warm start) and
-tests it against a lower-bound certificate: max(load bound, T*) on the
-instance the scheme solves, where T* is the splittable border threshold of
-``ccs.approx``. T* never exceeds the splittable optimum, which is at most
-the preemptive and the non-preemptive one. The non-preemptive certificate
-also takes the 7/3 algorithm's threshold T_np, which never exceeds the
-non-preemptive optimum; with integral sizes that optimum is an integer,
-so its certificate is rounded up. The certificate is at most the optimum,
-so a warm start whose makespan is at most (1 + epsilon) times it already
-keeps the scheme's guarantee. Both schemes return such a warm start as it
-is, and build and solve no program; it is optimal only where its makespan
-equals the certificate. Before that test the non-preemptive scheme
-polishes a warm start that misses the certificate by a move and swap
-descent (Finn and Horowitz, 1979), which never raises the makespan.
+tests it against a lower-bound certificate from that algorithm's own
+threshold search in ``ccs.approx``: max(load bound, T*) for the splittable
+scheme, T* the border threshold, which never exceeds the splittable (so
+the preemptive) optimum; and T_np, the 7/3 algorithm's threshold, for the
+non-preemptive one. T_np never exceeds the non-preemptive optimum, and no
+other bound raises it: it is searched on the multiples of 1/D (D the
+sizes' common denominator) from the load bound up, and the splittable
+piece counts ceil(P_u/T) <= C_u fit at T_np too, so T* <= T_np. The
+certificate is at most the optimum, so a warm start whose makespan is at
+most (1 + epsilon) times it already keeps the scheme's guarantee. Both
+schemes return such a warm start as it is, and build and solve no
+program; it is optimal only where its makespan equals the certificate.
+Before that test the non-preemptive scheme polishes a warm start that
+misses the certificate by a move and swap descent (Finn and Horowitz,
+1979), which never raises the makespan.
 
 Otherwise the makespan guess is searched over a bracket warmed up by the
 constant-factor algorithms: their ratio guarantees pin the optimum between
@@ -56,11 +58,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .. import approx
-from ..approx import (
-    approx_nonpreemptive,
-    approx_splittable,
-    border_search_splittable,
-)
 from ..core import (
     CCSError,
     Instance,
@@ -88,8 +85,8 @@ _WARM_RATIO = {
 }
 
 _WARM_ALGO = {
-    SPLITTABLE: approx_splittable,
-    NONPREEMPTIVE: approx_nonpreemptive,
+    SPLITTABLE: approx._deal_splittable,
+    NONPREEMPTIVE: approx._deal_nonpreemptive,
 }
 
 
@@ -144,11 +141,12 @@ def ptas_solve(
     The splittable variant returns a CompactSchedule (``expand_compact``
     gives machine ids). epsilon must lie in (0, 1]. A dict passed as
     ``report`` receives under "bound" the lower-bound certificate of the
-    module docstring, so makespan / bound is a proved gap to the optimum.
-    It also receives the accepted guess, the program it was solved on and
-    that program's point ("guess", "built", "solution"; ``as_nfold(built)``
-    gives the program's n-fold layout), and under "probes" the
-    (guess, feasible) pair of every program solved, in probe order.
+    module docstring, a Fraction, so makespan / bound is a proved gap to
+    the optimum. It also receives the accepted guess, the program it was
+    solved on and that program's point ("guess", "built", "solution";
+    ``as_nfold(built)`` gives the program's n-fold layout), and under
+    "probes" the (guess, feasible) pair of every program solved, in probe
+    order.
 
     When the warm start's makespan is within 1 + epsilon of the bound
     (for the non-preemptive scheme, after the descent of ``_descend`` has
@@ -201,34 +199,25 @@ def _unsearched() -> dict:
     return dict(guess=None, built=None, solution=None, probes=[])
 
 
-def _whole(work, variant) -> bool:
-    """Whether the optimum of ``work`` is an integer the scheme may use:
-    non-preemptive with integral sizes."""
-    return variant != SPLITTABLE and work._scaled[0] == 1
-
-
 def _certify(work, variant, epsilon):
     """(warm start, its makespan, load bound, bound, certified): the
     constant-factor schedule on ``work``, its makespan, the variant's load
-    bound on ``work``, the lower-bound certificate of the module
-    docstring, and whether the warm start answers, that is, has a makespan
-    within 1 + epsilon (an int or Fraction) of the bound. T* is searched
-    once; the splittable warm start is laid out at it, the non-preemptive
-    one at T_np, and a non-preemptive warm start that misses the bound is
-    polished by ``_descend`` before the test. The answer is optimal only
-    where its makespan equals the bound."""
-    t_star = border_search_splittable(work)
+    bound on ``work``, the certificate of the module docstring (a
+    Fraction), and whether the warm start answers, that is, has a makespan
+    within 1 + epsilon (an int or Fraction) of the bound. One threshold is
+    searched, T* or T_np, and the warm start is laid out at it; a
+    non-preemptive warm start that misses the bound is polished by
+    ``_descend`` before the test. The answer is optimal only where its
+    makespan equals the bound."""
+    # looked up in ccs.approx, where a layer trace can wrap them
     if variant == SPLITTABLE:
+        t_star = approx.border_search_splittable(work)
         warm = _WARM_ALGO[variant](work, t_star)
         floor, _ub = lower_bound(work, variant)
         bound = max(floor, t_star)
     else:
-        # looked up in its module, where a layer trace can wrap it
-        threshold, _m_used, floor = approx.nonpreemptive_threshold(work)
-        warm = _WARM_ALGO[variant](work, threshold)
-        bound = max(floor, t_star, threshold)
-        if _whole(work, variant):
-            bound = math.ceil(bound)
+        bound, _m_used, floor = approx.nonpreemptive_threshold(work)
+        warm = _WARM_ALGO[variant](work, bound)
     reach = makespan(warm, work)
     if reach <= 0:
         raise CCSError(f"warm start has makespan {reach}")
@@ -345,9 +334,9 @@ def _search_program(work, variant, delta, lo, hi):
         probes.append((params.guess, solution is not None))
         return built, solution
 
-    if _whole(work, variant):
-        # the guesses are the indices: the bracket may hold more than
-        # 2**63 integers, too many for a range to report its length
+    if variant != SPLITTABLE and work._scaled[0] == 1:
+        # integral sizes: the guesses are the indices, as the bracket may
+        # hold over 2**63 integers, too many for a range to report its length
         guess, built, solution = _search(
             probe, lambda i: i, math.ceil(lo), math.ceil(hi)
         )

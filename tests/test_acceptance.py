@@ -30,7 +30,6 @@ from ccs import (
 )
 from ccs.core import EnumerationCapError
 from ccs.nfold import (
-    NFoldProgram,
     constraint_violations,
     flatten,
     solve_exhaustive,
@@ -38,6 +37,8 @@ from ccs.nfold import (
     validate_structure,
 )
 from ccs.ptas import PtasParams, as_nfold, build_program, preprocess, ptas_solve
+
+from conftest import random_nfold_program
 
 
 def verdict(tag: str, ok: bool, detail: str = "") -> None:
@@ -175,68 +176,6 @@ def test_criterion_05_threshold_search_never_exceeds_optimum():
     assert high == 0
 
 
-def _random_program(rng: random.Random) -> NFoldProgram:
-    bricks = rng.randint(1, 4)
-    r = rng.randint(1, 2)
-    s = rng.randint(1, 2)
-    t = rng.randint(1, 5)
-
-    def block(rows):
-        return tuple(
-            dict(enumerate(rng.randint(-3, 3) for _ in range(t)))
-            for _ in range(rows)
-        )
-
-    top = tuple(block(r) for _ in range(bricks))
-    diag = tuple(block(s) for _ in range(bricks))
-    lower = []
-    upper = []
-    box = 1
-    for _ in range(bricks * t):
-        lo = rng.randint(-4, 2)
-        span = rng.randint(0, 2)
-        # keep the ground-truth enumeration quick
-        if box * (span + 1) > 1500:
-            span = 0
-        box *= span + 1
-        lower.append(lo)
-        upper.append(lo + span)
-    if rng.random() < 0.5:
-        # right-hand side read off a random in-box point: feasible for sure
-        point = [rng.randint(lower[j], upper[j]) for j in range(bricks * t)]
-        rhs = []
-        for i in range(r):
-            rhs.append(
-                sum(
-                    v * point[b * t + j]
-                    for b in range(bricks)
-                    for j, v in top[b][i].items()
-                )
-            )
-        for b in range(bricks):
-            for i in range(s):
-                rhs.append(
-                    sum(
-                        v * point[b * t + j]
-                        for j, v in diag[b][i].items()
-                    )
-                )
-    else:
-        rhs = [rng.randint(-6, 6) for _ in range(r + bricks * s)]
-    return NFoldProgram(
-        brick_count=bricks,
-        top_block_rows=r,
-        diag_block_rows=s,
-        brick_width=t,
-        top_blocks=top,
-        diag_blocks=diag,
-        rhs=tuple(rhs),
-        lower=tuple(lower),
-        upper=tuple(upper),
-        objective=(0,) * (bricks * t),
-    )
-
-
 def test_criterion_06_block_solver_matches_ground_truth():
     rng = random.Random(606)
     start = time.perf_counter()
@@ -244,7 +183,7 @@ def test_criterion_06_block_solver_matches_ground_truth():
     broken = 0
     feasible = 0
     for _ in range(500):
-        program = flatten(_random_program(rng))
+        program = flatten(random_nfold_program(rng))
         fast = solve_feasible(program)
         truth = solve_exhaustive(program)
         if (fast is None) != (truth is None):

@@ -34,6 +34,8 @@ from ccs.approx import (
     _common_scale,
     _cu_sorted,
     _cut,
+    _deal_nonpreemptive,
+    _deal_splittable,
     _preemptive_guess,
     _stack_starts,
 )
@@ -67,7 +69,7 @@ class TestBorderSearch:
         instance = inst([12], [1], 3, 1)
         t_star = border_search_splittable(instance)
         assert t_star == 4
-        assert approx_splittable(instance, t_star) == CompactSchedule(
+        assert _deal_splittable(instance, t_star) == CompactSchedule(
             patterns=((((1, 4),), 3),)
         )
 
@@ -183,7 +185,7 @@ class TestApproxSplittable:
         assert validate(expand_compact(schedule, instance), instance) == []
         lb, _ub = lower_bound(instance, SPLITTABLE)
         assert makespan(schedule, instance) <= lb + t_star
-        assert approx_splittable(instance, t_star) == schedule
+        assert _deal_splittable(instance, t_star) == schedule
 
     @given(oracle_instances())
     @settings(max_examples=30, deadline=None)
@@ -327,6 +329,7 @@ class TestApproxNonPreemptive:
         schedule = approx_nonpreemptive(instance)
         assert validate(schedule, instance) == []
         assert makespan(schedule, instance) <= lb + Fraction(4, 3) * threshold
+        assert _deal_nonpreemptive(instance, threshold) == schedule
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
@@ -381,3 +384,15 @@ class TestVariantDominanceOfApproximations:
         assert makespan(approx_splittable(instance), instance) >= split_opt
         assert makespan(approx_preemptive(instance), instance) >= pre_opt
         assert makespan(approx_nonpreemptive(instance), instance) >= np_value
+
+
+class TestThresholdsStayInternal:
+    def test_a_second_argument_is_refused(self):
+        # a caller's threshold could break the guarantee: at T = 1 the
+        # splittable layout put 4 classes on one c = 2 machine, and at
+        # T = 7/2 the non-preemptive one divided by zero
+        instance = inst([3, 4, 5, 6], [1, 2, 3, 4], 2, 2)
+        with pytest.raises(TypeError):
+            approx_splittable(instance, 1)
+        with pytest.raises(TypeError):
+            approx_nonpreemptive(instance, Fraction(7, 2))

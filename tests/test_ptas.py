@@ -32,7 +32,12 @@ from ccs import (
     makespan,
     validate,
 )
-from ccs.approx import approx_nonpreemptive, approx_splittable
+from ccs.approx import (
+    approx_nonpreemptive,
+    approx_splittable,
+    border_search_splittable,
+    nonpreemptive_threshold,
+)
 from ccs.cli import generate
 from ccs.core import CCSError, VARIANTS, expand_compact
 from ccs.greedy import round_robin
@@ -953,8 +958,8 @@ class TestDriver:
         (PREEMPTIVE, Instance((1, 1, 1), (1, 1, 2), 2, 1)),
         # m > n
         (SPLITTABLE, Instance((1, 1), (1, 2), 3, 2)),
-        # T* = 3/2 is above the load bound 4/3; only its ceiling, 2,
-        # meets the warm start
+        # T* = 3/2 is above the load bound 4/3; only T_np = 2 meets the
+        # warm start
         (NONPREEMPTIVE, Instance((1, 1, 1, 1), (1, 1, 1, 2), 3, 1)),
     ])
     def test_certified_warm_start_is_the_optimum(self, variant, inst):
@@ -1174,7 +1179,45 @@ def oracle_sized_instances(draw):
     return Instance(tuple(sizes), tuple(labels), m, c)
 
 
+@st.composite
+def divided_instances(draw):
+    """``instances`` on up to 12 machines, half of them with each size
+    divided by 1, 2, 3 or 5: integral and fractional sizes, machine counts
+    below and above n, and c up to 3."""
+    inst = draw(instances(max_machines=12))
+    if not draw(st.booleans()):
+        return inst
+    n = inst.job_count
+    divisor = st.sampled_from((1, 2, 3, 5))
+    dens = draw(st.lists(divisor, min_size=n, max_size=n))
+    sizes = tuple(Fraction(p, d) for p, d in zip(inst.processing_times, dens))
+    return replace(inst, processing_times=sizes)
+
+
 class TestSlackCertificate:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inst=divided_instances())
+    # bound 18, and fractional sizes on more machines than jobs
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
+    @example(inst=Instance((5, Fraction(9, 2), 7), (1, 2, 2), 6, 1))
+    def test_nonpreemptive_certificate_is_t_np(self, inst):
+        work = driver._clamp(inst, NONPREEMPTIVE)
+        t_np, _m_used, lb = nonpreemptive_threshold(work)
+        den = work._scaled[0]
+        t_star = border_search_splittable(work)
+        # T_np fits the splittable piece counts too, and is searched from
+        # the load bound up on the multiples of 1/D
+        assert t_star <= t_np
+        assert Fraction(math.ceil(lb * den), den) <= t_np
+        # the reference: max(load bound, T*, T_np), rounded up for
+        # integral sizes
+        reference = max(lb, t_star, t_np)
+        if den == 1:
+            reference = math.ceil(reference)
+        bound = driver._certify(work, NONPREEMPTIVE, 1)[3]
+        assert bound == reference == t_np
+        assert isinstance(bound, Fraction)
+
     @pytest.mark.parametrize("epsilon", [1, HALF])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(inst=oracle_sized_instances())
