@@ -379,12 +379,16 @@ def sweep(manifest_path, out_handle) -> int:
             return EXIT_PARSE
         try:
             instance, label = _parse_source(fields[0])
+            if fields[1] not in VARIANT_FLAGS:
+                raise InstanceFormatError(
+                    f"unknown variant {fields[1]!r}, want one of "
+                    + ", ".join(sorted(VARIANT_FLAGS))
+                )
             variant = VARIANT_FLAGS[fields[1]]
             algo = fields[2]
             eps = Fraction(fields[3]) if len(fields) == 4 else None
             row = run(instance, algo, variant, epsilon=eps, label=label)
-        except (InstanceFormatError, KeyError, ValueError,
-                ZeroDivisionError) as exc:
+        except (InstanceFormatError, ValueError, ZeroDivisionError) as exc:
             print(f"{manifest_path}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         out_handle.write(row.csv() + "\n")

@@ -43,7 +43,7 @@ from itertools import chain, islice
 from operator import gt
 from typing import Mapping, Optional, Sequence
 
-from .core import CCSError, EnumerationCapError
+from .core import CCSError, EnumerationCapError, _is_int
 
 # solve_exhaustive refuses boxes with more points than this
 EXHAUSTIVE_CAP = 10**7
@@ -96,11 +96,6 @@ class NFoldProgram:
         return self.brick_count * self.brick_width
 
 
-def _plain_int(v) -> bool:
-    # bool is an int subclass; floats (inf, nan) are not ints
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
     """Check one block's shape and its rows' entries; rows whose id is in
     ``seen`` (shared with a block checked before) are skipped, the others
@@ -114,9 +109,9 @@ def _check_block(block, rows: int, width: int, what: str, seen: set) -> None:
         if not isinstance(row, dict):
             raise InvalidProgramError(f"{what} row {row!r} is not a dict")
         for j, v in row.items():
-            if not _plain_int(j) or not 0 <= j < width:
+            if not _is_int(j) or not 0 <= j < width:
                 raise InvalidProgramError(f"{what} column {j!r} outside [0, {width})")
-            if not _plain_int(v):
+            if not _is_int(v):
                 raise InvalidProgramError(f"{what} entry {v!r} is not an integer")
 
 
@@ -125,7 +120,7 @@ def validate_structure(program: NFoldProgram) -> None:
     InvalidProgramError on any inconsistency."""
     for name in ("brick_count", "top_block_rows", "diag_block_rows", "brick_width"):
         value = getattr(program, name)
-        if not _plain_int(value):
+        if not _is_int(value):
             raise InvalidProgramError(f"{name} {value!r} is not an integer")
     n, r, s, t = (
         program.brick_count,
@@ -154,7 +149,7 @@ def validate_structure(program: NFoldProgram) -> None:
         ("objective", program.objective),
     ):
         for v in vec:
-            if not _plain_int(v):
+            if not _is_int(v):
                 raise InvalidProgramError(f"{name} entry {v!r} is not a finite integer")
     for name, vec in (
         ("lower", program.lower),
@@ -183,7 +178,8 @@ class CompactProgram:
     of column j sit at positions col_start[j] .. col_start[j + 1] - 1 of
     row_index (their rows) and values (their coefficients); entries of one
     row in a column add up. Every number is a Python int. The sequences
-    are kept as given, without a copy.
+    are kept as given, without a copy, and read-only by convention: every
+    row index is checked to lie in [0, len(rhs)) once, here.
     """
 
     col_start: Sequence
@@ -208,6 +204,14 @@ class CompactProgram:
         # decrease would read as another matrix than the solver's
         if any(map(gt, starts, islice(starts, 1, None))):
             raise InvalidProgramError("column starts decrease")
+        # the solver would read an index outside [0, rows) as a different
+        # matrix, without a word
+        rows = self.row_index
+        if rows and (min(rows) < 0 or max(rows) >= len(self.rhs)):
+            raise InvalidProgramError(
+                f"row indices span [{min(rows)}, {max(rows)}],"
+                f" outside [0, {len(self.rhs)})"
+            )
 
     @property
     def total_rows(self) -> int:
@@ -218,21 +222,13 @@ class CompactProgram:
         return len(self.lower)
 
     def row_totals(self, x) -> list:
-        """A x in Python ints; zero entries of x cost one test each.
-        Raises InvalidProgramError for a row index outside the program
-        among the columns it walks."""
-        size = len(self.rhs)
-        totals = [0] * size
+        """A x in Python ints; zero entries of x cost one test each."""
+        totals = [0] * len(self.rhs)
         starts, rows, values = self.col_start, self.row_index, self.values
         for j, v in enumerate(x):
             if v:
                 for e in range(starts[j], starts[j + 1]):
-                    k = rows[e]
-                    if not 0 <= k < size:
-                        raise InvalidProgramError(
-                            f"row index {k} outside [0, {size})"
-                        )
-                    totals[k] += values[e] * v
+                    totals[rows[e]] += values[e] * v
         return totals
 
 
@@ -360,13 +356,6 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
     rows, cols = program.total_rows, program.total_columns
     index = np.array(program.row_index, dtype=np.int32)
     starts = np.array(program.col_start, dtype=np.int32)
-    # the solver would read an index outside [0, rows) as a different
-    # matrix, without a word
-    if index.size and (index.min() < 0 or index.max() >= rows):
-        raise InvalidProgramError(
-            f"row indices span [{index.min()}, {index.max()}],"
-            f" outside [0, {rows})"
-        )
     rhs = program.rhs
     if any(lower):
         rhs = [b - a for b, a in zip(rhs, program.row_totals(lower))]

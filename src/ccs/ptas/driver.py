@@ -17,21 +17,19 @@ Before that test the non-preemptive scheme polishes a warm start that
 misses the certificate by a move and swap descent (Finn and Horowitz,
 1979), which never raises the makespan.
 
-Otherwise the makespan guess is searched over a bracket warmed up by the
-constant-factor algorithms: their ratio guarantees pin the optimum between
-a fraction of their makespan and the makespan itself. Integral
-non-preemptive instances search the integers in that bracket (the optimum
-is a sum of job sizes, hence integral); splittable ones walk a geometric
-(1 + delta) grid, which costs at most a factor (1 + delta) in the guess.
+Otherwise the makespan guess is searched from the certificate up to the
+warm start's makespan: the bottom is at most the optimum, and the top is
+the makespan of a feasible schedule, so at least the optimum. Integral
+non-preemptive instances search the integers in that bracket (the
+optimum is a sum of job sizes, hence integral, and T_np is then an
+integer); the others walk a geometric (1 + delta) grid from the bottom,
+which costs at most a factor (1 + delta) in the guess.
 
-The search probes the bottom of the bracket first. A feasible guess T
-yields a schedule within (1 + epsilon) * T, and the bottom,
-max(lower bound, warm makespan / warm ratio), is at most the optimum (so
-is its ceiling where the optimum is integral). A feasible bottom therefore
-keeps the guarantee whether or not feasibility grows with the guess, and
-most instances stop there after one program. Otherwise the safe guess at
-the top must be feasible, and bisection above the bottom finds the
-smallest feasible guess it meets.
+The search probes the bottom first. A feasible guess T yields a schedule
+within (1 + epsilon) * T, and the bottom is at most the optimum, so a
+feasible bottom keeps the guarantee whether or not feasibility grows with
+the guess. Otherwise the safe guess at the top must be feasible, and
+bisection above the bottom finds the smallest feasible guess it meets.
 
 A non-preemptive schedule never uses more than n machines, so that scheme
 solves at min(m, n) machines and loses nothing. The splittable scheme
@@ -76,13 +74,6 @@ from ..nfold import solve_feasible
 from .builder import build_program
 from .reconstruct import construct_schedule, unfold_preemptive
 from .rounding import PtasParams, derive_delta, preprocess, require_epsilon
-
-# constant-factor guarantees of the warm-start algorithms: OPT is at least
-# makespan/ratio
-_WARM_RATIO = {
-    SPLITTABLE: Fraction(2),
-    NONPREEMPTIVE: Fraction(7, 3),
-}
 
 _WARM_ALGO = {
     SPLITTABLE: approx._deal_splittable,
@@ -177,14 +168,13 @@ def ptas_solve(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
     work = _clamp(instance, scheme)
-    warm, reach, floor, bound, certified = _certify(work, scheme, epsilon)
+    warm, reach, bound, certified = _certify(work, scheme, epsilon)
     if certified:
         schedule, record = warm, _unsearched()
     else:
-        lo, hi = _bracket(scheme, reach, floor)
         delta = derive_delta(epsilon, scheme)
-        schedule, record = _search_program(work, scheme, delta, lo, hi)
-        if hi < makespan(schedule, work):
+        schedule, record = _search_program(work, scheme, delta, bound, reach)
+        if reach < makespan(schedule, work):
             schedule = warm
     if report is not None:
         report.update(record, bound=bound)
@@ -200,23 +190,24 @@ def _unsearched() -> dict:
 
 
 def _certify(work, variant, epsilon):
-    """(warm start, its makespan, load bound, bound, certified): the
-    constant-factor schedule on ``work``, its makespan, the variant's load
-    bound on ``work``, the certificate of the module docstring (a
-    Fraction), and whether the warm start answers, that is, has a makespan
-    within 1 + epsilon (an int or Fraction) of the bound. One threshold is
-    searched, T* or T_np, and the warm start is laid out at it; a
-    non-preemptive warm start that misses the bound is polished by
-    ``_descend`` before the test. The answer is optimal only where its
-    makespan equals the bound."""
+    """(warm start, its makespan, bound, certified): the constant-factor
+    schedule on ``work``, its makespan, the certificate of the module
+    docstring (a Fraction), and whether the warm start answers, that is,
+    has a makespan within 1 + epsilon (an int or Fraction) of the bound.
+    One threshold is searched, T* or T_np, and the warm start is laid out
+    at it; a non-preemptive warm start that misses the bound is polished
+    by ``_descend`` before the test. The answer is optimal only where its
+    makespan equals the bound. Where it misses, the makespan and the bound
+    are the top and the bottom of the guess search."""
     # looked up in ccs.approx, where a layer trace can wrap them
     if variant == SPLITTABLE:
         t_star = approx.border_search_splittable(work)
         warm = _WARM_ALGO[variant](work, t_star)
-        floor, _ub = lower_bound(work, variant)
-        bound = max(floor, t_star)
+        # the splittable load bound of lower_bound, whose class-slot check
+        # border_search_splittable has already passed
+        bound = max(work.total_load / work.machine_count, t_star)
     else:
-        bound, _m_used, floor = approx.nonpreemptive_threshold(work)
+        bound, _m_used, _floor = approx.nonpreemptive_threshold(work)
         warm = _WARM_ALGO[variant](work, bound)
     reach = makespan(warm, work)
     if reach <= 0:
@@ -233,7 +224,7 @@ def _certify(work, variant, epsilon):
         <= (epsilon.denominator + epsilon.numerator) * bound.numerator
         * reach.denominator
     )
-    return warm, reach, floor, bound, certified
+    return warm, reach, bound, certified
 
 
 def _descend(work, assignment: dict) -> int:
@@ -312,19 +303,12 @@ def _descend(work, assignment: dict) -> int:
     return len(sizes)
 
 
-def _bracket(variant, reach, floor):
-    """(lo, hi) around the optimum from the warm start's ratio guarantee:
-    hi is the warm makespan ``reach``, lo the larger of the load bound
-    ``floor`` and hi over the warm ratio. A polished warm start is no
-    longer than the 7/3 schedule, so it keeps that ratio."""
-    return max(floor, reach / _WARM_RATIO[variant]), reach
-
-
 def _search_program(work, variant, delta, lo, hi):
     """(schedule, record): the guess search over the program at grid
-    delta within the bracket [lo, hi], and the schedule read from the
-    accepted program's point. ``record`` holds the report entries "guess",
-    "built", "solution" and "probes" (see ``ptas_solve``)."""
+    delta within the bracket [lo, hi], the certificate and the warm
+    start's makespan, and the schedule read from the accepted program's
+    point. ``record`` holds the report entries "guess", "built",
+    "solution" and "probes" (see ``ptas_solve``)."""
     probes = []
 
     def probe(guess):

@@ -57,12 +57,11 @@ def nonpreemptive_probes(draw):
     inst = draw(instances(max_jobs=6, max_machines=3, max_size=10))
     epsilon = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
     work = driver._clamp(inst, NONPREEMPTIVE)
-    _warm, reach, floor, _bound, _certified = driver._certify(
+    _warm, reach, bound, _certified = driver._certify(
         work, NONPREEMPTIVE, epsilon
     )
-    lo, hi = driver._bracket(NONPREEMPTIVE, reach, floor)
     # the bottom, which the driver probes first, or any guess above it
-    lo, hi = math.ceil(lo), math.ceil(hi)
+    lo, hi = math.ceil(bound), math.ceil(reach)
     guess = draw(st.one_of(st.just(lo), st.integers(lo, hi)))
     return nonpreemptive_probe(work, epsilon, guess)
 
@@ -179,12 +178,9 @@ def search(instance, variant, epsilon=1):
     whether or not its certificate answers there. ``record`` holds the
     report entries "guess", "built", "solution" and "probes"."""
     work = driver._clamp(instance, variant)
-    _warm, reach, floor, _bound, _certified = driver._certify(
-        work, variant, epsilon
-    )
-    lo, hi = driver._bracket(variant, reach, floor)
+    _warm, reach, bound, _certified = driver._certify(work, variant, epsilon)
     delta = derive_delta(epsilon, variant)
-    return driver._search_program(work, variant, delta, lo, hi)
+    return driver._search_program(work, variant, delta, bound, reach)
 
 
 def never_certify(monkeypatch):

@@ -571,6 +571,16 @@ class TestSweepCommand:
                     "gen:uniform:1:3:1:1:5 fractional approx\n")
         assert main(["sweep", "--manifest", man, "--out", "-"]) == EXIT_PARSE
 
+    def test_manifest_unknown_variant_names_the_choices(self, tmp_path,
+                                                        capsys):
+        man = write(tmp_path, "man.txt",
+                    "gen:uniform:1:4:2:2:9 splitt approx\n")
+        assert main(["sweep", "--manifest", man, "--out", "-"]) == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [
+            f"{man}:1: unknown variant 'splitt',"
+            " want one of nonpreempt, preempt, split"
+        ]
+
     def test_manifest_bad_generator_spec_exits_four(self, tmp_path):
         man = write(tmp_path, "man.txt", "gen:uniform:1:3 split approx\n")
         assert main(["sweep", "--manifest", man, "--out", "-"]) == EXIT_PARSE

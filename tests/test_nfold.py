@@ -425,15 +425,12 @@ class TestCompactProgram:
 
     @pytest.mark.parametrize("row", [5, -1])
     def test_row_index_outside_the_program_rejected(self, row):
-        # x0 = 1 over [0, 1], with the entry's row index out of range
-        program = CompactProgram([0, 1], [row], [1], rhs=[1], lower=[0], upper=[1])
+        # x0 = 1 over [0, 1], with the entry's row index out of range: the
+        # program is refused when built, before any solve or check reads it
         with pytest.raises(InvalidProgramError, match="outside"):
-            solve_feasible(program)
+            CompactProgram([0, 1], [row], [1], rhs=[1], lower=[0], upper=[1])
         with pytest.raises(InvalidProgramError, match="outside"):
-            constraint_violations(program, (1,))
-        rowless = CompactProgram([0, 1], [row], [1], rhs=[], lower=[1], upper=[1])
-        with pytest.raises(InvalidProgramError, match="outside"):
-            solve_feasible(rowless)
+            CompactProgram([0, 1], [row], [1], rhs=[], lower=[1], upper=[1])
 
 
 class TestSlackHelper:

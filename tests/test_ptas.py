@@ -792,24 +792,27 @@ class TestUnfoldPreemptive:
 # The scheme returns its warm start without a program when the warm start
 # is within 1 + epsilon of the lower-bound certificate, which at accuracy 1
 # every splittable warm start is. The probe-logic tests therefore run the
-# program search itself (conftest.search) at accuracy 1's grid and
-# bracket. UNCERTIFIED is one of the smallest instances with m < n whose
-# warm start misses the certificate itself; the certificate answers it at
-# accuracy 1, but not at 1/4. The BISECTING ones come from a seeded search
-# of instances with two class slots per machine and about one job per
-# slot; their bracket bottoms are infeasible, so the search bisects.
+# program search itself (conftest.search) over the bracket ptas_solve
+# would search, from the certificate up to the warm makespan. UNCERTIFIED
+# is one of the smallest instances with m < n whose warm start misses the
+# certificate itself; the certificate answers it at accuracy 1, but not at
+# 1/4. BISECTING maps each variant to an accuracy and instances whose
+# certificate is an infeasible guess there, so the search bisects and
+# probes at least three guesses. No instance of the seeded searches does
+# at accuracy 1: the non-preemptive ones are from the first 500 instances
+# of the seed-1 scheme-whole benchmark stream at accuracy 1/4, the
+# splittable one from 60 seeded random instances with two class slots per
+# machine and at most four jobs at accuracy 1/2.
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
 BISECTING = {
-    SPLITTABLE: [
-        Instance((10, 2, 3, 2, 9), (1, 2, 3, 4, 1), 2, 2),
-        Instance((10, 3, 2, 4, 10), (1, 2, 3, 4, 1), 2, 2),
-        Instance((2, 1, 2, 3, 3, 3, 9), (1, 2, 3, 4, 5, 6, 2), 3, 2),
-    ],
-    NONPREEMPTIVE: [
-        Instance((10, 2, 3, 2, 9), (1, 2, 3, 4, 1), 2, 2),
-        Instance((2, 10, 5, 1, 1, 7, 10), (1, 2, 3, 4, 5, 6, 2), 3, 2),
-        Instance((1, 3, 1, 4, 4, 10, 7), (1, 2, 3, 4, 5, 6, 6), 3, 2),
-    ],
+    SPLITTABLE: (HALF, [
+        Instance((2, 2, 2, 5), (2, 4, 3, 1), 2, 2),
+    ]),
+    NONPREEMPTIVE: (QUARTER, [
+        Instance((6, 9, 7), (3, 1, 2), 2, 2),
+        Instance((7, 8, 8), (2, 1, 1), 2, 2),
+        Instance((9, 8, 2, 9, 1, 10), (1, 2, 3, 4, 4, 5), 3, 2),
+    ]),
 }
 
 
@@ -911,19 +914,17 @@ class TestDriver:
 
     def test_feasible_bottom_answers_in_one_probe(self):
         inst = Instance((5, 3, 4, 2, 6, 1), (1, 2, 1, 2, 1, 2), 3, 2)
-        floor, _ub = lower_bound(inst, NONPREEMPTIVE)
-        warm = makespan(approx_nonpreemptive(inst), inst)
-        lo = math.ceil(max(floor, warm / Fraction(7, 3)))
+        bound, _m_used, _floor = nonpreemptive_threshold(inst)
         _schedule, report = search(inst, NONPREEMPTIVE)
-        assert report["probes"] == [(lo, True)]
-        assert report["guess"] == lo
+        assert report["probes"] == [(bound, True)]
+        assert report["guess"] == bound
 
     def test_infeasible_bottom_bisects_to_smallest_feasible_probe(self):
-        # the bracket bottom of this instance is infeasible in both variants
-        inst = BISECTING[SPLITTABLE][0]
-        assert inst in BISECTING[NONPREEMPTIVE]
+        # the certificate of each variant's first instance is infeasible
         for variant in (NONPREEMPTIVE, SPLITTABLE):
-            schedule, report = search(inst, variant)
+            epsilon, cases = BISECTING[variant]
+            inst = cases[0]
+            schedule, report = search(inst, variant, epsilon)
             probes = report["probes"]
             assert probes
             assert probes[0][1] is False
@@ -937,15 +938,16 @@ class TestDriver:
                 best = opt_splittable(inst)
             else:
                 best, _ = opt_nonpreemptive(inst)
-            assert makespan(schedule, inst) <= 2 * best
+            assert makespan(schedule, inst) <= (1 + epsilon) * best
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
     def test_no_guess_is_probed_twice(self, variant):
         # the prober keeps nothing between calls, so a repeated guess
         # would be a second program built and solved
+        epsilon, cases = BISECTING[variant]
         bisected = 0
-        for inst in BISECTING[variant]:
-            _schedule, report = search(inst, variant)
+        for inst in cases:
+            _schedule, report = search(inst, variant, epsilon)
             guesses = [g for g, _f in report["probes"]]
             assert guesses
             assert len(set(guesses)) == len(guesses)
@@ -1214,9 +1216,34 @@ class TestSlackCertificate:
         reference = max(lb, t_star, t_np)
         if den == 1:
             reference = math.ceil(reference)
-        bound = driver._certify(work, NONPREEMPTIVE, 1)[3]
+        bound = driver._certify(work, NONPREEMPTIVE, 1)[2]
         assert bound == reference == t_np
         assert isinstance(bound, Fraction)
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inst=divided_instances())
+    # a 7/3 schedule of 25 polished to 20, and fractional sizes on more
+    # machines than jobs
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
+    @example(inst=Instance((5, Fraction(9, 2), 7), (1, 2, 2), 6, 1))
+    def test_certificate_is_no_lower_than_the_warm_ratio_bottom(
+        self, variant, inst
+    ):
+        # the reference: the bottom the guess search once started from,
+        # max(load bound, warm makespan / the warm start's ratio), which
+        # the certificate makes redundant: the splittable warm start is
+        # within LB + T* <= 2 * bound, the 7/3 one (so its polish) within
+        # LB + (4/3) T_np <= (7/3) T_np
+        work = driver._clamp(inst, variant)
+        floor, _ub = lower_bound(work, variant)
+        _warm, reach, bound, _answers = driver._certify(work, variant, 1)
+        ratio = Fraction(2) if variant == SPLITTABLE else Fraction(7, 3)
+        reference = max(floor, reach / ratio)
+        assert reference <= bound
+        if variant == NONPREEMPTIVE and work._scaled[0] == 1:
+            # the integer search rounded that bottom up
+            assert math.ceil(reference) <= bound
 
     @pytest.mark.parametrize("epsilon", [1, HALF])
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1282,7 +1309,7 @@ class TestSlackCertificate:
         report = {}
         schedule = ptas_solve(inst, epsilon, NONPREEMPTIVE, report=report)
         work = driver._clamp(inst, NONPREEMPTIVE)
-        warm, reach, _floor, bound, _answers = driver._certify(
+        warm, reach, bound, _answers = driver._certify(
             work, NONPREEMPTIVE, epsilon
         )
         # the splittable rule: no program exactly where the polished warm
@@ -1337,10 +1364,10 @@ class TestPolish:
         # bound, so it is the optimum, a multiple of 1/D; with integral
         # sizes the bound is an integer, so it is the bound as well
         work = driver._clamp(inst, NONPREEMPTIVE)
-        bound = driver._certify(work, NONPREEMPTIVE, 1)[3]
+        bound = driver._certify(work, NONPREEMPTIVE, 1)[2]
         den = work._scaled[0]
         fine = Fraction(1, math.ceil(bound * den) + 1)
-        _warm, reach, _floor, _bound, answers = driver._certify(
+        _warm, reach, _bound, answers = driver._certify(
             work, NONPREEMPTIVE, fine
         )
         if answers:
