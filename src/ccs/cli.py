@@ -225,10 +225,16 @@ def _oracle(instance: Instance, variant: str):
     return opt_preemptive(instance), None
 
 
-def _no_program(instance: Instance, variant: str) -> str:
-    """Why ``ptas_solve`` answered without solving a program."""
+def _no_program(instance: Instance, variant: str, probes: list) -> str:
+    """Why ``ptas_solve``, whose report lists ``probes``, answered without
+    a feasible program."""
     if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         return "m >= n, so every job runs alone and no program was solved"
+    if probes:
+        return (
+            "every program probed was infeasible, and they raised the bound "
+            "to within 1 + epsilon of the warm start"
+        )
     return (
         "the warm start is within 1 + epsilon of a lower bound, so no "
         "program was solved"
@@ -295,7 +301,7 @@ def run(
                 with open(dump_nfold, "w", encoding="utf-8") as handle:
                     handle.write(dump_program(as_nfold(trace["built"])))
             elif dump_nfold:
-                why = _no_program(instance, variant)
+                why = _no_program(instance, variant, trace["probes"])
                 print(f"{dump_nfold} not written: {why}", file=sys.stderr)
         else:
             value, schedule = _oracle(instance, variant)

@@ -17,28 +17,36 @@ Before that test the non-preemptive scheme polishes a warm start that
 misses the certificate by a move and swap descent (Finn and Horowitz,
 1979), which never raises the makespan.
 
-Otherwise the makespan guess is searched from the certificate up to the
-warm start's makespan: the bottom is at most the optimum, and the top is
-the makespan of a feasible schedule, so at least the optimum. Integral
-non-preemptive instances search the integers in that bracket (the
-optimum is a sum of job sizes, hence integral, and T_np is then an
-integer); the others walk a geometric (1 + delta) grid from the bottom,
-which costs at most a factor (1 + delta) in the guess.
+Otherwise the scheme searches makespan guesses T by dual approximation
+(Hochbaum and Shmoys, J. ACM 1987). By the paper's rounding lemmas
+(arXiv:1909.11970), which ``preprocess`` implements, the configuration
+program is feasible at every T >= OPT, and a feasible program yields a
+schedule within (1 + epsilon) * T. So an infeasible guess proves
+OPT > T; for integral non-preemptive sizes, whose optimum and T_np are
+integers, the guesses are the integers and an infeasible T proves
+OPT >= T + 1. Other instances walk a (1 + delta) grid from the
+certificate, which costs at most a factor 1 + delta in the guess.
 
-The search probes the bottom first. A feasible guess T yields a schedule
-within (1 + epsilon) * T, and the bottom is at most the optimum, so a
-feasible bottom keeps the guarantee whether or not feasibility grows with
-the guess. Otherwise the safe guess at the top must be feasible, and
-bisection above the bottom finds the smallest feasible guess it meets.
+One rule stops the search: the best schedule in hand is returned once it
+is within 1 + epsilon of the bound; the certificate test is its first
+check. The open guesses start at the certificate and end below the first
+guess at or above the warm makespan, which the warm start answers for.
+Each probe is their midpoint, or the largest guess whose 1 + epsilon
+multiple is below the best makespan if lower, where an infeasible answer
+closes the gap. An infeasible probe raises the bound past its guess; a
+feasible one closes the guesses from it up, and its schedule becomes the
+best if shorter. If the gap closes, the best is within 1 + epsilon of the
+bound, so of OPT. If the guesses run out, the first one above them, the
+certificate or the guess after an infeasible one, is at most OPT (below
+(1 + delta) * OPT on the grid), and the warm start or a feasible probe
+answers for it, so the best keeps the guarantee. A bound proved above a
+schedule's makespan contradicts the lemmas, and raises.
 
 A non-preemptive schedule never uses more than n machines, so that scheme
 solves at min(m, n) machines and loses nothing. The splittable scheme
 solves at the true m, since pieces of one job may run in parallel on any
 number of machines. Its schedule, the warm start's as well as the
-program's, is a CompactSchedule of counted patterns at every m. Of the
-two schedules a searched scheme holds, the warm start and the program's,
-it returns the one with the smaller makespan, so the program can only
-improve on the warm start.
+program's, is a CompactSchedule of counted patterns at every m.
 
 The preemptive variant reduces to the splittable one, since the preemptive
 optimum is max(p_max, splittable optimum): with m >= n every job gets a
@@ -89,37 +97,6 @@ def _clamp(instance: Instance, variant: str):
     return replace(instance, machine_count=instance.job_count)
 
 
-def _search(probe, guess_at, lo: int, hi: int):
-    """(guess, built, solution) at the smallest feasible index in
-    [lo, hi] under guess_at, bottom first.
-
-    A feasible lo answers at once. Otherwise hi must be feasible, and
-    bisection over (lo, hi] returns the smallest feasible index it meets.
-    Every index is probed at most once: each midpoint lies strictly
-    between an infeasible and a feasible index probed before it. Only
-    lo == hi probes one index twice, and an infeasible one raises.
-    """
-    built, solution = probe(guess_at(lo))
-    if solution is not None:
-        return (guess_at(lo), built, solution)
-    built, solution = probe(guess_at(hi))
-    if solution is None:
-        raise CCSError(
-            f"feasibility program rejected the safe guess {guess_at(hi)}"
-        )
-    best = (guess_at(hi), built, solution)
-    lo += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        built, solution = probe(guess_at(mid))
-        if solution is None:
-            lo = mid + 1
-        else:
-            best = (guess_at(mid), built, solution)
-            hi = mid
-    return best
-
-
 def ptas_solve(
     instance: Instance,
     epsilon: Rational,
@@ -131,22 +108,21 @@ def ptas_solve(
 
     The splittable variant returns a CompactSchedule (``expand_compact``
     gives machine ids). epsilon must lie in (0, 1]. A dict passed as
-    ``report`` receives under "bound" the lower-bound certificate of the
-    module docstring, a Fraction, so makespan / bound is a proved gap to
-    the optimum. It also receives the accepted guess, the program it was
-    solved on and that program's point ("guess", "built", "solution";
-    ``as_nfold(built)`` gives the program's n-fold layout), and under
-    "probes" the (guess, feasible) pair of every program solved, in probe
-    order.
+    ``report`` receives under "bound" a proved lower bound, a Fraction:
+    the certificate of the module docstring, raised by the infeasible
+    probes of the guess search, so makespan / bound is a proved gap to
+    the optimum. Under "guess", "built" and "solution" it receives the
+    last feasible probe, the smallest feasible guess probed: its guess,
+    program and point (``as_nfold(built)`` gives the program's n-fold
+    layout), or None where no program was feasible; and under "probes"
+    the (guess, feasible) pair of every program solved, in probe order.
 
-    When the warm start's makespan is within 1 + epsilon of the bound
-    (for the non-preemptive scheme, after the descent of ``_descend`` has
-    polished a warm start that misses the bound), the scheme returns it and
-    solves no program: the report then holds None for guess, built and
-    solution and an empty "probes" list. That schedule is optimal only
-    where its makespan equals the bound. Otherwise the scheme searches the
-    program and returns the (polished) warm start where it beats the
-    program's schedule; the report still describes the program solved.
+    The scheme returns the best schedule it holds, the (polished) warm
+    start or a program's, once that is within 1 + epsilon of the bound.
+    A warm start within 1 + epsilon of the certificate (for the
+    non-preemptive scheme, after ``_descend`` has polished one that
+    misses it) answers with no program solved; it is optimal only where
+    its makespan equals the bound.
 
     The preemptive variant runs the splittable scheme at the same epsilon
     and unfolds the result into time slices; its report describes that
@@ -163,42 +139,29 @@ def ptas_solve(
     if variant == PREEMPTIVE and instance.machine_count >= instance.job_count:
         if report is not None:
             floor, _ub = lower_bound(instance, variant)
-            report.update(_unsearched(), bound=floor)
+            report.update(
+                guess=None, built=None, solution=None, probes=[], bound=floor
+            )
         return PreemptiveSchedule(
             pieces=tuple((j, 1, j, 0) for j in range(instance.job_count))
         )
     work = _clamp(instance, scheme)
-    warm, reach, bound, certified = _certify(work, scheme, epsilon)
-    if certified:
-        schedule, record = warm, _unsearched()
-    else:
-        delta = derive_delta(epsilon, scheme)
-        schedule, record = _search_program(work, scheme, delta, bound, reach)
-        if reach < makespan(schedule, work):
-            schedule = warm
+    warm, top, bound = _certify(work, scheme)
+    schedule, record = _search_program(work, scheme, epsilon, warm, top, bound)
     if report is not None:
-        report.update(record, bound=bound)
+        report.update(record)
     if variant != PREEMPTIVE:
         return schedule
     # max(p_max, the splittable makespan) <= (1 + epsilon) * opt_preemptive
     return unfold_preemptive(instance, expand_compact(schedule, instance))
 
 
-def _unsearched() -> dict:
-    """The report entries of a run that solved no program."""
-    return dict(guess=None, built=None, solution=None, probes=[])
-
-
-def _certify(work, variant, epsilon):
-    """(warm start, its makespan, bound, certified): the constant-factor
-    schedule on ``work``, its makespan, the certificate of the module
-    docstring (a Fraction), and whether the warm start answers, that is,
-    has a makespan within 1 + epsilon (an int or Fraction) of the bound.
-    One threshold is searched, T* or T_np, and the warm start is laid out
-    at it; a non-preemptive warm start that misses the bound is polished
-    by ``_descend`` before the test. The answer is optimal only where its
-    makespan equals the bound. Where it misses, the makespan and the bound
-    are the top and the bottom of the guess search."""
+def _certify(work, variant):
+    """(warm start, its makespan, bound): the constant-factor schedule on
+    ``work``, its makespan and the certificate of the module docstring (a
+    Fraction). One threshold is searched, T* or T_np, and the warm start
+    is laid out at it; a non-preemptive warm start that misses the bound
+    is polished by ``_descend``."""
     # looked up in ccs.approx, where a layer trace can wrap them
     if variant == SPLITTABLE:
         t_star = approx.border_search_splittable(work)
@@ -217,14 +180,18 @@ def _certify(work, variant, epsilon):
         _descend(work, assignment)
         warm = NonPreemptiveSchedule(assignment=assignment)
         reach = makespan(warm, work)
-    # reach <= (1 + epsilon) * bound over common denominators: in Fraction
-    # arithmetic this one test costs about a tenth of a certified run
-    certified = (
-        reach.numerator * bound.denominator * epsilon.denominator
+    return warm, reach, bound
+
+
+def _within(top, bound, epsilon) -> bool:
+    """Whether top <= (1 + epsilon) * bound, each an int or a Fraction."""
+    # over common denominators: in Fraction arithmetic this one test costs
+    # about a tenth of a run the certificate answers
+    return (
+        top.numerator * bound.denominator * epsilon.denominator
         <= (epsilon.denominator + epsilon.numerator) * bound.numerator
-        * reach.denominator
+        * top.denominator
     )
-    return warm, reach, bound, certified
 
 
 def _descend(work, assignment: dict) -> int:
@@ -303,33 +270,57 @@ def _descend(work, assignment: dict) -> int:
     return len(sizes)
 
 
-def _search_program(work, variant, delta, lo, hi):
-    """(schedule, record): the guess search over the program at grid
-    delta within the bracket [lo, hi], the certificate and the warm
-    start's makespan, and the schedule read from the accepted program's
-    point. ``record`` holds the report entries "guess", "built",
-    "solution" and "probes" (see ``ptas_solve``)."""
+def _search_program(work, variant, epsilon, schedule, top, bound):
+    """(schedule, record): the guess search of the module docstring from
+    the warm start ``schedule`` of makespan ``top`` and the certificate
+    ``bound``, and the best schedule it holds when it stops. ``record``
+    holds the report entries "bound" (raised by the infeasible probes),
+    "guess", "built" and "solution" (the last feasible probe's, else
+    None) and "probes" (see ``ptas_solve``)."""
     probes = []
-
-    def probe(guess):
+    record = dict(
+        guess=None, built=None, solution=None, probes=probes, bound=bound
+    )
+    if _within(top, bound, epsilon):
+        return schedule, record
+    delta = derive_delta(epsilon, variant)
+    if variant != SPLITTABLE and work._scaled[0] == 1:
+        # integral sizes: the guesses are the indices, as the bracket may
+        # hold over 2**63 integers, too many for a list or a range
+        lo, hi = math.ceil(bound), math.ceil(top)
+        guess_at = lambda i: i
+        last_below = lambda limit: math.ceil(limit) - 1
+        proved = lambda i: Fraction(i + 1)
+    else:
+        grid = [bound]
+        while grid[-1] < top:
+            grid.append(grid[-1] * (1 + delta))
+        lo, hi = 0, len(grid) - 1
+        guess_at = proved = grid.__getitem__
+        last_below = lambda limit: bisect.bisect_left(grid, limit) - 1
+    while lo < hi and not _within(top, bound, epsilon):
+        # the midpoint, or the largest guess whose 1 + epsilon multiple is
+        # below top where that is lower: an infeasible answer there raises
+        # the bound to within 1 + epsilon of top
+        i = max(lo, min(last_below(top / (1 + epsilon)), (lo + hi) // 2))
+        guess = guess_at(i)
         params = PtasParams(delta, guess, variant)
         built = build_program(preprocess(work, params))
         solution = solve_feasible(built.program)
         probes.append((params.guess, solution is not None))
-        return built, solution
-
-    if variant != SPLITTABLE and work._scaled[0] == 1:
-        # integral sizes: the guesses are the indices, as the bracket may
-        # hold over 2**63 integers, too many for a range to report its length
-        guess, built, solution = _search(
-            probe, lambda i: i, math.ceil(lo), math.ceil(hi)
-        )
-    else:
-        grid = [Fraction(lo)]
-        while grid[-1] < hi:
-            grid.append(grid[-1] * (1 + delta))
-        guess, built, solution = _search(
-            probe, grid.__getitem__, 0, len(grid) - 1
-        )
-    record = dict(guess=guess, built=built, solution=solution, probes=probes)
-    return construct_schedule(work, solution, built), record
+        if solution is None:
+            lo, bound = i + 1, proved(i)
+        else:
+            hi = i
+            record.update(guess=guess, built=built, solution=solution)
+            found = construct_schedule(work, solution, built)
+            span = makespan(found, work)
+            if span < top:
+                schedule, top = found, span
+        if top < bound:
+            raise CCSError(
+                f"guess search proved the bound {bound} above the makespan "
+                f"{top} of a schedule"
+            )
+    record["bound"] = bound
+    return schedule, record

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from ccs import NONPREEMPTIVE, Instance
@@ -57,11 +58,9 @@ def nonpreemptive_probes(draw):
     inst = draw(instances(max_jobs=6, max_machines=3, max_size=10))
     epsilon = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
     work = driver._clamp(inst, NONPREEMPTIVE)
-    _warm, reach, bound, _certified = driver._certify(
-        work, NONPREEMPTIVE, epsilon
-    )
-    # the bottom, which the driver probes first, or any guess above it
-    lo, hi = math.ceil(bound), math.ceil(reach)
+    _warm, top, bound = driver._certify(work, NONPREEMPTIVE)
+    # the certificate, the lowest guess the driver probes, or any above it
+    lo, hi = math.ceil(bound), math.ceil(top)
     guess = draw(st.one_of(st.just(lo), st.integers(lo, hi)))
     return nonpreemptive_probe(work, epsilon, guess)
 
@@ -169,25 +168,25 @@ def certified(instance, variant, epsilon):
     """Whether the scheme's certificate answers ``instance`` at epsilon
     without a program."""
     work = driver._clamp(instance, variant)
-    return driver._certify(work, variant, epsilon)[-1]
+    _warm, top, bound = driver._certify(work, variant)
+    return driver._within(top, bound, Fraction(epsilon))
 
 
 def search(instance, variant, epsilon=1):
-    """(schedule, record) of the scheme's program search on ``instance``
-    at epsilon's delta, over the bracket ``ptas_solve`` would search,
-    whether or not its certificate answers there. ``record`` holds the
-    report entries "guess", "built", "solution" and "probes"."""
+    """(schedule, record) of the scheme's guess search on ``instance`` at
+    epsilon with a stopping rule that never fires, so the search runs
+    until its open guesses run out, whether or not the certificate
+    answers. ``record`` holds the report entries of ``ptas_solve``."""
     work = driver._clamp(instance, variant)
-    _warm, reach, bound, _certified = driver._certify(work, variant, epsilon)
-    delta = derive_delta(epsilon, variant)
-    return driver._search_program(work, variant, delta, bound, reach)
+    with pytest.MonkeyPatch.context() as patch:
+        never_certify(patch)
+        return driver._search_program(
+            work, variant, Fraction(epsilon), *driver._certify(work, variant)
+        )
 
 
 def never_certify(monkeypatch):
-    """Make ``ptas_solve`` search the program on every instance: its
-    certificate still returns the warm start and the bound, but never
-    answers."""
-    certify = driver._certify
-    monkeypatch.setattr(
-        driver, "_certify", lambda *args: (*certify(*args)[:-1], False)
-    )
+    """Make ``ptas_solve`` search the program on every instance until its
+    open guesses run out: the stopping rule's test never passes, so
+    neither the certificate nor a raised bound answers."""
+    monkeypatch.setattr(driver, "_within", lambda *args: False)

@@ -44,10 +44,14 @@ from conftest import certified, instances, never_certify
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
 UNCERTIFIED_TEXT = "3 2 2\n1 1\n1 1\n1 2\n"
 QUARTER = Fraction(1, 4)
-# a non-preemptive instance whose program is reached at accuracy 1/8: its
-# polished warm start, 8, is within 1 + 1/2 of the bound 7 but not within
-# 1 + 1/8
-SEARCHED_TEXT = "4 3 2\n5 1\n7 2\n4 2\n4 1\n"
+# a non-preemptive instance whose program is reached at accuracy 1/8, index
+# 10 of the seed-1 scheme-whole benchmark stream: its polished warm start,
+# 8, misses the bound 7 by more than 1 + 1/8, and the program at 7 is
+# feasible
+SEARCHED_TEXT = "6 3 2\n5 1\n3 1\n4 1\n2 3\n1 3\n5 2\n"
+# its polished warm start, 8, misses the bound 7 by more than 1 + 1/8 too,
+# but the program at 7 is infeasible, which raises the bound to 8
+REJECTED_TEXT = "4 3 2\n5 1\n7 2\n4 2\n4 1\n"
 
 
 def probes(instance, variant, epsilon=1):
@@ -339,6 +343,21 @@ class TestSolveCommand:
         assert len(head) == 4
         bricks, top_rows, diag_rows, width = map(int, head)
         assert bricks >= 1 and top_rows >= 1 and width >= 1
+
+    def test_dump_skipped_when_every_program_is_infeasible(self, tmp_path,
+                                                           capsys):
+        inst = write(tmp_path, "inst.txt", REJECTED_TEXT)
+        found = probes(parse_instance(inst), NONPREEMPTIVE, Fraction(1, 8))
+        assert found == [(7, False)]
+        dump = tmp_path / "prog.txt"
+        code = main(["solve", "--variant", "nonpreempt", "--algo", "ptas",
+                     "--epsilon", "1/8", "--dump-nfold", str(dump), inst])
+        assert code == EXIT_OK
+        assert not dump.exists()
+        assert capsys.readouterr().err == (
+            f"{dump} not written: every program probed was infeasible, and "
+            "they raised the bound to within 1 + epsilon of the warm start\n"
+        )
 
     def test_unwritable_dump_exits_four(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", SEARCHED_TEXT)

@@ -791,20 +791,20 @@ class TestUnfoldPreemptive:
 
 # The scheme returns its warm start without a program when the warm start
 # is within 1 + epsilon of the lower-bound certificate, which at accuracy 1
-# every splittable warm start is. The probe-logic tests therefore run the
-# program search itself (conftest.search) over the bracket ptas_solve
-# would search, from the certificate up to the warm makespan. UNCERTIFIED
-# is one of the smallest instances with m < n whose warm start misses the
-# certificate itself; the certificate answers it at accuracy 1, but not at
-# 1/4. BISECTING maps each variant to an accuracy and instances whose
-# certificate is an infeasible guess there, so the search bisects and
-# probes at least three guesses. No instance of the seeded searches does
-# at accuracy 1: the non-preemptive ones are from the first 500 instances
-# of the seed-1 scheme-whole benchmark stream at accuracy 1/4, the
-# splittable one from 60 seeded random instances with two class slots per
-# machine and at most four jobs at accuracy 1/2.
+# every splittable warm start is. The tests of the search itself therefore
+# run it with a stopping rule that never fires (conftest.search and
+# never_certify), until its open guesses run out. UNCERTIFIED is one of the
+# smallest instances with m < n whose warm start misses the certificate
+# itself; the certificate answers it at accuracy 1, but not at 1/4.
+# SEARCHED maps each variant to an accuracy and instances whose certificate
+# is an infeasible guess there, so such a search probes at least two
+# guesses. No instance of the seeded searches does at accuracy 1: the
+# non-preemptive ones are from the first 500 instances of the seed-1
+# scheme-whole benchmark stream at accuracy 1/4, the splittable one from 60
+# seeded random instances with two class slots per machine and at most four
+# jobs at accuracy 1/2.
 UNCERTIFIED = Instance((1, 1, 1), (1, 1, 2), 2, 2)
-BISECTING = {
+SEARCHED = {
     SPLITTABLE: (HALF, [
         Instance((2, 2, 2, 5), (2, 4, 3, 1), 2, 2),
     ]),
@@ -912,47 +912,31 @@ class TestDriver:
         assert report["solution"] is not None
         assert report["guess"] > 0
 
-    def test_feasible_bottom_answers_in_one_probe(self):
-        inst = Instance((5, 3, 4, 2, 6, 1), (1, 2, 1, 2, 1, 2), 3, 2)
-        bound, _m_used, _floor = nonpreemptive_threshold(inst)
-        _schedule, report = search(inst, NONPREEMPTIVE)
-        assert report["probes"] == [(bound, True)]
-        assert report["guess"] == bound
-
-    def test_infeasible_bottom_bisects_to_smallest_feasible_probe(self):
-        # the certificate of each variant's first instance is infeasible
-        for variant in (NONPREEMPTIVE, SPLITTABLE):
-            epsilon, cases = BISECTING[variant]
-            inst = cases[0]
-            schedule, report = search(inst, variant, epsilon)
-            probes = report["probes"]
-            assert probes
-            assert probes[0][1] is False
-            assert len(probes) > 2
-            assert len({g for g, _f in probes}) == len(probes)
-            feasible = [g for g, f in probes if f]
-            assert report["guess"] == min(feasible)
-            assert all(g < report["guess"] for g, f in probes if not f)
-            assert validate(schedule, inst, variant) == []
-            if variant == SPLITTABLE:
-                best = opt_splittable(inst)
-            else:
-                best, _ = opt_nonpreemptive(inst)
-            assert makespan(schedule, inst) <= (1 + epsilon) * best
+    def test_infeasible_probe_closes_the_gap(self):
+        # the bound T_np = 13 and the polished warm start 17, the optimum,
+        # leave a gap at accuracy 1/4; 13 is the largest guess whose 5/4
+        # multiple is below 17, and its infeasible program raises the
+        # bound to 14, within 1 + 1/4 of 17
+        inst = Instance((9, 8, 2, 9, 1, 10), (1, 2, 3, 4, 4, 5), 3, 2)
+        report = {}
+        schedule = ptas_solve(inst, QUARTER, NONPREEMPTIVE, report=report)
+        assert report["probes"] == [(13, False)]
+        assert report["bound"] == 14
+        assert report["guess"] is report["built"] is None
+        assert validate(schedule, inst, NONPREEMPTIVE) == []
+        assert makespan(schedule, inst) == 17 == opt_nonpreemptive(inst)[0]
 
     @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
     def test_no_guess_is_probed_twice(self, variant):
         # the prober keeps nothing between calls, so a repeated guess
         # would be a second program built and solved
-        epsilon, cases = BISECTING[variant]
-        bisected = 0
+        epsilon, cases = SEARCHED[variant]
         for inst in cases:
             _schedule, report = search(inst, variant, epsilon)
             guesses = [g for g, _f in report["probes"]]
-            assert guesses
+            assert len(guesses) >= 2
+            assert report["probes"][0][1] is False
             assert len(set(guesses)) == len(guesses)
-            bisected += len(guesses) > 2
-        assert bisected
 
     @pytest.mark.parametrize("variant,inst", [
         # T* = 2 is above the load bound 3/2
@@ -1001,30 +985,40 @@ class TestDriver:
         assert report["built"] is not None
         assert validate(schedule, inst, variant) == []
 
-    def test_rejected_safe_guess_raises(self, monkeypatch):
-        def reject(_guess):
-            return None, None
+    def test_bound_above_a_makespan_raises(self, monkeypatch):
+        # a solve that answers the first probe and rejects every later one
+        # contradicts the rounding lemmas: from a warm makespan of 40 the
+        # search first probes 19, whose schedule is about the optimum 8,
+        # and the rejections from the bound 7 up then prove more than that
+        never_certify(monkeypatch)
+        solve, calls = driver.solve_feasible, []
 
-        with pytest.raises(CCSError, match="safe guess 7"):
-            driver._search(reject, lambda i: i, 3, 7)
-        with pytest.raises(CCSError, match="safe guess 4"):
-            driver._search(reject, lambda i: i, 4, 4)
-        # the grid from 1 covering 2 at delta 1/2 is 1, 3/2, 9/4
-        monkeypatch.setattr(driver, "solve_feasible", lambda program: None)
-        inst = Instance((1, 1), (1, 2), 1, 2)
-        with pytest.raises(CCSError, match="safe guess 9/4$"):
+        def solve_once(program):
+            calls.append(program)
+            return solve(program) if len(calls) == 1 else None
+
+        monkeypatch.setattr(driver, "solve_feasible", solve_once)
+        inst = Instance((5, 6, 3), (2, 3, 1), 2, 2)
+        warm, _top, bound = driver._certify(inst, NONPREEMPTIVE)
+        assert bound == 7
+        with pytest.raises(CCSError, match="above the makespan"):
             driver._search_program(
-                inst, SPLITTABLE, HALF, Fraction(1), Fraction(2)
+                inst, NONPREEMPTIVE, Fraction(1), warm, Fraction(40), bound
             )
 
     def test_grid_stops_at_a_top_on_the_grid(self, monkeypatch):
-        # 9/4 = (1 + 1/2)^2 is itself a grid point, so the grid ends there
+        # at accuracy 1, delta = 1/8, and 81/64 = (1 + 1/8)^2 is itself a
+        # grid point, so the grid ends there and the warm start answers for
+        # it: with every program infeasible, only 1 and 9/8 are probed
+        never_certify(monkeypatch)
         monkeypatch.setattr(driver, "solve_feasible", lambda program: None)
         inst = Instance((1, 1), (1, 2), 1, 2)
-        with pytest.raises(CCSError, match="safe guess 9/4$"):
-            driver._search_program(
-                inst, SPLITTABLE, HALF, Fraction(1), Fraction(9, 4)
-            )
+        schedule, record = driver._search_program(
+            inst, SPLITTABLE, Fraction(1), None, Fraction(81, 64), Fraction(1)
+        )
+        assert schedule is None
+        assert record["probes"] == [(1, False), (Fraction(9, 8), False)]
+        assert record["bound"] == Fraction(9, 8)
 
     def test_integer_bracket_wider_than_a_machine_word(self, monkeypatch):
         # the polished warm start's makespan is 20 * 10**20 and the load
@@ -1108,20 +1102,22 @@ class TestDriver:
         assert calls == []
 
     @pytest.mark.parametrize("variant,inst,warm", [
-        (NONPREEMPTIVE, Instance((6, 4, 2, 3, 2), (4, 2, 3, 4, 1), 3, 2), 8),
+        (NONPREEMPTIVE, Instance((5, 6, 3), (2, 3, 1), 2, 2), 8),
         (SPLITTABLE, Instance((9, 3, 3, 6), (2, 3, 1, 1), 3, 2), 9),
     ])
     def test_warm_start_beats_a_worse_program_schedule(self, variant, inst,
                                                        warm, monkeypatch):
-        program, _record = search(inst, variant)
-        assert makespan(program, inst) > warm
+        # the one probe, at the bound 7, is feasible, and its program's
+        # schedule is longer than the warm start, which the search keeps
         never_certify(monkeypatch)
         report = {}
         schedule = ptas_solve(inst, 1, variant, report=report)
-        assert report["probes"]
-        assert report["built"] is not None
+        assert report["probes"] == [(7, True)]
+        work = driver._clamp(inst, variant)
+        program = construct_schedule(work, report["solution"], report["built"])
+        assert makespan(program, inst) > warm
         assert validate(schedule, inst, variant) == []
-        assert makespan(schedule, inst) <= warm
+        assert makespan(schedule, inst) == warm
 
     def test_splittable_makespan_scales_exactly(self):
         base = Instance((5, 3, 4, 2), (1, 2, 1, 2), 2, 2)
@@ -1216,7 +1212,7 @@ class TestSlackCertificate:
         reference = max(lb, t_star, t_np)
         if den == 1:
             reference = math.ceil(reference)
-        bound = driver._certify(work, NONPREEMPTIVE, 1)[2]
+        bound = driver._certify(work, NONPREEMPTIVE)[2]
         assert bound == reference == t_np
         assert isinstance(bound, Fraction)
 
@@ -1237,7 +1233,7 @@ class TestSlackCertificate:
         # LB + (4/3) T_np <= (7/3) T_np
         work = driver._clamp(inst, variant)
         floor, _ub = lower_bound(work, variant)
-        _warm, reach, bound, _answers = driver._certify(work, variant, 1)
+        _warm, reach, bound = driver._certify(work, variant)
         ratio = Fraction(2) if variant == SPLITTABLE else Fraction(7, 3)
         reference = max(floor, reach / ratio)
         assert reference <= bound
@@ -1280,7 +1276,7 @@ class TestSlackCertificate:
         # schedule is shorter
         inst = Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2)
         assert makespan(approx_nonpreemptive(inst), inst) == 25
-        polish = driver._certify(inst, NONPREEMPTIVE, 1)
+        polish = driver._certify(inst, NONPREEMPTIVE)
         assert polish[1] == 20
         report = {}
         schedule = ptas_solve(inst, 1, NONPREEMPTIVE, report=report)
@@ -1309,9 +1305,7 @@ class TestSlackCertificate:
         report = {}
         schedule = ptas_solve(inst, epsilon, NONPREEMPTIVE, report=report)
         work = driver._clamp(inst, NONPREEMPTIVE)
-        warm, reach, bound, _answers = driver._certify(
-            work, NONPREEMPTIVE, epsilon
-        )
+        warm, reach, bound = driver._certify(work, NONPREEMPTIVE)
         # the splittable rule: no program exactly where the polished warm
         # start is within 1 + epsilon of the bound
         assert (report["probes"] == []) == (reach <= (1 + epsilon) * bound)
@@ -1341,6 +1335,74 @@ class TestSlackCertificate:
         assert warm <= 2 * report["bound"]
 
 
+def assert_search_keeps_the_rule(inst, variant, epsilon, best):
+    """The guess search of ``ptas_solve`` on ``inst`` against the optimum
+    ``best``: no guess at or above it is infeasible, none is probed twice,
+    the bound is at most it, and the schedule is within 1 + epsilon of it
+    and no longer than the warm start. Return the probes."""
+    work = driver._clamp(inst, variant)
+    _warm, top, _bound = driver._certify(work, variant)
+    report = {}
+    schedule = ptas_solve(inst, epsilon, variant, report=report)
+    guesses = [g for g, _f in report["probes"]]
+    assert len(set(guesses)) == len(guesses)
+    assert all(feasible for g, feasible in report["probes"] if g >= best)
+    assert report["bound"] <= best
+    assert validate(schedule, inst, variant) == []
+    assert makespan(schedule, inst) <= min((1 + epsilon) * best, top)
+    return report["probes"]
+
+
+def searched_instances(epsilon, fractional, count=20):
+    """The first ``count`` seeded random instances of at most 7 jobs on 2
+    or 3 machines whose polished warm start misses the non-preemptive
+    certificate by more than 1 + epsilon, so the scheme searches them;
+    sizes a/b with a <= 10 and b <= 3 where ``fractional``, else
+    integers."""
+    rng = random.Random(26)
+    found = []
+    while len(found) < count:
+        n, m, c = rng.randint(3, 7), rng.randint(2, 3), rng.randint(1, 2)
+        sizes = tuple(
+            Fraction(rng.randint(1, 10), rng.randint(1, 3) if fractional else 1)
+            for _ in range(n)
+        )
+        labels = tuple(rng.randint(1, min(n, m * c)) for _ in range(n))
+        inst = Instance(sizes, labels, m, c)
+        if not certified(inst, NONPREEMPTIVE, epsilon):
+            found.append(inst)
+    return found
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("epsilon", [QUARTER, EIGHTH])
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_nonpreemptive_search_against_the_oracle(self, epsilon,
+                                                     fractional):
+        probes = 0
+        for inst in searched_instances(epsilon, fractional):
+            best, _ = opt_nonpreemptive(inst)
+            probes += len(
+                assert_search_keeps_the_rule(inst, NONPREEMPTIVE, epsilon, best)
+            )
+        assert probes >= 20
+
+    @pytest.mark.parametrize("inst", [
+        UNCERTIFIED,
+        Instance((1, 1, 3), (1, 1, 2), 2, 2),
+        Instance((9, 3, 3, 6), (2, 3, 1, 1), 3, 2),
+        Instance((5, 9), (1, 2), 6, 2),
+    ])
+    def test_splittable_search_against_the_oracle(self, inst, monkeypatch):
+        # at accuracy 1 the certificate answers, so the stopping rule is
+        # kept from firing and the search runs until its guesses run out
+        never_certify(monkeypatch)
+        probes = assert_search_keeps_the_rule(
+            inst, SPLITTABLE, Fraction(1), opt_splittable(inst)
+        )
+        assert probes
+
+
 def polished(instance):
     """(7/3 schedule, its polish, improving steps) on ``instance`` at
     min(m, n) machines, as the non-preemptive scheme polishes it."""
@@ -1364,13 +1426,10 @@ class TestPolish:
         # bound, so it is the optimum, a multiple of 1/D; with integral
         # sizes the bound is an integer, so it is the bound as well
         work = driver._clamp(inst, NONPREEMPTIVE)
-        bound = driver._certify(work, NONPREEMPTIVE, 1)[2]
+        _warm, reach, bound = driver._certify(work, NONPREEMPTIVE)
         den = work._scaled[0]
         fine = Fraction(1, math.ceil(bound * den) + 1)
-        _warm, reach, _bound, answers = driver._certify(
-            work, NONPREEMPTIVE, fine
-        )
-        if answers:
+        if driver._within(reach, bound, fine):
             best, _ = opt_nonpreemptive(inst)
             assert reach == best
             if den == 1:
