@@ -39,7 +39,7 @@ from .core import (
 )
 from .nfold import dump_program
 from .oracle import opt_nonpreemptive, opt_preemptive, opt_splittable
-from .ptas import as_nfold, ptas_solve, resolve_enum_cap
+from .ptas import as_nfold, ptas_solve
 
 CSV_HEADER = (
     "instance,variant,algo,epsilon,makespan,lb,opt,ratio_lb,ratio_opt,"
@@ -255,8 +255,10 @@ def run(
     The ``feasible`` column distinguishes: yes (validated schedule),
     value-only (exact optimum without a schedule), infeasible (more
     classes than class slots), enum-cap / oracle-cap (the accuracy or
-    instance is beyond the enumeration budgets), and no (an output that
-    failed validation, which is a bug).
+    instance is beyond the enumeration budgets, or the solver ran out of
+    time), and no (an output that failed validation, which is a bug).
+    ``dump_nfold``, a path, receives the accepted program of a ptas run;
+    when none is written, one line on stderr says why.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -265,6 +267,9 @@ def run(
     eps = None
     if algo == "ptas":
         eps = Fraction(epsilon) if epsilon is not None else Fraction(1)
+    elif dump_nfold:
+        print(f"{dump_nfold} not written: only --algo ptas builds a program",
+              file=sys.stderr)
 
     def report(value, lb, opt, ms, status):
         ratio_lb = None if value is None or not lb else value / lb
@@ -290,19 +295,13 @@ def run(
 
     schedule = None
     value = None
+    trace: Optional[dict] = {} if algo == "ptas" and dump_nfold else None
     start = time.perf_counter()
     try:
         if algo == "approx":
             schedule = _APPROX[variant](instance)
         elif algo == "ptas":
-            trace: Optional[dict] = {} if dump_nfold else None
             schedule = ptas_solve(instance, eps, variant, report=trace)
-            if dump_nfold and trace["built"] is not None:
-                with open(dump_nfold, "w", encoding="utf-8") as handle:
-                    handle.write(dump_program(as_nfold(trace["built"])))
-            elif dump_nfold:
-                why = _no_program(instance, variant, trace["probes"])
-                print(f"{dump_nfold} not written: {why}", file=sys.stderr)
         else:
             value, schedule = _oracle(instance, variant)
     except EnumerationCapError:
@@ -310,6 +309,12 @@ def run(
         status = "oracle-cap" if algo == "exact" else "enum-cap"
         return report(None, lb, None, ms, status)
     ms = (time.perf_counter() - start) * 1000
+    if trace is not None and trace["built"] is not None:
+        with open(dump_nfold, "w", encoding="utf-8") as handle:
+            handle.write(dump_program(as_nfold(trace["built"])))
+    elif trace is not None:
+        why = _no_program(instance, variant, trace["probes"])
+        print(f"{dump_nfold} not written: {why}", file=sys.stderr)
 
     if schedule is not None:
         value, violations = makespan_and_violations(schedule, instance, variant)
@@ -501,13 +506,6 @@ def _to_output(path, write) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"solve": _cmd_solve, "gen": _cmd_gen, "sweep": _cmd_sweep}
-    if args.command != "gen":
-        # a bad CCS_ENUM_CAP is outside input: refuse it before any run
-        try:
-            resolve_enum_cap()
-        except CCSError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_PARSE
     try:
         return handler[args.command](args)
     except CCSError as exc:

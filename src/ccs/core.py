@@ -47,7 +47,8 @@ class StructuralInfeasibleError(CCSError):
 
 
 class EnumerationCapError(CCSError):
-    """A configured search-space cap was exceeded."""
+    """A search budget was exceeded: an enumeration cap, a program bound
+    the solver's doubles cannot hold, or the solver's time limit."""
 
 
 def parse_rational(token: str) -> Fraction:

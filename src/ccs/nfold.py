@@ -49,7 +49,8 @@ from .core import CCSError, EnumerationCapError, _is_int
 EXHAUSTIVE_CAP = 10**7
 # seconds HiGHS may spend on one program. The slowest solve known to
 # finish took 18.3 s (a splittable probe at epsilon 1/2); some splittable
-# programs at epsilon 1/4 still run into this limit and raise CCSError
+# programs at epsilon 1/4 still run into this limit and raise
+# EnumerationCapError
 MILP_TIME_LIMIT = 300.0
 
 
@@ -326,8 +327,9 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
     """Any feasible point as a tuple of ints, or None. Deterministic:
     identical programs give identical solutions. Raises CCSError if HiGHS
     rejects an option or the program, fails, or returns a point that does
-    not pass the exact check, and EnumerationCapError, before the solver
-    runs, if a bound or right-hand side exceeds 2**53. A block program is
+    not pass the exact check, and EnumerationCapError if a bound or
+    right-hand side exceeds 2**53 (before the solver runs) or if HiGHS
+    stops at ``MILP_TIME_LIMIT`` without a point. A block program is
     solved as ``flatten(program)``.
 
     One HiGHS solve through the binding scipy ships
@@ -398,7 +400,7 @@ def solve_feasible(program: CompactProgram) -> Optional[tuple]:
         return None
     if point is None:
         if status == statuses.kTimeLimit:
-            raise CCSError(
+            raise EnumerationCapError(
                 "mixed-integer solver found no point within its time limit"
                 f" of {MILP_TIME_LIMIT:g} s"
             )

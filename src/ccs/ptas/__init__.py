@@ -23,12 +23,10 @@ from .rounding import (
 from .sets import (
     CAP_MESSAGE,
     ConfigurationSet,
-    DEFAULT_ENUM_CAP,
     EnumerationCapError,
     ModuleSet,
     enumerate_sets,
     nonpreemptive_sets,
-    resolve_enum_cap,
     splittable_sets,
 )
 
@@ -36,7 +34,6 @@ __all__ = [
     "BuiltProgram",
     "CAP_MESSAGE",
     "ConfigurationSet",
-    "DEFAULT_ENUM_CAP",
     "EnumerationCapError",
     "ModuleSet",
     "PtasParams",
@@ -51,7 +48,6 @@ __all__ = [
     "nonpreemptive_sets",
     "preprocess",
     "ptas_solve",
-    "resolve_enum_cap",
     "splittable_sets",
     "unfold_preemptive",
 ]

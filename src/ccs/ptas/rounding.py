@@ -48,7 +48,11 @@ def require_scheme_variant(variant: str) -> str:
 
 def require_epsilon(epsilon: Rational) -> Fraction:
     """epsilon as a Fraction if it lies in (0, 1]; ValueError otherwise."""
-    eps = Fraction(epsilon)
+    try:
+        eps = Fraction(epsilon)
+    except (OverflowError, ValueError):
+        # infinite and NaN floats have no exact value
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}") from None
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     return eps

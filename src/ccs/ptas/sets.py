@@ -20,50 +20,33 @@ the piece cap is the most pieces of at least delta T that fit within the
 bound. The scaled bound, the splittable module range and the piece cap
 all come from ``ccs.ptas.rounding.inflation``, and the sets store no
 variant: the
-rounded instance's ``PtasParams`` holds it. Enumeration aborts once a
-count passes the cap, which the CCS_ENUM_CAP environment variable sets
-(10^6 when unset; anything but an integer >= 1 is refused). The splittable
-sets are memoized, since they depend only on the accuracy, the slot
-budget and the cap; the non-preemptive sets also depend on the large
-sizes and the large classes' count vectors over them, so few calls
-repeat one, and they are built afresh each time.
+rounded instance's ``PtasParams`` holds it. Enumeration aborts with
+EnumerationCapError once a count passes ``ENUM_CAP``, 10^6: a program
+with that many configuration columns would outrun the solver's time
+limit and desk memory. The splittable sets are memoized, since they
+depend only on the accuracy and the slot budget; the non-preemptive sets
+also depend on the large sizes and the large classes' count vectors over
+them, so few calls repeat one, and they are built afresh each time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Mapping
 
-from ..core import CCSError, EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
+from ..core import EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
 from .rounding import RoundedInstance, inflation, piece_cap
 
-DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "CCS_ENUM_CAP"
+ENUM_CAP = 10**6
 CAP_MESSAGE = "accuracy too fine for desk scale"
 
 
-def resolve_enum_cap() -> int:
-    """The enumeration cap: the CCS_ENUM_CAP environment variable, else 10^6.
-    CCSError unless the variable is an integer of at least 1."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if not raw:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise CCSError(f"bad {ENUM_CAP_ENV} value {raw!r}: want an integer >= 1")
-    return cap
-
-
-def _cap_check(count: int, cap: int, what: str) -> None:
-    if count > cap:
+def _cap_check(count: int, what: str) -> None:
+    if count > ENUM_CAP:
         raise EnumerationCapError(
-            f"{CAP_MESSAGE}: more than {cap} {what}"
+            f"{CAP_MESSAGE}: more than {ENUM_CAP} {what}"
         )
 
 
@@ -155,7 +138,7 @@ class ConfigurationSet:
         return starts, rows, values
 
 
-def _multiplicity_configs(sizes, c, budget, cap):
+def _multiplicity_configs(sizes, c, budget):
     """Multiplicity vectors over ``sizes`` with at most c entries and
     total size at most ``budget``, in lexicographic order.
 
@@ -174,7 +157,7 @@ def _multiplicity_configs(sizes, c, budget, cap):
                 if size > budget:
                     break
                 grown.append((combo + (order[at],), size, at))
-            _cap_check(len(found) + len(grown), cap, "configurations")
+            _cap_check(len(found) + len(grown), "configurations")
         found.extend((combo, total) for combo, total, _start in grown)
         level = grown
     vectors = []
@@ -190,12 +173,12 @@ def _multiplicity_configs(sizes, c, budget, cap):
     )
 
 
-def _configurations(sizes, c, bound, pieces, cap):
+def _configurations(sizes, c, bound, pieces):
     """The configurations over the distinct module sizes ``sizes``: at
     most c slots and total size at most ``bound``, grouped by (size,
     slots) pairs for slot counts below the slot cap min(c, pieces), with
     ``pieces`` from ``piece_cap``."""
-    configs, totals = _multiplicity_configs(sizes, c, bound, cap)
+    configs, totals = _multiplicity_configs(sizes, c, bound)
     slot_cap = min(c, pieces)
     slots = tuple(sum(v) for v in configs)
     size_set = tuple(sorted(set(totals)))
@@ -225,22 +208,21 @@ def splittable_sets(
     Module sizes are c*l for l from k up to ``inflation(k)``, where c*l
     meets the scaled inflated bound.
     """
-    cap = resolve_enum_cap()
-    key = (grid, slot_budget, cap)
+    key = (grid, slot_budget)
     hit = _SPLIT_CACHE.get(key)
     if hit is not None:
         return hit
     k, c = grid, slot_budget
     top = inflation(k, SPLITTABLE)
     sizes = tuple(c * level for level in range(k, top + 1))
-    _cap_check(len(sizes), cap, "modules")
+    _cap_check(len(sizes), "modules")
     mods = ModuleSet(modules=sizes, sizes=sizes)
-    confs = _configurations(sizes, c, c * top, piece_cap(k, SPLITTABLE), cap)
+    confs = _configurations(sizes, c, c * top, piece_cap(k, SPLITTABLE))
     _SPLIT_CACHE[key] = (mods, confs)
     return mods, confs
 
 
-def _fillable_modules(ground, counts, bound, cap):
+def _fillable_modules(ground, counts, bound):
     """Multiplicity vectors over the large sizes with footprint <= bound
     that some class can fill, i.e. no entry above that class's count
     vector in ``counts``, in lexicographic order. The all-zero vector is
@@ -252,7 +234,7 @@ def _fillable_modules(ground, counts, bound, cap):
         if idx == len(ground):
             module = tuple(vec)
             if module not in found:
-                _cap_check(len(found) + 1, cap, "modules")
+                _cap_check(len(found) + 1, "modules")
                 found[module] = bound - size_left
             return
         step = ground[idx]
@@ -284,15 +266,13 @@ def nonpreemptive_sets(
     footprint has a link row without y columns, so it is 0 in every
     feasible point of the program.
     """
-    cap = resolve_enum_cap()
-    modules, footprints = _fillable_modules(ground, counts, scaled_bound, cap)
+    modules, footprints = _fillable_modules(ground, counts, scaled_bound)
     mods = ModuleSet(modules=modules, sizes=footprints)
     return mods, _configurations(
         mods.size_values,
         slot_budget,
         scaled_bound,
         piece_cap(grid, NONPREEMPTIVE),
-        cap,
     )
 
 

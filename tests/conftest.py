@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ccs import NONPREEMPTIVE, Instance
 from ccs.nfold import NFoldProgram
-from ccs.ptas import PtasParams, derive_delta, driver, preprocess
+from ccs.ptas import PtasParams, derive_delta, driver, preprocess, sets
 
 
 @st.composite
@@ -183,6 +183,14 @@ def search(instance, variant, epsilon=1):
         return driver._search_program(
             work, variant, Fraction(epsilon), *driver._certify(work, variant)
         )
+
+
+def lower_enum_cap(monkeypatch, cap):
+    """Make set enumeration refuse past ``cap`` modules or configurations.
+    The splittable sets get a fresh cache, so a set cached under the real
+    cap cannot bypass the lowered one."""
+    monkeypatch.setattr(sets, "ENUM_CAP", cap)
+    monkeypatch.setattr(sets, "_SPLIT_CACHE", {})
 
 
 def never_certify(monkeypatch):

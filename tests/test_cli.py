@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from ccs.core import (
     PREEMPTIVE,
     SPLITTABLE,
 )
-from conftest import certified, instances, never_certify
+from conftest import certified, instances, lower_enum_cap, never_certify
 
 
 # The scheme skips its program when the warm start is within 1 + epsilon
@@ -59,6 +60,16 @@ def probes(instance, variant, epsilon=1):
     report = {}
     ptas_solve(instance, epsilon, variant, report=report)
     return report["probes"]
+
+
+def stall_highs(monkeypatch):
+    """Make every HiGHS call stop at its time limit without a point."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    monkeypatch.setattr(
+        ccs.nfold, "_run_highs",
+        lambda lp, options: (HighsModelStatus.kTimeLimit, None),
+    )
 
 
 def write(tmp_path, name, text):
@@ -215,10 +226,26 @@ class TestRun:
         assert row.epsilon == 1
         assert row.ratio_opt <= 2
         assert not certified(inst, SPLITTABLE, QUARTER)
-        monkeypatch.setenv("CCS_ENUM_CAP", "10")
+        lower_enum_cap(monkeypatch, 10)
         row = run(inst, "ptas", SPLITTABLE, epsilon=QUARTER)
         assert row.feasible == "enum-cap"
         assert row.epsilon == QUARTER
+
+    def test_ms_leaves_out_the_dump_write(self, tmp_path, monkeypatch):
+        inst = parse_instance(write(tmp_path, "inst.txt", SEARCHED_TEXT))
+        dump = tmp_path / "prog.txt"
+        eps = Fraction(1, 8)
+        run(inst, "ptas", NONPREEMPTIVE, epsilon=eps, dump_nfold=dump)
+        pause = 0.5
+
+        def slow_dump(program):
+            time.sleep(pause)
+            return "slow\n"
+
+        monkeypatch.setattr(ccs.cli, "dump_program", slow_dump)
+        row = run(inst, "ptas", NONPREEMPTIVE, epsilon=eps, dump_nfold=dump)
+        assert dump.read_text() == "slow\n"
+        assert row.ms < pause * 1000
 
     def test_more_classes_than_slots_is_infeasible(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 2, 1)
@@ -295,25 +322,22 @@ class TestSolveCommand:
 
     def test_cap_exits_three(self, tmp_path, monkeypatch):
         assert not certified(UNCERTIFIED, SPLITTABLE, QUARTER)
-        monkeypatch.setenv("CCS_ENUM_CAP", "10")
+        lower_enum_cap(monkeypatch, 10)
         code = self.solve(tmp_path, UNCERTIFIED_TEXT,
                           "--variant", "split", "--algo", "ptas",
                           "--epsilon", "1/4")
         assert code == EXIT_CAP
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_cap_exits_four(self, tmp_path, monkeypatch, capsys, value):
-        # the splittable scheme at accuracy 1 answers without a program,
-        # so the cap is read before the run, not where a program needs it
-        monkeypatch.setenv("CCS_ENUM_CAP", value)
-        code = self.solve(tmp_path, "3 1 2\n3 1\n4 1\n6 2\n",
-                          "--variant", "split", "--algo", "ptas")
-        assert code == EXIT_PARSE
+    def test_solver_time_limit_exits_three(self, tmp_path, monkeypatch,
+                                           capsys):
+        stall_highs(monkeypatch)
+        code = self.solve(tmp_path, SEARCHED_TEXT,
+                          "--variant", "nonpreempt", "--algo", "ptas",
+                          "--epsilon", "1/8")
+        assert code == EXIT_CAP
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"bad CCS_ENUM_CAP value {value!r}: want an integer >= 1"
-        ]
+        assert captured.out.splitlines()[1].endswith(",enum-cap")
+        assert captured.err == ""
 
     def test_parse_error_exits_four(self, tmp_path):
         code = self.solve(tmp_path, "0 1 1\n",
@@ -357,6 +381,18 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             f"{dump} not written: every program probed was infeasible, and "
             "they raised the bound to within 1 + epsilon of the warm start\n"
+        )
+
+    @pytest.mark.parametrize("algo", ["approx", "exact"])
+    def test_dump_not_written_without_a_scheme(self, tmp_path, capsys, algo):
+        dump = tmp_path / "prog.txt"
+        code = self.solve(tmp_path, SEARCHED_TEXT,
+                          "--variant", "nonpreempt", "--algo", algo,
+                          "--dump-nfold", str(dump))
+        assert code == EXIT_OK
+        assert not dump.exists()
+        assert capsys.readouterr().err == (
+            f"{dump} not written: only --algo ptas builds a program\n"
         )
 
     def test_unwritable_dump_exits_four(self, tmp_path, capsys):
@@ -545,16 +581,17 @@ class TestSweepCommand:
         statuses = [line.split(",")[-1] for line in lines[1:]]
         assert statuses == ["yes", "yes", "yes", "value-only"]
 
-    def test_bad_cap_exits_four(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CCS_ENUM_CAP", "abc")
+    def test_solver_time_limit_row_is_a_cap(self, tmp_path, monkeypatch):
+        # the stalled solve is a row of its own, and the next row still runs
+        stall_highs(monkeypatch)
+        inst = write(tmp_path, "searched.txt", SEARCHED_TEXT)
+        man = write(tmp_path, "man.txt", f"{inst} nonpreempt ptas 1/8\n"
+                                         f"{inst} split approx\n")
         out = tmp_path / "rows.csv"
-        code = main(["sweep", "--manifest", self.manifest(tmp_path),
-                     "--out", str(out)])
-        assert code == EXIT_PARSE
-        assert not out.exists()
-        assert capsys.readouterr().err.splitlines() == [
-            "bad CCS_ENUM_CAP value 'abc': want an integer >= 1"
-        ]
+        code = main(["sweep", "--manifest", man, "--out", str(out)])
+        assert code == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["enum-cap", "yes"]
 
     def test_sweep_reproducible_up_to_timing(self, tmp_path):
         man = self.manifest(tmp_path)

@@ -272,7 +272,8 @@ class TestSolvers:
             return STATUS.kTimeLimit, None
 
         monkeypatch.setattr(nfold, "_run_highs", stalled)
-        with pytest.raises(CCSError, match=f"time limit of {MILP_TIME_LIMIT:g} s"):
+        with pytest.raises(EnumerationCapError,
+                           match=f"time limit of {MILP_TIME_LIMIT:g} s"):
             solve_feasible(flatten(free_pair()))
         assert seen["time_limit"] == MILP_TIME_LIMIT
 

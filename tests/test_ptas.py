@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     certified,
     instances,
+    lower_enum_cap,
     never_certify,
     nonpreemptive_probes,
     search,
@@ -274,7 +275,7 @@ class TestSets:
         assert confs.count == 4
 
     def test_cap_stops_enumeration(self, monkeypatch):
-        monkeypatch.setenv("CCS_ENUM_CAP", "100")
+        lower_enum_cap(monkeypatch, 100)
         with pytest.raises(EnumerationCapError) as err:
             splittable_sets(8, 3)
         assert CAP_MESSAGE in str(err.value)
@@ -291,25 +292,24 @@ class TestSets:
             for vec in itertools.product(range(c + 1), repeat=len(sizes))
             if sum(vec) <= c and sum(v * p for v, p in zip(vec, sizes)) <= budget
         )
-        configs, totals = _multiplicity_configs(tuple(sizes), c, budget, 10**6)
+        configs, totals = _multiplicity_configs(tuple(sizes), c, budget)
         assert list(zip(configs, totals)) == expected
 
-    def test_configuration_cap_fires_one_past_the_count(self):
+    def test_configuration_cap_fires_one_past_the_count(self, monkeypatch):
         sizes, c, budget = (0, 2, 3, 5), 3, 9
-        configs, _totals = _multiplicity_configs(sizes, c, budget, 10**6)
+        configs, _totals = _multiplicity_configs(sizes, c, budget)
         count = len(configs)
-        assert _multiplicity_configs(sizes, c, budget, count)[0] == configs
+        lower_enum_cap(monkeypatch, count)
+        assert _multiplicity_configs(sizes, c, budget)[0] == configs
+        lower_enum_cap(monkeypatch, count - 1)
         with pytest.raises(EnumerationCapError, match=CAP_MESSAGE):
-            _multiplicity_configs(sizes, c, budget, count - 1)
+            _multiplicity_configs(sizes, c, budget)
 
-    def test_cap_env_knob(self, monkeypatch):
-        monkeypatch.setenv("CCS_ENUM_CAP", "10")
+    def test_lowered_cap_is_not_bypassed_by_the_cache(self, monkeypatch):
+        splittable_sets(2, 1)
+        lower_enum_cap(monkeypatch, 10)
         with pytest.raises(EnumerationCapError):
             splittable_sets(2, 1)
-        for bad in ("ten", "0", "-3"):
-            monkeypatch.setenv("CCS_ENUM_CAP", bad)
-            with pytest.raises(CCSError, match="bad CCS_ENUM_CAP value"):
-                splittable_sets(2, 1)
 
     def test_results_are_cached(self):
         first = splittable_sets(2, 1)
@@ -869,7 +869,7 @@ class TestDriver:
         assert report["probes"]
         assert validate(schedule, inst, PREEMPTIVE) == []
         assert makespan(schedule, inst) <= 2 * opt_preemptive(inst)
-        monkeypatch.setenv("CCS_ENUM_CAP", "10")
+        lower_enum_cap(monkeypatch, 10)
         with pytest.raises(EnumerationCapError) as err:
             ptas_solve(inst, Fraction(1, 4), SPLITTABLE)
         assert CAP_MESSAGE in str(err.value)
@@ -1147,19 +1147,23 @@ class TestDriver:
         with pytest.raises(ValueError):
             ptas_solve(inst, 1, "fractional")
 
-    @pytest.mark.parametrize("epsilon", [0, -1, 2, Fraction(3, 2)])
+    @pytest.mark.parametrize(
+        "epsilon", [0, -1, 2, Fraction(3, 2), math.inf, -math.inf, math.nan]
+    )
     def test_epsilon_is_checked_where_the_certificate_answers(self, epsilon):
         # every variant answers at accuracy 1 without a program (the
         # preemptive one as m >= n), yet an accuracy outside (0, 1] is
-        # refused before the certificate or the shortcut is reached
+        # refused before the certificate or the shortcut is reached; a
+        # non-finite float is refused the same way
         inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
+        message = r"^epsilon must be in \(0, 1\], got "
+        with pytest.raises(ValueError, match=message):
+            derive_delta(epsilon, SPLITTABLE)
         for variant in VARIANTS:
             report = {}
             ptas_solve(inst, 1, variant, report=report)
             assert report["probes"] == []
-            with pytest.raises(
-                ValueError, match=r"^epsilon must be in \(0, 1\], got "
-            ):
+            with pytest.raises(ValueError, match=message):
                 ptas_solve(inst, epsilon, variant)
 
 

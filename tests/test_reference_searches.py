@@ -918,7 +918,7 @@ def box_size(program):
 def test_fillable_modules_are_the_box_under_some_class(ground, counts, bound):
     ground = tuple(sorted(ground))
     counts = tuple(tuple(have[:len(ground)]) for have in counts)
-    modules, sizes = _fillable_modules(ground, counts, bound, 10**6)
+    modules, sizes = _fillable_modules(ground, counts, bound)
     box = zip(*reference_nonpreemptive_modules(ground, bound))
     expected = [
         (vec, size) for vec, size in box
