@@ -313,7 +313,7 @@ def _search_program(work, variant, epsilon, schedule, top, bound):
         else:
             hi = i
             record.update(guess=guess, built=built, solution=solution)
-            found = construct_schedule(work, solution, built)
+            found = construct_schedule(solution, built)
             span = makespan(found, work)
             if span < top:
                 schedule, top = found, span

@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from itertools import compress
 
 from ..core import (
     CCSError,
@@ -61,10 +60,6 @@ def _host_assignments(x, built, runs) -> dict:
     round_robin deals the k-th class to bin k mod bins, so a cell hosting
     h classes deals them over its first min(cell size, h) machines only."""
     confs = built.configurations
-    cell_of_config = {}
-    for pos, pair in enumerate(confs.pairs):
-        for i in confs.groups[pair]:
-            cell_of_config[i] = pos
     cell_classes: dict = {}
     for u, cls in enumerate(built.rounded.classes):
         if not cls.small:
@@ -79,7 +74,7 @@ def _host_assignments(x, built, runs) -> dict:
         )
     cell_machines: dict = {}
     for i, first, count in runs:
-        pos = cell_of_config.get(i)
+        pos = confs.pair_position(i)
         if pos in cell_classes:
             slots = cell_machines.setdefault(pos, [])
             need = len(cell_classes[pos]) - len(slots)
@@ -133,11 +128,14 @@ def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
                     claims[g].append(claim)
         if left:
             raise CCSError(f"class {cls.class_id} jobs left over")
-    for g, pool in enumerate(claims):
-        supply = sum(configs[i][g] * count for i, _first, count in runs)
+    supply = [0] * built.modules.count
+    for i, _first, count in runs:
+        for g, k in configs[i]:
+            supply[g] += k * count
+    for g, (pool, have) in enumerate(zip(claims, supply)):
         claimed = sum(count for _owner, count in pool)
-        if claimed != supply:
-            raise CCSError(f"module {g}: {claimed} slots claimed of {supply}")
+        if claimed != have:
+            raise CCSError(f"module {g}: {claimed} slots claimed of {have}")
     hosted: dict = {}
     for class_id, machine in _host_assignments(x, built, runs).items():
         raw = rounded.classes[class_id - 1].jobs[0].raw_size
@@ -146,17 +144,15 @@ def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
     counts: dict = {}
     for i, machine, count in runs:
         vec = configs[i]
-        used = list(compress(range(len(vec)), vec))
         end = machine + count
         while machine < end:
             h = bisect_left(stops, machine)
             step = max(1, min(
-                [claims[g][0][1] // vec[g] for g in used]
+                [claims[g][0][1] // k for g, k in vec]
                 + [end - machine] + [s - machine for s in stops[h : h + 1]]
             ))
             loads = dict(hosted.get(machine, ()))
-            for g in used:
-                need = vec[g]
+            for g, need in vec:
                 while need:
                     head = claims[g][0]
                     take = min(need, head[1])
@@ -176,19 +172,15 @@ def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
     return CompactSchedule(patterns=tuple(counts.items()))
 
 
-def _reconstruct_nonpreemptive(
-    instance: Instance, x, built: BuiltProgram
-) -> NonPreemptiveSchedule:
+def _reconstruct_nonpreemptive(x, built: BuiltProgram) -> NonPreemptiveSchedule:
     rounded = built.rounded
     runs = _runs(x, built)
     machines = [i for i, _first, count in runs for _ in range(count)]
     values = built.modules.size_values
     slot_pool: dict = {q: deque() for q in values}
     for mach_id, cfg in enumerate(machines):
-        vec = built.configurations.configs[cfg]
-        for vq, count in enumerate(vec):
-            for _ in range(count):
-                slot_pool[values[vq]].append(mach_id)
+        for vq, count in built.configurations.configs[cfg]:
+            slot_pool[values[vq]].extend([mach_id] * count)
     hosts = _host_assignments(x, built, runs)
     assignment: dict = {}
     ground = rounded.large_sizes
@@ -308,10 +300,10 @@ def unfold_preemptive(
     )
 
 
-def construct_schedule(instance: Instance, x, built: BuiltProgram):
+def construct_schedule(x, built: BuiltProgram):
     """Schedule of the original instance from a feasible point x of the
     built compact program. Raises CCSError where the point does not fit
     the program's index maps."""
     if built.rounded.params.variant == SPLITTABLE:
         return _reconstruct_splittable(x, built)
-    return _reconstruct_nonpreemptive(instance, x, built)
+    return _reconstruct_nonpreemptive(x, built)

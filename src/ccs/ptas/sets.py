@@ -1,14 +1,15 @@
 """Enumeration of modules and machine configurations.
 
 A module is the footprint of one class on one machine; a configuration is
-a machine's multiset of module footprints. Both live in scaled units. The
+a machine's multiset of module footprints, stored as the (footprint
+position, multiplicity) pairs it uses. Both live in scaled units. The
 per-variant shapes:
 
   splittable      module = a piece size c*l (integer l >= k), configuration
-                  = multiplicity vector over the module sizes
+                  = pairs over the module sizes
   non-preemptive  module = multiplicity vector over the large job sizes
-                  that some large class can fill, configuration =
-                  multiplicity vector over the distinct module sizes
+                  that some large class can fill, configuration = pairs
+                  over the distinct module sizes
 
 The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
@@ -19,22 +20,21 @@ variants and caps the host counts of its pairs at min(c, piece cap), where
 the piece cap is the most pieces of at least delta T that fit within the
 bound. The scaled bound, the splittable module range and the piece cap
 all come from ``ccs.ptas.rounding.inflation``, and the sets store no
-variant: the
-rounded instance's ``PtasParams`` holds it. Enumeration aborts with
-EnumerationCapError once a count passes ``ENUM_CAP``, 10^6: a program
-with that many configuration columns would outrun the solver's time
-limit and desk memory. The splittable sets are memoized, since they
-depend only on the accuracy and the slot budget; the non-preemptive sets
-also depend on the large sizes and the large classes' count vectors over
-them, so few calls repeat one, and they are built afresh each time.
+variant: the rounded instance's ``PtasParams`` holds it. Enumeration
+aborts with EnumerationCapError once a count passes ``ENUM_CAP``, 10^6: a
+program with that many configuration columns would outrun the solver's
+time limit, and the configurations alone take about 500 MB. The
+splittable sets are memoized, since they depend only on the accuracy and
+the slot budget; the non-preemptive sets also depend on the large sizes
+and the large classes' count vectors over them, so few calls repeat one,
+and they are built afresh each time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Mapping
 
 from ..core import EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
 from .rounding import RoundedInstance, inflation, piece_cap
@@ -78,27 +78,34 @@ class ModuleSet:
 class ConfigurationSet:
     """The machine configurations over a module set.
 
-    configs: multiplicity tuples over the modules (splittable) or over
+    configs: (footprint position, multiplicity) pairs, positions
+    ascending, over the ``footprints`` modules (splittable) or
     ``ModuleSet.size_values`` (non-preemptive), enumerated for
     ``slot_budget`` slots and total size at most ``size_bound``. The pair
     list is the full cross product of the distinct configuration sizes
-    with the host counts {0, .., slot_cap - 1}; ``groups`` maps each pair
-    to the configurations of exactly that size and slot usage.
+    with the host counts {0, .., slot_cap - 1}.
     """
 
     configs: tuple
     sizes: tuple
     slots: tuple
+    footprints: int
     slot_budget: int
     size_bound: int
     slot_cap: int
     size_set: tuple
     pairs: tuple
-    groups: Mapping = field(hash=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.configs)
+
+    def pair_position(self, i: int):
+        """Position in ``pairs`` of configuration i's (size, slots) pair,
+        or None when it uses slot_cap slots or more and so hosts none."""
+        b = self.slots[i]
+        if b < self.slot_cap:
+            return bisect_left(self.size_set, self.sizes[i]) * self.slot_cap + b
 
     @cached_property
     def columns(self) -> tuple:
@@ -118,37 +125,39 @@ class ConfigurationSet:
         b - slot_budget in the host-capacity row 1 + L + pos and
         h - size_bound in the host-volume row 1 + L + P + pos of its pair
         (h, b) at position pos, with L footprints and P pairs."""
-        capacity = 1 + len(self.configs[0])
+        capacity = 1 + self.footprints
         volume = capacity + len(self.pairs)
-        first_pair = {h: q * self.slot_cap for q, h in enumerate(self.size_set)}
         starts, rows, values = [0], [], []
-        for vec, h, b in zip(self.configs, self.sizes, self.slots):
+        for i, vec in enumerate(self.configs):
             rows.append(0)
             values.append(1)
-            for g in compress(range(len(vec)), vec):
+            for g, k in vec:
                 rows.append(1 + g)
-                values.append(vec[g])
-            if hosted and b < self.slot_cap:
-                rows.append(capacity + first_pair[h] + b)
-                values.append(b - self.slot_budget)
+                values.append(k)
+            pos = self.pair_position(i) if hosted else None
+            if pos is not None:
+                rows.append(capacity + pos)
+                values.append(self.slots[i] - self.slot_budget)
+                h = self.sizes[i]
                 if h != self.size_bound:
-                    rows.append(volume + first_pair[h] + b)
+                    rows.append(volume + pos)
                     values.append(h - self.size_bound)
             starts.append(len(rows))
         return starts, rows, values
 
 
-def _multiplicity_configs(sizes, c, budget):
-    """Multiplicity vectors over ``sizes`` with at most c entries and
-    total size at most ``budget``, in lexicographic order.
+def _multisets(sizes, c, budget):
+    """(positions, total size) of every multiset of at most c positions of
+    ``sizes`` with total size at most ``budget``.
 
-    The configurations are grown one slot at a time as multisets of
-    positions taken in ascending size, so a multiset's extensions stop at
-    the first size that overflows the budget and the work follows the
-    number of configurations, not the number of positions times it."""
+    The multisets are grown one slot at a time from positions taken in
+    ascending size, so a multiset's extensions stop at the first size
+    that overflows the budget and the work follows the number of
+    multisets, not the number of positions times it."""
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     level = [((), 0, 0)]  # (positions, total size, first position to add)
-    found = [((), 0)]
+    count = 1
+    yield (), 0
     for _slot in range(c):
         grown = []
         for combo, total, start in level:
@@ -157,46 +166,44 @@ def _multiplicity_configs(sizes, c, budget):
                 if size > budget:
                     break
                 grown.append((combo + (order[at],), size, at))
-            _cap_check(len(found) + len(grown), "configurations")
-        found.extend((combo, total) for combo, total, _start in grown)
+            _cap_check(count + len(grown), "configurations")
+        count += len(grown)
+        yield from ((combo, total) for combo, total, _start in grown)
         level = grown
-    vectors = []
-    for combo, total in found:
-        vec = [0] * len(sizes)
-        for g in combo:
-            vec[g] += 1
-        vectors.append((tuple(vec), total))
-    vectors.sort()
-    return (
-        tuple(v for v, _total in vectors),
-        tuple(total for _v, total in vectors),
-    )
+
+
+def _multiplicity_configs(sizes, c, budget):
+    """The multisets of ``_multisets`` as (position, multiplicity) pairs,
+    positions ascending, and their sizes, in the lexicographic order of
+    their multiplicity vectors: that of their ascending positions,
+    negated."""
+    keys, totals = zip(*sorted(
+        (tuple(-g for g in sorted(combo)), total)
+        for combo, total in _multisets(sizes, c, budget)
+    ))
+    return tuple(
+        tuple((-g, key.count(g)) for g in dict.fromkeys(key)) for key in keys
+    ), totals
 
 
 def _configurations(sizes, c, bound, pieces):
     """The configurations over the distinct module sizes ``sizes``: at
-    most c slots and total size at most ``bound``, grouped by (size,
-    slots) pairs for slot counts below the slot cap min(c, pieces), with
+    most c slots and total size at most ``bound``, with (size, slots)
+    pairs for slot counts below the slot cap min(c, pieces), with
     ``pieces`` from ``piece_cap``."""
     configs, totals = _multiplicity_configs(sizes, c, bound)
     slot_cap = min(c, pieces)
-    slots = tuple(sum(v) for v in configs)
     size_set = tuple(sorted(set(totals)))
-    pairs = tuple((h, b) for h in size_set for b in range(slot_cap))
-    groups = {pair: [] for pair in pairs}
-    for idx, (h, b) in enumerate(zip(totals, slots)):
-        if b < slot_cap:
-            groups[(h, b)].append(idx)
     return ConfigurationSet(
         configs=configs,
         sizes=totals,
-        slots=slots,
+        slots=tuple(sum(k for _g, k in vec) for vec in configs),
+        footprints=len(sizes),
         slot_budget=c,
         size_bound=bound,
         slot_cap=slot_cap,
         size_set=size_set,
-        pairs=pairs,
-        groups={pair: tuple(members) for pair, members in groups.items()},
+        pairs=tuple((h, b) for h in size_set for b in range(slot_cap)),
     )
 
 

@@ -252,9 +252,26 @@ class TestSets:
         assert confs.slot_cap == 2
         assert len(confs.size_set) == 12
         assert len(confs.pairs) == 24
-        zero = confs.configs.index(tuple([0] * 11))
-        assert zero == 0
-        assert confs.groups[(0, 0)] == (0,)
+        assert confs.configs[0] == ()
+        empty = confs.pairs.index((0, 0))
+        assert [
+            i for i in range(confs.count) if confs.pair_position(i) == empty
+        ] == [0]
+
+    def test_pair_position_is_the_index_of_the_size_and_slots(self):
+        rounded = preprocess(
+            Instance((9, 1, 1), (1, 2, 3), 2, 2),
+            PtasParams(HALF, 9, NONPREEMPTIVE),
+        )
+        for _mods, confs in (splittable_sets(2, 2), enumerate_sets(rounded)):
+            assert any(b >= confs.slot_cap for b in confs.slots)
+            for i in range(confs.count):
+                pair = (confs.sizes[i], confs.slots[i])
+                expected = (
+                    confs.pairs.index(pair) if pair[1] < confs.slot_cap
+                    else None
+                )
+                assert confs.pair_position(i) == expected
 
     def test_splittable_module_count_at_eighth(self):
         mods, _confs = splittable_sets(8, 1)
@@ -287,11 +304,16 @@ class TestSets:
         budget=st.integers(0, 20),
     )
     def test_configurations_match_brute_force(self, sizes, c, budget):
-        expected = sorted(
-            (vec, sum(v * p for v, p in zip(vec, sizes)))
-            for vec in itertools.product(range(c + 1), repeat=len(sizes))
-            if sum(vec) <= c and sum(v * p for v, p in zip(vec, sizes)) <= budget
-        )
+        # the multiplicity vectors in lexicographic order, each written
+        # as its (position, multiplicity) pairs
+        expected = [
+            (tuple((g, v) for g, v in enumerate(vec) if v), total)
+            for vec, total in sorted(
+                (vec, sum(v * p for v, p in zip(vec, sizes)))
+                for vec in itertools.product(range(c + 1), repeat=len(sizes))
+            )
+            if sum(vec) <= c and total <= budget
+        ]
         configs, totals = _multiplicity_configs(tuple(sizes), c, budget)
         assert list(zip(configs, totals)) == expected
 
@@ -440,7 +462,7 @@ class TestProgramShape:
         assert solution is not None
         brick = solution[: program.brick_width]
         confs = built.configurations
-        zero = confs.configs.index(tuple([0] * built.modules.count))
+        zero = confs.configs.index(())
         assert brick[zero] == 1
         pair_pos = confs.pairs.index((0, 0))
         _y0, z0, _slack0, _pairs = brick_offsets(built)
@@ -607,14 +629,14 @@ class TestReconstructionGuards:
 
     def test_untampered_point_reconstructs(self):
         inst, built, x = self.built_point()
-        schedule = construct_schedule(inst, x, built)
+        schedule = construct_schedule(x, built)
         assert validate(schedule, inst, NONPREEMPTIVE) == []
 
     def test_extra_machine_raises(self):
         inst, built, x = self.built_point()
         x[0] += 1
         with pytest.raises(CCSError, match="machines"):
-            construct_schedule(inst, x, built)
+            construct_schedule(x, built)
 
     def test_unhosted_small_class_raises(self):
         inst, built, x = self.built_point()
@@ -623,7 +645,7 @@ class TestReconstructionGuards:
         pairs = len(built.configurations.pairs)
         x[z0 : z0 + pairs] = [0] * pairs
         with pytest.raises(CCSError, match="hosted 0 times"):
-            construct_schedule(inst, x, built)
+            construct_schedule(x, built)
 
     def test_missing_module_raises(self):
         inst, built, x = self.built_point()
@@ -634,7 +656,7 @@ class TestReconstructionGuards:
         else:
             pytest.fail("the large class places no module")
         with pytest.raises(CCSError, match="left over"):
-            construct_schedule(inst, x, built)
+            construct_schedule(x, built)
 
 
 def explicit_machine_loads(x, built):
@@ -649,12 +671,9 @@ def explicit_machine_loads(x, built):
     ]
     pool = [deque() for _ in range(built.modules.count)]
     for machine, cfg in enumerate(machines):
-        for g, count in enumerate(confs.configs[cfg]):
+        for g, count in confs.configs[cfg]:
             pool[g].extend([machine] * count)
     loads = [{} for _ in machines]
-    cell_of = {
-        i: pos for pos, pair in enumerate(confs.pairs) for i in confs.groups[pair]
-    }
     cells = {}
     for u, cls in enumerate(rounded.classes):
         if cls.small:
@@ -664,7 +683,10 @@ def explicit_machine_loads(x, built):
                 (cls.class_id, cls.jobs[0].scaled_size)
             )
     for pos, members in cells.items():
-        cell = [mach for mach, cfg in enumerate(machines) if cell_of.get(cfg) == pos]
+        cell = [
+            mach for mach, cfg in enumerate(machines)
+            if confs.pair_position(cfg) == pos
+        ]
         bins = round_robin(members, len(cell))
         for b, machine in enumerate(cell):
             for class_id in bins[b]:
@@ -691,7 +713,7 @@ class TestReconstruction:
     def check(self, inst, delta, variant):
         built, solution = accepted(inst, delta, variant)
         brick_conservation(built, solution)
-        schedule = construct_schedule(inst, solution, built)
+        schedule = construct_schedule(solution, built)
         assert validate(schedule, inst, variant) == []
         params = built.rounded.params
         assert makespan(schedule, inst) <= params.inflated + delta * params.guess
@@ -716,7 +738,7 @@ class TestReconstruction:
     @settings(max_examples=25, deadline=None)
     def test_splittable_patterns_match_the_explicit_reading(self, inst):
         built, solution = accepted(inst, HALF, SPLITTABLE)
-        schedule = construct_schedule(inst, solution, built)
+        schedule = construct_schedule(solution, built)
         assert isinstance(schedule, CompactSchedule)
         assert sorted(
             pattern for pattern, count in schedule.patterns for _ in range(count)
@@ -1113,8 +1135,7 @@ class TestDriver:
         report = {}
         schedule = ptas_solve(inst, 1, variant, report=report)
         assert report["probes"] == [(7, True)]
-        work = driver._clamp(inst, variant)
-        program = construct_schedule(work, report["solution"], report["built"])
+        program = construct_schedule(report["solution"], report["built"])
         assert makespan(program, inst) > warm
         assert validate(schedule, inst, variant) == []
         assert makespan(schedule, inst) == warm
