@@ -45,7 +45,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     CCSError,
@@ -65,7 +65,7 @@ from .greedy import lpt, round_robin
 # cutting classes
 
 
-def _cut(jobs: Sequence, threshold: int) -> list:
+def _cut(jobs: Iterable, threshold: int) -> list:
     """Cut a class, (job_id, size) in id order, at multiples of the
     threshold, all ints over one denominator: [(load, parts), ...], every
     load the threshold but possibly the last, with parts = ((job_id, take,
@@ -87,14 +87,6 @@ def _cut(jobs: Sequence, threshold: int) -> list:
     if parts:
         pieces.append((threshold - space, tuple(parts)))
     return pieces
-
-
-def _class_job_lists(instance: Instance, sizes: Sequence) -> list:
-    """Per class (1..C): list of (job_id, sizes[job_id]) in job id order."""
-    by_class: list = [[] for _ in range(instance.class_count)]
-    for job_id, (size, lab) in enumerate(zip(sizes, instance.class_labels)):
-        by_class[lab - 1].append((job_id, size))
-    return by_class
 
 
 class _OverScale(dict):
@@ -313,10 +305,11 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
     t_star, m_used, _lb = _preemptive_guess(instance)
     den, sizes, _sums = instance._scaled
     scale, up, theta = _common_scale(den, t_star)
+    sizes = [size * up for size in sizes]
     pieces = [
         piece
-        for jobs in _class_job_lists(instance, [size * up for size in sizes])
-        for piece in _cut(jobs, theta)
+        for jobs in instance._class_members
+        for piece in _cut(zip(jobs, map(sizes.__getitem__, jobs)), theta)
     ]
     layout = round_robin(
         list(enumerate(load for load, _parts in pieces)), m_used
@@ -377,8 +370,8 @@ def nonpreemptive_threshold(instance: Instance):
     budget = instance.slot_budget * m_used
     den, scaled_sizes, sums = instance._scaled
     shapes = Counter(
-        tuple(sorted(p for _j, p in jobs))
-        for jobs in _class_job_lists(instance, scaled_sizes)
+        tuple(sorted(map(scaled_sizes.__getitem__, jobs)))
+        for jobs in instance._class_members
     )
     groups = [(sizes, sum(sizes), k) for sizes, k in shapes.items()]
 
@@ -423,18 +416,26 @@ def _deal_nonpreemptive(
     theta = threshold.numerator * (den // threshold.denominator)
     cuts: dict = {}  # class weights in id order -> [(load, positions), ...]
     groups = []  # (load, job_ids) per piece, class asc then bin asc
-    for jobs in _class_job_lists(instance, sizes):
-        weights = tuple(w for _j, w in jobs)
+    for jobs in instance._class_members:
+        weights = tuple(map(sizes.__getitem__, jobs))
         cut = cuts.get(weights)
         if cut is None:  # classes of equal weights cut alike
-            ordered = sorted(weights)
-            count = _cu_sorted(ordered, sum(ordered), theta)[0]
-            bins = lpt(list(enumerate(weights)), count)
-            cut = cuts[weights] = [
-                (sum(weights[k] for k in bins[b]), bins[b]) for b in range(count)
-            ]
+            total = sum(weights)
+            if total <= theta:
+                # one piece (C_u = 1), filled in the order lpt fills one
+                # bin: weight descending, position ascending on ties
+                order = sorted(range(len(weights)), key=weights.__getitem__,
+                               reverse=True)
+                cut = cuts[weights] = [(total, order)]
+            else:
+                count = _cu_sorted(sorted(weights), total, theta)[0]
+                bins = lpt(list(enumerate(weights)), count)
+                cut = cuts[weights] = [
+                    (sum(weights[k] for k in bins[b]), bins[b])
+                    for b in range(count)
+                ]
         for load, positions in cut:
-            groups.append((load, [jobs[k][0] for k in positions]))
+            groups.append((load, [jobs[k] for k in positions]))
     layout = round_robin(list(enumerate(load for load, _ in groups)), m_used)
     assignment = {}
     for machine, indices in layout.items():

@@ -161,21 +161,35 @@ def generate(
     if not 1 <= low <= high:
         raise ValueError(f"bad processing time range {p_range}")
     rng = random.Random(seed)
-    # randrange(a, b + 1) is how random.randint(a, b) is defined: the same
-    # draws, one call fewer each
     if family == "many-singletons":
         labels = list(range(1, n + 1))
-        sizes = [rng.randrange(low, high + 1) for _ in range(n)]
+        sizes = _uniform_draws(rng, low, high, n)
     elif family == "few-large-classes":
         palette = max(1, min(n, m * c, 3))
-        labels = [rng.randrange(1, palette + 1) for _ in range(n)]
+        labels = _uniform_draws(rng, 1, palette, n)
         heavy = max(low, (low + high) // 2)
-        sizes = [rng.randrange(heavy, high + 1) for _ in range(n)]
+        sizes = _uniform_draws(rng, heavy, high, n)
     else:
         palette = max(1, min(n, m * c))
-        labels = [rng.randrange(1, palette + 1) for _ in range(n)]
-        sizes = [rng.randrange(low, high + 1) for _ in range(n)]
+        labels = _uniform_draws(rng, 1, palette, n)
+        sizes = _uniform_draws(rng, low, high, n)
     return Instance(tuple(sizes), tuple(labels), m, c)
+
+
+def _uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list:
+    """``[rng.randint(low, high) for _ in range(count)]`` by the same
+    getrandbits calls: ``randint`` draws k = width.bit_length() bits (one
+    bit for width 1) and redraws until they fall below the width."""
+    width = high - low + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(low + r)
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat
 from math import lcm
-from operator import add, and_, eq, lt
+from operator import add, and_, eq, itemgetter, lt, mul, sub
 from typing import Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -63,6 +64,10 @@ def format_rational(value: Rational) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
+
+# what a malformed value raises when it is converted to a Fraction, or a
+# malformed piece or pattern when it is unpacked
+_MALFORMED = (TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 # equal values of these types are one rational, so one Fraction serves
 # every job of that size
@@ -110,7 +115,7 @@ class Instance:
     def __post_init__(self) -> None:
         try:
             times, den, sizes = _exact_sizes(tuple(self.processing_times))
-        except (TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise InvalidInstanceError(f"bad processing time: {exc}") from exc
         raw_labels = tuple(self.class_labels)
         if not times:
@@ -163,6 +168,14 @@ class Instance:
         return Fraction(max(sizes), den)
 
     @cached_property
+    def _class_members(self) -> tuple:
+        """Per class, class 1 first, its job ids ascending."""
+        members = [[] for _ in self.original_labels]
+        for j, u in enumerate(self.class_labels):
+            members[u - 1].append(j)
+        return tuple(map(tuple, members))
+
+    @cached_property
     def class_totals(self) -> tuple:
         """Total processing time per class, class 1 first."""
         den, _sizes, sums = self._scaled
@@ -179,6 +192,33 @@ def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _stored_pieces(pieces, width: int) -> tuple:
+    """The pieces as plain tuples ``(job_id, fraction, machine_id)``, with
+    a start as fourth entry when ``width`` is 4, fraction and start as
+    Fractions. A tuple already in that form, as the algorithms build it,
+    is kept as given: one pass over it costs less than a rebuild. Raises
+    InvalidScheduleError on a piece that does not unpack or convert."""
+    if type(pieces) is tuple:
+        for piece in pieces:
+            if (
+                type(piece) is not tuple
+                or len(piece) != width
+                or type(piece[1]) is not Fraction
+                or (width == 4 and type(piece[3]) is not Fraction)
+            ):
+                break
+        else:
+            return pieces
+    try:
+        if width == 3:
+            return tuple((j, _fraction(lam), i) for j, lam, i in pieces)
+        return tuple(
+            (j, _fraction(lam), i, _fraction(start)) for j, lam, i, start in pieces
+        )
+    except _MALFORMED as exc:
+        raise InvalidScheduleError(f"bad piece: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SplittableSchedule:
     """Fractions of jobs on machines; a job may run on several machines
@@ -188,11 +228,7 @@ class SplittableSchedule:
     pieces: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple((j, _fraction(lam), i) for (j, lam, i) in self.pieces),
-        )
+        object.__setattr__(self, "pieces", _stored_pieces(self.pieces, 3))
 
 
 @dataclass(frozen=True)
@@ -203,14 +239,7 @@ class PreemptiveSchedule:
     pieces: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple(
-                (j, _fraction(lam), i, _fraction(start))
-                for (j, lam, i, start) in self.pieces
-            ),
-        )
+        object.__setattr__(self, "pieces", _stored_pieces(self.pieces, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +273,41 @@ class CompactSchedule:
     patterns: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "patterns",
-            tuple(
-                (tuple((u, _fraction(load)) for u, load in pattern), count)
-                for pattern, count in self.patterns
-            ),
+        object.__setattr__(self, "patterns", _stored_patterns(self.patterns))
+
+
+def _stored_patterns(patterns) -> tuple:
+    """The patterns as plain tuples ``(((class_id, load), ...), count)``
+    with Fraction loads; a tuple already in that form is kept as given, as
+    ``_stored_pieces`` keeps pieces. Raises InvalidScheduleError on a
+    pattern that does not unpack or convert."""
+    if _stored_as_given(patterns):
+        return patterns
+    try:
+        return tuple(
+            (tuple((u, _fraction(load)) for u, load in pattern), count)
+            for pattern, count in patterns
         )
+    except _MALFORMED as exc:
+        raise InvalidScheduleError(f"bad pattern: {exc}") from exc
+
+
+def _stored_as_given(patterns) -> bool:
+    """Whether the patterns already are plain tuples with Fraction loads:
+    one pass, which costs less than a rebuild however few they are."""
+    if type(patterns) is not tuple:
+        return False
+    for entry in patterns:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        if type(entry[0]) is not tuple:
+            return False
+        for item in entry[0]:
+            if type(item) is not tuple or len(item) != 2:
+                return False
+            if type(item[1]) is not Fraction:
+                return False
+    return True
 
 
 Schedule = Union[
@@ -292,30 +348,32 @@ def _over_common_denominator(values: list) -> tuple:
     return scale, [v.numerator * (scale // d) for v, d in zip(values, dens)]
 
 
-def _fractions(pieces: list) -> tuple:
-    """(L, ints): the fractions of the (job_id, fraction, ...) pieces as
-    ints over their least common denominator L."""
-    return _over_common_denominator([piece[1] for piece in pieces])
+def _columns(rows, width: int) -> list:
+    """The columns of rows of ``width`` entries each (a schedule's pieces
+    or patterns): ``width`` empty ones when there are no rows."""
+    return list(zip(*rows)) or [()] * width
 
 
-def _amounts(pieces: list, instance: Instance, fractions: tuple) -> tuple:
+def _amounts(jobs, instance: Instance, fractions: tuple) -> tuple:
     """(L, ints): the processing time fraction * p_j of each piece, as ints
-    over one common denominator L, from the pieces' ``_fractions``."""
+    over one common denominator L, from the pieces' job ids and their
+    fractions over a common denominator."""
     den, sizes, _sums = instance._scaled
     scale, lams = fractions
-    return scale * den, [lam * sizes[piece[0]] for piece, lam in zip(pieces, lams)]
+    return scale * den, list(map(mul, lams, map(sizes.__getitem__, jobs)))
 
 
-def _spans(pieces: list, amounts: tuple) -> tuple:
+def _spans(starts: tuple, amounts: tuple) -> tuple:
     """(L, starts, ends): each preemptive piece's start and end, as ints
-    over one common denominator L, from the pieces' ``_amounts``."""
+    over one common denominator L, from the pieces' starts over a common
+    denominator and their ``_amounts``."""
     amount_scale, amounts = amounts
-    start_scale, starts = _over_common_denominator([piece[3] for piece in pieces])
+    start_scale, starts = starts
     scale = lcm(amount_scale, start_scale)
     if scale != start_scale:
-        starts = [start * (scale // start_scale) for start in starts]
+        starts = list(map(mul, starts, repeat(scale // start_scale)))
     if scale != amount_scale:
-        amounts = [amount * (scale // amount_scale) for amount in amounts]
+        amounts = map(mul, amounts, repeat(scale // amount_scale))
     return scale, starts, list(map(add, starts, amounts))
 
 
@@ -331,10 +389,9 @@ def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
     """(L, {machine: load}): machine loads as ints over one common
     denominator L, machines in order of first appearance."""
     if isinstance(schedule, (SplittableSchedule, PreemptiveSchedule)):
-        pieces = schedule.pieces
-        _check_ids(((piece[0], piece[2]) for piece in pieces), instance)
-        scale, amounts = _amounts(pieces, instance, _fractions(pieces))
-        machines = [piece[2] for piece in pieces]
+        jobs, lams, machines, *_starts = _columns(schedule.pieces, 3)
+        _check_ids(zip(jobs, machines), instance)
+        scale, amounts = _amounts(jobs, instance, _over_common_denominator(lams))
     elif isinstance(schedule, NonPreemptiveSchedule):
         _check_ids(schedule.assignment.items(), instance)
         scale, sizes, _sums = instance._scaled
@@ -359,10 +416,11 @@ def makespan(schedule: Schedule, instance: Instance) -> Fraction:
     """Maximum total processing time over machines; empty schedules have
     makespan 0. For preemptive schedules this is the latest piece end."""
     if isinstance(schedule, PreemptiveSchedule):
-        pieces = schedule.pieces
-        _check_ids(((j, i) for (j, _lam, i, _s) in pieces), instance)
+        jobs, lams, machines, starts = _columns(schedule.pieces, 4)
+        _check_ids(zip(jobs, machines), instance)
         scale, _starts, ends = _spans(
-            pieces, _amounts(pieces, instance, _fractions(pieces))
+            _over_common_denominator(starts),
+            _amounts(jobs, instance, _over_common_denominator(lams)),
         )
         return Fraction(max(ends, default=0), scale)
     if isinstance(schedule, CompactSchedule):
@@ -411,18 +469,45 @@ def _plain_ids(ids: list, count: int) -> bool:
     )
 
 
-def _classes_by_machine(machines, jobs, instance: Instance) -> dict:
-    """{machine: set of the classes it runs} for jobs running on machines."""
+def _slot_check(machines, jobs, instance: Instance) -> list:
+    """``_slot_violations`` of jobs running on machines, checked in bulk
+    on the number of classes per machine first."""
+    pairs = set(zip(machines, map(instance.class_labels.__getitem__, jobs)))
+    if max(Counter(map(itemgetter(0), pairs)).values(), default=0) <= (
+        instance.slot_budget
+    ):
+        return []
     machine_classes: dict = {}
-    for i, u in set(zip(machines, map(instance.class_labels.__getitem__, jobs))):
+    for i, u in pairs:
         machine_classes.setdefault(i, set()).add(u)
-    return machine_classes
+    return _slot_violations(machine_classes, instance.slot_budget)
 
 
-def _known_pieces(pieces, instance: Instance, violations: list) -> tuple:
-    """(pieces, machine classes): the pieces whose job and machine ids
-    exist, and the classes each machine runs. Reports unknown ids and
-    fractions outside (0, 1] into violations, in piece order."""
+def _scaled_columns(pieces, width: int) -> tuple:
+    """(jobs, machines, fractions[, starts]): the pieces' id columns, and
+    their fractions and, for timed pieces (``width`` 4), their starts as
+    ``_over_common_denominator`` pairs."""
+    jobs, lams, machines, *starts = _columns(pieces, width)
+    return (
+        jobs, machines, _over_common_denominator(lams),
+        *map(_over_common_denominator, starts),
+    )
+
+
+def _known_pieces(pieces, instance: Instance, violations: list, width: int) -> tuple:
+    """``_scaled_columns`` of the pieces whose job and machine ids exist.
+    The columns are checked in bulk; only when that fails are the pieces
+    checked one by one, reporting unknown ids, fractions outside (0, 1]
+    and negative starts into violations in piece order."""
+    columns = _scaled_columns(pieces, width)
+    jobs, machines, (scale, lams), *starts = columns
+    if (
+        _plain_ids(jobs, instance.job_count)
+        and _plain_ids(machines, instance.machine_count)
+        and (not lams or min(lams) > 0 and max(lams) <= scale)
+        and all(min(ints, default=0) >= 0 for _scale, ints in starts)
+    ):
+        return columns
     known = []
     for piece in pieces:
         j, lam, i = piece[:3]
@@ -434,19 +519,17 @@ def _known_pieces(pieces, instance: Instance, violations: list) -> tuple:
             continue
         if not 0 < lam.numerator <= lam.denominator:
             violations.append(f"fraction {lam} of job {j} outside (0, 1]")
-        if len(piece) == 4 and piece[3].numerator < 0:  # a preemptive start
+        if width == 4 and piece[3].numerator < 0:
             violations.append(f"piece of job {j} starts at {piece[3]} < 0")
         known.append(piece)
-    return known, _classes_by_machine(
-        [piece[2] for piece in known], [piece[0] for piece in known], instance
-    )
+    return _scaled_columns(known, width)
 
 
-def _fraction_sum_violations(pieces: list, fractions: tuple, job_count: int) -> list:
+def _fraction_sum_violations(jobs, fractions: tuple, job_count: int) -> list:
     scale, lams = fractions
     sums = [0] * job_count
-    for piece, lam in zip(pieces, lams):
-        sums[piece[0]] += lam
+    for j, lam in zip(jobs, lams):
+        sums[j] += lam
     return [
         f"fractions of job {j} sum to {Fraction(total, scale)}, not 1"
         for j, total in enumerate(sums)
@@ -462,14 +545,15 @@ def _fraction_sum_violations(pieces: list, fractions: tuple, job_count: int) -> 
 
 def _check_splittable(schedule: SplittableSchedule, instance: Instance) -> tuple:
     violations = []
-    known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
-    fractions = _fractions(known)
-    violations.extend(_fraction_sum_violations(known, fractions, instance.job_count))
-    violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    if len(known) < len(schedule.pieces):
+    jobs, machines, fractions = _known_pieces(
+        schedule.pieces, instance, violations, 3
+    )
+    violations.extend(_fraction_sum_violations(jobs, fractions, instance.job_count))
+    violations.extend(_slot_check(machines, jobs, instance))
+    if len(jobs) < len(schedule.pieces):
         return violations, None
-    scale, amounts = _amounts(known, instance, fractions)
-    totals = _totals((piece[2] for piece in known), amounts)
+    scale, amounts = _amounts(jobs, instance, fractions)
+    totals = _totals(machines, amounts)
     return violations, Fraction(max(totals.values(), default=0), scale)
 
 
@@ -486,12 +570,11 @@ def _clashes(rows: list) -> list:
 
 def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
     violations = []
-    known, machine_classes = _known_pieces(schedule.pieces, instance, violations)
-    fractions = _fractions(known)
-    violations.extend(_fraction_sum_violations(known, fractions, instance.job_count))
-    scale, starts, ends = _spans(known, _amounts(known, instance, fractions))
-    jobs = [piece[0] for piece in known]
-    machines = [piece[2] for piece in known]
+    jobs, machines, fractions, starts = _known_pieces(
+        schedule.pieces, instance, violations, 4
+    )
+    violations.extend(_fraction_sum_violations(jobs, fractions, instance.job_count))
+    scale, starts, ends = _spans(starts, _amounts(jobs, instance, fractions))
 
     def span(start, end) -> str:
         return f"[{Fraction(start, scale)}, {Fraction(end, scale)})"
@@ -504,15 +587,19 @@ def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple
             f"machine {i} runs jobs {j1} and {j2} at once: "
             f"{span(s1, e1)} overlaps {span(s2, e2)}"
         )
-    rows = sorted(zip(jobs, starts, ends, machines))
+    # a job of one piece has no pair: only jobs cut into several are sorted
+    split = {j for j, pieces in Counter(jobs).items() if pieces > 1}
+    rows = sorted(compress(
+        zip(jobs, starts, ends, machines), map(split.__contains__, jobs)
+    ))
     for k in _clashes(rows):
         (j, s1, e1, i1), (_j, s2, e2, i2) = rows[k], rows[k + 1]
         violations.append(
             f"parallel execution of job {j}: {span(s1, e1)} on machine {i1} "
             f"overlaps {span(s2, e2)} on machine {i2}"
         )
-    violations.extend(_slot_violations(machine_classes, instance.slot_budget))
-    if len(known) < len(schedule.pieces):
+    violations.extend(_slot_check(machines, jobs, instance))
+    if len(jobs) < len(schedule.pieces):
         return violations, None
     return violations, Fraction(max(ends, default=0), scale)
 
@@ -543,8 +630,7 @@ def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) ->
                 violations.append(f"unknown machine id {i!r}")
             else:
                 known[j] = i
-    machine_classes = _classes_by_machine(known.values(), known, instance)
-    violations.extend(_slot_violations(machine_classes, instance.slot_budget))
+    violations.extend(_slot_check(known.values(), known, instance))
     if len(known) < len(assignment):
         return violations, None
     totals = _totals(assignment.values(), map(sizes.__getitem__, assignment))
@@ -554,18 +640,66 @@ def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) ->
 def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
     violations = []
     den, _sizes, sums = instance._scaled
-    scale, scaled = _over_common_denominator(
-        [load for pattern, _count in schedule.patterns for _u, load in pattern]
-    )
+    patterns, counts = _columns(schedule.patterns, 2)
+    widths = list(map(len, patterns))
+    classes, loads = _columns(list(chain.from_iterable(patterns)), 2)
+    scale, scaled = _over_common_denominator(loads)
     totals = [0] * instance.class_count
-    pattern_loads = []
+    # checked in bulk first: known classes, positive counts and loads,
+    # and patterns within the slot budget that list no class twice leave
+    # only the machine budget and the class totals to report
+    known = _plain_ids(classes, instance.class_count + 1) and 0 not in classes
+    if (
+        known
+        and set(map(type, counts)) <= {int}
+        and min(counts, default=1) > 0
+        and min(scaled, default=1) > 0
+        and max(widths, default=0) <= instance.slot_budget
+        and all(map(eq, map(len, map(dict, patterns)), widths))
+    ):
+        machines = sum(counts)
+        weights = map(mul, chain.from_iterable(map(repeat, counts, widths)), scaled)
+        for u, weight in zip(classes, weights):
+            totals[u - 1] += weight
+    else:
+        known, machines = _compact_violations(
+            schedule.patterns, scaled, totals, instance, violations
+        )
+    if machines > instance.machine_count:
+        violations.append(
+            f"machine budget exceeded: {machines} machines > "
+            f"m={instance.machine_count}"
+        )
+    common = lcm(scale, den)
+    carried = list(map(mul, totals, repeat(common // scale)))
+    expected = list(map(mul, sums, repeat(common // den)))
+    if carried != expected:
+        violations.extend(
+            f"class {u} carries {Fraction(total, common)}, "
+            f"expected {Fraction(need, common)}"
+            for u, (total, need) in enumerate(zip(carried, expected), start=1)
+            if total != need
+        )
+    if not known:
+        return violations, None
+    # each pattern's load, as differences of the loads' running sums
+    ends = list(accumulate(widths, initial=0))
+    running = list(accumulate(scaled, initial=0))
+    peaks = map(sub, map(running.__getitem__, ends[1:]), map(running.__getitem__, ends))
+    return violations, Fraction(max(peaks, default=0), scale)
+
+
+def _compact_violations(patterns, scaled, totals, instance, violations) -> tuple:
+    """(known, machines): whether every class id exists, and the machines
+    the patterns of positive integer count take. Reports each pattern's
+    violations in pattern order and adds its class loads, ints over the
+    loads' common denominator as in ``scaled``, into totals."""
     known = True
     machines = 0
     at = 0
-    for pattern, count in schedule.patterns:
+    for pattern, count in patterns:
         loads = scaled[at:at + len(pattern)]
         at += len(pattern)
-        pattern_loads.append(sum(loads))
         fits = [_is_int(u) and 1 <= u <= instance.class_count for u, _load in pattern]
         known = known and all(fits)
         if not _is_int(count) or count < 1:
@@ -588,21 +722,7 @@ def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
                 violations.append(f"class {u} has non-positive load {load}")
             else:
                 totals[u - 1] += count * value
-    if machines > instance.machine_count:
-        violations.append(
-            f"machine budget exceeded: {machines} machines > "
-            f"m={instance.machine_count}"
-        )
-    common = lcm(scale, den)
-    for u, (total, expected) in enumerate(zip(totals, sums), start=1):
-        if total * (common // scale) != expected * (common // den):
-            violations.append(
-                f"class {u} carries {Fraction(total, scale)}, "
-                f"expected {Fraction(expected, den)}"
-            )
-    if not known:
-        return violations, None
-    return violations, Fraction(max(pattern_loads, default=0), scale)
+    return known, machines
 
 
 def _checked(schedule: Schedule, instance: Instance) -> tuple:

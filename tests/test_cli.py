@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -184,6 +185,56 @@ class TestGenerate:
     def test_bad_size_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             generate(1, "uniform", 4, 2, 1, (5, 2))
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    @pytest.mark.parametrize("n, m, c, p_range", [
+        (1, 1, 1, (1, 1)),
+        (6, 3, 2, (1, 1)),  # width 1: randrange still draws one bit a job
+        (9, 3, 1, (4, 4)),
+        (12, 4, 2, (1, 8)),  # power-of-two widths: one draw in two redrawn
+        (12, 2, 3, (1, 16)),
+        (12, 2, 2, (1, 15)),  # width 8 in the upper half, 8..15
+        (11, 3, 2, (5, 12)),
+        (20, 4, 3, (1, 10)),
+        (40, 5, 2, (1, 100)),
+    ])
+    def test_draws_as_randrange(self, family, n, m, c, p_range):
+        """The instances of the generator over ``random.randrange``, by
+        which every ``gen:`` spec, pinned sweep row and benchmark input was
+        drawn: sizes, dense labels and original labels alike."""
+        for seed in range(40):
+            inst = generate(seed, family, n, m, c, p_range)
+            want = reference_generate(seed, family, n, m, c, p_range)
+            assert inst == want
+            assert inst.original_labels == want.original_labels
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_draws_as_randrange_at_benchmark_size(self, family):
+        m = 825 if family == "many-singletons" else 150
+        for seed in (11, 12, 13):
+            inst = generate(seed, family, 1500, m, 2, (1, 100))
+            want = reference_generate(seed, family, 1500, m, 2, (1, 100))
+            assert inst == want
+            assert inst.original_labels == want.original_labels
+
+
+def reference_generate(seed, family, n, m, c, p_range):
+    """``generate`` as first written: two ``randrange`` draws a job."""
+    low, high = p_range
+    rng = random.Random(seed)
+    if family == "many-singletons":
+        labels = list(range(1, n + 1))
+        sizes = [rng.randrange(low, high + 1) for _ in range(n)]
+    elif family == "few-large-classes":
+        palette = max(1, min(n, m * c, 3))
+        labels = [rng.randrange(1, palette + 1) for _ in range(n)]
+        heavy = max(low, (low + high) // 2)
+        sizes = [rng.randrange(heavy, high + 1) for _ in range(n)]
+    else:
+        palette = max(1, min(n, m * c))
+        labels = [rng.randrange(1, palette + 1) for _ in range(n)]
+        sizes = [rng.randrange(low, high + 1) for _ in range(n)]
+    return Instance(tuple(sizes), tuple(labels), m, c)
 
 
 class TestRun:

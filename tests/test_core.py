@@ -48,6 +48,13 @@ class TestInstanceNormalization:
         with pytest.raises(InvalidInstanceError):
             Instance((Fraction(-1, 2),), (1,), 1, 1)
 
+    @pytest.mark.parametrize("size", [
+        float("nan"), float("inf"), "1/0", "x", None, (1, 2),
+    ])
+    def test_rejects_unconvertible_size(self, size):
+        with pytest.raises(InvalidInstanceError, match="bad processing time"):
+            Instance((1, size), (1, 2), 1, 1)
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(InvalidInstanceError):
             Instance((), (), 1, 1)
@@ -329,6 +336,104 @@ class TestIdsArePlainInts:
         schedule = NonPreemptiveSchedule({Id(0): Id(0), Id(1): Id(1)})
         assert validate(schedule, self.inst) == []
         assert makespan(schedule, self.inst) == 4
+
+
+# one schedule of each piece type with its values of one kind, given as
+# a tuple of plain tuples
+SCHEDULE_BUILDERS = {
+    "split": lambda v: SplittableSchedule(((0, v, 0), (1, v, 1))),
+    "preempt": lambda v: PreemptiveSchedule(((0, v, 0, v), (1, v, 1, v))),
+    "compact": lambda v: CompactSchedule(((((1, v),), 1), (((1, v), (2, v)), 2))),
+}
+
+
+def stored_values(schedule):
+    """The values a constructor converts: fractions and starts, or loads."""
+    if isinstance(schedule, CompactSchedule):
+        return [load for pattern, _count in schedule.patterns for _u, load in pattern]
+    return [value for piece in schedule.pieces for value in piece[1::2]]
+
+
+def stored_rows(schedule):
+    """Every tuple the schedule stores, outermost first."""
+    if isinstance(schedule, CompactSchedule):
+        rows = [schedule.patterns, *schedule.patterns]
+        return rows + [pattern for pattern, _count in schedule.patterns] + [
+            item for pattern, _count in schedule.patterns for item in pattern
+        ]
+    return [schedule.pieces, *schedule.pieces]
+
+
+class Half(Fraction):
+    pass
+
+
+class TestScheduleConstruction:
+    """Pieces and patterns are stored as plain tuples of Fractions however
+    they are given; a tuple already in that form is kept as it is."""
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_BUILDERS))
+    @pytest.mark.parametrize("value", [1, 0.5, "1/2", Half(1, 2), F("1/2")])
+    def test_values_become_fractions(self, kind, value):
+        schedule = SCHEDULE_BUILDERS[kind](value)
+        assert all(type(v) is Fraction for v in stored_values(schedule))
+        assert all(v == Fraction(value) for v in stored_values(schedule))
+        assert all(type(row) is tuple for row in stored_rows(schedule))
+        assert schedule == SCHEDULE_BUILDERS[kind](Fraction(value))
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_BUILDERS))
+    def test_exact_tuples_are_kept(self, kind):
+        schedule = SCHEDULE_BUILDERS[kind](F("1/2"))
+        rows = schedule.patterns if kind == "compact" else schedule.pieces
+        again = type(schedule)(rows)
+        assert (again.patterns if kind == "compact" else again.pieces) is rows
+
+    def test_generators_are_read_once(self):
+        pieces = ((0, F("1/2"), 0), (0, F("1/2"), 1))
+        assert SplittableSchedule(p for p in pieces).pieces == pieces
+        timed = ((0, F(1), 0, F(0)), (1, F(1), 1, F(2)))
+        assert PreemptiveSchedule(p for p in timed).pieces == timed
+        patterns = ((((1, F(4)),), 2), (((1, F(4)), (2, F(3))), 1))
+        assert CompactSchedule(p for p in patterns).patterns == patterns
+
+    def test_lists_and_tuple_subclasses_are_stored_as_tuples(self):
+        class Piece(tuple):
+            pass
+
+        for pieces in ([Piece((0, F(1), 0)), [1, F(1), 1]],
+                       (Piece((0, F(1), 0)), (1, F(1), 1))):
+            schedule = SplittableSchedule(pieces)
+            assert schedule.pieces == ((0, F(1), 0), (1, F(1), 1))
+            assert all(type(row) is tuple for row in stored_rows(schedule))
+        for pieces in ([(0, F(1), 0, F(0))], (Piece((0, F(1), 0, F(0))),)):
+            timed = PreemptiveSchedule(pieces)
+            assert all(type(row) is tuple for row in stored_rows(timed))
+        for patterns in (
+            [[[(1, F(4)), [2, F(3)]], 1]],
+            (Piece((((1, F(4)), (2, F(3))), 1)),),
+            (((Piece((1, F(4))), (2, F(3))), 1),),
+            ((Piece(((1, F(4)), (2, F(3)))), 1),),
+        ):
+            compact = CompactSchedule(patterns)
+            assert compact.patterns == ((((1, F(4)), (2, F(3))), 1),)
+            assert all(type(row) is tuple for row in stored_rows(compact))
+
+    @pytest.mark.parametrize("build", [
+        lambda: SplittableSchedule(((0, 1),)),
+        lambda: SplittableSchedule(((0, 1, 0, 0),)),
+        lambda: SplittableSchedule(((0, None, 0),)),
+        lambda: SplittableSchedule(5),
+        lambda: PreemptiveSchedule(((0, float("nan"), 0, 0),)),
+        lambda: PreemptiveSchedule(((0, 1, 0, float("inf")),)),
+        lambda: PreemptiveSchedule(((0, "1/0", 0, 0),)),
+        lambda: PreemptiveSchedule(((0, 1, 0),)),
+        lambda: CompactSchedule((((1, 2),),)),
+        lambda: CompactSchedule(((((1, "x"),), 1),)),
+        lambda: CompactSchedule(((((1,),), 1),)),
+    ])
+    def test_malformed_input_is_an_invalid_schedule(self, build):
+        with pytest.raises(InvalidScheduleError):
+            build()
 
 
 def test_library_raises_no_assertion():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import ccs.approx
 import ccs.ptas.builder
+from ccs.cli import GENERATOR_FAMILIES, generate
 from conftest import nonpreemptive_probe, nonpreemptive_probes
 from ccs import (
     VARIANTS,
@@ -440,6 +441,25 @@ def mixed_instances(draw):
     return Instance(tuple(sizes), tuple(labels), m, c)
 
 
+@st.composite
+def generated_instances(draw):
+    """About 60 jobs drawn by ``generate``, of every family, with enough
+    class slots: schedules of many pieces and patterns, on which the
+    schedule checks take their bulk paths unless a mutation stops them."""
+    family = draw(st.sampled_from(GENERATOR_FAMILIES))
+    n = draw(st.integers(50, 70))
+    c = draw(st.integers(1, 3))
+    fewest = -(-n // c) if family == "many-singletons" else 1
+    m = draw(st.integers(fewest, fewest + 12))
+    pmax = draw(st.sampled_from((1, 10, 100)))
+    return generate(draw(st.integers(0, 10**6)), family, n, m, c, (1, pmax))
+
+
+# the schedule checks' inputs: small instances of every shape, and larger
+# generated ones
+check_instances = st.one_of(mixed_instances(), generated_instances())
+
+
 # ---------------------------------------------------------------------------
 # splittable and preemptive border search
 
@@ -663,7 +683,7 @@ def mutate_pieces(pieces, instance, mutation, pick, delta, sign):
 
 
 @given(
-    instance=mixed_instances(),
+    instance=check_instances,
     mutation=st.sampled_from(PIECE_MUTATIONS),
     pick=st.integers(0, 10**6),
     delta=values,
@@ -716,7 +736,7 @@ def mutate_patterns(patterns, instance, mutation, pick, delta, sign):
 
 
 @given(
-    instance=mixed_instances(),
+    instance=check_instances,
     mutation=st.sampled_from(PATTERN_MUTATIONS),
     pick=st.integers(0, 10**6),
     delta=values,
@@ -766,7 +786,7 @@ def outcome(check):
 
 
 @given(
-    instance=mixed_instances(),
+    instance=check_instances,
     kind=st.sampled_from(("split", "compact", "preempt", "whole")),
     mutation=st.sampled_from(
         PIECE_MUTATIONS + PATTERN_MUTATIONS[1:]
@@ -781,6 +801,8 @@ def outcome(check):
          delta=Fraction(1), sign=-1, variant=None)
 @example(instance=COPRIME, kind="compact", mutation="count", pick=0,
          delta=Fraction(1), sign=-1, variant=None)  # the peak pattern at count 0
+@example(instance=COPRIME, kind="compact", mutation="unknown class", pick=1,
+         delta=Fraction(1), sign=1, variant=None)  # class id 0
 @settings(max_examples=600, deadline=None)
 def test_one_pass_check_matches_makespan_and_validate(
     instance, kind, mutation, pick, delta, sign, variant
