@@ -28,13 +28,18 @@ The splittable variant needs no job-level cutting at all: machine ids
 are interchangeable and jobs of a class may run in parallel, so its round
 robin is laid out from the class totals alone and stored as counted
 class-load patterns (a CompactSchedule), O(C) of them whatever m is;
-``expand_compact`` carves it into job pieces on demand. The preemptive
-variant cuts jobs at the threshold and stacks the pieces.
+``expand_compact`` carves it into job pieces on demand.
+
+The preemptive and non-preemptive layouts run in one pass. All classes
+are cut in one call; the round robin is one stable sort of the piece
+indices by load, descending, and machine i takes the sorted positions i,
+i + m_used, i + 2*m_used and so on (m_used = min(m, n)); a preemptive
+machine stacks its pieces as they are dealt.
 
 Thresholds and schedules are Fractions at the API. The searches run in
 Python ints over the sizes' common denominator; after each, the sizes and
 the threshold are scaled to one common denominator, and the layouts cut,
-sort, stack and pack in ints. Fractions are built only for the threshold
+sort, deal and stack in ints. Fractions are built only for the threshold
 and the schedule the call returns.
 """
 
@@ -58,35 +63,46 @@ from .core import (
     SPLITTABLE,
     lower_bound,
 )
-from .greedy import lpt, round_robin
+# round_robin is not called here: bench/layers.py wraps it by this name
+from .greedy import lpt, round_robin  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # cutting classes
 
 
-def _cut(jobs: Iterable, threshold: int) -> list:
-    """Cut a class, (job_id, size) in id order, at multiples of the
-    threshold, all ints over one denominator: [(load, parts), ...], every
-    load the threshold but possibly the last, with parts = ((job_id, take,
+def _cut(classes: Iterable, sizes: Sequence, threshold: int) -> tuple:
+    """Cut every class, its job ids ascending, at multiples of the
+    threshold, sizes[j] and the threshold ints over one denominator:
+    (loads, parts), one entry per piece, class by class. Every load of a
+    class is the threshold but possibly its last; parts = ((job_id, take,
     size), ...), the job running take of its size in the piece."""
-    pieces = []
-    parts: list = []
-    space = threshold
-    for job_id, size in jobs:
-        remaining = size
-        while remaining > 0:
-            take = min(space, remaining)
-            parts.append((job_id, take, size))
-            remaining -= take
-            space -= take
-            if space == 0:
-                pieces.append((threshold, tuple(parts)))
-                parts = []
-                space = threshold
-    if parts:
-        pieces.append((threshold - space, tuple(parts)))
-    return pieces
+    loads: list = []
+    pieces: list = []
+    for jobs in classes:
+        parts: list = []
+        space = threshold
+        for job_id in jobs:
+            size = sizes[job_id]
+            if size < space:  # the job fits whole, with room to spare
+                parts.append((job_id, size, size))
+                space -= size
+                continue
+            remaining = size
+            while remaining > 0:
+                take = min(space, remaining)
+                parts.append((job_id, take, size))
+                remaining -= take
+                space -= take
+                if space == 0:
+                    loads.append(threshold)
+                    pieces.append(tuple(parts))
+                    parts = []
+                    space = threshold
+        if parts:
+            loads.append(threshold - space)
+            pieces.append(tuple(parts))
+    return loads, pieces
 
 
 class _OverScale(dict):
@@ -260,24 +276,6 @@ def _deal_splittable(instance: Instance, t_star: Fraction) -> CompactSchedule:
 # preemptive
 
 
-def _stack_starts(stacks: Sequence, threshold: int) -> list:
-    """Start times for stacked pieces, loads and threshold as ints over one
-    denominator: plain stacking, except that when some load equals the
-    threshold, every machine's second piece starts at the threshold."""
-    lift = any(load == threshold for stack in stacks for load in stack)
-    starts = []
-    for stack in stacks:
-        row = []
-        cursor = 0
-        for idx, load in enumerate(stack):
-            if idx == 1 and lift:
-                cursor = max(cursor, threshold)
-            row.append(cursor)
-            cursor += load
-        starts.append(row)
-    return starts
-
-
 def _preemptive_guess(instance: Instance):
     """(T*, m_used, LB) for the preemptive variant. Machines beyond the job
     count are useless without self-parallelism, so m is clamped to
@@ -297,32 +295,34 @@ def _preemptive_guess(instance: Instance):
 
 
 def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
-    """2-approximation for the preemptive variant. Cut at T*, round robin
-    over min(m, n) machines, stack pieces in distribution order, lift the
-    second layer to T* when full-size pieces exist. Consecutive pieces of a
-    split class land on adjacent machines whose layers are synchronized, so
-    the two halves of a straddling job never overlap in time."""
+    """2-approximation for the preemptive variant. Cut at T*, deal the
+    pieces round robin over m_used = min(m, n) machines and stack each
+    machine's pieces in dealing order, lifting the second layer to T* when
+    full-size pieces exist. Consecutive pieces of a split class land on
+    adjacent machines whose layers are synchronized, so the two halves of
+    a straddling job never overlap in time.
+
+    The round robin is one stable sort of the piece indices by load,
+    descending: machine i takes the sorted positions i, i + m_used, and so
+    on, and a cursor per machine stacks them as they are dealt."""
     t_star, m_used, _lb = _preemptive_guess(instance)
     den, sizes, _sums = instance._scaled
     scale, up, theta = _common_scale(den, t_star)
-    sizes = [size * up for size in sizes]
-    pieces = [
-        piece
-        for jobs in instance._class_members
-        for piece in _cut(zip(jobs, map(sizes.__getitem__, jobs)), theta)
-    ]
-    layout = round_robin(
-        list(enumerate(load for load, _parts in pieces)), m_used
-    )
-    stacks = [[pieces[k][0] for k in layout[i]] for i in range(m_used)]
-    starts = _stack_starts(stacks, theta)
+    if up != 1:
+        sizes = [size * up for size in sizes]
+    loads, pieces = _cut(instance._class_members, sizes, theta)
+    # load descending, index ascending on ties: a reversed sort is stable
+    order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
+    lift = theta if theta in loads else 0
     whole = Fraction(1)
     exact = _OverScale(scale)
     out = []
     for machine in range(m_used):
-        for slot, k in enumerate(layout[machine]):
-            offset = starts[machine][slot]
-            for job_id, take, size in pieces[k][1]:
+        offset = 0
+        for layer, k in enumerate(order[machine::m_used]):
+            if layer == 1 and offset < lift:
+                offset = lift
+            for job_id, take, size in pieces[k]:
                 lam = whole if take == size else Fraction(take, size)
                 out.append((job_id, lam, machine, exact[offset]))
                 offset += take
@@ -410,13 +410,23 @@ def _deal_nonpreemptive(
     instance: Instance, threshold: Fraction
 ) -> NonPreemptiveSchedule:
     """The pieces and round robin of ``approx_nonpreemptive`` at T =
-    ``nonpreemptive_threshold(instance)[0]``."""
+    ``nonpreemptive_threshold(instance)[0]``.
+
+    T >= LB >= p_max, so a one-job class is one piece of its own size.
+    The round robin is one stable sort of the piece indices by load,
+    descending: machine i takes the sorted positions i, i + m_used, and so
+    on, and the assignment is filled machine by machine."""
     m_used = min(instance.machine_count, instance.job_count)
     den, sizes, _sums = instance._scaled
     theta = threshold.numerator * (den // threshold.denominator)
     cuts: dict = {}  # class weights in id order -> [(load, positions), ...]
-    groups = []  # (load, job_ids) per piece, class asc then bin asc
+    loads = []  # per piece, class asc then bin asc
+    members = []  # the piece's job ids, in the order its bin was filled
     for jobs in instance._class_members:
+        if len(jobs) == 1:
+            loads.append(sizes[jobs[0]])
+            members.append(jobs)
+            continue
         weights = tuple(map(sizes.__getitem__, jobs))
         cut = cuts.get(weights)
         if cut is None:  # classes of equal weights cut alike
@@ -435,11 +445,13 @@ def _deal_nonpreemptive(
                     for b in range(count)
                 ]
         for load, positions in cut:
-            groups.append((load, [jobs[k] for k in positions]))
-    layout = round_robin(list(enumerate(load for load, _ in groups)), m_used)
+            loads.append(load)
+            members.append([jobs[k] for k in positions])
+    # load descending, index ascending on ties: a reversed sort is stable
+    order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
     assignment = {}
-    for machine, indices in layout.items():
-        for k in indices:
-            for job_id in groups[k][1]:
+    for machine in range(m_used):
+        for k in order[machine::m_used]:
+            for job_id in members[k]:
                 assignment[job_id] = machine
     return NonPreemptiveSchedule(assignment=assignment)

@@ -37,7 +37,6 @@ from ccs.approx import (
     _deal_nonpreemptive,
     _deal_splittable,
     _preemptive_guess,
-    _stack_starts,
 )
 
 from conftest import instances, oracle_instances
@@ -51,17 +50,24 @@ def inst(sizes, labels, m, c) -> Instance:
 
 class TestSplitClass:
     def test_cuts_at_threshold_multiples(self):
-        pieces = _cut([(0, 10)], 4)
-        assert [load for load, _ in pieces] == [4, 4, 2]
-        assert pieces[0][1] == ((0, 4, 10),)
-        assert pieces[2][1] == ((0, 2, 10),)
+        loads, parts = _cut([[0]], [10], 4)
+        assert loads == [4, 4, 2]
+        assert parts[0] == ((0, 4, 10),)
+        assert parts[2] == ((0, 2, 10),)
 
     def test_straddling_job_is_shared(self):
         # second job is cut 3/1 across the first and second piece
-        pieces = _cut([(0, 2), (1, 4)], 5)
-        assert [load for load, _ in pieces] == [5, 1]
-        assert pieces[0][1] == ((0, 2, 2), (1, 3, 4))
-        assert pieces[1][1] == ((1, 1, 4),)
+        loads, parts = _cut([[0, 1]], [2, 4], 5)
+        assert loads == [5, 1]
+        assert parts == [((0, 2, 2), (1, 3, 4)), ((1, 1, 4),)]
+
+    def test_classes_cut_apart_in_one_call(self):
+        # a class's last piece is never topped up by the next class
+        loads, parts = _cut([[0, 2], [1], [3]], [3, 4, 3, 5], 5)
+        assert loads == [5, 1, 4, 5]
+        assert parts == [
+            ((0, 3, 3), (2, 2, 3)), ((2, 1, 3),), ((1, 4, 4),), ((3, 5, 5),)
+        ]
 
 
 class TestBorderSearch:
@@ -92,22 +98,24 @@ class TestBorderSearch:
         budget = instance.slot_budget * instance.machine_count
         den, sizes, sums = instance._scaled
         _scale, up, theta = _common_scale(den, t_star)
+        scaled = [size * up for size in sizes]
         count = 0
         for u, total in enumerate(sums, start=1):
-            jobs = [(j, sizes[j] * up) for j in instance.jobs_of_class(u)]
-            pieces = _cut(jobs, theta)
+            jobs = instance.jobs_of_class(u)
+            loads, pieces = _cut([jobs], scaled, theta)
             count += len(pieces)
             full, rest = divmod(total * up, theta)
-            loads = [load for load, _ in pieces]
             assert loads == [theta] * full + ([rest] if rest else [])
-            taken = {j: 0 for j, _size in jobs}
-            for load, parts in pieces:
+            taken = {j: 0 for j in jobs}
+            for load, parts in zip(loads, pieces):
                 assert sum(take for _j, take, _size in parts) == load
                 for j, take, size in parts:
                     assert 0 < take <= size == sizes[j] * up
                     taken[j] += take
-            assert taken == dict(jobs)
+            assert taken == {j: scaled[j] for j in jobs}
         assert count <= budget
+        all_loads, all_pieces = _cut(instance._class_members, scaled, theta)
+        assert len(all_loads) == len(all_pieces) == count
 
     @given(oracle_instances())
     @settings(max_examples=40, deadline=None)
@@ -208,19 +216,6 @@ class TestApproxSplittable:
         assert len(schedule.patterns) <= 2 * instance.class_count + 1
 
 
-class TestRepackStacks:
-    def test_second_layer_lifted_to_threshold(self):
-        starts = _stack_starts([[5, 3, 1], [5, 2, 1], [4, 2], [3, 1]], 5)
-        assert starts == [[0, 5, 8], [0, 5, 7], [0, 5], [0, 5]]
-
-    def test_plain_stacking_without_full_pieces(self):
-        starts = _stack_starts([[5, 3, 1], [4, 2]], 7)
-        assert starts == [[0, 5, 8], [0, 4]]
-
-    def test_empty_stacks(self):
-        assert _stack_starts([[], []], 3) == [[], []]
-
-
 class TestApproxPreemptive:
     def test_single_job_runs_sequentially(self):
         # extra machines are useless without self-parallelism
@@ -228,6 +223,38 @@ class TestApproxPreemptive:
         schedule = approx_preemptive(instance)
         assert schedule.pieces == ((0, Fraction(1), 0, Fraction(0)),)
         assert makespan(schedule, instance) == 6
+
+    def test_second_layer_lifted_to_threshold(self):
+        # T* = 3: class 1 cuts into pieces of 3 and 1, so every machine's
+        # second piece starts at 3, after a gap on machine 1
+        instance = inst([1, 1, 1, 3], [1, 2, 3, 1], 2, 2)
+        assert approx_preemptive(instance).pieces == (
+            (0, Fraction(1), 0, Fraction(0)),
+            (3, Fraction(2, 3), 0, Fraction(1)),
+            (1, Fraction(1), 0, Fraction(3)),
+            (3, Fraction(1, 3), 1, Fraction(0)),
+            (2, Fraction(1), 1, Fraction(3)),
+        )
+
+    def test_plain_stacking_without_full_pieces(self):
+        # T* = 4 and no piece of load 4: each piece starts where the one
+        # below it ends
+        instance = inst([3, 2, 2, 1], [1, 2, 3, 4], 2, 2)
+        assert approx_preemptive(instance).pieces == (
+            (0, Fraction(1), 0, Fraction(0)),
+            (2, Fraction(1), 0, Fraction(3)),
+            (1, Fraction(1), 1, Fraction(0)),
+            (3, Fraction(1), 1, Fraction(2)),
+        )
+
+    def test_machine_without_pieces(self):
+        # T* = 10 cuts the class into two pieces for three machines
+        instance = inst([10, 1, 1], [1, 1, 1], 3, 1)
+        assert approx_preemptive(instance).pieces == (
+            (0, Fraction(1), 0, Fraction(0)),
+            (1, Fraction(1), 1, Fraction(0)),
+            (2, Fraction(1), 1, Fraction(1)),
+        )
 
     def test_straddling_job_parts_stay_disjoint(self):
         instance = inst([7, 5, 5, 5], [1, 1, 1, 1], 2, 1)

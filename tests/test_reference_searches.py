@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -45,11 +46,11 @@ from ccs.ptas import ModuleSet, build_program
 from ccs.ptas.sets import _fillable_modules, nonpreemptive_sets
 from ccs.approx import (
     _cu_sorted,
+    _common_scale,
     _cut,
     _piece_count,
     _preemptive_guess,
     _smallest_guess,
-    _stack_starts,
     border_search_splittable,
     nonpreemptive_threshold,
 )
@@ -570,6 +571,15 @@ def test_nonpreemptive_threshold_matches_reference(instance):
     )
 
 
+@given(instance=mixed_instances())
+@settings(max_examples=300, deadline=None)
+def test_nonpreemptive_threshold_covers_the_largest_job(instance):
+    """T >= p_max, on integral and fractional sizes: the non-preemptive
+    layout deals a one-job class as one piece of its own size on this."""
+    threshold, _m_used, _lb = nonpreemptive_threshold(instance)
+    assert threshold >= instance.max_processing_time
+
+
 # ---------------------------------------------------------------------------
 # LPT
 
@@ -604,39 +614,16 @@ def test_split_class_matches_reference(jobs, threshold):
     """``_cut`` over the ints of one common denominator: thresholds
     below, between and above the sizes."""
     (theta, *sizes), den = on_one_denominator([threshold] + jobs)
+    loads, pieces = _cut([range(len(sizes))], sizes, theta)
     cut = [
         (Fraction(load, den),
          tuple((j, Fraction(take, size)) for j, take, size in parts))
-        for load, parts in _cut(list(enumerate(sizes)), theta)
+        for load, parts in zip(loads, pieces)
     ]
     assert cut == reference_split_class(list(enumerate(jobs)), threshold)
 
 
-@given(
-    stacks=st.lists(st.lists(values, max_size=4), max_size=5),
-    threshold=st.one_of(st.none(), values),
-)
-@settings(max_examples=400, deadline=None)
-def test_repack_stacks_matches_reference(stacks, threshold):
-    """No threshold drawn means the largest load, so a second layer is
-    lifted."""
-    if threshold is None:
-        threshold = max((load for stack in stacks for load in stack), default=1)
-    (theta, *loads), den = on_one_denominator(
-        [Fraction(threshold)] + [load for stack in stacks for load in stack]
-    )
-    scaled = []
-    for stack in stacks:
-        scaled.append(loads[:len(stack)])
-        del loads[:len(stack)]
-    starts = [[Fraction(t, den) for t in row] for row in _stack_starts(scaled, theta)]
-    assert starts == reference_repack_stacks(stacks, threshold)
-
-
-@given(instance=mixed_instances())
-@example(instance=COPRIME)
-@settings(max_examples=300, deadline=None)
-def test_layouts_match_reference(instance):
+def assert_layouts_match_reference(instance):
     """Schedules equal the Fraction layouts, down to repr and to the
     assignment's order."""
     assert repr(approx_splittable(instance)) == repr(
@@ -649,6 +636,32 @@ def test_layouts_match_reference(instance):
     assert list(assignment.items()) == list(
         reference_nonpreemptive_layout(instance).items()
     )
+
+
+@given(instance=check_instances)
+@example(instance=COPRIME)
+@settings(max_examples=300, deadline=None)
+def test_layouts_match_reference(instance):
+    assert_layouts_match_reference(instance)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_large_row_layouts_match_reference(family):
+    """The approximation sweep's large rows at 300 jobs: two class slots
+    per machine, sizes up to 100, m = n*11/20 for one-job classes and
+    n/10 otherwise. Every family cuts a piece of load exactly T*, so the
+    preemptive layout lifts its second layer."""
+    n = 300
+    m = n * 11 // 20 if family == "many-singletons" else n // 10
+    instance = generate(7, family, n, m, 2, (1, 100))
+    t_star, _m_used, _lb = _preemptive_guess(instance)
+    den, sizes, _sums = instance._scaled
+    _scale, up, theta = _common_scale(den, t_star)
+    loads, _pieces = _cut(
+        instance._class_members, [size * up for size in sizes], theta
+    )
+    assert theta in loads
+    assert_layouts_match_reference(instance)
 
 
 # ---------------------------------------------------------------------------
