@@ -806,9 +806,6 @@ def expand_compact(schedule: CompactSchedule, instance: Instance) -> SplittableS
     violations = _check_compact(schedule, instance)[0]
     if violations:
         raise InvalidScheduleError(violations[0])
-    jobs = [[] for _ in range(instance.class_count)]
-    for j, lab in enumerate(instance.class_labels):
-        jobs[lab - 1].append(j)
     cursor = [0] * instance.class_count  # next job of the class to carve
     left = [Fraction(1)] * instance.job_count  # fraction not yet carved
     pieces = []
@@ -817,7 +814,7 @@ def expand_compact(schedule: CompactSchedule, instance: Instance) -> SplittableS
         for _ in range(count):
             for u, load in pattern:
                 while load > 0:
-                    j = jobs[u - 1][cursor[u - 1]]
+                    j = instance._class_members[u - 1][cursor[u - 1]]
                     size = instance.processing_times[j]
                     lam = min(left[j], load / size)
                     pieces.append((j, lam, machine))

@@ -100,6 +100,9 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
     position = {q: g for g, q in enumerate(modules.size_values)}
     link_of = [1 + position[q] for q in modules.sizes]
     splittable = rounded.params.variant == SPLITTABLE
+    supports = () if splittable else [
+        tuple(compress(range(len(vec)), vec)) for vec in modules.modules
+    ]
     y_cap = _y_cap(rounded)
     y_columns = []
     z_columns = []
@@ -133,12 +136,12 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
                     demand[p_pos] = next_row
                     rhs.append(count)
                     next_row += 1
-            for g, vec in enumerate(modules.modules):
-                if any(v > h for v, h in zip(vec, have)):
+            for g, (vec, support) in enumerate(zip(modules.modules, supports)):
+                if any(vec[p_pos] > have[p_pos] for p_pos in support):
                     continue
                 rows.append(link_of[g])
                 values.append(-1)
-                for p_pos in compress(range(len(vec)), vec):
+                for p_pos in support:
                     rows.append(demand[p_pos])
                     values.append(vec[p_pos])
                 starts.append(len(rows))

@@ -228,33 +228,29 @@ def _group_class(jobs: list, slot: Fraction) -> list:
         ((j, p) for j, p in jobs if p < slot),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    keep = [((j,), p) for j, p in jobs if p >= slot]
-    chunks = []
-    while sum(p for _j, p in tiny) >= slot:
-        total = Fraction(0)
-        taken = []
-        while total < slot:
-            j, p = tiny.pop(0)
-            taken.append(j)
-            total += p
-        if not slot <= total < 2 * slot:
-            raise CCSError(f"chunk load {total} outside [{slot}, {2 * slot})")
-        chunks.append((tuple(sorted(taken)), total))
-    hosts = keep + chunks
-    if tiny:
-        rest_ids = tuple(sorted(j for j, _p in tiny))
-        rest = sum(p for _j, p in tiny)
+    hosts = [((j,), p) for j, p in jobs if p >= slot]
+    taken, total = [], Fraction(0)  # the open chunk
+    for j, p in tiny:
+        taken.append(j)
+        total += p
+        if total >= slot:
+            if total >= 2 * slot:
+                raise CCSError(
+                    f"chunk load {total} outside [{slot}, {2 * slot})"
+                )
+            hosts.append((tuple(sorted(taken)), total))
+            taken, total = [], Fraction(0)
+    if taken:
         if not hosts:
-            return [(rest_ids, rest)]
+            return [(tuple(sorted(taken)), total)]
         fitting = [h for h in hosts if h[1] <= 2 * slot]
-        pool = fitting if fitting else hosts
         if fitting:
-            host = max(pool, key=lambda h: (h[1], -min(h[0])))
+            host = max(fitting, key=lambda h: (h[1], -min(h[0])))
         else:
-            host = min(pool, key=lambda h: (h[1], min(h[0])))
+            host = min(hosts, key=lambda h: (h[1], min(h[0])))
         hosts[hosts.index(host)] = (
-            tuple(sorted(host[0] + rest_ids)),
-            host[1] + rest,
+            tuple(sorted(host[0] + tuple(taken))),
+            host[1] + total,
         )
     return hosts
 
@@ -276,14 +272,10 @@ def preprocess(instance: Instance, params: PtasParams) -> RoundedInstance:
     rounded = RoundedInstance(params, instance.machine_count, c, classes=())
     scale = rounded.scale
     classes = []
-    for u in range(1, instance.class_count + 1):
-        members = [
-            (j, instance.processing_times[j]) for j in instance.jobs_of_class(u)
-        ]
+    for u, ids in enumerate(instance._class_members, 1):
+        members = [(j, instance.processing_times[j]) for j in ids]
         if params.variant == SPLITTABLE:
-            ids = tuple(j for j, _p in members)
-            load = sum(p for _j, p in members)
-            grouped = [(ids, load)]
+            grouped = [(ids, sum(p for _j, p in members))]
         else:
             grouped = _group_class(members, slot)
         small = len(grouped) == 1 and grouped[0][1] <= slot

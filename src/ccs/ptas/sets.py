@@ -15,26 +15,27 @@ The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
 
 Every configuration K obeys size(K) <= inflated bound and uses at most c
-slots; one builder, ``_configurations``, enumerates them for both
-variants and caps the host counts of its pairs at min(c, piece cap), where
-the piece cap is the most pieces of at least delta T that fit within the
-bound. The scaled bound, the splittable module range and the piece cap
-all come from ``ccs.ptas.rounding.inflation``, and the sets store no
-variant: the rounded instance's ``PtasParams`` holds it. Enumeration
-aborts with EnumerationCapError once a count passes ``ENUM_CAP``, 10^6: a
-program with that many configuration columns would outrun the solver's
-time limit, and the configurations alone take about 500 MB. The
-splittable sets are memoized, since they depend only on the accuracy and
-the slot budget; the non-preemptive sets also depend on the large sizes
-and the large classes' count vectors over them, so few calls repeat one,
-and they are built afresh each time.
+slots, with pair host counts capped at min(c, piece cap), the piece cap
+being the most pieces of at least delta T that fit within the bound. One
+walk enumerates them and the non-preemptive modules in their stored order.
+The scaled bound, the splittable module range and the piece cap all come
+from ``ccs.ptas.rounding.inflation``, and the sets store no variant: the
+rounded instance's ``PtasParams`` holds it. Enumeration aborts with
+EnumerationCapError once a count passes ``ENUM_CAP``, 10^6: a program with
+that many configuration columns would outrun the solver's time limit, and
+the configurations alone take about 500 MB. The splittable sets are
+memoized, since they depend only on the accuracy and the slot budget; the
+non-preemptive sets also depend on the large sizes and the large classes'
+count vectors over them, so few calls repeat one, and they are built
+afresh each time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress, repeat, takewhile
 
 from ..core import EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
 from .rounding import RoundedInstance, inflation, piece_cap
@@ -146,44 +147,48 @@ class ConfigurationSet:
         return starts, rows, values
 
 
-def _multisets(sizes, c, budget):
-    """(positions, total size) of every multiset of at most c positions of
-    ``sizes`` with total size at most ``budget``.
-
-    The multisets are grown one slot at a time from positions taken in
-    ascending size, so a multiset's extensions stop at the first size
-    that overflows the budget and the work follows the number of
-    multisets, not the number of positions times it."""
+def _walk(sizes, budget, admit, state, what):
+    """(pairs, total, state) of every multiset of positions of ``sizes``
+    of total size at most ``budget`` that ``admit`` lets in, pairs being
+    (position, multiplicity), positions ascending. ``admit(state, p)``
+    yields the states after 1, 2, ... more copies of a position p above
+    all of the multiset's, as many as its rule allows; a false state
+    admits nothing more. A multiset is emitted, then extended by one more
+    position, largest first, in ascending multiplicity: that is the
+    lexicographic order of the multiplicity vectors, so nothing is sorted
+    afterwards. The recursion takes a frame per distinct position; both
+    families served are closed under taking sub-multisets, so a multiset
+    of d positions comes after its 2^d sub-multisets and ``ENUM_CAP``
+    (10^6) stops the walk by depth 20, far within Python's frame limit.
+    """
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
-    level = [((), 0, 0)]  # (positions, total size, first position to add)
-    count = 1
-    yield (), 0
-    for _slot in range(c):
-        grown = []
-        for combo, total, start in level:
-            for at in range(start, len(order)):
-                size = total + sizes[order[at]]
+    ascending = [sizes[g] for g in order]
+    highest = [-1, *accumulate(order, max)]  # top position of the i smallest
+    found = []
+
+    def visit(pairs, total, state, last):
+        found.append((pairs, total, state))
+        _cap_check(len(found), what)
+        if not state:
+            return
+        fit = bisect_right(ascending, budget - total)
+        for p in range(highest[fit], last, -1):
+            size = total
+            for k, grown in enumerate(admit(state, p), 1):
+                size += sizes[p]
                 if size > budget:
                     break
-                grown.append((combo + (order[at],), size, at))
-            _cap_check(count + len(grown), "configurations")
-        count += len(grown)
-        yield from ((combo, total) for combo, total, _start in grown)
-        level = grown
+                visit(pairs + ((p, k),), size, grown, p)
+
+    visit((), 0, state, -1)
+    return found
 
 
 def _multiplicity_configs(sizes, c, budget):
-    """The multisets of ``_multisets`` as (position, multiplicity) pairs,
-    positions ascending, and their sizes, in the lexicographic order of
-    their multiplicity vectors: that of their ascending positions,
-    negated."""
-    keys, totals = zip(*sorted(
-        (tuple(-g for g in sorted(combo)), total)
-        for combo, total in _multisets(sizes, c, budget)
-    ))
-    return tuple(
-        tuple((-g, key.count(g)) for g in dict.fromkeys(key)) for key in keys
-    ), totals
+    """(pairs, sizes) of the multisets of at most c positions of ``sizes``
+    with total size at most ``budget``, in ``_configurations``' order."""
+    confs = _configurations(sizes, c, budget, c)
+    return confs.configs, confs.sizes
 
 
 def _configurations(sizes, c, bound, pieces):
@@ -191,13 +196,17 @@ def _configurations(sizes, c, bound, pieces):
     most c slots and total size at most ``bound``, with (size, slots)
     pairs for slot counts below the slot cap min(c, pieces), with
     ``pieces`` from ``piece_cap``."""
-    configs, totals = _multiplicity_configs(sizes, c, bound)
+    # the state is the slots left: k more copies take k of them
+    configs, totals, left = zip(*_walk(
+        sizes, bound, lambda free, _p: range(free - 1, -1, -1), c,
+        "configurations",
+    ))
     slot_cap = min(c, pieces)
     size_set = tuple(sorted(set(totals)))
     return ConfigurationSet(
         configs=configs,
         sizes=totals,
-        slots=tuple(sum(k for _g, k in vec) for vec in configs),
+        slots=tuple(c - free for free in left),
         footprints=len(sizes),
         slot_budget=c,
         size_bound=bound,
@@ -233,27 +242,26 @@ def _fillable_modules(ground, counts, bound):
     """Multiplicity vectors over the large sizes with footprint <= bound
     that some class can fill, i.e. no entry above that class's count
     vector in ``counts``, in lexicographic order. The all-zero vector is
-    among them whenever ``counts`` is not empty."""
-    found: dict = {}
-    vec = [0] * len(ground)
+    among them whenever ``counts`` is not empty. The walk's state masks
+    the count vectors that still cover the module, ``covers[g][k - 1]``
+    those with at least k jobs at position g."""
+    if not counts:
+        return (), ()
+    covers = [[0] * max(column) for column in zip(*counts)]
+    for i, have in enumerate(counts):
+        for g in compress(range(len(have)), have):
+            for k in range(have[g]):
+                covers[g][k] |= 1 << i
 
-    def descend(have, idx: int, size_left) -> None:
-        if idx == len(ground):
-            module = tuple(vec)
-            if module not in found:
-                _cap_check(len(found) + 1, "modules")
-                found[module] = bound - size_left
-            return
-        step = ground[idx]
-        for count in range(min(have[idx], size_left // step) + 1):
-            vec[idx] = count
-            descend(have, idx + 1, size_left - count * step)
-        vec[idx] = 0
+    def covered(live, g):
+        return takewhile(bool, map(live.__and__, covers[g]))
 
-    for have in counts:
-        descend(have, 0, bound)
-    modules = tuple(sorted(found))
-    return modules, tuple(found[v] for v in modules)
+    found = _walk(ground, bound, covered, (1 << len(counts)) - 1, "modules")
+    modules = tuple(
+        tuple(map(dict(pairs).get, range(len(ground)), repeat(0)))
+        for pairs, _size, _live in found
+    )
+    return modules, tuple(size for _pairs, size, _live in found)
 
 
 def nonpreemptive_sets(

@@ -379,6 +379,18 @@ class TestSolveCommand:
                           "--epsilon", "1/4")
         assert code == EXIT_CAP
 
+    def test_many_large_sizes_exit_three(self, tmp_path, monkeypatch,
+                                         capsys):
+        # 1,308 distinct large sizes at epsilon 1/32: set enumeration
+        # stops at the cap, never at Python's frame limit
+        lower_enum_cap(monkeypatch, 10_000)
+        inst = generate(1, "few-large-classes", 1500, 150, 2, (1, 10**6))
+        code = self.solve(tmp_path, format_instance(inst),
+                          "--variant", "nonpreempt", "--algo", "ptas",
+                          "--epsilon", "1/32")
+        assert code == EXIT_CAP
+        assert capsys.readouterr().out.splitlines()[1].endswith(",enum-cap")
+
     def test_solver_time_limit_exits_three(self, tmp_path, monkeypatch,
                                            capsys):
         stall_highs(monkeypatch)

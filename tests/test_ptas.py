@@ -291,6 +291,21 @@ class TestSets:
         assert mods.sizes == (0, 4, 8)
         assert confs.count == 4
 
+    def test_many_distinct_sizes_stay_within_the_frame_limit(self):
+        # 1,200 one-job classes of distinct sizes: the walk takes a frame
+        # per distinct size in a module, never one per large size
+        inst = Instance(
+            tuple(range(1000, 2200)), tuple(range(1, 1201)), 1200, 1
+        )
+        params = PtasParams(
+            derive_delta(Fraction(1, 8), NONPREEMPTIVE), 2199, NONPREEMPTIVE
+        )
+        rounded = preprocess(inst, params)
+        mods, confs = enumerate_sets(rounded)
+        assert (mods.count, confs.count) == (1201, 1202)
+        program = build_program(rounded).program
+        assert (program.total_columns, program.total_rows) == (3602, 2402)
+
     def test_cap_stops_enumeration(self, monkeypatch):
         lower_enum_cap(monkeypatch, 100)
         with pytest.raises(EnumerationCapError) as err:
