@@ -3,9 +3,9 @@ non-preemptive schemes.
 
 ``build_program`` emits the compact program (``ccs.nfold.CompactProgram``)
 the solver takes. Columns, in order: one x per configuration (machines
-running it); per large class one y per module it can fill (for the
-non-preemptive variant, no module entry above the class's count of that
-piece size); per small class one z per (size, hosted-count) pair; one
+running it); per large class one y per module it can fill, as the module
+walk lists them (``ModuleSet.fillable``; every module when splittable);
+per small class one z per (size, hosted-count) pair; one
 slack per host-capacity row, then one per host-volume row. Rows: the
 machine row, one link row per module footprint (configurations supply
 slots, y columns consume them), per pair the host-capacity and host-volume
@@ -45,10 +45,10 @@ from .sets import ConfigurationSet, ModuleSet, enumerate_sets
 class BuiltProgram:
     """The compact program together with everything reconstruction needs.
 
-    ``y_columns[u]`` lists the (module, column) pairs of class u's y
-    columns (empty for a small class); ``z_columns[u]`` is the first of
-    small class u's pair columns (None for a large class). The x column
-    of configuration i is column i.
+    ``y_columns[u]`` lists the (module, column) pairs, modules ascending,
+    of class u's y columns (empty for a small class); ``z_columns[u]`` is
+    the first of small class u's pair columns (None for a large class).
+    The x column of configuration i is column i.
     """
 
     program: CompactProgram
@@ -57,13 +57,6 @@ class BuiltProgram:
     rounded: RoundedInstance
     y_columns: tuple
     z_columns: tuple
-
-    def module_counts(self, x, u: int) -> list:
-        """Pieces class u places per module in the point x."""
-        counts = [0] * self.modules.count
-        for g, col in self.y_columns[u]:
-            counts[g] = x[col]
-        return counts
 
 
 def _y_cap(rounded: RoundedInstance) -> int:
@@ -136,12 +129,11 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
                     demand[p_pos] = next_row
                     rhs.append(count)
                     next_row += 1
-            for g, (vec, support) in enumerate(zip(modules.modules, supports)):
-                if any(vec[p_pos] > have[p_pos] for p_pos in support):
-                    continue
+            for g in modules.fillable[have]:
+                vec = modules.modules[g]
                 rows.append(link_of[g])
                 values.append(-1)
-                for p_pos in support:
+                for p_pos in supports[g]:
                     rows.append(demand[p_pos])
                     values.append(vec[p_pos])
                 starts.append(len(rows))

@@ -74,7 +74,6 @@ from ..core import (
     Rational,
     SPLITTABLE,
     VARIANTS,
-    expand_compact,
     lower_bound,
     makespan,
 )
@@ -153,7 +152,7 @@ def ptas_solve(
     if variant != PREEMPTIVE:
         return schedule
     # max(p_max, the splittable makespan) <= (1 + epsilon) * opt_preemptive
-    return unfold_preemptive(instance, expand_compact(schedule, instance))
+    return unfold_preemptive(instance, schedule)
 
 
 def _certify(work, variant):

@@ -4,8 +4,9 @@ The point is the compact program's (``build_program``); the built
 program's index maps say where each class's columns sit. Machines are
 runs of configurations (configuration index ascending, x_C machines
 each). Large classes claim module slots in deterministic order (classes
-ascending, module sizes descending, machines ascending); small classes
-spread round-robin over the machines of their hosting cell, which keeps
+ascending, module sizes descending, machines ascending), each reading
+the modules it uses off ``BuiltProgram.y_columns``; small classes spread
+round-robin over the machines of their hosting cell, which keeps
 both the per-machine host count within the free slots and the
 per-machine hosted volume within leftover plus one small class. A
 splittable point is read as counted class-load patterns (a
@@ -28,10 +29,13 @@ from ..core import (
     CCSError,
     CompactSchedule,
     Instance,
+    InvalidScheduleError,
     NonPreemptiveSchedule,
     PreemptiveSchedule,
     SPLITTABLE,
     SplittableSchedule,
+    expand_compact,
+    validate,
 )
 from ..greedy import round_robin
 from .builder import BuiltProgram
@@ -115,15 +119,15 @@ def _reconstruct_splittable(x, built: BuiltProgram) -> CompactSchedule:
         if cls.small:
             continue
         left = cls.jobs[0].raw_size
-        y = built.module_counts(x, u)
-        for g in reversed(range(built.modules.count)):
+        used = [(g, x[col]) for g, col in built.y_columns[u] if x[col]]
+        for g, y in reversed(used):
             size = Fraction(built.modules.sizes[g]) / rounded.scale
-            full = min(y[g], left // size)
-            part = left - full * size if full < y[g] else 0
+            full = min(y, left // size)
+            part = left - full * size if full < y else 0
             left -= full * size + part
             for claim in ([(cls.class_id, size), full],
                           [(cls.class_id, part), int(part > 0)],
-                          [None, y[g] - full - (part > 0)]):
+                          [None, y - full - (part > 0)]):
                 if claim[1]:
                     claims[g].append(claim)
         if left:
@@ -183,29 +187,26 @@ def _reconstruct_nonpreemptive(x, built: BuiltProgram) -> NonPreemptiveSchedule:
             slot_pool[values[vq]].extend([mach_id] * count)
     hosts = _host_assignments(x, built, runs)
     assignment: dict = {}
-    ground = rounded.large_sizes
-    module_order = sorted(
-        range(built.modules.count),
-        key=lambda g: (-built.modules.sizes[g], g),
-    )
+    sizes = built.modules.sizes
+    position = {p: p_pos for p_pos, p in enumerate(rounded.large_sizes)}
     for u, cls in enumerate(rounded.classes):
         if cls.small:
             mach = hosts[cls.class_id]
             for j in cls.jobs[0].job_ids:
                 assignment[j] = mach
             continue
-        pools = {p: deque() for p in ground}
+        # pools by size position, largest size first, as the jobs are
+        pools: dict = {}
         for job in cls.jobs:
-            pools[job.scaled_size].append(job)
-        y = built.module_counts(x, u)
-        for g in module_order:
+            pools.setdefault(position[job.scaled_size], deque()).append(job)
+        used = [(g, x[col]) for g, col in built.y_columns[u] if x[col]]
+        for g, copies in sorted(used, key=lambda entry: -sizes[entry[0]]):
             vec = built.modules.modules[g]
-            for _ in range(y[g]):
-                mach = slot_pool[built.modules.sizes[g]].popleft()
-                for p_pos in reversed(range(len(ground))):
+            for _ in range(copies):
+                mach = slot_pool[sizes[g]].popleft()
+                for p_pos, pool in pools.items():
                     for _n in range(vec[p_pos]):
-                        job = pools[ground[p_pos]].popleft()
-                        for j in job.job_ids:
+                        for j in pool.popleft().job_ids:
                             assignment[j] = mach
         if any(pools.values()):
             raise CCSError(f"class {cls.class_id} jobs left over")
@@ -233,9 +234,13 @@ def _augment(rows: list, match_row: list, match_col: dict, root: int) -> None:
 
 
 def unfold_preemptive(
-    instance: Instance, schedule: SplittableSchedule
+    instance: Instance, schedule: SplittableSchedule | CompactSchedule
 ) -> PreemptiveSchedule:
     """Preemptive schedule with the same job-machine loads as a splittable one.
+
+    A CompactSchedule is laid out by ``expand_compact`` first. Raises
+    InvalidScheduleError with the first violation when the schedule is
+    not a valid splittable one.
 
     With T = max(p_max, makespan), the job x machine load matrix is padded
     to a square matrix whose rows and columns all sum to T, then perfect
@@ -245,6 +250,12 @@ def unfold_preemptive(
     runs at most one job, so the result has makespan at most T, and every
     job only runs on machines the splittable schedule put it on.
     """
+    if isinstance(schedule, CompactSchedule):
+        schedule = expand_compact(schedule, instance)  # validates it
+    else:
+        violations = validate(schedule, instance, SPLITTABLE)
+        if violations:
+            raise InvalidScheduleError(violations[0])
     n = instance.job_count
     times = instance.processing_times
     load: dict = {}
@@ -304,6 +315,9 @@ def construct_schedule(x, built: BuiltProgram):
     """Schedule of the original instance from a feasible point x of the
     built compact program. Raises CCSError where the point does not fit
     the program's index maps."""
+    width = len(built.program.lower)
+    if len(x) != width:
+        raise CCSError(f"point has length {len(x)}, expected {width}")
     if built.rounded.params.variant == SPLITTABLE:
         return _reconstruct_splittable(x, built)
     return _reconstruct_nonpreemptive(x, built)

@@ -9,7 +9,8 @@ per-variant shapes:
                   = pairs over the module sizes
   non-preemptive  module = multiplicity vector over the large job sizes
                   that some large class can fill, configuration = pairs
-                  over the distinct module sizes
+                  over the distinct module sizes; the module walk alone
+                  decides which modules each class can fill
 
 The preemptive variant has no sets of its own: ptas_solve answers it
 through the splittable scheme.
@@ -33,7 +34,7 @@ afresh each time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, repeat, takewhile
 
@@ -59,11 +60,14 @@ class ModuleSet:
     multiplicity tuples over the rounded instance's ``large_sizes``, each
     at most some large class's count vector, so the set depends on those
     vectors as well as on the sizes. ``sizes[i]`` is the scaled footprint
-    of ``modules[i]`` on a machine.
+    of ``modules[i]`` on a machine. Non-preemptive ``fillable`` maps each
+    large class count vector to the ascending indices of the modules it
+    covers (splittable: None, as every large class uses every module).
     """
 
     modules: tuple
     sizes: tuple
+    fillable: dict = field(default=None, compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -239,14 +243,15 @@ def splittable_sets(
 
 
 def _fillable_modules(ground, counts, bound):
-    """Multiplicity vectors over the large sizes with footprint <= bound
-    that some class can fill, i.e. no entry above that class's count
-    vector in ``counts``, in lexicographic order. The all-zero vector is
-    among them whenever ``counts`` is not empty. The walk's state masks
-    the count vectors that still cover the module, ``covers[g][k - 1]``
-    those with at least k jobs at position g."""
+    """``ModuleSet`` fields: the multiplicity vectors over the large sizes
+    with footprint <= bound that some class can fill, i.e. no entry above
+    that class's count vector in ``counts``, in lexicographic order, their
+    footprints and ``fillable``. The all-zero vector is among them
+    whenever ``counts`` is not empty. The walk's state masks the count
+    vectors that still cover the module, ``covers[g][k - 1]`` those with
+    at least k jobs at position g; ``fillable`` reads the final masks."""
     if not counts:
-        return (), ()
+        return (), (), {}
     covers = [[0] * max(column) for column in zip(*counts)]
     for i, have in enumerate(counts):
         for g in compress(range(len(have)), have):
@@ -257,11 +262,17 @@ def _fillable_modules(ground, counts, bound):
         return takewhile(bool, map(live.__and__, covers[g]))
 
     found = _walk(ground, bound, covered, (1 << len(counts)) - 1, "modules")
+    covered_by = [[] for _ in counts]
+    for g, (_pairs, _size, live) in enumerate(found):
+        while live:  # one step per set bit, lowest first
+            covered_by[(live & -live).bit_length() - 1].append(g)
+            live &= live - 1
     modules = tuple(
         tuple(map(dict(pairs).get, range(len(ground)), repeat(0)))
         for pairs, _size, _live in found
     )
-    return modules, tuple(size for _pairs, size, _live in found)
+    sizes = tuple(size for _pairs, size, _live in found)
+    return modules, sizes, dict(zip(counts, map(tuple, covered_by)))
 
 
 def nonpreemptive_sets(
@@ -281,8 +292,7 @@ def nonpreemptive_sets(
     footprint has a link row without y columns, so it is 0 in every
     feasible point of the program.
     """
-    modules, footprints = _fillable_modules(ground, counts, scaled_bound)
-    mods = ModuleSet(modules=modules, sizes=footprints)
+    mods = ModuleSet(*_fillable_modules(ground, counts, scaled_bound))
     return mods, _configurations(
         mods.size_values,
         slot_budget,

@@ -30,7 +30,15 @@ from ccs.cli import (
     sweep,
 )
 import ccs
-from ccs.ptas import ptas_solve
+from ccs.nfold import constraint_violations
+from ccs.ptas import (
+    PtasParams,
+    build_program,
+    construct_schedule,
+    derive_delta,
+    preprocess,
+    ptas_solve,
+)
 from ccs.core import (
     Instance,
     NONPREEMPTIVE,
@@ -562,6 +570,57 @@ def test_compact_program_bytes_are_pinned(tmp_path, monkeypatch, flag, text,
     )
     digest = hashlib.sha256(repr(arrays).encode()).hexdigest()
     assert digest == COMPACT_PINS[flag]
+
+
+# Feasible points of the compact program, as their nonzero entries
+# {column: value}, and the SHA-256 of the repr of the schedule that
+# construct_schedule rebuilds from each, pinned when reconstruction still
+# scanned every module for every class. The first three are the points
+# ptas_solve(report=) held on the DUMP_PINS instances under never_certify
+# (preempt: its splittable run), at the guess of that report; the last two
+# are non-preemptive probes at accuracy 1/2 whose large classes fill
+# different module subsets. The points are stored, so the pins do not
+# depend on which point HiGHS returns. Every instance has m <= n, so the
+# scheme solves it unclamped.
+DUMP_TEXT = {flag: text for flag, text, _digest in DUMP_PINS}
+RECONSTRUCTION_PINS = [
+    ("split", SPLITTABLE, DUMP_TEXT["split"], 1, Fraction(21, 2),
+     {36: 1, 42: 1, 1824: 1, 1907: 1, 2046: 1, 2238: 1, 2586: 69, 2598: 57},
+     "410cf2c294f5208886af77cdff825a3cb4dd5738881870d25f2589364b90791f"),
+    ("nonpreempt", NONPREEMPTIVE, DUMP_TEXT["nonpreempt"], 1, 16,
+     {11: 1, 27: 1, 74: 1, 75: 1, 78: 1, 79: 1, 94: 1, 184: 1, 364: 241},
+     "5b37eb9fdc20803c1d063c6a9fe81e9357f7e3b9cdb341c176e41ce41d778216"),
+    ("preempt", SPLITTABLE, DUMP_TEXT["preempt"], 1, Fraction(21, 2),
+     {42: 1, 384: 1, 1794: 1, 1800: 1, 1907: 1, 2046: 1, 2406: 69},
+     "f853297f092637a70c45ef409f4fc4357882979c2456a4d36f74877275dc7f5b"),
+    ("nested", NONPREEMPTIVE, "6 3 2\n9 1\n9 1\n7 1\n8 2\n7 2\n6 3\n",
+     Fraction(1, 2), 16,
+     {7: 1, 12: 1, 14: 1, 28: 2, 30: 1, 33: 1, 34: 1, 37: 1},
+     "e01d2be3efcd7e1f7ec3ad29ca7785a1be2e425de714c24cfeb115b8ba4135ea"),
+    ("hosted", NONPREEMPTIVE,
+     "8 3 2\n10 1\n10 1\n6 2\n9 2\n6 2\n6 3\n2 4\n1 5\n",
+     Fraction(1, 2), 20,
+     {1: 1, 2: 1, 28: 1, 42: 1, 48: 1, 50: 1, 52: 1, 90: 1, 138: 1,
+      188: 192, 190: 123},
+     "2e34aaf5f2dfaded9486da57a8d0e37bf7f0a6e99a14d2559ca90fb25eba1c60"),
+]
+
+
+@pytest.mark.parametrize("variant,text,epsilon,guess,entries,digest",
+                         [pin[1:] for pin in RECONSTRUCTION_PINS],
+                         ids=[pin[0] for pin in RECONSTRUCTION_PINS])
+def test_reconstructed_schedule_bytes_are_pinned(tmp_path, variant, text,
+                                                 epsilon, guess, entries,
+                                                 digest):
+    inst = parse_instance(write(tmp_path, "inst.txt", text))
+    params = PtasParams(derive_delta(epsilon, variant), guess, variant)
+    built = build_program(preprocess(inst, params))
+    point = [0] * len(built.program.lower)
+    for col, value in entries.items():
+        point[col] = value
+    assert constraint_violations(built.program, point) == []
+    schedule = construct_schedule(point, built)
+    assert hashlib.sha256(repr(schedule).encode()).hexdigest() == digest
 
 
 def test_import_loads_neither_numpy_nor_scipy():

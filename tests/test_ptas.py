@@ -23,6 +23,7 @@ from ccs import (
     CompactSchedule,
     EnumerationCapError,
     Instance,
+    InvalidScheduleError,
     NONPREEMPTIVE,
     NonPreemptiveSchedule,
     PREEMPTIVE,
@@ -484,11 +485,20 @@ class TestProgramShape:
         assert brick[z0 + pair_pos] == 1
 
 
+def module_counts(built, x, u):
+    """Pieces class u places per module in the point x, from its y
+    columns."""
+    counts = [0] * built.modules.count
+    for g, col in built.y_columns[u]:
+        counts[g] = x[col]
+    return counts
+
+
 def brick_conservation(built, solution):
     """Re-add the demand rows from the raw solution vector."""
     rounded = built.rounded
     for u, cls in enumerate(rounded.classes):
-        y = built.module_counts(solution, u)
+        y = module_counts(built, solution, u)
         if rounded.params.variant == SPLITTABLE:
             supplied = sum(
                 size * count for size, count in zip(built.modules.sizes, y)
@@ -662,6 +672,14 @@ class TestReconstructionGuards:
         with pytest.raises(CCSError, match="hosted 0 times"):
             construct_schedule(x, built)
 
+    def test_short_point_raises(self):
+        inst = Instance((4, 2, 3), (1, 2, 1), 2, 2)
+        params = PtasParams(derive_delta(HALF, NONPREEMPTIVE), 5, NONPREEMPTIVE)
+        built = build_program(preprocess(inst, params))
+        assert len(built.program.lower) == 18
+        with pytest.raises(CCSError, match="point has length 1, expected 18"):
+            construct_schedule((1,), built)
+
     def test_missing_module_raises(self):
         inst, built, x = self.built_point()
         for g, col in built.y_columns[0]:
@@ -711,7 +729,7 @@ def explicit_machine_loads(x, built):
         if cls.small:
             continue
         left = cls.jobs[0].raw_size
-        y = built.module_counts(x, u)
+        y = module_counts(built, x, u)
         for g in reversed(range(built.modules.count)):
             size = Fraction(built.modules.sizes[g]) / rounded.scale
             for _ in range(y[g]):
@@ -824,6 +842,27 @@ class TestUnfoldPreemptive:
         schedule = unfold_preemptive(inst, split)
         assert validate(schedule, inst, PREEMPTIVE) == []
         assert makespan(schedule, inst) == 8
+
+    @pytest.mark.parametrize("pieces", [
+        ((5, 1, 0),),
+        ((0, 1, 7), (1, 1, 0), (2, 1, 0)),
+        ((0, 2, 0), (1, 1, 1), (2, 1, 1)),
+        ((0, HALF, 0),),
+    ], ids=["job-id", "machine-id", "fraction", "sum"])
+    def test_invalid_schedule_raises_its_first_violation(self, pieces):
+        inst = Instance((4, 2, 3), (1, 2, 1), 2, 2)
+        split = SplittableSchedule(pieces)
+        first = validate(split, inst, SPLITTABLE)[0]
+        with pytest.raises(InvalidScheduleError) as raised:
+            unfold_preemptive(inst, split)
+        assert str(raised.value) == first
+
+    @given(instances(max_jobs=7, max_machines=4, max_budget=2, max_size=9))
+    @settings(max_examples=20, deadline=None)
+    def test_compact_input_unfolds_as_its_expansion(self, inst):
+        compact = approx_splittable(inst)
+        expanded = unfold_preemptive(inst, expand_compact(compact, inst))
+        assert unfold_preemptive(inst, compact).pieces == expanded.pieces
 
 
 # The scheme returns its warm start without a program when the warm start

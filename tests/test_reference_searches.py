@@ -917,12 +917,24 @@ def reference_nonpreemptive_modules(ground, bound):
     return tuple(v for v, _s in found), tuple(s for _v, s in found)
 
 
+def covered_modules(modules, have):
+    """Indices of the modules no entry above the count vector ``have``."""
+    return tuple(
+        g for g, vec in enumerate(modules)
+        if all(v <= h for v, h in zip(vec, have))
+    )
+
+
 def reference_enumerate_sets(rounded):
-    """The non-preemptive sets over the full box of modules."""
+    """The non-preemptive sets over the full box of modules, each class
+    count vector filling the modules no entry above it."""
     ground = rounded.large_sizes
     bound = rounded.scaled_inflated
     modules, sizes = reference_nonpreemptive_modules(ground, bound)
-    mods = ModuleSet(modules=modules, sizes=sizes)
+    fillable = {
+        have: covered_modules(modules, have) for have in rounded.count_vectors
+    }
+    mods = ModuleSet(modules=modules, sizes=sizes, fillable=fillable)
     # a class with bound // p pieces of every size p fills the whole box
     _mods, confs = nonpreemptive_sets(
         ground, (tuple(bound // p for p in ground),), bound,
@@ -953,13 +965,53 @@ def box_size(program):
 def test_fillable_modules_are_the_box_under_some_class(ground, counts, bound):
     ground = tuple(sorted(ground))
     counts = tuple(tuple(have[:len(ground)]) for have in counts)
-    modules, sizes = _fillable_modules(ground, counts, bound)
+    modules, sizes, _fillable = _fillable_modules(ground, counts, bound)
     box = zip(*reference_nonpreemptive_modules(ground, bound))
     expected = [
         (vec, size) for vec, size in box
         if any(all(v <= h for v, h in zip(vec, have)) for have in counts)
     ]
     assert list(zip(modules, sizes)) == expected
+
+
+@given(
+    ground=st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
+    counts=st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                    min_size=1, max_size=3),
+    extra=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                   max_size=3),
+    bound=st.integers(0, 24),
+)
+@settings(max_examples=300, deadline=None)
+def test_fillable_record_lists_the_modules_under_each_vector(ground, counts,
+                                                             extra, bound):
+    # sizes in drawn order, unsorted; each extra entry (a, b) adds the
+    # entrywise minimum of count vectors a and b: vector a again when
+    # a = b (shared), else a vector under both (nested)
+    counts = [tuple(have[:len(ground)]) for have in counts]
+    for a, b in extra:
+        a, b = counts[a % len(counts)], counts[b % len(counts)]
+        counts.append(tuple(map(min, a, b)))
+    modules, _sizes, fillable = _fillable_modules(
+        tuple(ground), tuple(counts), bound
+    )
+    assert modules[0] == (0,) * len(ground)
+    assert set(fillable) == set(counts)
+    for have in counts:
+        assert fillable[have] == covered_modules(modules, have)
+
+
+@given(rounded=nonpreemptive_probes())
+@settings(max_examples=60, deadline=None)
+def test_large_class_y_columns_are_the_modules_it_covers(rounded):
+    built = build_program(rounded)
+    for u, cls in enumerate(rounded.classes):
+        if cls.small:
+            continue
+        used = tuple(g for g, _col in built.y_columns[u])
+        assert used == covered_modules(
+            built.modules.modules, rounded.count_vectors[u]
+        )
 
 
 @given(rounded=nonpreemptive_probes())
