@@ -18,11 +18,16 @@ size. The threshold search differs per variant:
   piece has size exactly T, the second layer of every machine is lifted to
   start at T so that consecutive pieces of one job never overlap in time.
 * non-preemptive: jobs cannot be cut, so the per-class piece count comes
-  from a size-classification (``_cu_sorted``) and T is found by binary
-  search over the multiples of 1/D, D the sizes' common denominator: the
-  optimum is one of them, so T never exceeds it. Classes of equal sizes
-  are grouped and sorted once; a probe then costs O(log n) bisections per
-  distinct class shape plus the pairing of its medium jobs, in integers.
+  from a size-classification (``_cu_sorted``), and T is the smallest
+  multiple of 1/D (D the sizes' common denominator) at or above the load
+  bound at which the counts fit: the optimum is one of them, so T never
+  exceeds it. The search starts at the ceil-load floor, the smallest such
+  T at which the class loads' ceilings sum(ceil(P_u/T)) fit, which is
+  never above it as C_u >= ceil(P_u/T); most often T is the floor itself.
+  Otherwise it gallops up from the floor by 1, 2, 4, ... multiples of
+  1/D and bisects the last gap. Classes of equal sizes are grouped and
+  sorted once; a probe then costs O(log n) bisections per distinct class
+  shape plus the pairing of its medium jobs, in integers.
 
 The splittable variant needs no job-level cutting at all: machine ids
 are interchangeable and jobs of a class may run in parallel, so its round
@@ -37,8 +42,9 @@ i + m_used, i + 2*m_used and so on (m_used = min(m, n)); a preemptive
 machine stacks its pieces as they are dealt.
 
 Thresholds and schedules are Fractions at the API. The searches run in
-Python ints over the sizes' common denominator; after each, the sizes and
-the threshold are scaled to one common denominator, and the layouts cut,
+Python ints over the sizes' common denominator, their bounds included,
+and build one Fraction for each value they return; the sizes and the
+threshold are then scaled to one common denominator, and the layouts cut,
 sort, deal and stack in ints. Fractions are built only for the threshold
 and the schedule the call returns.
 """
@@ -56,12 +62,9 @@ from .core import (
     CCSError,
     CompactSchedule,
     Instance,
-    NONPREEMPTIVE,
     NonPreemptiveSchedule,
-    PREEMPTIVE,
     PreemptiveSchedule,
-    SPLITTABLE,
-    lower_bound,
+    _require_class_slots,
 )
 # round_robin is not called here: bench/layers.py wraps it by this name
 from .greedy import lpt, round_robin  # noqa: F401
@@ -140,8 +143,9 @@ def _piece_count(groups, num: int, den: int) -> int:
 def _smallest_guess(sums, den, machine_limit, budget, floor, average):
     """Smallest threshold among the class-load borders {P/k : k <= limit}
     (only values >= floor when a floor is given) and the average candidate
-    whose piece count fits the slot budget, or None. The class loads are
-    the ints ``sums`` over ``den``.
+    whose piece count fits the slot budget, as a Fraction, or None. The
+    class loads are the ints ``sums`` over ``den``; ``floor`` (or None)
+    and ``average`` are int pairs (a, b), the value a/b over ``den``.
 
     The piece count f(T) = sum ceil(P/T) only grows as T shrinks, so the
     thresholds that fit are those >= the smallest border x/k (any k) that
@@ -161,8 +165,8 @@ def _smallest_guess(sums, den, machine_limit, budget, floor, average):
     def fits(num: int, dnm: int) -> bool:
         return _piece_count(groups, num, dnm) <= budget
 
-    if floor is not None and fits(floor.numerator * den, floor.denominator):
-        t_num, t_den = floor.numerator * den, floor.denominator
+    if floor is not None and fits(*floor):
+        t_num, t_den = floor
     elif budget == len(sums):  # one piece per class
         t_num, t_den = max(loads), 1
     else:
@@ -187,12 +191,10 @@ def _smallest_guess(sums, den, machine_limit, budget, floor, average):
         k = min(machine_limit, x * t_den // t_num)
         if k >= 1 and (best is None or x * best[1] < best[0] * k):
             best = (x, k)
-    candidate = None if best is None else Fraction(best[0], den * best[1])
-    if fits(average.numerator * den, average.denominator) and (
-        candidate is None or average < candidate
-    ):
-        return average
-    return candidate
+    a_num, a_den = average
+    if fits(a_num, a_den) and (best is None or a_num * best[1] < best[0] * a_den):
+        return Fraction(a_num, a_den * den)
+    return None if best is None else Fraction(best[0], den * best[1])
 
 
 def border_search_splittable(instance: Instance) -> Fraction:
@@ -200,11 +202,11 @@ def border_search_splittable(instance: Instance) -> Fraction:
     cut into at most c*m sub-classes. T* never exceeds the splittable
     optimum: any schedule with makespan T uses at least ceil(P/T) slots for
     a class of load P, and only c*m slots exist."""
-    lb, _ub = lower_bound(instance, SPLITTABLE)
+    _require_class_slots(instance)
     m = instance.machine_count
     den, _sizes, sums = instance._scaled
     t_star = _smallest_guess(
-        sums, den, m, instance.slot_budget * m, floor=None, average=lb
+        sums, den, m, instance.slot_budget * m, floor=None, average=(sum(sums), m)
     )
     if t_star is None:  # k=1 on the largest class always fits: count C <= c*m
         raise CCSError("no feasible splittable threshold")
@@ -281,9 +283,10 @@ def _preemptive_guess(instance: Instance):
     count are useless without self-parallelism, so m is clamped to
     min(m, n); candidate thresholds are the class-load borders at or above
     LB = max(p_max, total/m) = max(p_max, total/m_used), plus LB itself."""
-    lb, _ub = lower_bound(instance, PREEMPTIVE)
+    _require_class_slots(instance)
     m_used = min(instance.machine_count, instance.job_count)
-    den, _sizes, sums = instance._scaled
+    den, sizes, sums = instance._scaled
+    lb = (max(max(sizes) * m_used, sum(sums)), m_used)  # over den
     t_star = _smallest_guess(
         sums, den, m_used, instance.slot_budget * m_used, floor=lb, average=lb
     )
@@ -291,7 +294,7 @@ def _preemptive_guess(instance: Instance):
     # or at the smallest admissible border
     if t_star is None:
         raise CCSError("no feasible preemptive threshold")
-    return t_star, m_used, lb
+    return t_star, m_used, Fraction(lb[0], lb[1] * den)
 
 
 def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
@@ -357,23 +360,47 @@ def _cu_sorted(sizes: Sequence, total: int, threshold: int) -> tuple:
     return max(-(-total // threshold), heavy + (loose + 1) // 2), heavy, loose
 
 
-def nonpreemptive_threshold(instance: Instance):
-    """(T_final, m_used, LB): the smallest threshold, by binary search, at
-    which the per-class piece counts fit the slot budget c*min(m, n).
+def _first_fit(lo: int, hi: int, fits) -> int:
+    """The smallest int in [lo, hi] at which ``fits`` holds, by bisection:
+    ``fits`` holds at hi and never fails above an int where it holds."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    The optimum is a sum of job sizes, so a multiple of 1/D over the
-    sizes' common denominator D, and at least LB. The search bisects the
-    ints over D on [ceil(LB*D), max(ceil(LB*D), largest class load)],
-    with integral sizes (D = 1) the integers themselves."""
-    lb, _ub = lower_bound(instance, NONPREEMPTIVE)
-    m_used = min(instance.machine_count, instance.job_count)
-    budget = instance.slot_budget * m_used
+
+def nonpreemptive_threshold(instance: Instance):
+    """(T_final, m_used, LB): the smallest threshold T >= LB = max(p_max,
+    total/m) at which the per-class piece counts fit the slot budget
+    c*min(m, n), searched on the ints over D, the sizes' common
+    denominator: the optimum is one of them, and at least LB.
+
+    At a T at or above its load a class is one piece: it has at most one
+    job above T/2 and two above T/3, and a medium fits beside the heavy
+    job; C <= c*min(m, n) one-piece classes fit. Below the largest load
+    the search starts at the ceil-load floor, where sum(ceil(P_u/T)) <=
+    sum(C_u) first fits, and gallops up from there."""
+    _require_class_slots(instance)
+    m = instance.machine_count
+    m_used = min(m, instance.job_count)
     den, scaled_sizes, sums = instance._scaled
+    peak, total = max(scaled_sizes), sum(sums)
+    lb = Fraction(max(peak * m, total), den * m)
+    lo = max(peak, -(-total // m))  # ceil(LB*D)
+    top = max(sums)
+    if lo >= top:
+        return Fraction(lo, den), m_used, lb
     shapes = Counter(
         tuple(sorted(map(scaled_sizes.__getitem__, jobs)))
         for jobs in instance._class_members
+        if len(jobs) > 1
     )
     groups = [(sizes, sum(sizes), k) for sizes, k in shapes.items()]
+    # the slots left once every one-job class has its one piece
+    budget = instance.slot_budget * m_used - (len(sums) - sum(shapes.values()))
 
     def fits(threshold: int) -> bool:
         return (
@@ -384,18 +411,16 @@ def nonpreemptive_threshold(instance: Instance):
             <= budget
         )
 
-    # at a threshold >= its load a class is one piece: it has at most one
-    # job above T/2 and two above T/3, and a medium fits beside the heavy
-    # job. C <= c*min(m, n) one-piece classes fit the budget.
-    lo = math.ceil(lb * den)
-    hi = max(lo, max(sums))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, den), m_used, lb
+    # every class is one piece at the largest load, so both fit at top
+    loads = [(load, 1, k) for _sizes, load, k in groups]
+    lo = _first_fit(lo, top, lambda t: _piece_count(loads, t, 1) <= budget)
+    if fits(lo):
+        return Fraction(lo, den), m_used, lb
+    step = 1  # the floor lo fails, and so does lo + step // 2
+    while lo + step < top and not fits(lo + step):
+        step *= 2
+    found = _first_fit(lo + step // 2 + 1, min(lo + step, top), fits)
+    return Fraction(found, den), m_used, lb
 
 
 def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:

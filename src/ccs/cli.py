@@ -271,6 +271,9 @@ def run(
     classes than class slots), enum-cap / oracle-cap (the accuracy or
     instance is beyond the enumeration budgets, or the solver ran out of
     time), and no (an output that failed validation, which is a bug).
+    An enum-cap row of the schemes shows the best schedule the guess
+    search held and, as lb, the larger of the load bound and the bound it
+    had proved.
     ``dump_nfold``, a path, receives the accepted program of a ptas run;
     when none is written, one line on stderr says why.
     """
@@ -318,10 +321,17 @@ def run(
             schedule = ptas_solve(instance, eps, variant, report=trace)
         else:
             value, schedule = _oracle(instance, variant)
-    except EnumerationCapError:
+    except EnumerationCapError as exc:
         ms = (time.perf_counter() - start) * 1000
-        status = "oracle-cap" if algo == "exact" else "enum-cap"
-        return report(None, lb, None, ms, status)
+        if exc.schedule is None:
+            status = "oracle-cap" if algo == "exact" else "enum-cap"
+            return report(None, lb, None, ms, status)
+        # a scheme's cap keeps the best schedule it held and the lower
+        # bound it proved, which is at least lb for the splittable and
+        # non-preemptive schemes but may be below p_max for the preemptive
+        value, violations = makespan_and_violations(exc.schedule, instance, variant)
+        status = "no" if violations else "enum-cap"
+        return report(value, max(lb, exc.bound), None, ms, status)
     ms = (time.perf_counter() - start) * 1000
     if trace is not None and trace["built"] is not None:
         with open(dump_nfold, "w", encoding="utf-8") as handle:

@@ -49,7 +49,15 @@ class StructuralInfeasibleError(CCSError):
 
 class EnumerationCapError(CCSError):
     """A search budget was exceeded: an enumeration cap, a program bound
-    the solver's doubles cannot hold, or the solver's time limit."""
+    the solver's doubles cannot hold, or the solver's time limit.
+
+    Raised from a scheme's guess search, it keeps what the search held:
+    ``schedule``, the best schedule found (the warm start or a program's),
+    and ``bound``, the lower bound on the optimum proved so far. Both are
+    None where no search ran."""
+
+    schedule = None
+    bound = None
 
 
 def parse_rational(token: str) -> Fraction:
@@ -770,6 +778,17 @@ def makespan_and_violations(
     return peak, _variant_mismatch(schedule, variant) or violations
 
 
+def _require_class_slots(instance: Instance) -> None:
+    """Raise StructuralInfeasibleError when C > m*c: each class needs a
+    slot, and only m*c exist, so no schedule exists at any makespan."""
+    m = instance.machine_count
+    c = instance.slot_budget
+    if instance.class_count > m * c:
+        raise StructuralInfeasibleError(
+            f"{instance.class_count} classes need more than m*c = {m * c} class slots"
+        )
+
+
 def lower_bound(instance: Instance, variant: str):
     """(LB, UB) bracket for the optimal makespan of the variant.
 
@@ -780,16 +799,11 @@ def lower_bound(instance: Instance, variant: str):
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    m = instance.machine_count
-    c = instance.slot_budget
-    if instance.class_count > m * c:
-        raise StructuralInfeasibleError(
-            f"{instance.class_count} classes need more than m*c = {m * c} class slots"
-        )
-    average = instance.total_load / m
+    _require_class_slots(instance)
+    average = instance.total_load / instance.machine_count
     if variant == SPLITTABLE:
         den, _sizes, sums = instance._scaled
-        return average, c * Fraction(max(sums), den)
+        return average, instance.slot_budget * Fraction(max(sums), den)
     peak = instance.max_processing_time
     return max(peak, average), instance.job_count * peak
 

@@ -7,15 +7,16 @@ scheme, T* the border threshold, which never exceeds the splittable (so
 the preemptive) optimum; and T_np, the 7/3 algorithm's threshold, for the
 non-preemptive one. T_np never exceeds the non-preemptive optimum, and no
 other bound raises it: it is searched on the multiples of 1/D (D the
-sizes' common denominator) from the load bound up, and the splittable
-piece counts ceil(P_u/T) <= C_u fit at T_np too, so T* <= T_np. The
-certificate is at most the optimum, so a warm start whose makespan is at
-most (1 + epsilon) times it already keeps the scheme's guarantee. Both
-schemes return such a warm start as it is, and build and solve no
-program; it is optimal only where its makespan equals the certificate.
-Before that test the non-preemptive scheme polishes a warm start that
-misses the certificate by a move and swap descent (Finn and Horowitz,
-1979), which never raises the makespan.
+sizes' common denominator) at or above the load bound, from the smallest
+at which the splittable piece counts ceil(P_u/T) fit; as ceil(P_u/T) <=
+C_u, those fit at T_np too, so T* <= T_np. The certificate is at most
+the optimum, so a warm start whose makespan is at most (1 + epsilon)
+times it already keeps the scheme's guarantee. Both schemes return such
+a warm start as it is, and build and solve no program; it is optimal
+only where its makespan equals the certificate. Before that test the
+non-preemptive scheme polishes a warm start that misses the certificate
+by a move and swap descent (Finn and Horowitz, 1979), which never raises
+the makespan.
 
 Otherwise the scheme searches makespan guesses T by dual approximation
 (Hochbaum and Shmoys, J. ACM 1987). By the paper's rounding lemmas
@@ -66,6 +67,7 @@ from typing import Optional
 from .. import approx
 from ..core import (
     CCSError,
+    EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
     NonPreemptiveSchedule,
@@ -128,6 +130,10 @@ def ptas_solve(
     splittable run. With at least as many machines as jobs it solves no
     program at all, and reports as a certified warm start does, with the
     bound p_max.
+
+    A probe that exceeds a budget (``EnumerationCapError``) stops the call
+    with no answer; the error carries the best schedule held, in the
+    variant's form, as ``schedule`` and the bound proved as ``bound``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -146,7 +152,12 @@ def ptas_solve(
         )
     work = _clamp(instance, scheme)
     warm, top, bound = _certify(work, scheme)
-    schedule, record = _search_program(work, scheme, epsilon, warm, top, bound)
+    try:
+        schedule, record = _search_program(work, scheme, epsilon, warm, top, bound)
+    except EnumerationCapError as exc:
+        if variant == PREEMPTIVE:
+            exc.schedule = unfold_preemptive(instance, exc.schedule)
+        raise
     if report is not None:
         report.update(record)
     if variant != PREEMPTIVE:
@@ -275,7 +286,8 @@ def _search_program(work, variant, epsilon, schedule, top, bound):
     ``bound``, and the best schedule it holds when it stops. ``record``
     holds the report entries "bound" (raised by the infeasible probes),
     "guess", "built" and "solution" (the last feasible probe's, else
-    None) and "probes" (see ``ptas_solve``)."""
+    None) and "probes" (see ``ptas_solve``). An EnumerationCapError from
+    a probe leaves with the best schedule and the bound held."""
     probes = []
     record = dict(
         guess=None, built=None, solution=None, probes=probes, bound=bound
@@ -304,8 +316,12 @@ def _search_program(work, variant, epsilon, schedule, top, bound):
         i = max(lo, min(last_below(top / (1 + epsilon)), (lo + hi) // 2))
         guess = guess_at(i)
         params = PtasParams(delta, guess, variant)
-        built = build_program(preprocess(work, params))
-        solution = solve_feasible(built.program)
+        try:
+            built = build_program(preprocess(work, params))
+            solution = solve_feasible(built.program)
+        except EnumerationCapError as exc:
+            exc.schedule, exc.bound = schedule, bound
+            raise
         probes.append((params.guess, solution is not None))
         if solution is None:
             lo, bound = i + 1, proved(i)

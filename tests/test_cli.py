@@ -40,10 +40,15 @@ from ccs.ptas import (
     ptas_solve,
 )
 from ccs.core import (
+    EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
     PREEMPTIVE,
+    PreemptiveSchedule,
     SPLITTABLE,
+    lower_bound,
+    makespan,
+    validate,
 )
 from conftest import certified, instances, lower_enum_cap, never_certify
 
@@ -62,6 +67,11 @@ SEARCHED_TEXT = "6 3 2\n5 1\n3 1\n4 1\n2 3\n1 3\n5 2\n"
 # its polished warm start, 8, misses the bound 7 by more than 1 + 1/8 too,
 # but the program at 7 is infeasible, which raises the bound to 8
 REJECTED_TEXT = "4 3 2\n5 1\n7 2\n4 2\n4 1\n"
+# searched to the end at accuracy 1/8, the non-preemptive scheme probes
+# this instance twice, both feasible: its polished warm start has makespan
+# 89 and its certificate T_np is 68, so the first probe lies above 68 and
+# its program's schedule beats the warm start
+TWO_PROBES = Instance((29, 38, 22, 1, 2, 22, 22), (2, 2, 2, 1, 1, 3, 3), 2, 2)
 
 
 def probes(instance, variant, epsilon=1):
@@ -71,14 +81,23 @@ def probes(instance, variant, epsilon=1):
     return report["probes"]
 
 
-def stall_highs(monkeypatch):
-    """Make every HiGHS call stop at its time limit without a point."""
+def stall_highs(monkeypatch, answered=0):
+    """Let HiGHS answer its first ``answered`` calls, then make every call
+    stop at its time limit without a point. Returns the list of calls
+    made, which the caller may clear to start the count again."""
     from scipy.optimize._highspy._core import HighsModelStatus
 
-    monkeypatch.setattr(
-        ccs.nfold, "_run_highs",
-        lambda lp, options: (HighsModelStatus.kTimeLimit, None),
-    )
+    real = ccs.nfold._run_highs
+    calls = []
+
+    def limited(lp, options):
+        calls.append(lp)
+        if len(calls) <= answered:
+            return real(lp, options)
+        return HighsModelStatus.kTimeLimit, None
+
+    monkeypatch.setattr(ccs.nfold, "_run_highs", limited)
+    return calls
 
 
 def write(tmp_path, name, text):
@@ -289,6 +308,49 @@ class TestRun:
         row = run(inst, "ptas", SPLITTABLE, epsilon=QUARTER)
         assert row.feasible == "enum-cap"
         assert row.epsilon == QUARTER
+        # the cap fires in set enumeration, before any program is solved:
+        # the row keeps the warm start and the certificate, the load bound
+        with pytest.raises(EnumerationCapError) as err:
+            ptas_solve(inst, QUARTER, SPLITTABLE)
+        assert validate(err.value.schedule, inst) == []
+        assert row.makespan == makespan(err.value.schedule, inst)
+        assert row.lb == err.value.bound == lower_bound(inst, SPLITTABLE)[0]
+
+    def test_time_out_keeps_the_best_schedule_and_the_bound(self,
+                                                            monkeypatch):
+        """HiGHS answers the first probe and stops at its time limit on
+        the second: the refusal carries the first probe's schedule, which
+        beats the warm start, and the certificate, and the row shows its
+        makespan over that bound."""
+        never_certify(monkeypatch)
+        calls = stall_highs(monkeypatch, answered=1)
+        with pytest.raises(EnumerationCapError) as err:
+            ptas_solve(TWO_PROBES, Fraction(1, 8), NONPREEMPTIVE)
+        assert len(calls) == 2
+        carried, bound = err.value.schedule, err.value.bound
+        assert validate(carried, TWO_PROBES) == []
+        value = makespan(carried, TWO_PROBES)
+        assert value < 89
+        assert bound == 68
+        calls.clear()
+        row = run(TWO_PROBES, "ptas", NONPREEMPTIVE, epsilon=Fraction(1, 8))
+        assert row.feasible == "enum-cap"
+        assert (row.makespan, row.lb, row.ratio_lb) == (value, 68, value / 68)
+
+    def test_preemptive_time_out_carries_a_preemptive_schedule(self,
+                                                              monkeypatch):
+        never_certify(monkeypatch)
+        stall_highs(monkeypatch)
+        with pytest.raises(EnumerationCapError) as err:
+            ptas_solve(UNCERTIFIED, 1, PREEMPTIVE)
+        carried = err.value.schedule
+        assert isinstance(carried, PreemptiveSchedule)
+        assert validate(carried, UNCERTIFIED) == []
+        row = run(UNCERTIFIED, "ptas", PREEMPTIVE, epsilon=1)
+        assert row.feasible == "enum-cap"
+        assert row.makespan == makespan(carried, UNCERTIFIED)
+        floor, _ub = lower_bound(UNCERTIFIED, PREEMPTIVE)
+        assert row.lb == max(floor, err.value.bound)
 
     def test_ms_leaves_out_the_dump_write(self, tmp_path, monkeypatch):
         inst = parse_instance(write(tmp_path, "inst.txt", SEARCHED_TEXT))
@@ -407,7 +469,9 @@ class TestSolveCommand:
                           "--epsilon", "1/8")
         assert code == EXIT_CAP
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1].endswith(",enum-cap")
+        # the polished warm start, 8, over the certificate, 7
+        row = captured.out.splitlines()[1].split(",")
+        assert (row[4], row[5], row[7], row[10]) == ("8", "7", "8/7", "enum-cap")
         assert captured.err == ""
 
     def test_parse_error_exits_four(self, tmp_path):

@@ -12,6 +12,7 @@ two programs must be feasible at the same guesses."""
 
 import bisect
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -24,10 +25,12 @@ import ccs.ptas.builder
 from ccs.cli import GENERATOR_FAMILIES, generate
 from conftest import nonpreemptive_probe, nonpreemptive_probes
 from ccs import (
+    SPLITTABLE,
     VARIANTS,
     CompactSchedule,
     Instance,
     InvalidScheduleError,
+    StructuralInfeasibleError,
     NonPreemptiveSchedule,
     PreemptiveSchedule,
     SplittableSchedule,
@@ -36,6 +39,7 @@ from ccs import (
     approx_splittable,
     expand_compact,
     lpt,
+    lower_bound,
     makespan,
     round_robin,
     validate,
@@ -483,9 +487,21 @@ def on_one_denominator(loads):
     return [p.numerator * (den // p.denominator) for p in loads], den
 
 
-def reference_on_scaled(sums, den, *args, **kwargs):
+def over_den(value, den):
+    """A value as ``_smallest_guess`` takes it: the int pair (a, b), the
+    value a/b over den; None stays None."""
+    return None if value is None else (value.numerator * den, value.denominator)
+
+
+def reference_on_scaled(sums, den, machine_limit, budget, floor, average):
     """``reference_smallest_guess`` called as ``_smallest_guess`` is."""
-    return reference_smallest_guess([Fraction(x, den) for x in sums], *args, **kwargs)
+    return reference_smallest_guess(
+        [Fraction(x, den) for x in sums],
+        machine_limit,
+        budget,
+        None if floor is None else Fraction(floor[0], floor[1] * den),
+        Fraction(average[0], average[1] * den),
+    )
 
 
 @given(
@@ -507,14 +523,20 @@ def test_smallest_guess_matches_reference(
     if isinstance(floor, int):
         t0 = reference_smallest_guess(loads, budget, budget, None, max(loads))
         floor = t0 * Fraction(floor, 8)
-    args = (machine_limit, budget, floor, average)
     sums, den = on_one_denominator(loads)
-    assert _smallest_guess(sums, den, *args) == reference_smallest_guess(
-        loads, *args
+    found = _smallest_guess(
+        sums, den, machine_limit, budget, over_den(floor, den), over_den(average, den)
+    )
+    assert found == reference_smallest_guess(
+        loads, machine_limit, budget, floor, average
     )
 
 
 @given(instance=mixed_instances())
+# C = c*m: one piece per class, the splittable search's shortcut
+@example(instance=Instance((3, 5, 2), (1, 2, 3), 3, 1))
+# the preemptive LB, 14/3, fits and beats every admissible border (6 and 8)
+@example(instance=Instance((3, 3, 4, 4), (1, 1, 2, 2), 3, 2))
 @settings(max_examples=300, deadline=None)
 def test_border_searches_match_reference(instance):
     split = border_search_splittable(instance)
@@ -564,11 +586,77 @@ def test_cu_pairing_matches_best_fit_reference(heavy, medium, small):
 
 
 @given(instance=mixed_instances())
+# one-job classes only: the load bound covers every class load
+@example(instance=Instance((3, 5, 2), (1, 2, 3), 2, 2))
+# the ceil-load floor, 8, fits below the largest class load, 9
+@example(instance=Instance((4, 4, 3, 3, 1), (1, 1, 2, 2, 1), 2, 2))
+# the gallop: the floor 6 and 13/2 do not fit, 7 does
+@example(instance=Instance((Fraction(5, 2), Fraction(9, 2), 5), (1, 1, 1), 2, 2))
 @settings(max_examples=300, deadline=None)
 def test_nonpreemptive_threshold_matches_reference(instance):
     assert nonpreemptive_threshold(instance) == reference_nonpreemptive_threshold(
         instance
     )
+
+
+def test_searches_refuse_as_lower_bound_does():
+    """Three classes, one machine, two slots: every threshold search
+    raises lower_bound's StructuralInfeasibleError, message and all."""
+    instance = Instance((1, 2, 3), (1, 2, 3), 1, 2)
+    with pytest.raises(StructuralInfeasibleError) as expected:
+        lower_bound(instance, SPLITTABLE)
+    message = re.escape(str(expected.value))
+    for search in (border_search_splittable, _preemptive_guess,
+                   nonpreemptive_threshold):
+        with pytest.raises(StructuralInfeasibleError, match=f"^{message}$"):
+            search(instance)
+
+
+def scaled_class(sizes, top):
+    """The sizes as ints over their least common denominator D, sorted,
+    with their sum, and the scaled thresholds from p_max*D to ``top``*D."""
+    ints, den = on_one_denominator(sizes)
+    ints.sort()
+    return ints, sum(ints), range(ints[-1], top * den + 1)
+
+
+@given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_cu_never_grows_with_the_threshold(sizes):
+    """The threshold search's gallop and bisections rest on this: C_u,
+    the pieces a class cuts into, is non-increasing in T from p_max up,
+    here checked at every integer up to the class load, where C_u is 1."""
+    ints, total, thresholds = scaled_class(sizes, sum(sizes))
+    counts = [_cu_sorted(ints, total, t)[0] for t in thresholds]
+    assert counts == sorted(counts, reverse=True)
+    assert counts[-1] == 1
+
+
+@given(
+    sizes=st.lists(values, min_size=1, max_size=10),
+    picks=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_cu_never_grows_with_a_fractional_threshold(sizes, picks):
+    """The same on fractional sizes scaled to their common denominator,
+    at two thresholds drawn between p_max and the class load."""
+    ints, total, thresholds = scaled_class(sizes, math.ceil(sum(sizes)))
+    low, high = sorted(thresholds[k % len(thresholds)] for k in picks)
+    assert _cu_sorted(ints, total, high)[0] <= _cu_sorted(ints, total, low)[0]
+
+
+@given(instance=mixed_instances())
+@settings(max_examples=300, deadline=None)
+def test_ceil_load_floor_never_exceeds_the_threshold(instance):
+    """The search's floor, the smallest multiple of 1/D at or above the
+    load bound at which the class loads' ceilings sum(ceil(P_u/T)) fit
+    the slot budget, is at most T_np, as C_u >= ceil(P_u/T). The sum only
+    falls as T rises, so that holds iff T_np >= LB and the ceilings fit
+    at T_np."""
+    threshold, m_used, lb = nonpreemptive_threshold(instance)
+    budget = instance.slot_budget * m_used
+    assert threshold >= lb
+    assert reference_piece_count(instance.class_totals, threshold) <= budget
 
 
 @given(instance=mixed_instances())
