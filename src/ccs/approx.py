@@ -178,14 +178,9 @@ def _smallest_guess(sums, den, machine_limit, budget, floor, average):
             for x in loads
             for k in range(max(1, x * spare // total), x * budget // total + 1)
         )
-        lo, hi = 0, len(window) - 1  # the last border, >= T0, fits
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits(window[mid][1], window[mid][2]):
-                hi = mid
-            else:
-                lo = mid + 1
-        _key, t_num, t_den = window[lo]
+        # the last border, >= T0, fits
+        first = _first_fit(0, len(window) - 1, lambda i: fits(*window[i][1:]))
+        _key, t_num, t_den = window[first]
     best = None  # (x, k) of the smallest candidate border x/k
     for x in loads:
         k = min(machine_limit, x * t_den // t_num)

@@ -3,17 +3,19 @@ non-preemptive schemes.
 
 ``build_program`` emits the compact program (``ccs.nfold.CompactProgram``)
 the solver takes. Columns, in order: one x per configuration (machines
-running it); per large class one y per module it can fill, as the module
-walk lists them (``ModuleSet.fillable``; every module when splittable);
-per small class one z per (size, hosted-count) pair; one
-slack per host-capacity row, then one per host-volume row. Rows: the
-machine row, one link row per module footprint (configurations supply
-slots, y columns consume them), per pair the host-capacity and host-volume
-rows, then each large class's demand rows and each small class's flag
-row, in class order. Host rows and their slacks appear only when some
-class is small: without z columns the slack alone meets them, since
-b <= c and h <= bound. The configuration columns depend on the sets alone
-and are cached with them (``ConfigurationSet.columns``).
+running it); per large class one y per module it can fill, in the module
+walk's order, looked up in ``ModuleSet.fillable`` under the class's
+(position, count) pairs (every module when splittable); per small class
+one z per (size, hosted-count) pair; one slack per host-capacity row,
+then one per host-volume row. Rows: the machine row, one link row per
+module footprint (configurations supply slots, y columns consume them),
+per pair the host-capacity and host-volume rows, then each large class's
+demand rows (non-preemptive: one per pair, read with the modules' own
+pairs) and each small class's flag row, in class order. Host rows and
+their slacks appear only when some class is small: without z columns the
+slack alone meets them, since b <= c and h <= bound. The configuration
+columns depend on the sets alone and are cached with them
+(``ConfigurationSet.columns``).
 
 The variant, the accuracy and the inflated bound are read off the rounded
 instance's ``PtasParams`` (``ccs.ptas.rounding``); every count of the
@@ -24,14 +26,16 @@ brick per class, as a view that is read and never solved (by the
 dimension checks and ``--dump-nfold``): every brick has one x per
 configuration, one y per module, one z per pair and one slack per shared
 inequality row, and the shared rows see only the sum of the x columns over
-the bricks. Its rows are sparse, dicts {column: int} of their entries,
-since a brick is as wide as the configuration set.
+the bricks. A non-preemptive brick has one demand row per large size,
+whether or not its class has jobs of that size, so ``as_nfold`` alone
+expands a class's (position, count) pairs. Its rows are sparse, dicts
+{column: int} of their entries, since a brick is as wide as the
+configuration set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from ..core import SPLITTABLE
 # with_top_row_slacks has no caller here; the benchmark's layer trace
@@ -93,9 +97,6 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
     position = {q: g for g, q in enumerate(modules.size_values)}
     link_of = [1 + position[q] for q in modules.sizes]
     splittable = rounded.params.variant == SPLITTABLE
-    supports = () if splittable else [
-        tuple(compress(range(len(vec)), vec)) for vec in modules.modules
-    ]
     y_cap = _y_cap(rounded)
     y_columns = []
     z_columns = []
@@ -124,18 +125,16 @@ def build_program(rounded: RoundedInstance) -> BuiltProgram:
         else:
             have = rounded.count_vectors[u]
             demand = {}
-            for p_pos, count in enumerate(have):
-                if count:
-                    demand[p_pos] = next_row
-                    rhs.append(count)
-                    next_row += 1
+            for p_pos, count in have:
+                demand[p_pos] = next_row
+                rhs.append(count)
+                next_row += 1
             for g in modules.fillable[have]:
-                vec = modules.modules[g]
                 rows.append(link_of[g])
                 values.append(-1)
-                for p_pos in supports[g]:
+                for p_pos, k in modules.modules[g]:
                     rows.append(demand[p_pos])
-                    values.append(vec[p_pos])
+                    values.append(k)
                 starts.append(len(rows))
                 fits.append((g, col + len(fits)))
         upper += [y_cap] * len(fits)
@@ -199,9 +198,9 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         demand = [{y0 + g: size for g, size in enumerate(modules.sizes)}]
     else:
         demand = [{} for _ in rounded.large_sizes]
-        for g, vec in enumerate(modules.modules):
-            for p_pos in compress(range(len(vec)), vec):
-                demand[p_pos][y0 + g] = vec[p_pos]
+        for g, module in enumerate(modules.modules):
+            for p_pos, k in module:
+                demand[p_pos][y0 + g] = k
     flag = {z0 + pos: 1 for pos in range(pairs)}
     private = tuple(demand + [flag])
     top_of_load: dict = {}
@@ -218,7 +217,8 @@ def as_nfold(built: BuiltProgram) -> NFoldProgram:
         if splittable:
             rhs.append(0 if cls.small else cls.scaled_load)
         else:
-            rhs.extend(rounded.count_vectors[u])
+            have = dict(rounded.count_vectors[u])
+            rhs.extend(have.get(p, 0) for p in range(len(rounded.large_sizes)))
         rhs.append(cls.xi)
     upper = (
         [m] * configurations.count

@@ -201,12 +201,13 @@ def _reconstruct_nonpreemptive(x, built: BuiltProgram) -> NonPreemptiveSchedule:
             pools.setdefault(position[job.scaled_size], deque()).append(job)
         used = [(g, x[col]) for g, col in built.y_columns[u] if x[col]]
         for g, copies in sorted(used, key=lambda entry: -sizes[entry[0]]):
-            vec = built.modules.modules[g]
+            # positions descending, as the pools were filled
+            module = built.modules.modules[g][::-1]
             for _ in range(copies):
                 mach = slot_pool[sizes[g]].popleft()
-                for p_pos, pool in pools.items():
-                    for _n in range(vec[p_pos]):
-                        for j in pool.popleft().job_ids:
+                for p_pos, k in module:
+                    for _n in range(k):
+                        for j in pools[p_pos].popleft().job_ids:
                             assignment[j] = mach
         if any(pools.values()):
             raise CCSError(f"class {cls.class_id} jobs left over")

@@ -14,6 +14,7 @@ splittable y bound in ``ccs.ptas.builder``) all follow from it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -191,17 +192,17 @@ class RoundedInstance:
 
     @cached_property
     def count_vectors(self) -> tuple:
-        """Per class, in class order, its job count at each of
-        ``large_sizes``; all zero for a small class."""
+        """Per class, in class order, its (position, job count) pairs over
+        ``large_sizes``, positions ascending, one per size it has jobs
+        of; () for a small class."""
         position = {p: g for g, p in enumerate(self.large_sizes)}
-        vectors = []
+        counts = []
         for cls in self.classes:
-            have = [0] * len(position)
-            if not cls.small:
-                for job in cls.jobs:
-                    have[position[job.scaled_size]] += 1
-            vectors.append(tuple(have))
-        return tuple(vectors)
+            have = Counter() if cls.small else Counter(
+                position[job.scaled_size] for job in cls.jobs
+            )
+            counts.append(tuple(sorted(have.items())))
+        return tuple(counts)
 
 
 def _ceil_div(a: int, b: int) -> int:

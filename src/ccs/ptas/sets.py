@@ -7,7 +7,7 @@ per-variant shapes:
 
   splittable      module = a piece size c*l (integer l >= k), configuration
                   = pairs over the module sizes
-  non-preemptive  module = multiplicity vector over the large job sizes
+  non-preemptive  module = (large size position, multiplicity) pairs
                   that some large class can fill, configuration = pairs
                   over the distinct module sizes; the module walk alone
                   decides which modules each class can fill
@@ -27,16 +27,16 @@ that many configuration columns would outrun the solver's time limit, and
 the configurations alone take about 500 MB. The splittable sets are
 memoized, since they depend only on the accuracy and the slot budget; the
 non-preemptive sets also depend on the large sizes and the large classes'
-count vectors over them, so few calls repeat one, and they are built
-afresh each time.
+job counts at them, so few calls repeat one, and they are built afresh
+each time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, compress, repeat, takewhile
+from functools import cache, cached_property
+from itertools import accumulate, takewhile
 
 from ..core import EnumerationCapError, NONPREEMPTIVE, SPLITTABLE
 from .rounding import RoundedInstance, inflation, piece_cap
@@ -57,12 +57,14 @@ class ModuleSet:
     """The modules of one scheme at one accuracy.
 
     modules: splittable -> scaled piece sizes (ints); non-preemptive ->
-    multiplicity tuples over the rounded instance's ``large_sizes``, each
-    at most some large class's count vector, so the set depends on those
-    vectors as well as on the sizes. ``sizes[i]`` is the scaled footprint
+    (position, multiplicity) pairs over the rounded instance's
+    ``large_sizes``, positions ascending, each multiplicity at most some
+    large class's job count at that position, so the set depends on those
+    counts as well as on the sizes. ``sizes[i]`` is the scaled footprint
     of ``modules[i]`` on a machine. Non-preemptive ``fillable`` maps each
-    large class count vector to the ascending indices of the modules it
-    covers (splittable: None, as every large class uses every module).
+    large class's (position, count) pairs (``count_vectors``) to the
+    ascending indices of the modules it covers (splittable: None, as
+    every large class uses every module).
     """
 
     modules: tuple
@@ -188,13 +190,6 @@ def _walk(sizes, budget, admit, state, what):
     return found
 
 
-def _multiplicity_configs(sizes, c, budget):
-    """(pairs, sizes) of the multisets of at most c positions of ``sizes``
-    with total size at most ``budget``, in ``_configurations``' order."""
-    confs = _configurations(sizes, c, budget, c)
-    return confs.configs, confs.sizes
-
-
 def _configurations(sizes, c, bound, pieces):
     """The configurations over the distinct module sizes ``sizes``: at
     most c slots and total size at most ``bound``, with (size, slots)
@@ -220,6 +215,7 @@ def _configurations(sizes, c, bound, pieces):
     )
 
 
+@cache
 def splittable_sets(
     grid: int, slot_budget: int
 ) -> "tuple[ModuleSet, ConfigurationSet]":
@@ -228,50 +224,46 @@ def splittable_sets(
     Module sizes are c*l for l from k up to ``inflation(k)``, where c*l
     meets the scaled inflated bound.
     """
-    key = (grid, slot_budget)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
     k, c = grid, slot_budget
     top = inflation(k, SPLITTABLE)
     sizes = tuple(c * level for level in range(k, top + 1))
     _cap_check(len(sizes), "modules")
     mods = ModuleSet(modules=sizes, sizes=sizes)
     confs = _configurations(sizes, c, c * top, piece_cap(k, SPLITTABLE))
-    _SPLIT_CACHE[key] = (mods, confs)
     return mods, confs
 
 
 def _fillable_modules(ground, counts, bound):
-    """``ModuleSet`` fields: the multiplicity vectors over the large sizes
-    with footprint <= bound that some class can fill, i.e. no entry above
-    that class's count vector in ``counts``, in lexicographic order, their
-    footprints and ``fillable``. The all-zero vector is among them
-    whenever ``counts`` is not empty. The walk's state masks the count
-    vectors that still cover the module, ``covers[g][k - 1]`` those with
-    at least k jobs at position g; ``fillable`` reads the final masks."""
+    """``ModuleSet`` fields: the (position, multiplicity) pairs over the
+    large sizes ``ground`` with footprint <= bound that some class can
+    fill, i.e. with no multiplicity above that class's count at the
+    position, as given by its (position, count) pairs in ``counts``, in
+    the lexicographic order of their multiplicity vectors; their
+    footprints; and ``fillable``. The empty module is among them whenever
+    ``counts`` is not empty. The walk's state masks the classes' pairs
+    that still cover the module, ``covers[g][k - 1]`` those with at least
+    k jobs at position g; ``fillable`` reads the final masks."""
     if not counts:
         return (), (), {}
-    covers = [[0] * max(column) for column in zip(*counts)]
+    covers = [[] for _ in ground]
     for i, have in enumerate(counts):
-        for g in compress(range(len(have)), have):
-            for k in range(have[g]):
-                covers[g][k] |= 1 << i
+        for g, count in have:
+            column = covers[g]
+            column += [0] * (count - len(column))
+            for k in range(count):
+                column[k] |= 1 << i
 
     def covered(live, g):
         return takewhile(bool, map(live.__and__, covers[g]))
 
-    found = _walk(ground, bound, covered, (1 << len(counts)) - 1, "modules")
+    modules, sizes, masks = zip(*_walk(
+        ground, bound, covered, (1 << len(counts)) - 1, "modules"
+    ))
     covered_by = [[] for _ in counts]
-    for g, (_pairs, _size, live) in enumerate(found):
+    for g, live in enumerate(masks):
         while live:  # one step per set bit, lowest first
             covered_by[(live & -live).bit_length() - 1].append(g)
             live &= live - 1
-    modules = tuple(
-        tuple(map(dict(pairs).get, range(len(ground)), repeat(0)))
-        for pairs, _size, _live in found
-    )
-    sizes = tuple(size for _pairs, size, _live in found)
     return modules, sizes, dict(zip(counts, map(tuple, covered_by)))
 
 
@@ -285,7 +277,7 @@ def nonpreemptive_sets(
     """Modules and configurations of the non-preemptive scheme.
 
     ``ground`` holds the scaled large sizes, ``counts`` the large classes'
-    count vectors over ``ground`` (sorted, without repeats), and
+    (position, count) pairs over ``ground`` (sorted, without repeats), and
     ``scaled_bound`` the scaled inflated bound. Only
     modules some class can fill are enumerated, and configurations range
     over their distinct footprints alone: a configuration using any other
@@ -319,6 +311,3 @@ def enumerate_sets(
         rounded.slot_budget,
         rounded.params.grid,
     )
-
-
-_SPLIT_CACHE: dict = {}

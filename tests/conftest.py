@@ -65,6 +65,21 @@ def nonpreemptive_probes(draw):
     return nonpreemptive_probe(work, epsilon, guess)
 
 
+def dense(pairs, length):
+    """The vector over ``length`` positions of (position, count) pairs,
+    zero elsewhere: a non-preemptive module or a class's job counts
+    (``RoundedInstance.count_vectors``) in dense form."""
+    vec = [0] * length
+    for g, count in pairs:
+        vec[g] = count
+    return tuple(vec)
+
+
+def sparse(vec):
+    """The (position, count) pairs of the nonzero entries of ``vec``."""
+    return tuple((g, count) for g, count in enumerate(vec) if count)
+
+
 def nonpreemptive_probe(instance, epsilon, guess):
     """The rounded instance the non-preemptive scheme at epsilon builds
     its program from at ``guess``."""
@@ -190,7 +205,7 @@ def lower_enum_cap(monkeypatch, cap):
     The splittable sets get a fresh cache, so a set cached under the real
     cap cannot bypass the lowered one."""
     monkeypatch.setattr(sets, "ENUM_CAP", cap)
-    monkeypatch.setattr(sets, "_SPLIT_CACHE", {})
+    sets.splittable_sets.cache_clear()
 
 
 def never_certify(monkeypatch):

@@ -1,6 +1,7 @@
 """Approximation scheme tests: accuracy grid, rounding, enumeration,
 block program shape, reconstruction, and the end-to-end driver."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     certified,
+    dense,
     instances,
     lower_enum_cap,
     never_certify,
@@ -67,7 +69,7 @@ from ccs.ptas import (
 )
 from ccs.ptas import driver
 from ccs.ptas.rounding import piece_cap
-from ccs.ptas.sets import _multiplicity_configs
+from ccs.ptas.sets import _configurations
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -196,7 +198,7 @@ class TestPreprocess:
         # joins the first chunk (tie on size, lower lead id wins)
         assert descriptors == [((0, 1, 4), 3, 3), ((2, 3), 2, 2)]
         assert rounded.large_sizes == (2, 3)
-        assert rounded.count_vectors == ((1, 1),)
+        assert [dense(have, 2) for have in rounded.count_vectors] == [(1, 1)]
 
     def test_leftover_joins_oversized_job_when_nothing_fits(self):
         inst = Instance((9, 1), (1, 1), 1, 1)
@@ -288,7 +290,9 @@ class TestSets:
         mods, confs = enumerate_sets(rounded)
         # the multiples of the single size 4 that the class's two jobs
         # fill, zero included; the bound 20 would allow five
-        assert mods.modules == ((0,), (1,), (2,))
+        assert [dense(module, 1) for module in mods.modules] == [
+            (0,), (1,), (2,)
+        ]
         assert mods.sizes == (0, 4, 8)
         assert confs.count == 4
 
@@ -330,18 +334,18 @@ class TestSets:
             )
             if sum(vec) <= c and total <= budget
         ]
-        configs, totals = _multiplicity_configs(tuple(sizes), c, budget)
-        assert list(zip(configs, totals)) == expected
+        confs = _configurations(tuple(sizes), c, budget, c)
+        assert list(zip(confs.configs, confs.sizes)) == expected
 
     def test_configuration_cap_fires_one_past_the_count(self, monkeypatch):
         sizes, c, budget = (0, 2, 3, 5), 3, 9
-        configs, _totals = _multiplicity_configs(sizes, c, budget)
+        configs = _configurations(sizes, c, budget, c).configs
         count = len(configs)
         lower_enum_cap(monkeypatch, count)
-        assert _multiplicity_configs(sizes, c, budget)[0] == configs
+        assert _configurations(sizes, c, budget, c).configs == configs
         lower_enum_cap(monkeypatch, count - 1)
         with pytest.raises(EnumerationCapError, match=CAP_MESSAGE):
-            _multiplicity_configs(sizes, c, budget)
+            _configurations(sizes, c, budget, c)
 
     def test_lowered_cap_is_not_bypassed_by_the_cache(self, monkeypatch):
         splittable_sets(2, 1)
@@ -382,6 +386,40 @@ def brick_offsets(built):
 
 
 class TestProgramShape:
+    def test_nonpreemptive_program_bytes_are_pinned(self):
+        # the arrays and index maps of four non-preemptive programs (the
+        # two generate instances of the configuration-set check, the
+        # 1,200-class instance and a many-singletons draw) are the same,
+        # byte for byte, as when this hash was taken
+        def built(inst, epsilon, guess=None):
+            inst = driver._clamp(inst, NONPREEMPTIVE)
+            if guess is None:
+                guess = nonpreemptive_threshold(inst)[0]
+            delta = derive_delta(epsilon, NONPREEMPTIVE)
+            return build_program(
+                preprocess(inst, PtasParams(delta, guess, NONPREEMPTIVE))
+            )
+
+        digest = hashlib.sha256()
+        for probe in (
+            built(generate(3, "uniform", 30, 3, 2, (1, 100)), QUARTER),
+            built(generate(4, "few-large-classes", 30, 3, 2, (1, 100)), QUARTER),
+            built(
+                Instance(tuple(range(1000, 2200)), tuple(range(1, 1201)), 1200, 1),
+                EIGHTH,
+                2199,
+            ),
+            built(generate(13, "many-singletons", 300, 165, 2, (1, 100)), QUARTER),
+        ):
+            p = probe.program
+            digest.update(repr((
+                p.col_start, p.row_index, p.values, p.rhs, p.upper,
+                probe.y_columns, probe.z_columns,
+            )).encode())
+        assert digest.hexdigest() == (
+            "ecd9b86bf00e1ecabe8d7e40a23dee6c723513926b0bb437e7489ab978f7c7d3"
+        )
+
     def test_splittable_dimensions(self):
         inst = Instance((3, 4), (1, 1), 2, 1)
         params = PtasParams(HALF, 8, SPLITTABLE)
@@ -505,10 +543,11 @@ def brick_conservation(built, solution):
             )
             assert supplied == (0 if cls.small else cls.scaled_load)
         else:
-            for p_pos, have in enumerate(rounded.count_vectors[u]):
+            width = len(rounded.large_sizes)
+            for p_pos, have in enumerate(dense(rounded.count_vectors[u], width)):
                 supplied = sum(
-                    vec[p_pos] * count
-                    for vec, count in zip(built.modules.modules, y)
+                    dense(module, width)[p_pos] * count
+                    for module, count in zip(built.modules.modules, y)
                 )
                 assert supplied == have
 

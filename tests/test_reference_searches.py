@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import ccs.approx
 import ccs.ptas.builder
 from ccs.cli import GENERATOR_FAMILIES, generate
-from conftest import nonpreemptive_probe, nonpreemptive_probes
+from conftest import dense, nonpreemptive_probe, nonpreemptive_probes, sparse
 from ccs import (
     SPLITTABLE,
     VARIANTS,
@@ -1015,17 +1015,22 @@ def covered_modules(modules, have):
 
 def reference_enumerate_sets(rounded):
     """The non-preemptive sets over the full box of modules, each class
-    count vector filling the modules no entry above it."""
+    count vector filling the modules no entry above it; the modules and
+    count vectors are stored as their (position, count) pairs, as the
+    builder reads them."""
     ground = rounded.large_sizes
     bound = rounded.scaled_inflated
     modules, sizes = reference_nonpreemptive_modules(ground, bound)
     fillable = {
-        have: covered_modules(modules, have) for have in rounded.count_vectors
+        have: covered_modules(modules, dense(have, len(ground)))
+        for have in rounded.count_vectors
     }
-    mods = ModuleSet(modules=modules, sizes=sizes, fillable=fillable)
+    mods = ModuleSet(
+        modules=tuple(map(sparse, modules)), sizes=sizes, fillable=fillable
+    )
     # a class with bound // p pieces of every size p fills the whole box
     _mods, confs = nonpreemptive_sets(
-        ground, (tuple(bound // p for p in ground),), bound,
+        ground, (sparse(bound // p for p in ground),), bound,
         rounded.slot_budget, rounded.params.grid,
     )
     return mods, confs
@@ -1053,12 +1058,15 @@ def box_size(program):
 def test_fillable_modules_are_the_box_under_some_class(ground, counts, bound):
     ground = tuple(sorted(ground))
     counts = tuple(tuple(have[:len(ground)]) for have in counts)
-    modules, sizes, _fillable = _fillable_modules(ground, counts, bound)
+    modules, sizes, _fillable = _fillable_modules(
+        ground, tuple(map(sparse, counts)), bound
+    )
     box = zip(*reference_nonpreemptive_modules(ground, bound))
     expected = [
         (vec, size) for vec, size in box
         if any(all(v <= h for v, h in zip(vec, have)) for have in counts)
     ]
+    modules = [dense(module, len(ground)) for module in modules]
     assert list(zip(modules, sizes)) == expected
 
 
@@ -1081,12 +1089,13 @@ def test_fillable_record_lists_the_modules_under_each_vector(ground, counts,
         a, b = counts[a % len(counts)], counts[b % len(counts)]
         counts.append(tuple(map(min, a, b)))
     modules, _sizes, fillable = _fillable_modules(
-        tuple(ground), tuple(counts), bound
+        tuple(ground), tuple(map(sparse, counts)), bound
     )
+    modules = [dense(module, len(ground)) for module in modules]
     assert modules[0] == (0,) * len(ground)
-    assert set(fillable) == set(counts)
+    assert set(fillable) == set(map(sparse, counts))
     for have in counts:
-        assert fillable[have] == covered_modules(modules, have)
+        assert fillable[sparse(have)] == covered_modules(modules, have)
 
 
 @given(rounded=nonpreemptive_probes())
@@ -1096,9 +1105,11 @@ def test_large_class_y_columns_are_the_modules_it_covers(rounded):
     for u, cls in enumerate(rounded.classes):
         if cls.small:
             continue
+        width = len(rounded.large_sizes)
         used = tuple(g for g, _col in built.y_columns[u])
         assert used == covered_modules(
-            built.modules.modules, rounded.count_vectors[u]
+            [dense(module, width) for module in built.modules.modules],
+            dense(rounded.count_vectors[u], width),
         )
 
 
