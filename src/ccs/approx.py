@@ -217,12 +217,13 @@ def approx_splittable(instance: Instance) -> CompactSchedule:
     border-search threshold T* and deal the pieces round robin by size.
     Makespan is at most total/m + T*, and T* is a lower bound on the
     optimum, so the ratio is at most 2."""
-    return _deal_splittable(instance, border_search_splittable(instance))
+    return _deal_splittable(instance, border_search_splittable(instance))[0]
 
 
-def _deal_splittable(instance: Instance, t_star: Fraction) -> CompactSchedule:
-    """``approx_splittable``'s round robin at its T*, stored as counted
-    class-load patterns.
+def _deal_splittable(instance: Instance, t_star: Fraction) -> tuple:
+    """(schedule, peak, scale): ``approx_splittable``'s round robin at its
+    T*, stored as counted class-load patterns, and its makespan peak/scale,
+    scale the common denominator of the sizes and T*.
 
     Class u of load P cuts into floor(P/T*) full pieces and one partial
     piece of P mod T* when that is positive. Dealing order: every full
@@ -232,7 +233,9 @@ def _deal_splittable(instance: Instance, t_star: Fraction) -> CompactSchedule:
     new run in some layer only where i = b mod m for a run boundary b. The
     machines between those cut points share one pattern, so there are O(C)
     patterns whatever m is. At most c*m pieces exist, so a machine takes
-    at most c of them.
+    at most c of them. A partial piece is below T*, so the loads dealt
+    never grow: machine 0 takes the largest piece of every layer and the
+    most layers, and its pattern, the first built, holds the makespan.
     """
     m = instance.machine_count
     den, _sizes, sums = instance._scaled
@@ -262,11 +265,12 @@ def _deal_splittable(instance: Instance, t_star: Fraction) -> CompactSchedule:
         if loads:
             pattern = tuple(sorted(loads.items()))
             counts[pattern] = counts.get(pattern, 0) + hi - lo
+    peak = sum(load for _u, load in next(iter(counts)))  # machine 0's
     exact = _OverScale(scale)
     return CompactSchedule(patterns=tuple(
         (tuple((u, exact[load]) for u, load in pattern), count)
         for pattern, count in counts.items()
-    ))
+    )), peak, scale
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +427,19 @@ def approx_nonpreemptive(instance: Instance) -> NonPreemptiveSchedule:
     threshold T, split each class into its C_u pieces by LPT (piece loads
     stay within (4/3)*T), then distribute the pieces round robin by load
     over min(m, n) machines. Makespan is at most LB + (4/3)*T."""
-    return _deal_nonpreemptive(instance, nonpreemptive_threshold(instance)[0])
+    return _deal_nonpreemptive(instance, nonpreemptive_threshold(instance)[0])[0]
 
 
-def _deal_nonpreemptive(
-    instance: Instance, threshold: Fraction
-) -> NonPreemptiveSchedule:
-    """The pieces and round robin of ``approx_nonpreemptive`` at T =
-    ``nonpreemptive_threshold(instance)[0]``.
+def _deal_nonpreemptive(instance: Instance, threshold: Fraction) -> tuple:
+    """(schedule, peak, D): the pieces and round robin of
+    ``approx_nonpreemptive`` at T = ``nonpreemptive_threshold(instance)[0]``
+    and its makespan peak/D, D the sizes' common denominator.
 
     T >= LB >= p_max, so a one-job class is one piece of its own size.
     The round robin is one stable sort of the piece indices by load,
     descending: machine i takes the sorted positions i, i + m_used, and so
-    on, and the assignment is filled machine by machine."""
+    on, and the assignment is filled machine by machine. Machine 0 takes
+    the largest piece of every layer and the most layers: the makespan."""
     m_used = min(instance.machine_count, instance.job_count)
     den, sizes, _sums = instance._scaled
     theta = threshold.numerator * (den // threshold.denominator)
@@ -474,4 +478,5 @@ def _deal_nonpreemptive(
         for k in order[machine::m_used]:
             for job_id in members[k]:
                 assignment[job_id] = machine
-    return NonPreemptiveSchedule(assignment=assignment)
+    peak = sum(loads[k] for k in order[::m_used])
+    return NonPreemptiveSchedule(assignment=assignment), peak, den

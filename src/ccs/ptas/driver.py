@@ -70,7 +70,6 @@ from ..core import (
     EnumerationCapError,
     Instance,
     NONPREEMPTIVE,
-    NonPreemptiveSchedule,
     PREEMPTIVE,
     PreemptiveSchedule,
     Rational,
@@ -168,29 +167,34 @@ def ptas_solve(
 
 def _certify(work, variant):
     """(warm start, its makespan, bound): the constant-factor schedule on
-    ``work``, its makespan and the certificate of the module docstring (a
-    Fraction). One threshold is searched, T* or T_np, and the warm start
+    ``work``, its makespan and the certificate of the module docstring,
+    Fractions. One threshold is searched, T* or T_np, and the warm start
     is laid out at it; a non-preemptive warm start that misses the bound
-    is polished by ``_descend``."""
+    is polished in place by ``_descend``. The deal and the descent return
+    the makespan as an int over the deal's scale: no schedule is measured
+    again, and the bound test is in ints."""
     # looked up in ccs.approx, where a layer trace can wrap them
     if variant == SPLITTABLE:
+        den, _sizes, sums = work._scaled
         t_star = approx.border_search_splittable(work)
-        warm = _WARM_ALGO[variant](work, t_star)
-        # the splittable load bound of lower_bound, whose class-slot check
+        warm, peak, scale = _WARM_ALGO[variant](work, t_star)
+        # max(load/share, T*) in ints: load/share = total/m is the
+        # splittable load bound of lower_bound, whose class-slot check
         # border_search_splittable has already passed
-        bound = max(work.total_load / work.machine_count, t_star)
+        load, share = sum(sums), den * work.machine_count
+        bound = t_star
+        if load * t_star.denominator > t_star.numerator * share:
+            bound = Fraction(load, share)
     else:
         bound, _m_used, _floor = approx.nonpreemptive_threshold(work)
-        warm = _WARM_ALGO[variant](work, bound)
-    reach = makespan(warm, work)
-    if reach <= 0:
-        raise CCSError(f"warm start has makespan {reach}")
-    if variant != SPLITTABLE and reach > bound:
-        assignment = dict(warm.assignment)
-        _descend(work, assignment)
-        warm = NonPreemptiveSchedule(assignment=assignment)
-        reach = makespan(warm, work)
-    return warm, reach, bound
+        warm, peak, scale = _WARM_ALGO[variant](work, bound)
+        # T_np is a multiple of 1/D, and D is the deal's scale
+        if peak > bound.numerator * (scale // bound.denominator):
+            # the deal's schedule is new and held nowhere else
+            _steps, peak = _descend(work, warm.assignment)
+    if peak <= 0:
+        raise CCSError(f"warm start has makespan {Fraction(peak, scale)}")
+    return warm, Fraction(peak, scale), bound
 
 
 def _within(top, bound, epsilon) -> bool:
@@ -204,10 +208,11 @@ def _within(top, bound, epsilon) -> bool:
     )
 
 
-def _descend(work, assignment: dict) -> int:
+def _descend(work, assignment: dict) -> tuple:
     """Lower the machine loads of ``assignment`` (job -> machine, a
     non-preemptive schedule of ``work``) in place by first-improvement
-    descent; return the number of improving steps taken.
+    descent; return (steps, peak): the number of improving steps taken
+    and the makespan reached, an int over D.
 
     A step takes a job j of a machine a at the top load M to another
     machine b, alone (a move) where b holds j's class or a free class
@@ -272,12 +277,12 @@ def _descend(work, assignment: dict) -> int:
     for steps in range(len(sizes)):
         step = improving_step()
         if step is None:
-            return steps
+            return steps, max(loads)
         j, a, k, b = step
         shift(j, a, b)
         if k is not None:
             shift(k, b, a)
-    return len(sizes)
+    return len(sizes), max(loads)
 
 
 def _search_program(work, variant, epsilon, schedule, top, bound):

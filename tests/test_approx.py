@@ -75,9 +75,9 @@ class TestBorderSearch:
         instance = inst([12], [1], 3, 1)
         t_star = border_search_splittable(instance)
         assert t_star == 4
-        assert _deal_splittable(instance, t_star) == CompactSchedule(
-            patterns=((((1, 4),), 3),)
-        )
+        schedule, peak, scale = _deal_splittable(instance, t_star)
+        assert schedule == CompactSchedule(patterns=((((1, 4),), 3),))
+        assert Fraction(peak, scale) == 4
 
     def test_two_singleton_classes_one_slot_each(self):
         # both classes need a machine of their own, the big one sets T*
@@ -193,7 +193,9 @@ class TestApproxSplittable:
         assert validate(expand_compact(schedule, instance), instance) == []
         lb, _ub = lower_bound(instance, SPLITTABLE)
         assert makespan(schedule, instance) <= lb + t_star
-        assert _deal_splittable(instance, t_star) == schedule
+        dealt, peak, scale = _deal_splittable(instance, t_star)
+        assert dealt == schedule
+        assert Fraction(peak, scale) == makespan(schedule, instance)
 
     @given(oracle_instances())
     @settings(max_examples=30, deadline=None)
@@ -356,7 +358,9 @@ class TestApproxNonPreemptive:
         schedule = approx_nonpreemptive(instance)
         assert validate(schedule, instance) == []
         assert makespan(schedule, instance) <= lb + Fraction(4, 3) * threshold
-        assert _deal_nonpreemptive(instance, threshold) == schedule
+        dealt, peak, den = _deal_nonpreemptive(instance, threshold)
+        assert dealt == schedule
+        assert Fraction(peak, den) == makespan(schedule, instance)
 
     @given(instances())
     @settings(max_examples=60, deadline=None)

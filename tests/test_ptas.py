@@ -37,6 +37,8 @@ from ccs import (
     validate,
 )
 from ccs.approx import (
+    _deal_nonpreemptive,
+    _deal_splittable,
     approx_nonpreemptive,
     approx_splittable,
     border_search_splittable,
@@ -1527,7 +1529,7 @@ def polished(instance):
     work = driver._clamp(instance, NONPREEMPTIVE)
     warm = approx_nonpreemptive(work)
     assignment = dict(warm.assignment)
-    steps = driver._descend(work, assignment)
+    steps, _peak = driver._descend(work, assignment)
     return warm, NonPreemptiveSchedule(assignment=assignment), steps
 
 
@@ -1584,5 +1586,59 @@ class TestPolish:
         if not at_cap:
             # no improving step is left
             assignment = dict(schedule.assignment)
-            assert driver._descend(inst, assignment) == 0
+            assert driver._descend(inst, assignment)[0] == 0
             assert assignment == schedule.assignment
+
+
+@st.composite
+def warm_instances(draw):
+    """Instances for the warm-start layouts: integral sizes, or sizes a/b
+    with b <= 3, and machine counts up to past n * c, or 10**9."""
+    n = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 3))
+    m = draw(st.one_of(st.integers(1, n * c + 2), st.just(10**9)))
+    labels = draw(
+        st.lists(st.integers(1, min(n, m * c)), min_size=n, max_size=n)
+    )
+    den = st.sampled_from((1, 2, 3)) if draw(st.booleans()) else st.just(1)
+    size = st.builds(Fraction, st.integers(1, 20), den)
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
+    return Instance(tuple(sizes), tuple(labels), m, c)
+
+
+class TestWarmMakespan:
+    """The deals and the descent return the makespan of the schedule they
+    return, as (numerator, denominator) ints; ``_certify`` takes it
+    without measuring the schedule again."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inst=warm_instances())
+    # the 7/3 schedule, 14, polishes to 9; 25 polishes to 20
+    @example(inst=Instance((2, 4, 5, 5, 9), (2, 2, 1, 1, 2), 3, 2))
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
+    @example(inst=Instance((5, 9, 7), (1, 2, 2), 10**9, 2))
+    def test_returned_makespan_is_the_schedules(self, inst):
+        t_star = border_search_splittable(inst)
+        schedule, peak, scale = _deal_splittable(inst, t_star)
+        assert Fraction(peak, scale) == makespan(schedule, inst)
+        assert validate(schedule, inst, SPLITTABLE) == []
+        work = driver._clamp(inst, NONPREEMPTIVE)
+        t_np = nonpreemptive_threshold(work)[0]
+        warm, peak, den = _deal_nonpreemptive(work, t_np)
+        assert den == work._scaled[0]
+        assert Fraction(peak, den) == makespan(warm, inst)
+        assert validate(warm, inst, NONPREEMPTIVE) == []
+        assignment = dict(warm.assignment)
+        _steps, peak = driver._descend(work, assignment)
+        polish = NonPreemptiveSchedule(assignment=assignment)
+        assert Fraction(peak, den) == makespan(polish, inst)
+        assert validate(polish, inst, NONPREEMPTIVE) == []
+
+    @pytest.mark.parametrize("variant", [SPLITTABLE, NONPREEMPTIVE])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inst=oracle_sized_instances())
+    @example(inst=Instance((9, 4, 5, 7, 2, 9), (1, 2, 2, 4, 1, 2), 2, 2))
+    def test_certified_makespan_is_the_warm_starts(self, variant, inst):
+        work = driver._clamp(inst, variant)
+        warm, top, _bound = driver._certify(work, variant)
+        assert top == makespan(warm, work)
