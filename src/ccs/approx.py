@@ -46,7 +46,9 @@ Python ints over the sizes' common denominator, their bounds included,
 and build one Fraction for each value they return; the sizes and the
 threshold are then scaled to one common denominator, and the layouts cut,
 sort, deal and stack in ints. Fractions are built only for the threshold
-and the schedule the call returns.
+and the splittable patterns. The preemptive schedule keeps its layout in
+ints: the schedule checks read it as it is, and its Fraction pieces are
+built only when a caller reads ``pieces``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ from .core import (
     Instance,
     NonPreemptiveSchedule,
     PreemptiveSchedule,
+    _Layout,
+    _OverScale,
     _require_class_slots,
 )
 # round_robin is not called here: bench/layers.py wraps it by this name
@@ -78,8 +82,8 @@ def _cut(classes: Iterable, sizes: Sequence, threshold: int) -> tuple:
     """Cut every class, its job ids ascending, at multiples of the
     threshold, sizes[j] and the threshold ints over one denominator:
     (loads, parts), one entry per piece, class by class. Every load of a
-    class is the threshold but possibly its last; parts = ((job_id, take,
-    size), ...), the job running take of its size in the piece."""
+    class is the threshold but possibly its last; parts = ((job_id, take),
+    ...), the job running take of its size in the piece."""
     loads: list = []
     pieces: list = []
     for jobs in classes:
@@ -88,13 +92,13 @@ def _cut(classes: Iterable, sizes: Sequence, threshold: int) -> tuple:
         for job_id in jobs:
             size = sizes[job_id]
             if size < space:  # the job fits whole, with room to spare
-                parts.append((job_id, size, size))
+                parts.append((job_id, size))
                 space -= size
                 continue
             remaining = size
             while remaining > 0:
                 take = min(space, remaining)
-                parts.append((job_id, take, size))
+                parts.append((job_id, take))
                 remaining -= take
                 space -= take
                 if space == 0:
@@ -106,19 +110,6 @@ def _cut(classes: Iterable, sizes: Sequence, threshold: int) -> tuple:
             loads.append(threshold - space)
             pieces.append(tuple(parts))
     return loads, pieces
-
-
-class _OverScale(dict):
-    """Fraction(num, scale) for ints num over one fixed scale, built once
-    per distinct num on first lookup."""
-
-    def __init__(self, scale: int) -> None:
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, num: int) -> Fraction:
-        value = self[num] = Fraction(num, self.scale)
-        return value
 
 
 def _common_scale(den: int, threshold: Fraction) -> tuple:
@@ -306,29 +297,31 @@ def approx_preemptive(instance: Instance) -> PreemptiveSchedule:
 
     The round robin is one stable sort of the piece indices by load,
     descending: machine i takes the sorted positions i, i + m_used, and so
-    on, and a cursor per machine stacks them as they are dealt."""
+    on, and a cursor per machine stacks them as they are dealt. The
+    schedule keeps this layout in ints over the common scale L of the
+    sizes and T*; its pieces are built from it when first read."""
     t_star, m_used, _lb = _preemptive_guess(instance)
     den, sizes, _sums = instance._scaled
     scale, up, theta = _common_scale(den, t_star)
     if up != 1:
-        sizes = [size * up for size in sizes]
+        sizes = tuple(size * up for size in sizes)
     loads, pieces = _cut(instance._class_members, sizes, theta)
     # load descending, index ascending on ties: a reversed sort is stable
     order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
     lift = theta if theta in loads else 0
-    whole = Fraction(1)
-    exact = _OverScale(scale)
-    out = []
+    out = []  # (job_id, amount, machine, start), all ints over L
     for machine in range(m_used):
         offset = 0
         for layer, k in enumerate(order[machine::m_used]):
             if layer == 1 and offset < lift:
                 offset = lift
-            for job_id, take, size in pieces[k]:
-                lam = whole if take == size else Fraction(take, size)
-                out.append((job_id, lam, machine, exact[offset]))
+            for job_id, take in pieces[k]:
+                out.append((job_id, take, machine, offset))
                 offset += take
-    return PreemptiveSchedule(pieces=tuple(out))
+    jobs, amounts, machines, starts = zip(*out)
+    return PreemptiveSchedule._laid_out(
+        _Layout(jobs, amounts, machines, starts, scale, den, sizes)
+    )
 
 
 # ---------------------------------------------------------------------------

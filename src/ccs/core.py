@@ -7,7 +7,9 @@ be fractional is a :class:`fractions.Fraction` where the API takes or
 returns it. Inner loops run in Python ints instead: an instance keeps its
 sizes over their least common denominator, and the schedule checks scale
 a schedule's fractions, starts and loads to one common denominator before
-they add, sort and compare. Nothing in this package computes in floats except
+they add, sort and compare; a preemptive schedule built by
+``approx_preemptive`` carries such ints already, and its Fraction pieces
+are built only when read. Nothing in this package computes in floats except
 the mixed-integer solve inside ``ccs.nfold``, whose output is re-verified
 exactly.
 """
@@ -20,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import lcm
-from operator import add, and_, eq, itemgetter, lt, mul, sub
-from typing import Mapping, Sequence, Union
+from operator import add, and_, eq, itemgetter, le, lt, mul, sub
+from typing import Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -239,15 +241,76 @@ class SplittableSchedule:
         object.__setattr__(self, "pieces", _stored_pieces(self.pieces, 3))
 
 
+class _OverScale(dict):
+    """Fraction(num, scale) for ints num over one fixed scale, built once
+    per distinct num on first lookup."""
+
+    def __init__(self, scale: int) -> None:
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.scale)
+        return value
+
+
+class _Layout(NamedTuple):
+    """A preemptive schedule as int columns in piece order: job ids,
+    machine ids, and each piece's processing time and start over one
+    scale L. ``sizes`` holds the jobs' sizes over L, from an instance
+    whose sizes have the common denominator ``den``."""
+
+    jobs: tuple
+    amounts: tuple
+    machines: tuple
+    starts: tuple
+    scale: int
+    den: int
+    sizes: tuple
+
+    def pieces(self) -> tuple:
+        """The pieces (job_id, amount/size, machine_id, start/L), one
+        Fraction per cut job and one per distinct start."""
+        sizes = self.sizes
+        whole = Fraction(1)
+        exact = _OverScale(self.scale)
+        return tuple(
+            (j, whole if take == sizes[j] else Fraction(take, sizes[j]), i, exact[start])
+            for j, take, i, start in zip(self.jobs, self.amounts, self.machines, self.starts)
+        )
+
+
 @dataclass(frozen=True)
 class PreemptiveSchedule:
     """Timed job pieces; pieces of one job must never overlap in time.
-    Pieces are (job_id, fraction, machine_id, start_time)."""
+    Pieces are (job_id, fraction, machine_id, start_time).
+
+    ``approx_preemptive`` builds its schedule from an int ``_Layout``: the
+    checks, ``makespan`` and ``machine_loads`` read the layout, and
+    ``pieces`` is built from it on first read."""
 
     pieces: tuple
+    _layout = None  # the _Layout the schedule was built from, if any
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", _stored_pieces(self.pieces, 4))
+
+    @classmethod
+    def _laid_out(cls, layout: _Layout) -> PreemptiveSchedule:
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "_layout", layout)
+        return schedule
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute never set: the pieces of a
+        # schedule built from a layout, until their first read
+        if name != "pieces" or self._layout is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        pieces = self._layout.pieces()
+        object.__setattr__(self, "pieces", pieces)
+        return pieces
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,18 +434,61 @@ def _amounts(jobs, instance: Instance, fractions: tuple) -> tuple:
     return scale * den, list(map(mul, lams, map(sizes.__getitem__, jobs)))
 
 
-def _spans(starts: tuple, amounts: tuple) -> tuple:
-    """(L, starts, ends): each preemptive piece's start and end, as ints
-    over one common denominator L, from the pieces' starts over a common
-    denominator and their ``_amounts``."""
-    amount_scale, amounts = amounts
+def _timed_amounts(jobs, fractions: tuple, starts: tuple, instance: Instance) -> tuple:
+    """(L, amounts, starts, need): each preemptive piece's processing time
+    and start, and each job's size, as ints over one common denominator L,
+    from the pieces' job ids and their fractions and starts over common
+    denominators."""
+    amount_scale, amounts = _amounts(jobs, instance, fractions)
     start_scale, starts = starts
     scale = lcm(amount_scale, start_scale)
     if scale != start_scale:
         starts = list(map(mul, starts, repeat(scale // start_scale)))
     if scale != amount_scale:
-        amounts = map(mul, amounts, repeat(scale // amount_scale))
-    return scale, starts, list(map(add, starts, amounts))
+        amounts = list(map(mul, amounts, repeat(scale // amount_scale)))
+    den, sizes, _sums = instance._scaled
+    return scale, amounts, starts, tuple(map(mul, sizes, repeat(scale // den)))
+
+
+def _laid_out_columns(schedule: PreemptiveSchedule, instance: Instance):
+    """(jobs, machines, L, amounts, starts, need) from the schedule's int
+    layout, as ``_timed_columns`` gives them, or None: when it has no
+    layout, when the layout was built for other sizes (another common
+    denominator, or sizes over L that are not this instance's), or when
+    its ids or ranges fail the bulk test, so that the pieces are read."""
+    layout = schedule._layout
+    den, sizes, _sums = instance._scaled
+    if layout is None or layout.den != den:
+        return None
+    up = layout.scale // den
+    need = sizes if up == 1 else tuple(map(mul, sizes, repeat(up)))
+    jobs, amounts, machines, starts = layout[:4]
+    if need != layout.sizes or not (
+        _plain_ids(jobs, instance.job_count)
+        and _plain_ids(machines, instance.machine_count)
+        and min(amounts, default=1) > 0
+        and all(map(le, amounts, map(need.__getitem__, jobs)))
+        and min(starts, default=0) >= 0
+    ):
+        return None
+    return jobs, machines, layout.scale, amounts, starts, need
+
+
+def _timed_columns(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
+    """(jobs, machines, L, amounts, starts, need): a preemptive schedule's
+    id columns, each piece's processing time and start, and each job's
+    size, as ints over one common denominator L. They come from its int
+    layout when ``_laid_out_columns`` takes it, else from its pieces.
+    Raises InvalidScheduleError on an unknown id."""
+    columns = _laid_out_columns(schedule, instance)
+    if columns is not None:
+        return columns
+    jobs, lams, machines, starts = _columns(schedule.pieces, 4)
+    _check_ids(zip(jobs, machines), instance)
+    return jobs, machines, *_timed_amounts(
+        jobs, _over_common_denominator(lams), _over_common_denominator(starts),
+        instance,
+    )
 
 
 def _totals(machines, amounts) -> dict:
@@ -396,8 +502,12 @@ def _totals(machines, amounts) -> dict:
 def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
     """(L, {machine: load}): machine loads as ints over one common
     denominator L, machines in order of first appearance."""
-    if isinstance(schedule, (SplittableSchedule, PreemptiveSchedule)):
-        jobs, lams, machines, *_starts = _columns(schedule.pieces, 3)
+    if isinstance(schedule, PreemptiveSchedule):
+        _jobs, machines, scale, amounts, _starts, _need = _timed_columns(
+            schedule, instance
+        )
+    elif isinstance(schedule, SplittableSchedule):
+        jobs, lams, machines = _columns(schedule.pieces, 3)
         _check_ids(zip(jobs, machines), instance)
         scale, amounts = _amounts(jobs, instance, _over_common_denominator(lams))
     elif isinstance(schedule, NonPreemptiveSchedule):
@@ -424,13 +534,10 @@ def makespan(schedule: Schedule, instance: Instance) -> Fraction:
     """Maximum total processing time over machines; empty schedules have
     makespan 0. For preemptive schedules this is the latest piece end."""
     if isinstance(schedule, PreemptiveSchedule):
-        jobs, lams, machines, starts = _columns(schedule.pieces, 4)
-        _check_ids(zip(jobs, machines), instance)
-        scale, _starts, ends = _spans(
-            _over_common_denominator(starts),
-            _amounts(jobs, instance, _over_common_denominator(lams)),
+        _jobs, _machines, scale, amounts, starts, _need = _timed_columns(
+            schedule, instance
         )
-        return Fraction(max(ends, default=0), scale)
+        return Fraction(max(map(add, starts, amounts), default=0), scale)
     if isinstance(schedule, CompactSchedule):
         _check_classes(schedule, instance)
         scale = lcm(*{
@@ -533,15 +640,18 @@ def _known_pieces(pieces, instance: Instance, violations: list, width: int) -> t
     return _scaled_columns(known, width)
 
 
-def _fraction_sum_violations(jobs, fractions: tuple, job_count: int) -> list:
-    scale, lams = fractions
-    sums = [0] * job_count
-    for j, lam in zip(jobs, lams):
-        sums[j] += lam
+def _sum_violations(jobs, parts, need) -> list:
+    """A violation for each job j whose parts do not sum to need[j]: the
+    job's fraction of its size, or the fraction of its time, is not 1."""
+    sums = [0] * len(need)
+    for j, part in zip(jobs, parts):
+        sums[j] += part
+    if sums == list(need):  # checked in bulk first
+        return []
     return [
-        f"fractions of job {j} sum to {Fraction(total, scale)}, not 1"
-        for j, total in enumerate(sums)
-        if total != scale
+        f"fractions of job {j} sum to {Fraction(total, full)}, not 1"
+        for j, (total, full) in enumerate(zip(sums, need))
+        if total != full
     ]
 
 
@@ -556,7 +666,8 @@ def _check_splittable(schedule: SplittableSchedule, instance: Instance) -> tuple
     jobs, machines, fractions = _known_pieces(
         schedule.pieces, instance, violations, 3
     )
-    violations.extend(_fraction_sum_violations(jobs, fractions, instance.job_count))
+    scale, lams = fractions
+    violations.extend(_sum_violations(jobs, lams, [scale] * instance.job_count))
     violations.extend(_slot_check(machines, jobs, instance))
     if len(jobs) < len(schedule.pieces):
         return violations, None
@@ -577,12 +688,23 @@ def _clashes(rows: list) -> list:
 
 
 def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
+    """The checks run on the columns ``_timed_columns`` describes: the int
+    layout's when ``_laid_out_columns`` takes it, else the pieces', with
+    the pieces of an unknown id left out and each piece's problems
+    reported."""
     violations = []
-    jobs, machines, fractions, starts = _known_pieces(
-        schedule.pieces, instance, violations, 4
-    )
-    violations.extend(_fraction_sum_violations(jobs, fractions, instance.job_count))
-    scale, starts, ends = _spans(starts, _amounts(jobs, instance, fractions))
+    columns = _laid_out_columns(schedule, instance)
+    complete = True
+    if columns is None:
+        pieces = schedule.pieces
+        jobs, machines, fractions, starts = _known_pieces(
+            pieces, instance, violations, 4
+        )
+        columns = jobs, machines, *_timed_amounts(jobs, fractions, starts, instance)
+        complete = len(jobs) == len(pieces)
+    jobs, machines, scale, amounts, starts, need = columns
+    violations.extend(_sum_violations(jobs, amounts, need))
+    ends = list(map(add, starts, amounts))
 
     def span(start, end) -> str:
         return f"[{Fraction(start, scale)}, {Fraction(end, scale)})"
@@ -607,7 +729,7 @@ def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple
             f"overlaps {span(s2, e2)} on machine {i2}"
         )
     violations.extend(_slot_check(machines, jobs, instance))
-    if len(jobs) < len(schedule.pieces):
+    if not complete:
         return violations, None
     return violations, Fraction(max(ends, default=0), scale)
 

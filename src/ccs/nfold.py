@@ -32,8 +32,8 @@ the one ``scipy.optimize.milp`` calls: on programs of a few dozen columns,
 milp's input checks and result wrapping took longer than HiGHS's solve.
 The binding is private to scipy, so no other module imports it. An option
 HiGHS rejects raises CCSError instead of leaving HiGHS at its default.
-solve_exhaustive is the independent ground truth: plain enumeration of the
-whole variable box.
+The tests hold it to an independent ground truth, plain enumeration of
+the whole variable box (``solve_exhaustive`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from typing import Mapping, Optional, Sequence
 
 from .core import CCSError, EnumerationCapError, _is_int
 
-# solve_exhaustive refuses boxes with more points than this
-EXHAUSTIVE_CAP = 10**7
 # seconds HiGHS may spend on one program. The slowest solve known to
 # finish took 18.3 s (a splittable probe at epsilon 1/2); some splittable
 # programs at epsilon 1/4 still run into this limit and raise
@@ -285,38 +283,6 @@ def constraint_violations(program: CompactProgram, x: Sequence) -> list:
         )
         if total != target
     ]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-
-
-def solve_exhaustive(program: CompactProgram) -> Optional[tuple]:
-    """Ground truth by full enumeration of the variable box, in ascending
-    lexicographic order: the first feasible point, or None. Raises
-    EnumerationCapError when the box holds more than 10^7 points."""
-    size = 1
-    for lo, hi in zip(program.lower, program.upper):
-        if hi < lo:
-            return None  # an empty box holds no point
-        size *= hi - lo + 1
-        if size > EXHAUSTIVE_CAP:
-            raise EnumerationCapError(
-                f"variable box exceeds {EXHAUSTIVE_CAP} points"
-            )
-    target = list(program.rhs)
-    cols = program.total_columns
-    x = list(program.lower)
-    while True:
-        if program.row_totals(x) == target:
-            return tuple(x)
-        j = cols - 1
-        while j >= 0 and x[j] == program.upper[j]:
-            x[j] = program.lower[j]
-            j -= 1
-        if j < 0:
-            return None
-        x[j] += 1
 
 
 # ---------------------------------------------------------------------------

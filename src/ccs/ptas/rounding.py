@@ -110,13 +110,6 @@ class PtasParams:
         """k = 1/delta."""
         return self.delta.denominator
 
-    @property
-    def inflated(self) -> Fraction:
-        """The makespan the scheme may actually use for the guess: the
-        guess stretched by the variant's preprocessing and rounding
-        losses."""
-        return inflation(self.grid, self.variant) * self.delta**2 * self.guess
-
 
 @dataclass(frozen=True)
 class RoundedJob:

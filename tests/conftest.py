@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ccs import NONPREEMPTIVE, Instance
+from ccs import NONPREEMPTIVE, EnumerationCapError, Instance
 from ccs.nfold import NFoldProgram
 from ccs.ptas import PtasParams, derive_delta, driver, preprocess, sets
 
@@ -177,6 +177,39 @@ def random_nfold_program(rng, max_bricks: int = 4, max_width: int = 5):
         upper=tuple(upper),
         objective=(0,) * (n * t),
     )
+
+
+# solve_exhaustive refuses boxes with more points than this
+EXHAUSTIVE_CAP = 10**7
+
+
+def solve_exhaustive(program):
+    """Ground truth for the program solver by full enumeration of the
+    variable box of a CompactProgram, in ascending lexicographic order:
+    the first feasible point, or None. Raises EnumerationCapError when the
+    box holds more than EXHAUSTIVE_CAP points."""
+    size = 1
+    for lo, hi in zip(program.lower, program.upper):
+        if hi < lo:
+            return None  # an empty box holds no point
+        size *= hi - lo + 1
+        if size > EXHAUSTIVE_CAP:
+            raise EnumerationCapError(
+                f"variable box exceeds {EXHAUSTIVE_CAP} points"
+            )
+    target = list(program.rhs)
+    cols = program.total_columns
+    x = list(program.lower)
+    while True:
+        if program.row_totals(x) == target:
+            return tuple(x)
+        j = cols - 1
+        while j >= 0 and x[j] == program.upper[j]:
+            x[j] = program.lower[j]
+            j -= 1
+        if j < 0:
+            return None
+        x[j] += 1
 
 
 def certified(instance, variant, epsilon):

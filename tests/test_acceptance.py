@@ -32,13 +32,12 @@ from ccs.core import EnumerationCapError
 from ccs.nfold import (
     constraint_violations,
     flatten,
-    solve_exhaustive,
     solve_feasible,
     validate_structure,
 )
 from ccs.ptas import PtasParams, as_nfold, build_program, preprocess, ptas_solve
 
-from conftest import random_nfold_program
+from conftest import random_nfold_program, solve_exhaustive
 
 
 def verdict(tag: str, ok: bool, detail: str = "") -> None:

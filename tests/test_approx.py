@@ -52,21 +52,21 @@ class TestSplitClass:
     def test_cuts_at_threshold_multiples(self):
         loads, parts = _cut([[0]], [10], 4)
         assert loads == [4, 4, 2]
-        assert parts[0] == ((0, 4, 10),)
-        assert parts[2] == ((0, 2, 10),)
+        assert parts[0] == ((0, 4),)
+        assert parts[2] == ((0, 2),)
 
     def test_straddling_job_is_shared(self):
         # second job is cut 3/1 across the first and second piece
         loads, parts = _cut([[0, 1]], [2, 4], 5)
         assert loads == [5, 1]
-        assert parts == [((0, 2, 2), (1, 3, 4)), ((1, 1, 4),)]
+        assert parts == [((0, 2), (1, 3)), ((1, 1),)]
 
     def test_classes_cut_apart_in_one_call(self):
         # a class's last piece is never topped up by the next class
         loads, parts = _cut([[0, 2], [1], [3]], [3, 4, 3, 5], 5)
         assert loads == [5, 1, 4, 5]
         assert parts == [
-            ((0, 3, 3), (2, 2, 3)), ((2, 1, 3),), ((1, 4, 4),), ((3, 5, 5),)
+            ((0, 3), (2, 2)), ((2, 1),), ((1, 4),), ((3, 5),)
         ]
 
 
@@ -108,9 +108,9 @@ class TestBorderSearch:
             assert loads == [theta] * full + ([rest] if rest else [])
             taken = {j: 0 for j in jobs}
             for load, parts in zip(loads, pieces):
-                assert sum(take for _j, take, _size in parts) == load
-                for j, take, size in parts:
-                    assert 0 < take <= size == sizes[j] * up
+                assert sum(take for _j, take in parts) == load
+                for j, take in parts:
+                    assert 0 < take <= scaled[j]
                     taken[j] += take
             assert taken == {j: scaled[j] for j in jobs}
         assert count <= budget

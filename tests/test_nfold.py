@@ -22,13 +22,12 @@ from ccs.nfold import (
     constraint_violations,
     dump_program,
     flatten,
-    solve_exhaustive,
     solve_feasible,
     validate_structure,
     with_top_row_slacks,
 )
 
-from conftest import random_nfold_program
+from conftest import random_nfold_program, solve_exhaustive
 
 
 def sparse_rows(program: NFoldProgram, reverse: bool = False) -> NFoldProgram:

@@ -20,6 +20,7 @@ from conftest import (
     never_certify,
     nonpreemptive_probes,
     search,
+    solve_exhaustive,
 )
 from ccs import (
     CompactSchedule,
@@ -50,7 +51,6 @@ from ccs.greedy import round_robin
 from ccs.nfold import (
     constraint_violations,
     flatten,
-    solve_exhaustive,
     solve_feasible,
     validate_structure,
 )
@@ -70,13 +70,19 @@ from ccs.ptas import (
     unfold_preemptive,
 )
 from ccs.ptas import driver
-from ccs.ptas.rounding import piece_cap
+from ccs.ptas.rounding import inflation, piece_cap
 from ccs.ptas.sets import _configurations
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
+
+
+def inflated(params):
+    """The makespan the scheme may use for the params' guess: the guess
+    stretched by the variant's preprocessing and rounding losses."""
+    return inflation(params.grid, params.variant) * params.delta**2 * params.guess
 
 
 def probe(instance, guess, delta, variant):
@@ -122,12 +128,12 @@ class TestDeriveDelta:
             derive_delta(1, "elastic")
 
     def test_inflated_bounds(self):
-        assert PtasParams(HALF, 1, SPLITTABLE).inflated == 3
-        assert PtasParams(HALF, 1, NONPREEMPTIVE).inflated == 5
+        assert inflated(PtasParams(HALF, 1, SPLITTABLE)) == 3
+        assert inflated(PtasParams(HALF, 1, NONPREEMPTIVE)) == 5
         with pytest.raises(ValueError, match="ptas_solve"):
             PtasParams(HALF, 1, PREEMPTIVE)
         # the bound is derived from the variant, never passed in
-        assert PtasParams(HALF, 10, SPLITTABLE).inflated == 30
+        assert inflated(PtasParams(HALF, 10, SPLITTABLE)) == 30
         with pytest.raises(TypeError):
             PtasParams(HALF, 10, 999, SPLITTABLE)
 
@@ -140,7 +146,7 @@ class TestDeriveDelta:
             delta = Fraction(1, k)
             paper = ((1 + 4 * delta) if variant == SPLITTABLE
                      else (1 + 3 * delta) * (1 + 2 * delta)) * guess
-            assert PtasParams(delta, guess, variant).inflated == paper
+            assert inflated(PtasParams(delta, guess, variant)) == paper
             assert piece_cap(k, variant) == math.floor(paper / (delta * guess))
             for c in (1, 2, 3, 7):
                 inst = Instance((1,) * c, tuple(range(1, c + 1)), 1, c)
@@ -790,7 +796,7 @@ class TestReconstruction:
         schedule = construct_schedule(solution, built)
         assert validate(schedule, inst, variant) == []
         params = built.rounded.params
-        assert makespan(schedule, inst) <= params.inflated + delta * params.guess
+        assert makespan(schedule, inst) <= inflated(params) + delta * params.guess
         return schedule
 
     @given(instances(max_jobs=5, max_machines=3, max_budget=2, max_size=6))

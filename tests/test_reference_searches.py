@@ -12,8 +12,10 @@ two programs must be feasible at the same guesses."""
 
 import bisect
 import math
+import pickle
 import re
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -23,7 +25,14 @@ from hypothesis import strategies as st
 import ccs.approx
 import ccs.ptas.builder
 from ccs.cli import GENERATOR_FAMILIES, generate
-from conftest import dense, nonpreemptive_probe, nonpreemptive_probes, sparse
+from conftest import (
+    dense,
+    instances,
+    nonpreemptive_probe,
+    nonpreemptive_probes,
+    solve_exhaustive,
+    sparse,
+)
 from ccs import (
     SPLITTABLE,
     VARIANTS,
@@ -40,12 +49,13 @@ from ccs import (
     expand_compact,
     lpt,
     lower_bound,
+    machine_loads,
     makespan,
     round_robin,
     validate,
 )
-from ccs.core import _slot_violations, makespan_and_violations
-from ccs.nfold import solve_exhaustive, solve_feasible
+from ccs.core import _Layout, _slot_violations, makespan_and_violations
+from ccs.nfold import solve_feasible
 from ccs.ptas import ModuleSet, build_program
 from ccs.ptas.sets import _fillable_modules, nonpreemptive_sets
 from ccs.approx import (
@@ -705,7 +715,7 @@ def test_split_class_matches_reference(jobs, threshold):
     loads, pieces = _cut([range(len(sizes))], sizes, theta)
     cut = [
         (Fraction(load, den),
-         tuple((j, Fraction(take, size)) for j, take, size in parts))
+         tuple((j, Fraction(take, sizes[j])) for j, take in parts))
         for load, parts in zip(loads, pieces)
     ]
     assert cut == reference_split_class(list(enumerate(jobs)), threshold)
@@ -936,6 +946,157 @@ def test_one_pass_check_matches_makespan_and_validate(
     ) == outcome(
         lambda: (makespan(schedule, instance), validate(schedule, instance, variant))
     )
+
+
+# ---------------------------------------------------------------------------
+# the preemptive int layout against its Fraction pieces
+
+# the approximation sweep's three large rows
+LARGE_ROWS = (
+    (11, "uniform", 1500, 150, 2, (1, 100)),
+    (12, "few-large-classes", 1500, 150, 2, (1, 100)),
+    (13, "many-singletons", 1500, 825, 2, (1, 100)),
+)
+
+
+def preemptive_checks(schedule, instance):
+    """What ``makespan_and_violations``, ``validate``, ``makespan`` and
+    ``machine_loads`` return for the schedule, or the error they raise."""
+    return tuple(outcome(lambda: check(schedule, instance)) for check in (
+        makespan_and_violations, validate, makespan, machine_loads,
+    ))
+
+
+def assert_checked_in_ints(schedule, instance):
+    """The checks of an ``approx_preemptive`` schedule read its int layout:
+    they build no pieces and convert no fractions, and they answer as the
+    checks of a schedule built from its pieces. The pieces are the
+    reference layout's, and the two schedules are equal."""
+    with mock.patch.object(_Layout, "pieces", side_effect=AssertionError), \
+            mock.patch("ccs.core._over_common_denominator",
+                       side_effect=AssertionError):
+        found = preemptive_checks(schedule, instance)
+    assert "pieces" not in vars(schedule)
+    peak, violations = makespan_and_violations(schedule, instance)
+    assert violations == []
+    twin = PreemptiveSchedule(schedule.pieces)
+    assert found == preemptive_checks(twin, instance)
+    assert schedule.pieces == reference_approx_preemptive(instance).pieces
+    assert schedule == twin and hash(schedule) == hash(twin)
+    assert repr(schedule) == repr(twin)
+    assert pickle.loads(pickle.dumps(schedule)) == twin
+
+
+@given(instance=st.one_of(check_instances, instances()))
+@example(instance=COPRIME)
+@settings(max_examples=300, deadline=None)
+def test_laid_out_checks_match_fraction_checks(instance):
+    assert_checked_in_ints(approx_preemptive(instance), instance)
+
+
+@pytest.mark.parametrize("row", LARGE_ROWS, ids=itemgetter(1))
+def test_large_row_laid_out_checks_match_fraction_checks(row):
+    instance = generate(*row)
+    assert_checked_in_ints(approx_preemptive(instance), instance)
+
+
+LAYOUT_CORRUPTIONS = ("amount", "overlap", "machine", "drop")
+
+
+def corrupt_layout(layout, instance, corruption, pick, shift):
+    """The layout with piece k's amount moved by ``shift`` (in or out of
+    range), its start moved onto the previous piece's start (a lone piece's
+    later), its machine id unknown (out of range, negative, or no int), or
+    the piece dropped."""
+    columns = [list(layout.jobs), list(layout.amounts), list(layout.machines),
+               list(layout.starts)]
+    jobs, amounts, machines, starts = columns
+    k = pick % len(jobs)
+    if corruption == "amount":
+        amounts[k] += shift
+    elif corruption == "overlap":
+        k = max(k, 1) if len(jobs) > 1 else k
+        starts[k] = starts[k - 1] if k else starts[k] + abs(shift)
+    elif corruption == "machine":
+        machines[k] = (instance.machine_count, -1, 1.0, True)[pick % 4]
+    else:
+        for column in columns:
+            del column[k]
+    return layout._replace(
+        jobs=tuple(jobs), amounts=tuple(amounts), machines=tuple(machines),
+        starts=tuple(starts),
+    )
+
+
+@given(
+    instance=check_instances,
+    corruption=st.sampled_from(LAYOUT_CORRUPTIONS),
+    pick=st.integers(0, 10**6),
+    shift=st.integers(-40, 40).filter(bool),
+)
+@example(instance=COPRIME, corruption="overlap", pick=1, shift=1)
+@settings(max_examples=400, deadline=None)
+def test_corrupted_layouts_report_as_their_pieces(instance, corruption, pick, shift):
+    """A corrupted int layout reports the violations, in the same order,
+    and the makespan and loads of its pieces read as Fractions. Start
+    overlaps, dropped pieces and amounts in range are found in ints; an
+    unknown machine id or an amount out of range sends the checks to the
+    pieces, which report each piece's problems."""
+    layout = corrupt_layout(
+        approx_preemptive(instance)._layout, instance, corruption, pick, shift
+    )
+    schedule = PreemptiveSchedule._laid_out(layout)
+    found = preemptive_checks(schedule, instance)
+    if corruption in ("overlap", "drop"):
+        assert "pieces" not in vars(schedule)
+    if corruption == "machine":
+        assert "pieces" in vars(schedule)
+    assert found == preemptive_checks(PreemptiveSchedule(schedule.pieces), instance)
+
+
+def test_start_overlap_is_found_in_ints():
+    schedule = approx_preemptive(COPRIME)
+    layout = corrupt_layout(schedule._layout, COPRIME, "overlap", 1, 1)
+    violations = validate(PreemptiveSchedule._laid_out(layout), COPRIME)
+    assert any("at once" in v or "parallel execution" in v for v in violations)
+
+
+@given(
+    instance=check_instances,
+    change=st.sampled_from(("size", "halved", "doubled", "machines")),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_layout_checked_against_another_instance(instance, change, pick):
+    """A schedule checked against an instance it was not built for (one
+    size changed, every size halved or doubled, so the common denominator
+    may change while the sizes over it do not, or fewer machines) gets the
+    answer of its pieces read as Fractions."""
+    schedule = approx_preemptive(instance)
+    times = list(instance.processing_times)
+    machines = instance.machine_count
+    if change == "size":
+        times[pick % len(times)] += 1
+    elif change == "halved":
+        times = [p / 2 for p in times]
+    elif change == "doubled":
+        times = [p * 2 for p in times]
+    else:
+        machines = max(1, machines - 1 - pick % machines)
+    other = Instance(tuple(times), instance.class_labels, machines,
+                     instance.slot_budget)
+    found = preemptive_checks(schedule, other)
+    assert found == preemptive_checks(PreemptiveSchedule(schedule.pieces), other)
+
+
+def test_layout_checked_against_sizes_over_another_denominator():
+    """7/4 over the layout's scale 4 and 7/3 over the sizes' common
+    denominator 3 are both the int 7: the denominators tell them apart."""
+    schedule = approx_preemptive(Instance((Fraction(7, 4),), (1,), 2, 2))
+    other = Instance((Fraction(7, 3),), (1,), 2, 2)
+    assert schedule._layout.sizes == other._scaled[1]
+    found = preemptive_checks(schedule, other)
+    assert found == preemptive_checks(PreemptiveSchedule(schedule.pieces), other)
 
 
 # ---------------------------------------------------------------------------
