@@ -61,7 +61,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
-    CCSError,
     CompactSchedule,
     Instance,
     NonPreemptiveSchedule,
@@ -131,34 +130,35 @@ def _piece_count(groups, num: int, den: int) -> int:
     return sum(k * -(-a * den // (b * num)) for a, b, k in groups)
 
 
-def _smallest_guess(sums, den, machine_limit, budget, floor, average):
+def _smallest_guess(sums, den, machine_limit, budget, average, floored):
     """Smallest threshold among the class-load borders {P/k : k <= limit}
-    (only values >= floor when a floor is given) and the average candidate
-    whose piece count fits the slot budget, as a Fraction, or None. The
-    class loads are the ints ``sums`` over ``den``; ``floor`` (or None)
-    and ``average`` are int pairs (a, b), the value a/b over ``den``.
+    and the average candidate whose piece count fits the slot budget, as
+    a Fraction. When ``floored``, the average is also a floor: no border
+    below it counts, so where it fits it is the answer. The class loads
+    are the ints ``sums`` over ``den``, and ``average`` is an int pair
+    (a, b), the value a/b over ``den``. The budget is at least the class
+    count, as every class is at least one piece.
 
     The piece count f(T) = sum ceil(P/T) only grows as T shrinks, so the
     thresholds that fit are those >= the smallest border x/k (any k) that
-    fits. T0 is that border, or the floor when the floor fits, and the
-    answer's k for a load x is min(limit, x // T0). With X the total load,
-    B the budget and C the class count, X/T <= f(T) < X/T + C: every
-    fitting T is >= X/B, and X/(B - C) fits. So the smallest fitting
-    border is among the x/k with x(B - C)/X <= k <= xB/X, at most C + 2D
-    of them over the D distinct loads. Sorted by the int key xB^2 // k
-    (exact, as k <= B) and bisected with the exact piece count, they give
-    it in O(C log C) integer operations, whatever the machine count."""
-    if budget < len(sums):  # every class is at least one piece
-        return None
+    fits. T0 is that border, and the answer's k for a load x is
+    min(limit, x // T0). With X the total load, B the budget and C the
+    class count, X/T <= f(T) < X/T + C: every fitting T is >= X/B, and
+    X/(B - C) fits. So the smallest fitting border is among the x/k with
+    x(B - C)/X <= k <= xB/X, at most C + 2D of them over the D distinct
+    loads. Sorted by the int key xB^2 // k (exact, as k <= B) and bisected
+    with the exact piece count, they give it in O(C log C) integer
+    operations, whatever the machine count."""
     loads = Counter(sums)
     groups = [(x, 1, k) for x, k in loads.items()]
 
     def fits(num: int, dnm: int) -> bool:
         return _piece_count(groups, num, dnm) <= budget
 
-    if floor is not None and fits(*floor):
-        t_num, t_den = floor
-    elif budget == len(sums):  # one piece per class
+    a_num, a_den = average
+    if floored and fits(a_num, a_den):
+        return Fraction(a_num, a_den * den)
+    if budget == len(sums):  # one piece per class
         t_num, t_den = max(loads), 1
     else:
         total = sum(sums)
@@ -172,15 +172,14 @@ def _smallest_guess(sums, den, machine_limit, budget, floor, average):
         # the last border, >= T0, fits
         first = _first_fit(0, len(window) - 1, lambda i: fits(*window[i][1:]))
         _key, t_num, t_den = window[first]
-    best = None  # (x, k) of the smallest candidate border x/k
+    best = None  # (x, k) of the smallest candidate border x/k: T0's x has k >= 1
     for x in loads:
         k = min(machine_limit, x * t_den // t_num)
         if k >= 1 and (best is None or x * best[1] < best[0] * k):
             best = (x, k)
-    a_num, a_den = average
-    if fits(a_num, a_den) and (best is None or a_num * best[1] < best[0] * a_den):
+    if not floored and fits(a_num, a_den) and a_num * best[1] < best[0] * a_den:
         return Fraction(a_num, a_den * den)
-    return None if best is None else Fraction(best[0], den * best[1])
+    return Fraction(best[0], den * best[1])
 
 
 def border_search_splittable(instance: Instance) -> Fraction:
@@ -191,12 +190,9 @@ def border_search_splittable(instance: Instance) -> Fraction:
     _require_class_slots(instance)
     m = instance.machine_count
     den, _sizes, sums = instance._scaled
-    t_star = _smallest_guess(
-        sums, den, m, instance.slot_budget * m, floor=None, average=(sum(sums), m)
+    return _smallest_guess(
+        sums, den, m, instance.slot_budget * m, (sum(sums), m), floored=False
     )
-    if t_star is None:  # k=1 on the largest class always fits: count C <= c*m
-        raise CCSError("no feasible splittable threshold")
-    return t_star
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +274,8 @@ def _preemptive_guess(instance: Instance):
     den, sizes, sums = instance._scaled
     lb = (max(max(sizes) * m_used, sum(sums)), m_used)  # over den
     t_star = _smallest_guess(
-        sums, den, m_used, instance.slot_budget * m_used, floor=lb, average=lb
+        sums, den, m_used, instance.slot_budget * m_used, lb, floored=True
     )
-    # always solvable: every class load <= c * m_used slots suffice at LB
-    # or at the smallest admissible border
-    if t_star is None:
-        raise CCSError("no feasible preemptive threshold")
     return t_star, m_used, Fraction(lb[0], lb[1] * den)
 
 

@@ -9,9 +9,12 @@ sizes over their least common denominator, and the schedule checks scale
 a schedule's fractions, starts and loads to one common denominator before
 they add, sort and compare; a preemptive schedule built by
 ``approx_preemptive`` carries such ints already, and its Fraction pieces
-are built only when read. Nothing in this package computes in floats except
-the mixed-integer solve inside ``ccs.nfold``, whose output is re-verified
-exactly.
+are built only when read. The checks are the one reader of a schedule:
+``validate``, ``makespan``, ``machine_loads`` and
+``makespan_and_violations`` each run one of them once, and the measures
+come from the int loads and spans it computes. Nothing in this package
+computes in floats except the mixed-integer solve inside ``ccs.nfold``,
+whose output is re-verified exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import lcm
 from operator import add, and_, eq, itemgetter, le, lt, mul, sub
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -394,21 +397,6 @@ def _is_int(value) -> bool:
     )
 
 
-def _check_ids(pairs, instance: Instance) -> None:
-    for job_id, machine_id in pairs:
-        if not (_is_int(job_id) and 0 <= job_id < instance.job_count):
-            raise InvalidScheduleError(f"unknown job id {job_id!r}")
-        if not (_is_int(machine_id) and 0 <= machine_id < instance.machine_count):
-            raise InvalidScheduleError(f"unknown machine id {machine_id!r}")
-
-
-def _check_classes(schedule: CompactSchedule, instance: Instance) -> None:
-    for pattern, _count in schedule.patterns:
-        for u, _load in pattern:
-            if not (_is_int(u) and 1 <= u <= instance.class_count):
-                raise InvalidScheduleError(f"unknown class id {u!r}")
-
-
 def _over_common_denominator(values: list) -> tuple:
     """(L, ints): the Fractions as ints over their least common
     denominator L, in the given order."""
@@ -452,10 +440,11 @@ def _timed_amounts(jobs, fractions: tuple, starts: tuple, instance: Instance) ->
 
 def _laid_out_columns(schedule: PreemptiveSchedule, instance: Instance):
     """(jobs, machines, L, amounts, starts, need) from the schedule's int
-    layout, as ``_timed_columns`` gives them, or None: when it has no
-    layout, when the layout was built for other sizes (another common
-    denominator, or sizes over L that are not this instance's), or when
-    its ids or ranges fail the bulk test, so that the pieces are read."""
+    layout: its id columns, each piece's processing time and start, and
+    each job's size, as ints over its scale L. None when it has no layout,
+    when the layout was built for other sizes (another common denominator,
+    or sizes over L that are not this instance's), or when its ids or
+    ranges fail the bulk test, so that the pieces are read."""
     layout = schedule._layout
     den, sizes, _sums = instance._scaled
     if layout is None or layout.den != den:
@@ -474,85 +463,12 @@ def _laid_out_columns(schedule: PreemptiveSchedule, instance: Instance):
     return jobs, machines, layout.scale, amounts, starts, need
 
 
-def _timed_columns(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
-    """(jobs, machines, L, amounts, starts, need): a preemptive schedule's
-    id columns, each piece's processing time and start, and each job's
-    size, as ints over one common denominator L. They come from its int
-    layout when ``_laid_out_columns`` takes it, else from its pieces.
-    Raises InvalidScheduleError on an unknown id."""
-    columns = _laid_out_columns(schedule, instance)
-    if columns is not None:
-        return columns
-    jobs, lams, machines, starts = _columns(schedule.pieces, 4)
-    _check_ids(zip(jobs, machines), instance)
-    return jobs, machines, *_timed_amounts(
-        jobs, _over_common_denominator(lams), _over_common_denominator(starts),
-        instance,
-    )
-
-
 def _totals(machines, amounts) -> dict:
     """{machine: summed amount}, machines in order of first appearance."""
     totals: dict = {}
     for machine, amount in zip(machines, amounts):
         totals[machine] = totals.get(machine, 0) + amount
     return totals
-
-
-def _machine_totals(schedule: Schedule, instance: Instance) -> tuple:
-    """(L, {machine: load}): machine loads as ints over one common
-    denominator L, machines in order of first appearance."""
-    if isinstance(schedule, PreemptiveSchedule):
-        _jobs, machines, scale, amounts, _starts, _need = _timed_columns(
-            schedule, instance
-        )
-    elif isinstance(schedule, SplittableSchedule):
-        jobs, lams, machines = _columns(schedule.pieces, 3)
-        _check_ids(zip(jobs, machines), instance)
-        scale, amounts = _amounts(jobs, instance, _over_common_denominator(lams))
-    elif isinstance(schedule, NonPreemptiveSchedule):
-        _check_ids(schedule.assignment.items(), instance)
-        scale, sizes, _sums = instance._scaled
-        machines = list(schedule.assignment.values())
-        amounts = [sizes[j] for j in schedule.assignment]
-    elif isinstance(schedule, CompactSchedule):
-        raise TypeError(
-            "a CompactSchedule has no machine ids; use expand_compact first"
-        )
-    else:
-        raise TypeError(f"not a schedule: {schedule!r}")
-    return scale, _totals(machines, amounts)
-
-
-def machine_loads(schedule: Schedule, instance: Instance) -> dict:
-    """Total assigned processing time per machine (machines with pieces only)."""
-    scale, totals = _machine_totals(schedule, instance)
-    return {machine: Fraction(total, scale) for machine, total in totals.items()}
-
-
-def makespan(schedule: Schedule, instance: Instance) -> Fraction:
-    """Maximum total processing time over machines; empty schedules have
-    makespan 0. For preemptive schedules this is the latest piece end."""
-    if isinstance(schedule, PreemptiveSchedule):
-        _jobs, _machines, scale, amounts, starts, _need = _timed_columns(
-            schedule, instance
-        )
-        return Fraction(max(map(add, starts, amounts), default=0), scale)
-    if isinstance(schedule, CompactSchedule):
-        _check_classes(schedule, instance)
-        scale = lcm(*{
-            load.denominator
-            for pattern, _count in schedule.patterns
-            for _u, load in pattern
-        })
-        peak = max(
-            (sum(load.numerator * (scale // load.denominator) for _u, load in pattern)
-             for pattern, _count in schedule.patterns),
-            default=0,
-        )
-        return Fraction(peak, scale)
-    scale, totals = _machine_totals(schedule, instance)
-    return Fraction(max(totals.values(), default=0), scale)
 
 
 def _variant_of(schedule: Schedule) -> str:
@@ -655,10 +571,14 @@ def _sum_violations(jobs, parts, need) -> list:
     ]
 
 
-# Each _check_* returns (violations, makespan) for a schedule of its type
-# under its own variant's rules, from one pass: the makespan comes from
-# the integer loads and spans the checks compute. It is None when the
-# schedule names an unknown id, on which ``makespan`` raises.
+# Each _check_* returns (violations, measure) for a schedule of its type
+# under its own variant's rules, from one pass. The measure is what the
+# pass holds in ints over one scale L: (L, peak, machines, amounts), the
+# makespan peak/L, and the machine id and processing time of each piece
+# (of each job, for an assignment, whose amounts are an iterator to read
+# once) in order, which ``machine_loads`` sums; a CompactSchedule has no
+# machine ids, and its columns are None. The measure is None when the
+# schedule names an unknown id.
 
 
 def _check_splittable(schedule: SplittableSchedule, instance: Instance) -> tuple:
@@ -672,8 +592,8 @@ def _check_splittable(schedule: SplittableSchedule, instance: Instance) -> tuple
     if len(jobs) < len(schedule.pieces):
         return violations, None
     scale, amounts = _amounts(jobs, instance, fractions)
-    totals = _totals(machines, amounts)
-    return violations, Fraction(max(totals.values(), default=0), scale)
+    peak = max(_totals(machines, amounts).values(), default=0)
+    return violations, (scale, peak, machines, amounts)
 
 
 def _clashes(rows: list) -> list:
@@ -688,10 +608,10 @@ def _clashes(rows: list) -> list:
 
 
 def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple:
-    """The checks run on the columns ``_timed_columns`` describes: the int
-    layout's when ``_laid_out_columns`` takes it, else the pieces', with
-    the pieces of an unknown id left out and each piece's problems
-    reported."""
+    """The checks run on the columns ``_laid_out_columns`` describes: the
+    int layout's when it takes it, else the pieces' over their common
+    denominator, with the pieces of an unknown id left out and each
+    piece's problems reported."""
     violations = []
     columns = _laid_out_columns(schedule, instance)
     complete = True
@@ -731,7 +651,7 @@ def _check_preemptive(schedule: PreemptiveSchedule, instance: Instance) -> tuple
     violations.extend(_slot_check(machines, jobs, instance))
     if not complete:
         return violations, None
-    return violations, Fraction(max(ends, default=0), scale)
+    return violations, (scale, max(ends, default=0), machines, amounts)
 
 
 def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) -> tuple:
@@ -763,8 +683,10 @@ def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) ->
     violations.extend(_slot_check(known.values(), known, instance))
     if len(known) < len(assignment):
         return violations, None
-    totals = _totals(assignment.values(), map(sizes.__getitem__, assignment))
-    return violations, Fraction(max(totals.values(), default=0), den)
+    machines = assignment.values()
+    totals = _totals(machines, map(sizes.__getitem__, assignment))
+    peak = max(totals.values(), default=0)
+    return violations, (den, peak, machines, map(sizes.__getitem__, assignment))
 
 
 def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
@@ -816,14 +738,15 @@ def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
     ends = list(accumulate(widths, initial=0))
     running = list(accumulate(scaled, initial=0))
     peaks = map(sub, map(running.__getitem__, ends[1:]), map(running.__getitem__, ends))
-    return violations, Fraction(max(peaks, default=0), scale)
+    return violations, (scale, max(peaks, default=0), None, None)
 
 
 def _compact_violations(patterns, scaled, totals, instance, violations) -> tuple:
     """(known, machines): whether every class id exists, and the machines
     the patterns of positive integer count take. Reports each pattern's
     violations in pattern order and adds its class loads, ints over the
-    loads' common denominator as in ``scaled``, into totals."""
+    loads' common denominator as in ``scaled``, into totals. A pattern
+    of a bad count reports that and its unknown class ids only."""
     known = True
     machines = 0
     at = 0
@@ -834,6 +757,11 @@ def _compact_violations(patterns, scaled, totals, instance, violations) -> tuple
         known = known and all(fits)
         if not _is_int(count) or count < 1:
             violations.append(f"pattern count {count!r} is not a positive integer")
+            violations.extend(
+                f"unknown class id {u!r}"
+                for (u, _load), known_class in zip(pattern, fits)
+                if not known_class
+            )
             continue
         machines += count
         classes = [u for u, _load in pattern]
@@ -887,17 +815,47 @@ def validate(schedule: Schedule, instance: Instance, variant: str = None) -> lis
     return _variant_mismatch(schedule, variant) or _checked(schedule, instance)[0]
 
 
+def _measured(schedule: Schedule, instance: Instance) -> tuple:
+    """(violations, measure) of the one check of the schedule. Raises
+    InvalidScheduleError with the first unknown-id violation it reported
+    when the schedule names an id the instance does not have."""
+    violations, measure = _checked(schedule, instance)
+    if measure is None:
+        raise InvalidScheduleError(
+            next(v for v in violations if v.startswith("unknown "))
+        )
+    return violations, measure
+
+
+def makespan(schedule: Schedule, instance: Instance) -> Fraction:
+    """Maximum total processing time over machines; empty schedules have
+    makespan 0. For preemptive schedules this is the latest piece end."""
+    _violations, (scale, peak, _machines, _amounts) = _measured(schedule, instance)
+    return Fraction(peak, scale)
+
+
+def machine_loads(schedule: Schedule, instance: Instance) -> dict:
+    """Total assigned processing time per machine (machines with pieces
+    only), machines in order of first appearance."""
+    if isinstance(schedule, CompactSchedule):
+        raise TypeError(
+            "a CompactSchedule has no machine ids; use expand_compact first"
+        )
+    _violations, (scale, _peak, machines, amounts) = _measured(schedule, instance)
+    return {
+        machine: Fraction(total, scale)
+        for machine, total in _totals(machines, amounts).items()
+    }
+
+
 def makespan_and_violations(
     schedule: Schedule, instance: Instance, variant: str = None
 ) -> tuple:
     """``(makespan(schedule, instance), validate(schedule, instance,
-    variant))`` from one pass over the schedule: the makespan comes from
-    the integer loads and spans the checks compute. Raises
+    variant))`` from one run of the check behind both. Raises
     InvalidScheduleError on an unknown id, as ``makespan`` does."""
-    violations, peak = _checked(schedule, instance)
-    if peak is None:  # an unknown id, on which makespan raises
-        peak = makespan(schedule, instance)
-    return peak, _variant_mismatch(schedule, variant) or violations
+    violations, (scale, peak, _machines, _amounts) = _measured(schedule, instance)
+    return Fraction(peak, scale), _variant_mismatch(schedule, variant) or violations
 
 
 def _require_class_slots(instance: Instance) -> None:

@@ -76,7 +76,7 @@ from ..core import (
     SPLITTABLE,
     VARIANTS,
     lower_bound,
-    makespan,
+    makespan_and_violations,
 )
 from ..nfold import solve_feasible
 from .builder import build_program
@@ -292,7 +292,9 @@ def _search_program(work, variant, epsilon, schedule, top, bound):
     holds the report entries "bound" (raised by the infeasible probes),
     "guess", "built" and "solution" (the last feasible probe's, else
     None) and "probes" (see ``ptas_solve``). An EnumerationCapError from
-    a probe leaves with the best schedule and the bound held."""
+    a probe leaves with the best schedule and the bound held. Each
+    schedule rebuilt from a program is measured by its check, and one
+    that fails it raises CCSError rather than being returned."""
     probes = []
     record = dict(
         guess=None, built=None, solution=None, probes=probes, bound=bound
@@ -334,7 +336,12 @@ def _search_program(work, variant, epsilon, schedule, top, bound):
             hi = i
             record.update(guess=guess, built=built, solution=solution)
             found = construct_schedule(solution, built)
-            span = makespan(found, work)
+            span, violations = makespan_and_violations(found, work)
+            if violations:
+                raise CCSError(
+                    f"the schedule rebuilt at guess {guess} is invalid: "
+                    f"{violations[0]}"
+                )
             if span < top:
                 schedule, top = found, span
         if top < bound:

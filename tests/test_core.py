@@ -325,6 +325,15 @@ class TestIdsArePlainInts:
         with pytest.raises(InvalidScheduleError):
             expand_compact(schedule, self.inst)
 
+    def test_compact_pattern_of_bad_count_names_its_classes(self):
+        # the pattern's count is reported, and its unknown class id still is
+        schedule = CompactSchedule(((((3, 4),), 0), (((1, 4), (2, 2)), 1)))
+        assert validate(schedule, self.inst) == [
+            "pattern count 0 is not a positive integer", "unknown class id 3",
+        ]
+        with pytest.raises(InvalidScheduleError, match="^unknown class id 3$"):
+            makespan(schedule, self.inst)
+
     def test_mixed_job_ids_are_reported_not_sorted(self):
         schedule = NonPreemptiveSchedule({0: 0, "1": 1, 1: 1})
         assert validate(schedule, self.inst) == ["unknown job id '1'"]

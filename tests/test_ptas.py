@@ -1143,6 +1143,23 @@ class TestDriver:
         assert record["probes"] == [(1, False), (Fraction(9, 8), False)]
         assert record["bound"] == Fraction(9, 8)
 
+    def test_invalid_rebuilt_schedule_is_refused(self, monkeypatch):
+        # a schedule rebuilt from a feasible program is measured by its
+        # check: one that drops a job is shorter, and would be returned
+        # unless the check refused it
+        never_certify(monkeypatch)
+        rebuild = driver.construct_schedule
+
+        def drop_job_zero(solution, built):
+            assignment = dict(rebuild(solution, built).assignment)
+            del assignment[0]
+            return NonPreemptiveSchedule(assignment)
+
+        monkeypatch.setattr(driver, "construct_schedule", drop_job_zero)
+        epsilon, (inst, *_rest) = SEARCHED[NONPREEMPTIVE]
+        with pytest.raises(CCSError, match="invalid: job 0 is unassigned"):
+            ptas_solve(inst, epsilon, NONPREEMPTIVE)
+
     def test_integer_bracket_wider_than_a_machine_word(self, monkeypatch):
         # the polished warm start's makespan is 20 * 10**20 and the load
         # bound 18 * 10**20, so the integer bracket between them holds

@@ -1,9 +1,10 @@
 """The approximation path's threshold searches, layouts and schedule
 checks against plain reference versions: Fraction piece counts, the
 O(k^2) best-fit pairing, a min-scan LPT, the job-level round robin, and
-the Fraction cutters, stackers, validators and makespans. The library runs
-integer, heap and counted-pattern versions of the same rules; these tests
-hold them to identical results, violation messages included.
+the Fraction cutters, stackers, validators, makespans and machine loads.
+The library runs integer, heap and counted-pattern versions of the same
+rules; these tests hold them to identical results, violation messages
+included.
 
 The non-preemptive scheme's program is held to the program over the full
 box of modules: every multiplicity vector under the bound, whether or not
@@ -297,6 +298,30 @@ def reference_nonpreemptive_layout(instance):
     return assignment
 
 
+def is_id(value, lo, hi):
+    """Whether the value is an id in lo..hi-1: a plain int, which neither
+    True, 1.0 nor Fraction(1) is, though each equals 1."""
+    return type(value) is int and lo <= value < hi
+
+
+def reference_machine_loads(schedule, instance):
+    """Per machine, in order of first appearance, the sum of fraction *
+    size over its pieces (its jobs' sizes, for an assignment); None when
+    a job or machine id does not exist."""
+    if isinstance(schedule, NonPreemptiveSchedule):
+        rows = [(j, Fraction(1), i) for j, i in schedule.assignment.items()]
+    else:
+        rows = [piece[:3] for piece in schedule.pieces]
+    loads = {}
+    for j, lam, i in rows:
+        if not is_id(j, 0, instance.job_count) or not is_id(
+            i, 0, instance.machine_count
+        ):
+            return None
+        loads[i] = loads.get(i, Fraction(0)) + lam * instance.processing_times[j]
+    return loads
+
+
 def reference_makespan_preemptive(schedule, instance):
     ends = [
         start + lam * instance.processing_times[j]
@@ -363,20 +388,27 @@ def reference_validate_compact(schedule, instance):
     carried = [Fraction(0)] * instance.class_count
     machines = 0
     for pattern, count in schedule.patterns:
+        known = [is_id(u, 1, instance.class_count + 1) for u, _load in pattern]
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             violations.append(f"pattern count {count!r} is not a positive integer")
+            violations.extend(
+                f"unknown class id {u!r}"
+                for (u, _load), fits in zip(pattern, known)
+                if not fits
+            )
             continue
         machines += count
         classes = [u for u, _load in pattern]
-        if len(set(classes)) != len(classes):
+        ids = [u for u in classes if type(u) is int]
+        if len(set(ids)) != len(ids):
             violations.append(f"pattern {classes} lists a class twice")
         if len(classes) > instance.slot_budget:
             violations.append(
                 f"slot budget exceeded on {count} machines: "
                 f"{len(classes)} classes > c={instance.slot_budget}"
             )
-        for u, load in pattern:
-            if u not in range(1, instance.class_count + 1):
+        for (u, load), fits in zip(pattern, known):
+            if not fits:
                 violations.append(f"unknown class id {u!r}")
             elif load <= 0:
                 violations.append(f"class {u} has non-positive load {load}")
@@ -499,18 +531,19 @@ def on_one_denominator(loads):
 
 def over_den(value, den):
     """A value as ``_smallest_guess`` takes it: the int pair (a, b), the
-    value a/b over den; None stays None."""
-    return None if value is None else (value.numerator * den, value.denominator)
+    value a/b over den."""
+    return value.numerator * den, value.denominator
 
 
-def reference_on_scaled(sums, den, machine_limit, budget, floor, average):
+def reference_on_scaled(sums, den, machine_limit, budget, average, floored):
     """``reference_smallest_guess`` called as ``_smallest_guess`` is."""
+    average = Fraction(average[0], average[1] * den)
     return reference_smallest_guess(
         [Fraction(x, den) for x in sums],
         machine_limit,
         budget,
-        None if floor is None else Fraction(floor[0], floor[1] * den),
-        Fraction(average[0], average[1] * den),
+        average if floored else None,
+        average,
     )
 
 
@@ -518,27 +551,29 @@ def reference_on_scaled(sums, den, machine_limit, budget, floor, average):
     loads=st.lists(values, min_size=1, max_size=60),
     machine_limit=st.one_of(st.integers(1, 200), st.integers(1, 10**9)),
     budget_share=st.one_of(st.just(0), st.integers(0, 12)),
-    floor=st.one_of(st.none(), values, st.integers(4, 12)),
-    average=values,
+    average=st.one_of(values, st.integers(4, 12)),
+    floored=st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
 def test_smallest_guess_matches_reference(
-    loads, machine_limit, budget_share, floor, average
+    loads, machine_limit, budget_share, average, floored
 ):
-    """Up to 60 classes and 10^9 machines, budgets from one slot per class
-    (B = C) up, and floors drawn freely or at k/8 of T0, the smallest
-    border that fits (an int k in 4..12 is drawn), so below, at and
-    above it."""
+    """The two shapes the searches pass: an average with no floor (the
+    splittable search) and an average that is also the floor (the
+    preemptive one). Up to 60 classes and 10^9 machines, budgets from one
+    slot per class (B = C) up, and averages drawn freely or at k/8 of T0,
+    the smallest border that fits (an int k in 4..12 is drawn), so below,
+    at and above it."""
     budget = len(loads) + budget_share * machine_limit // 4
-    if isinstance(floor, int):
+    if isinstance(average, int):
         t0 = reference_smallest_guess(loads, budget, budget, None, max(loads))
-        floor = t0 * Fraction(floor, 8)
+        average = t0 * Fraction(average, 8)
     sums, den = on_one_denominator(loads)
     found = _smallest_guess(
-        sums, den, machine_limit, budget, over_den(floor, den), over_den(average, den)
+        sums, den, machine_limit, budget, over_den(average, den), floored
     )
     assert found == reference_smallest_guess(
-        loads, machine_limit, budget, floor, average
+        loads, machine_limit, budget, average if floored else None, average
     )
 
 
@@ -848,26 +883,31 @@ def mutate_patterns(patterns, instance, mutation, pick, delta, sign):
 
 @given(
     instance=check_instances,
-    mutation=st.sampled_from(PATTERN_MUTATIONS),
+    mutation=st.sampled_from(PATTERN_MUTATIONS + ("unknown class",)),
     pick=st.integers(0, 10**6),
     delta=values,
     sign=st.sampled_from((1, -1)),
 )
 @example(instance=COPRIME, mutation="load", pick=0, delta=Fraction(1, 5), sign=1)
 @example(instance=COPRIME, mutation="extra", pick=4, delta=Fraction(3, 7), sign=1)
+@example(instance=COPRIME, mutation="unknown class", pick=0, delta=Fraction(1),
+         sign=-1)  # an unknown class in a pattern of count 0
 @settings(max_examples=400, deadline=None)
 def test_compact_checks_match_reference(instance, mutation, pick, delta, sign):
     """Valid pattern lists and ones with a perturbed or non-positive load,
     a count off by one, an extra class in a pattern (a repeat, a slot too
-    many or a load no class needs), or a pattern dropped."""
+    many or a load no class needs), a pattern dropped, or an unknown class
+    id, whatever its pattern's count. An unknown id makes makespan raise
+    the first one validate reports."""
     schedule = CompactSchedule(mutate_patterns(
         approx_splittable(instance).patterns, instance, mutation, pick, delta, sign
     ))
-    assert validate(schedule, instance) == reference_validate_compact(
-        schedule, instance
-    )
-    assert repr(makespan(schedule, instance)) == repr(
-        reference_makespan_compact(schedule)
+    violations = validate(schedule, instance)
+    assert violations == reference_validate_compact(schedule, instance)
+    unknown = [v for v in violations if v.startswith("unknown class id")]
+    assert outcome(lambda: makespan(schedule, instance)) == (
+        f"raises {unknown[0]}" if unknown
+        else repr(reference_makespan_compact(schedule))
     )
 
 
@@ -896,7 +936,31 @@ def outcome(check):
         return f"raises {exc}"
 
 
-@given(
+def mutated_schedule(instance, kind, mutation, pick, delta, sign):
+    """An approximation's schedule of the kind, "split", "compact",
+    "preempt" or "whole", with the mutation its mutate_* function makes
+    (none where that function has no such mutation)."""
+    if kind == "split":
+        pieces = expand_compact(approx_splittable(instance), instance).pieces
+        return SplittableSchedule(
+            mutate_pieces(pieces, instance, mutation, pick, delta, sign)
+        )
+    if kind == "compact":
+        return CompactSchedule(mutate_patterns(
+            approx_splittable(instance).patterns, instance, mutation, pick, delta,
+            sign,
+        ))
+    if kind == "preempt":
+        return PreemptiveSchedule(mutate_pieces(
+            approx_preemptive(instance).pieces, instance, mutation, pick, delta, sign
+        ))
+    return NonPreemptiveSchedule(mutate_assignment(
+        approx_nonpreemptive(instance).assignment, instance, mutation, pick
+    ))
+
+
+# every schedule type, valid and with every mutation above
+MUTATED = dict(
     instance=check_instances,
     kind=st.sampled_from(("split", "compact", "preempt", "whole")),
     mutation=st.sampled_from(
@@ -906,8 +970,10 @@ def outcome(check):
     pick=st.integers(0, 10**6),
     delta=values,
     sign=st.sampled_from((1, -1)),
-    variant=st.sampled_from((None,) + VARIANTS),
 )
+
+
+@given(**MUTATED, variant=st.sampled_from((None,) + VARIANTS))
 @example(instance=COPRIME, kind="compact", mutation="unknown class", pick=0,
          delta=Fraction(1), sign=-1, variant=None)
 @example(instance=COPRIME, kind="compact", mutation="count", pick=0,
@@ -923,29 +989,66 @@ def test_one_pass_check_matches_makespan_and_validate(
     own variant, under none and under another: ``makespan_and_violations``
     returns what ``makespan`` and ``validate`` do, or raises what
     ``makespan`` raises."""
-    if kind == "split":
-        pieces = expand_compact(approx_splittable(instance), instance).pieces
-        schedule = SplittableSchedule(
-            mutate_pieces(pieces, instance, mutation, pick, delta, sign)
-        )
-    elif kind == "compact":
-        schedule = CompactSchedule(mutate_patterns(
-            approx_splittable(instance).patterns, instance, mutation, pick, delta,
-            sign,
-        ))
-    elif kind == "preempt":
-        schedule = PreemptiveSchedule(mutate_pieces(
-            approx_preemptive(instance).pieces, instance, mutation, pick, delta, sign
-        ))
-    else:
-        schedule = NonPreemptiveSchedule(mutate_assignment(
-            approx_nonpreemptive(instance).assignment, instance, mutation, pick
-        ))
+    schedule = mutated_schedule(instance, kind, mutation, pick, delta, sign)
     assert outcome(
         lambda: makespan_and_violations(schedule, instance, variant)
     ) == outcome(
         lambda: (makespan(schedule, instance), validate(schedule, instance, variant))
     )
+
+
+@given(**MUTATED)
+@example(instance=COPRIME, kind="whole", mutation="machine", pick=3,
+         delta=Fraction(1), sign=1)
+@example(instance=COPRIME, kind="preempt", mutation="fraction", pick=2,
+         delta=Fraction(2, 7), sign=-1)
+@settings(max_examples=400, deadline=None)
+def test_measures_match_fraction_references(instance, kind, mutation, pick, delta, sign):
+    """Where every id exists, ``makespan`` and ``machine_loads`` equal plain
+    Fraction sums, down to repr and the order of the machines: the
+    largest per-machine sum of fraction * size, the latest piece end, or
+    the largest pattern load. Where one does not, both raise."""
+    schedule = mutated_schedule(instance, kind, mutation, pick, delta, sign)
+    if kind == "compact":
+        with pytest.raises(TypeError, match="expand_compact"):
+            machine_loads(schedule, instance)
+        if all(is_id(u, 1, instance.class_count + 1)
+               for pattern, _count in schedule.patterns for u, _load in pattern):
+            assert repr(makespan(schedule, instance)) == repr(
+                reference_makespan_compact(schedule)
+            )
+        else:
+            with pytest.raises(InvalidScheduleError, match="^unknown class id"):
+                makespan(schedule, instance)
+        return
+    loads = reference_machine_loads(schedule, instance)
+    if loads is None:
+        for measure in (makespan, machine_loads):
+            with pytest.raises(InvalidScheduleError, match="^unknown "):
+                measure(schedule, instance)
+        return
+    assert repr(list(machine_loads(schedule, instance).items())) == repr(
+        list(loads.items())
+    )
+    if kind == "preempt":
+        peak = reference_makespan_preemptive(schedule, instance)
+    else:
+        peak = max(loads.values(), default=Fraction(0))
+    assert repr(makespan(schedule, instance)) == repr(peak)
+
+
+def test_several_unknown_job_ids_name_the_first_validate_reports():
+    """The measures name the first unknown job id in validate's order, int
+    ids ascending and then the rest as given, not the first in the
+    assignment's order."""
+    instance = Instance((4, 2), (1, 2), 2, 2)
+    schedule = NonPreemptiveSchedule({0: 0, 1: 1, 5: 0, "a": 1, -1: 0})
+    assert validate(schedule, instance) == [
+        "unknown job id -1", "unknown job id 5", "unknown job id 'a'",
+    ]
+    for measure in (makespan, machine_loads, makespan_and_violations):
+        with pytest.raises(InvalidScheduleError, match="^unknown job id -1$"):
+            measure(schedule, instance)
 
 
 # ---------------------------------------------------------------------------
