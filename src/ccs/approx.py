@@ -45,10 +45,10 @@ Thresholds and schedules are Fractions at the API. The searches run in
 Python ints over the sizes' common denominator, their bounds included,
 and build one Fraction for each value they return; the sizes and the
 threshold are then scaled to one common denominator, and the layouts cut,
-sort, deal and stack in ints. Fractions are built only for the threshold
-and the splittable patterns. The preemptive schedule keeps its layout in
-ints: the schedule checks read it as it is, and its Fraction pieces are
-built only when a caller reads ``pieces``.
+sort, deal and stack in ints. Fractions are built only for the threshold.
+The splittable and preemptive schedules keep their layouts in ints: the
+schedule checks read them as they are, and their Fraction patterns or
+pieces are built only when a caller reads ``patterns`` or ``pieces``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .core import (
     NonPreemptiveSchedule,
     PreemptiveSchedule,
     _Layout,
-    _OverScale,
     _require_class_slots,
 )
 # round_robin is not called here: bench/layers.py wraps it by this name
@@ -210,7 +209,10 @@ def approx_splittable(instance: Instance) -> CompactSchedule:
 def _deal_splittable(instance: Instance, t_star: Fraction) -> tuple:
     """(schedule, peak, scale): ``approx_splittable``'s round robin at its
     T*, stored as counted class-load patterns, and its makespan peak/scale,
-    scale the common denominator of the sizes and T*.
+    scale the common denominator of the sizes and T*. The schedule keeps
+    the patterns with their int loads over that scale: the checks read
+    them as they are, and its Fraction patterns are built only when a
+    caller reads ``patterns``.
 
     Class u of load P cuts into floor(P/T*) full pieces and one partial
     piece of P mod T* when that is positive. Dealing order: every full
@@ -253,11 +255,7 @@ def _deal_splittable(instance: Instance, t_star: Fraction) -> tuple:
             pattern = tuple(sorted(loads.items()))
             counts[pattern] = counts.get(pattern, 0) + hi - lo
     peak = sum(load for _u, load in next(iter(counts)))  # machine 0's
-    exact = _OverScale(scale)
-    return CompactSchedule(patterns=tuple(
-        (tuple((u, exact[load]) for u, load in pattern), count)
-        for pattern, count in counts.items()
-    )), peak, scale
+    return CompactSchedule._laid_out(tuple(counts.items()), scale), peak, scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ Conventions used across the package: jobs are identified by their position
 dense re-indexing; ids are plain ints (not bool). Every quantity that can
 be fractional is a :class:`fractions.Fraction` where the API takes or
 returns it. Inner loops run in Python ints instead: an instance keeps its
-sizes over their least common denominator, and the schedule checks scale
-a schedule's fractions, starts and loads to one common denominator before
-they add, sort and compare; a preemptive schedule built by
-``approx_preemptive`` carries such ints already, and its Fraction pieces
-are built only when read. The checks are the one reader of a schedule:
-``validate``, ``makespan``, ``machine_loads`` and
+sizes over their least common denominator (and builds the Fractions of
+plain int sizes only when read), and the schedule checks scale a
+schedule's fractions, starts and loads to one common denominator before
+they add, sort and compare; the schedules built by ``approx_splittable``
+and ``approx_preemptive`` carry such ints already, and their Fraction
+patterns or pieces are built only when read. The checks are the one
+reader of a schedule: ``validate``, ``makespan``, ``machine_loads`` and
 ``makespan_and_violations`` each run one of them once, and the measures
 come from the int loads and spans it computes. Nothing in this package
 computes in floats except the mixed-integer solve inside ``ccs.nfold``,
@@ -90,18 +91,24 @@ _KEYED_SIZES = frozenset({int, float, str})
 def _exact_sizes(raw: tuple) -> tuple:
     """(times, D, sizes): the processing times as Fractions, their least
     common denominator D, and each time times D as an int. One Fraction is
-    built per distinct size (a Fraction given is kept as it is), and plain
-    ints are their own sizes over D = 1."""
+    built per distinct size (a Fraction given is kept as it is). Plain
+    ints are their own sizes over D = 1, and their times are None: the
+    instance builds them when first read."""
     kinds = set(map(type, raw))
+    if kinds <= {int}:
+        return None, 1, raw
     if kinds <= _KEYED_SIZES:
-        exact = {p: Fraction(p) for p in dict.fromkeys(raw)}
-        times = tuple(map(exact.__getitem__, raw))
-        if kinds <= {int}:
-            return times, 1, raw
+        times = _one_fraction_per_size(raw)
     else:
         times = tuple(map(_fraction, raw))
     den = lcm(*{p.denominator for p in times})
     return times, den, tuple(p.numerator * (den // p.denominator) for p in times)
+
+
+def _one_fraction_per_size(raw: tuple) -> tuple:
+    """The sizes as Fractions, one Fraction per distinct size."""
+    exact = {p: Fraction(p) for p in dict.fromkeys(raw)}
+    return tuple(map(exact.__getitem__, raw))
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,10 @@ class Instance:
     cannot exist since classes are defined by the labels present), and the
     slot budget is clamped to min(c, C) — extra slots are never usable.
     ``original_labels[u - 1]`` recovers the input label of class u.
+
+    Sizes that are all plain ints are their own scaled sizes (D = 1), and
+    ``processing_times``, their Fractions, is built on first read: the
+    approximations and the schedule checks read the ints only.
     """
 
     processing_times: tuple
@@ -131,11 +142,11 @@ class Instance:
         except _MALFORMED as exc:
             raise InvalidInstanceError(f"bad processing time: {exc}") from exc
         raw_labels = tuple(self.class_labels)
-        if not times:
+        if not sizes:
             raise InvalidInstanceError("instance needs at least one job")
-        if len(times) != len(raw_labels):
+        if len(sizes) != len(raw_labels):
             raise InvalidInstanceError(
-                f"{len(times)} processing times but {len(raw_labels)} class labels"
+                f"{len(sizes)} processing times but {len(raw_labels)} class labels"
             )
         if min(sizes) <= 0:
             raise InvalidInstanceError("all processing times must be positive")
@@ -150,21 +161,38 @@ class Instance:
                 )
             if value < 1:
                 raise InvalidInstanceError(f"{name} must be positive")
-        originals = tuple(sorted(set(raw_labels)))
+        try:
+            originals = tuple(sorted(set(raw_labels)))
+        except TypeError as exc:  # a label unhashable, or two incomparable
+            raise InvalidInstanceError(f"bad class labels: {exc}") from exc
         remap = {orig: u for u, orig in enumerate(originals, start=1)}
         labels = tuple(map(remap.__getitem__, raw_labels))
         sums = [0] * len(originals)
         for size, lab in zip(sizes, labels):
             sums[lab - 1] += size
-        object.__setattr__(self, "processing_times", times)
+        if times is None:
+            object.__delattr__(self, "processing_times")
+        else:
+            object.__setattr__(self, "processing_times", times)
         object.__setattr__(self, "class_labels", labels)
         object.__setattr__(self, "slot_budget", min(self.slot_budget, len(originals)))
         object.__setattr__(self, "original_labels", originals)
         object.__setattr__(self, "_scaled", (den, sizes, tuple(sums)))
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute never set: the processing times
+        # of plain int sizes, until their first read
+        if name != "processing_times" or "_scaled" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        times = _one_fraction_per_size(self._scaled[1])
+        object.__setattr__(self, "processing_times", times)
+        return times
+
     @property
     def job_count(self) -> int:
-        return len(self.processing_times)
+        return len(self._scaled[1])
 
     @property
     def class_count(self) -> int:
@@ -342,12 +370,39 @@ class CompactSchedule:
     ``pattern``, one machine's load per class as ``((class_id, load),
     ...)`` in class order. Jobs of a class may be cut anywhere and run in
     parallel, so the per-machine class loads fix the schedule up to how
-    each class is carved into job pieces; ``expand_compact`` carves one."""
+    each class is carved into job pieces; ``expand_compact`` carves one.
+
+    ``approx_splittable`` builds its schedule from the same patterns with
+    int loads over one scale L: the checks and ``makespan`` read those,
+    and ``patterns`` is built from them on first read."""
 
     patterns: tuple
+    _layout = None  # (patterns with int loads, L) the schedule was built from
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", _stored_patterns(self.patterns))
+
+    @classmethod
+    def _laid_out(cls, patterns: tuple, scale: int) -> CompactSchedule:
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "_layout", (patterns, scale))
+        return schedule
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute never set: the patterns of a
+        # schedule built from a layout, until their first read
+        if name != "patterns" or self._layout is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        rows, scale = self._layout
+        exact = _OverScale(scale)
+        patterns = tuple(
+            (tuple((u, exact[load]) for u, load in pattern), count)
+            for pattern, count in rows
+        )
+        object.__setattr__(self, "patterns", patterns)
+        return patterns
 
 
 def _stored_patterns(patterns) -> tuple:
@@ -690,12 +745,19 @@ def _check_nonpreemptive(schedule: NonPreemptiveSchedule, instance: Instance) ->
 
 
 def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
+    """The checks run on the int loads of the schedule's layout when it
+    has one, else on its Fraction loads over their common denominator."""
     violations = []
     den, _sizes, sums = instance._scaled
-    patterns, counts = _columns(schedule.patterns, 2)
+    if schedule._layout is None:
+        rows, scale = schedule.patterns, None
+    else:
+        rows, scale = schedule._layout
+    patterns, counts = _columns(rows, 2)
     widths = list(map(len, patterns))
-    classes, loads = _columns(list(chain.from_iterable(patterns)), 2)
-    scale, scaled = _over_common_denominator(loads)
+    classes, scaled = _columns(list(chain.from_iterable(patterns)), 2)
+    if scale is None:
+        scale, scaled = _over_common_denominator(scaled)
     totals = [0] * instance.class_count
     # checked in bulk first: known classes, positive counts and loads,
     # and patterns within the slot budget that list no class twice leave
@@ -715,7 +777,7 @@ def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
             totals[u - 1] += weight
     else:
         known, machines = _compact_violations(
-            schedule.patterns, scaled, totals, instance, violations
+            rows, scaled, scale, totals, instance, violations
         )
     if machines > instance.machine_count:
         violations.append(
@@ -741,12 +803,12 @@ def _check_compact(schedule: CompactSchedule, instance: Instance) -> tuple:
     return violations, (scale, max(peaks, default=0), None, None)
 
 
-def _compact_violations(patterns, scaled, totals, instance, violations) -> tuple:
+def _compact_violations(patterns, scaled, scale, totals, instance, violations) -> tuple:
     """(known, machines): whether every class id exists, and the machines
     the patterns of positive integer count take. Reports each pattern's
-    violations in pattern order and adds its class loads, ints over the
-    loads' common denominator as in ``scaled``, into totals. A pattern
-    of a bad count reports that and its unknown class ids only."""
+    violations in pattern order and adds its class loads, the ints
+    ``scaled`` over ``scale``, into totals. A pattern of a bad count
+    reports that and its unknown class ids only."""
     known = True
     machines = 0
     at = 0
@@ -773,11 +835,13 @@ def _compact_violations(patterns, scaled, totals, instance, violations) -> tuple
                 f"slot budget exceeded on {count} machines: "
                 f"{len(classes)} classes > c={instance.slot_budget}"
             )
-        for (u, load), value, known_class in zip(pattern, loads, fits):
+        for (u, _load), value, known_class in zip(pattern, loads, fits):
             if not known_class:
                 violations.append(f"unknown class id {u!r}")
-            elif load.numerator <= 0:
-                violations.append(f"class {u} has non-positive load {load}")
+            elif value <= 0:
+                violations.append(
+                    f"class {u} has non-positive load {Fraction(value, scale)}"
+                )
             else:
                 totals[u - 1] += count * value
     return known, machines

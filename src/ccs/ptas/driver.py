@@ -59,8 +59,8 @@ slices by ``unfold_preemptive``.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -91,10 +91,14 @@ _WARM_ALGO = {
 
 def _clamp(instance: Instance, variant: str):
     """A non-preemptive instance at min(m, n) machines, which loses
-    nothing; a splittable one as it is."""
+    nothing; a splittable one as it is. The clamped instance is a copy of
+    the validated one: none of its derived fields depends on m, so it is
+    neither validated again nor made to build its processing times."""
     if variant == SPLITTABLE or instance.machine_count <= instance.job_count:
         return instance
-    return replace(instance, machine_count=instance.job_count)
+    clamped = copy.copy(instance)
+    object.__setattr__(clamped, "machine_count", instance.job_count)
+    return clamped
 
 
 def ptas_solve(

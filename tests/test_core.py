@@ -90,6 +90,16 @@ class TestInstanceNormalization:
         with pytest.raises(InvalidInstanceError, match="slot budget"):
             Instance((3, 2), (1, 2), 2, "2")
 
+    def test_rejects_labels_that_do_not_compare(self):
+        # used to raise a bare TypeError from sorting the labels
+        with pytest.raises(InvalidInstanceError, match="bad class labels: '<'"):
+            Instance((1, 2), ("a", 1), 1, 1)
+
+    def test_rejects_unhashable_labels(self):
+        # used to raise a bare TypeError from the set of labels
+        with pytest.raises(InvalidInstanceError, match="bad class labels: unhashable"):
+            Instance((1, 2), ([1], 1), 1, 1)
+
     def test_fractional_sizes_kept_exact(self):
         inst = Instance((Fraction(5, 2), 3), (1, 2), 2, 2)
         assert inst.processing_times == (F("5/2"), F(3))

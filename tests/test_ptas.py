@@ -940,6 +940,28 @@ SEARCHED = {
 
 
 class TestDriver:
+    @given(inst=instances(max_machines=12))
+    @example(inst=Instance((Fraction(5, 2), 3, Fraction(1, 3)), (2, 1, 2), 7, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_clamp_copies_the_validated_instance(self, inst):
+        """The clamped instance is the instance rebuilt at min(m, n)
+        machines, and it builds no processing times where the instance
+        has built none. It keeps the input's original labels, which a
+        rebuild from the re-indexed labels would lose."""
+        lazy = "processing_times" not in vars(inst)
+        for variant in (SPLITTABLE, NONPREEMPTIVE):
+            clamped = driver._clamp(inst, variant)
+            assert ("processing_times" not in vars(clamped)) == lazy
+        m = inst.machine_count
+        n = min(m, inst.job_count)
+        rebuilt = replace(inst, machine_count=n)
+        assert clamped == rebuilt and clamped.machine_count == n
+        assert clamped._scaled == rebuilt._scaled
+        assert clamped.slot_budget == rebuilt.slot_budget
+        assert clamped.original_labels == inst.original_labels
+        assert inst.machine_count == m
+        assert driver._clamp(inst, SPLITTABLE) is inst
+
     def test_three_classes_three_machines(self):
         inst = Instance((2, 2, 2), (1, 2, 3), 3, 1)
         for variant in (SPLITTABLE, NONPREEMPTIVE):

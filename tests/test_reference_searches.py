@@ -57,7 +57,7 @@ from ccs import (
 )
 from ccs.core import _Layout, _slot_violations, makespan_and_violations
 from ccs.nfold import solve_feasible
-from ccs.ptas import ModuleSet, build_program
+from ccs.ptas import ModuleSet, build_program, driver
 from ccs.ptas.sets import _fillable_modules, nonpreemptive_sets
 from ccs.approx import (
     _cu_sorted,
@@ -1203,6 +1203,147 @@ def test_layout_checked_against_sizes_over_another_denominator():
 
 
 # ---------------------------------------------------------------------------
+# the splittable int patterns against their Fraction patterns
+
+
+def compact_measures(schedule, instance):
+    """What ``makespan_and_violations``, ``validate`` and ``makespan``
+    return for the schedule, or the error they raise."""
+    return tuple(outcome(lambda: check(schedule, instance)) for check in (
+        makespan_and_violations, validate, makespan,
+    ))
+
+
+def assert_compact_checked_in_ints(schedule, instance):
+    """The checks of a splittable schedule laid out in ints read its int
+    loads: they build no patterns and convert no Fractions, and they
+    answer as the checks of a schedule built from its patterns, as does
+    ``expand_compact``. The patterns are the Fraction reference's, and
+    the two schedules are equal."""
+    with mock.patch("ccs.core._OverScale", side_effect=AssertionError), \
+            mock.patch("ccs.core._over_common_denominator",
+                       side_effect=AssertionError):
+        found = compact_measures(schedule, instance)
+    assert "patterns" not in vars(schedule)
+    assert makespan_and_violations(schedule, instance)[1] == []
+    twin = CompactSchedule(schedule.patterns)
+    assert found == compact_measures(twin, instance)
+    assert outcome(lambda: expand_compact(schedule, instance)) == outcome(
+        lambda: expand_compact(twin, instance)
+    )
+    assert schedule.patterns == reference_approx_splittable(instance).patterns
+    assert schedule == twin and hash(schedule) == hash(twin)
+    assert repr(schedule) == repr(twin)
+    assert pickle.loads(pickle.dumps(schedule)) == twin
+
+
+def splittable_warm_start(instance):
+    """The splittable scheme's warm start, as ``ptas_solve`` lays it out,
+    with the makespan the scheme takes from the deal."""
+    warm, top, _bound = driver._certify(instance, SPLITTABLE)
+    return warm, top
+
+
+@given(instance=st.one_of(check_instances, instances()))
+@example(instance=COPRIME)
+@settings(max_examples=300, deadline=None)
+def test_splittable_checks_match_fraction_checks(instance):
+    assert_compact_checked_in_ints(approx_splittable(instance), instance)
+    warm, top = splittable_warm_start(instance)
+    assert_compact_checked_in_ints(warm, instance)
+    assert top == makespan(CompactSchedule(warm.patterns), instance)
+
+
+@pytest.mark.parametrize("row", LARGE_ROWS, ids=itemgetter(1))
+def test_large_row_splittable_checks_match_fraction_checks(row):
+    instance = generate(*row)
+    assert_compact_checked_in_ints(approx_splittable(instance), instance)
+    warm, top = splittable_warm_start(instance)
+    assert_compact_checked_in_ints(warm, instance)
+    assert top == makespan(CompactSchedule(warm.patterns), instance)
+
+
+PATTERN_CORRUPTIONS = ("unknown class", "zero count", "class twice", "load")
+
+
+def corrupt_rows(rows, instance, corruption, pick, shift):
+    """The int patterns with one entry's class id unknown (out of range,
+    0, or no int), one pattern's count 0, one pattern listing a class a
+    second time, or one entry's load moved by ``shift`` (possibly to 0 or
+    below)."""
+    rows = list(rows)
+    k = pick % len(rows)
+    pattern, count = rows[k]
+    e = pick % len(pattern)
+    u, load = pattern[e]
+    if corruption == "unknown class":
+        unknown = (instance.class_count + 1, 0, True)[pick % 3]
+        pattern = pattern[:e] + ((unknown, load),) + pattern[e + 1:]
+    elif corruption == "zero count":
+        count = 0
+    elif corruption == "class twice":
+        pattern += ((u, load),)
+    else:
+        pattern = pattern[:e] + ((u, load + shift),) + pattern[e + 1:]
+    rows[k] = (pattern, count)
+    return tuple(rows)
+
+
+@given(
+    instance=check_instances,
+    corruption=st.sampled_from(PATTERN_CORRUPTIONS),
+    pick=st.integers(0, 10**6),
+    shift=st.integers(-40, 40).filter(bool),
+)
+@example(instance=COPRIME, corruption="load", pick=0, shift=-10**6)
+@settings(max_examples=400, deadline=None)
+def test_corrupted_int_patterns_report_as_their_fractions(
+    instance, corruption, pick, shift
+):
+    """A corrupted int layout reports the violations, in the same order,
+    and the makespan of its patterns read as Fractions, or raises what
+    they raise, without building its patterns."""
+    rows, scale = approx_splittable(instance)._layout
+    schedule = CompactSchedule._laid_out(
+        corrupt_rows(rows, instance, corruption, pick, shift), scale
+    )
+    found = compact_measures(schedule, instance)
+    assert "patterns" not in vars(schedule)
+    twin = CompactSchedule(schedule.patterns)
+    assert found == compact_measures(twin, instance)
+    assert found[1] != "[]"
+    assert outcome(lambda: expand_compact(schedule, instance)) == outcome(
+        lambda: expand_compact(twin, instance)
+    )
+
+
+@given(
+    instance=check_instances,
+    change=st.sampled_from(("size", "halved", "doubled", "machines")),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_patterns_checked_against_another_instance(instance, change, pick):
+    """The int loads are exact on their own: checked against an instance
+    it was not built for, the schedule gets the answer of its patterns."""
+    schedule = approx_splittable(instance)
+    times = list(instance.processing_times)
+    machines = instance.machine_count
+    if change == "size":
+        times[pick % len(times)] += 1
+    elif change == "halved":
+        times = [p / 2 for p in times]
+    elif change == "doubled":
+        times = [p * 2 for p in times]
+    else:
+        machines = max(1, machines - 1 - pick % machines)
+    other = Instance(tuple(times), instance.class_labels, machines,
+                     instance.slot_budget)
+    found = compact_measures(schedule, other)
+    assert found == compact_measures(CompactSchedule(schedule.patterns), other)
+
+
+# ---------------------------------------------------------------------------
 # instances: one Fraction per distinct size
 
 
@@ -1243,6 +1384,57 @@ def test_instance_sizes_match_one_fraction_per_job(sizes, data):
     assert instance._scaled == (den, scaled, tuple(sums))
     twin = Instance(times, tuple(labels), 2, 2)
     assert instance == twin and hash(instance) == hash(twin)
+
+
+def read_as_the_approximations_do(instance):
+    """The lower bounds, the three approximations and every check and
+    measure of their schedules, as the approximation sweep runs them."""
+    for variant in VARIANTS:
+        lower_bound(instance, variant)
+    for approx in (approx_splittable, approx_preemptive, approx_nonpreemptive):
+        schedule = approx(instance)
+        makespan_and_violations(schedule, instance)
+        validate(schedule, instance)
+        makespan(schedule, instance)
+        if approx is not approx_splittable:
+            machine_loads(schedule, instance)
+    assert instance.job_count == len(instance._scaled[1])
+
+
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_int_instances_build_their_times_when_read(sizes, data):
+    """An instance of plain int sizes builds no processing times until
+    they are read, on the approximations' path included, and then builds
+    those of the instance of one Fraction per job: equal, of equal hash
+    and repr, with one Fraction per distinct size. A pickle round trip
+    keeps it equal, built or not."""
+    n = len(sizes)
+    labels = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    m = data.draw(st.integers(2, 6))
+    instance = Instance(tuple(sizes), labels, m, 2)
+    read_as_the_approximations_do(instance)
+    assert "processing_times" not in vars(instance)
+    unbuilt = pickle.loads(pickle.dumps(instance))
+    assert "processing_times" not in vars(unbuilt)
+    times = tuple(map(Fraction, sizes))
+    twin = Instance(times, labels, m, 2)
+    assert repr(instance) == repr(twin)
+    assert instance == twin and hash(instance) == hash(twin)
+    assert unbuilt == twin and pickle.loads(pickle.dumps(instance)) == twin
+    assert instance.processing_times == times
+    assert all(type(p) is Fraction for p in instance.processing_times)
+    assert len(set(map(id, instance.processing_times))) == len(set(sizes))
+
+
+@pytest.mark.parametrize("row", LARGE_ROWS, ids=itemgetter(1))
+def test_large_rows_build_no_times(row):
+    instance = generate(*row)
+    read_as_the_approximations_do(instance)
+    assert "processing_times" not in vars(instance)
 
 
 # ---------------------------------------------------------------------------
